@@ -53,6 +53,10 @@ class OptimizerDiverged(QBecknerError):
     """Constant estimation produced a non-finite ratio."""
 
 
+class GradientCheckFailed(QBecknerError):
+    """An analytic gradient disagrees with central differences."""
+
+
 class MissingEstimate(QBecknerError):
     """Bound ledger referenced an estimate that was not supplied."""
 

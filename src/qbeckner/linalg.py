@@ -11,11 +11,17 @@ Conventions used throughout the package:
 
 from __future__ import annotations
 
-from typing import Sequence, Tuple
+from typing import Callable, Sequence, Tuple
 
 import numpy as np
 
-from .errors import DomainViolation, NonHermitian, NotPsd, SingularState
+from .errors import (
+    DomainViolation,
+    GradientCheckFailed,
+    NonHermitian,
+    NotPsd,
+    SingularState,
+)
 from .kernels import Kernel1, Kernel2, SAME_TOL, as_kernel2
 
 HERM_TOL = 1e-12
@@ -363,6 +369,25 @@ def random_pure(rng: np.random.Generator, d: int) -> np.ndarray:
 def traceless_part(A: np.ndarray) -> np.ndarray:
     d = A.shape[0]
     return A - (np.trace(A) / d) * np.eye(d)
+
+
+def check_gradient(fun_and_grad: Callable, x: np.ndarray, what: str) -> None:
+    """Compare an analytic gradient with central differences along three
+    seeded random unit directions; raise GradientCheckFailed on a relative
+    disagreement above 1e-4."""
+    rng = np.random.default_rng(0)
+    _, g0 = fun_and_grad(x)
+    eps = 1e-6 * max(1.0, float(np.linalg.norm(x)))
+    for _ in range(3):
+        v = rng.standard_normal(x.size)
+        v /= np.linalg.norm(v)
+        fp, _ = fun_and_grad(x + eps * v)
+        fm, _ = fun_and_grad(x - eps * v)
+        fd = (fp - fm) / (2.0 * eps)
+        an = float(g0 @ v)
+        if abs(fd - an) > 1e-4 * max(1.0, abs(fd), abs(an)):
+            raise GradientCheckFailed(
+                f"{what} gradient self-test failed: fd={fd:.6e} an={an:.6e}")
 
 
 # ---------------------------------------------------------------------------

@@ -431,21 +431,6 @@ class _ActionProblem:
                 pass
         return self.codec.encode(B)
 
-    def selftest_gradient(self, x: np.ndarray) -> None:
-        rng = np.random.default_rng(0)
-        f0, g0 = self.value_and_grad(x)
-        for _ in range(3):
-            v = rng.standard_normal(x.size)
-            v /= np.linalg.norm(v)
-            eps = 1e-6 * max(1.0, np.linalg.norm(x))
-            fp_, _ = self.value_and_grad(x + eps * v)
-            fm_, _ = self.value_and_grad(x - eps * v)
-            fd = (fp_ - fm_) / (2.0 * eps)
-            an = float(g0 @ v)
-            if abs(fd - an) > 1e-4 * max(1.0, abs(fd), abs(an)):
-                raise AssertionError(
-                    f"action gradient self-test failed: fd={fd:.6e} an={an:.6e}")
-
 
 def w2p_solve(L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray, p: float,
               opts: W2Opts = W2Opts()) -> Tuple[float, TransportPath]:
@@ -460,7 +445,7 @@ def w2p_solve(L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray, p: float,
     problem = _ActionProblem(L, rho0, rho1, p, opts)
     x = problem.initial_field()
     if opts.selftest:
-        problem.selftest_gradient(x)
+        la.check_gradient(problem.value_and_grad, x, "action")
     converged = False
     for _ in range(8):
         res = minimize(problem.value_and_grad, x, jac=True, method="L-BFGS-B",

@@ -3,7 +3,13 @@ import pytest
 
 from qbeckner import kernels as kn
 from qbeckner import linalg as la
-from qbeckner.errors import DomainViolation, NonHermitian, NotPsd, SingularState
+from qbeckner.errors import (
+    DomainViolation,
+    GradientCheckFailed,
+    NonHermitian,
+    NotPsd,
+    SingularState,
+)
 
 from conftest import PAULI, SIGMA_STAR, random_pd
 
@@ -224,3 +230,20 @@ class TestPsdAndSerialization:
         out = la.abs_power(A, 1.0)
         sv = np.linalg.svd(A, compute_uv=False)
         assert np.trace(out).real == pytest.approx(np.sum(sv), rel=1e-10)
+
+
+class TestCheckGradient:
+    @staticmethod
+    def _quartic(x):
+        return float(np.sum(x**4)), 4.0 * x**3
+
+    def test_exact_gradient_passes(self, rng):
+        la.check_gradient(self._quartic, rng.standard_normal(6), "quartic")
+
+    def test_wrong_gradient_raises(self, rng):
+        def wrong(x):
+            f, g = self._quartic(x)
+            return f, 1.01 * g
+
+        with pytest.raises(GradientCheckFailed):
+            la.check_gradient(wrong, rng.standard_normal(6), "quartic")

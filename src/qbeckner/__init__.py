@@ -10,7 +10,6 @@ from .semigroup import (
     depolarizing,
     derivation,
     evolve,
-    primitivity,
     random_dbc,
 )
 
@@ -25,7 +24,6 @@ __all__ = [
     "derivation",
     "evolve",
     "fixtures",
-    "primitivity",
     "random_dbc",
 ]
 

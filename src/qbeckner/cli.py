@@ -39,12 +39,13 @@ def _jsonable(obj):
         return {str(k): _jsonable(v) for k, v in obj.items()}
     if isinstance(obj, (list, tuple)):
         return [_jsonable(v) for v in obj]
+    # bool before int: bool is a subclass of int
+    if isinstance(obj, (np.bool_, bool)):
+        return bool(obj)
     if isinstance(obj, (np.floating, float)):
         return float(obj)
     if isinstance(obj, (np.integer, int)):
         return int(obj)
-    if isinstance(obj, (np.bool_, bool)):
-        return bool(obj)
     if isinstance(obj, np.ndarray):
         return la.matrix_to_json(obj) if obj.ndim == 2 else [_jsonable(v) for v in obj]
     if dataclasses.is_dataclass(obj):
@@ -219,7 +220,10 @@ def run(cfg: ExperimentConfig) -> Dict:
                 if not out["all_within_bound"]:
                     failures.append("mixing.bound")
             elif task == "transport":
-                report["results"]["transport"] = run_transport(cfg, L)
+                out = run_transport(cfg, L)
+                report["results"]["transport"] = out
+                if not all(s["converged"] for s in out["solves"]):
+                    failures.append("transport.converged")
             elif task == "ricci":
                 report["results"]["ricci"] = run_ricci(cfg, L, constants_out)
             elif task == "verify":

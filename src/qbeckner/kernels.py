@@ -54,11 +54,6 @@ def stable_powdiff(a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     return np.where(same, deg, far)
 
 
-def stable_powm1(a: float, x: np.ndarray) -> np.ndarray:
-    """x^a - 1 for x > 0, accurate near x = 1."""
-    return np.expm1(a * np.log(x))
-
-
 # ---------------------------------------------------------------------------
 # One-variable kernels
 # ---------------------------------------------------------------------------
@@ -103,11 +98,6 @@ def identity_kernel() -> Kernel1:
                    d2f=lambda x: np.zeros_like(x), d3f=lambda x: np.zeros_like(x))
 
 
-def constant_kernel(c: float = 1.0) -> Kernel1:
-    return Kernel1("constant", f=lambda x: np.full_like(x, c),
-                   df=lambda x: np.zeros_like(x), params={"c": c})
-
-
 def power_kernel(a: float) -> Kernel1:
     """x^a on (0, inf); the boundary x = 0 is admitted when a >= 0."""
     a = float(a)
@@ -127,25 +117,6 @@ def log_kernel() -> Kernel1:
     return Kernel1("log", f=np.log, df=lambda x: 1.0 / x,
                    d2f=lambda x: -1.0 / x**2, d3f=lambda x: 2.0 / x**3,
                    domain_min=0.0, allow_boundary=False)
-
-
-def exp_kernel() -> Kernel1:
-    return Kernel1("exp", f=np.exp, df=np.exp, d2f=np.exp, d3f=np.exp)
-
-
-def shifted_log_kernel(s: float) -> Kernel1:
-    """g_s(x) = log(x + s)."""
-    s = float(s)
-    return Kernel1(
-        f"log(x+{s})",
-        f=lambda x: np.log(x + s),
-        df=lambda x: 1.0 / (x + s),
-        d2f=lambda x: -1.0 / (x + s) ** 2,
-        d3f=lambda x: 2.0 / (x + s) ** 3,
-        domain_min=-s,
-        allow_boundary=False,
-        params={"s": s},
-    )
 
 
 def fp_kernel(p: float) -> Kernel1:

@@ -22,20 +22,25 @@ from .errors import (
     NotPsd,
     SingularState,
 )
-from .kernels import Kernel1, Kernel2, SAME_TOL, as_kernel2
+from .kernels import Kernel1, Kernel2, _is_same, as_kernel2
 
 HERM_TOL = 1e-12
 PSD_FLOOR = 1e-10
 FULL_RANK_FLOOR = 1e-12
 
 
+def dagger(A: np.ndarray) -> np.ndarray:
+    """Conjugate transpose of a matrix or of each matrix in a stack."""
+    return np.swapaxes(A, -1, -2).conj()
+
+
 def herm(A: np.ndarray) -> np.ndarray:
-    """Hermitian part (A + A†)/2."""
-    return 0.5 * (A + A.conj().T)
+    """Hermitian part (A + A†)/2, matrix by matrix over leading axes."""
+    return 0.5 * (A + dagger(A))
 
 
 def hermiticity_residual(A: np.ndarray) -> float:
-    return float(np.max(np.abs(A - A.conj().T)))
+    return float(np.max(np.abs(A - dagger(A))))
 
 
 def check_hermitian(A: np.ndarray, tol: float = HERM_TOL) -> None:
@@ -102,16 +107,6 @@ def psd_project(A: np.ndarray, floor: float = PSD_FLOOR) -> np.ndarray:
     return (V * w) @ V.conj().T
 
 
-def check_density(rho: np.ndarray, trace_tol: float = 1e-10,
-                  eig_floor: float = PSD_FLOOR) -> None:
-    check_hermitian(rho)
-    if abs(np.trace(rho).real - 1.0) > trace_tol:
-        raise NotPsd(f"trace {np.trace(rho).real} deviates from 1")
-    w = np.linalg.eigvalsh(herm(rho))
-    if np.min(w) < -eig_floor:
-        raise NotPsd(f"state eigenvalue {np.min(w):.3e} below -{eig_floor:.1e}")
-
-
 def check_full_rank(sigma: np.ndarray, floor: float = FULL_RANK_FLOOR) -> None:
     w = np.linalg.eigvalsh(herm(sigma))
     if np.min(w) < floor:
@@ -133,6 +128,11 @@ def unvec(v: np.ndarray, d: int | None = None) -> np.ndarray:
     if d is None:
         d = int(round(np.sqrt(v.size)))
     return v.reshape((d, d), order="F")
+
+
+def vec_columns(X: np.ndarray) -> np.ndarray:
+    """Matrix whose column k is vec(X[k]) for a stack of matrices."""
+    return np.swapaxes(X, 1, 2).reshape(len(X), -1).T
 
 
 def apply_super(S: np.ndarray, X: np.ndarray) -> np.ndarray:
@@ -168,11 +168,6 @@ def gamma_power_super(sigma: np.ndarray, s: float) -> np.ndarray:
     check_full_rank(sigma)
     half = matrix_power_hermitian(sigma, s / 2.0)
     return sandwich_super(half, half)
-
-
-def gamma_apply(sigma_half_power: np.ndarray, X: np.ndarray) -> np.ndarray:
-    """Apply X -> P X P for a precomputed matrix power P = sigma^(s/2)."""
-    return sigma_half_power @ X @ sigma_half_power
 
 
 def j_kernel_super(sigma: np.ndarray, k: Kernel1) -> np.ndarray:
@@ -211,15 +206,6 @@ def _schur_super(F: np.ndarray, VA: np.ndarray, VB: np.ndarray) -> np.ndarray:
     return (W * F.flatten(order="F")) @ W.conj().T
 
 
-def double_sum_super(k2, A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Superoperator matrix of the Schur multiplier f(A, B)."""
-    k2 = as_kernel2(k2)
-    wA, VA = herm_eigh(A)
-    wB, VB = herm_eigh(B)
-    F = _schur_weights(k2, wA, wB)
-    return _schur_super(F, VA, VB)
-
-
 def partial_dd_tensor(k2: Kernel2, which: int, wA: np.ndarray,
                       wB: np.ndarray) -> np.ndarray:
     """Weight tensor of a partial divided difference of a two-variable kernel.
@@ -228,30 +214,26 @@ def partial_dd_tensor(k2: Kernel2, which: int, wA: np.ndarray,
              falling back to d/dx f at the midpoint for degenerate pairs.
     which=2: W[a,b,c] = (f(wA_a, wB_b) - f(wA_a, wB_c)) / (wB_b - wB_c),
              falling back to d/dy f at the midpoint.
+    Leading axes of wA and wB broadcast; W has shape (..., d, d, d).
     """
+    x = wA[..., :, None, None]
     if which == 1:
-        x = wA[:, None, None]
-        xp = wA[None, :, None]
-        y = wB[None, None, :]
-        same = np.abs(x - xp) <= SAME_TOL * np.maximum(1.0, np.maximum(np.abs(x), np.abs(xp)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            far = (k2.f(x, y) - k2.f(xp, y)) / np.where(same, 1.0, x - xp)
-        if k2.dx is None:
-            raise DomainViolation(f"kernel {k2.name} has no d/dx rule")
-        deg = k2.dx(0.5 * (x + xp), y)
-        return np.where(same, deg, far)
-    if which == 2:
-        x = wA[:, None, None]
-        y = wB[None, :, None]
-        yp = wB[None, None, :]
-        same = np.abs(y - yp) <= SAME_TOL * np.maximum(1.0, np.maximum(np.abs(y), np.abs(yp)))
-        with np.errstate(divide="ignore", invalid="ignore"):
-            far = (k2.f(x, y) - k2.f(x, yp)) / np.where(same, 1.0, y - yp)
-        if k2.dy is None:
-            raise DomainViolation(f"kernel {k2.name} has no d/dy rule")
-        deg = k2.dy(x, 0.5 * (y + yp))
-        return np.where(same, deg, far)
-    raise ValueError("which must be 1 or 2")
+        y = wB[..., None, None, :]
+        u, v = x, wA[..., None, :, None]
+        fu, fv, deriv = k2.f(u, y), k2.f(v, y), k2.dx
+    elif which == 2:
+        u, v = wB[..., None, :, None], wB[..., None, None, :]
+        fu, fv, deriv = k2.f(x, u), k2.f(x, v), k2.dy
+    else:
+        raise ValueError("which must be 1 or 2")
+    if deriv is None:
+        raise DomainViolation(f"kernel {k2.name} has no d/d{'xy'[which - 1]} rule")
+    same = _is_same(u, v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        far = (fu - fv) / np.where(same, 1.0, u - v)
+    mid = 0.5 * (u + v)
+    deg = deriv(mid, y) if which == 1 else deriv(x, mid)
+    return np.where(same, deg, far)
 
 
 def partial_divdiff_apply(k2: Kernel2, which: int, A: np.ndarray, B: np.ndarray,

@@ -13,8 +13,7 @@ from . import linalg as la
 from . import transport as tp
 from .dirichlet import dirichlet_form
 from .entropy import p_divergence, relative_density
-from .errors import NonPositiveCurvature, SingularState
-from .kernels import theta_p_kernel
+from .errors import NonPositiveCurvature
 from .semigroup import DbcLindbladian, evolve
 
 
@@ -39,99 +38,34 @@ def _traceless_hermitian_basis(d: int) -> List[np.ndarray]:
     return basis
 
 
-def _kernel_superop(L: DbcLindbladian, rho: np.ndarray, A: np.ndarray, p: float,
-                    kernel_choice: str) -> List[np.ndarray]:
-    """Superoperator matrices of the geodesic-equation kernels K_{rho,A}^j.
-
-    These are the state-derivative kernels of the metric: linear in A, built
-    from partial divided differences of the multiplication kernel theta_p.
-    """
-    d = L.d
-    phat = p / (p - 1.0)
-    s, Us = la.herm_eigh(L.sigma)
-    s_pow = (Us * s ** (1.0 / (2.0 * phat))) @ Us.conj().T
-    s_ipow = (Us * s ** (-1.0 / (2.0 * phat))) @ Us.conj().T
-    Y = la.herm(s_ipow @ rho @ s_ipow)
-    lam, V = la.herm_eigh(Y, check=False)
-    if np.min(lam) <= 0:
-        raise SingularState("kernel superoperator needs a full-rank state")
-    theta = theta_p_kernel(p)
-    G = la.sandwich_super(s_pow, s_pow)
-    W = np.kron(V.conj(), V)
-    out = []
-    for (_, omega) in L.jumps:
-        a = np.exp(omega / (2.0 * p)) * lam
-        b = np.exp(-omega / (2.0 * p)) * lam
-        mats = []
-        if kernel_choice in ("1", "sym"):
-            D1 = V.conj().T @ (np.exp(omega / (2.0 * p)) * (s_ipow @ A @ s_ipow)) @ V
-            W1 = la.partial_dd_tensor(theta, 1, a, b)
-            mats.append(_schur_left_matrix(W1, D1, d))
-        if kernel_choice in ("2", "sym"):
-            D2 = V.conj().T @ (np.exp(-omega / (2.0 * p)) * (s_ipow @ A @ s_ipow)) @ V
-            W2 = la.partial_dd_tensor(theta, 2, a, b)
-            mats.append(_schur_right(W2, D2, d))
-        mid = mats[0] if len(mats) == 1 else 0.5 * (mats[0] + mats[1])
-        out.append(G @ W @ mid @ W.conj().T @ G)
-    return out
-
-
-def _schur_right(W2: np.ndarray, D2: np.ndarray, d: int) -> np.ndarray:
-    """Matrix of X~ -> R~ with R~[a,c] = sum_b W2[a,b,c] X~[a,b] D2[b,c]
-    in the column-stacked vec convention."""
-    S = np.zeros((d * d, d * d), dtype=complex)
-    for a in range(d):
-        for c in range(d):
-            row = a + c * d
-            for b in range(d):
-                S[row, a + b * d] += W2[a, b, c] * D2[b, c]
-    return S
-
-
-def _schur_left_matrix(W1: np.ndarray, D1: np.ndarray, d: int) -> np.ndarray:
-    """Matrix of X~ -> R~ with R~[a,c] = sum_b W1[a,b,c] D1[a,b] X~[b,c]."""
-    S = np.zeros((d * d, d * d), dtype=complex)
-    for a in range(d):
-        for c in range(d):
-            row = a + c * d
-            for b in range(d):
-                S[row, b + c * d] += W1[a, b, c] * D1[a, b]
-    return S
-
-
-def hessian_form(L: DbcLindbladian, rho: np.ndarray, p: float, U: np.ndarray,
-                 kernel_choice: str = "sym") -> float:
+def hessian_form(L: DbcLindbladian, rho: np.ndarray, p: float, U: np.ndarray) -> float:
     """Riemannian Hessian quadratic form of the p-divergence at rho.
 
-    Hess[U, U] = sum_j <dj U, K_{rho, L† rho}^j [dj U]> - <U, L†(D_{p,rho} U)>.
+    Hess[U, U] = sum_j <dj U, K_{rho, L† rho}^j [dj U]> - <U, L†(D_{p,rho} U)>,
+    where K_{rho,A}^j is the derivative of [rho]_{p,w_j} along A, averaged
+    over its two partial sides.
     """
-    A = la.apply_super(L.dual_generator, rho)
-    first = float(np.real(la.hs_inner(
-        tp._state_derivative_matrix(L, rho, U, p, kernel_choice), A)))
-    DU = tp.onsager_apply(L, rho, p, U)
-    second = float(np.real(la.hs_inner(U, la.apply_super(L.dual_generator, DU))))
+    fr = tp._Frame(L, rho, p)
+    C = fr.eig(fr.grad(U), fr.P)
+    first = 0.5 * float(np.real(la.hs_inner(fr.state_derivative(C), L.apply_dual(rho))))
+    second = float(np.real(la.hs_inner(U, L.apply_dual(fr.onsager(U)))))
     return first - second
 
 
-def hessian_matrix(L: DbcLindbladian, rho: np.ndarray, p: float,
-                   kernel_choice: str = "sym") -> Tuple[np.ndarray, np.ndarray]:
+def hessian_matrix(L: DbcLindbladian, rho: np.ndarray,
+                   p: float) -> Tuple[np.ndarray, np.ndarray]:
     """(H, G): Hessian and metric Gram matrices on the trace-free Hermitian
     basis, so that generalized eigenvalues of (H, G) bound the curvature."""
-    d = L.d
-    basis = _traceless_hermitian_basis(d)
-    n = len(basis)
-    A = la.apply_super(L.dual_generator, rho)
-    kernel_mats = _kernel_superop(L, rho, A, p, kernel_choice)
-    D_mat = tp.onsager_matrix(L, rho, p)
-    second = L.dual_generator @ D_mat
-    Phi = np.column_stack([la.vec(T) for T in basis])
-    H = np.zeros((n, n), dtype=complex)
-    for (V, _), Kj in zip(L.jumps, kernel_mats):
-        Dj = la.left_super(V) - la.right_super(V)
-        PhiJ = Dj @ Phi
-        H += PhiJ.conj().T @ Kj @ PhiJ
-    H -= Phi.conj().T @ second @ Phi
-    G = Phi.conj().T @ D_mat @ Phi
+    basis = np.array(_traceless_hermitian_basis(L.d))
+    fr = tp._Frame(L, rho, p)
+    C = fr.eig(fr.grad(basis), fr.P)
+    # the bilinear form of hessian_form's first term on every basis pair
+    A = la.dagger(fr.V) @ fr.Q @ L.apply_dual(rho) @ fr.Q @ fr.V
+    first = 0.5 * np.einsum("mnab,ab->mn", fr.dd(fr.kernel, C[:, None], C[None, :]), A)
+    Phi = la.vec_columns(basis)
+    DPhi = la.vec_columns(fr.onsager(basis))
+    H = first - Phi.conj().T @ L.dual_generator @ DPhi
+    G = Phi.conj().T @ DPhi
     # the tangent space is the REAL span of the Hermitian basis, so only the
     # real symmetric parts of the forms act on it
     return np.real(la.herm(H)), np.real(la.herm(G))
@@ -153,7 +87,7 @@ class RicciEstimate:
 
 
 def ricci_estimate(L: DbcLindbladian, p: float, num_states: int = 64,
-                   seed: int = 0, kernel_choice: str = "sym") -> RicciEstimate:
+                   seed: int = 0) -> RicciEstimate:
     """Sampled lower-bound estimate of the entropic curvature.
 
     For each sampled full-rank state (Hilbert-Schmidt random, mixed toward
@@ -178,7 +112,7 @@ def ricci_estimate(L: DbcLindbladian, p: float, num_states: int = 64,
             rho = 0.98 * rho + 0.02 * np.eye(d) / d
         samples.append(rho)
     for rho in samples:
-        H, G = hessian_matrix(L, rho, p, kernel_choice)
+        H, G = hessian_matrix(L, rho, p)
         vals, vecs = scipy.linalg.eigh(H, G)
         if vals[0] < kappa:
             kappa = float(vals[0])

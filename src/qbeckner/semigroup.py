@@ -119,6 +119,12 @@ class DbcLindbladian:
             raise NoJumps("operation needs the jump representation")
 
     @cached_property
+    def jump_stack(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Jump operators as one (J, d, d) array, and their frequencies."""
+        return (np.array([V for V, _ in self.jumps]),
+                np.array([omega for _, omega in self.jumps]))
+
+    @cached_property
     def sigma_eig(self) -> Tuple[np.ndarray, np.ndarray]:
         return la.herm_eigh(self.sigma)
 
@@ -499,20 +505,3 @@ def evolve(L: DbcLindbladian, t: float, picture: str, X: np.ndarray) -> np.ndarr
     if picture == "schrodinger":
         return la.apply_super(L.schrodinger_propagator(t), X)
     raise ValueError(f"unknown picture {picture!r}")
-
-
-def primitivity(L: DbcLindbladian,
-                kernel_tol: float | None = None) -> PrimitivityReport:
-    """Spectral report of the generator; ``kernel_tol`` overrides the default
-    relative threshold used to count kernel eigenvalues."""
-    if kernel_tol is None:
-        return L.primitivity
-    lam = np.linalg.eigvals(L.generator)
-    scale = float(np.max(np.abs(lam))) if lam.size else 0.0
-    if scale == 0.0:
-        return PrimitivityReport(L.d * L.d, 0.0, 0.0)
-    kernel = np.abs(lam) <= kernel_tol * scale
-    rest = lam[~kernel]
-    gap = float(np.min(-rest.real)) if rest.size else 0.0
-    return PrimitivityReport(int(np.sum(kernel)), gap,
-                             float(np.max(np.abs(lam.imag))))

@@ -10,6 +10,7 @@ and Hamiltonian geodesic shooting.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 from typing import List, NamedTuple, Tuple
 
 import numpy as np
@@ -17,15 +18,20 @@ from scipy.optimize import minimize
 
 from . import linalg as la
 from .errors import KernelComponent, LeftPositiveCone, NoJumps, SingularState
-from .kernels import (
-    Kernel2,
-    fp_divdiff_kernel,
-    theta_log_kernel,
-    theta_p_kernel,
-)
-from .semigroup import DbcLindbladian
+from .kernels import Kernel2, fp_divdiff_kernel, theta_log_kernel, theta_p_kernel
+from .semigroup import DbcLindbladian, _pair_index
 
 TRACE_TOL = 1e-10
+# Eigenvalue floor of the interior states of a transport path and of the
+# states a geodesic step may reach.
+FLOOR = 1e-10
+# w2p_solve: L-BFGS-B iterations per round, the endpoint penalty weight of
+# the first round (ten times larger each further round), the number of
+# rounds, and the endpoint mismatch at which a solve counts as converged.
+MAX_ITERS = 5000
+PENALTY0 = 1e4
+PENALTY_ROUNDS = 8
+ENDPOINT_TOL = 1e-6
 
 
 def _hconj(p: float) -> float:
@@ -102,37 +108,117 @@ def carlen_maas_apply(rho: np.ndarray, omega: float, A: np.ndarray) -> np.ndarra
 
 
 # ---------------------------------------------------------------------------
-# Onsager operator
+# Spectral frame of the metric kernels
 # ---------------------------------------------------------------------------
 
 
-def _kernels_for(L: DbcLindbladian, rho: np.ndarray, p: float) -> List[MetricKernel]:
-    L.require_jumps()
-    return [MetricKernel(rho, L.sigma, p, omega) for (_, omega) in L.jumps]
+class _Frame:
+    """Every metric kernel [rho]_{p,w_j} at a state, or at each state of a stack.
+
+    With s = 1/(2 phat), Y = sigma^-s rho sigma^-s = V diag(lam) V† and the
+    tilted spectra a_j = e^(w_j/2p) lam, b_j = e^(-w_j/2p) lam,
+    [rho]_j X = sigma^s V (theta_p(a_j, b_j) o V† sigma^s X sigma^s V) V† sigma^s.
+    Fields over the jumps are arrays (..., J, d, d), where ... are the
+    leading axes of rho.
+    """
+
+    def __init__(self, L: DbcLindbladian, rho: np.ndarray, p: float):
+        L.require_jumps()
+        self.p = float(p)
+        s = 1.0 / (2.0 * _hconj(self.p))
+        self.P = L.sigma_power(s)
+        self.Q = L.sigma_power(-s)
+        self.lam, self.V = la.herm_eigh(self.Q @ rho @ self.Q, check=False)
+        if np.min(self.lam) <= 0.0:
+            raise SingularState("metric kernel needs a full-rank state")
+        self.jumps, omega = L.jump_stack
+        self.up = np.exp(omega / (2.0 * self.p))
+        self.down = np.exp(-omega / (2.0 * self.p))
+        self.a = self.up[:, None] * self.lam[..., None, :]
+        self.b = self.down[:, None] * self.lam[..., None, :]
+        self.kernel = theta_p_kernel(self.p)
+
+    def weights(self, k: Kernel2) -> np.ndarray:
+        """k(a_j[x], b_j[y]) for every jump, (..., J, d, d)."""
+        return k.f(self.a[..., :, None], self.b[..., None, :])
+
+    @cached_property
+    def theta(self) -> np.ndarray:
+        return self.weights(self.kernel)
+
+    def grad(self, U: np.ndarray) -> np.ndarray:
+        """dj U = [V_j, U] for every jump."""
+        U = U[..., None, :, :]
+        return self.jumps @ U - U @ self.jumps
+
+    def div(self, X: np.ndarray) -> np.ndarray:
+        """-sum_j [V_j†, X_j], the adjoint of -grad."""
+        Vd = la.dagger(self.jumps)
+        return np.sum(X @ Vd - Vd @ X, axis=-3)
+
+    def eig(self, X: np.ndarray, S: np.ndarray) -> np.ndarray:
+        """V† S X_j S V for every jump component, S = P or Q."""
+        V = self.V[..., None, :, :]
+        return la.dagger(V) @ (S @ X @ S) @ V
+
+    def uneig(self, Xt: np.ndarray, S: np.ndarray) -> np.ndarray:
+        """Inverse of eig when S is replaced by its inverse."""
+        V = self.V[..., None, :, :]
+        return S @ (V @ Xt @ la.dagger(V)) @ S
+
+    def apply(self, X: np.ndarray) -> np.ndarray:
+        """[rho]_j X_j for every jump."""
+        return self.uneig(self.theta * self.eig(X, self.P), self.P)
+
+    def onsager(self, U: np.ndarray) -> np.ndarray:
+        """D_{p,rho} U = sum_j dj† ([rho]_j dj U)."""
+        return -self.div(self.apply(self.grad(U)))
+
+    def dd(self, k: Kernel2, Cl: np.ndarray, Cr: np.ndarray) -> np.ndarray:
+        """State-derivative contraction in the eigenbasis of Y.
+
+        Returns G with sum_ab G[a,b] E[a,b] = d/dt sum_j <Cl_j, k(a_j, b_j) o Cr_j>
+        along Y + t V E V†, for fields Cl, Cr held fixed in the basis of Y
+        (Daleckii-Krein: both partial divided differences of k, each side
+        weighted by its tilt).
+        """
+        W1 = self.up[:, None, None, None] * la.partial_dd_tensor(k, 1, self.a, self.b)
+        W2 = self.down[:, None, None, None] * la.partial_dd_tensor(k, 2, self.a, self.b)
+        Cl = Cl.conj()
+        return (np.einsum("...jabc,...jbc,...jac->...ab", W1, Cr, Cl)
+                + np.einsum("...jabc,...jab,...jac->...bc", W2, Cr, Cl))
+
+    def state_derivative(self, C: np.ndarray, k: Kernel2 | None = None) -> np.ndarray:
+        """Hermitian M with <M, H> the derivative of sum_j <C_j, k(a_j, b_j) o C_j>
+        along rho + tH, where C = eig(X, S) for fixed X and S; k defaults to
+        theta_p."""
+        G = self.dd(self.kernel if k is None else k, C, C)
+        return la.herm(self.Q @ self.V @ np.swapaxes(G, -1, -2) @ la.dagger(self.V) @ self.Q)
+
+
+def _floored(g: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each Hermitian matrix raised to at least FLOOR."""
+    w, V = la.herm_eigh(g, check=False)
+    return (V * np.maximum(w, FLOOR)[..., None, :]) @ la.dagger(V)
+
+
+# ---------------------------------------------------------------------------
+# Onsager operator
+# ---------------------------------------------------------------------------
 
 
 def onsager_apply(L: DbcLindbladian, rho: np.ndarray, p: float,
                   U: np.ndarray) -> np.ndarray:
     """D_{p,rho} U = sum_j dj† ([rho]_{p,w_j} dj U)."""
-    kernels = _kernels_for(L, rho, p)
-    out = np.zeros((L.d, L.d), dtype=complex)
-    for (V, _), K in zip(L.jumps, kernels):
-        dU = V @ U - U @ V
-        KdU = K.apply(dU)
-        Vd = V.conj().T
-        out += Vd @ KdU - KdU @ Vd
-    return out
+    return _Frame(L, rho, p).onsager(U)
 
 
 def onsager_matrix(L: DbcLindbladian, rho: np.ndarray, p: float) -> np.ndarray:
-    """Dense superoperator of the Onsager operator."""
-    kernels = _kernels_for(L, rho, p)
-    eye = np.eye(L.d)
-    M = np.zeros((L.d ** 2, L.d ** 2), dtype=complex)
-    for (V, _), K in zip(L.jumps, kernels):
-        Dj = la.left_super(V) - la.right_super(V)
-        M += Dj.conj().T @ K.matrix() @ Dj
-    return M
+    """Dense superoperator of the Onsager operator: column k is the image of
+    the matrix unit with vec index k."""
+    d = L.d
+    units = np.swapaxes(np.eye(d * d).reshape(d * d, d, d), 1, 2)
+    return la.vec_columns(_Frame(L, rho, p).onsager(units))
 
 
 def onsager_pinv_apply(L: DbcLindbladian, rho: np.ndarray, p: float,
@@ -162,13 +248,10 @@ def grad_flow_residual(L: DbcLindbladian, rho: np.ndarray, p: float) -> float:
     Zero residual certifies that the dual semigroup is the gradient flow of
     the p-divergence in the metric induced by the Onsager operator.
     """
-    phat = _hconj(p)
-    s, U = la.herm_eigh(L.sigma)
-    s_ipow = (U * s ** (-1.0 / (2.0 * phat))) @ U.conj().T
-    Y = la.herm(s_ipow @ rho @ s_ipow)
-    Ypow = la.matrix_power_hermitian(Y, p - 1.0)
-    dF = (1.0 / (p - 1.0)) * (s_ipow @ Ypow @ s_ipow)
-    lhs = onsager_apply(L, rho, p, dF)
+    fr = _Frame(L, rho, p)
+    Ypow = (fr.V * fr.lam ** (p - 1.0)) @ la.dagger(fr.V)
+    dF = (1.0 / (p - 1.0)) * (fr.Q @ Ypow @ fr.Q)
+    lhs = fr.onsager(dF)
     rhs = -la.apply_super(L.dual_generator, rho)
     return la.frob(lhs - rhs) / max(la.frob(rhs), 1e-300)
 
@@ -178,127 +261,73 @@ def grad_flow_residual(L: DbcLindbladian, rho: np.ndarray, p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
-def _pairing(jumps) -> List[int]:
-    out = []
-    for j, (V, om) in enumerate(jumps):
-        match = None
-        for k, (W, nu) in enumerate(jumps):
-            if abs(nu + om) <= 1e-9 * (1.0 + abs(om)) and \
-                    la.frob(W - V.conj().T) <= 1e-9 * (1.0 + la.frob(V)):
-                match = k
-                break
-        if match is None:
-            raise NoJumps("jump list lacks adjoint pairing")
-        out.append(match)
-    return out
-
-
 class _FieldCodec:
     """Packs a pairing-symmetric momentum field (N steps x J jumps) into a
     real vector. Pair slots carry one free complex matrix (the partner is
-    -B†); self-paired slots carry an anti-Hermitian matrix iH."""
+    -B†); self-paired slots carry an anti-Hermitian matrix iH, stored as the
+    real diagonal of H followed by (Re, Im) of its upper triangle, row by row."""
 
-    def __init__(self, jumps, N: int, d: int):
-        self.N = N
-        self.d = d
-        self.J = len(jumps)
-        self.pair = _pairing(jumps)
-        self.free_pairs = [j for j in range(self.J) if self.pair[j] > j]
-        self.selfs = [j for j in range(self.J) if self.pair[j] == j]
-        self.per_step = 2 * d * d * len(self.free_pairs) + d * d * len(self.selfs)
-        self.size = N * self.per_step
+    def __init__(self, L: DbcLindbladian, N: int):
+        pair = [_pair_index(L.jumps, j) for j in range(L.num_jumps)]
+        if None in pair:
+            raise NoJumps("jump list lacks adjoint pairing")
+        self.N, self.d, self.J = N, L.d, L.num_jumps
+        self.free = [j for j in range(self.J) if pair[j] > j]
+        self.partner = [pair[j] for j in self.free]
+        self.selfs = [j for j in range(self.J) if pair[j] == j]
+        self.upper = np.triu_indices(self.d, 1)
+        self.n_free = 2 * self.d * self.d * len(self.free)
+        self.n_self = self.d * self.d * len(self.selfs)
 
-    def _herm_unpack(self, x: np.ndarray) -> np.ndarray:
+    def _unpack(self, h: np.ndarray) -> np.ndarray:
         d = self.d
-        H = np.zeros((d, d), dtype=complex)
-        H[np.diag_indices(d)] = x[:d]
-        idx = d
-        for a in range(d):
-            for b in range(a + 1, d):
-                H[a, b] = x[idx] + 1j * x[idx + 1]
-                H[b, a] = x[idx] - 1j * x[idx + 1]
-                idx += 2
+        i, k = self.upper
+        H = np.zeros(h.shape[:-1] + (d, d), dtype=complex)
+        H[..., np.arange(d), np.arange(d)] = h[..., :d]
+        H[..., i, k] = h[..., d::2] + 1j * h[..., d + 1::2]
+        H[..., k, i] = h[..., d::2] - 1j * h[..., d + 1::2]
         return H
 
-    def _herm_pack(self, H: np.ndarray) -> np.ndarray:
+    def _pack(self, H: np.ndarray, off: float = 1.0) -> np.ndarray:
+        """Inverse of _unpack; off = 2 gives the gradient components of
+        df = tr(dH M), since an off-diagonal coordinate touches two entries."""
         d = self.d
-        x = np.zeros(d * d)
-        x[:d] = np.real(np.diag(H))
-        idx = d
-        for a in range(d):
-            for b in range(a + 1, d):
-                x[idx] = H[a, b].real
-                x[idx + 1] = H[a, b].imag
-                idx += 2
-        return x
+        i, k = self.upper
+        h = np.empty(H.shape[:-2] + (d * d,))
+        h[..., :d] = H[..., np.arange(d), np.arange(d)].real
+        h[..., d::2] = off * H[..., i, k].real
+        h[..., d + 1::2] = off * H[..., i, k].imag
+        return h
 
-    def _herm_pack_grad(self, M: np.ndarray) -> np.ndarray:
-        """Gradient components for df = tr(dH M): off-diagonal basis matrices
-        touch two entries of M, hence the factor 2."""
-        d = self.d
-        x = np.zeros(d * d)
-        x[:d] = np.real(np.diag(M))
-        idx = d
-        for a in range(d):
-            for b in range(a + 1, d):
-                x[idx] = 2.0 * M[a, b].real
-                x[idx + 1] = 2.0 * M[a, b].imag
-                idx += 2
-        return x
+    def _join(self, free: np.ndarray, selfs: np.ndarray) -> np.ndarray:
+        return np.concatenate([free.reshape(self.N, self.n_free),
+                               selfs.reshape(self.N, self.n_self)], axis=1).ravel()
 
     def decode(self, x: np.ndarray) -> np.ndarray:
-        d, J = self.d, self.J
-        B = np.zeros((self.N, J, d, d), dtype=complex)
-        for k in range(self.N):
-            chunk = x[k * self.per_step:(k + 1) * self.per_step]
-            off = 0
-            for j in self.free_pairs:
-                n = d * d
-                P = (chunk[off:off + n] + 1j * chunk[off + n:off + 2 * n]).reshape(d, d)
-                B[k, j] = P
-                B[k, self.pair[j]] = -P.conj().T
-                off += 2 * n
-            for j in self.selfs:
-                H = self._herm_unpack(chunk[off:off + d * d])
-                B[k, j] = 1j * H
-                off += d * d
+        N, d = self.N, self.d
+        x = x.reshape(N, self.n_free + self.n_self)
+        P = x[:, :self.n_free].reshape(N, len(self.free), 2, d, d)
+        P = P[:, :, 0] + 1j * P[:, :, 1]
+        B = np.zeros((N, self.J, d, d), dtype=complex)
+        B[:, self.free] = P
+        B[:, self.partner] = -la.dagger(P)
+        h = x[:, self.n_free:].reshape(N, len(self.selfs), d * d)
+        B[:, self.selfs] = 1j * self._unpack(h)
         return B
 
     def encode(self, B: np.ndarray) -> np.ndarray:
-        d = self.d
-        x = np.zeros(self.size)
-        for k in range(self.N):
-            off = k * self.per_step
-            for j in self.free_pairs:
-                n = d * d
-                x[off:off + n] = B[k, j].real.ravel()
-                x[off + n:off + 2 * n] = B[k, j].imag.ravel()
-                off += 2 * n
-            for j in self.selfs:
-                x[off:off + d * d] = self._herm_pack(la.herm(-1j * B[k, j]))
-                off += d * d
-        return x
+        P = B[:, self.free]
+        return self._join(np.stack([P.real, P.imag], axis=2),
+                          self._pack(la.herm(-1j * B[:, self.selfs])))
 
     def gradient(self, G: np.ndarray) -> np.ndarray:
         """Real gradient from full-field Wirtinger gradients G[k, j]
         (df = sum 2 Re tr(dB† G) over unconstrained variations)."""
-        d = self.d
-        out = np.zeros(self.size)
-        for k in range(self.N):
-            off = k * self.per_step
-            for j in self.free_pairs:
-                Geff = G[k, j] - G[k, self.pair[j]].conj().T
-                n = d * d
-                out[off:off + n] = 2.0 * Geff.real.ravel()
-                out[off + n:off + 2 * n] = 2.0 * Geff.imag.ravel()
-                off += 2 * n
-            for j in self.selfs:
-                K = G[k, j]
-                # df = 2 Im tr(dH K) = tr(dH M) with M = -i (K - K†) Hermitian
-                M = -1j * (K - K.conj().T)
-                out[off:off + d * d] = self._herm_pack_grad(M)
-                off += d * d
-        return out
+        Geff = G[:, self.free] - la.dagger(G[:, self.partner])
+        K = G[:, self.selfs]
+        # df = 2 Im tr(dH K) = tr(dH M) with M = -i (K - K†) Hermitian
+        return self._join(2.0 * np.stack([Geff.real, Geff.imag], axis=2),
+                          self._pack(-1j * (K - la.dagger(K)), 2.0))
 
 
 # ---------------------------------------------------------------------------
@@ -309,12 +338,7 @@ class _FieldCodec:
 @dataclass(frozen=True)
 class W2Opts:
     N: int = 20
-    max_iters: int = 5000
     tol: float = 1e-7
-    floor: float = 1e-10
-    penalty0: float = 1e4
-    endpoint_tol: float = 1e-6
-    selftest: bool = True
 
 
 @dataclass(frozen=True)
@@ -330,106 +354,63 @@ class TransportPath:
 
 class _ActionProblem:
     def __init__(self, L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray,
-                 p: float, opts: W2Opts):
+                 p: float, N: int):
         L.require_jumps()
         self.L = L
         self.rho0 = la.herm(rho0)
         self.rho1 = la.herm(rho1)
         self.p = float(p)
-        self.opts = opts
-        self.N = opts.N
-        self.h = 1.0 / opts.N
-        self.d = L.d
-        self.codec = _FieldCodec(L.jumps, self.N, self.d)
-        phat = _hconj(self.p)
-        s, U = la.herm_eigh(L.sigma)
-        self.s_pow = (U * s ** (1.0 / (2.0 * phat))) @ U.conj().T
-        self.s_ipow = (U * s ** (-1.0 / (2.0 * phat))) @ U.conj().T
+        self.N = N
+        self.h = 1.0 / N
+        self.codec = _FieldCodec(L, N)
         self.fp = fp_divdiff_kernel(self.p)
-        self.weight = opts.penalty0
+        self.weight = PENALTY0
 
-    def march(self, B: np.ndarray) -> List[np.ndarray]:
-        gammas = [self.rho0]
-        g = self.rho0
-        for k in range(self.N):
-            step = np.zeros((self.d, self.d), dtype=complex)
-            for j, (V, _) in enumerate(self.L.jumps):
-                Vd = V.conj().T
-                step += Vd @ B[k, j] - B[k, j] @ Vd
-            g = la.herm(g + self.h * step)
-            gammas.append(g)
-        return gammas
+    def march(self, B: np.ndarray) -> np.ndarray:
+        """States gamma_0..gamma_N of the discrete continuity equation."""
+        Vd = la.dagger(self.L.jump_stack[0])
+        step = la.herm(np.sum(Vd @ B - B @ Vd, axis=1))
+        return np.concatenate([self.rho0[None],
+                               self.rho0 + self.h * np.cumsum(step, axis=0)])
 
-    def _floored(self, g: np.ndarray) -> np.ndarray:
-        w, V = la.herm_eigh(g, check=False)
-        return (V * np.maximum(w, self.opts.floor)) @ V.conj().T
+    def steps(self, B: np.ndarray, gammas: np.ndarray):
+        """Frame at the floored step midpoints, the momenta in its eigenbasis
+        and the inverse-kernel weights f_p^[1]: step k's action is
+        sum F[k] |C[k]|^2."""
+        fr = _Frame(self.L, _floored(0.5 * (gammas[:-1] + gammas[1:])), self.p)
+        return fr, fr.eig(B, fr.Q), fr.weights(self.fp)
 
     def value_and_grad(self, x: np.ndarray):
-        L, d, h = self.L, self.d, self.h
+        h = self.h
         B = self.codec.decode(x)
         gammas = self.march(B)
-        value = 0.0
-        G = np.zeros_like(B)          # Wirtinger gradients per (k, j)
-        S = [None] * self.N           # d(action_k)/d(gamma_bar_k)
-        for k in range(self.N):
-            gbar = self._floored(0.5 * (gammas[k] + gammas[k + 1]))
-            Y = la.herm(self.s_ipow @ gbar @ self.s_ipow)
-            lam, V = la.herm_eigh(Y, check=False)
-            lam = np.maximum(lam, 1e-300)
-            Sk = np.zeros((d, d), dtype=complex)
-            for j, (Vj, omega) in enumerate(L.jumps):
-                a = np.exp(omega / (2.0 * self.p)) * lam
-                b = np.exp(-omega / (2.0 * self.p)) * lam
-                F = self.fp.f(a[:, None], b[None, :])
-                C = self.s_ipow @ B[k, j] @ self.s_ipow
-                Ct = V.conj().T @ C @ V
-                value += h * float(np.real(np.sum(F * np.abs(Ct) ** 2)))
-                # direct momentum gradient: h [gbar]^{-1} B
-                inv = V @ (F * Ct) @ V.conj().T
-                G[k, j] += h * (self.s_ipow @ inv @ self.s_ipow)
-                # kernel state-derivative, via partial divided differences
-                W1 = la.partial_dd_tensor(self.fp, 1, a, b)
-                W2 = la.partial_dd_tensor(self.fp, 2, a, b)
-                G1 = np.einsum("abc,bc,ac->ab", W1, Ct, Ct.conj())
-                G2 = np.einsum("abc,ab,ac->bc", W2, Ct, Ct.conj())
-                M1 = V @ G1.T @ V.conj().T
-                M2 = V @ G2.T @ V.conj().T
-                Sk += np.exp(omega / (2.0 * self.p)) * (self.s_ipow @ M1 @ self.s_ipow)
-                Sk += np.exp(-omega / (2.0 * self.p)) * (self.s_ipow @ M2 @ self.s_ipow)
-            S[k] = la.herm(Sk)
-        gap = gammas[self.N] - self.rho1
-        value += self.weight * la.frob(gap) ** 2
-        # accumulate d(value)/d(gamma_l) and chain back to the momenta
-        T = [np.zeros((d, d), dtype=complex) for _ in range(self.N + 1)]
-        for k in range(self.N):
-            T[k] += 0.5 * h * S[k]
-            T[k + 1] += 0.5 * h * S[k]
-        T[self.N] += 2.0 * self.weight * gap
-        # d(gamma_l)/d(B_kj) chain: per unconstrained slot the Hermitized
-        # march contributes (h/2) [V_j, .]; the codec folds in the partner.
-        suffix = np.zeros((d, d), dtype=complex)
-        for k in range(self.N - 1, -1, -1):
-            suffix += T[k + 1]
-            for j, (Vj, _) in enumerate(L.jumps):
-                G[k, j] += 0.5 * h * (Vj @ suffix - suffix @ Vj)
+        fr, C, F = self.steps(B, gammas)
+        gap = gammas[-1] - self.rho1
+        value = h * float(np.sum(F * np.abs(C) ** 2)) + self.weight * la.frob(gap) ** 2
+        # direct momentum gradient h [gbar]^{-1} B
+        G = h * fr.uneig(F * C, fr.Q)
+        # d(value)/d(gamma_l): each step's kernel sits at the midpoint
+        S = 0.5 * h * fr.state_derivative(C, self.fp)
+        T = np.zeros_like(gammas)
+        T[:-1] += S
+        T[1:] += S
+        T[-1] += 2.0 * self.weight * gap
+        # B_kj moves every gamma_l with l > k by (h/2)[V_j, .] per
+        # unconstrained slot; the codec folds in the partner
+        suffix = np.cumsum(T[:0:-1], axis=0)[::-1, None]
+        Vs = self.L.jump_stack[0]
+        G += 0.5 * h * (Vs @ suffix - suffix @ Vs)
         return value, self.codec.gradient(G)
 
     def initial_field(self) -> np.ndarray:
         """Linear state path with Riemannian-optimal momenta per step."""
-        B = np.zeros((self.N, self.codec.J, self.d, self.d), dtype=complex)
-        delta = self.rho1 - self.rho0
-        for k in range(self.N):
-            t = (k + 0.5) / self.N
-            gbar = self._floored((1.0 - t) * self.rho0 + t * self.rho1)
-            try:
-                U = onsager_pinv_apply(self.L, gbar, self.p,
-                                       la.traceless_part(delta), check_trace=False)
-                kernels = _kernels_for(self.L, gbar, self.p)
-                for j, (Vj, _) in enumerate(self.L.jumps):
-                    B[k, j] = kernels[j].apply(Vj @ U - U @ Vj)
-            except SingularState:
-                pass
-        return self.codec.encode(B)
+        t = ((np.arange(self.N) + 0.5) / self.N)[:, None, None]
+        gbar = _floored((1.0 - t) * self.rho0 + t * self.rho1)
+        nu = la.traceless_part(self.rho1 - self.rho0)
+        U = np.array([onsager_pinv_apply(self.L, g, self.p, nu, check_trace=False)
+                      for g in gbar])
+        fr = _Frame(self.L, gbar, self.p)
+        return self.codec.encode(fr.apply(fr.grad(U)))
 
 
 def w2p_solve(L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray, p: float,
@@ -439,52 +420,39 @@ def w2p_solve(L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray, p: float,
     States are eliminated: the curve is marched from rho0 through the
     discrete continuity equation, endpoint matching is enforced by an
     escalating quadratic penalty, and interior states are eigenvalue-floored.
-    Returns (distance, path); convexity of the underlying problem makes the
-    accepted iterates monotone in the action.
+    The action gradient is self-tested once per solve. Returns (distance,
+    path); convexity of the underlying problem makes the accepted iterates
+    monotone in the action.
     """
-    problem = _ActionProblem(L, rho0, rho1, p, opts)
+    problem = _ActionProblem(L, rho0, rho1, p, opts.N)
     x = problem.initial_field()
-    if opts.selftest:
-        la.check_gradient(problem.value_and_grad, x, "action")
+    la.check_gradient(problem.value_and_grad, x, "action")
     converged = False
-    for _ in range(8):
+    for _ in range(PENALTY_ROUNDS):
         res = minimize(problem.value_and_grad, x, jac=True, method="L-BFGS-B",
-                       options={"maxiter": opts.max_iters, "ftol": opts.tol * 1e-3,
+                       options={"maxiter": MAX_ITERS, "ftol": opts.tol * 1e-3,
                                 "gtol": 1e-12})
         x = res.x
         B = problem.codec.decode(x)
         gammas = problem.march(B)
         endpoint = la.frob(gammas[-1] - problem.rho1)
-        if endpoint <= opts.endpoint_tol:
+        if endpoint <= ENDPOINT_TOL:
             converged = True
             break
         problem.weight *= 10.0
-    actions = []
-    continuity = 0.0
-    h = problem.h
-    for k in range(problem.N):
-        gbar = problem._floored(0.5 * (gammas[k] + gammas[k + 1]))
-        a_k = 0.0
-        div = np.zeros((problem.d, problem.d), dtype=complex)
-        for j, ((Vj, omega)) in enumerate(L.jumps):
-            K = MetricKernel(gbar, L.sigma, p, omega)
-            a_k += K.quad_inverse(B[k, j])
-            Vd = Vj.conj().T
-            div -= Vd @ B[k, j] - B[k, j] @ Vd
-        actions.append(a_k)
-        continuity = max(continuity,
-                         la.frob((gammas[k + 1] - gammas[k]) / h + div))
-    action = float(np.sum(actions) / problem.N)
+    fr, C, F = problem.steps(B, gammas)
+    actions = np.sum(F * np.abs(C) ** 2, axis=(1, 2, 3))
+    flow = (gammas[1:] - gammas[:-1]) / problem.h + fr.div(B)
     path = TransportPath(
         states=tuple(gammas),
         momenta=B,
         action_per_step=tuple(float(a) for a in actions),
-        action=action,
+        action=float(np.sum(actions) / problem.N),
         endpoint_residual=float(endpoint),
-        continuity_residual=float(continuity),
+        continuity_residual=float(np.max(np.linalg.norm(flow, axis=(1, 2)))),
         converged=bool(converged),
     )
-    return float(np.sqrt(max(action, 0.0))), path
+    return float(np.sqrt(max(path.action, 0.0))), path
 
 
 def trace_distance_prefactor(L: DbcLindbladian, p: float) -> float:
@@ -529,83 +497,20 @@ class GeodesicState(NamedTuple):
     U: np.ndarray
 
 
-def _metric_frame(L: DbcLindbladian, rho: np.ndarray, p: float):
-    """Shared spectral data for kernel evaluations at a state."""
-    phat = _hconj(p)
-    s, Us = la.herm_eigh(L.sigma)
-    s_pow = (Us * s ** (1.0 / (2.0 * phat))) @ Us.conj().T
-    s_ipow = (Us * s ** (-1.0 / (2.0 * phat))) @ Us.conj().T
-    Y = la.herm(s_ipow @ rho @ s_ipow)
-    lam, V = la.herm_eigh(Y, check=False)
-    if np.min(lam) <= 0:
-        raise SingularState("state left the positive cone")
-    return s_pow, s_ipow, lam, V
-
-
-def _state_derivative_matrix(L: DbcLindbladian, rho: np.ndarray, U: np.ndarray,
-                             p: float, kernel_choice: str = "sym") -> np.ndarray:
-    """Hermitian matrix M with <M, A> = sum_j <dj U, K_{rho,A}^j [dj U]> for
-    Hermitian A: the state derivative of the kinetic form (twice the
-    Hamiltonian) at fixed momentum field grad U."""
-    d = L.d
-    s_pow, s_ipow, lam, V = _metric_frame(L, rho, p)
-    theta = theta_p_kernel(p)
-    dH = np.zeros((d, d), dtype=complex)
-    for (Vj, omega) in L.jumps:
-        a = np.exp(omega / (2.0 * p)) * lam
-        b = np.exp(-omega / (2.0 * p)) * lam
-        dU = Vj @ U - U @ Vj
-        Ct = V.conj().T @ (s_pow @ dU @ s_pow) @ V
-        terms = []
-        if kernel_choice in ("1", "sym"):
-            W1 = la.partial_dd_tensor(theta, 1, a, b)
-            G1 = np.einsum("abc,bc,ac->ab", W1, Ct, Ct.conj())
-            M1 = V @ G1.T @ V.conj().T
-            terms.append(np.exp(omega / (2.0 * p)) * (s_ipow @ M1 @ s_ipow))
-        if kernel_choice in ("2", "sym"):
-            W2 = la.partial_dd_tensor(theta, 2, a, b)
-            G2 = np.einsum("abc,ab,ac->bc", W2, Ct, Ct.conj())
-            M2 = V @ G2.T @ V.conj().T
-            terms.append(np.exp(-omega / (2.0 * p)) * (s_ipow @ M2 @ s_ipow))
-        dH += terms[0] if len(terms) == 1 else 0.5 * (terms[0] + terms[1])
-    return la.herm(dH)
-
-
 def gradient_norm_sq(L: DbcLindbladian, rho: np.ndarray, p: float,
                      U: np.ndarray) -> float:
     """||grad U||^2_{p,rho} = sum_j <dj U, [rho]_{p,w_j} dj U>."""
-    d = L.d
-    s_pow, _, lam, V = _metric_frame(L, rho, p)
-    theta = theta_p_kernel(p)
-    total = 0.0
-    for (Vj, omega) in L.jumps:
-        a = np.exp(omega / (2.0 * p)) * lam
-        b = np.exp(-omega / (2.0 * p)) * lam
-        F = theta.f(a[:, None], b[None, :])
-        dU = Vj @ U - U @ Vj
-        Ct = V.conj().T @ (s_pow @ dU @ s_pow) @ V
-        total += float(np.real(np.sum(F * np.abs(Ct) ** 2)))
-    return total
+    fr = _Frame(L, rho, p)
+    return float(np.sum(fr.theta * np.abs(fr.eig(fr.grad(U), fr.P)) ** 2))
 
 
-def _geodesic_rhs(L: DbcLindbladian, rho: np.ndarray, U: np.ndarray, p: float,
-                  kernel_choice: str):
-    """(rho_dot, U_dot) of the Hamiltonian geodesic flow."""
-    d = L.d
-    s_pow, s_ipow, lam, V = _metric_frame(L, rho, p)
-    theta = theta_p_kernel(p)
-    rho_dot = np.zeros((d, d), dtype=complex)
-    for (Vj, omega) in L.jumps:
-        a = np.exp(omega / (2.0 * p)) * lam
-        b = np.exp(-omega / (2.0 * p)) * lam
-        F = theta.f(a[:, None], b[None, :])
-        dU = Vj @ U - U @ Vj
-        Ct = V.conj().T @ (s_pow @ dU @ s_pow) @ V
-        KdU = s_pow @ (V @ (F * Ct) @ V.conj().T) @ s_pow
-        Vd = Vj.conj().T
-        rho_dot += Vd @ KdU - KdU @ Vd
-    dH = _state_derivative_matrix(L, rho, U, p, kernel_choice)
-    U_dot = -la.traceless_part(dH)
+def _geodesic_rhs(L: DbcLindbladian, rho: np.ndarray, U: np.ndarray, p: float):
+    """(rho_dot, U_dot) of the Hamiltonian geodesic flow, whose Hamiltonian is
+    half the kinetic form sum_j <dj U, [rho]_j dj U>."""
+    fr = _Frame(L, rho, p)
+    C = fr.eig(fr.grad(U), fr.P)
+    rho_dot = -fr.div(fr.uneig(fr.theta * C, fr.P))
+    U_dot = -la.traceless_part(0.5 * fr.state_derivative(C))
     return la.herm(rho_dot), U_dot
 
 
@@ -615,14 +520,12 @@ def geodesic_hamiltonian(L: DbcLindbladian, rho: np.ndarray, U: np.ndarray,
 
 
 def geodesic_shoot(L: DbcLindbladian, rho0: np.ndarray, U0: np.ndarray,
-                   p: float, T: float, steps: int,
-                   kernel_choice: str = "sym",
-                   floor: float = 1e-10) -> List[GeodesicState]:
+                   p: float, T: float, steps: int) -> List[GeodesicState]:
     """Integrate the constant-speed geodesic equations from (rho0, U0).
 
     Classical fourth-order one-step integration on a fixed grid; steps whose
-    end state dips below the positivity floor are halved and retried (at most
-    20 halvings before giving up).
+    end state dips below the eigenvalue floor FLOOR are halved and retried
+    (at most 20 halvings before giving up).
     """
     L.require_jumps()
     if abs(np.trace(U0)) > 1e-12 * max(1.0, la.frob(U0)):
@@ -638,8 +541,8 @@ def geodesic_shoot(L: DbcLindbladian, rho0: np.ndarray, U0: np.ndarray,
         while remaining > 1e-15 * dt_macro:
             dt_try = min(dt, remaining)
             try:
-                rho_new, U_new = _rk4(L, rho, U, p, dt_try, kernel_choice)
-                if np.min(np.linalg.eigvalsh(la.herm(rho_new))) < floor:
+                rho_new, U_new = _rk4(L, rho, U, p, dt_try)
+                if np.min(np.linalg.eigvalsh(la.herm(rho_new))) < FLOOR:
                     raise SingularState("below floor")
             except SingularState:
                 halvings += 1
@@ -654,11 +557,11 @@ def geodesic_shoot(L: DbcLindbladian, rho0: np.ndarray, U0: np.ndarray,
     return out
 
 
-def _rk4(L, rho, U, p, dt, kernel_choice):
-    k1r, k1u = _geodesic_rhs(L, rho, U, p, kernel_choice)
-    k2r, k2u = _geodesic_rhs(L, rho + 0.5 * dt * k1r, U + 0.5 * dt * k1u, p, kernel_choice)
-    k3r, k3u = _geodesic_rhs(L, rho + 0.5 * dt * k2r, U + 0.5 * dt * k2u, p, kernel_choice)
-    k4r, k4u = _geodesic_rhs(L, rho + dt * k3r, U + dt * k3u, p, kernel_choice)
+def _rk4(L, rho, U, p, dt):
+    k1r, k1u = _geodesic_rhs(L, rho, U, p)
+    k2r, k2u = _geodesic_rhs(L, rho + 0.5 * dt * k1r, U + 0.5 * dt * k1u, p)
+    k3r, k3u = _geodesic_rhs(L, rho + 0.5 * dt * k2r, U + 0.5 * dt * k2u, p)
+    k4r, k4u = _geodesic_rhs(L, rho + dt * k3r, U + dt * k3u, p)
     rho_new = rho + dt / 6.0 * (k1r + 2 * k2r + 2 * k3r + k4r)
     U_new = U + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
     return la.herm(rho_new), la.herm(U_new)

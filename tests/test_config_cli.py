@@ -1,3 +1,4 @@
+import dataclasses
 import json
 import os
 
@@ -9,6 +10,7 @@ from qbeckner import config as cf
 from qbeckner import constants as ct
 from qbeckner import linalg as la
 from qbeckner import semigroup as sg
+from qbeckner import transport as tp
 from qbeckner.errors import ConfigError, UnknownFixture
 
 
@@ -120,6 +122,12 @@ class TestEmit:
         assert "timings" not in report
         assert os.path.exists(os.path.join(tmp_path, "timings.json"))
 
+    def test_json_booleans(self, small_report, tmp_path):
+        cli.emit(small_report, "json", str(tmp_path))
+        text = open(os.path.join(tmp_path, "report.json")).read()
+        assert '"passed": true' in text
+        assert json.loads(text)["summary"]["passed"] is True
+
     def test_csv(self, small_report, tmp_path):
         cli.emit(small_report, "csv", str(tmp_path))
         text = open(os.path.join(tmp_path, "constants.csv")).read()
@@ -154,6 +162,21 @@ class TestMain:
     def test_verify_default_fixture_passes(self, tmp_path):
         assert cli.main(["verify", "--fixture", "depol2",
                          "--out", str(tmp_path / "out")]) == 0
+
+    def test_unconverged_transport_fails(self, tmp_path, monkeypatch):
+        solve = tp.w2p_solve
+
+        def unconverged(*args, **kwargs):
+            dist, path = solve(*args, **kwargs)
+            return dist, dataclasses.replace(path, converged=False)
+
+        monkeypatch.setattr(tp, "w2p_solve", unconverged)
+        out = tmp_path / "out"
+        assert cli.main(["transport", "--fixture", "depol2", "--steps", "4",
+                         "--out", str(out)]) == 1
+        report = json.loads(open(out / "report.json").read())
+        assert report["summary"]["failures"] == ["transport.converged"]
+        assert report["results"]["transport"]["solves"][0]["converged"] is False
 
     def test_corrupted_generator_fails(self, tmp_path):
         # a jump that is not a modular eigenvector breaks detailed balance

@@ -73,11 +73,6 @@ class TestRicciEstimate:
         b = rc.ricci_estimate(L2, 1.5, num_states=8, seed=5).kappa
         assert b == pytest.approx(2.5 * a, rel=1e-6)
 
-    def test_kernel_choice_agreement(self, depol_flat):
-        vals = [rc.ricci_estimate(depol_flat, 1.5, num_states=8, seed=5,
-                                  kernel_choice=c).kappa for c in ("1", "2", "sym")]
-        assert max(vals) - min(vals) <= 1e-8
-
     def test_witness_reproduces_kappa(self, dbc2):
         est = rc.ricci_estimate(dbc2, 1.5, num_states=8, seed=7)
         assert est.rayleigh(dbc2, 1.5) == pytest.approx(est.kappa, rel=1e-8)

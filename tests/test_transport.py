@@ -6,7 +6,7 @@ from qbeckner import semigroup as sg
 from qbeckner import transport as tp
 from qbeckner.entropy import relative_density
 from qbeckner.errors import KernelComponent, NoJumps, SingularState
-from qbeckner.kernels import Kernel1, kappa_alpha_kernel
+from qbeckner.kernels import Kernel1, fp_divdiff_kernel, kappa_alpha_kernel, theta_p_kernel
 
 from conftest import SIGMA_STAR
 
@@ -84,6 +84,69 @@ class TestOnsager:
         with pytest.raises(KernelComponent):
             tp.onsager_pinv_apply(dbc3, la.random_density(rng, 3, floor=0.05),
                                   1.5, np.eye(3))
+
+
+@pytest.fixture(scope="module")
+def dbc4():
+    """Seeded primitive random detailed-balance model at d = 4."""
+    return sg.random_dbc(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex), 4, 1, seed=11)
+
+
+class TestFrame:
+    """The spectral frame against the single-jump MetricKernel reference and
+    against central differences of its own kinetic form."""
+
+    @pytest.fixture(params=["dbc3", "dbc4"])
+    def model(self, request):
+        return request.getfixturevalue(request.param)
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 2.0])
+    def test_apply_matches_metric_kernel(self, rng, model, p):
+        rho = la.random_density(rng, model.d, floor=0.05)
+        U = la.random_hermitian(rng, model.d)
+        fr = tp._Frame(model, rho, p)
+        out = fr.apply(fr.grad(U))
+        for j, (V, omega) in enumerate(model.jumps):
+            ref = tp.MetricKernel(rho, model.sigma, p, omega).apply(V @ U - U @ V)
+            assert la.frob(out[j] - ref) <= 1e-12 * max(la.frob(ref), 1.0)
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 2.0])
+    @pytest.mark.parametrize("kernel", ["theta", "fp"])
+    def test_state_derivative_central_difference(self, rng, model, p, kernel):
+        d = model.d
+        rho = la.random_density(rng, d, floor=0.05)
+        H = la.traceless_part(la.random_hermitian(rng, d))
+        X = tp._Frame(model, rho, p).grad(la.random_hermitian(rng, d))
+        k = theta_p_kernel(p) if kernel == "theta" else fp_divdiff_kernel(p)
+
+        def form(r):
+            fr = tp._Frame(model, r, p)
+            S = fr.P if kernel == "theta" else fr.Q
+            return float(np.sum(fr.weights(k) * np.abs(fr.eig(X, S)) ** 2)), fr, S
+
+        f0, fr, S = form(rho)
+        an = float(np.real(la.hs_inner(fr.state_derivative(fr.eig(X, S), k), H)))
+        eps = 1e-5
+        fd = (form(rho + eps * H)[0] - form(rho - eps * H)[0]) / (2.0 * eps)
+        # at p = 2 both kernels are constant and the derivative vanishes, so
+        # the gap is scaled by the form's value as well (largest gap seen on
+        # dbc3: 5e-8 of max(|an|, f0))
+        assert abs(an - fd) <= 1e-6 * max(abs(an), f0)
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 2.0])
+    def test_stack_matches_single_states(self, rng, model, p):
+        d = model.d
+        rhos = np.array([la.random_density(rng, d, floor=0.05) for _ in range(3)])
+        Us = np.array([la.random_hermitian(rng, d) for _ in range(3)])
+        stack = tp._Frame(model, rhos, p)
+        C = stack.eig(stack.grad(Us), stack.P)
+        D = stack.onsager(Us)
+        M = stack.state_derivative(C)
+        for i in range(3):
+            one = tp._Frame(model, rhos[i], p)
+            Ci = one.eig(one.grad(Us[i]), one.P)
+            assert la.frob(D[i] - one.onsager(Us[i])) <= 1e-12 * la.frob(D[i])
+            assert la.frob(M[i] - one.state_derivative(Ci)) <= 1e-12 * la.frob(M[i])
 
 
 class TestGradientFlow:
@@ -205,13 +268,6 @@ class TestGeodesics:
         H0 = tp.geodesic_hamiltonian(dbc2, traj[0].rho, traj[0].U, 1.5)
         HT = tp.geodesic_hamiltonian(dbc2, traj[-1].rho, traj[-1].U, 1.5)
         assert abs(HT - H0) <= 1e-6 * H0
-
-    def test_kernel_choice_agreement(self, rng, dbc2):
-        rho = la.random_density(rng, 2, floor=0.15)
-        U = 0.1 * la.traceless_part(la.random_hermitian(rng, 2))
-        outs = [tp._geodesic_rhs(dbc2, rho, U, 1.5, c)[1] for c in ("1", "2", "sym")]
-        assert la.frob(outs[0] - outs[1]) <= 1e-10 * max(la.frob(outs[0]), 1e-300)
-        assert la.frob(outs[0] - outs[2]) <= 1e-10 * max(la.frob(outs[0]), 1e-300)
 
     def test_endpoint_consistency_with_solver(self, rng, dbc2):
         # shoot along the solved path's initial velocity and land near the target

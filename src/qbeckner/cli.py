@@ -19,6 +19,7 @@ from . import linalg as la
 from . import ricci as rc
 from . import transport as tp
 from .config import (
+    DEFAULT_TOLERANCES,
     ExperimentConfig,
     build_generator,
     config_from_json,
@@ -188,6 +189,14 @@ def run_ricci(cfg: ExperimentConfig, L: DbcLindbladian,
     return out
 
 
+def _violated(ricci_out: Dict, tol: float) -> bool:
+    """Whether any curvature inequality misses by more than tol times the
+    larger of its two sides, the transport discretization error it inherits."""
+    return any(e["slack"] < -tol * max(abs(e["lhs"]), abs(e["rhs"]))
+               for entry in ricci_out.values()
+               for rows in entry.get("inequalities", {}).values() for e in rows)
+
+
 def run(cfg: ExperimentConfig) -> Dict:
     """Execute the configured tasks in dependency order; errors per task are
     collected and the run continues. Deterministic given the seeds."""
@@ -224,8 +233,15 @@ def run(cfg: ExperimentConfig) -> Dict:
                 report["results"]["transport"] = out
                 if not all(s["converged"] for s in out["solves"]):
                     failures.append("transport.converged")
+                if not all(s["trace_lower_bound_ok"] for s in out["solves"]):
+                    failures.append("transport.trace_bound")
             elif task == "ricci":
-                report["results"]["ricci"] = run_ricci(cfg, L, constants_out)
+                out = run_ricci(cfg, L, constants_out)
+                report["results"]["ricci"] = out
+                tol = cfg.tolerances.get("w_discretization",
+                                         DEFAULT_TOLERANCES["w_discretization"])
+                if _violated(out, tol):
+                    failures.append("ricci.inequalities")
             elif task == "verify":
                 checks = verify_suite(cfg)
                 report["results"]["verify"] = [dataclasses.asdict(c) for c in checks]

@@ -73,6 +73,10 @@ class NonPositiveCurvature(QBecknerError):
     """Check requires a strictly positive curvature bound."""
 
 
+class SingularMetric(QBecknerError):
+    """Metric Gram matrix of a sampled state is not positive definite."""
+
+
 class LeftPositiveCone(QBecknerError):
     """Geodesic integration left the positive cone and could not recover."""
 

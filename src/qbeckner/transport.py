@@ -174,6 +174,13 @@ class _Frame:
         """D_{p,rho} U = sum_j dj† ([rho]_j dj U)."""
         return -self.div(self.apply(self.grad(U)))
 
+    def dk_tensors(self, k: Kernel2) -> Tuple[np.ndarray, np.ndarray]:
+        """Daleckii-Krein tensors (W1, W2) of k, (..., J, d, d, d): its first
+        and second partial divided differences on the tilted spectra, each
+        weighted by its tilt."""
+        return (self.up[:, None, None, None] * la.partial_dd_tensor(k, 1, self.a, self.b),
+                self.down[:, None, None, None] * la.partial_dd_tensor(k, 2, self.a, self.b))
+
     def dd(self, k: Kernel2, Cl: np.ndarray, Cr: np.ndarray) -> np.ndarray:
         """State-derivative contraction in the eigenbasis of Y.
 
@@ -182,8 +189,7 @@ class _Frame:
         (Daleckii-Krein: both partial divided differences of k, each side
         weighted by its tilt).
         """
-        W1 = self.up[:, None, None, None] * la.partial_dd_tensor(k, 1, self.a, self.b)
-        W2 = self.down[:, None, None, None] * la.partial_dd_tensor(k, 2, self.a, self.b)
+        W1, W2 = self.dk_tensors(k)
         Cl = Cl.conj()
         return (np.einsum("...jabc,...jbc,...jac->...ab", W1, Cr, Cl)
                 + np.einsum("...jabc,...jab,...jac->...bc", W2, Cr, Cl))

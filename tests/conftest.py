@@ -50,6 +50,12 @@ def dbc3():
     return sg.random_dbc(sigma, 3, 1, seed=5)
 
 
+@pytest.fixture(scope="session")
+def dbc4():
+    """Seeded primitive random detailed-balance model at d = 4."""
+    return sg.random_dbc(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex), 4, 1, seed=11)
+
+
 def random_pd(rng, d, shift=0.5):
     """Random strictly positive Hermitian matrix."""
     G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))

@@ -9,6 +9,7 @@ from qbeckner import cli
 from qbeckner import config as cf
 from qbeckner import constants as ct
 from qbeckner import linalg as la
+from qbeckner import ricci as rc
 from qbeckner import semigroup as sg
 from qbeckner import transport as tp
 from qbeckner.errors import ConfigError, UnknownFixture
@@ -177,6 +178,40 @@ class TestMain:
         report = json.loads(open(out / "report.json").read())
         assert report["summary"]["failures"] == ["transport.converged"]
         assert report["results"]["transport"]["solves"][0]["converged"] is False
+
+    def test_trace_bound_violation_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tp, "trace_distance_prefactor", lambda L, p: 0.0)
+        out = tmp_path / "out"
+        assert cli.main(["transport", "--fixture", "depol2", "--steps", "4",
+                         "--out", str(out)]) == 1
+        report = json.loads(open(out / "report.json").read())
+        assert report["summary"]["failures"] == ["transport.trace_bound"]
+
+    def test_ricci_inequality_violation_fails(self, tmp_path, monkeypatch):
+        def violated(L, p, kappa, states, **kwargs):
+            return {"hwi": [{"lhs": 1.0, "rhs": 0.9, "slack": -0.1}]}
+
+        monkeypatch.setattr(rc, "inequality_checks", violated)
+        out = tmp_path / "out"
+        assert cli.main(["ricci", "--fixture", "depol2", "--p", "2",
+                         "--samples", "4", "--out", str(out)]) == 1
+        report = json.loads(open(out / "report.json").read())
+        assert report["summary"]["failures"] == ["ricci.inequalities"]
+
+    def test_singular_metric_fails(self, tmp_path, monkeypatch):
+        hessian_matrix = rc.hessian_matrix
+
+        def indefinite(L, rho, p):
+            H, G = hessian_matrix(L, rho, p)
+            return H, G - 2.0 * np.max(np.abs(G)) * np.eye(G.shape[-1])
+
+        monkeypatch.setattr(rc, "hessian_matrix", indefinite)
+        out = tmp_path / "out"
+        assert cli.main(["ricci", "--fixture", "depol2", "--p", "2",
+                         "--samples", "4", "--out", str(out)]) == 1
+        report = json.loads(open(out / "report.json").read())
+        assert report["summary"]["failures"] == ["ricci.error"]
+        assert "SingularMetric" in report["errors"]["ricci"]
 
     def test_corrupted_generator_fails(self, tmp_path):
         # a jump that is not a modular eigenvector breaks detailed balance

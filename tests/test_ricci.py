@@ -1,12 +1,14 @@
 import numpy as np
 import pytest
+import scipy.linalg
 
+from qbeckner import config as cf
 from qbeckner import constants as ct
 from qbeckner import linalg as la
 from qbeckner import ricci as rc
 from qbeckner import transport as tp
 from qbeckner.entropy import p_divergence
-from qbeckner.errors import NonPositiveCurvature
+from qbeckner.errors import NonPositiveCurvature, SingularMetric
 
 from conftest import SIGMA_STAR
 
@@ -60,6 +62,52 @@ class TestHessianForm:
         assert np.max(np.abs(G - G.T)) <= 1e-9 * max(1.0, np.max(np.abs(G)))
 
 
+class TestHessianStack:
+    """hessian_matrix on a stack of states against one state at a time, and
+    its quadratic forms against hessian_form and gradient_norm_sq, which go
+    through _Frame.state_derivative and the frame weights instead of the
+    stacked contraction."""
+
+    @pytest.fixture(params=["dbc3", "dbc4"])
+    def model(self, request):
+        return request.getfixturevalue(request.param)
+
+    @pytest.fixture
+    def states(self, rng, model):
+        return np.array([la.random_density(rng, model.d, floor=0.05) for _ in range(3)])
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 2.0])
+    def test_stack_matches_single(self, model, states, p):
+        H, G = rc.hessian_matrix(model, states, p)
+        n = model.d ** 2 - 1
+        assert H.shape == G.shape == (len(states), n, n)
+        for rho, Hs, Gs in zip(states, H, G):
+            H1, G1 = rc.hessian_matrix(model, rho, p)
+            assert np.max(np.abs(Hs - H1)) <= 1e-12 * np.max(np.abs(H1))
+            assert np.max(np.abs(Gs - G1)) <= 1e-12 * np.max(np.abs(G1))
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 2.0])
+    def test_forms_match_oracles(self, rng, model, states, p):
+        H, G = rc.hessian_matrix(model, states, p)
+        basis = rc._traceless_hermitian_basis(model.d)
+        for rho, Hs, Gs in zip(states, H, G):
+            c = rng.standard_normal(len(basis))
+            U = sum(ci * T for ci, T in zip(c, basis))
+            assert c @ Hs @ c == pytest.approx(rc.hessian_form(model, rho, p, U), rel=1e-10)
+            assert c @ Gs @ c == pytest.approx(tp.gradient_norm_sq(model, rho, p, U),
+                                               rel=1e-10)
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 2.0])
+    @pytest.mark.parametrize("num_states", [1, 17, 33])
+    def test_estimate_matches_per_sample_eigh(self, model, p, num_states):
+        # 17 and 33 samples end in a partial block of rc.BLOCK = 16
+        est = rc.ricci_estimate(model, p, num_states=num_states, seed=2)
+        H, G = rc.hessian_matrix(model, rc._samples(model, num_states, 2), p)
+        kappa = min(scipy.linalg.eigh(Hs, Gs, eigvals_only=True)[0]
+                    for Hs, Gs in zip(H, G))
+        assert est.kappa == pytest.approx(kappa, rel=1e-12)
+
+
 class TestRicciEstimate:
     @pytest.mark.parametrize("p", [1.25, 1.5, 2.0])
     def test_depolarizing_anchor(self, depol_flat, p):
@@ -76,6 +124,29 @@ class TestRicciEstimate:
     def test_witness_reproduces_kappa(self, dbc2):
         est = rc.ricci_estimate(dbc2, 1.5, num_states=8, seed=7)
         assert est.rayleigh(dbc2, 1.5) == pytest.approx(est.kappa, rel=1e-8)
+
+    def test_ties_pick_first_sample(self):
+        # at p = 2 every sample of a depolarizing model has kappa_2 = 1 up to
+        # round-off, so the first sample, sigma, is the worst
+        L = cf.build_generator(cf.fixtures("depol3"))
+        est = rc.ricci_estimate(L, 2.0, num_states=16, seed=7)
+        assert est.kappa == pytest.approx(1.0, rel=1e-12)
+        assert np.array_equal(est.worst_state, L.sigma)
+
+    def test_singular_metric_names_sample(self, dbc2, monkeypatch):
+        hessian_matrix = rc.hessian_matrix
+        calls = []
+
+        def second_block_breaks(L, rho, p):
+            H, G = hessian_matrix(L, rho, p)
+            calls.append(len(rho))
+            if len(calls) == 2:
+                G[1] -= (np.linalg.eigvalsh(G[1])[0] + 1.0) * np.eye(len(G[1]))
+            return H, G
+
+        monkeypatch.setattr(rc, "hessian_matrix", second_block_breaks)
+        with pytest.raises(SingularMetric, match=f"sample {rc.BLOCK + 1} "):
+            rc.ricci_estimate(dbc2, 1.5, num_states=2 * rc.BLOCK, seed=7)
 
 
 class TestInequalityChecks:

@@ -86,12 +86,6 @@ class TestOnsager:
                                   1.5, np.eye(3))
 
 
-@pytest.fixture(scope="module")
-def dbc4():
-    """Seeded primitive random detailed-balance model at d = 4."""
-    return sg.random_dbc(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex), 4, 1, seed=11)
-
-
 class TestFrame:
     """The spectral frame against the single-jump MetricKernel reference and
     against central differences of its own kinetic form."""

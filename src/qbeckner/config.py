@@ -14,11 +14,8 @@ from .semigroup import DbcLindbladian, JumpTerm, build_from_jumps, depolarizing,
 
 DEFAULT_P_GRID = [1.05, 1.1, 1.25, 1.5, 1.75, 2.0]
 DEFAULT_Q_GRID = [1.2, 1.5, 1.8]
-DEFAULT_TOLERANCES = {
-    "hard": 1e-4,
-    "soft": 1e-3,
-    "w_discretization": 0.02,
-}
+# the bound ledger's tolerances are pinned (constants.HARD_TOL, SOFT_TOL)
+DEFAULT_TOLERANCES = {"w_discretization": 0.02}
 ALL_TASKS = ["constants", "decay", "mixing", "transport", "ricci", "verify"]
 
 
@@ -55,6 +52,9 @@ def config_from_dict(data: Dict) -> ExperimentConfig:
     cfg = ExperimentConfig(**data)
     if cfg.dimension < 1:
         raise ConfigError("dimension must be >= 1")
+    unknown = set(cfg.tolerances) - set(DEFAULT_TOLERANCES)
+    if unknown:
+        raise ConfigError(f"unknown tolerances: {sorted(unknown)}")
     for t in cfg.tasks:
         if t not in ALL_TASKS:
             raise ConfigError(f"unknown task {t!r} (choose from {ALL_TASKS})")

@@ -4,7 +4,6 @@ and the interpolation/transport/contraction inequality chain."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import lru_cache
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
@@ -25,37 +24,6 @@ BLOCK = 16
 # Samples whose lowest generalized eigenvalues lie within TIE_TOL * max(1,
 # |min|) of the minimum tie; the first of them is the worst sample.
 TIE_TOL = 1e-12
-
-
-def _traceless_hermitian_basis(d: int) -> List[np.ndarray]:
-    """Orthonormal basis of trace-free Hermitian matrices (d^2 - 1 elements)."""
-    basis = []
-    for a in range(d):
-        for b in range(a + 1, d):
-            X = np.zeros((d, d), dtype=complex)
-            X[a, b] = X[b, a] = 1.0 / np.sqrt(2.0)
-            basis.append(X)
-            Y = np.zeros((d, d), dtype=complex)
-            Y[a, b] = -1j / np.sqrt(2.0)
-            Y[b, a] = 1j / np.sqrt(2.0)
-            basis.append(Y)
-    for k in range(1, d):
-        Z = np.zeros((d, d), dtype=complex)
-        for a in range(k):
-            Z[a, a] = 1.0
-        Z[k, k] = -float(k)
-        basis.append(Z / np.sqrt(k * (k + 1.0)))
-    return basis
-
-
-@lru_cache(maxsize=None)
-def _basis_frame(d: int) -> Tuple[np.ndarray, np.ndarray]:
-    """The trace-free Hermitian basis as a stack (n, d, d), and its vecs as
-    the columns of Phi (d^2, n)."""
-    basis = np.array(_traceless_hermitian_basis(d))
-    Phi = la.vec_columns(basis)
-    basis.flags.writeable = Phi.flags.writeable = False
-    return basis, Phi
 
 
 def hessian_form(L: DbcLindbladian, rho: np.ndarray, p: float, U: np.ndarray) -> float:
@@ -81,7 +49,8 @@ def hessian_matrix(L: DbcLindbladian, rho: np.ndarray,
     rho is one state (d, d), giving (n, n) matrices, or a stack of states
     (S, d, d), giving (S, n, n). With the eigenframe gradients
     C_m = V† P [V_j, U_m] P V of the basis, flattened over (j, a, c):
-      G      = conj(C) (theta o C)^T, the Gram matrix <U_m, D_{p,rho} U_n>;
+      G      = conj(C) (theta o C)^T, the Gram matrix <U_m, D_{p,rho} U_n>
+               (transport._basis_gram, shared with the path energy);
       second = (Phi† L_dual Phi) G: D U_n is trace-free, so it lies in the
                span of the basis, and <U_m, L†(D U_n)> needs only G;
       first  = 1/2 conj(C) Z^T, where Z contracts the Daleckii-Krein tensors
@@ -89,20 +58,16 @@ def hessian_matrix(L: DbcLindbladian, rho: np.ndarray,
     """
     d = L.d
     states = np.reshape(rho, (-1, d, d))
-    basis, Phi = _basis_frame(d)
-    S, n = len(states), len(basis)
-    # axis 1 of the frame runs over the basis elements
-    fr = tp._Frame(L, states[:, None], p)
-    C = fr.eig(fr.grad(basis), fr.P)                      # (S, n, J, d, d)
+    fr, C, G = tp._basis_gram(L, states, p)
+    S, n = C.shape[:2]
     vecs = np.swapaxes(states, -1, -2).reshape(S, d * d)  # la.vec of each state
     Lrho = np.swapaxes((vecs @ L.dual_generator.T).reshape(S, d, d), -1, -2)
     A = la.dagger(fr.V) @ fr.Q @ Lrho[:, None] @ fr.Q @ fr.V
     W1, W2 = fr.dk_tensors(fr.kernel)
     Z = (np.einsum("...jabc,...jbc->...jac", W1 * A[..., None, :, :, None], C)
          + np.einsum("...jabc,...jab->...jac", W2 * A[..., None, None, :, :], C))
-    Cbar = C.reshape(S, n, -1).conj()
-    G = Cbar @ np.swapaxes((fr.theta * C).reshape(S, n, -1), -1, -2)
-    first = 0.5 * Cbar @ np.swapaxes(Z.reshape(S, n, -1), -1, -2)
+    first = 0.5 * C.reshape(S, n, -1).conj() @ np.swapaxes(Z.reshape(S, n, -1), -1, -2)
+    Phi = tp._basis_frame(d)[1]
     H = first - (Phi.conj().T @ L.dual_generator @ Phi) @ G
     # the tangent space is the REAL span of the Hermitian basis, so only the
     # real symmetric parts of the forms act on it
@@ -178,7 +143,7 @@ def ricci_estimate(L: DbcLindbladian, p: float, num_states: int = 64,
     floor = lowest.min()
     i = int(np.argmax(lowest <= floor + TIE_TOL * max(1.0, abs(floor))))
     vals, vecs = scipy.linalg.eigh(H[i], G[i])
-    direction = np.tensordot(vecs[:, 0], _basis_frame(L.d)[0], axes=1)
+    direction = np.tensordot(vecs[:, 0], tp._basis_frame(L.d)[0], axes=1)
     return RicciEstimate(float(vals[0]), num_states, samples[i], la.herm(direction))
 
 

@@ -10,28 +10,23 @@ and Hamiltonian geodesic shooting.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, lru_cache
 from typing import List, NamedTuple, Tuple
 
 import numpy as np
 from scipy.optimize import minimize
 
 from . import linalg as la
-from .errors import KernelComponent, LeftPositiveCone, NoJumps, SingularState
+from .errors import KernelComponent, LeftPositiveCone, SingularMetric, SingularState
 from .kernels import Kernel2, fp_divdiff_kernel, theta_log_kernel, theta_p_kernel
-from .semigroup import DbcLindbladian, _pair_index
+from .semigroup import DbcLindbladian
 
 TRACE_TOL = 1e-10
 # Eigenvalue floor of the interior states of a transport path and of the
 # states a geodesic step may reach.
 FLOOR = 1e-10
-# w2p_solve: L-BFGS-B iterations per round, the endpoint penalty weight of
-# the first round (ten times larger each further round), the number of
-# rounds, and the endpoint mismatch at which a solve counts as converged.
+# L-BFGS-B iterations of a w2p_solve.
 MAX_ITERS = 5000
-PENALTY0 = 1e4
-PENALTY_ROUNDS = 8
-ENDPOINT_TOL = 1e-6
 
 
 def _hconj(p: float) -> float:
@@ -263,77 +258,58 @@ def grad_flow_residual(L: DbcLindbladian, rho: np.ndarray, p: float) -> float:
 
 
 # ---------------------------------------------------------------------------
-# Momentum-field parameterization with adjoint pairing built in
+# Metric Gram matrix on the trace-free Hermitian basis
 # ---------------------------------------------------------------------------
 
 
-class _FieldCodec:
-    """Packs a pairing-symmetric momentum field (N steps x J jumps) into a
-    real vector. Pair slots carry one free complex matrix (the partner is
-    -B†); self-paired slots carry an anti-Hermitian matrix iH, stored as the
-    real diagonal of H followed by (Re, Im) of its upper triangle, row by row."""
+def _traceless_hermitian_basis(d: int) -> List[np.ndarray]:
+    """Orthonormal basis of trace-free Hermitian matrices (d^2 - 1 elements)."""
+    basis = []
+    for a in range(d):
+        for b in range(a + 1, d):
+            X = np.zeros((d, d), dtype=complex)
+            X[a, b] = X[b, a] = 1.0 / np.sqrt(2.0)
+            basis.append(X)
+            Y = np.zeros((d, d), dtype=complex)
+            Y[a, b] = -1j / np.sqrt(2.0)
+            Y[b, a] = 1j / np.sqrt(2.0)
+            basis.append(Y)
+    for k in range(1, d):
+        Z = np.zeros((d, d), dtype=complex)
+        for a in range(k):
+            Z[a, a] = 1.0
+        Z[k, k] = -float(k)
+        basis.append(Z / np.sqrt(k * (k + 1.0)))
+    return basis
 
-    def __init__(self, L: DbcLindbladian, N: int):
-        pair = [_pair_index(L.jumps, j) for j in range(L.num_jumps)]
-        if None in pair:
-            raise NoJumps("jump list lacks adjoint pairing")
-        self.N, self.d, self.J = N, L.d, L.num_jumps
-        self.free = [j for j in range(self.J) if pair[j] > j]
-        self.partner = [pair[j] for j in self.free]
-        self.selfs = [j for j in range(self.J) if pair[j] == j]
-        self.upper = np.triu_indices(self.d, 1)
-        self.n_free = 2 * self.d * self.d * len(self.free)
-        self.n_self = self.d * self.d * len(self.selfs)
 
-    def _unpack(self, h: np.ndarray) -> np.ndarray:
-        d = self.d
-        i, k = self.upper
-        H = np.zeros(h.shape[:-1] + (d, d), dtype=complex)
-        H[..., np.arange(d), np.arange(d)] = h[..., :d]
-        H[..., i, k] = h[..., d::2] + 1j * h[..., d + 1::2]
-        H[..., k, i] = h[..., d::2] - 1j * h[..., d + 1::2]
-        return H
+@lru_cache(maxsize=None)
+def _basis_frame(d: int) -> Tuple[np.ndarray, np.ndarray]:
+    """The trace-free Hermitian basis as a stack (n, d, d), and its vecs as
+    the columns of Phi (d^2, n)."""
+    basis = np.array(_traceless_hermitian_basis(d))
+    Phi = la.vec_columns(basis)
+    basis.flags.writeable = Phi.flags.writeable = False
+    return basis, Phi
 
-    def _pack(self, H: np.ndarray, off: float = 1.0) -> np.ndarray:
-        """Inverse of _unpack; off = 2 gives the gradient components of
-        df = tr(dH M), since an off-diagonal coordinate touches two entries."""
-        d = self.d
-        i, k = self.upper
-        h = np.empty(H.shape[:-2] + (d * d,))
-        h[..., :d] = H[..., np.arange(d), np.arange(d)].real
-        h[..., d::2] = off * H[..., i, k].real
-        h[..., d + 1::2] = off * H[..., i, k].imag
-        return h
 
-    def _join(self, free: np.ndarray, selfs: np.ndarray) -> np.ndarray:
-        return np.concatenate([free.reshape(self.N, self.n_free),
-                               selfs.reshape(self.N, self.n_self)], axis=1).ravel()
+def _basis_gram(L: DbcLindbladian, rho: np.ndarray,
+                p: float) -> Tuple[_Frame, np.ndarray, np.ndarray]:
+    """Metric Gram matrices on the basis U_1..U_n, n = d^2 - 1, at each
+    state of a stack rho (S, d, d).
 
-    def decode(self, x: np.ndarray) -> np.ndarray:
-        N, d = self.N, self.d
-        x = x.reshape(N, self.n_free + self.n_self)
-        P = x[:, :self.n_free].reshape(N, len(self.free), 2, d, d)
-        P = P[:, :, 0] + 1j * P[:, :, 1]
-        B = np.zeros((N, self.J, d, d), dtype=complex)
-        B[:, self.free] = P
-        B[:, self.partner] = -la.dagger(P)
-        h = x[:, self.n_free:].reshape(N, len(self.selfs), d * d)
-        B[:, self.selfs] = 1j * self._unpack(h)
-        return B
-
-    def encode(self, B: np.ndarray) -> np.ndarray:
-        P = B[:, self.free]
-        return self._join(np.stack([P.real, P.imag], axis=2),
-                          self._pack(la.herm(-1j * B[:, self.selfs])))
-
-    def gradient(self, G: np.ndarray) -> np.ndarray:
-        """Real gradient from full-field Wirtinger gradients G[k, j]
-        (df = sum 2 Re tr(dB† G) over unconstrained variations)."""
-        Geff = G[:, self.free] - la.dagger(G[:, self.partner])
-        K = G[:, self.selfs]
-        # df = 2 Im tr(dH K) = tr(dH M) with M = -i (K - K†) Hermitian
-        return self._join(2.0 * np.stack([Geff.real, Geff.imag], axis=2),
-                          self._pack(-1j * (K - la.dagger(K)), 2.0))
+    Returns the frame of the stack with the basis on its own axis (leading
+    axes (S, 1)), the eigenframe gradients C_m = V† P [V_j, U_m] P V, shape
+    (S, n, J, d, d), and G = conj(C) (theta o C)^T flattened over (j, a, c),
+    shape (S, n, n): the Gram matrix <U_m, D_{p,rho} U_n>. D maps the real
+    span of the basis into itself, so G is real up to round-off.
+    """
+    basis, _ = _basis_frame(L.d)
+    S, n = len(rho), len(basis)
+    fr = _Frame(L, rho[:, None], p)
+    C = fr.eig(fr.grad(basis), fr.P)
+    G = C.reshape(S, n, -1).conj() @ np.swapaxes((fr.theta * C).reshape(S, n, -1), -1, -2)
+    return fr, C, G
 
 
 # ---------------------------------------------------------------------------
@@ -358,105 +334,95 @@ class TransportPath:
     converged: bool
 
 
-class _ActionProblem:
+class _PathEnergy:
+    """Discrete path energy over the interior states of a path rho0 -> rho1.
+
+    State k is the linear interpolant plus sum_m x[k, m] U_m over the
+    trace-free Hermitian basis, with x = 0 at both ends, so the endpoints are
+    exact and step k moves by b_k = delta + x[k+1] - x[k] in basis
+    coordinates. For a fixed path the best momenta of step k are
+    [gbar_k]_j dj U_k with D_{p,gbar_k} U_k = (gamma_{k+1} - gamma_k) / h at
+    the floored midpoint gbar_k, so the action is sum_k b_k^T G_k^-1 b_k / h
+    with G_k the metric Gram matrix (_basis_gram) at gbar_k.
+    """
+
     def __init__(self, L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray,
                  p: float, N: int):
-        L.require_jumps()
-        self.L = L
-        self.rho0 = la.herm(rho0)
-        self.rho1 = la.herm(rho1)
-        self.p = float(p)
-        self.N = N
-        self.h = 1.0 / N
-        self.codec = _FieldCodec(L, N)
-        self.fp = fp_divdiff_kernel(self.p)
-        self.weight = PENALTY0
+        self.L, self.p, self.N, self.h = L, float(p), N, 1.0 / N
+        self.basis, _ = _basis_frame(L.d)
+        t = (np.arange(N + 1) / N)[:, None, None]
+        rho0, rho1 = la.herm(rho0), la.herm(rho1)
+        self.linear = (1.0 - t) * rho0 + t * rho1
+        self.delta = self.coords(rho1 - rho0) / N
 
-    def march(self, B: np.ndarray) -> np.ndarray:
-        """States gamma_0..gamma_N of the discrete continuity equation."""
-        Vd = la.dagger(self.L.jump_stack[0])
-        step = la.herm(np.sum(Vd @ B - B @ Vd, axis=1))
-        return np.concatenate([self.rho0[None],
-                               self.rho0 + self.h * np.cumsum(step, axis=0)])
+    def coords(self, X: np.ndarray) -> np.ndarray:
+        """Re <U_m, X> for each Hermitian matrix of a stack."""
+        n, d = len(self.basis), self.L.d
+        return np.real(X.reshape(-1, d * d) @ self.basis.reshape(n, d * d).conj().T)
 
-    def steps(self, B: np.ndarray, gammas: np.ndarray):
-        """Frame at the floored step midpoints, the momenta in its eigenbasis
-        and the inverse-kernel weights f_p^[1]: step k's action is
-        sum F[k] |C[k]|^2."""
-        fr = _Frame(self.L, _floored(0.5 * (gammas[:-1] + gammas[1:])), self.p)
-        return fr, fr.eig(B, fr.Q), fr.weights(self.fp)
+    def evaluate(self, y: np.ndarray):
+        """States, step coordinates b, the coefficients c_k = G_k^-1 b_k of
+        U_k, the midpoint frame, and the eigenframe gradients of the U_k,
+        sum_n c_kn C_kn, shape (N, 1, J, d, d)."""
+        x = np.zeros((self.N + 1, len(self.basis)))
+        x[1:-1] = y.reshape(self.N - 1, len(self.basis))
+        gammas = self.linear + np.tensordot(x, self.basis, axes=1)
+        b = self.delta + x[1:] - x[:-1]
+        fr, C, G = _basis_gram(self.L, _floored(0.5 * (gammas[:-1] + gammas[1:])), self.p)
+        # one eigendecomposition per step both tests G_k > 0 and solves for c_k
+        w, Q = la.herm_eigh(G, check=False)
+        if w[:, 0].min() <= 0.0:
+            i = int(np.argmin(w[:, 0]))
+            raise SingularMetric(f"metric Gram matrix of step {i} is not positive "
+                                 f"definite (lowest eigenvalue {w[i, 0]:.3e})")
+        c = np.real(np.einsum("kmn,kn->km", Q, np.einsum("kmn,km->kn", Q.conj(), b) / w))
+        return gammas, b, c, fr, np.einsum("kn,kn...->k...", c, C)[:, None]
 
-    def value_and_grad(self, x: np.ndarray):
+    def value_and_grad(self, y: np.ndarray):
         h = self.h
-        B = self.codec.decode(x)
-        gammas = self.march(B)
-        fr, C, F = self.steps(B, gammas)
-        gap = gammas[-1] - self.rho1
-        value = h * float(np.sum(F * np.abs(C) ** 2)) + self.weight * la.frob(gap) ** 2
-        # direct momentum gradient h [gbar]^{-1} B
-        G = h * fr.uneig(F * C, fr.Q)
-        # d(value)/d(gamma_l): each step's kernel sits at the midpoint
-        S = 0.5 * h * fr.state_derivative(C, self.fp)
-        T = np.zeros_like(gammas)
-        T[:-1] += S
-        T[1:] += S
-        T[-1] += 2.0 * self.weight * gap
-        # B_kj moves every gamma_l with l > k by (h/2)[V_j, .] per
-        # unconstrained slot; the codec folds in the partner
-        suffix = np.cumsum(T[:0:-1], axis=0)[::-1, None]
-        Vs = self.L.jump_stack[0]
-        G += 0.5 * h * (Vs @ suffix - suffix @ Vs)
-        return value, self.codec.gradient(G)
-
-    def initial_field(self) -> np.ndarray:
-        """Linear state path with Riemannian-optimal momenta per step."""
-        t = ((np.arange(self.N) + 0.5) / self.N)[:, None, None]
-        gbar = _floored((1.0 - t) * self.rho0 + t * self.rho1)
-        nu = la.traceless_part(self.rho1 - self.rho0)
-        U = np.array([onsager_pinv_apply(self.L, g, self.p, nu, check_trace=False)
-                      for g in gbar])
-        fr = _Frame(self.L, gbar, self.p)
-        return self.codec.encode(fr.apply(fr.grad(U)))
+        _, b, c, fr, CU = self.evaluate(y)
+        value = float(np.sum(b * c)) / h
+        # d(value)/d(gbar_k) = -(1/h) d/dgbar <U_k, D U_k> at fixed U_k, the
+        # state derivative of the kinetic form
+        M = fr.state_derivative(CU)[:, 0]
+        S = -0.5 / h * self.coords(M)
+        grad = 2.0 / h * (c[:-1] - c[1:]) + S[:-1] + S[1:]
+        return value, grad.ravel()
 
 
 def w2p_solve(L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray, p: float,
               opts: W2Opts = W2Opts()) -> Tuple[float, TransportPath]:
-    """Transport distance W_{2,p} by minimizing the discretized action.
+    """Transport distance W_{2,p} by minimizing the discrete path energy.
 
-    States are eliminated: the curve is marched from rho0 through the
-    discrete continuity equation, endpoint matching is enforced by an
-    escalating quadratic penalty, and interior states are eigenvalue-floored.
-    The action gradient is self-tested once per solve. Returns (distance,
-    path); convexity of the underlying problem makes the accepted iterates
-    monotone in the action.
+    The unknowns are the interior states of an N-step path; the endpoints
+    are rho0 and rho1 exactly, and the momenta of each step are eliminated in
+    closed form (see _PathEnergy). One L-BFGS-B solve starts from the linear
+    path; interior midpoints are eigenvalue-floored. The energy gradient is
+    self-tested once per solve. Returns (distance, path), with the momenta
+    rebuilt as B_k = [gbar_k]_j dj U_k.
     """
-    problem = _ActionProblem(L, rho0, rho1, p, opts.N)
-    x = problem.initial_field()
-    la.check_gradient(problem.value_and_grad, x, "action")
-    converged = False
-    for _ in range(PENALTY_ROUNDS):
-        res = minimize(problem.value_and_grad, x, jac=True, method="L-BFGS-B",
+    problem = _PathEnergy(L, rho0, rho1, p, opts.N)
+    y = np.zeros((opts.N - 1) * len(problem.basis))
+    converged = True
+    if y.size:  # a one-step path has no interior state to optimize
+        la.check_gradient(problem.value_and_grad, y, "path energy")
+        res = minimize(problem.value_and_grad, y, jac=True, method="L-BFGS-B",
                        options={"maxiter": MAX_ITERS, "ftol": opts.tol * 1e-3,
                                 "gtol": 1e-12})
-        x = res.x
-        B = problem.codec.decode(x)
-        gammas = problem.march(B)
-        endpoint = la.frob(gammas[-1] - problem.rho1)
-        if endpoint <= ENDPOINT_TOL:
-            converged = True
-            break
-        problem.weight *= 10.0
-    fr, C, F = problem.steps(B, gammas)
-    actions = np.sum(F * np.abs(C) ** 2, axis=(1, 2, 3))
-    flow = (gammas[1:] - gammas[:-1]) / problem.h + fr.div(B)
+        y, converged = res.x, bool(res.success)
+    h = problem.h
+    gammas, b, c, fr, CU = problem.evaluate(y)
+    B = fr.uneig(fr.theta * CU, fr.P)[:, 0] / h
+    actions = np.sum(b * c, axis=1) / h ** 2
+    flow = (gammas[1:] - gammas[:-1]) / h + fr.div(B)
     path = TransportPath(
         states=tuple(gammas),
         momenta=B,
         action_per_step=tuple(float(a) for a in actions),
-        action=float(np.sum(actions) / problem.N),
-        endpoint_residual=float(endpoint),
+        action=float(np.sum(actions) * h),
+        endpoint_residual=la.frob(gammas[-1] - la.herm(rho1)),
         continuity_residual=float(np.max(np.linalg.norm(flow, axis=(1, 2)))),
-        converged=bool(converged),
+        converged=converged,
     )
     return float(np.sqrt(max(path.action, 0.0))), path
 

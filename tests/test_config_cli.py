@@ -12,6 +12,7 @@ from qbeckner import linalg as la
 from qbeckner import ricci as rc
 from qbeckner import semigroup as sg
 from qbeckner import transport as tp
+from qbeckner import verify
 from qbeckner.errors import ConfigError, UnknownFixture
 
 
@@ -32,6 +33,16 @@ class TestConfig:
             cf.config_from_dict({"q_grid": [2.0]})
         with pytest.raises(ConfigError):
             cf.config_from_dict({"tasks": ["nonsense"]})
+
+    def test_ledger_tolerances_not_configurable(self):
+        # the bound ledger's tolerances are pinned (constants.HARD_TOL and
+        # SOFT_TOL); only the transport discretization tolerance is read
+        assert set(cf.DEFAULT_TOLERANCES) == {"w_discretization"}
+        for key in ("hard", "soft"):
+            with pytest.raises(ConfigError, match="unknown tolerances"):
+                cf.config_from_dict({"tolerances": {key: 1e-2}})
+        cfg = cf.config_from_dict({"tolerances": {"w_discretization": 0.05}})
+        assert cfg.tolerances == {"w_discretization": 0.05}
 
     def test_malformed_json(self):
         with pytest.raises(ConfigError, match="line"):
@@ -164,6 +175,16 @@ class TestMain:
         assert cli.main(["verify", "--fixture", "depol2",
                          "--out", str(tmp_path / "out")]) == 0
 
+    def test_verify_distance_symmetry_bound(self):
+        # the path energy is reversal-symmetric, so the check's bound is 1e-6
+        # relative; the asymmetry itself sits at round-off
+        L = cf.build_generator(cf.fixtures("depol3"))
+        checks = {c.name: c for c in verify.check_transport(L, np.random.default_rng(3))}
+        sym = checks["distance-symmetry"]
+        assert sym.status == "pass"
+        assert 0.0 < sym.rhs <= 1e-5
+        assert sym.lhs <= 1e-8 * sym.rhs
+
     def test_unconverged_transport_fails(self, tmp_path, monkeypatch):
         solve = tp.w2p_solve
 
@@ -212,6 +233,21 @@ class TestMain:
         report = json.loads(open(out / "report.json").read())
         assert report["summary"]["failures"] == ["ricci.error"]
         assert "SingularMetric" in report["errors"]["ricci"]
+
+    def test_transport_singular_metric_fails(self, tmp_path, monkeypatch):
+        basis_gram = tp._basis_gram
+
+        def indefinite(L, rho, p):
+            fr, C, G = basis_gram(L, rho, p)
+            return fr, C, G - 2.0 * np.max(np.abs(G)) * np.eye(G.shape[-1])
+
+        monkeypatch.setattr(tp, "_basis_gram", indefinite)
+        out = tmp_path / "out"
+        assert cli.main(["transport", "--fixture", "depol2", "--steps", "4",
+                         "--out", str(out)]) == 1
+        report = json.loads(open(out / "report.json").read())
+        assert report["summary"]["failures"] == ["transport.error"]
+        assert "SingularMetric" in report["errors"]["transport"]
 
     def test_corrupted_generator_fails(self, tmp_path):
         # a jump that is not a modular eigenvector breaks detailed balance

@@ -48,7 +48,7 @@ class TestHessianForm:
     def test_matrix_consistent_with_form(self, rng, dbc2):
         rho = la.random_density(rng, 2, floor=0.1)
         H, G = rc.hessian_matrix(dbc2, rho, 1.5)
-        basis = rc._traceless_hermitian_basis(2)
+        basis = tp._traceless_hermitian_basis(2)
         c = rng.standard_normal(len(basis))
         U = sum(ci * T for ci, T in zip(c, basis))
         assert c @ H @ c == pytest.approx(rc.hessian_form(dbc2, rho, 1.5, U), rel=1e-10)
@@ -89,7 +89,7 @@ class TestHessianStack:
     @pytest.mark.parametrize("p", [1.05, 1.5, 2.0])
     def test_forms_match_oracles(self, rng, model, states, p):
         H, G = rc.hessian_matrix(model, states, p)
-        basis = rc._traceless_hermitian_basis(model.d)
+        basis = tp._traceless_hermitian_basis(model.d)
         for rho, Hs, Gs in zip(states, H, G):
             c = rng.standard_normal(len(basis))
             U = sum(ci * T for ci, T in zip(c, basis))

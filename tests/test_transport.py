@@ -5,7 +5,7 @@ from qbeckner import linalg as la
 from qbeckner import semigroup as sg
 from qbeckner import transport as tp
 from qbeckner.entropy import relative_density
-from qbeckner.errors import KernelComponent, NoJumps, SingularState
+from qbeckner.errors import KernelComponent, NoJumps, SingularMetric, SingularState
 from qbeckner.kernels import Kernel1, fp_divdiff_kernel, kappa_alpha_kernel, theta_p_kernel
 
 from conftest import SIGMA_STAR
@@ -230,6 +230,79 @@ class TestW2Solver:
         L = sg.random_dbc(SIGMA_STAR, 0, 0, seed=1)
         with pytest.raises(NoJumps):
             tp.w2p_solve(L, np.eye(2) / 2, SIGMA_STAR, 1.5)
+
+
+class TestPathEnergy:
+    """The path-energy objective of w2p_solve and the shared Gram helper."""
+
+    N = 6
+
+    @pytest.fixture(params=["dbc2", "dbc3", "dbc4"])
+    def model(self, request):
+        return request.getfixturevalue(request.param)
+
+    @pytest.fixture
+    def pair(self, rng, model):
+        return (la.random_density(rng, model.d, floor=0.1),
+                la.random_density(rng, model.d, floor=0.1))
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 2.0])
+    def test_gradient_central_difference(self, rng, model, pair, p):
+        problem = tp._PathEnergy(model, *pair, p, self.N)
+        y = 0.01 * rng.standard_normal((self.N - 1) * (model.d ** 2 - 1))
+        f0, g = problem.value_and_grad(y)
+        eps = 1e-6
+        for _ in range(3):
+            v = rng.standard_normal(y.size)
+            v /= np.linalg.norm(v)
+            fd = (problem.value_and_grad(y + eps * v)[0]
+                  - problem.value_and_grad(y - eps * v)[0]) / (2.0 * eps)
+            # largest gap seen over these nine cases: 1.5e-10 of max(|g|, f0)
+            assert abs(g @ v - fd) <= 1e-8 * max(np.linalg.norm(g), f0)
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 2.0])
+    def test_solution_is_an_exact_path(self, model, pair, p):
+        r0, r1 = pair
+        dist, path = tp.w2p_solve(model, r0, r1, p, tp.W2Opts(N=self.N))
+        assert path.converged
+        assert path.endpoint_residual == 0.0
+        assert np.array_equal(path.states[0], r0) and np.array_equal(path.states[-1], r1)
+        assert path.continuity_residual <= 1e-10
+        assert path.momenta.shape == (self.N, model.num_jumps, model.d, model.d)
+        if p == 2.0:
+            assert dist == pytest.approx(tp.flat_w22(model, r0, r1), rel=1e-9)
+        back, _ = tp.w2p_solve(model, r1, r0, p, tp.W2Opts(N=self.N))
+        assert back == pytest.approx(dist, rel=1e-10)
+
+    def test_one_step_path(self, model, pair):
+        # no interior state: the path is the segment, exact at p = 2
+        r0, r1 = pair
+        dist, path = tp.w2p_solve(model, r0, r1, 2.0, tp.W2Opts(N=1))
+        assert path.converged and path.endpoint_residual == 0.0
+        assert dist == pytest.approx(tp.flat_w22(model, r0, r1), rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 2.0])
+    def test_gram_is_onsager_matrix_on_basis(self, rng, model, p):
+        rhos = np.array([la.random_density(rng, model.d, floor=0.05) for _ in range(2)])
+        _, C, G = tp._basis_gram(model, rhos, p)
+        _, Phi = tp._basis_frame(model.d)
+        assert C.shape[:2] == (2, model.d ** 2 - 1)
+        for rho, Gs in zip(rhos, G):
+            ref = Phi.conj().T @ tp.onsager_matrix(model, rho, p) @ Phi
+            assert np.max(np.abs(Gs - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    def test_singular_metric_names_step(self, dbc2, monkeypatch):
+        basis_gram = tp._basis_gram
+
+        def third_step_breaks(L, rho, p):
+            fr, C, G = basis_gram(L, rho, p)
+            G[2] -= (np.linalg.eigvalsh(G[2])[0] + 1.0) * np.eye(len(G[2]))
+            return fr, C, G
+
+        monkeypatch.setattr(tp, "_basis_gram", third_step_breaks)
+        r0, r1 = np.diag([0.6, 0.4]).astype(complex), SIGMA_STAR
+        with pytest.raises(SingularMetric, match="step 2 "):
+            tp.w2p_solve(dbc2, r0, r1, 1.5, tp.W2Opts(N=self.N))
 
 
 class TestInverseKernelConvexity:

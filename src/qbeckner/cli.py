@@ -9,7 +9,7 @@ import os
 import sys
 import tempfile
 import time
-from typing import Dict, List, Optional
+from typing import Dict, List, Optional, Tuple
 
 import numpy as np
 
@@ -72,7 +72,9 @@ def _alpha_table(cfg: ExperimentConfig, L: DbcLindbladian) -> Dict[float, float]
     return {p: ct.certified_alpha_lower(lam, smin, p) for p in cfg.p_grid}
 
 
-def run_constants(cfg: ExperimentConfig, L: DbcLindbladian) -> Dict:
+def run_constants(cfg: ExperimentConfig, L: DbcLindbladian) -> Tuple[Dict, Dict]:
+    """The constants table and ledger, and the optimizer's per-start
+    diagnostics of every optimized estimate."""
     opts = ct.EstimateOpts(num_starts=cfg.num_starts,
                            seed=int(cfg.seeds.get("starts", 0)))
     estimates = {("poincare",): ct.estimate_constant(L, "poincare")}
@@ -94,13 +96,14 @@ def run_constants(cfg: ExperimentConfig, L: DbcLindbladian) -> Dict:
             "num_starts": est.num_starts,
             "residual": est.best_residual,
         })
+    names = {k: f"{k[0]}" + (f"[{k[1]}]" if len(k) > 1 else "") for k in estimates}
     return {
         "rows": rows,
         "ledger": [dataclasses.asdict(e) for e in ledger.entries],
         "ledger_hard_pass": ledger.hard_pass,
-        "estimates": {f"{k[0]}" + (f"[{k[1]}]" if len(k) > 1 else ""): est.value
-                      for k, est in estimates.items()},
-    }
+        "estimates": {names[k]: est.value for k, est in estimates.items()},
+    }, {names[k]: est.diagnostics for k, est in estimates.items()
+        if est.diagnostics is not None}
 
 
 def run_decay(cfg: ExperimentConfig, L: DbcLindbladian) -> Dict:
@@ -201,7 +204,7 @@ def run(cfg: ExperimentConfig) -> Dict:
     """Execute the configured tasks in dependency order; errors per task are
     collected and the run continues. Deterministic given the seeds."""
     report: Dict = {"config": cfg.to_dict(), "results": {}, "errors": {},
-                    "timings": {}, "summary": {}}
+                    "diagnostics": {}, "timings": {}, "summary": {}}
     tasks = [t for t in TASK_ORDER if t in cfg.tasks]
     if any(t in NEEDS_CONSTANTS for t in tasks) and "constants" not in tasks:
         tasks.insert(0, "constants")
@@ -214,7 +217,7 @@ def run(cfg: ExperimentConfig) -> Dict:
             if L is None and task != "verify":
                 L = build_generator(cfg)
             if task == "constants":
-                constants_out = run_constants(cfg, L)
+                constants_out, report["diagnostics"]["constants"] = run_constants(cfg, L)
                 report["results"]["constants"] = constants_out
                 if not constants_out["ledger_hard_pass"]:
                     failures.append("constants.ledger")

@@ -11,7 +11,6 @@ from dataclasses import dataclass
 from typing import Callable, Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-from scipy.optimize import minimize, minimize_scalar
 
 from . import dirichlet as dh
 from . import entropy as ent
@@ -33,6 +32,18 @@ BIG = 1e300
 # ratio is dominated by cancellation noise; the region's limit value enters
 # through the analytic cap instead.
 RIDGE_FLOOR = 1e-8
+# Sufficient-decrease constant, trial cap and gradient stop of the batched
+# BFGS in minimize().
+ARMIJO_C1 = 1e-4
+MAX_BACKTRACKS = 10
+GTOL = 1e-12
+# Longest optimizer step, relative to |y|. The ratios are invariant under
+# y -> c y, so a longer step mostly rescales the point; uncapped, one start
+# of dual_beckner[1.8] on depol3 leaps far out and takes 126 steps, not 46.
+MAX_STEP = 1.0
+# minimize() stop codes and the reasons they stand for
+_RUNNING, _FTOL, _GTOL, _MAX_ITERS, _LINE_SEARCH = range(5)
+STOPS = ("running", "ftol", "gtol", "max_iters", "line_search")
 
 
 @dataclass(frozen=True)
@@ -44,6 +55,19 @@ class EstimateOpts:
 
 
 @dataclass(frozen=True)
+class EstimateDiagnostics:
+    """What the optimizer did for one estimate, per start in start order:
+    accepted steps, objective evaluations, stop reason and the start's
+    final ratio. Nothing here depends on wall-clock time, so reports stay
+    reproducible."""
+
+    iterations: Tuple[int, ...]
+    evaluations: Tuple[int, ...]
+    stops: Tuple[str, ...]
+    values: Tuple[float, ...]
+
+
+@dataclass(frozen=True)
 class ConstantEstimate:
     kind: str
     param: Optional[float]
@@ -52,6 +76,7 @@ class ConstantEstimate:
     num_starts: int
     best_residual: float
     capped: bool
+    diagnostics: Optional[EstimateDiagnostics] = None
 
     def ratio_of_witness(self, L: DbcLindbladian) -> float:
         if self.witness is None:
@@ -102,10 +127,17 @@ def _ratio_fn(L: DbcLindbladian, kind: str, param: Optional[float]) -> Callable:
     raise ValueError(f"no ratio for kind {kind!r}")
 
 
+def _tr(A: np.ndarray, B: np.ndarray) -> np.ndarray:
+    """Re tr(A B), matrix by matrix over leading axes."""
+    return np.real(np.einsum("...ij,...ji->...", A, B))
+
+
 def _ratio_and_grad(L: DbcLindbladian, kind: str, param: Optional[float]) -> Callable:
     """Fused form of :func:`_ratio_fn`: X -> (R(X), G) with dR = Re tr(G dX).
 
-    Each kind reads its spectral terms off one eigendecomposition of the
+    X is one matrix (d, d), giving a float and (d, d), or a stack (S, d, d),
+    giving (S,) and (S, d, d); a single matrix is a stack of one. Each kind
+    reads its spectral terms off one (batched) eigendecomposition of the
     sandwich A = sigma^(1/2p) X sigma^(1/2p) (dual_beckner's 2-norm part
     needs only the Frobenius norm of A_2). Gradients of trace
     functions tr f(A) are first order, f'(A); the Dirichlet forms
@@ -116,13 +148,14 @@ def _ratio_and_grad(L: DbcLindbladian, kind: str, param: Optional[float]) -> Cal
     """
     w, U = L.sigma_eig
     log_sigma = (U * np.log(w)) @ U.conj().T
+    dag = la.dagger
 
-    def form_grad(S: np.ndarray, a: np.ndarray, V: np.ndarray, Bt: np.ndarray,
-                  F: np.ndarray, dd: Kernel2) -> np.ndarray:
+    def form_grad(T: np.ndarray, Th: np.ndarray, a: np.ndarray, Bt: np.ndarray,
+                  SFS: np.ndarray, dd: Kernel2) -> np.ndarray:
         """Gradient of tr(F B) in X for F = f(A) + C, C constant, given the
-        divided difference dd of f, the spectrum (a, V) of A and Bt = V† B V."""
-        DB = V @ (dd.f(a[:, None], a[None, :]) * Bt) @ V.conj().T
-        return S @ DB @ S + L.apply_dual(S @ F @ S)
+        divided difference dd of f, the spectrum (a, V) of A = S X S,
+        T = S V, Th = T†, Bt = V† B V and SFS = S F S."""
+        return T @ (dd.f(a[:, :, None], a[:, None, :]) * Bt) @ Th + L.apply_dual(SFS)
 
     half = L.sigma_power(0.5)
 
@@ -130,10 +163,18 @@ def _ratio_and_grad(L: DbcLindbladian, kind: str, param: Optional[float]) -> Cal
         """E_2(X) = -tr(sigma^(1/2) X sigma^(1/2) L(X)), a bilinear form."""
         LX = L.apply(X)
         A = half @ X @ half
-        value = -float(np.real(np.sum(A * LX.T)))
-        return value, -(half @ LX @ half + L.apply_dual(A))
+        return -_tr(A, LX), -(half @ LX @ half + L.apply_dual(A))
 
-    ridge = (BIG, np.zeros((L.d, L.d), dtype=complex))
+    def ratio(num, g_num, den, g_den):
+        """(num / den, its gradient), with (BIG, 0) on the ridge."""
+        ridge = den <= RIDGE_FLOOR
+        if ridge.any():
+            den = np.where(ridge, 1.0, den)
+        R = num / den
+        G = (g_num - R[:, None, None] * g_den) / den[:, None, None]
+        if ridge.any():
+            return np.where(ridge, BIG, R), np.where(ridge[:, None, None], 0.0, G)
+        return R, G
 
     if kind == "beckner":
         p = float(param)
@@ -143,62 +184,60 @@ def _ratio_and_grad(L: DbcLindbladian, kind: str, param: Optional[float]) -> Cal
         def fused(X: np.ndarray):
             a, V = la.herm_eigh(S @ X @ S, check=False)
             a = np.abs(a)
-            den = float(np.sum(a**p)) - 1.0
-            if den <= RIDGE_FLOOR:
-                return ridge
-            Bt = V.conj().T @ S @ L.apply(X) @ S @ V
-            F = (V * a ** (p - 1.0)) @ V.conj().T
-            num = -(p * p / 4.0) * float(np.sum(a ** (p - 1.0) * np.real(np.diag(Bt))))
-            g_num = -(p * p / 4.0) * form_grad(S, a, V, Bt, F, dd)
-            R = num / den
-            return R, (g_num - R * p * (S @ F @ S)) / den
+            ap = a ** (p - 1.0)
+            T = S @ V
+            Th = dag(T)
+            Bt = Th @ L.apply(X) @ T
+            SFS = (T * ap[:, None, :]) @ Th
+            num = np.sum(ap * np.real(np.diagonal(Bt, axis1=1, axis2=2)), axis=1)
+            g_num = form_grad(T, Th, a, Bt, SFS, dd)
+            c = -p * p / 4.0
+            return ratio(c * num, c * g_num, np.sum(ap * a, axis=1) - 1.0, p * SFS)
 
-        return fused
-    if kind == "mlsi":
+    elif kind == "mlsi":
         S = half
         dd = divided_difference(log_kernel())
+        # S log(sigma) S, as S commutes with sigma
+        sls = L.sigma @ log_sigma
 
         def fused(X: np.ndarray):
             a, V = la.herm_eigh(S @ X @ S, check=False)
             a = np.maximum(a, 1e-300)
-            A = (V * a) @ V.conj().T
-            W = (V * np.log(a)) @ V.conj().T - log_sigma
-            N = float(np.sum(a))
-            den = float(np.real(np.sum(A * W.T))) - N * np.log(N)
-            if den <= RIDGE_FLOOR:
-                return ridge
-            B = S @ L.apply(X) @ S
-            Bt = V.conj().T @ B @ V
-            num = -0.25 * float(np.real(np.sum(B * W.T)))
-            g_num = -0.25 * form_grad(S, a, V, Bt, W, dd)
-            g_den = S @ (W - np.log(N) * np.eye(L.d)) @ S
-            R = num / den
-            return R, (g_num - R * g_den) / den
+            log_a = np.log(a)
+            T = S @ V
+            Th = dag(T)
+            LX = L.apply(X)
+            Bt = Th @ LX @ T
+            N = np.sum(a, axis=1)
+            logN = np.log(N)
+            # with W = log A - log sigma: tr(A W) and tr(S L(X) S W)
+            den = np.sum(a * log_a, axis=1) - _tr(X, sls) - N * logN
+            num = np.sum(log_a * np.real(np.diagonal(Bt, axis1=1, axis2=2)), axis=1) \
+                - _tr(LX, sls)
+            SWS = (T * log_a[:, None, :]) @ Th - sls
+            g_num = form_grad(T, Th, a, Bt, SWS, dd)
+            return ratio(-0.25 * num, -0.25 * g_num, den, SWS - logN[:, None, None] * L.sigma)
 
-        return fused
-    if kind == "lsi":
+    elif kind == "lsi":
         S = L.sigma_power(0.25)
 
         def fused(X: np.ndarray):
             a, V = la.herm_eigh(S @ X @ S, check=False)
             a = np.maximum(a, 1e-300)
             alog = a * np.log(a)
-            A = (V * a) @ V.conj().T
-            AlogA = (V * alog) @ V.conj().T
-            N = float(np.sum(a * a))
+            Vh = dag(V)
+            A = (V * a[:, None, :]) @ Vh
+            AL = A @ log_sigma
+            N = np.sum(a * a, axis=1)
+            logN = np.log(N)
             # Ent_2 = tr(A^2 (log A^2 - log sigma)) - N log N, N = tr A^2
-            den = (2.0 * float(np.sum(a * alog))
-                   - float(np.real(np.sum((A @ A) * log_sigma.T))) - N * np.log(N))
-            if den <= RIDGE_FLOOR:
-                return ridge
+            den = 2.0 * np.sum(a * alog, axis=1) - _tr(A, AL) - N * logN
             num, g_num = e2_and_grad(X)
-            g_den = S @ (4.0 * AlogA - A @ log_sigma - log_sigma @ A
-                         - 2.0 * np.log(N) * A) @ S
-            R = num / den
-            return R, (g_num - R * g_den) / den
+            g_den = S @ (4.0 * (V * alog[:, None, :]) @ Vh - AL - dag(AL)
+                         - (2.0 * logN)[:, None, None] * A) @ S
+            return ratio(num, g_num, den, g_den)
 
-        return fused
-    if kind == "dual_beckner":
+    elif kind == "dual_beckner":
         q = float(param)
         S2 = L.sigma_power(0.25)
         Sq = L.sigma_power(1.0 / (2.0 * q))
@@ -207,39 +246,49 @@ def _ratio_and_grad(L: DbcLindbladian, kind: str, param: Optional[float]) -> Cal
             A2 = S2 @ X @ S2
             a, V = la.herm_eigh(Sq @ X @ Sq, check=False)
             a = np.abs(a)
-            Mq = float(np.sum(a**q))
+            aq = a ** (q - 1.0)
+            Mq = np.sum(aq * a, axis=1)
             # Var_q = tr(A_2^2) - (tr A_q^q)^(2/q)
-            den = float(np.sum(np.abs(A2) ** 2)) - Mq ** (2.0 / q)
-            if den <= RIDGE_FLOOR:
-                return ridge
+            den = np.sum(np.abs(A2) ** 2, axis=(1, 2)) - Mq ** (2.0 / q)
             e2, g_e2 = e2_and_grad(X)
-            g_den = 2.0 * (S2 @ A2 @ S2) - 2.0 * Mq ** (2.0 / q - 1.0) * (
-                Sq @ ((V * a ** (q - 1.0)) @ V.conj().T) @ Sq)
-            R = (2.0 - q) * e2 / den
-            return R, ((2.0 - q) * g_e2 - R * g_den) / den
+            T = Sq @ V
+            g_den = 2.0 * (S2 @ A2 @ S2) - (2.0 * Mq ** (2.0 / q - 1.0))[:, None, None] * (
+                (T * aq[:, None, :]) @ dag(T))
+            return ratio((2.0 - q) * e2, (2.0 - q) * g_e2, den, g_den)
 
-        return fused
-    raise ValueError(f"no ratio for kind {kind!r}")
+    else:
+        raise ValueError(f"no ratio for kind {kind!r}")
+
+    def evaluate(X: np.ndarray):
+        R, G = fused(np.reshape(X, (-1, L.d, L.d)))
+        return (float(R[0]), G[0]) if np.ndim(X) == 2 else (R, G)
+
+    return evaluate
 
 
 def _unpack(y: np.ndarray, d: int) -> np.ndarray:
-    return (y[:d * d] + 1j * y[d * d:]).reshape(d, d)
+    """Witness matrices from their real coordinates, which hold the real
+    and imaginary part of each entry in turn (row-major)."""
+    y = np.ascontiguousarray(y)
+    return y.view(complex).reshape(y.shape[:-1] + (d, d))
 
 
 def _pack(Y: np.ndarray) -> np.ndarray:
-    return np.concatenate([Y.real.ravel(), Y.imag.ravel()])
+    Y = np.ascontiguousarray(Y, dtype=complex)
+    return Y.reshape(Y.shape[:-2] + (-1,)).view(float)
 
 
 def _witness_scale(L: DbcLindbladian, kind: str, X0: np.ndarray):
     """Scale m of the feasible-cone normalization X = X0 / m and the
     Hermitian D with dm = Re tr(D dX0): the sigma-mean for the kinds on
-    the unit-mean slice, the 2-norm ||X0||_{2,sigma} for the others."""
+    the unit-mean slice, the 2-norm ||X0||_{2,sigma} for the others.
+    X0 is one matrix or a stack; m and D follow its leading axes."""
     if kind in ("beckner", "mlsi"):
-        return float(np.real(np.trace(L.sigma @ X0))), L.sigma
+        return _tr(L.sigma, X0), L.sigma
     half = L.sigma_power(0.5)
     K = half @ X0 @ half
-    m = float(np.sqrt(max(np.real(np.sum(K * X0.T)), 0.0)))
-    return m, K / max(m, 1e-300)
+    m = np.sqrt(np.maximum(_tr(K, X0), 0.0))
+    return m, K / np.maximum(m, 1e-300)[..., None, None]
 
 
 def _normalized_witness(L: DbcLindbladian, Y: np.ndarray, kind: str) -> np.ndarray:
@@ -253,24 +302,29 @@ def _normalized_witness(L: DbcLindbladian, Y: np.ndarray, kind: str) -> np.ndarr
 
 def _objective(L: DbcLindbladian, kind: str, param: Optional[float]) -> Callable:
     """y -> (ratio, gradient in y) over the real parameterization
-    Y = unpack(y), X = Y†Y / m(Y†Y) of :func:`_normalized_witness`."""
+    Y = unpack(y), X = Y†Y / m(Y†Y) of :func:`_normalized_witness`.
+
+    y is one point (2d^2,), giving a float and (2d^2,), or a stack
+    (S, 2d^2), giving (S,) and (S, 2d^2), from one batched evaluation."""
     fused = _ratio_and_grad(L, kind, param)
     d = L.d
 
     def objective(y: np.ndarray):
-        Y = _unpack(y, d)
-        X0 = Y.conj().T @ Y
+        Y = _unpack(np.reshape(y, (-1, 2 * d * d)), d)
+        X0 = la.dagger(Y) @ Y
         m, D = _witness_scale(L, kind, X0)
-        if m <= 1e-300:  # the witness is the identity, on the ridge
-            return BIG, np.zeros_like(y)
-        X = X0 / m
+        zero = m <= 1e-300
+        if zero.any():  # a zero witness maps to the identity, on the ridge
+            m = np.where(zero, 1.0, m)
+            X0 = np.where(zero[:, None, None], np.eye(d), X0)
+        X = X0 / m[:, None, None]
         val, G = fused(X)
         # dX = (dX0 - X dm) / m, and dX0 = dY† Y + Y† dY
-        G = la.herm(G - float(np.real(np.sum(G * X.T))) * D) / m
+        G = la.herm(G - _tr(G, X)[:, None, None] * D) / m[:, None, None]
         grad = 2.0 * _pack(Y @ G)
-        if not (np.isfinite(val) and np.all(np.isfinite(grad))):
+        if not (np.isfinite(val).all() and np.isfinite(grad).all()):
             raise OptimizerDiverged(f"non-finite ratio or gradient for kind {kind}")
-        return val, grad
+        return (float(val[0]), grad[0]) if np.ndim(y) == 1 else (val, grad)
 
     return objective
 
@@ -295,6 +349,137 @@ def _seed_starts(L: DbcLindbladian, kind: str, num_starts: int,
     return starts[:max(num_starts, 1)]
 
 
+@dataclass(frozen=True)
+class MinimizeResult:
+    """Outcome of :func:`minimize` on a stack of S starts: per start the end
+    point x (S, n), its value fun (S,), the accepted steps, the objective
+    evaluations and the stop reason; nit is the most steps any start took
+    and nfev the number of (batched) objective calls."""
+
+    x: np.ndarray
+    fun: np.ndarray
+    iterations: np.ndarray
+    evaluations: np.ndarray
+    stops: Tuple[str, ...]
+    nit: int
+    nfev: int
+
+
+def minimize(fun: Callable, x0: np.ndarray, max_iters: int = 2000,
+             ftol: float = 1e-8) -> MinimizeResult:
+    """Dense BFGS on a stack of starts x0 (S, n), each start with its own
+    inverse Hessian (Nocedal & Wright, Numerical Optimization, 2nd ed.,
+    ch. 3 and 6).
+
+    fun maps a stack (k, n) to values (k,) and gradients (k, n). Each call
+    evaluates one trial point for every running start, whatever stage of
+    its own line search that start is in, so a start that backtracks costs
+    no extra call. A start steps along -H g and backtracks (safeguarded
+    quadratic interpolation) until the Armijo condition holds, then applies
+    the BFGS update where the curvature y^T s is positive; before its first
+    update H is scaled by y^T s / y^T y. The first step is 1 long, as in
+    L-BFGS-B, and every step at most MAX_STEP * |x|. A start stops ("ftol")
+    when a step lowers its value by at most ftol * max(|f_old|, |f_new|, 1),
+    the relative-decrease test of L-BFGS-B; ("gtol") when max |g| <= GTOL;
+    ("max_iters") after max_iters steps; ("line_search") when
+    MAX_BACKTRACKS trials in a row fail. A
+    stopped start keeps its point while the others go on, and no start's
+    path depends on the others.
+    """
+    x = np.array(x0, dtype=float)
+    S, n = x.shape
+    f, g = fun(x)
+    nfev = 1
+    out_x, out_f = x.copy(), f.copy()
+    out_iters, out_evals = np.zeros(S, dtype=int), np.ones(S, dtype=int)
+    out_stop = np.where(np.abs(g).max(axis=1) <= GTOL, _GTOL, _RUNNING)
+    # the running starts; rows are dropped when their start stops. Every
+    # call evaluates every running start, so a start's evaluation count is
+    # nfev when it stops.
+    ids = np.flatnonzero(out_stop == _RUNNING)
+    x, f, g = x[ids], f[ids], g[ids]
+    H = np.tile(np.eye(n), (ids.size, 1, 1))
+    iters = np.zeros(ids.size, dtype=int)
+    fails = np.zeros(ids.size, dtype=int)
+
+    def directions(H, g, x, first):
+        d = -(H @ g[:, :, None])[:, :, 0]
+        slope = (g * d).sum(axis=1)
+        uphill = slope >= 0.0
+        if uphill.any():  # H lost positive definiteness: restart from -g
+            H = np.where(uphill[:, None, None], np.eye(n), H)
+            d = np.where(uphill[:, None], -g, d)
+            slope = np.where(uphill, -(g * g).sum(axis=1), slope)
+        norm = np.maximum(np.sqrt((d * d).sum(axis=1)), np.finfo(float).tiny)
+        alpha = 1.0 / norm if first else np.ones(len(d))
+        return H, d, slope, np.minimum(alpha, MAX_STEP * np.sqrt((x * x).sum(axis=1)) / norm)
+
+    H, step, slope, alpha = directions(H, g, x, True)
+    while ids.size:
+        trial = x + alpha[:, None] * step
+        ft, gt = fun(trial)
+        nfev += 1
+        descent = alpha * slope
+        ok = ft <= f + ARMIJO_C1 * descent
+        every = ok.all()
+        if not every:
+            # Armijo failed (so descent < 0 and the excess is positive):
+            # shrink to the minimizer of the quadratic through f, slope, ft
+            excess = np.where(ok, -descent, ft - f - descent)
+            shrunk = np.minimum(np.maximum(-descent * alpha / (2.0 * excess), 0.1 * alpha),
+                                0.5 * alpha)
+        fails = (fails + 1) * ~ok
+
+        # Armijo held: update the inverse Hessian as a rank-2 correction
+        # [s, Hy] M [s, Hy]^T, move, and test the stop rules
+        U = np.empty((len(x), n, 2))
+        U[:, :, 0] = s = trial - x
+        y = gt - g
+        yy = (y * y).sum(axis=1)
+        ys = (y * s).sum(axis=1)
+        curved = ok & (ys > 1e-12 * np.sqrt(yy * (s * s).sum(axis=1)))
+        rho = curved / np.where(curved, ys, 1.0)
+        initial = curved & (iters == 0)
+        if initial.any():
+            H = H * np.where(initial, ys / np.where(initial, yy, 1.0), 1.0)[:, None, None]
+        U[:, :, 1] = Hy = (H @ y[:, :, None])[:, :, 0]
+        M = np.empty((len(x), 2, 2))
+        M[:, 0, 0] = rho * (1.0 + rho * (y * Hy).sum(axis=1))
+        M[:, 0, 1] = M[:, 1, 0] = -rho
+        M[:, 1, 1] = 0.0
+        H = H + U @ M @ U.transpose(0, 2, 1)
+        scale = np.maximum(np.maximum(np.abs(f), np.abs(ft)), 1.0)
+        stop = np.where(ok & (f - ft <= ftol * scale), _FTOL, _RUNNING)
+        if every:
+            x, f, g = trial, ft, gt
+        else:
+            x = np.where(ok[:, None], trial, x)
+            f = np.where(ok, ft, f)
+            g = np.where(ok[:, None], gt, g)
+        iters = iters + ok
+        small = np.abs(g).max(axis=1) <= GTOL
+        if small.any():
+            stop[(stop == _RUNNING) & ok & small] = _GTOL
+        stop[(stop == _RUNNING) & (iters >= max_iters)] = _MAX_ITERS
+        stop[fails >= MAX_BACKTRACKS] = _LINE_SEARCH
+
+        # a start that backtracks keeps H and g, so its direction comes out
+        # the same as before; only its step length changes
+        H, step, slope, alpha_new = directions(H, g, x, False)
+        alpha = alpha_new if every else np.where(ok, alpha_new, shrunk)
+
+        done = stop != _RUNNING
+        if done.any():
+            j = ids[done]
+            out_x[j], out_f[j], out_stop[j] = x[done], f[done], stop[done]
+            out_iters[j], out_evals[j] = iters[done], nfev
+            keep = ~done
+            ids, x, f, g, H, step, slope, alpha, iters, fails = (
+                a[keep] for a in (ids, x, f, g, H, step, slope, alpha, iters, fails))
+    return MinimizeResult(out_x, out_f, out_iters, out_evals,
+                          tuple(STOPS[c] for c in out_stop), int(out_iters.max()), nfev)
+
+
 def estimate_constant(L: DbcLindbladian, kind: str, p: float | None = None,
                       q: float | None = None,
                       opts: EstimateOpts = EstimateOpts()) -> ConstantEstimate:
@@ -306,8 +491,10 @@ def estimate_constant(L: DbcLindbladian, kind: str, p: float | None = None,
     differences, over the unconstrained parameterization
     X = Y†Y / tr(sigma Y†Y) (or / ||Y†Y||_{2,sigma} for lsi and dual_beckner),
     and report min(best ratio, analytic cap); the cap is the linearization
-    value on the unreachable X -> 1 ridge. Starts own independent seed streams and are
-    reduced by a minimum, so the result does not depend on evaluation order.
+    value on the unreachable X -> 1 ridge. All starts descend together in
+    one batched :func:`minimize`, but each start's path is its own and the
+    starts are reduced by a minimum, so the result does not depend on their
+    order.
     """
     rep = L.require_primitive()
     lam = rep.spectral_gap
@@ -323,13 +510,12 @@ def estimate_constant(L: DbcLindbladian, kind: str, p: float | None = None,
                                   + 1j * rng.standard_normal((d, d)))
     la.check_gradient(objective, _pack(check_at), kind)
 
+    starts = _pack(np.array(_seed_starts(L, kind, opts.num_starts, opts.seed)))
+    res = minimize(objective, starts, max_iters=opts.max_iters, ftol=opts.tol)
     best_val, best_witness = np.inf, None
     values = []
-    for Y0 in _seed_starts(L, kind, opts.num_starts, opts.seed):
-        res = minimize(objective, _pack(Y0), jac=True, method="L-BFGS-B",
-                       options={"maxiter": opts.max_iters, "ftol": opts.tol,
-                                "gtol": 1e-12})
-        witness = _normalized_witness(L, _unpack(res.x, d), kind)
+    for x in res.x:
+        witness = _normalized_witness(L, _unpack(x, d), kind)
         val = ratio(witness)
         values.append(val)
         if val < best_val:
@@ -350,9 +536,12 @@ def estimate_constant(L: DbcLindbladian, kind: str, p: float | None = None,
     if len(others) > 1:
         gaps = [abs(v - best_val) / max(best_val, 1e-300) for v in others[1:]]
         residual = float(min(gaps))
+    diagnostics = EstimateDiagnostics(
+        tuple(int(i) for i in res.iterations), tuple(int(e) for e in res.evaluations),
+        res.stops, tuple(float(v) for v in values))
     return ConstantEstimate(kind, param, float(value),
                             None if capped else best_witness,
-                            len(values), residual, bool(capped))
+                            len(values), residual, bool(capped), diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -403,6 +592,8 @@ def depol_classical(p: float, d: int) -> float:
     theta in {1/d, ..., (d-1)/d} by a dense grid plus golden-section
     refinement. At p = 2 the ratio is identically p^2/4 = 1.
     """
+    from scipy.optimize import minimize_scalar
+
     if d < 2:
         raise ValueError("d must be at least 2")
     p = float(p)

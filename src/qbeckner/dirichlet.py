@@ -49,20 +49,31 @@ def dirichlet_form(L: DbcLindbladian, X: np.ndarray, p: float) -> DirichletValue
     """
     _check_psd(X)
     LX = L.apply(X)
+    # sigma's powers come off the generator's cached eigendecomposition; they
+    # equal the ones ent.power_operator and la.kms_inner would recompute
+    half = L.sigma_power(0.5)
     if abs(p - 1.0) < P_ONE_BRANCH:
         # log(Gamma_sigma X) with an eigenvalue floor: boundary zeros of X
         # contribute 0 * log 0 terms that are paired against L X below.
-        GX = la.herm(L.sigma_power(0.5) @ X @ L.sigma_power(0.5))
+        GX = la.herm(half @ X @ half)
         g, Vg = la.herm_eigh(GX)
         g = np.maximum(g, 1e-300)
         log_GX = (Vg * np.log(g)) @ Vg.conj().T
         log_sigma = la.matrix_function(L.sigma, log_kernel())
-        val = -0.25 * np.real(la.kms_inner(log_GX - log_sigma, LX, L.sigma))
+        val = -0.25 * np.real(_kms(half, log_GX - log_sigma, LX))
         return _finalize(float(val), p, "definition")
     phat = p / (p - 1.0)
-    I_phat_p = ent.power_operator(X, L.sigma, phat, p)
-    val = -(phat * p / 4.0) * np.real(la.kms_inner(I_phat_p, LX, L.sigma))
+    # I_{phat,p}(X) = Gamma^(-1/phat)(|Gamma^(1/p) X|^(p/phat))
+    gp = L.sigma_power(1.0 / (2.0 * p))
+    gq = L.sigma_power(-1.0 / (2.0 * phat))
+    I_phat_p = gq @ la.abs_power(gp @ X @ gp, p / phat) @ gq
+    val = -(phat * p / 4.0) * np.real(_kms(half, I_phat_p, LX))
     return _finalize(float(val), p, "definition")
+
+
+def _kms(half: np.ndarray, X: np.ndarray, Y: np.ndarray) -> complex:
+    """KMS inner product tr(sigma^(1/2) X† sigma^(1/2) Y), given sigma^(1/2)."""
+    return complex(np.trace(half @ X.conj().T @ half @ Y))
 
 
 def dirichlet_form_representation(L: DbcLindbladian, X: np.ndarray,

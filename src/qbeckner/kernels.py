@@ -27,7 +27,7 @@ NEAR_TOL = 1e-6
 
 
 def _rel_scale(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.maximum(1.0, np.maximum(np.abs(x), np.abs(y)))
+    return np.maximum(np.abs(x), np.abs(y))
 
 
 def _is_same(x: np.ndarray, y: np.ndarray, tol: float = SAME_TOL) -> np.ndarray:
@@ -119,22 +119,6 @@ def log_kernel() -> Kernel1:
                    domain_min=0.0, allow_boundary=False)
 
 
-def fp_kernel(p: float) -> Kernel1:
-    """f_p(x) = x^(p-1) / (p-1), the convex power driving the p-calculus."""
-    p = float(p)
-    a = p - 1.0
-    return Kernel1(
-        f"fp({p})",
-        f=lambda x: x**a / a,
-        df=lambda x: x ** (a - 1.0),
-        d2f=lambda x: (a - 1.0) * x ** (a - 2.0),
-        d3f=lambda x: (a - 1.0) * (a - 2.0) * x ** (a - 3.0),
-        domain_min=0.0,
-        allow_boundary=a >= 1.0,
-        params={"p": p},
-    )
-
-
 def kappa_alpha_kernel(alpha: float) -> Kernel1:
     """Power-difference mean kernel on (0, inf), normalized to kappa(1) = 1.
 
@@ -219,18 +203,6 @@ def as_kernel2(fn: Callable, name: str = "custom") -> Kernel2:
     if isinstance(fn, Kernel2):
         return fn
     return Kernel2(name, f=lambda x, y: np.asarray(fn(x, y), dtype=float))
-
-
-def product_kernel(kx: Kernel1, ky: Kernel1) -> Kernel2:
-    """Separable kernel f(x, y) = kx(x) * ky(y)."""
-    return Kernel2(
-        f"{kx.name}*{ky.name}",
-        f=lambda x, y: kx.f(x) * ky.f(y),
-        dx=(lambda x, y: kx.df(x) * ky.f(y)) if kx.df else None,
-        dy=(lambda x, y: kx.f(x) * ky.df(y)) if ky.df else None,
-        domain_min=max(kx.domain_min, ky.domain_min),
-        allow_boundary=kx.allow_boundary and ky.allow_boundary,
-    )
 
 
 def divided_difference(k: Kernel1) -> Kernel2:

@@ -31,7 +31,7 @@ FULL_RANK_FLOOR = 1e-12
 
 def dagger(A: np.ndarray) -> np.ndarray:
     """Conjugate transpose of a matrix or of each matrix in a stack."""
-    return np.swapaxes(A, -1, -2).conj()
+    return A.swapaxes(-1, -2).conj()
 
 
 def herm(A: np.ndarray) -> np.ndarray:
@@ -136,7 +136,10 @@ def vec_columns(X: np.ndarray) -> np.ndarray:
 
 
 def apply_super(S: np.ndarray, X: np.ndarray) -> np.ndarray:
-    return unvec(S @ vec(X), X.shape[0])
+    """S applied to X, or to each matrix of a stack X of shape (..., d, d)."""
+    X = np.asarray(X)
+    v = np.swapaxes(X, -1, -2).reshape(X.shape[:-2] + (-1, 1))
+    return np.swapaxes((S @ v).reshape(X.shape), -1, -2)
 
 
 def left_super(A: np.ndarray) -> np.ndarray:
@@ -161,13 +164,6 @@ def modular_super(sigma: np.ndarray) -> np.ndarray:
     check_full_rank(sigma)
     sigma_inv = matrix_power_hermitian(sigma, -1.0)
     return sandwich_super(sigma, sigma_inv)
-
-
-def gamma_power_super(sigma: np.ndarray, s: float) -> np.ndarray:
-    """Weighting operator X -> sigma^{s/2} X sigma^{s/2} (s = 1 is Gamma_sigma)."""
-    check_full_rank(sigma)
-    half = matrix_power_hermitian(sigma, s / 2.0)
-    return sandwich_super(half, half)
 
 
 def j_kernel_super(sigma: np.ndarray, k: Kernel1) -> np.ndarray:
@@ -234,27 +230,6 @@ def partial_dd_tensor(k2: Kernel2, which: int, wA: np.ndarray,
     mid = 0.5 * (u + v)
     deg = deriv(mid, y) if which == 1 else deriv(x, mid)
     return np.where(same, deg, far)
-
-
-def partial_divdiff_apply(k2: Kernel2, which: int, A: np.ndarray, B: np.ndarray,
-                          X: np.ndarray, Y: np.ndarray) -> np.ndarray:
-    """Triple operator sum of a partial divided difference applied to (X, Y).
-
-    which=1 evaluates (d1 f)((A, A), B)[X, Y]; which=2 evaluates
-    (d2 f)(A, (B, B))[X, Y].
-    """
-    wA, VA = herm_eigh(A)
-    wB, VB = herm_eigh(B)
-    k2.check_domain(np.concatenate([wA, wB]))
-    W = partial_dd_tensor(k2, which, wA, wB)
-    if which == 1:
-        M1 = VA.conj().T @ X @ VA
-        M2 = VA.conj().T @ Y @ VB
-    else:
-        M1 = VA.conj().T @ X @ VB
-        M2 = VB.conj().T @ Y @ VB
-    R = np.einsum("abc,ab,bc->ac", W, M1, M2)
-    return VA @ R @ VB.conj().T
 
 
 # ---------------------------------------------------------------------------

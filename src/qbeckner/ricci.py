@@ -7,7 +7,6 @@ from dataclasses import dataclass
 from typing import Dict, List, Optional, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg as la
 from . import transport as tp
@@ -75,9 +74,13 @@ def hessian_matrix(L: DbcLindbladian, rho: np.ndarray,
     return (H, G) if np.ndim(rho) == 3 else (H[0], G[0])
 
 
-def _lowest_generalized(H: np.ndarray, G: np.ndarray, first: int) -> np.ndarray:
-    """Lowest eigenvalue of each pair (H[i], G[i]), through one batched
-    Cholesky reduction; first is the sample index of H[0] in error messages."""
+def _cholesky_reduce(H: np.ndarray, G: np.ndarray,
+                     first: int) -> Tuple[np.ndarray, np.ndarray]:
+    """(R^-1, R^-1 H R^-T) for each pair (H[i], G[i]), with G[i] = R R^T from
+    one batched Cholesky factorization: the eigenpairs (lam, w) of the
+    reduced matrix give the generalized eigenpairs (lam, R^-T w) of (H, G),
+    normalized to v^T G v = 1. first is the sample index of H[0] in error
+    messages."""
     try:
         R = np.linalg.cholesky(G)
     except np.linalg.LinAlgError:
@@ -86,7 +89,7 @@ def _lowest_generalized(H: np.ndarray, G: np.ndarray, first: int) -> np.ndarray:
         raise SingularMetric(f"metric Gram matrix of sample {first + i} is not "
                              f"positive definite (lowest eigenvalue {low[i]:.3e})")
     Rinv = np.linalg.inv(R)
-    return np.linalg.eigvalsh(Rinv @ H @ np.swapaxes(Rinv, -1, -2))[:, 0]
+    return Rinv, Rinv @ H @ np.swapaxes(Rinv, -1, -2)
 
 
 @dataclass(frozen=True)
@@ -131,19 +134,21 @@ def ricci_estimate(L: DbcLindbladian, p: float, num_states: int = 64,
     computed; the reported kappa is the minimum over samples, an upper bound
     on the true curvature infimum. Samples are evaluated BLOCK at a time; the
     worst sample is the first whose eigenvalue ties the minimum (TIE_TOL),
-    and its kappa and direction come from a full generalized eigensolve.
+    and its kappa and direction come from a full eigensolve of its
+    Cholesky-reduced pair.
     """
     L.require_jumps()
     samples = _samples(L, num_states, seed)
     blocks = []
     for start in range(0, len(samples), BLOCK):
         H, G = hessian_matrix(L, samples[start:start + BLOCK], p)
-        blocks.append((H, G, _lowest_generalized(H, G, start)))
-    H, G, lowest = (np.concatenate(parts) for parts in zip(*blocks))
+        blocks.append(_cholesky_reduce(H, G, start))
+    Rinv, M = (np.concatenate(parts) for parts in zip(*blocks))
+    lowest = np.linalg.eigvalsh(M)[:, 0]
     floor = lowest.min()
     i = int(np.argmax(lowest <= floor + TIE_TOL * max(1.0, abs(floor))))
-    vals, vecs = scipy.linalg.eigh(H[i], G[i])
-    direction = np.tensordot(vecs[:, 0], tp._basis_frame(L.d)[0], axes=1)
+    vals, W = np.linalg.eigh(M[i])
+    direction = np.tensordot(Rinv[i].T @ W[:, 0], tp._basis_frame(L.d)[0], axes=1)
     return RicciEstimate(float(vals[0]), num_states, samples[i], la.herm(direction))
 
 

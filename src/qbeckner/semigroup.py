@@ -13,7 +13,6 @@ from functools import cached_property
 from typing import List, NamedTuple, Sequence, Tuple
 
 import numpy as np
-import scipy.linalg
 
 from . import linalg as la
 from .errors import (
@@ -170,7 +169,9 @@ class DbcLindbladian:
         """Superoperator matrix of exp(t * generator)."""
         w, Q, resid = self._sym_eig
         if w is None:
-            return scipy.linalg.expm(t * self.generator)
+            from scipy.linalg import expm
+
+            return expm(t * self.generator)
         Khalf, Kihalf = self._kms_factors
         return Kihalf @ ((Q * np.exp(t * w)) @ Q.conj().T) @ Khalf
 

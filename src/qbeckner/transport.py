@@ -14,7 +14,6 @@ from functools import cached_property, lru_cache
 from typing import List, NamedTuple, Tuple
 
 import numpy as np
-from scipy.optimize import minimize
 
 from . import linalg as la
 from .errors import KernelComponent, LeftPositiveCone, SingularMetric, SingularState
@@ -388,6 +387,14 @@ class _PathEnergy:
         S = -0.5 / h * self.coords(M)
         grad = 2.0 / h * (c[:-1] - c[1:]) + S[:-1] + S[1:]
         return value, grad.ravel()
+
+
+def minimize(fun, x0, **kwargs):
+    """scipy.optimize.minimize, imported on the first solve so that loading
+    this module does not load scipy."""
+    from scipy.optimize import minimize as scipy_minimize
+
+    return scipy_minimize(fun, x0, **kwargs)
 
 
 def w2p_solve(L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray, p: float,

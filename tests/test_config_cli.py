@@ -107,6 +107,24 @@ class TestRun:
         assert kinds == {"poincare", "beckner", "mlsi", "lsi", "dual_beckner"}
         assert report["results"]["constants"]["ledger_hard_pass"]
 
+    def test_constants_diagnostics_in_report(self, tmp_path):
+        cfg = cf.fixtures("depol2")
+        cfg.tasks = ["constants"]
+        cfg.p_grid = [1.5]
+        cfg.q_grid = []
+        cfg.num_starts = 4
+        report = cli.run(cfg)
+        diag = report["diagnostics"]["constants"]
+        assert set(diag) == {"beckner[1.5]", "mlsi", "lsi"}
+        for entry in diag.values():
+            assert set(entry) == {"iterations", "evaluations", "stops", "values"}
+            assert all(len(v) == 4 for v in entry.values())
+        # no wall-clock in the diagnostics: a second run writes the same report
+        cli.emit(report, "json", str(tmp_path / "a"))
+        cli.emit(cli.run(cfg), "json", str(tmp_path / "b"))
+        assert (tmp_path / "a" / "report.json").read_text() \
+            == (tmp_path / "b" / "report.json").read_text()
+
     def test_task_errors_collected(self):
         cfg = cf.ExperimentConfig(dimension=2, sigma={"eigenvalues": [0.75, 0.25]},
                                   generator={"kind": "depolarizing", "gamma": -1.0},
@@ -280,3 +298,30 @@ class TestDeterminism:
             return json.dumps(report, sort_keys=True)
 
         assert one_run() == one_run()
+
+
+class TestImportHygiene:
+    """Loading the package and running the numpy-only tasks loads no scipy
+    module; each case runs in a fresh interpreter."""
+
+    SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
+
+    @pytest.mark.parametrize("code", [
+        "import qbeckner.cli",
+        "from qbeckner import cli; cli.main(['constants', '--fixture', 'depol3', "
+        "'--p', '1.5', '--out', OUT])",
+        "from qbeckner import config, ricci; "
+        "ricci.ricci_estimate(config.build_generator(config.fixtures('depol3')), 1.5, "
+        "num_states=4)",
+    ])
+    def test_no_scipy_loaded(self, code, tmp_path):
+        import subprocess
+        import sys
+
+        script = (f"import sys, contextlib, io; OUT = {str(tmp_path)!r}\n"
+                  f"with contextlib.redirect_stdout(io.StringIO()):\n    {code}\n"
+                  "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))")
+        env = dict(os.environ, PYTHONPATH=self.SRC, OPENBLAS_NUM_THREADS="1")
+        out = subprocess.run([sys.executable, "-c", script], env=env, check=True,
+                             capture_output=True, text=True, timeout=120)
+        assert out.stdout.strip().splitlines()[-1] == "[]"

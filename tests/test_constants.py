@@ -163,6 +163,69 @@ class TestFusedRatio:
             ct.estimate_constant(depol2, "beckner", p=1.5, opts=FAST)
 
 
+class TestBatchedEstimation:
+    @pytest.mark.parametrize("model", ["dbc2", "dbc3", "dbc4"])
+    @pytest.mark.parametrize("kind,param", KINDS)
+    def test_stack_matches_single_points(self, request, model, kind, param):
+        # one batched evaluation of eight points against eight single calls,
+        # the near-identity starts included; the measured gaps are 0
+        L = request.getfixturevalue(model)
+        objective = ct._objective(L, kind, param)
+        ys = ct._pack(np.array(ct._seed_starts(L, kind, 8, seed=5)))
+        values, grads = objective(ys)
+        assert values.shape == (8,) and grads.shape == ys.shape
+        for y, value, grad in zip(ys, values, grads):
+            v1, g1 = objective(y)
+            assert isinstance(v1, float)
+            assert value == pytest.approx(v1, rel=1e-12)
+            assert np.linalg.norm(grad - g1) <= 1e-12 * max(np.linalg.norm(g1), 1e-300)
+
+    def test_stopped_start_keeps_its_point(self):
+        # on f = x^T A x / 2, start 0 sits at the minimum and stops at once on
+        # the gradient test; start 1 starts so close that its decrease drops
+        # below ftol (on the absolute scale 1) after few steps; start 2 goes on
+        A = np.diag(np.arange(1.0, 7.0))
+
+        def fun(x):
+            return 0.5 * np.einsum("ki,ij,kj->k", x, A, x), x @ A
+
+        x0 = np.array([np.zeros(6), np.full(6, 1e-4), np.linspace(-30.0, 50.0, 6)])
+        res = ct.minimize(fun, x0, ftol=1e-8)
+        assert res.stops == ("gtol", "ftol", "ftol")
+        assert res.iterations[0] == 0 and res.evaluations[0] == 1
+        assert np.array_equal(res.x[0], x0[0])
+        assert 0 < res.iterations[1] < res.iterations[2]
+        assert res.evaluations[1] < res.evaluations[2] == res.nfev
+        assert res.fun[2] <= 1e-8 * 0.5 * x0[2] @ A @ x0[2]
+        # the tracer of the benchmark reads these two counts
+        assert isinstance(res.nit, int) and isinstance(res.nfev, int)
+        assert res.nit == max(res.iterations)
+        # the point start 1 stopped at is the one it reached alone
+        alone = ct.minimize(fun, x0[1:2], ftol=1e-8)
+        assert np.array_equal(alone.x[0], res.x[1])
+
+    def test_start_order_does_not_matter(self, dbc3, monkeypatch):
+        opts = ct.EstimateOpts(num_starts=6, seed=2)
+        seed_starts = ct._seed_starts
+        est = ct.estimate_constant(dbc3, "beckner", p=1.5, opts=opts)
+        monkeypatch.setattr(ct, "_seed_starts", lambda *a: seed_starts(*a)[::-1])
+        rev = ct.estimate_constant(dbc3, "beckner", p=1.5, opts=opts)
+        assert rev.value == est.value
+        assert rev.best_residual == est.best_residual
+        assert rev.diagnostics.values == est.diagnostics.values[::-1]
+        assert rev.diagnostics.iterations == est.diagnostics.iterations[::-1]
+
+    def test_diagnostics_per_start(self, depol2):
+        est = ct.estimate_constant(depol2, "mlsi", opts=FAST)
+        diag = est.diagnostics
+        assert len(diag.iterations) == len(diag.evaluations) == len(diag.stops) \
+            == len(diag.values) == FAST.num_starts
+        assert all(e >= i + 1 for i, e in zip(diag.iterations, diag.evaluations))
+        assert set(diag.stops) <= set(ct.STOPS[1:])
+        assert min(diag.values) == pytest.approx(est.value, rel=1e-12)
+        assert ct.estimate_constant(depol2, "poincare").diagnostics is None
+
+
 class TestSeedStarts:
     def _raising(self, monkeypatch, exc):
         def gap_eigenvector(self):

@@ -80,10 +80,6 @@ class TestSuperoperators:
         out = la.apply_super(la.modular_super(SIGMA_STAR), E01)
         assert la.frob(out - 3.0 * E01) <= 1e-12
 
-    def test_gamma_power_of_identity(self):
-        out = la.apply_super(la.gamma_power_super(SIGMA_STAR, 1.0), np.eye(2))
-        assert la.frob(out - SIGMA_STAR) <= 1e-12
-
     def test_singular_state_rejected(self):
         with pytest.raises(SingularState):
             la.modular_super(np.diag([1.0, 0.0]).astype(complex))
@@ -135,17 +131,22 @@ class TestDoubleSum:
             assert val > 0.0
 
 
-class TestPartialDividedDifference:
-    def test_separable_kernel_reduces(self, rng):
-        A, B = random_pd(rng, 4, 5.0), random_pd(rng, 4, 5.0)
-        X = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        Y = la.random_hermitian(rng, 4)
-        f2 = kn.product_kernel(kn.power_kernel(1.0), kn.power_kernel(3.0))
-        out = la.partial_divdiff_apply(f2, 2, A, B, X, Y)
-        gdd = kn.divided_difference(kn.power_kernel(3.0))
-        ref = A @ X @ la.double_sum_apply(gdd, B, B, Y)
-        assert la.frob(out - ref) <= 1e-12 * la.frob(ref)
+def _partial_dd_apply(k2, A, B, Ad, Bd, C):
+    """(d1 f)((A, A), B)[Ad, C] + (d2 f)(A, (B, B))[C, Bd] through the two
+    partial_dd_tensor weight tensors, in the eigenbases of A and B."""
+    wA, VA = la.herm_eigh(A)
+    wB, VB = la.herm_eigh(B)
+    W1 = la.partial_dd_tensor(k2, 1, wA, wB)
+    W2 = la.partial_dd_tensor(k2, 2, wA, wB)
+    Ct = VA.conj().T @ C @ VB
+    R = (np.einsum("abc,ab,bc->ac", W1, VA.conj().T @ Ad @ VA, Ct)
+         + np.einsum("abc,ab,bc->ac", W2, Ct, VB.conj().T @ Bd @ VB))
+    return VA @ R @ VB.conj().T
 
+
+class TestPartialDividedDifference:
+    # the time derivative of the double operator sum f(A(t), B(t))[C] is the
+    # sum of the two partial divided-difference contractions
     def test_time_derivative_chain_rule(self, rng):
         A, B = random_pd(rng, 4, 5.0), random_pd(rng, 4, 5.0)
         Ad, Bd = la.random_hermitian(rng, 4), la.random_hermitian(rng, 4)
@@ -154,11 +155,11 @@ class TestPartialDividedDifference:
         h = 1e-5
         fd = (la.double_sum_apply(th, A + h * Ad, B + h * Bd, C)
               - la.double_sum_apply(th, A - h * Ad, B - h * Bd, C)) / (2 * h)
-        an = la.partial_divdiff_apply(th, 1, A, B, Ad, C) \
-            + la.partial_divdiff_apply(th, 2, A, B, C, Bd)
+        an = _partial_dd_apply(th, A, B, Ad, Bd, C)
         assert la.frob(fd - an) <= 1e-6 * la.frob(an)
 
     def test_degenerate_spectrum(self, rng):
+        # repeated eigenvalues of A take the derivative branch of W1
         A = np.diag([2.0, 2.0, 3.0, 3.0]).astype(complex)
         B = random_pd(rng, 4, 5.0)
         Ad, Bd = la.random_hermitian(rng, 4), la.random_hermitian(rng, 4)
@@ -167,8 +168,7 @@ class TestPartialDividedDifference:
         h = 1e-5
         fd = (la.double_sum_apply(th, A + h * Ad, B + h * Bd, C)
               - la.double_sum_apply(th, A - h * Ad, B - h * Bd, C)) / (2 * h)
-        an = la.partial_divdiff_apply(th, 1, A, B, Ad, C) \
-            + la.partial_divdiff_apply(th, 2, A, B, C, Bd)
+        an = _partial_dd_apply(th, A, B, Ad, Bd, C)
         assert la.frob(fd - an) <= 1e-6 * la.frob(an)
 
 

@@ -108,6 +108,24 @@ class TestHessianStack:
         assert est.kappa == pytest.approx(kappa, rel=1e-12)
 
 
+    @pytest.mark.parametrize("p", [1.05, 1.5, 2.0])
+    def test_worst_eigenpair_matches_scipy(self, model, p):
+        # the Cholesky-reduced eigensolve of the worst sample against
+        # scipy's generalized one, in kappa and in the Rayleigh quotient of
+        # the reported direction (on the orthonormal trace-free basis)
+        est = rc.ricci_estimate(model, p, num_states=17, seed=2)
+        samples = rc._samples(model, 17, 2)
+        i = next(k for k, rho in enumerate(samples)
+                 if np.array_equal(rho, est.worst_state))
+        H, G = rc.hessian_matrix(model, samples[i], p)
+        vals = scipy.linalg.eigh(H, G, eigvals_only=True)
+        assert est.kappa == pytest.approx(vals[0], rel=1e-12)
+        c = np.real(np.array([np.trace(U @ est.worst_direction)
+                              for U in tp._basis_frame(model.d)[0]]))
+        assert (c @ H @ c) / (c @ G @ c) == pytest.approx(vals[0], rel=1e-12)
+        assert c @ G @ c == pytest.approx(1.0, rel=1e-10)
+
+
 class TestRicciEstimate:
     @pytest.mark.parametrize("p", [1.25, 1.5, 2.0])
     def test_depolarizing_anchor(self, depol_flat, p):

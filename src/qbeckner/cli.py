@@ -138,16 +138,19 @@ def run_mixing(cfg: ExperimentConfig, L: DbcLindbladian) -> Dict:
     return {"rows": rows, "all_within_bound": all(r["within"] for r in rows)}
 
 
-def run_transport(cfg: ExperimentConfig, L: DbcLindbladian) -> Dict:
+def run_transport(cfg: ExperimentConfig, L: DbcLindbladian) -> Tuple[Dict, List[Dict]]:
+    """The transport solves, and each solve's optimizer steps, evaluations and stop."""
     rng = np.random.default_rng(int(cfg.seeds.get("master", 7)))
     opts = tp.W2Opts(N=cfg.transport_steps, tol=cfg.transport_tol)
     pairs = [(la.random_density(rng, L.d, floor=0.05),
               la.random_density(rng, L.d, floor=0.05)) for _ in range(2)]
     ps = sorted({min(cfg.p_grid), max(cfg.p_grid)})
-    results = []
+    results, diagnostics = [], []
     for i, (r0, r1) in enumerate(pairs):
         for p in ps:
             dist, path = tp.w2p_solve(L, r0, r1, p, opts)
+            diagnostics.append({"pair": i, "p": p, "steps": path.steps,
+                                "evaluations": path.evaluations, "stop": path.stop})
             entry = {
                 "pair": i, "p": p, "distance": dist,
                 "converged": path.converged,
@@ -163,7 +166,7 @@ def run_transport(cfg: ExperimentConfig, L: DbcLindbladian) -> Dict:
                 entry["flat_w22"] = flat
                 entry["flat_gap"] = abs(dist - flat) / max(flat, 1e-300)
             results.append(entry)
-    return {"solves": results}
+    return {"solves": results}, diagnostics
 
 
 def run_ricci(cfg: ExperimentConfig, L: DbcLindbladian,
@@ -221,18 +224,13 @@ def run(cfg: ExperimentConfig) -> Dict:
                 report["results"]["constants"] = constants_out
                 if not constants_out["ledger_hard_pass"]:
                     failures.append("constants.ledger")
-            elif task == "decay":
-                out = run_decay(cfg, L)
-                report["results"]["decay"] = out
+            elif task in ("decay", "mixing"):
+                out = (run_decay if task == "decay" else run_mixing)(cfg, L)
+                report["results"][task] = out
                 if not out["all_within_bound"]:
-                    failures.append("decay.bound")
-            elif task == "mixing":
-                out = run_mixing(cfg, L)
-                report["results"]["mixing"] = out
-                if not out["all_within_bound"]:
-                    failures.append("mixing.bound")
+                    failures.append(f"{task}.bound")
             elif task == "transport":
-                out = run_transport(cfg, L)
+                out, report["diagnostics"]["transport"] = run_transport(cfg, L)
                 report["results"]["transport"] = out
                 if not all(s["converged"] for s in out["solves"]):
                     failures.append("transport.converged")
@@ -298,44 +296,36 @@ def emit(report: Dict, fmt: str, outdir: str) -> List[str]:
         write("timings.json", json.dumps(report.get("timings", {}), indent=2,
                                          sort_keys=True))
         return written
+    if fmt not in ("csv", "plotdata"):
+        raise ConfigError(f"unknown format {fmt!r}")
+    # csv writes every table; plotdata the decay curves, the Beckner
+    # constants against p and the transport actions
+    csv = fmt == "csv"
     results = report.get("results", {})
-    if fmt == "csv":
-        if "constants" in results:
-            write("constants.csv", _csv(results["constants"]["rows"],
-                  ["kind", "p_or_q", "value", "capped", "num_starts", "residual"]))
-            write("ledger.json", json.dumps(results["constants"]["ledger"],
-                                            indent=2, sort_keys=True))
-        if "decay" in results:
-            for p, rows in results["decay"]["curves"].items():
-                write(f"decay_p{p}.csv", _csv(rows, ["t", "F_p", "bound"]))
-        if "mixing" in results:
-            write("mixing.csv", _csv(results["mixing"]["rows"],
-                  ["epsilon", "empirical", "bound_inf", "within"]))
-        if "transport" in results:
-            for entry in results["transport"]["solves"]:
-                rows = [{"k": k, "action_k": a}
-                        for k, a in enumerate(entry["action_per_step"])]
-                write(f"action_pair{entry['pair']}_p{entry['p']}.csv",
-                      _csv(rows, ["k", "action_k"]))
-        if "verify" in results:
-            write("verify.csv", _csv(results["verify"],
-                  ["name", "status", "lhs", "rhs", "slack"]))
-        return written
-    if fmt == "plotdata":
-        if "decay" in results:
-            for p, rows in results["decay"]["curves"].items():
-                write(f"decay_p{p}.csv", _csv(rows, ["t", "F_p", "bound"]))
-        if "constants" in results:
-            rows = [r for r in results["constants"]["rows"] if r["kind"] == "beckner"]
-            write("constants_vs_p.csv", _csv(rows, ["p_or_q", "value"]))
-        if "transport" in results:
-            for entry in results["transport"]["solves"]:
-                rows = [{"k": k, "action_k": a}
-                        for k, a in enumerate(entry["action_per_step"])]
-                write(f"action_pair{entry['pair']}_p{entry['p']}.csv",
-                      _csv(rows, ["k", "action_k"]))
-        return written
-    raise ConfigError(f"unknown format {fmt!r}")
+    if "constants" in results and csv:
+        write("constants.csv", _csv(results["constants"]["rows"],
+              ["kind", "p_or_q", "value", "capped", "num_starts", "residual"]))
+        write("ledger.json", json.dumps(results["constants"]["ledger"],
+                                        indent=2, sort_keys=True))
+    if "decay" in results:
+        for p, rows in results["decay"]["curves"].items():
+            write(f"decay_p{p}.csv", _csv(rows, ["t", "F_p", "bound"]))
+    if "constants" in results and not csv:
+        rows = [r for r in results["constants"]["rows"] if r["kind"] == "beckner"]
+        write("constants_vs_p.csv", _csv(rows, ["p_or_q", "value"]))
+    if "mixing" in results and csv:
+        write("mixing.csv", _csv(results["mixing"]["rows"],
+              ["epsilon", "empirical", "bound_inf", "within"]))
+    if "transport" in results:
+        for entry in results["transport"]["solves"]:
+            rows = [{"k": k, "action_k": a}
+                    for k, a in enumerate(entry["action_per_step"])]
+            write(f"action_pair{entry['pair']}_p{entry['p']}.csv",
+                  _csv(rows, ["k", "action_k"]))
+    if "verify" in results and csv:
+        write("verify.csv", _csv(results["verify"],
+              ["name", "status", "lhs", "rhs", "slack"]))
+    return written
 
 
 # ---------------------------------------------------------------------------

@@ -50,7 +50,7 @@ class NotSymmetric(QBecknerError):
 
 
 class OptimizerDiverged(QBecknerError):
-    """Constant estimation produced a non-finite ratio."""
+    """An optimizer produced a non-finite value or stopped short of convergence."""
 
 
 class GradientCheckFailed(QBecknerError):

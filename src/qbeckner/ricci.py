@@ -12,7 +12,7 @@ from . import linalg as la
 from . import transport as tp
 from .dirichlet import dirichlet_form
 from .entropy import p_divergence, relative_density
-from .errors import NonPositiveCurvature, SingularMetric
+from .errors import NonPositiveCurvature, OptimizerDiverged, SingularMetric
 from .semigroup import DbcLindbladian, evolve
 
 
@@ -157,6 +157,15 @@ def ricci_estimate(L: DbcLindbladian, p: float, num_states: int = 64,
 # ---------------------------------------------------------------------------
 
 
+def _distance(L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray, p: float,
+              w_opts: tp.W2Opts, pair: str) -> float:
+    """W_{2,p}(rho0, rho1), or OptimizerDiverged naming the pair and p."""
+    W, path = tp.w2p_solve(L, rho0, rho1, p, w_opts)
+    if not path.converged:
+        raise OptimizerDiverged(f"W_{{2,p}} solve for {pair} at p = {p} stopped on {path.stop}")
+    return W
+
+
 def inequality_checks(L: DbcLindbladian, p: float, kappa: float,
                       states: Sequence[np.ndarray],
                       checks: Sequence[str] = ("hwi", "tcp", "diameter"),
@@ -165,15 +174,16 @@ def inequality_checks(L: DbcLindbladian, p: float, kappa: float,
     """Evaluate curvature-driven inequalities on a list of states.
 
     Every W-dependent check inherits the transport solver's discretization
-    tolerance; slacks (rhs - lhs) are reported, not asserted.
+    tolerance; slacks (rhs - lhs) are reported, not asserted. A solve that
+    does not converge raises OptimizerDiverged.
     """
     if any(c in ("tcp", "diameter", "beckner_from_ricci") for c in checks) \
             and kappa <= 0:
         raise NonPositiveCurvature("checks need kappa > 0")
     report: Dict[str, list] = {c: [] for c in checks}
     smin = L.sigma_min
-    for rho in states:
-        W, _ = tp.w2p_solve(L, rho, L.sigma, p, w_opts)
+    for i, rho in enumerate(states):
+        W = _distance(L, rho, L.sigma, p, w_opts, f"state {i} and sigma")
         F = p_divergence(rho, L.sigma, p).value
         if "hwi" in checks:
             E = dirichlet_form(L, relative_density(rho, L.sigma), p).value
@@ -210,13 +220,13 @@ def dynamic_checks(L: DbcLindbladian, p: float, kappa: float, mode: str,
     """
     out: List[dict] = []
     if mode == "contraction":
-        pairs = [(states[i], states[i + 1]) for i in range(0, len(states) - 1, 2)]
-        for rho0, rho1 in pairs:
-            W0, _ = tp.w2p_solve(L, rho0, rho1, p, w_opts)
+        for i in range(0, len(states) - 1, 2):
+            rho0, rho1 = states[i], states[i + 1]
+            W0 = _distance(L, rho0, rho1, p, w_opts, f"states {i} and {i + 1}")
             for t in times:
                 r0t = evolve(L, t, "schrodinger", rho0)
                 r1t = evolve(L, t, "schrodinger", rho1)
-                Wt, _ = tp.w2p_solve(L, r0t, r1t, p, w_opts)
+                Wt = _distance(L, r0t, r1t, p, w_opts, f"states {i} and {i + 1} at t = {t}")
                 rhs = np.exp(-kappa * t) * W0
                 out.append({"t": t, "lhs": Wt, "rhs": rhs, "slack": rhs - Wt})
         return out

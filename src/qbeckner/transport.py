@@ -18,14 +18,13 @@ import numpy as np
 from . import linalg as la
 from .errors import KernelComponent, LeftPositiveCone, SingularMetric, SingularState
 from .kernels import Kernel2, fp_divdiff_kernel, theta_log_kernel, theta_p_kernel
+from .linalg import minimize
 from .semigroup import DbcLindbladian
 
 TRACE_TOL = 1e-10
 # Eigenvalue floor of the interior states of a transport path and of the
 # states a geodesic step may reach.
 FLOOR = 1e-10
-# L-BFGS-B iterations of a w2p_solve.
-MAX_ITERS = 5000
 
 
 def _hconj(p: float) -> float:
@@ -331,6 +330,9 @@ class TransportPath:
     endpoint_residual: float
     continuity_residual: float
     converged: bool
+    steps: int
+    evaluations: int
+    stop: str
 
 
 class _PathEnergy:
@@ -378,6 +380,7 @@ class _PathEnergy:
         return gammas, b, c, fr, np.einsum("kn,kn...->k...", c, C)[:, None]
 
     def value_and_grad(self, y: np.ndarray):
+        """Energy and gradient at y (n,), or at a stack of one (1, n)."""
         h = self.h
         _, b, c, fr, CU = self.evaluate(y)
         value = float(np.sum(b * c)) / h
@@ -385,16 +388,8 @@ class _PathEnergy:
         # state derivative of the kinetic form
         M = fr.state_derivative(CU)[:, 0]
         S = -0.5 / h * self.coords(M)
-        grad = 2.0 / h * (c[:-1] - c[1:]) + S[:-1] + S[1:]
-        return value, grad.ravel()
-
-
-def minimize(fun, x0, **kwargs):
-    """scipy.optimize.minimize, imported on the first solve so that loading
-    this module does not load scipy."""
-    from scipy.optimize import minimize as scipy_minimize
-
-    return scipy_minimize(fun, x0, **kwargs)
+        grad = (2.0 / h * (c[:-1] - c[1:]) + S[:-1] + S[1:]).reshape(np.shape(y))
+        return (value, grad) if np.ndim(y) == 1 else (np.array([value]), grad)
 
 
 def w2p_solve(L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray, p: float,
@@ -403,20 +398,21 @@ def w2p_solve(L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray, p: float,
 
     The unknowns are the interior states of an N-step path; the endpoints
     are rho0 and rho1 exactly, and the momenta of each step are eliminated in
-    closed form (see _PathEnergy). One L-BFGS-B solve starts from the linear
-    path; interior midpoints are eigenvalue-floored. The energy gradient is
+    closed form (see _PathEnergy). One start of the shared BFGS
+    (linalg.minimize, with ftol = tol * 1e-3) descends from the linear path;
+    interior midpoints are eigenvalue-floored. The energy gradient is
     self-tested once per solve. Returns (distance, path), with the momenta
-    rebuilt as B_k = [gbar_k]_j dj U_k.
+    rebuilt as B_k = [gbar_k]_j dj U_k; the path is converged when the start
+    stopped on "ftol" or "gtol", and carries its steps, evaluations and stop.
     """
     problem = _PathEnergy(L, rho0, rho1, p, opts.N)
     y = np.zeros((opts.N - 1) * len(problem.basis))
-    converged = True
+    steps, evaluations, stop = 0, 0, "gtol"  # an empty gradient is 0
     if y.size:  # a one-step path has no interior state to optimize
         la.check_gradient(problem.value_and_grad, y, "path energy")
-        res = minimize(problem.value_and_grad, y, jac=True, method="L-BFGS-B",
-                       options={"maxiter": MAX_ITERS, "ftol": opts.tol * 1e-3,
-                                "gtol": 1e-12})
-        y, converged = res.x, bool(res.success)
+        res = minimize(problem.value_and_grad, y[None], ftol=opts.tol * 1e-3)
+        y, stop = res.x[0], res.stops[0]
+        steps, evaluations = int(res.iterations[0]), int(res.evaluations[0])
     h = problem.h
     gammas, b, c, fr, CU = problem.evaluate(y)
     B = fr.uneig(fr.theta * CU, fr.P)[:, 0] / h
@@ -429,7 +425,8 @@ def w2p_solve(L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray, p: float,
         action=float(np.sum(actions) * h),
         endpoint_residual=la.frob(gammas[-1] - la.herm(rho1)),
         continuity_residual=float(np.max(np.linalg.norm(flow, axis=(1, 2)))),
-        converged=converged,
+        converged=stop in ("ftol", "gtol"),
+        steps=steps, evaluations=evaluations, stop=stop,
     )
     return float(np.sqrt(max(path.action, 0.0))), path
 

@@ -291,7 +291,9 @@ def check_transport(L: DbcLindbladian, rng: np.random.Generator) -> List[CheckRe
     p = 1.5
     opts = tp.W2Opts(N=10)
     dist, path = tp.w2p_solve(L, r0, r1, p, opts)
-    dist_rev, _ = tp.w2p_solve(L, r1, r0, p, opts)
+    dist_rev, path_rev = tp.w2p_solve(L, r1, r0, p, opts)
+    out.append(_result("transport-converged", path.converged and path_rev.converged,
+                       detail=f"stops: {path.stop}, {path_rev.stop}"))
     # the discrete path energy is symmetric under reversal of the path
     out.append(_result("distance-symmetry",
                        abs(dist - dist_rev) <= 1e-6 * max(dist, 1e-12),

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import json
 import os
 
@@ -14,6 +15,9 @@ from qbeckner import semigroup as sg
 from qbeckner import transport as tp
 from qbeckner import verify
 from qbeckner.errors import ConfigError, UnknownFixture
+
+# the shared optimizer cut off after one step, so that no path solve converges
+ONE_STEP = functools.partial(la.minimize, max_iters=1)
 
 
 class TestConfig:
@@ -218,6 +222,47 @@ class TestMain:
         assert report["summary"]["failures"] == ["transport.converged"]
         assert report["results"]["transport"]["solves"][0]["converged"] is False
 
+    def test_transport_diagnostics_in_report(self, tmp_path):
+        out = tmp_path / "out"
+        assert cli.main(["transport", "--fixture", "depol2", "--steps", "4",
+                         "--out", str(out)]) == 0
+        report = json.loads(open(out / "report.json").read())
+        diag = report["diagnostics"]["transport"]
+        solves = report["results"]["transport"]["solves"]
+        assert [(e["pair"], e["p"]) for e in diag] == [(s["pair"], s["p"]) for s in solves]
+        for entry in diag:
+            assert set(entry) == {"pair", "p", "steps", "evaluations", "stop"}
+            assert entry["stop"] in ("ftol", "gtol")
+            assert entry["evaluations"] >= entry["steps"] + 1
+        assert any(e["steps"] > 0 for e in diag)
+
+    def test_step_limited_transport_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tp, "minimize", ONE_STEP)
+        out = tmp_path / "out"
+        assert cli.main(["transport", "--fixture", "depol2", "--steps", "4",
+                         "--out", str(out)]) == 1
+        report = json.loads(open(out / "report.json").read())
+        assert report["summary"]["failures"] == ["transport.converged"]
+        assert "max_iters" in {e["stop"] for e in report["diagnostics"]["transport"]}
+
+    def test_step_limited_ricci_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tp, "minimize", ONE_STEP)
+        out = tmp_path / "out"
+        assert cli.main(["ricci", "--fixture", "depol2", "--p", "1.5",
+                         "--samples", "4", "--out", str(out)]) == 1
+        report = json.loads(open(out / "report.json").read())
+        assert report["summary"]["failures"] == ["ricci.error"]
+        error = report["errors"]["ricci"]
+        assert error.startswith("OptimizerDiverged")
+        assert "state 0 and sigma at p = 1.5" in error
+
+    def test_step_limited_verify_fails(self, tmp_path, monkeypatch):
+        monkeypatch.setattr(tp, "minimize", ONE_STEP)
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--fixture", "depol2", "--out", str(out)]) == 1
+        report = json.loads(open(out / "report.json").read())
+        assert "verify.transport-converged" in report["summary"]["failures"]
+
     def test_trace_bound_violation_fails(self, tmp_path, monkeypatch):
         monkeypatch.setattr(tp, "trace_distance_prefactor", lambda L, p: 0.0)
         out = tmp_path / "out"
@@ -313,6 +358,9 @@ class TestImportHygiene:
         "from qbeckner import config, ricci; "
         "ricci.ricci_estimate(config.build_generator(config.fixtures('depol3')), 1.5, "
         "num_states=4)",
+        "from qbeckner import cli; cli.main(['transport', '--fixture', 'depol2', "
+        "'--steps', '4', '--out', OUT])",
+        "from qbeckner import cli; cli.main(['verify', '--fixture', 'depol3', '--out', OUT])",
     ])
     def test_no_scipy_loaded(self, code, tmp_path):
         import subprocess

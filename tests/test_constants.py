@@ -190,7 +190,7 @@ class TestBatchedEstimation:
             return 0.5 * np.einsum("ki,ij,kj->k", x, A, x), x @ A
 
         x0 = np.array([np.zeros(6), np.full(6, 1e-4), np.linspace(-30.0, 50.0, 6)])
-        res = ct.minimize(fun, x0, ftol=1e-8)
+        res = la.minimize(fun, x0, ftol=1e-8)
         assert res.stops == ("gtol", "ftol", "ftol")
         assert res.iterations[0] == 0 and res.evaluations[0] == 1
         assert np.array_equal(res.x[0], x0[0])
@@ -201,8 +201,23 @@ class TestBatchedEstimation:
         assert isinstance(res.nit, int) and isinstance(res.nfev, int)
         assert res.nit == max(res.iterations)
         # the point start 1 stopped at is the one it reached alone
-        alone = ct.minimize(fun, x0[1:2], ftol=1e-8)
+        alone = la.minimize(fun, x0[1:2], ftol=1e-8)
         assert np.array_equal(alone.x[0], res.x[1])
+
+    def test_start_at_origin_moves(self):
+        # the step cap is relative to max(|x|, 1), so a start at x = 0 (where
+        # the transport solve starts) reaches a minimum away from 0; a cap of
+        # MAX_STEP * |x| would freeze it there
+        A = np.diag(np.arange(1.0, 7.0))
+        xstar = np.linspace(-2.0, 3.0, 6)
+
+        def fun(x):
+            r = x - xstar
+            return 0.5 * np.einsum("ki,ij,kj->k", r, A, r), r @ A
+
+        res = la.minimize(fun, np.zeros((1, 6)), ftol=1e-14)
+        assert res.stops[0] in ("ftol", "gtol") and res.iterations[0] > 0
+        assert np.max(np.abs(res.x[0] - xstar)) <= 1e-6
 
     def test_start_order_does_not_matter(self, dbc3, monkeypatch):
         opts = ct.EstimateOpts(num_starts=6, seed=2)
@@ -221,7 +236,7 @@ class TestBatchedEstimation:
         assert len(diag.iterations) == len(diag.evaluations) == len(diag.stops) \
             == len(diag.values) == FAST.num_starts
         assert all(e >= i + 1 for i, e in zip(diag.iterations, diag.evaluations))
-        assert set(diag.stops) <= set(ct.STOPS[1:])
+        assert set(diag.stops) <= set(la.STOPS[1:])
         assert min(diag.values) == pytest.approx(est.value, rel=1e-12)
         assert ct.estimate_constant(depol2, "poincare").diagnostics is None
 

@@ -1,3 +1,5 @@
+import functools
+
 import numpy as np
 import pytest
 
@@ -225,6 +227,15 @@ class TestW2Solver:
             dist, _ = tp.w2p_solve(dbc2, r0, r1, p, tp.W2Opts(N=10))
             C = tp.trace_distance_prefactor(dbc2, p)
             assert la.trace_norm(r1 - r0) <= C * dist * (1 + 1e-9)
+
+    def test_step_limit_is_not_converged(self, rng, dbc2, monkeypatch):
+        monkeypatch.setattr(tp, "minimize", functools.partial(la.minimize, max_iters=1))
+        r0 = la.random_density(rng, 2, floor=0.1)
+        r1 = la.random_density(rng, 2, floor=0.1)
+        _, path = tp.w2p_solve(dbc2, r0, r1, 1.5, tp.W2Opts(N=6))
+        assert (path.steps, path.stop) == (1, "max_iters")
+        assert path.evaluations >= 2
+        assert path.converged is False
 
     def test_no_jumps_rejected(self):
         L = sg.random_dbc(SIGMA_STAR, 0, 0, seed=1)

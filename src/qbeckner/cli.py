@@ -22,6 +22,7 @@ from .config import (
     DEFAULT_TOLERANCES,
     ExperimentConfig,
     build_generator,
+    config_from_dict,
     config_from_json,
     fixtures,
 )
@@ -54,18 +55,12 @@ def _jsonable(obj):
     return obj
 
 
-def _is_flat_depol(cfg: ExperimentConfig, L: DbcLindbladian) -> bool:
-    d = L.d
-    flat = la.frob(L.sigma - np.eye(d) / d) <= 1e-10
-    return flat and cfg.generator.get("kind") == "depolarizing"
-
-
 def _alpha_table(cfg: ExperimentConfig, L: DbcLindbladian) -> Dict[float, float]:
     """Valid lower bounds on the Beckner constants used for decay/mixing
     bounds: the classical reduction for the flat depolarizing model, the
     certified spectral-gap bounds otherwise."""
     lam = L.primitivity.spectral_gap
-    if _is_flat_depol(cfg, L):
+    if L.tracial and cfg.generator.get("kind") == "depolarizing":
         gamma = float(cfg.generator.get("gamma", 1.0))
         return {p: gamma * ct.depol_classical(p, L.d) for p in cfg.p_grid}
     smin = L.sigma_min
@@ -334,14 +329,22 @@ def emit(report: Dict, fmt: str, outdir: str) -> List[str]:
 
 
 def _load_config(args) -> ExperimentConfig:
+    """The config file or fixture for the task, with the command-line
+    overrides applied and the result validated by config_from_dict."""
     if args.config:
         with open(args.config) as fh:
-            cfg = config_from_json(fh.read())
+            data = config_from_json(fh.read()).to_dict()
     else:
-        cfg = fixtures(args.fixture)
+        data = fixtures(args.fixture).to_dict()
+    data["tasks"] = [args.task]
+    for key, value in (("p_grid", None if args.p is None else [args.p]),
+                       ("transport_steps", args.steps), ("transport_tol", args.tol),
+                       ("ricci_samples", args.samples)):
+        if value is not None:
+            data[key] = value
     if args.seed is not None:
-        cfg.seeds["master"] = args.seed
-    return cfg
+        data["seeds"]["master"] = args.seed
+    return config_from_dict(data)
 
 
 def main(argv: Optional[List[str]] = None) -> int:
@@ -372,17 +375,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         if args.task == "fixtures":
             print(fixtures(args.fixture).to_json())
             return 0
-        cfg = _load_config(args)
-        cfg.tasks = [args.task]
-        if args.p is not None:
-            cfg.p_grid = [args.p]
-        if args.steps is not None:
-            cfg.transport_steps = args.steps
-        if args.tol is not None:
-            cfg.transport_tol = args.tol
-        if args.samples is not None:
-            cfg.ricci_samples = args.samples
-        report = run(cfg)
+        report = run(_load_config(args))
     except (ConfigError, UnknownFixture, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2

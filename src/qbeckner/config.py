@@ -64,6 +64,14 @@ def config_from_dict(data: Dict) -> ExperimentConfig:
     for q in cfg.q_grid:
         if not 1.0 <= q < 2.0:
             raise ConfigError(f"q_grid entry {q} outside [1, 2)")
+    for key in ("num_starts", "transport_steps", "ricci_samples"):
+        if getattr(cfg, key) < 1:
+            raise ConfigError(f"{key} must be >= 1")
+    if not cfg.transport_tol > 0.0:
+        raise ConfigError("transport_tol must be positive")
+    for eps in cfg.epsilons:
+        if not 0.0 < eps < 2.0:
+            raise ConfigError(f"epsilons entry {eps} outside (0, 2)")
     return cfg
 
 

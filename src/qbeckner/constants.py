@@ -70,50 +70,7 @@ class ConstantEstimate:
     def ratio_of_witness(self, L: DbcLindbladian) -> float:
         if self.witness is None:
             raise MissingEstimate("capped estimate carries no witness")
-        return _ratio_fn(L, self.kind, self.param)(self.witness)
-
-
-def _ratio_fn(L: DbcLindbladian, kind: str, param: Optional[float]) -> Callable:
-    """Rayleigh ratio whose infimum over the feasible cone is the constant."""
-    if kind == "beckner":
-        p = float(param)
-
-        def ratio(X: np.ndarray) -> float:
-            den = ent.weighted_p_norm(X, L.sigma, p) ** p - 1.0
-            if den <= RIDGE_FLOOR:
-                return BIG
-            return (p - 1.0) * dh.dirichlet_form(L, X, p).value / den
-
-        return ratio
-    if kind == "mlsi":
-
-        def ratio(X: np.ndarray) -> float:
-            den = ent.entropy_functional(X, L.sigma, 1.0)
-            if den <= RIDGE_FLOOR:
-                return BIG
-            return dh.dirichlet_form(L, X, 1.0).value / den
-
-        return ratio
-    if kind == "lsi":
-
-        def ratio(Y: np.ndarray) -> float:
-            den = ent.entropy_functional(Y, L.sigma, 2.0)
-            if den <= RIDGE_FLOOR:
-                return BIG
-            return dh.dirichlet_form(L, Y, 2.0).value / den
-
-        return ratio
-    if kind == "dual_beckner":
-        q = float(param)
-
-        def ratio(Y: np.ndarray) -> float:
-            den = ent.q_variance(Y, L.sigma, q)
-            if den <= RIDGE_FLOOR:
-                return BIG
-            return (2.0 - q) * dh.dirichlet_form(L, Y, 2.0).value / den
-
-        return ratio
-    raise ValueError(f"no ratio for kind {kind!r}")
+        return _ratio_and_grad(L, self.kind, self.param)(self.witness)[0]
 
 
 def _tr(A: np.ndarray, B: np.ndarray) -> np.ndarray:
@@ -122,7 +79,15 @@ def _tr(A: np.ndarray, B: np.ndarray) -> np.ndarray:
 
 
 def _ratio_and_grad(L: DbcLindbladian, kind: str, param: Optional[float]) -> Callable:
-    """Fused form of :func:`_ratio_fn`: X -> (R(X), G) with dR = Re tr(G dX).
+    """Rayleigh ratio whose infimum over the feasible cone is the constant,
+    with its gradient: X -> (R(X), G), dR = Re tr(G dX). With E_p the
+    p-Dirichlet form (dirichlet.dirichlet_form) and the sigma-weighted
+    norm, entropy and q-variance of entropy.py, R(X) is
+
+    - beckner:      (p - 1) E_p(X) / (||X||_{p,sigma}^p - 1), on tr(sigma X) = 1;
+    - mlsi:         E_1(X) / Ent_{1,sigma}(X), on tr(sigma X) = 1;
+    - lsi:          E_2(X) / Ent_{2,sigma}(X), on ||X||_{2,sigma} = 1;
+    - dual_beckner: (2 - q) E_2(X) / Var_{q,sigma}(X), on ||X||_{2,sigma} = 1.
 
     X is one matrix (d, d), giving a float and (d, d), or a stack (S, d, d),
     giving (S,) and (S, d, d); a single matrix is a stack of one. Each kind
@@ -132,8 +97,8 @@ def _ratio_and_grad(L: DbcLindbladian, kind: str, param: Optional[float]) -> Cal
     functions tr f(A) are first order, f'(A); the Dirichlet forms
     tr(f(A) B), with B the sandwiched L(X), add the Daleckii-Krein term
     D f(A)[B] (Bhatia, Matrix Analysis, ch. V) and the dual generator
-    applied to the sandwiched f(A). On the near-identity ridge the
-    evaluator returns (BIG, 0), like the ratio it mirrors.
+    applied to the sandwiched f(A). On the near-identity ridge, where the
+    denominator is at most RIDGE_FLOOR, the evaluator returns (BIG, 0).
     """
     w, U = L.sigma_eig
     log_sigma = (U * np.log(w)) @ U.conj().T
@@ -267,31 +232,30 @@ def _pack(Y: np.ndarray) -> np.ndarray:
     return Y.reshape(Y.shape[:-2] + (-1,)).view(float)
 
 
-def _witness_scale(L: DbcLindbladian, kind: str, X0: np.ndarray):
-    """Scale m of the feasible-cone normalization X = X0 / m and the
-    Hermitian D with dm = Re tr(D dX0): the sigma-mean for the kinds on
-    the unit-mean slice, the 2-norm ||X0||_{2,sigma} for the others.
-    X0 is one matrix or a stack; m and D follow its leading axes."""
+def _normalize(L: DbcLindbladian, kind: str, Y: np.ndarray):
+    """Feasible-cone witnesses X = Y†Y / m of a stack of unconstrained
+    matrices Y (S, d, d), with the scale m (S,) and the Hermitian D,
+    dm = Re tr(D d(Y†Y)): m is the sigma-mean tr(sigma Y†Y) for the kinds
+    on the unit-mean slice, the 2-norm ||Y†Y||_{2,sigma} for the others. A
+    zero Y maps to the identity (m = 1), which lies on the ridge."""
+    X0 = la.dagger(Y) @ Y
     if kind in ("beckner", "mlsi"):
-        return _tr(L.sigma, X0), L.sigma
-    half = L.sigma_power(0.5)
-    K = half @ X0 @ half
-    m = np.sqrt(np.maximum(_tr(K, X0), 0.0))
-    return m, K / np.maximum(m, 1e-300)[..., None, None]
-
-
-def _normalized_witness(L: DbcLindbladian, Y: np.ndarray, kind: str) -> np.ndarray:
-    """Map an unconstrained complex matrix to the feasible cone."""
-    X0 = Y.conj().T @ Y
-    m, _ = _witness_scale(L, kind, X0)
-    if m <= 1e-300:
-        return np.eye(L.d, dtype=complex)
-    return X0 / m
+        m, D = _tr(L.sigma, X0), L.sigma
+    else:
+        half = L.sigma_power(0.5)
+        K = half @ X0 @ half
+        m = np.sqrt(np.maximum(_tr(K, X0), 0.0))
+        D = K / np.maximum(m, 1e-300)[:, None, None]
+    zero = m <= 1e-300
+    if zero.any():
+        m = np.where(zero, 1.0, m)
+        X0 = np.where(zero[:, None, None], np.eye(L.d), X0)
+    return X0 / m[:, None, None], m, D
 
 
 def _objective(L: DbcLindbladian, kind: str, param: Optional[float]) -> Callable:
     """y -> (ratio, gradient in y) over the real parameterization
-    Y = unpack(y), X = Y†Y / m(Y†Y) of :func:`_normalized_witness`.
+    Y = unpack(y), X = Y†Y / m of :func:`_normalize`.
 
     y is one point (2d^2,), giving a float and (2d^2,), or a stack
     (S, 2d^2), giving (S,) and (S, 2d^2), from one batched evaluation."""
@@ -300,13 +264,7 @@ def _objective(L: DbcLindbladian, kind: str, param: Optional[float]) -> Callable
 
     def objective(y: np.ndarray):
         Y = _unpack(np.reshape(y, (-1, 2 * d * d)), d)
-        X0 = la.dagger(Y) @ Y
-        m, D = _witness_scale(L, kind, X0)
-        zero = m <= 1e-300
-        if zero.any():  # a zero witness maps to the identity, on the ridge
-            m = np.where(zero, 1.0, m)
-            X0 = np.where(zero[:, None, None], np.eye(d), X0)
-        X = X0 / m[:, None, None]
+        X, m, D = _normalize(L, kind, Y)
         val, G = fused(X)
         # dX = (dX0 - X dm) / m, and dX0 = dY† Y + Y† dY
         G = la.herm(G - _tr(G, X)[:, None, None] * D) / m[:, None, None]
@@ -338,7 +296,6 @@ def _seed_starts(L: DbcLindbladian, kind: str, num_starts: int,
     return starts[:max(num_starts, 1)]
 
 
-
 def estimate_constant(L: DbcLindbladian, kind: str, p: float | None = None,
                       q: float | None = None,
                       opts: EstimateOpts = EstimateOpts()) -> ConstantEstimate:
@@ -361,7 +318,6 @@ def estimate_constant(L: DbcLindbladian, kind: str, p: float | None = None,
         return ConstantEstimate("poincare", None, lam, L.gap_eigenvector,
                                 0, 0.0, False)
     param = p if kind == "beckner" else (q if kind == "dual_beckner" else None)
-    ratio = _ratio_fn(L, kind, param)
     objective = _objective(L, kind, param)
     d = L.d
     rng = np.random.default_rng(opts.seed)
@@ -371,14 +327,10 @@ def estimate_constant(L: DbcLindbladian, kind: str, p: float | None = None,
 
     starts = _pack(np.array(_seed_starts(L, kind, opts.num_starts, opts.seed)))
     res = minimize(objective, starts, max_iters=opts.max_iters, ftol=opts.tol)
-    best_val, best_witness = np.inf, None
-    values = []
-    for x in res.x:
-        witness = _normalized_witness(L, _unpack(x, d), kind)
-        val = ratio(witness)
-        values.append(val)
-        if val < best_val:
-            best_val, best_witness = val, witness
+    # each start's ratio is the value the optimizer holds at its end point;
+    # the first of the smallest wins
+    best = int(np.argmin(res.fun))
+    best_val = float(res.fun[best])
     if not np.isfinite(best_val):
         raise OptimizerDiverged("all starts diverged")
 
@@ -390,17 +342,16 @@ def estimate_constant(L: DbcLindbladian, kind: str, p: float | None = None,
         cap = np.inf
     capped = best_val > cap
     value = min(best_val, cap)
-    others = sorted(v for v in values if np.isfinite(v))
+    ranked = np.sort(res.fun)
     residual = 0.0
-    if len(others) > 1:
-        gaps = [abs(v - best_val) / max(best_val, 1e-300) for v in others[1:]]
-        residual = float(min(gaps))
+    if len(ranked) > 1:
+        residual = float(abs(ranked[1] - best_val) / max(best_val, 1e-300))
+    witness = None if capped else _normalize(L, kind, _unpack(res.x[best:best + 1], d))[0][0]
     diagnostics = EstimateDiagnostics(
         tuple(int(i) for i in res.iterations), tuple(int(e) for e in res.evaluations),
-        res.stops, tuple(float(v) for v in values))
-    return ConstantEstimate(kind, param, float(value),
-                            None if capped else best_witness,
-                            len(values), residual, bool(capped), diagnostics)
+        res.stops, tuple(float(v) for v in res.fun))
+    return ConstantEstimate(kind, param, float(value), witness,
+                            len(res.fun), residual, bool(capped), diagnostics)
 
 
 # ---------------------------------------------------------------------------
@@ -723,7 +674,7 @@ def moment_concentration_check(L: DbcLindbladian, X: np.ndarray, r: float,
     Returns rhs - lhs for each checked inequality (nonnegative = pass).
     """
     d = L.d
-    if la.frob(L.sigma - np.eye(d) / d) > 1e-10:
+    if not L.tracial:
         raise NotSymmetric("moment estimates need sigma = I/d")
     if r < 2:
         raise ValueError("r must be at least 2")

@@ -114,8 +114,7 @@ def entropy_production(L: DbcLindbladian, rho: np.ndarray, p: float) -> float:
 
 
 def _check_symmetric(L: DbcLindbladian) -> None:
-    d = L.d
-    if la.frob(L.sigma - np.eye(d) / d) > 1e-10:
+    if not L.tracial:
         raise NotSymmetric("carre du champ machinery needs sigma = I/d")
 
 

@@ -127,6 +127,12 @@ class DbcLindbladian:
     def sigma_eig(self) -> Tuple[np.ndarray, np.ndarray]:
         return la.herm_eigh(self.sigma)
 
+    @cached_property
+    def tracial(self) -> bool:
+        """Whether sigma = I/d to 1e-10 in Frobenius norm: the flat invariant
+        state of the symmetric semigroups."""
+        return bool(la.frob(self.sigma - np.eye(self.d) / self.d) <= 1e-10)
+
     @property
     def sigma_min(self) -> float:
         return float(self.sigma_eig[0][0])
@@ -229,22 +235,20 @@ def validate_dbc(L: DbcLindbladian, tol: float = DBC_TOL) -> None:
         raise NotDbc(f"modular commutation residual {comm:.3e}")
 
 
-def build_from_jumps(sigma: np.ndarray, jumps: Sequence[JumpTerm],
-                     validate: bool = True) -> DbcLindbladian:
-    """Assemble the generator from jump terms, auto-completing adjoint pairs."""
+def build_from_jumps(sigma: np.ndarray, jumps: Sequence[JumpTerm]) -> DbcLindbladian:
+    """Assemble the generator from jump terms, auto-completing adjoint pairs,
+    and validate the jumps and the detailed-balance conditions."""
     la.check_full_rank(sigma)
     sigma = la.herm(np.asarray(sigma, dtype=complex))
     d = sigma.shape[0]
     jumps = [JumpTerm(np.asarray(V, dtype=complex), float(om)) for V, om in jumps]
-    if validate:
-        for jump in jumps:
-            validate_jump(sigma, jump)
+    for jump in jumps:
+        validate_jump(sigma, jump)
     jumps = complete_pairs(jumps)
     gen = generator_from_jumps(jumps, d)
     L = DbcLindbladian(sigma=sigma, jumps=tuple(jumps), generator=gen,
                        dual_generator=gen.conj().T)
-    if validate:
-        validate_dbc(L)
+    validate_dbc(L)
     return L
 
 

@@ -334,8 +334,7 @@ def check_ricci(L: DbcLindbladian, rng: np.random.Generator) -> List[CheckResult
     out.append(_result("hessian-symmetry", sym <= 1e-9 * max(1.0, np.max(np.abs(H))),
                        sym, 1e-9))
 
-    flat = la.frob(L.sigma - np.eye(d) / d) <= 1e-10
-    if flat:
+    if L.tracial:
         p = 1.5
         est = rc.ricci_estimate(L, p, num_states=8, seed=3)
         alpha_cl = ct.depol_classical(p, d) * L.primitivity.spectral_gap
@@ -351,12 +350,11 @@ def check_ricci(L: DbcLindbladian, rng: np.random.Generator) -> List[CheckResult
 def check_decay(L: DbcLindbladian, rng: np.random.Generator) -> List[CheckResult]:
     out = []
     d = L.d
-    flat = la.frob(L.sigma - np.eye(d) / d) <= 1e-10
     is_depol = la.frob(
         L.generator - (np.outer(la.vec(np.eye(d)), la.vec(L.sigma).conj())
                        - np.eye(d * d)) * L.primitivity.spectral_gap) \
         <= 1e-8 * la.frob(L.generator)
-    if not (flat and is_depol):
+    if not (L.tracial and is_depol):
         return [_skip("classical-decay-certificate",
                       "closed-form constants need the flat depolarizing model")]
     gamma = L.primitivity.spectral_gap

@@ -184,6 +184,36 @@ class TestMain:
         path.write_text("{\"bogus\": 1}")
         assert cli.main(["constants", "--config", str(path)]) == 2
 
+    @pytest.mark.parametrize("task,entry", [
+        ("constants", {"num_starts": 0}),
+        ("transport", {"transport_steps": 0}),
+        ("transport", {"transport_tol": 0.0}),
+        ("ricci", {"ricci_samples": 0}),
+        ("mixing", {"epsilons": [3.0]}),
+        ("mixing", {"epsilons": [0.0, 0.1]}),
+    ])
+    def test_unusable_config_value_exit_code(self, tmp_path, capsys, task, entry):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(entry))
+        out = tmp_path / "out"
+        assert cli.main([task, "--config", str(path), "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
+    @pytest.mark.parametrize("argv", [
+        ["transport", "--steps", "0"],
+        ["transport", "--tol", "0"],
+        ["ricci", "--samples", "0"],
+        ["constants", "--p", "1.0"],
+        ["constants", "--p", "3"],
+    ])
+    def test_unusable_override_exit_code(self, tmp_path, capsys, argv):
+        # the overrides are validated with the config they change
+        out = tmp_path / "out"
+        assert cli.main(argv + ["--fixture", "depol2", "--out", str(out)]) == 2
+        assert "config error" in capsys.readouterr().err
+        assert not out.exists()
+
     def test_verify_dimension_one_clean(self, tmp_path, capsys):
         cfg = cf.ExperimentConfig(dimension=1, sigma={"eigenvalues": [1.0]},
                                   tasks=["verify"])

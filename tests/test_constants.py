@@ -20,6 +20,35 @@ from conftest import SIGMA_STAR
 FAST = ct.EstimateOpts(num_starts=8, seed=3)
 
 
+def reference_ratio(L, kind, param, X):
+    """The Rayleigh ratio of each kind from the public norms, entropies and
+    Dirichlet forms, BIG where the denominator is at most RIDGE_FLOOR."""
+    if kind == "beckner":
+        p = float(param)
+        den = ent.weighted_p_norm(X, L.sigma, p) ** p - 1.0
+        num = (p - 1.0) * dh.dirichlet_form(L, X, p).value
+    elif kind == "mlsi":
+        den = ent.entropy_functional(X, L.sigma, 1.0)
+        num = dh.dirichlet_form(L, X, 1.0).value
+    elif kind == "lsi":
+        den = ent.entropy_functional(X, L.sigma, 2.0)
+        num = dh.dirichlet_form(L, X, 2.0).value
+    else:
+        q = float(param)
+        den = ent.q_variance(X, L.sigma, q)
+        num = (2.0 - q) * dh.dirichlet_form(L, X, 2.0).value
+    return ct.BIG if den <= ct.RIDGE_FLOOR else num / den
+
+
+def reference_witness(L, kind, Y):
+    """Y†Y scaled to the feasible cone: unit sigma-mean for beckner and
+    mlsi, unit ||.||_{2,sigma} for lsi and dual_beckner."""
+    X0 = Y.conj().T @ Y
+    if kind in ("beckner", "mlsi"):
+        return X0 / np.trace(L.sigma @ X0).real
+    return X0 / ent.weighted_p_norm(X0, L.sigma, 2.0)
+
+
 class TestEstimateConstant:
     def test_poincare_is_exact_gap(self, depol2):
         est = ct.estimate_constant(depol2, "poincare")
@@ -46,10 +75,11 @@ class TestEstimateConstant:
         # (eps large enough to stay outside the guarded 0/0 ridge)
         p = 1.5
         U = depol2.gap_eigenvector
-        ratio = ct._ratio_fn(depol2, "beckner", p)
         X = np.eye(2) + 1e-3 * U
         X = X / np.trace(SIGMA_STAR @ X).real
-        assert ratio(X) == pytest.approx(p / 2.0, rel=5e-3)
+        assert reference_ratio(depol2, "beckner", p, X) == pytest.approx(p / 2.0, rel=5e-3)
+        assert ct._ratio_and_grad(depol2, "beckner", p)(X)[0] == pytest.approx(
+            p / 2.0, rel=5e-3)
 
     def test_expansion_of_norm_and_form(self, rng, depol2):
         # second-order expansions behind the linearization cap
@@ -107,11 +137,10 @@ class TestFusedRatio:
         # that order themselves.
         L = request.getfixturevalue(model)
         d = L.d
-        ratio = ct._ratio_fn(L, kind, param)
         objective = ct._objective(L, kind, param)
 
         def reference(y):
-            return ratio(ct._normalized_witness(L, ct._unpack(y, d), kind))
+            return reference_ratio(L, kind, param, reference_witness(L, kind, ct._unpack(y, d)))
 
         rng = np.random.default_rng(7)
         eps = 1e-6
@@ -128,7 +157,7 @@ class TestFusedRatio:
     @pytest.mark.parametrize("kind,param", KINDS)
     def test_ridge_returns_big_and_zero(self, depol2, kind, param):
         X = np.eye(2) + 1e-5 * depol2.gap_eigenvector
-        X = ct._normalized_witness(depol2, la.matrix_power_hermitian(X, 0.5), kind)
+        X = ct._normalize(depol2, kind, la.matrix_power_hermitian(X, 0.5)[None])[0][0]
         value, G = ct._ratio_and_grad(depol2, kind, param)(X)
         assert value == ct.BIG
         assert not np.any(G)
@@ -145,6 +174,25 @@ class TestFusedRatio:
         est = ct.estimate_constant(depol2, kind, p=p, q=q,
                                    opts=ct.EstimateOpts(num_starts=2))
         assert np.isfinite(est.value) and est.num_starts == 2
+
+    @pytest.mark.parametrize("model", ["dbc3", "dbc4"])
+    @pytest.mark.parametrize("kind,param", KINDS)
+    def test_value_is_best_start_and_witness_ratio(self, request, model, kind, param):
+        # the reported value is the smallest ratio the optimizer evaluated,
+        # and the witness is the matrix it evaluated there; the public
+        # oracle agreed to at most 2.7e-10 relative over these cases (the
+        # gap-limited p = 2 and q = 1 minima, near the ridge)
+        L = request.getfixturevalue(model)
+        p = param if kind == "beckner" else None
+        q = param if kind == "dual_beckner" else None
+        est = ct.estimate_constant(L, kind, p=p, q=q, opts=FAST)
+        if est.capped:
+            assert est.witness is None and est.value < min(est.diagnostics.values)
+            return
+        assert est.value == min(est.diagnostics.values)
+        assert est.ratio_of_witness(L) == pytest.approx(est.value, rel=1e-12)
+        assert reference_ratio(L, kind, param, est.witness) == pytest.approx(
+            est.value, rel=1e-9)
 
     def test_wrong_gradient_fails_self_test(self, depol2, monkeypatch):
         fused = ct._ratio_and_grad

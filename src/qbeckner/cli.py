@@ -342,8 +342,8 @@ def _load_config(args) -> ExperimentConfig:
                        ("ricci_samples", args.samples)):
         if value is not None:
             data[key] = value
-    if args.seed is not None:
-        data["seeds"]["master"] = args.seed
+    if args.seed is not None:  # seeds every random draw, the starts included
+        data["seeds"]["master"] = data["seeds"]["starts"] = args.seed
     return config_from_dict(data)
 
 

@@ -45,11 +45,38 @@ class ExperimentConfig:
 _FIELDS = set(ExperimentConfig().to_dict().keys())
 
 
+def _is_int(x) -> bool:
+    return isinstance(x, int) and not isinstance(x, bool)
+
+
+def _is_number(x) -> bool:
+    return _is_int(x) or isinstance(x, float)
+
+
+def _check_types(cfg: ExperimentConfig) -> None:
+    """ConfigError for a value of the wrong JSON type, before any range check."""
+    for key in ("dimension", "num_starts", "transport_steps", "ricci_samples"):
+        if not _is_int(getattr(cfg, key)):
+            raise ConfigError(f"{key} must be an integer, not {getattr(cfg, key)!r}")
+    for key in ("seeds", "sigma", "generator", "tolerances"):
+        if not isinstance(getattr(cfg, key), dict):
+            raise ConfigError(f"{key} must be an object, not {getattr(cfg, key)!r}")
+    if not isinstance(cfg.tasks, list):
+        raise ConfigError(f"tasks must be a list, not {cfg.tasks!r}")
+    for key in ("p_grid", "q_grid", "epsilons"):
+        grid = getattr(cfg, key)
+        if not isinstance(grid, list) or not all(_is_number(x) for x in grid):
+            raise ConfigError(f"{key} must be a list of numbers, not {grid!r}")
+    if not _is_number(cfg.transport_tol):
+        raise ConfigError(f"transport_tol must be a number, not {cfg.transport_tol!r}")
+
+
 def config_from_dict(data: Dict) -> ExperimentConfig:
     unknown = set(data.keys()) - _FIELDS
     if unknown:
         raise ConfigError(f"unknown config keys: {sorted(unknown)}")
     cfg = ExperimentConfig(**data)
+    _check_types(cfg)
     if cfg.dimension < 1:
         raise ConfigError("dimension must be >= 1")
     unknown = set(cfg.tolerances) - set(DEFAULT_TOLERANCES)

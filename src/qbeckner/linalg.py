@@ -204,33 +204,42 @@ def _schur_super(F: np.ndarray, VA: np.ndarray, VB: np.ndarray) -> np.ndarray:
 
 
 def partial_dd_tensor(k2: Kernel2, which: int, wA: np.ndarray,
-                      wB: np.ndarray) -> np.ndarray:
+                      wB: np.ndarray, F: np.ndarray | None = None) -> np.ndarray:
     """Weight tensor of a partial divided difference of a two-variable kernel.
 
-    which=1: W[a,b,c] = (f(wA_a, wB_c) - f(wA_b, wB_c)) / (wA_a - wA_b),
-             falling back to d/dx f at the midpoint for degenerate pairs.
-    which=2: W[a,b,c] = (f(wA_a, wB_b) - f(wA_a, wB_c)) / (wB_b - wB_c),
-             falling back to d/dy f at the midpoint.
-    Leading axes of wA and wB broadcast; W has shape (..., d, d, d).
+    Both quotients take their numerators from the kernel grid
+    F[..., x, y] = f(wA_x, wB_y), which is computed here unless given:
+    which=1: W[a,b,c] = (F[a,c] - F[b,c]) / (wA_a - wA_b),
+             d/dx f at the midpoint for coincident pairs (_is_same);
+    which=2: W[a,b,c] = (F[a,b] - F[a,c]) / (wB_b - wB_c),
+             d/dy f at the midpoint.
+    The derivative rule runs only at the coincident entries. Leading axes of
+    wA and wB broadcast; W has shape (..., d, d, d).
     """
-    x = wA[..., :, None, None]
-    if which == 1:
-        y = wB[..., None, None, :]
-        u, v = x, wA[..., None, :, None]
-        fu, fv, deriv = k2.f(u, y), k2.f(v, y), k2.dx
-    elif which == 2:
-        u, v = wB[..., None, :, None], wB[..., None, None, :]
-        fu, fv, deriv = k2.f(x, u), k2.f(x, v), k2.dy
-    else:
+    if which not in (1, 2):
         raise ValueError("which must be 1 or 2")
+    deriv = k2.dx if which == 1 else k2.dy
     if deriv is None:
         raise DomainViolation(f"kernel {k2.name} has no d/d{'xy'[which - 1]} rule")
+    if F is None:
+        F = k2.f(wA[..., :, None], wB[..., None, :])
+    x = wA[..., :, None, None]
+    y = wB[..., None, None, :]
+    if which == 1:
+        u, v = x, wA[..., None, :, None]
+        fu, fv = F[..., :, None, :], F[..., None, :, :]
+    else:
+        u, v = wB[..., None, :, None], y
+        fu, fv = F[..., :, :, None], F[..., :, None, :]
     same = _is_same(u, v)
     with np.errstate(divide="ignore", invalid="ignore"):
-        far = (fu - fv) / np.where(same, 1.0, u - v)
-    mid = 0.5 * (u + v)
-    deg = deriv(mid, y) if which == 1 else deriv(x, mid)
-    return np.where(same, deg, far)
+        W = (fu - fv) / np.where(same, 1.0, u - v)
+    at = np.nonzero(np.broadcast_to(same, W.shape))
+    if at[0].size:
+        mid = np.broadcast_to(0.5 * (u + v), W.shape)[at]
+        W[at] = (deriv(mid, np.broadcast_to(y, W.shape)[at]) if which == 1
+                 else deriv(np.broadcast_to(x, W.shape)[at], mid))
+    return W
 
 
 # ---------------------------------------------------------------------------

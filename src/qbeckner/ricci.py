@@ -52,20 +52,28 @@ def hessian_matrix(L: DbcLindbladian, rho: np.ndarray,
                (transport._basis_gram, shared with the path energy);
       second = (Phi† L_dual Phi) G: D U_n is trace-free, so it lies in the
                span of the basis, and <U_m, L†(D U_n)> needs only G;
-      first  = 1/2 conj(C) Z^T, where Z contracts the Daleckii-Krein tensors
-               of theta_p with A = V† Q (L† rho) Q V before the basis pairs.
+      first  = 1/2 sum_j C_j† T_j C_j, with C_j the (d^2, n) matrix of the
+               gradients of jump j and T_j the operator on its entries that
+               contracts the Daleckii-Krein tensors of theta_p with
+               A = V† Q (L† rho) Q V.
     """
     d = L.d
     states = np.reshape(rho, (-1, d, d))
     fr, C, G = tp._basis_gram(L, states, p)
-    S, n = C.shape[:2]
+    S, n, J = C.shape[:3]
     vecs = np.swapaxes(states, -1, -2).reshape(S, d * d)  # la.vec of each state
     Lrho = np.swapaxes((vecs @ L.dual_generator.T).reshape(S, d, d), -1, -2)
     A = la.dagger(fr.V) @ fr.Q @ Lrho[:, None] @ fr.Q @ fr.V
     W1, W2 = fr.dk_tensors(fr.kernel)
-    Z = (np.einsum("...jabc,...jbc->...jac", W1 * A[..., None, :, :, None], C)
-         + np.einsum("...jabc,...jab->...jac", W2 * A[..., None, None, :, :], C))
-    first = 0.5 * C.reshape(S, n, -1).conj() @ np.swapaxes(Z.reshape(S, n, -1), -1, -2)
+    W1A = (W1 * A[..., None, :, :, None])[:, 0]  # W1[a,b,c] A[a,b]
+    W2A = (W2 * A[..., None, None, :, :])[:, 0]  # W2[a,b,c] A[b,c]
+    # T[(a,c), (b,e)] = W1A[a,b,c] delta_ce + delta_ab W2A[a,e,c]
+    I = np.eye(d)
+    T = (np.swapaxes(W1A, -1, -2)[..., None] * I[:, None, :]
+         + np.swapaxes(W2A, -1, -2)[..., None, :] * I[:, None, :, None])
+    Cj = np.moveaxis(C.reshape(S, n, J, d * d), 1, -1)
+    Z = T.reshape(S, J, d * d, d * d) @ Cj
+    first = 0.5 * C.reshape(S, n, -1).conj() @ Z.reshape(S, -1, n)
     Phi = tp._basis_frame(d)[1]
     H = first - (Phi.conj().T @ L.dual_generator @ Phi) @ G
     # the tangent space is the REAL span of the Hermitian basis, so only the

@@ -170,9 +170,11 @@ class _Frame:
     def dk_tensors(self, k: Kernel2) -> Tuple[np.ndarray, np.ndarray]:
         """Daleckii-Krein tensors (W1, W2) of k, (..., J, d, d, d): its first
         and second partial divided differences on the tilted spectra, each
-        weighted by its tilt."""
-        return (self.up[:, None, None, None] * la.partial_dd_tensor(k, 1, self.a, self.b),
-                self.down[:, None, None, None] * la.partial_dd_tensor(k, 2, self.a, self.b))
+        weighted by its tilt. Both take their quotients from one grid of k,
+        the cached theta when k is the frame's kernel."""
+        F = self.theta if k is self.kernel else self.weights(k)
+        return (self.up[:, None, None, None] * la.partial_dd_tensor(k, 1, self.a, self.b, F),
+                self.down[:, None, None, None] * la.partial_dd_tensor(k, 2, self.a, self.b, F))
 
     def dd(self, k: Kernel2, Cl: np.ndarray, Cr: np.ndarray) -> np.ndarray:
         """State-derivative contraction in the eigenbasis of Y.
@@ -303,9 +305,20 @@ def _basis_gram(L: DbcLindbladian, rho: np.ndarray,
     span of the basis into itself, so G is real up to round-off.
     """
     basis, _ = _basis_frame(L.d)
-    S, n = len(rho), len(basis)
+    S, n, d = len(rho), len(basis), L.d
     fr = _Frame(L, rho[:, None], p)
-    C = fr.eig(fr.grad(basis), fr.P)
+    # P [V_j, U_m] P does not depend on the state: form it once and take all
+    # of it to each state's eigenframe with two batched products, by V† from
+    # the left on the side-by-side (d, n J d) matrix, then by V from the
+    # right. These are the two sums of V† (P X P) V, grouped as there; C is
+    # made contiguous as that product is, so the contractions over it keep
+    # their summation order too.
+    X = fr.P @ fr.grad(basis) @ fr.P
+    J = X.shape[1]
+    V = fr.V[:, 0]
+    left = la.dagger(V) @ np.moveaxis(X, 2, 0).reshape(d, -1)  # (S, i, (m, j, l))
+    right = (left.reshape(S, -1, d) @ V).reshape(S, d, n, J, d)  # (S, i, m, j, b)
+    C = np.ascontiguousarray(np.moveaxis(right, 1, 3))
     G = C.reshape(S, n, -1).conj() @ np.swapaxes((fr.theta * C).reshape(S, n, -1), -1, -2)
     return fr, C, G
 

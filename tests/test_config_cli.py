@@ -200,6 +200,49 @@ class TestMain:
         assert "config error" in capsys.readouterr().err
         assert not out.exists()
 
+    @pytest.mark.parametrize("entry", [
+        {"num_starts": "3"},
+        {"num_starts": 2.0},
+        {"dimension": True},
+        {"ricci_samples": None},
+        {"p_grid": [1.5, "2"]},
+        {"q_grid": 1.5},
+        {"epsilons": [None]},
+        {"transport_tol": "1e-7"},
+        {"sigma": [0.75, 0.25]},
+        {"generator": "depolarizing"},
+        {"tolerances": None},
+        {"tasks": "constants"},
+    ])
+    def test_wrong_type_exit_code(self, tmp_path, capsys, entry):
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps(entry))
+        out = tmp_path / "out"
+        assert cli.main(["constants", "--config", str(path), "--out", str(out)]) == 2
+        assert "must be" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seeds_not_an_object_with_seed_override(self, tmp_path, capsys):
+        # the override is applied after the file is validated
+        path = tmp_path / "cfg.json"
+        path.write_text(json.dumps({"seeds": 5}))
+        out = tmp_path / "out"
+        assert cli.main(["constants", "--config", str(path), "--seed", "1",
+                         "--out", str(out)]) == 2
+        assert "seeds must be an object" in capsys.readouterr().err
+        assert not out.exists()
+
+    def test_seed_reaches_constant_starts(self, tmp_path):
+        values = []
+        for seed in ("1", "2"):
+            out = tmp_path / seed
+            assert cli.main(["constants", "--fixture", "depol2", "--seed", seed,
+                             "--out", str(out)]) == 0
+            report = json.loads((out / "report.json").read_text())
+            assert report["config"]["seeds"] == {"master": int(seed), "starts": int(seed)}
+            values.append(report["diagnostics"]["constants"])
+        assert values[0] != values[1]
+
     @pytest.mark.parametrize("argv", [
         ["transport", "--steps", "0"],
         ["transport", "--tol", "0"],

@@ -99,6 +99,11 @@ def config_from_dict(data: Dict) -> ExperimentConfig:
     for eps in cfg.epsilons:
         if not 0.0 < eps < 2.0:
             raise ConfigError(f"epsilons entry {eps} outside (0, 2)")
+    for key, seed in cfg.seeds.items():
+        if not (_is_int(seed) and seed >= 0):
+            raise ConfigError(f"seeds.{key} must be an integer >= 0, not {seed!r}")
+    build_sigma(cfg)
+    _check_generator(cfg)
     return cfg
 
 
@@ -112,37 +117,73 @@ def config_from_json(text: str) -> ExperimentConfig:
     return config_from_dict(data)
 
 
+def _matrix(obj, d: int, name: str) -> np.ndarray:
+    """A d x d matrix from its JSON form, or ConfigError."""
+    try:
+        M = la.matrix_from_json(obj)
+    except (TypeError, ValueError, IndexError, KeyError):
+        M = None
+    if M is None or M.shape != (d, d):
+        raise ConfigError(f"{name} must be a {d}x{d} matrix of [re, im] pairs")
+    return M
+
+
 def build_sigma(cfg: ExperimentConfig) -> np.ndarray:
     spec = cfg.sigma
-    eigs = np.asarray(spec.get("eigenvalues", []), dtype=float)
-    if eigs.size != cfg.dimension:
+    try:
+        eigs = np.asarray(spec.get("eigenvalues", []), dtype=float)
+    except (TypeError, ValueError):
+        raise ConfigError(f"sigma eigenvalues must be numbers, not {spec['eigenvalues']!r}")
+    if eigs.shape != (cfg.dimension,):
         raise ConfigError(
             f"sigma has {eigs.size} eigenvalues for dimension {cfg.dimension}")
-    if abs(eigs.sum() - 1.0) > 1e-10 or np.min(eigs) <= 0:
+    if not (abs(eigs.sum() - 1.0) <= 1e-10 and np.min(eigs) > 0):
         raise ConfigError("sigma eigenvalues must be positive and sum to 1")
     sigma = np.diag(eigs.astype(complex))
     if "basis" in spec and spec["basis"] is not None:
-        U = la.matrix_from_json(spec["basis"])
+        U = _matrix(spec["basis"], cfg.dimension, "sigma basis")
         if la.frob(U @ U.conj().T - np.eye(cfg.dimension)) > 1e-10:
             raise ConfigError("sigma basis must be unitary")
         sigma = U @ sigma @ U.conj().T
     return sigma
 
 
-def build_generator(cfg: ExperimentConfig) -> DbcLindbladian:
-    sigma = build_sigma(cfg)
+def _check_generator(cfg: ExperimentConfig) -> None:
+    """ConfigError unless the generator spec is a known kind with usable
+    values: a positive gamma, integer counts and seed >= 0, and jump entries
+    with a d x d matrix V and a number omega."""
     spec = cfg.generator
     kind = spec.get("kind")
+    if kind not in ("depolarizing", "jumps", "random_dbc"):
+        raise ConfigError(f"unknown generator kind {kind!r}")
+    gamma = spec.get("gamma", 1.0)
+    if kind == "depolarizing" and not (_is_number(gamma) and gamma > 0):
+        raise ConfigError(f"generator gamma must be a positive number, not {gamma!r}")
+    for key in ("pairs", "diag", "seed") if kind == "random_dbc" else ():
+        if key in spec and not (_is_int(spec[key]) and spec[key] >= 0):
+            raise ConfigError(f"generator {key} must be an integer >= 0, not {spec[key]!r}")
+    entries = spec.get("list", []) if kind == "jumps" else []
+    if not isinstance(entries, list):
+        raise ConfigError(f"generator list must be a list, not {entries!r}")
+    for j in entries:
+        if not (isinstance(j, dict) and _is_number(j.get("omega"))):
+            raise ConfigError(f"jump {j!r} needs a matrix V and a number omega")
+        _matrix(j.get("V"), cfg.dimension, "jump V")
+
+
+def build_generator(cfg: ExperimentConfig) -> DbcLindbladian:
+    sigma = build_sigma(cfg)
+    _check_generator(cfg)
+    spec = cfg.generator
+    kind = spec["kind"]
     if kind == "depolarizing":
         return depolarizing(sigma, float(spec.get("gamma", 1.0)))
     if kind == "jumps":
         jumps = [JumpTerm(la.matrix_from_json(j["V"]), float(j["omega"]))
                  for j in spec.get("list", [])]
         return build_from_jumps(sigma, jumps)
-    if kind == "random_dbc":
-        return random_dbc(sigma, int(spec.get("pairs", cfg.dimension)),
-                          int(spec.get("diag", 1)), int(spec.get("seed", 0)))
-    raise ConfigError(f"unknown generator kind {kind!r}")
+    return random_dbc(sigma, int(spec.get("pairs", cfg.dimension)),
+                      int(spec.get("diag", 1)), int(spec.get("seed", 0)))
 
 
 def fixtures(name: str) -> ExperimentConfig:

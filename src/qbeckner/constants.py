@@ -38,8 +38,6 @@ RIDGE_FLOOR = 1e-8
 @dataclass(frozen=True)
 class EstimateOpts:
     num_starts: int = 32
-    max_iters: int = 2000
-    tol: float = 1e-8
     seed: int = 0
 
 
@@ -326,7 +324,7 @@ def estimate_constant(L: DbcLindbladian, kind: str, p: float | None = None,
     la.check_gradient(objective, _pack(check_at), kind)
 
     starts = _pack(np.array(_seed_starts(L, kind, opts.num_starts, opts.seed)))
-    res = minimize(objective, starts, max_iters=opts.max_iters, ftol=opts.tol)
+    res = minimize(objective, starts)
     # each start's ratio is the value the optimizer holds at its end point;
     # the first of the smallest wins
     best = int(np.argmin(res.fun))

@@ -35,13 +35,6 @@ def _clamp(value: float, floor: float = 1e-10) -> float:
     return max(value, 0.0)
 
 
-def _sigma_power(sigma: np.ndarray, s: float) -> np.ndarray:
-    w, U = la.herm_eigh(sigma)
-    if s < 0 and np.min(w) <= 0:
-        raise SingularState("negative power of a singular state")
-    return (U * np.maximum(w, 0.0) ** s) @ U.conj().T
-
-
 def weighted_p_norm(X: np.ndarray, sigma: np.ndarray, p: float) -> float:
     """sigma-weighted p-(quasi)norm; p = inf gives the operator norm."""
     if np.isinf(p):
@@ -50,7 +43,7 @@ def weighted_p_norm(X: np.ndarray, sigma: np.ndarray, p: float) -> float:
     if p <= 0:
         raise ZeroExponent("p must be positive")
     la.check_full_rank(sigma)
-    half = _sigma_power(sigma, 1.0 / (2.0 * p))
+    half = la.matrix_power_hermitian(sigma, 1.0 / (2.0 * p))
     A = half @ X @ half
     sv = np.linalg.svd(A, compute_uv=False)
     return float(np.sum(sv**p) ** (1.0 / p))
@@ -58,7 +51,7 @@ def weighted_p_norm(X: np.ndarray, sigma: np.ndarray, p: float) -> float:
 
 def relative_density(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Gamma_sigma^{-1}(rho) = sigma^(-1/2) rho sigma^(-1/2)."""
-    ihalf = _sigma_power(sigma, -0.5)
+    ihalf = la.matrix_power_hermitian(sigma, -0.5)
     return ihalf @ rho @ ihalf
 
 
@@ -67,8 +60,8 @@ def power_operator(X: np.ndarray, sigma: np.ndarray, q: float, p: float) -> np.n
     if p == 0 or q == 0:
         raise ZeroExponent("power operator needs nonzero exponents")
     la.check_full_rank(sigma)
-    gp = _sigma_power(sigma, 1.0 / (2.0 * p))
-    gq = _sigma_power(sigma, -1.0 / (2.0 * q))
+    gp = la.matrix_power_hermitian(sigma, 1.0 / (2.0 * p))
+    gq = la.matrix_power_hermitian(sigma, -1.0 / (2.0 * q))
     inner = la.abs_power(gp @ X @ gp, p / q)
     return gq @ inner @ gq
 
@@ -79,7 +72,7 @@ def entropy_functional(X: np.ndarray, sigma: np.ndarray, p: float) -> float:
     tr(A^p (log A^p - log sigma)) - ||X||^p log ||X||^p with A = Gamma^(1/p) X.
     """
     la.check_full_rank(sigma)
-    half = _sigma_power(sigma, 1.0 / (2.0 * p))
+    half = la.matrix_power_hermitian(sigma, 1.0 / (2.0 * p))
     A = half @ X @ half
     a, V = la.herm_eigh(A)
     a = np.maximum(a, 0.0)

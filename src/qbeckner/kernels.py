@@ -4,12 +4,14 @@ One-variable kernels drive the functional calculus (matrix functions,
 weighted inner products); two-variable kernels drive double operator sums.
 All power-difference quotients are evaluated through ``expm1``/``log1p`` so
 they stay accurate when the two arguments nearly coincide, and every kernel
-carries an exact degenerate branch.
+carries an exact degenerate branch. Only theta_p, the metric kernel whose
+state derivative drives the transport gradient, geodesics and Hessian,
+carries partial-derivative rules.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Callable, Optional
 
 import numpy as np
@@ -21,8 +23,8 @@ from .errors import DomainViolation
 # against derivative-branch bias at double precision).
 SAME_TOL = 1e-9
 
-# Wider window inside which partial derivatives of divided differences use
-# their midpoint Taylor expansion instead of the quotient-rule formula.
+# Wider window inside which the partial derivatives of theta_p use their
+# midpoint Taylor expansion instead of the quotient-rule formula.
 NEAR_TOL = 1e-6
 
 
@@ -61,7 +63,7 @@ def stable_powdiff(a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 
 @dataclass(frozen=True)
 class Kernel1:
-    """A scalar function with optional derivatives and a positivity domain.
+    """A scalar function with an optional derivative and a positivity domain.
 
     ``domain_min`` is the largest value that must stay strictly below the
     spectrum (``-inf`` disables the check); ``allow_boundary`` admits
@@ -71,14 +73,8 @@ class Kernel1:
     name: str
     f: Callable[[np.ndarray], np.ndarray]
     df: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    d2f: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    d3f: Optional[Callable[[np.ndarray], np.ndarray]] = None
     domain_min: float = -np.inf
     allow_boundary: bool = True
-    params: dict = field(default_factory=dict)
-
-    def __call__(self, x: np.ndarray) -> np.ndarray:
-        return self.f(np.asarray(x, dtype=float))
 
     def check_domain(self, eigenvalues: np.ndarray) -> None:
         lo = float(np.min(eigenvalues))
@@ -94,8 +90,7 @@ class Kernel1:
 
 
 def identity_kernel() -> Kernel1:
-    return Kernel1("identity", f=lambda x: x, df=lambda x: np.ones_like(x),
-                   d2f=lambda x: np.zeros_like(x), d3f=lambda x: np.zeros_like(x))
+    return Kernel1("identity", f=lambda x: x, df=lambda x: np.ones_like(x))
 
 
 def power_kernel(a: float) -> Kernel1:
@@ -105,18 +100,14 @@ def power_kernel(a: float) -> Kernel1:
         f"power({a})",
         f=lambda x: x**a,
         df=lambda x: a * x ** (a - 1.0),
-        d2f=lambda x: a * (a - 1.0) * x ** (a - 2.0),
-        d3f=lambda x: a * (a - 1.0) * (a - 2.0) * x ** (a - 3.0),
         domain_min=0.0,
         allow_boundary=a >= 0.0,
-        params={"a": a},
     )
 
 
 def log_kernel() -> Kernel1:
-    return Kernel1("log", f=np.log, df=lambda x: 1.0 / x,
-                   d2f=lambda x: -1.0 / x**2, d3f=lambda x: 2.0 / x**3,
-                   domain_min=0.0, allow_boundary=False)
+    return Kernel1("log", f=np.log, df=lambda x: 1.0 / x, domain_min=0.0,
+                   allow_boundary=False)
 
 
 def kappa_alpha_kernel(alpha: float) -> Kernel1:
@@ -141,8 +132,7 @@ def kappa_alpha_kernel(alpha: float) -> Kernel1:
                 far = (alpha / (alpha - 1.0)) * np.expm1((alpha - 1.0) * safe) / np.expm1(alpha * safe)
         return np.where(near, 1.0 - 0.5 * ell, far)
 
-    return Kernel1(f"kappa({alpha})", f=f, domain_min=0.0, allow_boundary=False,
-                   params={"alpha": alpha})
+    return Kernel1(f"kappa({alpha})", f=f, domain_min=0.0, allow_boundary=False)
 
 
 def phi_p_kernel(p: float) -> Kernel1:
@@ -162,8 +152,7 @@ def phi_p_kernel(p: float) -> Kernel1:
             far = (x ** (1.0 / p) / (p - 1.0)) * np.expm1((1.0 - 1.0 / p) * safe) / np.expm1(safe / p)
         return np.where(near, 1.0 + 0.5 * ell, far)
 
-    return Kernel1(f"phi({p})", f=f, domain_min=0.0, allow_boundary=False,
-                   params={"p": p})
+    return Kernel1(f"phi({p})", f=f, domain_min=0.0, allow_boundary=False)
 
 
 # ---------------------------------------------------------------------------
@@ -185,10 +174,6 @@ class Kernel2:
     dy: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     domain_min: float = -np.inf
     allow_boundary: bool = True
-    params: dict = field(default_factory=dict)
-
-    def __call__(self, x: np.ndarray, y: np.ndarray) -> np.ndarray:
-        return self.f(np.asarray(x, dtype=float), np.asarray(y, dtype=float))
 
     def check_domain(self, eigenvalues: np.ndarray) -> None:
         lo = float(np.min(eigenvalues))
@@ -199,18 +184,10 @@ class Kernel2:
             )
 
 
-def as_kernel2(fn: Callable, name: str = "custom") -> Kernel2:
-    if isinstance(fn, Kernel2):
-        return fn
-    return Kernel2(name, f=lambda x, y: np.asarray(fn(x, y), dtype=float))
-
-
 def divided_difference(k: Kernel1) -> Kernel2:
     """First divided difference k^[1](x, y) of a one-variable kernel.
 
-    The value uses the derivative rule when |x - y| <= SAME_TOL * scale; the
-    partial derivatives switch to the midpoint Taylor branch inside the wider
-    NEAR_TOL window, where the quotient formulas start to cancel.
+    The value uses the derivative rule when |x - y| <= SAME_TOL * scale.
     """
 
     def f(x, y):
@@ -222,31 +199,8 @@ def divided_difference(k: Kernel1) -> Kernel2:
             far = (k.f(x) - k.f(y)) / np.where(same, 1.0, x - y)
         return np.where(same, k.df(m), far)
 
-    def dx(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        near = _is_same(x, y, NEAR_TOL)
-        m = 0.5 * (x + y)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            far = (k.df(x) - f(x, y)) / np.where(near, 1.0, x - y)
-        taylor = 0.5 * k.d2f(m) + (x - y) * k.d3f(m) / 12.0
-        return np.where(near, taylor, far)
-
-    def dy(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        near = _is_same(x, y, NEAR_TOL)
-        m = 0.5 * (x + y)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            far = (f(x, y) - k.df(y)) / np.where(near, 1.0, x - y)
-        taylor = 0.5 * k.d2f(m) - (x - y) * k.d3f(m) / 12.0
-        return np.where(near, taylor, far)
-
-    return Kernel2(f"{k.name}^[1]", f=f,
-                   dx=dx if (k.d2f and k.d3f) else None,
-                   dy=dy if (k.d2f and k.d3f) else None,
-                   domain_min=k.domain_min, allow_boundary=k.allow_boundary,
-                   params=dict(k.params))
+    return Kernel2(f"{k.name}^[1]", f=f, domain_min=k.domain_min,
+                   allow_boundary=k.allow_boundary)
 
 
 def fp_divdiff_kernel(p: float) -> Kernel2:
@@ -257,34 +211,7 @@ def fp_divdiff_kernel(p: float) -> Kernel2:
     def f(x, y):
         return stable_powdiff(a, x, y) / a
 
-    def _fpp(m):
-        return (a - 1.0) * m ** (a - 2.0)
-
-    def _fppp(m):
-        return (a - 1.0) * (a - 2.0) * m ** (a - 3.0)
-
-    def dx(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        near = _is_same(x, y, NEAR_TOL)
-        m = 0.5 * (x + y)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            far = (x ** (a - 1.0) - f(x, y)) / np.where(near, 1.0, x - y)
-        taylor = 0.5 * _fpp(m) + (x - y) * _fppp(m) / 12.0
-        return np.where(near, taylor, far)
-
-    def dy(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        near = _is_same(x, y, NEAR_TOL)
-        m = 0.5 * (x + y)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            far = (f(x, y) - y ** (a - 1.0)) / np.where(near, 1.0, x - y)
-        taylor = 0.5 * _fpp(m) - (x - y) * _fppp(m) / 12.0
-        return np.where(near, taylor, far)
-
-    return Kernel2(f"fp_dd({p})", f=f, dx=dx, dy=dy, domain_min=0.0,
-                   allow_boundary=False, params={"p": p})
+    return Kernel2(f"fp_dd({p})", f=f, domain_min=0.0, allow_boundary=False)
 
 
 def theta_p_kernel(p: float) -> Kernel2:
@@ -310,20 +237,9 @@ def theta_p_kernel(p: float) -> Kernel2:
             - (p - 2.0) * (p - 3.0) / 12.0 * m ** (-p) * (x - y)
         return np.where(near, taylor, far)
 
-    def dy(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        near = _is_same(x, y, NEAR_TOL)
-        m = 0.5 * (x + y)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            D = np.where(near, 1.0, x - y) * stable_powdiff(a, x, y)
-            far = a * (-D + (x - y) * a * y ** (a - 1.0)) / D**2
-        taylor = (-(p - 2.0) / 2.0) * m ** (1.0 - p) \
-            + (p - 2.0) * (p - 3.0) / 12.0 * m ** (-p) * (x - y)
-        return np.where(near, taylor, far)
-
-    return Kernel2(f"theta({p})", f=f, dx=dx, dy=dy, domain_min=0.0,
-                   allow_boundary=False, params={"p": p})
+    # theta_p is symmetric, so d/dy theta_p(x, y) = d/dx theta_p(y, x)
+    return Kernel2(f"theta({p})", f=f, dx=dx, dy=lambda x, y: dx(y, x),
+                   domain_min=0.0, allow_boundary=False)
 
 
 def theta_log_kernel() -> Kernel2:

@@ -23,7 +23,7 @@ from .errors import (
     NotPsd,
     SingularState,
 )
-from .kernels import Kernel1, Kernel2, _is_same, as_kernel2
+from .kernels import Kernel1, Kernel2, _is_same
 
 HERM_TOL = 1e-12
 PSD_FLOOR = 1e-10
@@ -72,7 +72,7 @@ def matrix_power_hermitian(A: np.ndarray, r: float) -> np.ndarray:
     """A^r for Hermitian PSD A (strictly PD required when r < 0)."""
     w, V = herm_eigh(A)
     if r < 0 and np.min(w) <= 0:
-        raise DomainViolation(f"negative power {r} of a singular matrix")
+        raise SingularState(f"negative power {r} of a singular matrix")
     w = np.maximum(w, 0.0) if r >= 0 else w
     return (V * w**r) @ V.conj().T
 
@@ -187,9 +187,9 @@ def _schur_weights(k2: Kernel2, wA: np.ndarray, wB: np.ndarray) -> np.ndarray:
     return np.asarray(k2.f(wA[:, None], wB[None, :]), dtype=float)
 
 
-def double_sum_apply(k2, A: np.ndarray, B: np.ndarray, X: np.ndarray) -> np.ndarray:
+def double_sum_apply(k2: Kernel2, A: np.ndarray, B: np.ndarray,
+                     X: np.ndarray) -> np.ndarray:
     """Sum_{i,k} f(a_i, b_k) P_i X Q_k over the eigenprojections of A and B."""
-    k2 = as_kernel2(k2)
     wA, VA = herm_eigh(A)
     wB, VB = herm_eigh(B)
     F = _schur_weights(k2, wA, wB)
@@ -198,7 +198,6 @@ def double_sum_apply(k2, A: np.ndarray, B: np.ndarray, X: np.ndarray) -> np.ndar
 
 
 def _schur_super(F: np.ndarray, VA: np.ndarray, VB: np.ndarray) -> np.ndarray:
-    d = VA.shape[0]
     W = np.kron(VB.conj(), VA)
     return (W * F.flatten(order="F")) @ W.conj().T
 

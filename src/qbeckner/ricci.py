@@ -64,7 +64,7 @@ def hessian_matrix(L: DbcLindbladian, rho: np.ndarray,
     vecs = np.swapaxes(states, -1, -2).reshape(S, d * d)  # la.vec of each state
     Lrho = np.swapaxes((vecs @ L.dual_generator.T).reshape(S, d, d), -1, -2)
     A = la.dagger(fr.V) @ fr.Q @ Lrho[:, None] @ fr.Q @ fr.V
-    W1, W2 = fr.dk_tensors(fr.kernel)
+    W1, W2 = fr.dk_tensors()
     W1A = (W1 * A[..., None, :, :, None])[:, 0]  # W1[a,b,c] A[a,b]
     W2A = (W2 * A[..., None, None, :, :])[:, 0]  # W2[a,b,c] A[b,c]
     # T[(a,c), (b,e)] = W1A[a,b,c] delta_ce + delta_ab W2A[a,e,c]

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg as la
 from .errors import KernelComponent, LeftPositiveCone, SingularMetric, SingularState
-from .kernels import Kernel2, fp_divdiff_kernel, theta_log_kernel, theta_p_kernel
+from .kernels import theta_log_kernel, theta_p_kernel
 from .linalg import minimize
 from .semigroup import DbcLindbladian
 
@@ -55,12 +55,9 @@ class MetricKernel:
             raise SingularState("metric kernel needs a full-rank state")
         self.lam = lam
         self.V = V
-        self._theta = theta_p_kernel(self.p)
-        self._fp = fp_divdiff_kernel(self.p)
         a = np.exp(self.omega / (2.0 * self.p)) * lam
         b = np.exp(-self.omega / (2.0 * self.p)) * lam
-        self._F = self._theta.f(a[:, None], b[None, :])
-        self._a, self._b = a, b
+        self._F = theta_p_kernel(self.p).f(a[:, None], b[None, :])
 
     def apply(self, A: np.ndarray) -> np.ndarray:
         inner = self._s_pow @ A @ self._s_pow
@@ -131,13 +128,10 @@ class _Frame:
         self.b = self.down[:, None] * self.lam[..., None, :]
         self.kernel = theta_p_kernel(self.p)
 
-    def weights(self, k: Kernel2) -> np.ndarray:
-        """k(a_j[x], b_j[y]) for every jump, (..., J, d, d)."""
-        return k.f(self.a[..., :, None], self.b[..., None, :])
-
     @cached_property
     def theta(self) -> np.ndarray:
-        return self.weights(self.kernel)
+        """theta_p(a_j[x], b_j[y]) for every jump, (..., J, d, d)."""
+        return self.kernel.f(self.a[..., :, None], self.b[..., None, :])
 
     def grad(self, U: np.ndarray) -> np.ndarray:
         """dj U = [V_j, U] for every jump."""
@@ -167,33 +161,24 @@ class _Frame:
         """D_{p,rho} U = sum_j dj† ([rho]_j dj U)."""
         return -self.div(self.apply(self.grad(U)))
 
-    def dk_tensors(self, k: Kernel2) -> Tuple[np.ndarray, np.ndarray]:
-        """Daleckii-Krein tensors (W1, W2) of k, (..., J, d, d, d): its first
-        and second partial divided differences on the tilted spectra, each
-        weighted by its tilt. Both take their quotients from one grid of k,
-        the cached theta when k is the frame's kernel."""
-        F = self.theta if k is self.kernel else self.weights(k)
+    def dk_tensors(self) -> Tuple[np.ndarray, np.ndarray]:
+        """Daleckii-Krein tensors (W1, W2) of theta_p, (..., J, d, d, d): its
+        first and second partial divided differences on the tilted spectra,
+        each weighted by its tilt. Both take their quotients from the cached
+        grid theta."""
+        k, F = self.kernel, self.theta
         return (self.up[:, None, None, None] * la.partial_dd_tensor(k, 1, self.a, self.b, F),
                 self.down[:, None, None, None] * la.partial_dd_tensor(k, 2, self.a, self.b, F))
 
-    def dd(self, k: Kernel2, Cl: np.ndarray, Cr: np.ndarray) -> np.ndarray:
-        """State-derivative contraction in the eigenbasis of Y.
-
-        Returns G with sum_ab G[a,b] E[a,b] = d/dt sum_j <Cl_j, k(a_j, b_j) o Cr_j>
-        along Y + t V E V†, for fields Cl, Cr held fixed in the basis of Y
-        (Daleckii-Krein: both partial divided differences of k, each side
-        weighted by its tilt).
-        """
-        W1, W2 = self.dk_tensors(k)
-        Cl = Cl.conj()
-        return (np.einsum("...jabc,...jbc,...jac->...ab", W1, Cr, Cl)
-                + np.einsum("...jabc,...jab,...jac->...bc", W2, Cr, Cl))
-
-    def state_derivative(self, C: np.ndarray, k: Kernel2 | None = None) -> np.ndarray:
-        """Hermitian M with <M, H> the derivative of sum_j <C_j, k(a_j, b_j) o C_j>
-        along rho + tH, where C = eig(X, S) for fixed X and S; k defaults to
-        theta_p."""
-        G = self.dd(self.kernel if k is None else k, C, C)
+    def state_derivative(self, C: np.ndarray) -> np.ndarray:
+        """Hermitian M with <M, H> the derivative of
+        sum_j <C_j, theta_p(a_j, b_j) o C_j> along rho + tH, where C = eig(X, P)
+        for fixed X: the Daleckii-Krein tensors contracted with C in the
+        eigenbasis of Y."""
+        W1, W2 = self.dk_tensors()
+        Cc = C.conj()
+        G = (np.einsum("...jabc,...jbc,...jac->...ab", W1, C, Cc)
+             + np.einsum("...jabc,...jab,...jac->...bc", W2, C, Cc))
         return la.herm(self.Q @ self.V @ np.swapaxes(G, -1, -2) @ la.dagger(self.V) @ self.Q)
 
 

@@ -191,6 +191,20 @@ class TestMain:
         ("ricci", {"ricci_samples": 0}),
         ("mixing", {"epsilons": [3.0]}),
         ("mixing", {"epsilons": [0.0, 0.1]}),
+        # the seeds, sigma and generator are checked before any task runs
+        ("decay", {"generator": {"kind": "depolarizing", "gamma": -1.0}}),
+        ("decay", {"generator": {"kind": "depolarizing", "gamma": 0}}),
+        ("decay", {"generator": {"kind": "depolarizing", "gamma": "x"}}),
+        ("decay", {"seeds": {"master": "abc", "starts": 0}}),
+        ("decay", {"sigma": {"eigenvalues": "ab"}}),
+        ("decay", {"dimension": 2, "generator": {"kind": "random_dbc", "pairs": "x"}}),
+        ("decay", {"sigma": {"eigenvalues": [0.75, 0.25], "basis": "ab"}}),
+        ("decay", {"sigma": {"eigenvalues": [0.5, 0.6]}}),
+        ("decay", {"generator": {"kind": "nope"}}),
+        ("decay", {"dimension": 3}),
+        ("decay", {"generator": {"kind": "jumps", "list": [{"V": [[[1, 0]]], "omega": 0.0}]}}),
+        ("decay", {"generator": {"kind": "jumps",
+                                 "list": [{"V": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}]}}),
     ])
     def test_unusable_config_value_exit_code(self, tmp_path, capsys, task, entry):
         path = tmp_path / "cfg.json"

@@ -33,6 +33,14 @@ class TestWeightedNorm:
         with pytest.raises(SingularState):
             ent.weighted_p_norm(np.eye(2), np.diag([1.0, 0.0]).astype(complex), 2.0)
 
+    def test_negative_power_of_singular_state_rejected(self):
+        # relative_density takes sigma^(-1/2) from la.matrix_power_hermitian
+        singular = np.diag([1.0, 0.0]).astype(complex)
+        with pytest.raises(SingularState):
+            ent.relative_density(np.eye(2) / 2, singular)
+        with pytest.raises(SingularState):
+            la.matrix_power_hermitian(singular, -0.5)
+
 
 class TestPowerOperator:
     def test_fixed_point_on_psd(self, rng):

@@ -65,7 +65,7 @@ class TestHessianForm:
 class TestHessianStack:
     """hessian_matrix on a stack of states against one state at a time, and
     its quadratic forms against hessian_form and gradient_norm_sq, which go
-    through _Frame.state_derivative and the frame weights instead of the
+    through _Frame.state_derivative and the frame's theta grid instead of the
     stacked contraction."""
 
     @pytest.fixture(params=["dbc3", "dbc4"])

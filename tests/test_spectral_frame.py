@@ -1,6 +1,6 @@
 """The spectral frame's fast paths against the direct formulas they replace.
 
-_Frame.dk_tensors takes both quotient numerators from the frame's kernel grid
+_Frame.dk_tensors takes both quotient numerators of theta_p from the frame's grid
 and evaluates the derivative rule only on coincident eigenvalue pairs;
 _basis_gram forms the basis gradients once and maps all of them to each
 state's eigenframe with two batched products; hessian_matrix contracts its
@@ -16,7 +16,7 @@ from qbeckner import linalg as la
 from qbeckner import ricci as rc
 from qbeckner import semigroup as sg
 from qbeckner import transport as tp
-from qbeckner.kernels import SAME_TOL, _is_same, fp_divdiff_kernel, theta_p_kernel
+from qbeckner.kernels import SAME_TOL, _is_same, theta_p_kernel
 
 TOL = 1e-14
 P_GRID = [1.05, 1.5, 2.0]
@@ -41,9 +41,9 @@ def _partial_dd_full(k2, which, wA, wB):
     return np.where(same, deg, far)
 
 
-def _dk_tensors_full(fr, k):
-    return (fr.up[:, None, None, None] * _partial_dd_full(k, 1, fr.a, fr.b),
-            fr.down[:, None, None, None] * _partial_dd_full(k, 2, fr.a, fr.b))
+def _dk_tensors_full(fr):
+    return (fr.up[:, None, None, None] * _partial_dd_full(fr.kernel, 1, fr.a, fr.b),
+            fr.down[:, None, None, None] * _partial_dd_full(fr.kernel, 2, fr.a, fr.b))
 
 
 def _gradients_direct(fr, d):
@@ -62,7 +62,7 @@ def _hessian_direct(L, states, p):
     vecs = np.swapaxes(states, -1, -2).reshape(S, d * d)
     Lrho = np.swapaxes((vecs @ L.dual_generator.T).reshape(S, d, d), -1, -2)
     A = la.dagger(fr.V) @ fr.Q @ Lrho[:, None] @ fr.Q @ fr.V
-    W1, W2 = _dk_tensors_full(fr, fr.kernel)
+    W1, W2 = _dk_tensors_full(fr)
     Z = (np.einsum("...jabc,...jbc->...jac", W1 * A[..., None, :, :, None], C)
          + np.einsum("...jabc,...jab->...jac", W2 * A[..., None, None, :, :], C))
     first = 0.5 * C.reshape(S, n, -1).conj() @ np.swapaxes(Z.reshape(S, n, -1), -1, -2)
@@ -134,9 +134,8 @@ class TestFrameFastPaths:
     @pytest.mark.parametrize("p", P_GRID)
     def test_dk_tensors(self, model, states, p):
         fr = tp._Frame(model, states, p)
-        for k in (fr.kernel, fp_divdiff_kernel(p)):
-            for W, ref in zip(fr.dk_tensors(k), _dk_tensors_full(fr, k)):
-                assert _close(W, ref)
+        for W, ref in zip(fr.dk_tensors(), _dk_tensors_full(fr)):
+            assert _close(W, ref)
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_basis_gradients(self, model, states, p):
@@ -168,7 +167,7 @@ class TestTracialInvariantState:
         states = tracial3.sigma[None]
         fr = tp._Frame(tracial3, states, p)
         assert np.ptp(fr.lam) <= SAME_TOL * fr.lam.max()
-        for W, ref in zip(fr.dk_tensors(fr.kernel), _dk_tensors_full(fr, fr.kernel)):
+        for W, ref in zip(fr.dk_tensors(), _dk_tensors_full(fr)):
             assert _close(W, ref)
         fr, C, _ = tp._basis_gram(tracial3, states, p)
         assert _close(C, _gradients_direct(fr, 3))

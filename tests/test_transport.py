@@ -8,7 +8,7 @@ from qbeckner import semigroup as sg
 from qbeckner import transport as tp
 from qbeckner.entropy import relative_density
 from qbeckner.errors import KernelComponent, NoJumps, SingularMetric, SingularState
-from qbeckner.kernels import Kernel1, fp_divdiff_kernel, kappa_alpha_kernel, theta_p_kernel
+from qbeckner.kernels import Kernel1, kappa_alpha_kernel
 
 from conftest import SIGMA_STAR
 
@@ -106,27 +106,25 @@ class TestFrame:
             ref = tp.MetricKernel(rho, model.sigma, p, omega).apply(V @ U - U @ V)
             assert la.frob(out[j] - ref) <= 1e-12 * max(la.frob(ref), 1.0)
 
-    @pytest.mark.parametrize("p", [1.05, 1.5, 2.0])
-    @pytest.mark.parametrize("kernel", ["theta", "fp"])
-    def test_state_derivative_central_difference(self, rng, model, p, kernel):
+    # the ids name the kernel whose state derivative is checked
+    @pytest.mark.parametrize("p", [1.05, 1.5, 2.0], ids=lambda p: f"theta-{p}")
+    def test_state_derivative_central_difference(self, rng, model, p):
         d = model.d
         rho = la.random_density(rng, d, floor=0.05)
         H = la.traceless_part(la.random_hermitian(rng, d))
         X = tp._Frame(model, rho, p).grad(la.random_hermitian(rng, d))
-        k = theta_p_kernel(p) if kernel == "theta" else fp_divdiff_kernel(p)
 
         def form(r):
             fr = tp._Frame(model, r, p)
-            S = fr.P if kernel == "theta" else fr.Q
-            return float(np.sum(fr.weights(k) * np.abs(fr.eig(X, S)) ** 2)), fr, S
+            return float(np.sum(fr.theta * np.abs(fr.eig(X, fr.P)) ** 2)), fr
 
-        f0, fr, S = form(rho)
-        an = float(np.real(la.hs_inner(fr.state_derivative(fr.eig(X, S), k), H)))
+        f0, fr = form(rho)
+        an = float(np.real(la.hs_inner(fr.state_derivative(fr.eig(X, fr.P)), H)))
         eps = 1e-5
         fd = (form(rho + eps * H)[0] - form(rho - eps * H)[0]) / (2.0 * eps)
-        # at p = 2 both kernels are constant and the derivative vanishes, so
-        # the gap is scaled by the form's value as well (largest gap seen on
-        # dbc3: 5e-8 of max(|an|, f0))
+        # at p = 2 theta_p is constant and the derivative vanishes, so the gap
+        # is scaled by the form's value as well (largest gap seen on dbc3:
+        # 5e-8 of max(|an|, f0))
         assert abs(an - fd) <= 1e-6 * max(abs(an), f0)
 
     @pytest.mark.parametrize("p", [1.05, 1.5, 2.0])

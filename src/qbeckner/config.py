@@ -17,6 +17,8 @@ DEFAULT_Q_GRID = [1.2, 1.5, 1.8]
 # the bound ledger's tolerances are pinned (constants.HARD_TOL, SOFT_TOL)
 DEFAULT_TOLERANCES = {"w_discretization": 0.02}
 ALL_TASKS = ["constants", "decay", "mixing", "transport", "ricci", "verify"]
+GENERATOR_KEYS = {"depolarizing": {"kind", "gamma"}, "jumps": {"kind", "list"},
+                  "random_dbc": {"kind", "pairs", "diag", "seed"}}
 
 
 @dataclass
@@ -71,17 +73,22 @@ def _check_types(cfg: ExperimentConfig) -> None:
         raise ConfigError(f"transport_tol must be a number, not {cfg.transport_tol!r}")
 
 
-def config_from_dict(data: Dict) -> ExperimentConfig:
-    unknown = set(data.keys()) - _FIELDS
+def _check_keys(what: str, obj: Dict, allowed) -> None:
+    """ConfigError naming the keys of obj outside allowed: a misspelled key
+    would otherwise leave its default in force without notice."""
+    unknown = set(obj) - set(allowed)
     if unknown:
-        raise ConfigError(f"unknown config keys: {sorted(unknown)}")
+        raise ConfigError(f"unknown {what}: {sorted(unknown)}")
+
+
+def config_from_dict(data: Dict) -> ExperimentConfig:
+    _check_keys("config keys", data, _FIELDS)
     cfg = ExperimentConfig(**data)
     _check_types(cfg)
     if cfg.dimension < 1:
         raise ConfigError("dimension must be >= 1")
-    unknown = set(cfg.tolerances) - set(DEFAULT_TOLERANCES)
-    if unknown:
-        raise ConfigError(f"unknown tolerances: {sorted(unknown)}")
+    _check_keys("tolerances", cfg.tolerances, DEFAULT_TOLERANCES)
+    _check_keys("seeds keys", cfg.seeds, ("master", "starts"))
     for t in cfg.tasks:
         if t not in ALL_TASKS:
             raise ConfigError(f"unknown task {t!r} (choose from {ALL_TASKS})")
@@ -130,6 +137,7 @@ def _matrix(obj, d: int, name: str) -> np.ndarray:
 
 def build_sigma(cfg: ExperimentConfig) -> np.ndarray:
     spec = cfg.sigma
+    _check_keys("sigma keys", spec, ("eigenvalues", "basis"))
     try:
         eigs = np.asarray(spec.get("eigenvalues", []), dtype=float)
     except (TypeError, ValueError):
@@ -149,13 +157,14 @@ def build_sigma(cfg: ExperimentConfig) -> np.ndarray:
 
 
 def _check_generator(cfg: ExperimentConfig) -> None:
-    """ConfigError unless the generator spec is a known kind with usable
-    values: a positive gamma, integer counts and seed >= 0, and jump entries
-    with a d x d matrix V and a number omega."""
+    """ConfigError unless the generator spec is a known kind with only that
+    kind's keys and usable values: a positive gamma, integer counts and
+    seed >= 0, and jump entries with a d x d matrix V and a number omega."""
     spec = cfg.generator
     kind = spec.get("kind")
-    if kind not in ("depolarizing", "jumps", "random_dbc"):
+    if not (isinstance(kind, str) and kind in GENERATOR_KEYS):
         raise ConfigError(f"unknown generator kind {kind!r}")
+    _check_keys(f"{kind} generator keys", spec, GENERATOR_KEYS[kind])
     gamma = spec.get("gamma", 1.0)
     if kind == "depolarizing" and not (_is_number(gamma) and gamma > 0):
         raise ConfigError(f"generator gamma must be a positive number, not {gamma!r}")

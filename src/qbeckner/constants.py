@@ -18,7 +18,6 @@ from . import linalg as la
 from .errors import (
     IncompatibleJumps,
     MissingEstimate,
-    NotDbc,
     NotSymmetric,
     OptimizerDiverged,
 )
@@ -279,13 +278,7 @@ def _seed_starts(L: DbcLindbladian, kind: str, num_starts: int,
     """Unconstrained start matrices: random, plus near-identity directions
     along the spectral-gap eigenvector (the linearization regime)."""
     d = L.d
-    starts: List[np.ndarray] = []
-    try:
-        U_gap = L.gap_eigenvector
-        for eps in (3e-2, 3e-3):
-            starts.append(np.eye(d) + 0.5 * eps * U_gap)
-    except NotDbc:
-        pass
+    starts = [np.eye(d) + 0.5 * eps * L.gap_eigenvector for eps in (3e-2, 3e-3)]
     children = np.random.SeedSequence(seed).spawn(max(num_starts - len(starts), 0))
     for child in children:
         rng = np.random.default_rng(child)
@@ -357,39 +350,28 @@ def estimate_constant(L: DbcLindbladian, kind: str, p: float | None = None,
 # ---------------------------------------------------------------------------
 
 
-def _psi(u: float, p: float) -> float:
-    """u^p - 1 - p(u - 1), nonnegative for p > 1, stable near u = 1."""
-    h = u - 1.0
-    if abs(h) < 1e-4:
-        return p * (p - 1.0) * h * h / 2.0 * (
-            1.0 + (p - 2.0) * h / 3.0 + (p - 2.0) * (p - 3.0) * h * h / 12.0)
-    with np.errstate(divide="ignore"):
-        return float(np.expm1(p * np.log(u)) - p * h)
+def _two_point_ratio(h: np.ndarray, theta: float, p: float) -> np.ndarray:
+    """(p^2/4) (m_p - m_{p-1}) / (m_p - 1) on the two-point space with
+    masses theta, 1 - theta and mean 1, elementwise over h.
 
-
-def _two_point_ratio(x: float, theta: float, p: float) -> float:
-    """(p^2/4) (m_p - m_{p-1}) / (m_p - 1) on the two-point space with mean 1.
-
-    Using theta (x - 1) = -(1 - theta)(y - 1), the numerator reduces to
-    theta (x-1)(x^(p-1) - y^(p-1)) and the denominator to a sum of the
-    nonnegative terms psi(u) = u^p - 1 - p(u - 1), both cancellation-free.
+    The points are x = 1 + h and y = 1 + k with k = -theta h / (1 - theta)
+    taken exactly. With E(u) = (1 + u)^(p-1) - 1, the numerator reduces to
+    theta h (E(h) - E(k)), whose terms have opposite signs, and the
+    denominator to theta psi(h) + (1 - theta) psi(k) with the nonnegative
+    psi(u) = (1 + u)^p - 1 - p u = (1 + u) E(u) - (p - 1) u. Below
+    |u| = 1/8, where that difference cancels, psi is summed as its binomial
+    series, whose terms shrink by at least 1/8 each. Points off the domain
+    (x or y negative) and the 0/0 point h = 0 give BIG.
     """
-    if x < 0:
-        return BIG
-    y = (1.0 - theta * x) / (1.0 - theta)
-    if y < 0:
-        return BIG
-    if abs(x - 1.0) < 1e-9:  # joint x, y -> 1 limit of the ratio
-        return p / 2.0
-    if min(x, y) <= 1e-12 * max(x, y):
-        num = theta * (x - 1.0) * (x ** (p - 1.0) - y ** (p - 1.0))
-    else:
-        powgap = np.expm1((p - 1.0) * (np.log(x) - np.log(y)))
-        num = theta * (x - 1.0) * (y ** (p - 1.0)) * powgap
-    den = theta * _psi(x, p) + (1.0 - theta) * _psi(y, p)
-    if den <= 0.0 or not np.isfinite(num):
-        return BIG
-    return (p * p / 4.0) * num / den
+    u = np.stack([h, -theta * h / (1.0 - theta)])
+    binom = np.cumprod((p - np.arange(19)) / np.arange(1, 20))  # C(p, 1..19)
+    with np.errstate(all="ignore"):
+        E = np.expm1((p - 1.0) * np.log1p(u))
+        psi = np.where(np.abs(u) < 0.125, u * u * np.polyval(binom[:0:-1], u),
+                       (1.0 + u) * E - (p - 1.0) * u)
+        den = theta * psi[0] + (1.0 - theta) * psi[1]
+        ratio = (p * p / 4.0) * theta * h * (E[0] - E[1]) / den
+    return np.where(np.isfinite(ratio) & (den > 0.0), ratio, BIG)
 
 
 def depol_classical(p: float, d: int) -> float:
@@ -397,11 +379,11 @@ def depol_classical(p: float, d: int) -> float:
     semigroup with the maximally mixed invariant state and unit rate.
 
     Minimizes the two-point ratio over the occupation fractions
-    theta in {1/d, ..., (d-1)/d} by a dense grid plus golden-section
-    refinement. At p = 2 the ratio is identically p^2/4 = 1.
+    theta in {1/d, ..., (d-1)/d}: on a 10,000-point grid of h over the
+    domain, then three times on a grid of the same size over the two
+    intervals around the previous argmin. At p = 2 the ratio is identically
+    p^2/4 = 1.
     """
-    from scipy.optimize import minimize_scalar
-
     if d < 2:
         raise ValueError("d must be at least 2")
     p = float(p)
@@ -410,16 +392,14 @@ def depol_classical(p: float, d: int) -> float:
     best = np.inf
     for k in range(1, d):
         theta = k / d
-        xs = np.linspace(0.0, 1.0 / theta, 10_000)
-        vals = np.array([_two_point_ratio(x, theta, p) for x in xs])
-        i = int(np.argmin(vals))
-        lo = xs[max(i - 1, 0)]
-        hi = xs[min(i + 1, len(xs) - 1)]
-        res = minimize_scalar(lambda x: _two_point_ratio(x, theta, p),
-                              bounds=(lo, hi), method="bounded",
-                              options={"xatol": 1e-10})
-        best = min(best, vals[i], float(res.fun))
-    return float(best)
+        lo, hi = -1.0, (1.0 - theta) / theta
+        for _ in range(4):
+            hs = np.linspace(lo, hi, 10_000)
+            vals = _two_point_ratio(hs, theta, p)
+            i = int(np.argmin(vals))
+            best = min(best, float(vals[i]))
+            lo, hi = hs[max(i - 1, 0)], hs[min(i + 1, len(hs) - 1)]
+    return best
 
 
 def certified_alpha_lower(lam: float, sigma_min: float, p: float) -> float:

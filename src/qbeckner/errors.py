@@ -30,7 +30,7 @@ class NotModularEigenvector(QBecknerError):
 
 
 class NotDbc(QBecknerError):
-    """Generator is not self-adjoint for the GNS inner product."""
+    """Generator is not self-adjoint for the GNS or the KMS inner product."""
 
 
 class ResidualTooLarge(QBecknerError):

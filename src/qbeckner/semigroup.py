@@ -86,6 +86,9 @@ def generator_from_jumps(jumps: Sequence[JumpTerm], d: int) -> np.ndarray:
 class PrimitivityReport:
     kernel_dimension: int
     spectral_gap: float
+    # ||M - M^dag||_F / ||M||_F for the KMS-symmetrized generator M; by
+    # Bauer-Fike every eigenvalue lies within half of it (times ||M||_F) of
+    # the real axis
     eigenvalue_realness_residual: float
 
     @property
@@ -149,21 +152,24 @@ class DbcLindbladian:
                 la.sandwich_super(iquarter, iquarter))
 
     @cached_property
-    def _sym_eig(self):
-        """Eigendecomposition of the KMS-symmetrized generator.
+    def _sym_eig(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
+        """Eigendecomposition of the KMS-symmetrized generator
+        M = sigma^(1/4) L(sigma^(-1/4) . sigma^(-1/4)) sigma^(1/4).
 
-        Returns (eigenvalues ascending, vectors, hermiticity residual). DBC
-        makes the symmetrization Hermitian with real spectrum; the residual
-        is kept so evolve() can fall back to scaling-and-squaring.
+        Detailed balance makes M Hermitian, so one eigh gives the whole
+        spectrum of the generator. Returns the eigenvalues (ascending), the
+        eigenvectors, the mask of kernel eigenvalues (within KERNEL_COUNT_TOL
+        of the spectral scale) and the relative hermiticity residual of M;
+        NotDbc when that residual exceeds 1e-8.
         """
         Khalf, Kihalf = self._kms_factors
         M = Khalf @ self.generator @ Kihalf
-        scale = max(la.frob(M), 1e-300)
-        resid = la.frob(M - M.conj().T) / scale
+        resid = la.frob(M - M.conj().T) / max(la.frob(M), 1e-300)
         if resid > 1e-8:
-            return None, None, resid
+            raise NotDbc(f"KMS-symmetrized generator has hermiticity residual {resid:.3e}")
         w, Q = np.linalg.eigh(la.herm(M))
-        return w, Q, resid
+        kernel = np.abs(w) <= KERNEL_COUNT_TOL * float(np.max(np.abs(w)))
+        return w, Q, kernel, resid
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         return la.apply_super(self.generator, X)
@@ -173,11 +179,7 @@ class DbcLindbladian:
 
     def heisenberg_propagator(self, t: float) -> np.ndarray:
         """Superoperator matrix of exp(t * generator)."""
-        w, Q, resid = self._sym_eig
-        if w is None:
-            from scipy.linalg import expm
-
-            return expm(t * self.generator)
+        w, Q, _, _ = self._sym_eig
         Khalf, Kihalf = self._kms_factors
         return Kihalf @ ((Q * np.exp(t * w)) @ Q.conj().T) @ Khalf
 
@@ -186,15 +188,10 @@ class DbcLindbladian:
 
     @cached_property
     def primitivity(self) -> PrimitivityReport:
-        lam = np.linalg.eigvals(self.generator)
-        scale = float(np.max(np.abs(lam))) if lam.size else 0.0
-        if scale == 0.0:
-            return PrimitivityReport(self.d * self.d, 0.0, 0.0)
-        kernel = np.abs(lam) <= KERNEL_COUNT_TOL * scale
-        rest = lam[~kernel]
-        gap = float(np.min(-rest.real)) if rest.size else 0.0
-        return PrimitivityReport(int(np.sum(kernel)), gap,
-                                 float(np.max(np.abs(lam.imag))))
+        w, _, kernel, resid = self._sym_eig
+        rest = w[~kernel]
+        gap = float(-np.max(rest)) if rest.size else 0.0
+        return PrimitivityReport(int(np.sum(kernel)), gap, resid)
 
     def require_primitive(self) -> PrimitivityReport:
         rep = self.primitivity
@@ -205,12 +202,8 @@ class DbcLindbladian:
     @cached_property
     def gap_eigenvector(self) -> np.ndarray:
         """Hermitian unit-norm eigenvector of the spectral-gap eigenvalue."""
-        w, Q, _ = self._sym_eig
-        if w is None:
-            raise NotDbc("gap eigenvector needs the symmetrizable form")
-        scale = float(np.max(np.abs(w)))
-        nonzero = np.abs(w) > KERNEL_COUNT_TOL * max(scale, 1e-300)
-        idx = np.argmax(np.where(nonzero, w, -np.inf))
+        w, Q, kernel, _ = self._sym_eig
+        idx = np.argmax(np.where(kernel, -np.inf, w))
         _, Kihalf = self._kms_factors
         X = la.unvec(Kihalf @ Q[:, idx], self.d)
         X = la.herm(X) if la.frob(la.herm(X)) > 1e-8 * la.frob(X) else 1j * X
@@ -332,28 +325,31 @@ def _reshuffle(L: np.ndarray, d: int) -> np.ndarray:
     return np.transpose(L4, (1, 3, 0, 2)).reshape(d * d, d * d)
 
 
-def _modular_groups(s: np.ndarray, d: int, tol: float = 1e-8):
+def _modular_groups(s: np.ndarray, d: int):
     """Group matrix-unit indices by the modular frequency w(E_ab) = log(s_b/s_a).
 
-    Returns a list of (nu, pair_list); the zero group carries nu = 0.0 exactly.
+    A frequency within MODULAR_EIG_TOL / 2 of zero becomes zero, and one
+    within MODULAR_EIG_TOL / 2 of a group's first frequency joins that
+    group. A jump from a group, labelled with its first frequency nu, then
+    has a modular residual of at most e^(-nu) |w - nu| (1 + |w - nu|) per
+    unit norm, so it and its adjoint pass validate_jump with room left for
+    rounding. Returns a list of (nu, pair_list); the zero group carries
+    nu = 0.0 exactly.
     """
-    entries = []
+    merge = MODULAR_EIG_TOL / 2.0
     logs = np.log(s)
+    entries = []
     for a in range(d):
         for b in range(d):
-            entries.append((float(logs[b] - logs[a]), (a, b)))
+            nu = float(logs[b] - logs[a])
+            entries.append((0.0 if abs(nu) <= merge else nu, (a, b)))
     groups: List[Tuple[float, List[Tuple[int, int]]]] = []
-    for nu, ab in sorted(entries, key=lambda e: (e[0], e[1])):
-        if groups and abs(groups[-1][0] - nu) <= tol * (1.0 + abs(nu)):
+    for nu, ab in sorted(entries):
+        if groups and abs(groups[-1][0] - nu) <= merge:
             groups[-1][1].append(ab)
         else:
             groups.append((nu, [ab]))
-    out = []
-    for nu, members in groups:
-        if abs(nu) <= tol:
-            nu = 0.0
-        out.append((nu, members))
-    return out
+    return groups
 
 
 def _unit_vector(d: int, a: int, b: int) -> np.ndarray:
@@ -412,7 +408,6 @@ def alicki_decompose(generator: np.ndarray, sigma: np.ndarray,
     C = _reshuffle(Lt, d)
 
     groups = _modular_groups(s, d)
-    by_nu = {nu: members for nu, members in groups}
 
     jumps: List[JumpTerm] = []
     discarded = 0.0

@@ -205,6 +205,11 @@ class TestMain:
         ("decay", {"generator": {"kind": "jumps", "list": [{"V": [[[1, 0]]], "omega": 0.0}]}}),
         ("decay", {"generator": {"kind": "jumps",
                                  "list": [{"V": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]]}]}}),
+        # a misspelled nested key would leave its default in force
+        ("decay", {"generator": {"kind": "depolarizing", "gama": 2.0}}),
+        ("decay", {"dimension": 2, "generator": {"kind": "random_dbc", "pair": 1}}),
+        ("decay", {"sigma": {"eigenvalues": [0.75, 0.25], "bassis": None}}),
+        ("decay", {"seeds": {"master": 7, "strats": 1}}),
     ])
     def test_unusable_config_value_exit_code(self, tmp_path, capsys, task, entry):
         path = tmp_path / "cfg.json"
@@ -433,8 +438,8 @@ class TestDeterminism:
 
 
 class TestImportHygiene:
-    """Loading the package and running the numpy-only tasks loads no scipy
-    module; each case runs in a fresh interpreter."""
+    """Loading the package and running a task loads no scipy module; each
+    case runs in a fresh interpreter."""
 
     SRC = os.path.join(os.path.dirname(os.path.dirname(os.path.abspath(__file__))), "src")
 
@@ -448,6 +453,10 @@ class TestImportHygiene:
         "from qbeckner import cli; cli.main(['transport', '--fixture', 'depol2', "
         "'--steps', '4', '--out', OUT])",
         "from qbeckner import cli; cli.main(['verify', '--fixture', 'depol3', '--out', OUT])",
+        "from qbeckner import cli; cli.main(['decay', '--fixture', 'classical_embed', "
+        "'--out', OUT])",
+        "from qbeckner import cli; cli.main(['verify', '--fixture', 'classical_embed', "
+        "'--out', OUT])",
     ])
     def test_no_scipy_loaded(self, code, tmp_path):
         import subprocess

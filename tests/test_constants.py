@@ -10,7 +10,6 @@ from qbeckner.errors import (
     GradientCheckFailed,
     IncompatibleJumps,
     MissingEstimate,
-    NotDbc,
     NotPrimitive,
     NotSymmetric,
 )
@@ -290,22 +289,13 @@ class TestBatchedEstimation:
 
 
 class TestSeedStarts:
-    def _raising(self, monkeypatch, exc):
+    def test_other_errors_propagate(self, monkeypatch):
         def gap_eigenvector(self):
-            raise exc("no gap eigenvector")
+            raise RuntimeError("no gap eigenvector")
 
         monkeypatch.setattr(sg.DbcLindbladian, "gap_eigenvector",
                             property(gap_eigenvector))
-        return sg.depolarizing(SIGMA_STAR, 1.0)
-
-    def test_not_dbc_keeps_random_starts(self, monkeypatch):
-        L = self._raising(monkeypatch, NotDbc)
-        starts = ct._seed_starts(L, "beckner", 4, seed=0)
-        assert len(starts) == 4
-        assert all(la.frob(S - np.eye(2)) > 0.1 for S in starts)
-
-    def test_other_errors_propagate(self, monkeypatch):
-        L = self._raising(monkeypatch, RuntimeError)
+        L = sg.depolarizing(SIGMA_STAR, 1.0)
         with pytest.raises(RuntimeError):
             ct._seed_starts(L, "beckner", 4, seed=0)
 
@@ -316,10 +306,30 @@ class TestDepolClassical:
             assert ct.depol_classical(2.0, d) == 1.0
 
     def test_flat_qubit_value_is_half_p(self):
-        # the theta = 1/2 two-point ratio has its infimum on the x -> 1
-        # ridge, where the stable evaluation returns exactly p/2
+        # the theta = 1/2 two-point ratio has its infimum p/2 on the x -> 1
+        # ridge, which the zoomed grid approaches to rounding
         for p in (1.1, 1.5, 1.75):
-            assert ct.depol_classical(p, 2) == pytest.approx(p / 2.0, abs=1e-8)
+            assert ct.depol_classical(p, 2) == pytest.approx(p / 2.0, rel=1e-12)
+
+    def test_two_point_ratio_matches_mpmath(self):
+        # the evaluator is accurate at every scale of h, including the
+        # near-1 ridge and p close to 1, where the naive moments cancel
+        import mpmath as mp
+
+        for theta in (1 / 3, 1 / 2, 3 / 4):
+            edge = (1 - theta) / theta
+            hs = np.array([-1.0, -0.5, -1e-3, -1e-8, 1e-12, 1e-6, 0.1, 0.124, 0.126,
+                           0.5 * edge, 0.999 * edge])
+            for p in (1.01, 1.5, 1.99):
+                vals = ct._two_point_ratio(hs, theta, p)
+                for h, val in zip(hs, vals):
+                    with mp.workdps(60):
+                        t, q, h = mp.mpf(theta), mp.mpf(p), mp.mpf(h)
+                        x, y = 1 + h, 1 - t * h / (1 - t)
+                        m_p = t * x**q + (1 - t) * y**q
+                        m_q = t * x**(q - 1) + (1 - t) * y**(q - 1)
+                        ref = q * q / 4 * (m_p - m_q) / (m_p - 1)
+                        assert abs(val - ref) <= 1e-14 * abs(ref), (theta, p, float(h))
 
     def test_frozen_fixture_values(self):
         # grid + golden-section oracle values, cross-checked against the

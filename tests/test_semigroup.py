@@ -63,6 +63,15 @@ class TestDepolarizing:
         with pytest.raises(SingularState):
             sg.depolarizing(np.diag([1.0, 0.0]).astype(complex), 1.0)
 
+    @pytest.mark.parametrize("eigs", [[0.4, 0.4 - delta, 0.2 + delta]
+                                      for delta in (1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 0.0)]
+                             + [[0.5, 0.5 - 1e-8, 1e-8]])
+    def test_near_degenerate_sigma(self, eigs):
+        # frequencies of nearly equal levels are merged only as far as the
+        # jumps' modular eigenvector check allows
+        L = sg.depolarizing(np.diag(eigs).astype(complex), 1.0)
+        assert L.primitivity.kernel_dimension == 1
+
 
 class TestRandomDbc:
     def test_connected_is_primitive(self, rng):
@@ -183,6 +192,20 @@ class TestPrimitivity:
 
     def test_realness(self, dbc3):
         assert dbc3.primitivity.eigenvalue_realness_residual <= 1e-9
+
+    def test_not_symmetrizable_raises(self, rng, dbc3):
+        # a coherent term i[H, .] with [H, sigma] != 0 breaks detailed balance
+        H = la.random_hermitian(rng, 3)
+        assert la.frob(H @ dbc3.sigma - dbc3.sigma @ H) > 1e-3
+        gen = dbc3.generator + 1j * (la.left_super(H) - la.right_super(H))
+        L = sg.DbcLindbladian(sigma=dbc3.sigma, jumps=dbc3.jumps, generator=gen,
+                              dual_generator=gen.conj().T)
+        with pytest.raises(NotDbc):
+            sg.evolve(L, 0.5, "heisenberg", np.eye(3))
+        with pytest.raises(NotDbc):
+            L.primitivity
+        with pytest.raises(NotDbc):
+            L.gap_eigenvector
 
 
 class TestDbcInvariants:

@@ -28,6 +28,7 @@ JUMP_TRACE_TOL = 1e-10
 MODULAR_EIG_TOL = 1e-9
 DBC_TOL = 1e-9
 DECOMPOSE_TOL = 1e-8
+KMS_SYM_TOL = 1e-8  # relative hermiticity residual of the KMS-symmetrized generator
 KERNEL_COUNT_TOL = 1e-9  # primitivity threshold, relative to spectral scale
 
 
@@ -89,7 +90,7 @@ class PrimitivityReport:
     # ||M - M^dag||_F / ||M||_F for the KMS-symmetrized generator M; by
     # Bauer-Fike every eigenvalue lies within half of it (times ||M||_F) of
     # the real axis
-    eigenvalue_realness_residual: float
+    symmetrization_residual: float
 
     @property
     def primitive(self) -> bool:
@@ -152,24 +153,29 @@ class DbcLindbladian:
                 la.sandwich_super(iquarter, iquarter))
 
     @cached_property
-    def _sym_eig(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray, float]:
-        """Eigendecomposition of the KMS-symmetrized generator
-        M = sigma^(1/4) L(sigma^(-1/4) . sigma^(-1/4)) sigma^(1/4).
-
-        Detailed balance makes M Hermitian, so one eigh gives the whole
-        spectrum of the generator. Returns the eigenvalues (ascending), the
-        eigenvectors, the mask of kernel eigenvalues (within KERNEL_COUNT_TOL
-        of the spectral scale) and the relative hermiticity residual of M;
-        NotDbc when that residual exceeds 1e-8.
+    def _kms_symmetrized(self) -> Tuple[np.ndarray, float]:
+        """The KMS-symmetrized generator
+        M = sigma^(1/4) L(sigma^(-1/4) . sigma^(-1/4)) sigma^(1/4) and its
+        relative hermiticity residual; NotDbc when that exceeds KMS_SYM_TOL.
+        Detailed balance makes M Hermitian.
         """
         Khalf, Kihalf = self._kms_factors
         M = Khalf @ self.generator @ Kihalf
         resid = la.frob(M - M.conj().T) / max(la.frob(M), 1e-300)
-        if resid > 1e-8:
+        if resid > KMS_SYM_TOL:
             raise NotDbc(f"KMS-symmetrized generator has hermiticity residual {resid:.3e}")
-        w, Q = np.linalg.eigh(la.herm(M))
+        return M, resid
+
+    @cached_property
+    def _sym_eig(self) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """One eigh of the KMS-symmetrized generator gives the whole spectrum
+        of the generator. Returns the eigenvalues (ascending), the
+        eigenvectors and the mask of kernel eigenvalues (within
+        KERNEL_COUNT_TOL of the spectral scale).
+        """
+        w, Q = np.linalg.eigh(la.herm(self._kms_symmetrized[0]))
         kernel = np.abs(w) <= KERNEL_COUNT_TOL * float(np.max(np.abs(w)))
-        return w, Q, kernel, resid
+        return w, Q, kernel
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         return la.apply_super(self.generator, X)
@@ -179,7 +185,7 @@ class DbcLindbladian:
 
     def heisenberg_propagator(self, t: float) -> np.ndarray:
         """Superoperator matrix of exp(t * generator)."""
-        w, Q, _, _ = self._sym_eig
+        w, Q, _ = self._sym_eig
         Khalf, Kihalf = self._kms_factors
         return Kihalf @ ((Q * np.exp(t * w)) @ Q.conj().T) @ Khalf
 
@@ -188,10 +194,10 @@ class DbcLindbladian:
 
     @cached_property
     def primitivity(self) -> PrimitivityReport:
-        w, _, kernel, resid = self._sym_eig
+        w, _, kernel = self._sym_eig
         rest = w[~kernel]
         gap = float(-np.max(rest)) if rest.size else 0.0
-        return PrimitivityReport(int(np.sum(kernel)), gap, resid)
+        return PrimitivityReport(int(np.sum(kernel)), gap, self._kms_symmetrized[1])
 
     def require_primitive(self) -> PrimitivityReport:
         rep = self.primitivity
@@ -202,7 +208,7 @@ class DbcLindbladian:
     @cached_property
     def gap_eigenvector(self) -> np.ndarray:
         """Hermitian unit-norm eigenvector of the spectral-gap eigenvalue."""
-        w, Q, kernel, _ = self._sym_eig
+        w, Q, kernel = self._sym_eig
         idx = np.argmax(np.where(kernel, -np.inf, w))
         _, Kihalf = self._kms_factors
         X = la.unvec(Kihalf @ Q[:, idx], self.d)
@@ -211,7 +217,9 @@ class DbcLindbladian:
 
 
 def validate_dbc(L: DbcLindbladian, tol: float = DBC_TOL) -> None:
-    """Check unitality, invariance, GNS self-adjointness and modular commutation."""
+    """Check unitality, invariance, GNS self-adjointness, modular commutation
+    and KMS symmetry; the last is relative to the symmetrized generator, so it
+    also catches a jump frequency slightly off where sigma is small."""
     d = L.d
     scale = max(la.frob(L.generator), 1e-300)
     if la.frob(L.apply(np.eye(d))) > 1e-10 * scale * d:
@@ -226,6 +234,7 @@ def validate_dbc(L: DbcLindbladian, tol: float = DBC_TOL) -> None:
     comm = la.frob(L.generator @ Delta - Delta @ L.generator)
     if comm > tol * scale * max(la.frob(Delta), 1.0):
         raise NotDbc(f"modular commutation residual {comm:.3e}")
+    L._kms_symmetrized  # raises NotDbc above KMS_SYM_TOL
 
 
 def build_from_jumps(sigma: np.ndarray, jumps: Sequence[JumpTerm]) -> DbcLindbladian:

@@ -43,6 +43,27 @@ class TestBuildFromJumps:
         assert L.num_jumps == 2
         sg.validate_dbc(L)
 
+    @pytest.mark.parametrize("delta,builds", [(1e-5, False), (1e-6, True), (0.0, True)])
+    def test_off_frequency_jump_checked_at_build(self, delta, builds):
+        # at sigma_min ~ 6e-6 an omega off by 1e-5 passes validate_jump and the
+        # GNS and modular checks, but leaves the KMS-symmetrized generator
+        # 3e-8 away from Hermitian; it is rejected before any spectral read
+        s1 = 1.0 / (1.0 + np.exp(-12.0))
+        sigma = np.diag([1.0 - s1, s1]).astype(complex)
+        V = np.zeros((2, 2), dtype=complex)
+        V[0, 1] = 1.0
+        jump = sg.JumpTerm(V, float(np.log(s1 / (1.0 - s1))) + delta)
+        sg.validate_jump(sigma, jump)
+        if not builds:
+            with pytest.raises(NotDbc):
+                sg.build_from_jumps(sigma, [jump])
+            return
+        L = sg.build_from_jumps(sigma, [jump])
+        assert L.primitivity.symmetrization_residual <= 1e-8
+        assert L.primitivity.kernel_dimension == 1
+        sg.evolve(L, 0.5, "heisenberg", np.eye(2))
+        assert la.frob(L.gap_eigenvector) == pytest.approx(1.0)
+
 
 class TestDepolarizing:
     def test_unitality_and_invariance(self, depol2):
@@ -191,7 +212,7 @@ class TestPrimitivity:
         assert L.primitivity.spectral_gap == 0.0
 
     def test_realness(self, dbc3):
-        assert dbc3.primitivity.eigenvalue_realness_residual <= 1e-9
+        assert dbc3.primitivity.symmetrization_residual <= 1e-9
 
     def test_not_symmetrizable_raises(self, rng, dbc3):
         # a coherent term i[H, .] with [H, sigma] != 0 breaks detailed balance

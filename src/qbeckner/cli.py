@@ -134,7 +134,8 @@ def run_mixing(cfg: ExperimentConfig, L: DbcLindbladian) -> Dict:
 
 
 def run_transport(cfg: ExperimentConfig, L: DbcLindbladian) -> Tuple[Dict, List[Dict]]:
-    """The transport solves, and each solve's optimizer steps, evaluations and stop."""
+    """The transport solves, and each solve's optimizer steps, evaluations,
+    stop and gradient self-test gap."""
     rng = np.random.default_rng(int(cfg.seeds.get("master", 7)))
     opts = tp.W2Opts(N=cfg.transport_steps, tol=cfg.transport_tol)
     pairs = [(la.random_density(rng, L.d, floor=0.05),
@@ -145,7 +146,8 @@ def run_transport(cfg: ExperimentConfig, L: DbcLindbladian) -> Tuple[Dict, List[
         for p in ps:
             dist, path = tp.w2p_solve(L, r0, r1, p, opts)
             diagnostics.append({"pair": i, "p": p, "steps": path.steps,
-                                "evaluations": path.evaluations, "stop": path.stop})
+                                "evaluations": path.evaluations, "stop": path.stop,
+                                "gradient_gap": path.gradient_gap})
             entry = {
                 "pair": i, "p": p, "distance": dist,
                 "converged": path.converged,

@@ -6,7 +6,8 @@ All power-difference quotients are evaluated through ``expm1``/``log1p`` so
 they stay accurate when the two arguments nearly coincide, and every kernel
 carries an exact degenerate branch. Only theta_p, the metric kernel whose
 state derivative drives the transport gradient, geodesics and Hessian,
-carries partial-derivative rules.
+carries a partial-derivative rule; it is symmetric, so d/dx covers both
+sides.
 """
 
 from __future__ import annotations
@@ -23,7 +24,7 @@ from .errors import DomainViolation
 # against derivative-branch bias at double precision).
 SAME_TOL = 1e-9
 
-# Wider window inside which the partial derivatives of theta_p use their
+# Wider window inside which the partial derivative of theta_p uses its
 # midpoint Taylor expansion instead of the quotient-rule formula.
 NEAR_TOL = 1e-6
 
@@ -162,16 +163,15 @@ def phi_p_kernel(p: float) -> Kernel1:
 
 @dataclass(frozen=True)
 class Kernel2:
-    """A two-variable scalar kernel with optional partial derivatives.
+    """A two-variable scalar kernel with an optional partial derivative in x.
 
-    ``f``, ``dx`` and ``dy`` are vectorized over broadcastable arrays and are
+    ``f`` and ``dx`` are vectorized over broadcastable arrays and are
     responsible for their own degenerate branches.
     """
 
     name: str
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
     dx: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
-    dy: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
     domain_min: float = -np.inf
     allow_boundary: bool = True
 
@@ -237,24 +237,5 @@ def theta_p_kernel(p: float) -> Kernel2:
             - (p - 2.0) * (p - 3.0) / 12.0 * m ** (-p) * (x - y)
         return np.where(near, taylor, far)
 
-    # theta_p is symmetric, so d/dy theta_p(x, y) = d/dx theta_p(y, x)
-    return Kernel2(f"theta({p})", f=f, dx=dx, dy=lambda x, y: dx(y, x),
-                   domain_min=0.0, allow_boundary=False)
-
-
-def theta_log_kernel() -> Kernel2:
-    """Logarithmic mean (x - y)/(log x - log y), equal to x on the diagonal."""
-
-    def f(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        same = _is_same(x, y)
-        m = 0.5 * (x + y)
-        hi = np.maximum(x, y)
-        lo = np.minimum(x, y)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            ell = np.log1p(np.where(same, 0.0, lo - hi) / hi)
-            far = (lo - hi) / np.where(same, 1.0, ell)
-        return np.where(same, m, far)
-
-    return Kernel2("theta_log", f=f, domain_min=0.0, allow_boundary=False)
+    # theta_p is symmetric, so d/dy theta_p(x, y) = dx(y, x)
+    return Kernel2(f"theta({p})", f=f, dx=dx, domain_min=0.0, allow_boundary=False)

@@ -202,42 +202,35 @@ def _schur_super(F: np.ndarray, VA: np.ndarray, VB: np.ndarray) -> np.ndarray:
     return (W * F.flatten(order="F")) @ W.conj().T
 
 
-def partial_dd_tensor(k2: Kernel2, which: int, wA: np.ndarray,
-                      wB: np.ndarray, F: np.ndarray | None = None) -> np.ndarray:
-    """Weight tensor of a partial divided difference of a two-variable kernel.
-
-    Both quotients take their numerators from the kernel grid
-    F[..., x, y] = f(wA_x, wB_y), which is computed here unless given:
-    which=1: W[a,b,c] = (F[a,c] - F[b,c]) / (wA_a - wA_b),
-             d/dx f at the midpoint for coincident pairs (_is_same);
-    which=2: W[a,b,c] = (F[a,b] - F[a,c]) / (wB_b - wB_c),
-             d/dy f at the midpoint.
-    The derivative rule runs only at the coincident entries. Leading axes of
-    wA and wB broadcast; W has shape (..., d, d, d).
+def partial_dd_tensor(k2: Kernel2, wA: np.ndarray, wB: np.ndarray,
+                      F: np.ndarray | None = None) -> np.ndarray:
+    """Weight tensor of the first partial divided difference of a
+    two-variable kernel,
+    W[..., a, b, c] = (F[a,c] - F[b,c]) / (wA_a - wA_b), with d/dx f at the
+    midpoint for coincident pairs (_is_same). The numerators come from the
+    kernel grid F[..., x, y] = f(wA_x, wB_y), computed here unless given.
+    The pairs a == b always coincide, and their midpoint is wA_a exactly, so
+    the derivative rule runs once on the (..., d, d) grid for them and
+    elsewhere only at near-ties. Leading axes of wA and wB broadcast; W has
+    shape (..., d, d, d). The second partial of a symmetric kernel is this
+    tensor on (wB, wA, F^T) with its last axis moved first.
     """
-    if which not in (1, 2):
-        raise ValueError("which must be 1 or 2")
-    deriv = k2.dx if which == 1 else k2.dy
-    if deriv is None:
-        raise DomainViolation(f"kernel {k2.name} has no d/d{'xy'[which - 1]} rule")
+    if k2.dx is None:
+        raise DomainViolation(f"kernel {k2.name} has no d/dx rule")
     if F is None:
         F = k2.f(wA[..., :, None], wB[..., None, :])
-    x = wA[..., :, None, None]
-    y = wB[..., None, None, :]
-    if which == 1:
-        u, v = x, wA[..., None, :, None]
-        fu, fv = F[..., :, None, :], F[..., None, :, :]
-    else:
-        u, v = wB[..., None, :, None], y
-        fu, fv = F[..., :, :, None], F[..., :, None, :]
+    u, v = wA[..., :, None, None], wA[..., None, :, None]
     same = _is_same(u, v)
     with np.errstate(divide="ignore", invalid="ignore"):
-        W = (fu - fv) / np.where(same, 1.0, u - v)
-    at = np.nonzero(np.broadcast_to(same, W.shape))
-    if at[0].size:
+        W = (F[..., :, None, :] - F[..., None, :, :]) / np.where(same, 1.0, u - v)
+    d = wA.shape[-1]
+    diag = np.arange(d)
+    W[..., diag, diag, :] = k2.dx(wA[..., :, None], wB[..., None, :])
+    ties = same & ~np.eye(d, dtype=bool)[:, :, None]
+    if ties.any():
+        at = np.nonzero(np.broadcast_to(ties, W.shape))
         mid = np.broadcast_to(0.5 * (u + v), W.shape)[at]
-        W[at] = (deriv(mid, np.broadcast_to(y, W.shape)[at]) if which == 1
-                 else deriv(np.broadcast_to(x, W.shape)[at], mid))
+        W[at] = k2.dx(mid, np.broadcast_to(wB[..., None, None, :], W.shape)[at])
     return W
 
 
@@ -337,13 +330,14 @@ def traceless_part(A: np.ndarray) -> np.ndarray:
     return A - (np.trace(A) / d) * np.eye(d)
 
 
-def check_gradient(fun_and_grad: Callable, x: np.ndarray, what: str) -> None:
+def check_gradient(fun_and_grad: Callable, x: np.ndarray, what: str) -> float:
     """Compare an analytic gradient with central differences along three
     seeded random unit directions; raise GradientCheckFailed on a relative
-    disagreement above 1e-4."""
+    disagreement above 1e-4, else return the largest relative disagreement."""
     rng = np.random.default_rng(0)
     _, g0 = fun_and_grad(x)
     eps = 1e-6 * max(1.0, float(np.linalg.norm(x)))
+    worst = 0.0
     for _ in range(3):
         v = rng.standard_normal(x.size)
         v /= np.linalg.norm(v)
@@ -351,9 +345,12 @@ def check_gradient(fun_and_grad: Callable, x: np.ndarray, what: str) -> None:
         fm, _ = fun_and_grad(x - eps * v)
         fd = (fp - fm) / (2.0 * eps)
         an = float(g0 @ v)
-        if abs(fd - an) > 1e-4 * max(1.0, abs(fd), abs(an)):
+        scale = max(1.0, abs(fd), abs(an))
+        if abs(fd - an) > 1e-4 * scale:
             raise GradientCheckFailed(
                 f"{what} gradient self-test failed: fd={fd:.6e} an={an:.6e}")
+        worst = max(worst, abs(fd - an) / scale)
+    return worst
 
 
 # ---------------------------------------------------------------------------

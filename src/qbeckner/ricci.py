@@ -116,9 +116,14 @@ class RicciEstimate:
 
 
 def _samples(L: DbcLindbladian, num_states: int, seed: int) -> np.ndarray:
-    """The states ricci_estimate samples, as a stack: sigma first, then
-    Hilbert-Schmidt random states mixed toward sigma with weights 0, .25,
-    .5, .75 in turn."""
+    """The states ricci_estimate samples, as a read-only stack drawn once per
+    generator, num_states and seed: sigma first, then Hilbert-Schmidt random
+    states mixed toward sigma with weights 0, .25, .5, .75 in turn."""
+    return L.derived(("ricci_samples", num_states, seed),
+                     lambda: _draw_samples(L, num_states, seed))
+
+
+def _draw_samples(L: DbcLindbladian, num_states: int, seed: int) -> np.ndarray:
     rng = np.random.default_rng(seed)
     weights = (0.0, 0.25, 0.5, 0.75)
     d = L.d
@@ -157,7 +162,7 @@ def ricci_estimate(L: DbcLindbladian, p: float, num_states: int = 64,
     i = int(np.argmax(lowest <= floor + TIE_TOL * max(1.0, abs(floor))))
     vals, W = np.linalg.eigh(M[i])
     direction = np.tensordot(Rinv[i].T @ W[:, 0], tp._basis_frame(L.d)[0], axes=1)
-    return RicciEstimate(float(vals[0]), num_states, samples[i], la.herm(direction))
+    return RicciEstimate(float(vals[0]), num_states, samples[i].copy(), la.herm(direction))
 
 
 # ---------------------------------------------------------------------------

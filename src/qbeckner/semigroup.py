@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import List, NamedTuple, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Sequence, Tuple
 
 import numpy as np
 
@@ -126,6 +126,19 @@ class DbcLindbladian:
         """Jump operators as one (J, d, d) array, and their frequencies."""
         return (np.array([V for V, _ in self.jumps]),
                 np.array([omega for _, omega in self.jumps]))
+
+    @cached_property
+    def _derived(self) -> dict:
+        return {}
+
+    def derived(self, key: tuple, make: Callable[[], np.ndarray]) -> np.ndarray:
+        """make(), an array fixed by the generator and key, computed on the
+        first call and stored read-only for the generator's lifetime."""
+        if key not in self._derived:
+            value = make()
+            value.flags.writeable = False
+            self._derived[key] = value
+        return self._derived[key]
 
     @cached_property
     def sigma_eig(self) -> Tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg as la
 from .errors import KernelComponent, LeftPositiveCone, SingularMetric, SingularState
-from .kernels import theta_log_kernel, theta_p_kernel
+from .kernels import theta_p_kernel
 from .linalg import minimize
 from .semigroup import DbcLindbladian
 
@@ -83,18 +83,6 @@ class MetricKernel:
         W = np.kron(self.V.conj(), self.V)
         mid = (W * self._F.flatten(order="F")) @ W.conj().T
         return G @ mid @ G
-
-
-def carlen_maas_apply(rho: np.ndarray, omega: float, A: np.ndarray) -> np.ndarray:
-    """Logarithmic-mean multiplication kernel (the p -> 1 limit object)."""
-    lam, V = la.herm_eigh(rho)
-    if np.min(lam) <= 0:
-        raise SingularState("logarithmic-mean kernel needs a full-rank state")
-    th = theta_log_kernel()
-    a = np.exp(omega / 2.0) * lam
-    b = np.exp(-omega / 2.0) * lam
-    F = th.f(a[:, None], b[None, :])
-    return V @ (F * (V.conj().T @ A @ V)) @ V.conj().T
 
 
 # ---------------------------------------------------------------------------
@@ -164,11 +152,16 @@ class _Frame:
     def dk_tensors(self) -> Tuple[np.ndarray, np.ndarray]:
         """Daleckii-Krein tensors (W1, W2) of theta_p, (..., J, d, d, d): its
         first and second partial divided differences on the tilted spectra,
-        each weighted by its tilt. Both take their quotients from the cached
-        grid theta."""
-        k, F = self.kernel, self.theta
-        return (self.up[:, None, None, None] * la.partial_dd_tensor(k, 1, self.a, self.b, F),
-                self.down[:, None, None, None] * la.partial_dd_tensor(k, 2, self.a, self.b, F))
+        each weighted by its tilt. theta_p is symmetric, so the second is the
+        first on (b, a, theta^T) with its last axis moved first; one
+        partial_dd_tensor call takes both orders stacked, with the quotient
+        numerators from the cached grid theta."""
+        W = la.partial_dd_tensor(self.kernel, np.stack([self.a, self.b]),
+                                 np.stack([self.b, self.a]),
+                                 np.stack([self.theta, np.swapaxes(self.theta, -1, -2)]))
+        # W2 is made contiguous so the contractions over it sum in a fixed order
+        return (self.up[:, None, None, None] * W[0],
+                self.down[:, None, None, None] * np.ascontiguousarray(np.moveaxis(W[1], -1, -3)))
 
     def state_derivative(self, C: np.ndarray) -> np.ndarray:
         """Hermitian M with <M, H> the derivative of
@@ -219,13 +212,6 @@ def onsager_pinv_apply(L: DbcLindbladian, rho: np.ndarray, p: float,
     x = Q @ (winv * (Q.conj().T @ la.vec(nu)))
     U = la.unvec(x, L.d)
     return la.traceless_part(la.herm(U)) if la.hermiticity_residual(nu) < 1e-9 else la.traceless_part(U)
-
-
-def onsager_tensor(L: DbcLindbladian, rho: np.ndarray, p: float,
-                   nu1: np.ndarray, nu2: np.ndarray) -> float:
-    """Riemannian metric g_{p,rho}(nu1, nu2) = <D^+ nu1, nu2> on tangents."""
-    U1 = onsager_pinv_apply(L, rho, p, nu1)
-    return float(np.real(la.hs_inner(U1, nu2)))
 
 
 def grad_flow_residual(L: DbcLindbladian, rho: np.ndarray, p: float) -> float:
@@ -292,13 +278,13 @@ def _basis_gram(L: DbcLindbladian, rho: np.ndarray,
     basis, _ = _basis_frame(L.d)
     S, n, d = len(rho), len(basis), L.d
     fr = _Frame(L, rho[:, None], p)
-    # P [V_j, U_m] P does not depend on the state: form it once and take all
-    # of it to each state's eigenframe with two batched products, by V† from
-    # the left on the side-by-side (d, n J d) matrix, then by V from the
-    # right. These are the two sums of V† (P X P) V, grouped as there; C is
-    # made contiguous as that product is, so the contractions over it keep
-    # their summation order too.
-    X = fr.P @ fr.grad(basis) @ fr.P
+    # P [V_j, U_m] P does not depend on the state: it is formed once per
+    # generator and p, and all of it is taken to each state's eigenframe with
+    # two batched products, by V† from the left on the side-by-side
+    # (d, n J d) matrix, then by V from the right. These are the two sums of
+    # V† (P X P) V, grouped as there; C is made contiguous as that product
+    # is, so the contractions over it keep their summation order too.
+    X = L.derived(("basis_gradients", fr.p), lambda: fr.P @ fr.grad(basis) @ fr.P)
     J = X.shape[1]
     V = fr.V[:, 0]
     left = la.dagger(V) @ np.moveaxis(X, 2, 0).reshape(d, -1)  # (S, i, (m, j, l))
@@ -331,6 +317,7 @@ class TransportPath:
     steps: int
     evaluations: int
     stop: str
+    gradient_gap: float  # largest relative gap of the energy gradient self-test
 
 
 class _PathEnergy:
@@ -401,13 +388,14 @@ def w2p_solve(L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray, p: float,
     interior midpoints are eigenvalue-floored. The energy gradient is
     self-tested once per solve. Returns (distance, path), with the momenta
     rebuilt as B_k = [gbar_k]_j dj U_k; the path is converged when the start
-    stopped on "ftol" or "gtol", and carries its steps, evaluations and stop.
+    stopped on "ftol" or "gtol", and carries its steps, evaluations, stop and
+    the self-test's largest relative gradient gap.
     """
     problem = _PathEnergy(L, rho0, rho1, p, opts.N)
     y = np.zeros((opts.N - 1) * len(problem.basis))
-    steps, evaluations, stop = 0, 0, "gtol"  # an empty gradient is 0
+    steps, evaluations, stop, gap = 0, 0, "gtol", 0.0  # an empty gradient is 0
     if y.size:  # a one-step path has no interior state to optimize
-        la.check_gradient(problem.value_and_grad, y, "path energy")
+        gap = la.check_gradient(problem.value_and_grad, y, "path energy")
         res = minimize(problem.value_and_grad, y[None], ftol=opts.tol * 1e-3)
         y, stop = res.x[0], res.stops[0]
         steps, evaluations = int(res.iterations[0]), int(res.evaluations[0])
@@ -424,7 +412,7 @@ def w2p_solve(L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray, p: float,
         endpoint_residual=la.frob(gammas[-1] - la.herm(rho1)),
         continuity_residual=float(np.max(np.linalg.norm(flow, axis=(1, 2)))),
         converged=stop in ("ftol", "gtol"),
-        steps=steps, evaluations=evaluations, stop=stop,
+        steps=steps, evaluations=evaluations, stop=stop, gradient_gap=gap,
     )
     return float(np.sqrt(max(path.action, 0.0))), path
 
@@ -486,11 +474,6 @@ def _geodesic_rhs(L: DbcLindbladian, rho: np.ndarray, U: np.ndarray, p: float):
     rho_dot = -fr.div(fr.uneig(fr.theta * C, fr.P))
     U_dot = -la.traceless_part(0.5 * fr.state_derivative(C))
     return la.herm(rho_dot), U_dot
-
-
-def geodesic_hamiltonian(L: DbcLindbladian, rho: np.ndarray, U: np.ndarray,
-                         p: float) -> float:
-    return 0.5 * float(np.real(la.hs_inner(onsager_apply(L, rho, p, U), U)))
 
 
 def geodesic_shoot(L: DbcLindbladian, rho0: np.ndarray, U0: np.ndarray,

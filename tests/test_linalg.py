@@ -132,12 +132,14 @@ class TestDoubleSum:
 
 
 def _partial_dd_apply(k2, A, B, Ad, Bd, C):
-    """(d1 f)((A, A), B)[Ad, C] + (d2 f)(A, (B, B))[C, Bd] through the two
-    partial_dd_tensor weight tensors, in the eigenbases of A and B."""
+    """(d1 f)((A, A), B)[Ad, C] + (d2 f)(A, (B, B))[C, Bd] through the
+    partial_dd_tensor weight tensors, in the eigenbases of A and B; f is
+    symmetric, so the second partial is the first on (wB, wA) with its last
+    axis moved first."""
     wA, VA = la.herm_eigh(A)
     wB, VB = la.herm_eigh(B)
-    W1 = la.partial_dd_tensor(k2, 1, wA, wB)
-    W2 = la.partial_dd_tensor(k2, 2, wA, wB)
+    W1 = la.partial_dd_tensor(k2, wA, wB)
+    W2 = np.moveaxis(la.partial_dd_tensor(k2, wB, wA), -1, -3)
     Ct = VA.conj().T @ C @ VB
     R = (np.einsum("abc,ab,bc->ac", W1, VA.conj().T @ Ad @ VA, Ct)
          + np.einsum("abc,ab,bc->ac", W2, Ct, VB.conj().T @ Bd @ VB))
@@ -238,7 +240,17 @@ class TestCheckGradient:
         return float(np.sum(x**4)), 4.0 * x**3
 
     def test_exact_gradient_passes(self, rng):
-        la.check_gradient(self._quartic, rng.standard_normal(6), "quartic")
+        # the returned gap is the central differences' own error, O(eps^2)
+        assert 0.0 <= la.check_gradient(self._quartic, rng.standard_normal(6), "quartic") <= 1e-8
+
+    def test_gap_is_largest_relative_disagreement(self, rng):
+        def off(x):
+            f, g = self._quartic(x)
+            return f, (1.0 + 1e-6) * g
+
+        x = rng.standard_normal(6)
+        gap = la.check_gradient(off, x, "quartic")
+        assert 1e-8 < gap <= 1.1e-6
 
     def test_wrong_gradient_raises(self, rng):
         def wrong(x):

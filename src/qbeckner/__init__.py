@@ -8,7 +8,6 @@ from .semigroup import (
     alicki_decompose,
     build_from_jumps,
     depolarizing,
-    derivation,
     evolve,
     random_dbc,
 )
@@ -21,7 +20,6 @@ __all__ = [
     "build_from_jumps",
     "build_generator",
     "depolarizing",
-    "derivation",
     "evolve",
     "fixtures",
     "random_dbc",

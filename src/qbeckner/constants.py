@@ -302,7 +302,13 @@ def estimate_constant(L: DbcLindbladian, kind: str, p: float | None = None,
     one call of the shared batched BFGS (linalg.minimize, also used by the
     transport solver), but each start's path is its own and the starts are
     reduced by a minimum, so the result does not depend on their order.
+    beckner needs p in (1, 2] and dual_beckner q in [1, 2), the ranges of
+    the config's p_grid and q_grid; anything else raises ValueError.
     """
+    if kind == "beckner" and (p is None or not 1.0 < p <= 2.0):
+        raise ValueError(f"beckner needs p in (1, 2], got {p}")
+    if kind == "dual_beckner" and (q is None or not 1.0 <= q < 2.0):
+        raise ValueError(f"dual_beckner needs q in [1, 2), got {q}")
     rep = L.require_primitive()
     lam = rep.spectral_gap
     if kind == "poincare":

@@ -1,4 +1,4 @@
-"""p-Dirichlet forms, entropy production, and the carre du champ calculus."""
+"""p-Dirichlet (entropy-production) forms and the carre du champ."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ import numpy as np
 
 from . import entropy as ent
 from . import linalg as la
-from .errors import NotPsd, NotSymmetric, SingularState
+from .errors import NotPsd, NotSymmetric
 from .kernels import fp_divdiff_kernel, log_kernel
 from .semigroup import DbcLindbladian
 
@@ -50,7 +50,7 @@ def dirichlet_form(L: DbcLindbladian, X: np.ndarray, p: float) -> DirichletValue
     _check_psd(X)
     LX = L.apply(X)
     # sigma's powers come off the generator's cached eigendecomposition; they
-    # equal the ones ent.power_operator and la.kms_inner would recompute
+    # equal the ones ent.power_operator would recompute
     half = L.sigma_power(0.5)
     if abs(p - 1.0) < P_ONE_BRANCH:
         # log(Gamma_sigma X) with an eigenvalue floor: boundary zeros of X
@@ -104,36 +104,17 @@ def representation_check(L: DbcLindbladian, X: np.ndarray, p: float) -> float:
     return abs(d_def - d_rep) / (1.0 + d_def)
 
 
-def entropy_production(L: DbcLindbladian, rho: np.ndarray, p: float) -> float:
-    """(4/p^2) E_{p,L}(Gamma^{-1} rho) = -d/dt F_{p,sigma}(rho_t) at t = 0."""
-    w = np.linalg.eigvalsh(la.herm(rho))
-    if np.min(w) < la.FULL_RANK_FLOOR:
-        raise SingularState("entropy production needs a full-rank state")
-    X = ent.relative_density(rho, L.sigma)
-    return (4.0 / p**2) * dirichlet_form(L, X, p).value
-
-
 def _check_symmetric(L: DbcLindbladian) -> None:
     if not L.tracial:
         raise NotSymmetric("carre du champ machinery needs sigma = I/d")
 
 
-def carre_du_champ(L: DbcLindbladian, X: np.ndarray, Y: np.ndarray | None = None,
-                   order: int = 1) -> np.ndarray:
-    """Gradient form of a symmetric semigroup.
-
-    order 1: Gamma(X, Y) = (L(X†Y) - X† L(Y) - (L X)† Y) / 2
-    order 2: Gamma_2(X, Y) = -(Gamma(X, L Y) + Gamma(L X, Y) - L Gamma(X, Y)) / 2
-    """
+def carre_du_champ(L: DbcLindbladian, X: np.ndarray,
+                   Y: np.ndarray | None = None) -> np.ndarray:
+    """Gradient form of a symmetric semigroup,
+    Gamma(X, Y) = (L(X†Y) - X† L(Y) - (L X)† Y) / 2."""
     _check_symmetric(L)
     if Y is None:
         Y = X
-    if order == 1:
-        Xd = X.conj().T
-        return 0.5 * (L.apply(Xd @ Y) - Xd @ L.apply(Y) - L.apply(X).conj().T @ Y)
-    if order == 2:
-        G = carre_du_champ(L, X, Y, order=1)
-        return -0.5 * (carre_du_champ(L, X, L.apply(Y), order=1)
-                       + carre_du_champ(L, L.apply(X), Y, order=1)
-                       - L.apply(G))
-    raise ValueError("order must be 1 or 2")
+    Xd = X.conj().T
+    return 0.5 * (L.apply(Xd @ Y) - Xd @ L.apply(Y) - L.apply(X).conj().T @ Y)

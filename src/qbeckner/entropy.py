@@ -158,12 +158,6 @@ def p_divergence(rho: np.ndarray, sigma: np.ndarray, p: float) -> DivergenceValu
     return DivergenceValue(_clamp(val), "p_divergence", p)
 
 
-def variance(X: np.ndarray, sigma: np.ndarray) -> float:
-    """Var_sigma(X) = ||X||_{2,sigma}^2 - ||X||_{1,sigma}^2."""
-    return _clamp(weighted_p_norm(X, sigma, 2.0) ** 2
-                  - weighted_p_norm(X, sigma, 1.0) ** 2)
-
-
 def q_variance(Y: np.ndarray, sigma: np.ndarray, q: float) -> float:
     """Var_{q,sigma}(Y) = ||Y||_{2,sigma}^2 - ||Y||_{q,sigma}^2 for q in [1,2)."""
     if not 1.0 <= q < 2.0:

@@ -90,10 +90,6 @@ class Kernel1:
             )
 
 
-def identity_kernel() -> Kernel1:
-    return Kernel1("identity", f=lambda x: x, df=lambda x: np.ones_like(x))
-
-
 def power_kernel(a: float) -> Kernel1:
     """x^a on (0, inf); the boundary x = 0 is admitted when a >= 0."""
     a = float(a)

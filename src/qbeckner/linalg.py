@@ -167,16 +167,6 @@ def modular_super(sigma: np.ndarray) -> np.ndarray:
     return sandwich_super(sigma, sigma_inv)
 
 
-def j_kernel_super(sigma: np.ndarray, k: Kernel1) -> np.ndarray:
-    """Weighted kernel operator R_sigma f(Delta_sigma) as a superoperator."""
-    check_full_rank(sigma)
-    w, V = herm_eigh(sigma)
-    ratios = w[:, None] / w[None, :]
-    k.check_domain(ratios.ravel())
-    weights = k.f(ratios) * w[None, :]
-    return _schur_super(weights, V, V)
-
-
 # ---------------------------------------------------------------------------
 # Double operator sums (Schur multipliers)
 # ---------------------------------------------------------------------------
@@ -195,11 +185,6 @@ def double_sum_apply(k2: Kernel2, A: np.ndarray, B: np.ndarray,
     F = _schur_weights(k2, wA, wB)
     Xt = VA.conj().T @ X @ VB
     return VA @ (F * Xt) @ VB.conj().T
-
-
-def _schur_super(F: np.ndarray, VA: np.ndarray, VB: np.ndarray) -> np.ndarray:
-    W = np.kron(VB.conj(), VA)
-    return (W * F.flatten(order="F")) @ W.conj().T
 
 
 def partial_dd_tensor(k2: Kernel2, wA: np.ndarray, wB: np.ndarray,
@@ -244,22 +229,6 @@ def hs_inner(X: np.ndarray, Y: np.ndarray) -> complex:
     return complex(np.trace(X.conj().T @ Y))
 
 
-def s_inner(X: np.ndarray, Y: np.ndarray, sigma: np.ndarray, s: float) -> complex:
-    """tr(sigma^s X† sigma^(1-s) Y) for full-rank sigma."""
-    check_full_rank(sigma)
-    ss = matrix_power_hermitian(sigma, s)
-    s1 = matrix_power_hermitian(sigma, 1.0 - s)
-    return complex(np.trace(ss @ X.conj().T @ s1 @ Y))
-
-
-def kms_inner(X: np.ndarray, Y: np.ndarray, sigma: np.ndarray) -> complex:
-    return s_inner(X, Y, sigma, 0.5)
-
-
-def gns_inner(X: np.ndarray, Y: np.ndarray, sigma: np.ndarray) -> complex:
-    return s_inner(X, Y, sigma, 1.0)
-
-
 def f_inner(X: np.ndarray, Y: np.ndarray, sigma: np.ndarray, k: Kernel1) -> complex:
     """Weighted inner product <X, R_sigma f(Delta_sigma) Y>."""
     check_full_rank(sigma)
@@ -270,10 +239,6 @@ def f_inner(X: np.ndarray, Y: np.ndarray, sigma: np.ndarray, k: Kernel1) -> comp
     Yt = V.conj().T @ Y @ V
     JY = V @ (F * Yt) @ V.conj().T
     return complex(np.trace(X.conj().T @ JY))
-
-
-def f_norm_sq(X: np.ndarray, sigma: np.ndarray, k: Kernel1) -> float:
-    return float(np.real(f_inner(X, X, sigma, k)))
 
 
 # ---------------------------------------------------------------------------

@@ -128,7 +128,7 @@ def _draw_samples(L: DbcLindbladian, num_states: int, seed: int) -> np.ndarray:
     weights = (0.0, 0.25, 0.5, 0.75)
     d = L.d
     samples = [L.sigma]  # the invariant state often carries the infimum
-    for i in range(max(num_states - 1, 0)):
+    for i in range(num_states - 1):
         w = weights[i % len(weights)]
         rho = la.herm((1.0 - w) * la.random_density(rng, d) + w * L.sigma)
         lam_min = np.min(np.linalg.eigvalsh(rho))
@@ -150,6 +150,8 @@ def ricci_estimate(L: DbcLindbladian, p: float, num_states: int = 64,
     and its kappa and direction come from a full eigensolve of its
     Cholesky-reduced pair.
     """
+    if num_states < 1:
+        raise ValueError(f"num_states must be at least 1, got {num_states}")
     L.require_jumps()
     samples = _samples(L, num_states, seed)
     blocks = []

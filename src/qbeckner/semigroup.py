@@ -21,7 +21,6 @@ from .errors import (
     NotModularEigenvector,
     NotPrimitive,
     ResidualTooLarge,
-    SingularState,
 )
 
 JUMP_TRACE_TOL = 1e-10
@@ -484,38 +483,8 @@ def alicki_decompose(generator: np.ndarray, sigma: np.ndarray,
 
 
 # ---------------------------------------------------------------------------
-# Derivations, evolution, spectra
+# Evolution
 # ---------------------------------------------------------------------------
-
-
-def derivation(L: DbcLindbladian, j: int, mode: str, X) -> np.ndarray | list:
-    """Noncommutative partial derivative machinery attached to the jumps.
-
-    mode 'forward'     : [V_j, X]
-    mode 'adjoint_kms' : e^(-w_j/2) Vj† X - e^(w_j/2) X Vj†
-    mode 'gradient'    : list of all forward derivatives (j ignored)
-    mode 'divergence'  : -sum_j [Vj†, X_j] for a list X of matrices
-    """
-    L.require_jumps()
-    if mode == "gradient":
-        return [derivation(L, k, "forward", X) for k in range(L.num_jumps)]
-    if mode == "divergence":
-        if len(X) != L.num_jumps:
-            raise IndexError(f"field has {len(X)} components, need {L.num_jumps}")
-        out = np.zeros((L.d, L.d), dtype=complex)
-        for k, (V, _) in enumerate(L.jumps):
-            Vd = V.conj().T
-            out -= Vd @ X[k] - X[k] @ Vd
-        return out
-    if not 0 <= j < L.num_jumps:
-        raise IndexError(f"jump index {j} out of range")
-    V, omega = L.jumps[j]
-    if mode == "forward":
-        return V @ X - X @ V
-    if mode == "adjoint_kms":
-        Vd = V.conj().T
-        return np.exp(-omega / 2.0) * Vd @ X - np.exp(omega / 2.0) * X @ Vd
-    raise ValueError(f"unknown mode {mode!r}")
 
 
 def evolve(L: DbcLindbladian, t: float, picture: str, X: np.ndarray) -> np.ndarray:

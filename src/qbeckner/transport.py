@@ -32,59 +32,6 @@ def _hconj(p: float) -> float:
     return p / (p - 1.0)
 
 
-class MetricKernel:
-    """Multiplication kernel [rho]_{p,w} and its inverse, evaluated spectrally.
-
-    apply(A)  = Gamma^(1/phat) theta_p(e^(w/2p) Y, e^(-w/2p) Y)[Gamma^(1/phat) A]
-    with Y = Gamma^(-1/phat)(rho); solve(A) inverts apply exactly through the
-    reciprocal divided-difference kernel. At p = 2 this is Gamma_sigma.
-    """
-
-    def __init__(self, rho: np.ndarray, sigma: np.ndarray, p: float,
-                 omega: float = 0.0):
-        la.check_full_rank(sigma)
-        self.p = float(p)
-        self.omega = float(omega)
-        phat = _hconj(self.p)
-        s, U = la.herm_eigh(sigma)
-        self._s_pow = (U * s ** (1.0 / (2.0 * phat))) @ U.conj().T
-        self._s_ipow = (U * s ** (-1.0 / (2.0 * phat))) @ U.conj().T
-        Y = la.herm(self._s_ipow @ rho @ self._s_ipow)
-        lam, V = la.herm_eigh(Y)
-        if np.min(lam) <= 0.0:
-            raise SingularState("metric kernel needs a full-rank state")
-        self.lam = lam
-        self.V = V
-        a = np.exp(self.omega / (2.0 * self.p)) * lam
-        b = np.exp(-self.omega / (2.0 * self.p)) * lam
-        self._F = theta_p_kernel(self.p).f(a[:, None], b[None, :])
-
-    def apply(self, A: np.ndarray) -> np.ndarray:
-        inner = self._s_pow @ A @ self._s_pow
-        tilted = self.V.conj().T @ inner @ self.V
-        out = self.V @ (self._F * tilted) @ self.V.conj().T
-        return self._s_pow @ out @ self._s_pow
-
-    def solve(self, A: np.ndarray) -> np.ndarray:
-        inner = self._s_ipow @ A @ self._s_ipow
-        tilted = self.V.conj().T @ inner @ self.V
-        out = self.V @ (tilted / self._F) @ self.V.conj().T
-        return self._s_ipow @ out @ self._s_ipow
-
-    def quad_inverse(self, A: np.ndarray) -> float:
-        """<A, [rho]^{-1} A>, the single-jump action density."""
-        inner = self._s_ipow @ A @ self._s_ipow
-        tilted = self.V.conj().T @ inner @ self.V
-        return float(np.real(np.sum(np.abs(tilted) ** 2 / self._F)))
-
-    def matrix(self) -> np.ndarray:
-        """Dense superoperator of apply()."""
-        G = la.sandwich_super(self._s_pow, self._s_pow)
-        W = np.kron(self.V.conj(), self.V)
-        mid = (W * self._F.flatten(order="F")) @ W.conj().T
-        return G @ mid @ G
-
-
 # ---------------------------------------------------------------------------
 # Spectral frame of the metric kernels
 # ---------------------------------------------------------------------------

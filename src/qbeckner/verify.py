@@ -303,19 +303,24 @@ def check_transport(L: DbcLindbladian, rng: np.random.Generator) -> List[CheckRe
     out.append(_result("trace-distance-lower-bound", tn <= C * dist * (1 + 1e-9),
                        tn, C * dist))
 
-    lam, V = la.herm_eigh(rho)
+    # the kernel field [rho]_j dj A on the model's own jumps, at two nearby p
     A = la.random_hermitian(rng, d)
-    K1 = tp.MetricKernel(rho, L.sigma, 1.5, 0.3)
-    K2 = tp.MetricKernel(rho, L.sigma, 1.5 + 1e-4, 0.3)
-    gap = la.frob(K1.apply(A) - K2.apply(A)) / max(la.frob(K1.apply(A)), 1e-300)
+    K1, K2 = tp._Frame(L, rho, p), tp._Frame(L, rho, p + 1e-4)
+    base = K1.apply(K1.grad(A))
+    gap = la.frob(base - K2.apply(K2.grad(A))) / max(la.frob(base), 1e-300)
     out.append(_result("kernel-p-continuity", gap <= 1e-3, gap, 1e-3))
 
-    # joint convexity of the inverse-kernel quadratic form along segments
+    # joint convexity of sum_j <Z_j, [rho]_j^-1 Z_j> along segments, with
+    # Z = dj of the interpolated direction
     X = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     Y = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     r2 = la.random_density(rng, d, floor=0.05)
-    f = lambda s: tp.MetricKernel((1 - s) * rho + s * r2, L.sigma, 1.5, 0.3) \
-        .quad_inverse((1 - s) * X + s * Y)
+
+    def f(s):
+        fr = tp._Frame(L, (1 - s) * rho + s * r2, p)
+        Z = fr.grad((1 - s) * X + s * Y)
+        return float(np.sum(np.abs(fr.eig(Z, fr.Q)) ** 2 / fr.theta))
+
     mid = f(0.5)
     ends = 0.5 * (f(0.0) + f(1.0))
     out.append(_result("inverse-kernel-joint-convexity", mid <= ends + 1e-9,

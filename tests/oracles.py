@@ -1,23 +1,57 @@
-"""Reference formulas that only the tests use: each is a direct, slower or
-independent form of something the library computes another way."""
+"""Reference formulas that only the tests use.
+
+Each is a direct, slower or independent form of something the library
+computes another way, or a textbook quantity that a test states an identity
+with: MetricKernel is the single-jump form of the spectral frame
+transport._Frame; the s-inner products, the weighted kernel superoperator,
+the variance, the entropy production, Gamma_2 and the KMS adjoint of a
+derivation are the objects the tested identities are written in.
+"""
 
 import numpy as np
 
+from qbeckner import dirichlet as dh
+from qbeckner import entropy as ent
 from qbeckner import linalg as la
 from qbeckner import transport as tp
 from qbeckner.errors import SingularState
-from qbeckner.kernels import Kernel2, _is_same
+from qbeckner.kernels import Kernel1, Kernel2, _is_same, theta_p_kernel
 
 
-def onsager_tensor(L, rho, p, nu1, nu2) -> float:
-    """Riemannian metric g_{p,rho}(nu1, nu2) = <D^+ nu1, nu2> on tangents."""
-    U1 = tp.onsager_pinv_apply(L, rho, p, nu1)
-    return float(np.real(la.hs_inner(U1, nu2)))
+# ---------------------------------------------------------------------------
+# Metric kernel, one jump at a time
+# ---------------------------------------------------------------------------
 
 
-def geodesic_hamiltonian(L, rho, U, p) -> float:
-    """Half the kinetic form <U, D_{p,rho} U>, conserved along geodesics."""
-    return 0.5 * float(np.real(la.hs_inner(tp.onsager_apply(L, rho, p, U), U)))
+class MetricKernel:
+    """Multiplication kernel [rho]_{p,w} and its inverse, evaluated spectrally.
+
+    apply(A)  = Gamma^(1/phat) theta_p(e^(w/2p) Y, e^(-w/2p) Y)[Gamma^(1/phat) A]
+    with Y = Gamma^(-1/phat)(rho); solve(A) inverts apply exactly through the
+    reciprocal divided-difference kernel. At p = 2 this is Gamma_sigma.
+    """
+
+    def __init__(self, rho, sigma, p, omega=0.0):
+        la.check_full_rank(sigma)
+        s = 1.0 / (2.0 * tp._hconj(p))
+        self._s_pow = la.matrix_power_hermitian(sigma, s)
+        self._s_ipow = la.matrix_power_hermitian(sigma, -s)
+        lam, self.V = la.herm_eigh(la.herm(self._s_ipow @ rho @ self._s_ipow))
+        if np.min(lam) <= 0.0:
+            raise SingularState("metric kernel needs a full-rank state")
+        a = np.exp(omega / (2.0 * p)) * lam
+        b = np.exp(-omega / (2.0 * p)) * lam
+        self._F = theta_p_kernel(p).f(a[:, None], b[None, :])
+
+    def _schur(self, S, A, F):
+        tilted = self.V.conj().T @ (S @ A @ S) @ self.V
+        return S @ (self.V @ (F * tilted) @ self.V.conj().T) @ S
+
+    def apply(self, A):
+        return self._schur(self._s_pow, A, self._F)
+
+    def solve(self, A):
+        return self._schur(self._s_ipow, A, 1.0 / self._F)
 
 
 def theta_log_kernel() -> Kernel2:
@@ -48,3 +82,106 @@ def carlen_maas_apply(rho, omega, A):
     b = np.exp(-omega / 2.0) * lam
     F = th.f(a[:, None], b[None, :])
     return V @ (F * (V.conj().T @ A @ V)) @ V.conj().T
+
+
+def kernel_matrices(L, rho, p):
+    """Dense superoperator of X -> [rho]_{p,w_j} X for every jump, (J, d^2, d^2):
+    the spectral frame applied to every matrix unit."""
+    d = L.d
+    units = np.swapaxes(np.eye(d * d).reshape(d * d, d, d), 1, 2)
+    fr = tp._Frame(L, rho, p)
+    out = fr.apply(np.broadcast_to(units[:, None], (d * d, L.num_jumps, d, d)))
+    return np.array([la.vec_columns(out[:, j]) for j in range(L.num_jumps)])
+
+
+# ---------------------------------------------------------------------------
+# Onsager operator and geodesics
+# ---------------------------------------------------------------------------
+
+
+def onsager_tensor(L, rho, p, nu1, nu2) -> float:
+    """Riemannian metric g_{p,rho}(nu1, nu2) = <D^+ nu1, nu2> on tangents."""
+    U1 = tp.onsager_pinv_apply(L, rho, p, nu1)
+    return float(np.real(la.hs_inner(U1, nu2)))
+
+
+def geodesic_hamiltonian(L, rho, U, p) -> float:
+    """Half the kinetic form <U, D_{p,rho} U>, conserved along geodesics."""
+    return 0.5 * float(np.real(la.hs_inner(tp.onsager_apply(L, rho, p, U), U)))
+
+
+# ---------------------------------------------------------------------------
+# Weighted inner products and kernels
+# ---------------------------------------------------------------------------
+
+
+def identity_kernel() -> Kernel1:
+    return Kernel1("identity", f=lambda x: x, df=lambda x: np.ones_like(x))
+
+
+def s_inner(X, Y, sigma, s) -> complex:
+    """tr(sigma^s X† sigma^(1-s) Y) for full-rank sigma."""
+    la.check_full_rank(sigma)
+    ss = la.matrix_power_hermitian(sigma, s)
+    s1 = la.matrix_power_hermitian(sigma, 1.0 - s)
+    return complex(np.trace(ss @ X.conj().T @ s1 @ Y))
+
+
+def kms_inner(X, Y, sigma) -> complex:
+    return s_inner(X, Y, sigma, 0.5)
+
+
+def gns_inner(X, Y, sigma) -> complex:
+    return s_inner(X, Y, sigma, 1.0)
+
+
+def f_norm_sq(X, sigma, k: Kernel1) -> float:
+    """<X, R_sigma f(Delta_sigma) X>."""
+    return float(np.real(la.f_inner(X, X, sigma, k)))
+
+
+def j_kernel_super(sigma, k: Kernel1):
+    """Weighted kernel operator R_sigma f(Delta_sigma) as a superoperator."""
+    la.check_full_rank(sigma)
+    w, V = la.herm_eigh(sigma)
+    ratios = w[:, None] / w[None, :]
+    k.check_domain(ratios.ravel())
+    weights = k.f(ratios) * w[None, :]
+    W = np.kron(V.conj(), V)
+    return (W * weights.flatten(order="F")) @ W.conj().T
+
+
+# ---------------------------------------------------------------------------
+# Variance, entropy production and the Gamma calculus
+# ---------------------------------------------------------------------------
+
+
+def variance(X, sigma) -> float:
+    """Var_sigma(X) = ||X||_{2,sigma}^2 - ||X||_{1,sigma}^2."""
+    return ent._clamp(ent.weighted_p_norm(X, sigma, 2.0) ** 2
+                      - ent.weighted_p_norm(X, sigma, 1.0) ** 2)
+
+
+def entropy_production(L, rho, p) -> float:
+    """(4/p^2) E_{p,L}(Gamma^{-1} rho) = -d/dt F_{p,sigma}(rho_t) at t = 0."""
+    w = np.linalg.eigvalsh(la.herm(rho))
+    if np.min(w) < la.FULL_RANK_FLOOR:
+        raise SingularState("entropy production needs a full-rank state")
+    X = ent.relative_density(rho, L.sigma)
+    return (4.0 / p**2) * dh.dirichlet_form(L, X, p).value
+
+
+def carre_du_champ_2(L, X, Y=None):
+    """Gamma_2(X, Y) = -(Gamma(X, L Y) + Gamma(L X, Y) - L Gamma(X, Y)) / 2."""
+    if Y is None:
+        Y = X
+    return -0.5 * (dh.carre_du_champ(L, X, L.apply(Y))
+                   + dh.carre_du_champ(L, L.apply(X), Y)
+                   - L.apply(dh.carre_du_champ(L, X, Y)))
+
+
+def kms_adjoint_derivation(L, j, X):
+    """e^(-w_j/2) Vj† X - e^(w_j/2) X Vj†, the KMS adjoint of X -> [V_j, X]."""
+    V, omega = L.jumps[j]
+    Vd = V.conj().T
+    return np.exp(-omega / 2.0) * Vd @ X - np.exp(omega / 2.0) * X @ Vd

@@ -14,6 +14,7 @@ from qbeckner.errors import (
     NotSymmetric,
 )
 
+import oracles
 from conftest import SIGMA_STAR
 
 FAST = ct.EstimateOpts(num_starts=8, seed=3)
@@ -88,10 +89,20 @@ class TestEstimateConstant:
         U = U - np.trace(SIGMA_STAR @ U).real * np.eye(2)
         Z = np.eye(2) + eps * U
         norm_p = ent.weighted_p_norm(Z, SIGMA_STAR, p) ** p
-        quad = la.f_norm_sq(U, SIGMA_STAR, phi_p_kernel(p))
+        quad = oracles.f_norm_sq(U, SIGMA_STAR, phi_p_kernel(p))
         expected = 1.0 + eps * p * np.trace(SIGMA_STAR @ U).real \
             + eps**2 / 2.0 * p * (p - 1.0) * quad
         assert norm_p == pytest.approx(expected, abs=5e-11)
+
+    @pytest.mark.parametrize("kind,p,q", [
+        ("beckner", None, None), ("beckner", 0.5, None), ("beckner", 1.0, None),
+        ("beckner", 2.5, None), ("dual_beckner", None, None),
+        ("dual_beckner", None, 0.5), ("dual_beckner", None, 2.0),
+        ("dual_beckner", None, 2.5)])
+    def test_parameter_out_of_range_rejected(self, depol2, kind, p, q):
+        # the ranges of config_from_dict: p in (1, 2], q in [1, 2)
+        with pytest.raises(ValueError, match=kind):
+            ct.estimate_constant(depol2, kind, p=p, q=q, opts=FAST)
 
     def test_not_primitive_rejected(self):
         L = sg.random_dbc(SIGMA_STAR, 0, 0, seed=1)

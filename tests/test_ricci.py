@@ -10,8 +10,6 @@ from qbeckner import transport as tp
 from qbeckner.entropy import p_divergence
 from qbeckner.errors import NonPositiveCurvature, SingularMetric
 
-from conftest import SIGMA_STAR
-
 
 class TestHessianForm:
     def test_at_invariant_state(self, rng, depol_flat):
@@ -165,6 +163,12 @@ class TestRicciEstimate:
         monkeypatch.setattr(rc, "hessian_matrix", second_block_breaks)
         with pytest.raises(SingularMetric, match=f"sample {rc.BLOCK + 1} "):
             rc.ricci_estimate(dbc2, 1.5, num_states=2 * rc.BLOCK, seed=7)
+
+
+    @pytest.mark.parametrize("num_states", [0, -1])
+    def test_no_samples_rejected(self, dbc2, num_states):
+        with pytest.raises(ValueError, match="num_states"):
+            rc.ricci_estimate(dbc2, 1.5, num_states=num_states, seed=7)
 
 
 class TestInequalityChecks:

@@ -4,6 +4,7 @@ import pytest
 from qbeckner import kernels as kn
 from qbeckner import linalg as la
 from qbeckner import semigroup as sg
+from qbeckner import transport as tp
 from qbeckner.errors import (
     NotDbc,
     NotModularEigenvector,
@@ -12,7 +13,7 @@ from qbeckner.errors import (
 )
 
 import oracles
-from conftest import PAULI, SIGMA_STAR
+from conftest import SIGMA_STAR
 
 
 class TestBuildFromJumps:
@@ -136,37 +137,38 @@ class TestAlickiDecompose:
 
 
 class TestDerivation:
+    """The jump derivations dj X = [V_j, X], their divergence (the spectral
+    frame's grad and div) and their KMS adjoints."""
+
     def test_identity_in_kernel(self, dbc3):
+        grad = tp._Frame(dbc3, dbc3.sigma, 2.0).grad(np.eye(3))
         for j in range(dbc3.num_jumps):
-            assert la.frob(sg.derivation(dbc3, j, "forward", np.eye(3))) <= 1e-14
+            assert la.frob(grad[j]) <= 1e-14
 
     def test_integration_by_parts(self, rng, dbc3):
         X = la.random_hermitian(rng, 3)
         Y = la.random_hermitian(rng, 3)
-        lhs = -la.kms_inner(Y, dbc3.apply(X), dbc3.sigma)
-        rhs = sum(la.kms_inner(sg.derivation(dbc3, j, "forward", Y),
-                               sg.derivation(dbc3, j, "forward", X), dbc3.sigma)
-                  for j in range(dbc3.num_jumps))
+        fr = tp._Frame(dbc3, dbc3.sigma, 2.0)
+        lhs = -oracles.kms_inner(Y, dbc3.apply(X), dbc3.sigma)
+        rhs = sum(oracles.kms_inner(dY, dX, dbc3.sigma)
+                  for dY, dX in zip(fr.grad(Y), fr.grad(X)))
         assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), 1.0)
 
     def test_generator_representation(self, rng, dbc3):
         X = la.random_hermitian(rng, 3)
+        grad = tp._Frame(dbc3, dbc3.sigma, 2.0).grad(X)
         acc = np.zeros((3, 3), dtype=complex)
         for j in range(dbc3.num_jumps):
-            acc -= sg.derivation(dbc3, j, "adjoint_kms",
-                                 sg.derivation(dbc3, j, "forward", X))
+            acc -= oracles.kms_adjoint_derivation(dbc3, j, grad[j])
         assert la.frob(acc - dbc3.apply(X)) <= 1e-10 * max(la.frob(acc), 1.0)
 
     def test_gradient_and_divergence(self, rng, dbc3):
         X = la.random_hermitian(rng, 3)
-        grad = sg.derivation(dbc3, 0, "gradient", X)
+        fr = tp._Frame(dbc3, dbc3.sigma, 2.0)
+        grad = fr.grad(X)
         assert len(grad) == dbc3.num_jumps
-        div = sg.derivation(dbc3, 0, "divergence", grad)
+        div = fr.div(grad)
         assert abs(np.trace(div)) <= 1e-12
-
-    def test_index_out_of_range(self, dbc3):
-        with pytest.raises(IndexError):
-            sg.derivation(dbc3, dbc3.num_jumps, "forward", np.eye(3))
 
 
 class TestEvolve:
@@ -268,8 +270,8 @@ class TestDbcInvariants:
         L = sg.random_dbc(sigma, 3, 1, seed=23)
         X = la.random_hermitian(rng, 3)
         Y = la.random_hermitian(rng, 3)
-        lhs = la.gns_inner(L.apply(X), Y, sigma)
-        rhs = la.gns_inner(X, L.apply(Y), sigma)
+        lhs = oracles.gns_inner(L.apply(X), Y, sigma)
+        rhs = oracles.gns_inner(X, L.apply(Y), sigma)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 
     def test_modular_commutation(self, dbc3):

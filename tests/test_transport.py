@@ -6,7 +6,6 @@ import pytest
 from qbeckner import linalg as la
 from qbeckner import semigroup as sg
 from qbeckner import transport as tp
-from qbeckner.entropy import relative_density
 from qbeckner.errors import KernelComponent, NoJumps, SingularMetric, SingularState
 from qbeckner.kernels import Kernel1, kappa_alpha_kernel
 
@@ -15,56 +14,63 @@ from conftest import SIGMA_STAR
 
 
 class TestMetricKernel:
-    def test_p2_is_state_weighting(self, rng):
+    """Properties of the library's kernels [rho]_{p,w_j}, the spectral frame."""
+
+    def test_p2_is_state_weighting(self, rng, dbc2):
         rho = la.random_density(rng, 2, floor=0.05)
-        K = tp.MetricKernel(rho, SIGMA_STAR, 2.0, omega=0.4)
-        A = la.random_hermitian(rng, 2)
+        fr = tp._Frame(dbc2, rho, 2.0)
+        X = fr.grad(la.random_hermitian(rng, 2))
         half = la.matrix_power_hermitian(SIGMA_STAR, 0.5)
-        assert la.frob(K.apply(A) - half @ A @ half) <= 1e-12
+        assert la.frob(fr.apply(X) - half @ X @ half) <= 1e-12
 
     def test_solve_inverts_apply(self, rng):
+        # the single-jump reference inverts its kernel exactly
         rho = la.random_density(rng, 3, floor=0.05)
         sigma = la.random_density(rng, 3, floor=0.05)
-        K = tp.MetricKernel(rho, sigma, 1.4, omega=-0.7)
+        K = oracles.MetricKernel(rho, sigma, 1.4, omega=-0.7)
         A = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         assert la.frob(K.solve(K.apply(A)) - A) <= 1e-10 * la.frob(A)
 
-    def test_matrix_is_positive_definite(self, rng):
+    def test_matrix_is_positive_definite(self, rng, dbc2):
         rho = la.random_density(rng, 2, floor=0.05)
-        M = tp.MetricKernel(rho, SIGMA_STAR, 1.5, omega=0.3).matrix()
-        assert la.frob(M - M.conj().T) <= 1e-10 * la.frob(M)
-        assert np.min(np.linalg.eigvalsh(la.herm(M))) > 0
+        for M in oracles.kernel_matrices(dbc2, rho, 1.5):
+            assert la.frob(M - M.conj().T) <= 1e-10 * la.frob(M)
+            assert np.min(np.linalg.eigvalsh(la.herm(M))) > 0
 
     def test_invariant_state_kernel_identity(self, rng):
         # [sigma]_{p,0} equals the inverse power-difference weighting
         sigma = la.random_density(rng, 3, floor=0.05)
+        L = sg.random_dbc(sigma, 3, 1, seed=23)
         p = 1.6
-        M = tp.MetricKernel(sigma, sigma, p, 0.0).matrix()
         kap = kappa_alpha_kernel(1.0 / p)
         inv = Kernel1("1/kappa", f=lambda x: 1.0 / kap.f(x), domain_min=0.0,
                       allow_boundary=False)
-        ref = la.j_kernel_super(sigma, inv)
-        assert la.frob(M - ref) <= 1e-10 * la.frob(ref)
+        ref = oracles.j_kernel_super(L.sigma, inv)
+        flat = [j for j, (_, omega) in enumerate(L.jumps) if omega == 0.0]
+        assert flat
+        M = oracles.kernel_matrices(L, L.sigma, p)
+        for j in flat:
+            assert la.frob(M[j] - ref) <= 1e-10 * la.frob(ref)
 
-    def test_near_one_matches_logarithmic_mean(self, rng):
+    def test_near_one_matches_logarithmic_mean(self, rng, dbc3):
         rho = la.random_density(rng, 3, floor=0.05)
-        sigma = la.random_density(rng, 3, floor=0.05)
         A = la.random_hermitian(rng, 3)
-        out = tp.MetricKernel(rho, sigma, 1.001, omega=0.4).apply(A)
-        ref = oracles.carlen_maas_apply(rho, 0.4, A)
-        assert la.frob(out - ref) <= 1e-2 * la.frob(ref)
+        fr = tp._Frame(dbc3, rho, 1.001)
+        X = fr.grad(A)
+        ref = np.array([oracles.carlen_maas_apply(rho, omega, Xj)
+                        for Xj, (_, omega) in zip(X, dbc3.jumps)])
+        assert la.frob(fr.apply(X) - ref) <= 1e-2 * la.frob(ref)
 
-    def test_continuity_in_p(self, rng):
+    def test_continuity_in_p(self, rng, dbc3):
         rho = la.random_density(rng, 3, floor=0.05)
-        sigma = la.random_density(rng, 3, floor=0.05)
         A = la.random_hermitian(rng, 3)
-        base = tp.MetricKernel(rho, sigma, 1.5, 0.3).apply(A)
-        moved = tp.MetricKernel(rho, sigma, 1.5 + 1e-4, 0.3).apply(A)
+        base, moved = (fr.apply(fr.grad(A)) for fr in
+                       (tp._Frame(dbc3, rho, 1.5), tp._Frame(dbc3, rho, 1.5 + 1e-4)))
         assert la.frob(base - moved) <= 1e-3 * la.frob(base)
 
-    def test_singular_state_rejected(self):
+    def test_singular_state_rejected(self, dbc2):
         with pytest.raises(SingularState):
-            tp.MetricKernel(np.diag([1.0, 0.0]).astype(complex), SIGMA_STAR, 1.5)
+            tp._Frame(dbc2, np.diag([1.0, 0.0]).astype(complex), 1.5)
 
 
 class TestOnsager:
@@ -90,7 +96,7 @@ class TestOnsager:
 
 
 class TestFrame:
-    """The spectral frame against the single-jump MetricKernel reference and
+    """The spectral frame against the single-jump oracles.MetricKernel and
     against central differences of its own kinetic form."""
 
     @pytest.fixture(params=["dbc3", "dbc4"])
@@ -104,7 +110,7 @@ class TestFrame:
         fr = tp._Frame(model, rho, p)
         out = fr.apply(fr.grad(U))
         for j, (V, omega) in enumerate(model.jumps):
-            ref = tp.MetricKernel(rho, model.sigma, p, omega).apply(V @ U - U @ V)
+            ref = oracles.MetricKernel(rho, model.sigma, p, omega).apply(V @ U - U @ V)
             assert la.frob(out[j] - ref) <= 1e-12 * max(la.frob(ref), 1.0)
 
     # the ids name the kernel whose state derivative is checked
@@ -317,15 +323,17 @@ class TestPathEnergy:
 
 class TestInverseKernelConvexity:
     def test_joint_convexity_along_segments(self, rng):
-        sigma = la.random_density(rng, 3, floor=0.05)
+        # sum_j <Z_j, [rho]_j^-1 Z_j> with Z = dj X, jointly in (rho, X)
+        L = sg.random_dbc(la.random_density(rng, 3, floor=0.05), 3, 1, seed=23)
         rho_a = la.random_density(rng, 3, floor=0.05)
         rho_b = la.random_density(rng, 3, floor=0.05)
         Xa = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         Xb = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
 
         def val(s):
-            K = tp.MetricKernel((1 - s) * rho_a + s * rho_b, sigma, 1.5, 0.3)
-            return K.quad_inverse((1 - s) * Xa + s * Xb)
+            fr = tp._Frame(L, (1 - s) * rho_a + s * rho_b, 1.5)
+            Z = fr.grad((1 - s) * Xa + s * Xb)
+            return float(np.sum(np.abs(fr.eig(Z, fr.Q)) ** 2 / fr.theta))
 
         for s in (0.25, 0.5, 0.75):
             assert val(s) <= (1 - s) * val(0.0) + s * val(1.0) + 1e-9

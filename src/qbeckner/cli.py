@@ -19,6 +19,7 @@ from . import linalg as la
 from . import ricci as rc
 from . import transport as tp
 from .config import (
+    ALL_TASKS,
     DEFAULT_TOLERANCES,
     ExperimentConfig,
     build_generator,
@@ -29,12 +30,6 @@ from .config import (
 from .errors import ConfigError, QBecknerError, UnknownFixture
 from .semigroup import DbcLindbladian, evolve
 from .verify import verify_suite
-
-TASK_ORDER = ["constants", "decay", "mixing", "transport", "ricci", "verify"]
-# decay and mixing run off closed-form constant tables; only the curvature
-# cross-report consumes the estimated constants
-NEEDS_CONSTANTS = {"ricci"}
-
 
 def _jsonable(obj):
     if isinstance(obj, dict):
@@ -55,23 +50,15 @@ def _jsonable(obj):
     return obj
 
 
-def _alpha_table(cfg: ExperimentConfig, L: DbcLindbladian) -> Dict[float, float]:
-    """Valid lower bounds on the Beckner constants used for decay/mixing
-    bounds: the classical reduction for the flat depolarizing model, the
-    certified spectral-gap bounds otherwise."""
-    lam = L.primitivity.spectral_gap
-    if L.tracial and cfg.generator.get("kind") == "depolarizing":
-        gamma = float(cfg.generator.get("gamma", 1.0))
-        return {p: gamma * ct.depol_classical(p, L.d) for p in cfg.p_grid}
-    smin = L.sigma_min
-    return {p: ct.certified_alpha_lower(lam, smin, p) for p in cfg.p_grid}
+def _estimate_opts(cfg: ExperimentConfig) -> ct.EstimateOpts:
+    """The optimizer settings of every constant a task estimates."""
+    return ct.EstimateOpts(num_starts=cfg.num_starts, seed=int(cfg.seeds.get("starts", 0)))
 
 
 def run_constants(cfg: ExperimentConfig, L: DbcLindbladian) -> Tuple[Dict, Dict]:
     """The constants table and ledger, and the optimizer's per-start
     diagnostics of every optimized estimate."""
-    opts = ct.EstimateOpts(num_starts=cfg.num_starts,
-                           seed=int(cfg.seeds.get("starts", 0)))
+    opts = _estimate_opts(cfg)
     estimates = {("poincare",): ct.estimate_constant(L, "poincare")}
     for p in cfg.p_grid:
         estimates[("beckner", p)] = ct.estimate_constant(L, "beckner", p=p, opts=opts)
@@ -104,7 +91,7 @@ def run_constants(cfg: ExperimentConfig, L: DbcLindbladian) -> Tuple[Dict, Dict]
 def run_decay(cfg: ExperimentConfig, L: DbcLindbladian) -> Dict:
     rng = np.random.default_rng(int(cfg.seeds.get("master", 7)))
     rho0 = la.random_density(rng, L.d, floor=0.02)
-    alphas = _alpha_table(cfg, L)
+    alphas = {p: ct.alpha_lower(L, p) for p in cfg.p_grid}
     ts = np.linspace(0.0, 5.0, 16)
     curves = {}
     for p in cfg.p_grid:
@@ -123,11 +110,11 @@ def run_decay(cfg: ExperimentConfig, L: DbcLindbladian) -> Dict:
 
 
 def run_mixing(cfg: ExperimentConfig, L: DbcLindbladian) -> Dict:
-    alphas = _alpha_table(cfg, L)
+    alphas = {p: ct.alpha_lower(L, p) for p in cfg.p_grid}
     rows = []
     for eps in cfg.epsilons:
-        emp = ct.mixing(L, eps, "empirical", seed=int(cfg.seeds.get("master", 7)))
-        bound = ct.mixing(L, eps, "bound_inf", alphas=alphas, p_grid=cfg.p_grid)
+        emp = ct.mixing_time(L, eps, seed=int(cfg.seeds.get("master", 7)))
+        bound = float(min(ct.mixing_bound(p, L.sigma_min, eps, a) for p, a in alphas.items()))
         rows.append({"epsilon": eps, "empirical": emp, "bound_inf": bound,
                      "within": emp <= bound})
     return {"rows": rows, "all_within_bound": all(r["within"] for r in rows)}
@@ -166,8 +153,10 @@ def run_transport(cfg: ExperimentConfig, L: DbcLindbladian) -> Tuple[Dict, List[
     return {"solves": results}, diagnostics
 
 
-def run_ricci(cfg: ExperimentConfig, L: DbcLindbladian,
-              constants_out: Optional[Dict]) -> Dict:
+def run_ricci(cfg: ExperimentConfig, L: DbcLindbladian) -> Dict:
+    """Curvature at the smallest and largest p of the grid; where kappa > 0,
+    the inequalities it drives and the estimated Beckner constant that
+    kappa p / 2 must not exceed."""
     rng = np.random.default_rng(int(cfg.seeds.get("master", 7)))
     ps = sorted({min(cfg.p_grid), max(cfg.p_grid)})
     out = {}
@@ -183,11 +172,9 @@ def run_ricci(cfg: ExperimentConfig, L: DbcLindbladian,
                 L, p, est.kappa, states, checks=("hwi", "tcp", "diameter"),
                 w_opts=tp.W2Opts(N=min(cfg.transport_steps, 12)))
             entry["inequalities"] = checks
-            if constants_out is not None:
-                alpha = constants_out["estimates"].get(f"beckner[{p}]")
-                if alpha is not None:
-                    entry["beckner_vs_curvature"] = {
-                        "alpha_estimate": alpha, "kappa_p_over_2": est.kappa * p / 2.0}
+            alpha = ct.estimate_constant(L, "beckner", p=p, opts=_estimate_opts(cfg))
+            entry["beckner_vs_curvature"] = {
+                "alpha_estimate": alpha.value, "kappa_p_over_2": est.kappa * p / 2.0}
         out[str(p)] = entry
     return out
 
@@ -201,25 +188,22 @@ def _violated(ricci_out: Dict, tol: float) -> bool:
 
 
 def run(cfg: ExperimentConfig) -> Dict:
-    """Execute the configured tasks in dependency order; errors per task are
-    collected and the run continues. Deterministic given the seeds."""
+    """Execute the configured tasks in the order of config.ALL_TASKS; errors
+    per task are collected and the run continues. Deterministic given the
+    seeds."""
     report: Dict = {"config": cfg.to_dict(), "results": {}, "errors": {},
                     "diagnostics": {}, "timings": {}, "summary": {}}
-    tasks = [t for t in TASK_ORDER if t in cfg.tasks]
-    if any(t in NEEDS_CONSTANTS for t in tasks) and "constants" not in tasks:
-        tasks.insert(0, "constants")
     L = None
-    constants_out = None
     failures = []
-    for task in tasks:
+    for task in (t for t in ALL_TASKS if t in cfg.tasks):
         t0 = time.perf_counter()
         try:
             if L is None and task != "verify":
                 L = build_generator(cfg)
             if task == "constants":
-                constants_out, report["diagnostics"]["constants"] = run_constants(cfg, L)
-                report["results"]["constants"] = constants_out
-                if not constants_out["ledger_hard_pass"]:
+                out, report["diagnostics"]["constants"] = run_constants(cfg, L)
+                report["results"]["constants"] = out
+                if not out["ledger_hard_pass"]:
                     failures.append("constants.ledger")
             elif task in ("decay", "mixing"):
                 out = (run_decay if task == "decay" else run_mixing)(cfg, L)
@@ -234,7 +218,7 @@ def run(cfg: ExperimentConfig) -> Dict:
                 if not all(s["trace_lower_bound_ok"] for s in out["solves"]):
                     failures.append("transport.trace_bound")
             elif task == "ricci":
-                out = run_ricci(cfg, L, constants_out)
+                out = run_ricci(cfg, L)
                 report["results"]["ricci"] = out
                 tol = cfg.tolerances.get("w_discretization",
                                          DEFAULT_TOLERANCES["w_discretization"])
@@ -354,7 +338,7 @@ def main(argv: Optional[List[str]] = None) -> int:
         prog="qbeckner",
         description="Functional inequalities and transport metrics of "
                     "detailed-balance quantum Markov semigroups")
-    parser.add_argument("task", choices=TASK_ORDER + ["fixtures"],
+    parser.add_argument("task", choices=ALL_TASKS + ["fixtures"],
                         help="task to run, or 'fixtures' to print a canonical config")
     parser.add_argument("--config", help="path to a JSON config")
     parser.add_argument("--fixture", default="depol2",

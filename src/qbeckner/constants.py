@@ -18,6 +18,7 @@ from . import linalg as la
 from .errors import (
     IncompatibleJumps,
     MissingEstimate,
+    NotPrimitive,
     NotSymmetric,
     OptimizerDiverged,
 )
@@ -413,6 +414,21 @@ def certified_alpha_lower(lam: float, sigma_min: float, p: float) -> float:
     return max(lam * (p - 1.0), p * p * sigma_min ** (2.0 - p) * lam / 4.0)
 
 
+def alpha_lower(L: DbcLindbladian, p: float) -> float:
+    """The lower bound on the p-Beckner constant of L that decay, mixing
+    and verify use: gamma depol_classical(p, d) on the flat depolarizing
+    semigroup of rate gamma (DbcLindbladian.flat_depolarizing_rate), the
+    certified spectral-gap bound otherwise. NotPrimitive when L has no
+    spectral gap to bound with, as on a one-dimensional model."""
+    rate = L.flat_depolarizing_rate
+    if rate is not None:
+        return rate * depol_classical(p, L.d)
+    lam = L.require_primitive().spectral_gap
+    if lam <= 0.0:
+        raise NotPrimitive(f"no spectral gap on a {L.d}-dimensional model")
+    return certified_alpha_lower(lam, L.sigma_min, p)
+
+
 def certified_uniform_alpha(lam: float, sigma_min: float) -> float:
     """A p-uniform certified lower bound on the Beckner constants.
 
@@ -575,41 +591,15 @@ def mixing_bound(p: float, sigma_min: float, eps: float, alpha_p: float) -> floa
     return (p / (2.0 * alpha_p)) * np.log(np.sqrt(inner) / eps)
 
 
-def mixing(L: DbcLindbladian, eps: float, mode: str,
-           alphas: Dict[float, float] | None = None,
-           p_grid: Sequence[float] | None = None,
-           p: float | None = None, seed: int = 0) -> float:
-    """Mixing-time bounds and an empirical trace-distance mixing time.
-
-    mode 'bound'     : h(p, sigma_min, eps) for the given p.
-    mode 'bound_inf' : min of h over the p grid.
-    mode 'empirical' : crossing time of max over a witness set (the
-                       eigenstates of sigma plus 8 seeded random pure states)
-                       of ||P_t† rho - sigma||_1 against eps, bisected to 1%
-                       and reported from below, so the returned value never
-                       exceeds the true mixing time.
-
-    When ``alphas`` is None the certified spectral-gap lower bounds are used,
-    which keeps the bound valid at the price of slack.
-    """
+def mixing_time(L: DbcLindbladian, eps: float, seed: int = 0) -> float:
+    """Empirical trace-distance mixing time: the crossing time of the max
+    over a witness set (the eigenstates of sigma plus 8 seeded random pure
+    states) of ||P_t† rho - sigma||_1 against eps, bisected to 1% and
+    reported from below, so the returned value never exceeds the true
+    mixing time."""
     if not 0.0 < eps < 2.0:
         raise ValueError("eps must lie in (0, 2)")
     rep = L.require_primitive()
-    smin = L.sigma_min
-    if mode in ("bound", "bound_inf"):
-        grid = list(p_grid) if p_grid is not None else [1.05, 1.1, 1.25, 1.5, 1.75, 2.0]
-        if mode == "bound":
-            grid = [float(p)]
-
-        def alpha_of(pp: float) -> float:
-            if alphas is not None and pp in alphas:
-                return alphas[pp]
-            return certified_alpha_lower(rep.spectral_gap, smin, pp)
-
-        return float(min(mixing_bound(pp, smin, eps, alpha_of(pp)) for pp in grid))
-    if mode != "empirical":
-        raise ValueError(f"unknown mode {mode!r}")
-
     d = L.d
     _, U = L.sigma_eig
     witnesses = [np.outer(U[:, k], U[:, k].conj()) for k in range(d)]

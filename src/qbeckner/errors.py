@@ -42,7 +42,7 @@ class NoJumps(QBecknerError):
 
 
 class NotPrimitive(QBecknerError):
-    """Generator has a degenerate fixed-point space."""
+    """Generator has a degenerate fixed-point space, or no spectral gap."""
 
 
 class NotSymmetric(QBecknerError):

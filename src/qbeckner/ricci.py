@@ -4,7 +4,7 @@ and the interpolation/transport/contraction inequality chain."""
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Dict, List, Optional, Sequence, Tuple
+from typing import Dict, List, Sequence, Tuple
 
 import numpy as np
 
@@ -184,7 +184,6 @@ def _distance(L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray, p: float,
 def inequality_checks(L: DbcLindbladian, p: float, kappa: float,
                       states: Sequence[np.ndarray],
                       checks: Sequence[str] = ("hwi", "tcp", "diameter"),
-                      alpha_p: Optional[float] = None,
                       w_opts: tp.W2Opts = tp.W2Opts()) -> Dict[str, list]:
     """Evaluate curvature-driven inequalities on a list of states.
 
@@ -192,8 +191,7 @@ def inequality_checks(L: DbcLindbladian, p: float, kappa: float,
     tolerance; slacks (rhs - lhs) are reported, not asserted. A solve that
     does not converge raises OptimizerDiverged.
     """
-    if any(c in ("tcp", "diameter", "beckner_from_ricci") for c in checks) \
-            and kappa <= 0:
+    if any(c in ("tcp", "diameter") for c in checks) and kappa <= 0:
         raise NonPositiveCurvature("checks need kappa > 0")
     report: Dict[str, list] = {c: [] for c in checks}
     smin = L.sigma_min
@@ -212,12 +210,6 @@ def inequality_checks(L: DbcLindbladian, p: float, kappa: float,
             bound = 8.0 * (smin ** (1.0 - p) - 1.0) / (kappa * p * (p - 1.0))
             report["diameter"].append({"lhs": W * W, "rhs": bound,
                                        "slack": bound - W * W})
-    if "beckner_from_ricci" in checks:
-        if alpha_p is None:
-            raise NonPositiveCurvature("beckner_from_ricci needs alpha_p")
-        report["beckner_from_ricci"].append(
-            {"lhs": kappa * p / 2.0, "rhs": alpha_p,
-             "slack": alpha_p - kappa * p / 2.0})
     return report
 
 

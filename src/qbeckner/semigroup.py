@@ -1,8 +1,8 @@
 """Primitive quantum Markov semigroups with detailed balance.
 
-A generator is stored as a pair of superoperator matrices (Heisenberg and
-Schrodinger pictures) together with the invariant state and a jump
-representation ``L(X) = sum_j e^(-w_j/2) Vj† [X, Vj] + e^(w_j/2) [Vj, X] Vj†``
+A generator is stored as its Heisenberg-picture superoperator matrix (the
+Schrodinger picture is its adjoint) together with the invariant state and a
+jump representation ``L(X) = sum_j e^(-w_j/2) Vj† [X, Vj] + e^(w_j/2) [Vj, X] Vj†``
 whose jump operators are trace-free eigenvectors of the modular operator.
 """
 
@@ -106,7 +106,6 @@ class DbcLindbladian:
     sigma: np.ndarray
     jumps: Tuple[JumpTerm, ...]
     generator: np.ndarray
-    dual_generator: np.ndarray
 
     @property
     def d(self) -> int:
@@ -148,6 +147,27 @@ class DbcLindbladian:
         """Whether sigma = I/d to 1e-10 in Frobenius norm: the flat invariant
         state of the symmetric semigroups."""
         return bool(la.frob(self.sigma - np.eye(self.d) / self.d) <= 1e-10)
+
+    @cached_property
+    def flat_depolarizing_rate(self) -> float | None:
+        """gamma when d >= 2, sigma = I/d and the generator is
+        gamma (|vec 1><vec sigma| - id) to 1e-8 relative: the flat depolarizing
+        semigroup, whose Beckner constants are gamma times the two-point values
+        (constants.depol_classical). None for every other generator. gamma is
+        read off one diagonal entry, exactly as depolarizing() wrote it."""
+        d = self.d
+        if d < 2 or not self.tracial:
+            return None
+        gamma = -float(self.generator[1, 1].real)
+        flat = gamma * (np.outer(la.vec(np.eye(d)), la.vec(self.sigma).conj()) - np.eye(d * d))
+        if gamma <= 0.0 or la.frob(self.generator - flat) > 1e-8 * la.frob(self.generator):
+            return None
+        return gamma
+
+    @cached_property
+    def dual_generator(self) -> np.ndarray:
+        """Schrodinger-picture generator, the adjoint of the generator."""
+        return self.generator.conj().T
 
     @property
     def sigma_min(self) -> float:
@@ -260,8 +280,7 @@ def build_from_jumps(sigma: np.ndarray, jumps: Sequence[JumpTerm]) -> DbcLindbla
         validate_jump(sigma, jump)
     jumps = complete_pairs(jumps)
     gen = generator_from_jumps(jumps, d)
-    L = DbcLindbladian(sigma=sigma, jumps=tuple(jumps), generator=gen,
-                       dual_generator=gen.conj().T)
+    L = DbcLindbladian(sigma=sigma, jumps=tuple(jumps), generator=gen)
     validate_dbc(L)
     return L
 
@@ -276,15 +295,13 @@ def depolarizing(sigma: np.ndarray, gamma: float) -> DbcLindbladian:
     eye_vec = la.vec(np.eye(d))
     gen = gamma * (np.outer(eye_vec, la.vec(sigma).conj()) - np.eye(d * d))
     if d == 1:  # B(H) is scalar: the generator vanishes identically
-        return DbcLindbladian(sigma=sigma, jumps=(), generator=gen,
-                              dual_generator=gen.conj().T)
+        return DbcLindbladian(sigma=sigma, jumps=(), generator=gen)
     jumps = alicki_decompose(gen, sigma)
     rebuilt = build_from_jumps(sigma, jumps)
     resid = la.frob(rebuilt.generator - gen) / la.frob(gen)
     if resid > DECOMPOSE_TOL:
         raise ResidualTooLarge(f"depolarizing jump synthesis residual {resid:.3e}")
-    return DbcLindbladian(sigma=sigma, jumps=rebuilt.jumps, generator=gen,
-                          dual_generator=gen.conj().T)
+    return DbcLindbladian(sigma=sigma, jumps=rebuilt.jumps, generator=gen)
 
 
 def random_dbc(sigma: np.ndarray, num_offdiag_pairs: int, num_diag: int,
@@ -330,8 +347,7 @@ def random_dbc(sigma: np.ndarray, num_offdiag_pairs: int, num_diag: int,
         jumps.append(JumpTerm(D, 0.0))
     if not jumps:
         return DbcLindbladian(sigma=sigma, jumps=(),
-                              generator=np.zeros((d * d, d * d), dtype=complex),
-                              dual_generator=np.zeros((d * d, d * d), dtype=complex))
+                              generator=np.zeros((d * d, d * d), dtype=complex))
     return build_from_jumps(sigma, jumps)
 
 
@@ -418,8 +434,7 @@ def alicki_decompose(generator: np.ndarray, sigma: np.ndarray,
     d = sigma.shape[0]
     scale = max(la.frob(generator), 1e-300)
 
-    probe = DbcLindbladian(sigma=sigma, jumps=(), generator=generator,
-                           dual_generator=generator.conj().T)
+    probe = DbcLindbladian(sigma=sigma, jumps=(), generator=generator)
     validate_dbc(probe, tol=1e-8)
 
     s, U = la.herm_eigh(sigma)

@@ -44,10 +44,13 @@ class _Frame:
     tilted spectra a_j = e^(w_j/2p) lam, b_j = e^(-w_j/2p) lam,
     [rho]_j X = sigma^s V (theta_p(a_j, b_j) o V† sigma^s X sigma^s V) V† sigma^s.
     Fields over the jumps are arrays (..., J, d, d), where ... are the
-    leading axes of rho.
+    leading axes of rho. p must lie in (1, 2], as for estimate_constant;
+    every solver, Hessian and flow of the metric builds its kernels here.
     """
 
     def __init__(self, L: DbcLindbladian, rho: np.ndarray, p: float):
+        if not 1.0 < p <= 2.0:
+            raise ValueError(f"the metric kernel needs p in (1, 2], got {p}")
         L.require_jumps()
         self.p = float(p)
         s = 1.0 / (2.0 * _hconj(self.p))
@@ -281,6 +284,7 @@ class _PathEnergy:
 
     def __init__(self, L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray,
                  p: float, N: int):
+        L.require_jumps()  # before the basis, which d = 1 does not have
         self.L, self.p, self.N, self.h = L, float(p), N, 1.0 / N
         self.basis, _ = _basis_frame(L.d)
         t = (np.arange(N + 1) / N)[:, None, None]

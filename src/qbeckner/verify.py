@@ -339,35 +339,30 @@ def check_ricci(L: DbcLindbladian, rng: np.random.Generator) -> List[CheckResult
     out.append(_result("hessian-symmetry", sym <= 1e-9 * max(1.0, np.max(np.abs(H))),
                        sym, 1e-9))
 
-    if L.tracial:
+    if L.flat_depolarizing_rate is None:
+        out.append(_skip("curvature-implies-beckner",
+                         "the two-point constant needs the flat depolarizing model"))
+    else:
         p = 1.5
         est = rc.ricci_estimate(L, p, num_states=8, seed=3)
-        alpha_cl = ct.depol_classical(p, d) * L.primitivity.spectral_gap
+        alpha = ct.alpha_lower(L, p)
         out.append(_result("curvature-implies-beckner",
-                           alpha_cl >= est.kappa * p / 2.0 - 1e-4,
-                           est.kappa * p / 2.0, alpha_cl))
-    else:
-        out.append(_skip("curvature-implies-beckner",
-                         "classical constant needs the flat invariant state"))
+                           alpha >= est.kappa * p / 2.0 - 1e-4,
+                           est.kappa * p / 2.0, alpha))
     return out
 
 
 def check_decay(L: DbcLindbladian, rng: np.random.Generator) -> List[CheckResult]:
     out = []
     d = L.d
-    is_depol = la.frob(
-        L.generator - (np.outer(la.vec(np.eye(d)), la.vec(L.sigma).conj())
-                       - np.eye(d * d)) * L.primitivity.spectral_gap) \
-        <= 1e-8 * la.frob(L.generator)
-    if not (L.tracial and is_depol):
+    if L.flat_depolarizing_rate is None:
         return [_skip("classical-decay-certificate",
                       "closed-form constants need the flat depolarizing model")]
-    gamma = L.primitivity.spectral_gap
     rho0 = la.random_density(rng, d, floor=0.02)
     ok = True
     worst = 0.0
     for p in (1.25, 1.75):
-        alpha = ct.depol_classical(p, d) * gamma
+        alpha = ct.alpha_lower(L, p)
         F0 = ent.p_divergence(rho0, L.sigma, p).value
         for t in (0.5, 2.0, 5.0):
             Ft = ent.p_divergence(evolve(L, t, "schrodinger", rho0), L.sigma, p).value

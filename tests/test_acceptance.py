@@ -278,14 +278,12 @@ def test_criterion_11_curvature_chain(depol_flat):
 def test_criterion_12_mixing(depol_flat, depol2):
     anchor = ct.mixing_bound(2.0, 0.25, 0.01, 1.0)
     ok = abs(anchor - np.log(100.0 * np.sqrt(3.0))) <= 1e-10
-    for L, name in ((depol2, "tilted"), (depol_flat, "flat")):
-        alphas = None
-        if name == "flat":
-            alphas = {p: ct.depol_classical(p, 2) for p in
-                      (1.05, 1.1, 1.25, 1.5, 1.75, 2.0)}
+    # the certified constants on the tilted model, the two-point ones on the flat
+    for L in (depol2, depol_flat):
         for eps in (0.1, 0.01):
-            emp = ct.mixing(L, eps, "empirical", seed=3)
-            bound = ct.mixing(L, eps, "bound_inf", alphas=alphas)
+            emp = ct.mixing_time(L, eps, seed=3)
+            bound = min(ct.mixing_bound(p, L.sigma_min, eps, ct.alpha_lower(L, p))
+                        for p in (1.05, 1.1, 1.25, 1.5, 1.75, 2.0))
             ok &= emp <= bound
     _line(12, ok, f"h(2,1/4,0.01) = log(100 sqrt 3) to 1e-10; empirical mixing "
                   f"below the bound for both fixtures at eps in {{0.1, 0.01}}")

@@ -13,7 +13,7 @@ from qbeckner import linalg as la
 from qbeckner import ricci as rc
 from qbeckner import semigroup as sg
 from qbeckner import transport as tp
-from qbeckner import verify
+from qbeckner import errors, verify
 from qbeckner.errors import ConfigError, UnknownFixture
 
 # the shared optimizer cut off after one step, so that no path solve converges
@@ -284,6 +284,56 @@ class TestMain:
         assert cli.main(["verify", "--config", str(path),
                          "--out", str(tmp_path / "out")]) == 0
         assert "skip" in capsys.readouterr().out
+
+    @pytest.mark.parametrize("task", cf.ALL_TASKS)
+    def test_dimension_one_ends_in_typed_errors(self, tmp_path, task):
+        # no task crashes on the scalar model: a failure is a QBecknerError
+        # under report["errors"]; only verify, which skips, and constants,
+        # whose estimates are all vacuous, exit 0
+        path = tmp_path / "d1.json"
+        path.write_text(json.dumps({"dimension": 1, "sigma": {"eigenvalues": [1.0]}}))
+        code = cli.main([task, "--config", str(path), "--out", str(tmp_path / "out")])
+        report = json.loads((tmp_path / "out" / "report.json").read_text())
+        expected = {"decay": "NotPrimitive", "mixing": "NotPrimitive",
+                    "transport": "NoJumps", "ricci": "NoJumps"}.get(task)
+        if expected is None:
+            assert (code, report["errors"]) == (0, {})
+        else:
+            assert code == 1
+            assert report["errors"][task].startswith(expected + ":")
+            assert issubclass(getattr(errors, expected), errors.QBecknerError)
+
+    def test_ricci_estimates_only_the_constants_it_compares(self, tmp_path):
+        # no constants table; at each p with kappa > 0 the Beckner estimate
+        # is the one the constants task reports for that p
+        out = tmp_path / "out"
+        assert cli.main(["ricci", "--fixture", "depol2", "--samples", "4",
+                         "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert "constants" not in report["results"]
+        assert "constants" not in report["diagnostics"]
+        cfg = cf.fixtures("depol2")
+        opts = ct.EstimateOpts(num_starts=cfg.num_starts, seed=cfg.seeds["starts"])
+        L = cf.build_generator(cfg)
+        for p, entry in report["results"]["ricci"].items():
+            assert entry["kappa"] > 0
+            assert entry["beckner_vs_curvature"]["alpha_estimate"] == \
+                ct.estimate_constant(L, "beckner", p=float(p), opts=opts).value
+
+    @pytest.mark.parametrize("seed", [0, 2, 3])
+    def test_verify_flat_random_model_skips_two_point_check(self, tmp_path, seed):
+        # sigma = I/3 does not make the two-point constant apply: only the
+        # flat depolarizing model has it
+        cfg = cf.ExperimentConfig(
+            dimension=3, sigma={"eigenvalues": [1 / 3, 1 / 3, 1 / 3]},
+            generator={"kind": "random_dbc", "pairs": 3, "diag": 1, "seed": seed})
+        path = tmp_path / "flat.json"
+        path.write_text(cfg.to_json())
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--config", str(path), "--out", str(out)]) == 0
+        checks = {c["name"]: c for c in json.loads((out / "report.json").read_text())
+                  ["results"]["verify"]}
+        assert checks["curvature-implies-beckner"]["status"] == "skip"
 
     def test_verify_default_fixture_passes(self, tmp_path):
         assert cli.main(["verify", "--fixture", "depol2",

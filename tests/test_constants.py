@@ -420,17 +420,18 @@ class TestMixing:
 
     def test_empirical_below_bound(self, depol2):
         for eps in (0.1, 0.01):
-            emp = ct.mixing(depol2, eps, "empirical", seed=2)
-            bound = ct.mixing(depol2, eps, "bound_inf")
+            emp = ct.mixing_time(depol2, eps, seed=2)
+            bound = min(ct.mixing_bound(p, depol2.sigma_min, eps, ct.alpha_lower(depol2, p))
+                        for p in (1.05, 1.1, 1.25, 1.5, 1.75, 2.0))
             assert emp <= bound
 
     def test_trivial_epsilon(self, depol2):
         # every witness starts within trace distance 2 of sigma
-        assert ct.mixing(depol2, 1.9, "empirical", seed=2) == 0.0
+        assert ct.mixing_time(depol2, 1.9, seed=2) == 0.0
 
     def test_epsilon_range(self, depol2):
         with pytest.raises(ValueError):
-            ct.mixing(depol2, 2.5, "empirical")
+            ct.mixing_time(depol2, 2.5)
 
 
 class TestMoments:
@@ -500,3 +501,38 @@ class TestCertifiedBounds:
         vals = [ct.certified_alpha_lower(lam, smin, p) for p in grid]
         assert min(vals) >= ct.certified_uniform_alpha(lam, smin) - 1e-12
         assert vals[0] == pytest.approx(ct.certified_uniform_alpha(lam, smin), rel=1e-3)
+
+
+class TestAlphaLower:
+    """The one lower-bound rule that decay, mixing and verify use."""
+
+    GRID = (1.05, 1.25, 1.5, 2.0)
+
+    def test_flat_depolarizing_two_point(self):
+        L = sg.depolarizing(np.eye(3) / 3, 2.5)
+        for p in self.GRID:
+            assert ct.alpha_lower(L, p) == 2.5 * ct.depol_classical(p, 3)
+
+    def test_flat_qubit_rate_is_exact(self, depol_flat):
+        # the spectral gap of this model is 1 only to round-off; the rate is
+        # read off the generator, so alpha is exactly the two-point value
+        for p in self.GRID:
+            assert ct.alpha_lower(depol_flat, p) == ct.depol_classical(p, 2)
+
+    def test_pauli_jumps_are_recognized(self, depol_pauli):
+        for p in self.GRID:
+            assert ct.alpha_lower(depol_pauli, p) == pytest.approx(
+                ct.depol_classical(p, 2), rel=1e-12)
+
+    @pytest.mark.parametrize("model", ["depol2", "dbc3"])
+    def test_certified_otherwise(self, request, model):
+        L = request.getfixturevalue(model)
+        lam = L.primitivity.spectral_gap
+        for p in self.GRID:
+            assert ct.alpha_lower(L, p) == ct.certified_alpha_lower(lam, L.sigma_min, p)
+
+    def test_no_gap_raises(self):
+        with pytest.raises(NotPrimitive):
+            ct.alpha_lower(sg.depolarizing(np.eye(1), 1.0), 1.5)
+        with pytest.raises(NotPrimitive):  # the kernel is the diagonal algebra
+            ct.alpha_lower(sg.random_dbc(SIGMA_STAR, 0, 1, seed=1), 1.5)

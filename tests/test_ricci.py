@@ -171,6 +171,19 @@ class TestRicciEstimate:
             rc.ricci_estimate(dbc2, 1.5, num_states=num_states, seed=7)
 
 
+class TestPRange:
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.5])
+    def test_p_outside_range_rejected(self, dbc3, p):
+        # outside (1, 2] the metric kernel is not the paper's: p = 2.5 used to
+        # give a negative kappa, and p = 1 a ZeroDivisionError
+        U = la.traceless_part(la.random_hermitian(np.random.default_rng(0), 3))
+        for call in (lambda: rc.ricci_estimate(dbc3, p, num_states=4, seed=0),
+                     lambda: rc.hessian_matrix(dbc3, dbc3.sigma, p),
+                     lambda: rc.hessian_form(dbc3, dbc3.sigma, p, U)):
+            with pytest.raises(ValueError, match=r"p in \(1, 2\]"):
+                call()
+
+
 class TestInequalityChecks:
     def test_invariant_state_all_zero(self, depol_flat):
         rep = rc.inequality_checks(depol_flat, 2.0, 1.0, [depol_flat.sigma],

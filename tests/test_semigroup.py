@@ -95,6 +95,16 @@ class TestDepolarizing:
         L = sg.depolarizing(np.diag(eigs).astype(complex), 1.0)
         assert L.primitivity.kernel_dimension == 1
 
+    @pytest.mark.parametrize("d, gamma", [(2, 1.0), (3, 0.3), (4, 2.5)])
+    def test_flat_rate_is_gamma(self, d, gamma):
+        assert sg.depolarizing(np.eye(d) / d, gamma).flat_depolarizing_rate == gamma
+
+    def test_flat_rate_needs_the_flat_depolarizing_model(self, depol2, dbc3):
+        assert depol2.flat_depolarizing_rate is None  # tilted sigma
+        assert dbc3.flat_depolarizing_rate is None
+        assert sg.random_dbc(np.eye(3) / 3, 3, 1, seed=0).flat_depolarizing_rate is None
+        assert sg.depolarizing(np.eye(1), 1.0).flat_depolarizing_rate is None  # d = 1
+
 
 class TestRandomDbc:
     def test_connected_is_primitive(self, rng):
@@ -222,8 +232,7 @@ class TestPrimitivity:
         H = la.random_hermitian(rng, 3)
         assert la.frob(H @ dbc3.sigma - dbc3.sigma @ H) > 1e-3
         gen = dbc3.generator + 1j * (la.left_super(H) - la.right_super(H))
-        L = sg.DbcLindbladian(sigma=dbc3.sigma, jumps=dbc3.jumps, generator=gen,
-                              dual_generator=gen.conj().T)
+        L = sg.DbcLindbladian(sigma=dbc3.sigma, jumps=dbc3.jumps, generator=gen)
         with pytest.raises(NotDbc):
             sg.evolve(L, 0.5, "heisenberg", np.eye(3))
         with pytest.raises(NotDbc):

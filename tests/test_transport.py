@@ -149,6 +149,27 @@ class TestFrame:
             assert la.frob(D[i] - one.onsager(Us[i])) <= 1e-12 * la.frob(D[i])
             assert la.frob(M[i] - one.state_derivative(Ci)) <= 1e-12 * la.frob(M[i])
 
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.5, 3.0, float("nan")])
+    def test_p_outside_range_rejected(self, dbc3, p):
+        # every entry point of the metric builds its kernels in _Frame, which
+        # takes p in (1, 2] only, as estimate_constant does
+        rng = np.random.default_rng(0)
+        rho, U = la.random_density(rng, 3, floor=0.05), la.traceless_part(
+            la.random_hermitian(rng, 3))
+        calls = [
+            lambda: tp._Frame(dbc3, rho, p),
+            lambda: tp.w2p_solve(dbc3, rho, dbc3.sigma, p, tp.W2Opts(N=4)),
+            lambda: tp.gradient_norm_sq(dbc3, rho, p, U),
+            lambda: tp.onsager_apply(dbc3, rho, p, U),
+            lambda: tp.onsager_matrix(dbc3, rho, p),
+            lambda: tp.onsager_pinv_apply(dbc3, rho, p, U),
+            lambda: tp.grad_flow_residual(dbc3, rho, p),
+            lambda: tp.geodesic_shoot(dbc3, rho, U, p, T=0.1, steps=2),
+        ]
+        for call in calls:
+            with pytest.raises(ValueError, match=r"p in \(1, 2\]"):
+                call()
+
 
 class TestGradientFlow:
     @pytest.mark.parametrize("p", [1.3, 1.7, 2.0])

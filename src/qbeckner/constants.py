@@ -18,7 +18,6 @@ from . import linalg as la
 from .errors import (
     IncompatibleJumps,
     MissingEstimate,
-    NotPrimitive,
     NotSymmetric,
     OptimizerDiverged,
 )
@@ -423,10 +422,7 @@ def alpha_lower(L: DbcLindbladian, p: float) -> float:
     rate = L.flat_depolarizing_rate
     if rate is not None:
         return rate * depol_classical(p, L.d)
-    lam = L.require_primitive().spectral_gap
-    if lam <= 0.0:
-        raise NotPrimitive(f"no spectral gap on a {L.d}-dimensional model")
-    return certified_alpha_lower(lam, L.sigma_min, p)
+    return certified_alpha_lower(L.require_primitive().spectral_gap, L.sigma_min, p)
 
 
 def certified_uniform_alpha(lam: float, sigma_min: float) -> float:

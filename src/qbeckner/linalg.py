@@ -298,18 +298,17 @@ def traceless_part(A: np.ndarray) -> np.ndarray:
 def check_gradient(fun_and_grad: Callable, x: np.ndarray, what: str) -> float:
     """Compare an analytic gradient with central differences along three
     seeded random unit directions; raise GradientCheckFailed on a relative
-    disagreement above 1e-4, else return the largest relative disagreement."""
+    disagreement above 1e-4, else return the largest relative disagreement.
+    fun_and_grad maps a stack (k, n) to values (k,) and gradients (k, n), as
+    in minimize; it is called once, on the (7, n) stack [x, x + eps v, x - eps v, ...]."""
     rng = np.random.default_rng(0)
-    _, g0 = fun_and_grad(x)
     eps = 1e-6 * max(1.0, float(np.linalg.norm(x)))
+    vs = [v / np.linalg.norm(v) for v in rng.standard_normal((3, x.size))]
+    f, g = fun_and_grad(np.array([x] + [x + s * eps * v for v in vs for s in (1.0, -1.0)]))
     worst = 0.0
-    for _ in range(3):
-        v = rng.standard_normal(x.size)
-        v /= np.linalg.norm(v)
-        fp, _ = fun_and_grad(x + eps * v)
-        fm, _ = fun_and_grad(x - eps * v)
-        fd = (fp - fm) / (2.0 * eps)
-        an = float(g0 @ v)
+    for i, v in enumerate(vs):
+        fd = float(f[2 * i + 1] - f[2 * i + 2]) / (2.0 * eps)
+        an = float(g[0] @ v)
         scale = max(1.0, abs(fd), abs(an))
         if abs(fd - an) > 1e-4 * scale:
             raise GradientCheckFailed(

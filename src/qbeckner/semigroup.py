@@ -232,9 +232,12 @@ class DbcLindbladian:
         return PrimitivityReport(int(np.sum(kernel)), gap, self._kms_symmetrized[1])
 
     def require_primitive(self) -> PrimitivityReport:
+        """The report, or NotPrimitive unless the kernel is one-dimensional
+        and there is a spectral gap (the kernel of a d = 1 model is all of it)."""
         rep = self.primitivity
-        if not rep.primitive:
-            raise NotPrimitive(f"kernel dimension {rep.kernel_dimension}")
+        if not rep.primitive or rep.spectral_gap <= 0.0:
+            raise NotPrimitive(f"kernel dimension {rep.kernel_dimension}, "
+                               f"spectral gap {rep.spectral_gap:.3e}")
         return rep
 
     @cached_property

@@ -32,6 +32,13 @@ def _hconj(p: float) -> float:
     return p / (p - 1.0)
 
 
+def _metric_p(p: float) -> float:
+    """p as a float, or ValueError unless p is in (1, 2], the metric kernel's range."""
+    if not 1.0 < p <= 2.0:
+        raise ValueError(f"the metric kernel needs p in (1, 2], got {p}")
+    return float(p)
+
+
 # ---------------------------------------------------------------------------
 # Spectral frame of the metric kernels
 # ---------------------------------------------------------------------------
@@ -49,10 +56,8 @@ class _Frame:
     """
 
     def __init__(self, L: DbcLindbladian, rho: np.ndarray, p: float):
-        if not 1.0 < p <= 2.0:
-            raise ValueError(f"the metric kernel needs p in (1, 2], got {p}")
+        self.p = _metric_p(p)
         L.require_jumps()
-        self.p = float(p)
         s = 1.0 / (2.0 * _hconj(self.p))
         self.P = L.sigma_power(s)
         self.Q = L.sigma_power(-s)
@@ -239,8 +244,13 @@ def _basis_gram(L: DbcLindbladian, rho: np.ndarray,
     V = fr.V[:, 0]
     left = la.dagger(V) @ np.moveaxis(X, 2, 0).reshape(d, -1)  # (S, i, (m, j, l))
     right = (left.reshape(S, -1, d) @ V).reshape(S, d, n, J, d)  # (S, i, m, j, b)
+    del left
     C = np.ascontiguousarray(np.moveaxis(right, 1, 3))
-    G = C.reshape(S, n, -1).conj() @ np.swapaxes((fr.theta * C).reshape(S, n, -1), -1, -2)
+    del right
+    # G = conj(C) (theta o C)^T, formed as conj(C conj(theta o C)^T) with the
+    # conjugate taken in place: the same products, one C-sized temporary
+    T = fr.theta * C
+    G = (C.reshape(S, n, -1) @ np.swapaxes(np.conjugate(T, out=T).reshape(S, n, -1), -1, -2)).conj()
     return fr, C, G
 
 
@@ -298,34 +308,40 @@ class _PathEnergy:
         return np.real(X.reshape(-1, d * d) @ self.basis.reshape(n, d * d).conj().T)
 
     def evaluate(self, y: np.ndarray):
-        """States, step coordinates b, the coefficients c_k = G_k^-1 b_k of
-        U_k, the midpoint frame, and the eigenframe gradients of the U_k,
-        sum_n c_kn C_kn, shape (N, 1, J, d, d)."""
-        x = np.zeros((self.N + 1, len(self.basis)))
-        x[1:-1] = y.reshape(self.N - 1, len(self.basis))
+        """For K paths y (K, n), or one (n,) as K = 1: the states (K, N+1, d, d),
+        the step coordinates b and the coefficients c_k = G_k^-1 b_k of U_k,
+        (K, N, n), the frame of the K N midpoints, and the eigenframe
+        gradients of the U_k, sum_n c_kn C_kn, shape (K N, 1, J, d, d)."""
+        N, n, K = self.N, len(self.basis), 1 if np.ndim(y) == 1 else len(y)
+        x = np.zeros((K, N + 1, n))
+        x[:, 1:-1] = np.reshape(y, (K, N - 1, n))
         gammas = self.linear + np.tensordot(x, self.basis, axes=1)
-        b = self.delta + x[1:] - x[:-1]
-        fr, C, G = _basis_gram(self.L, _floored(0.5 * (gammas[:-1] + gammas[1:])), self.p)
+        b = self.delta + x[:, 1:] - x[:, :-1]
+        mid = 0.5 * (gammas[:, :-1] + gammas[:, 1:])
+        fr, C, G = _basis_gram(self.L, _floored(mid.reshape(K * N, self.L.d, self.L.d)), self.p)
         # one eigendecomposition per step both tests G_k > 0 and solves for c_k
         w, Q = la.herm_eigh(G, check=False)
         if w[:, 0].min() <= 0.0:
             i = int(np.argmin(w[:, 0]))
-            raise SingularMetric(f"metric Gram matrix of step {i} is not positive "
-                                 f"definite (lowest eigenvalue {w[i, 0]:.3e})")
-        c = np.real(np.einsum("kmn,kn->km", Q, np.einsum("kmn,km->kn", Q.conj(), b) / w))
-        return gammas, b, c, fr, np.einsum("kn,kn...->k...", c, C)[:, None]
+            at = f"step {i % N}" + (f" of path {i // N}" if K > 1 else "")
+            raise SingularMetric(f"metric Gram matrix of {at} is not positive definite "
+                                 f"(lowest eigenvalue {w[i, 0]:.3e})")
+        Qb = np.einsum("kmn,km->kn", Q.conj(), b.reshape(K * N, n)) / w
+        c = np.real(np.einsum("kmn,kn->km", Q, Qb))
+        return gammas, b, c.reshape(K, N, n), fr, np.einsum("kn,kn...->k...", c, C)[:, None]
 
     def value_and_grad(self, y: np.ndarray):
-        """Energy and gradient at y (n,), or at a stack of one (1, n)."""
+        """Energies (K,) and gradients (K, n) at a stack of paths y (K, n),
+        or a float and (n,) at one path (n,)."""
         h = self.h
         _, b, c, fr, CU = self.evaluate(y)
-        value = float(np.sum(b * c)) / h
+        value = np.sum((b * c).reshape(len(b), -1), axis=1) / h
         # d(value)/d(gbar_k) = -(1/h) d/dgbar <U_k, D U_k> at fixed U_k, the
         # state derivative of the kinetic form
         M = fr.state_derivative(CU)[:, 0]
-        S = -0.5 / h * self.coords(M)
-        grad = (2.0 / h * (c[:-1] - c[1:]) + S[:-1] + S[1:]).reshape(np.shape(y))
-        return (value, grad) if np.ndim(y) == 1 else (np.array([value]), grad)
+        S = (-0.5 / h * self.coords(M)).reshape(c.shape)
+        grad = (2.0 / h * (c[:, :-1] - c[:, 1:]) + S[:, :-1] + S[:, 1:]).reshape(np.shape(y))
+        return (float(value[0]), grad) if np.ndim(y) == 1 else (value, grad)
 
 
 def w2p_solve(L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray, p: float,
@@ -352,6 +368,7 @@ def w2p_solve(L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray, p: float,
         steps, evaluations = int(res.iterations[0]), int(res.evaluations[0])
     h = problem.h
     gammas, b, c, fr, CU = problem.evaluate(y)
+    gammas, b, c = gammas[0], b[0], c[0]
     B = fr.uneig(fr.theta * CU, fr.P)[:, 0] / h
     actions = np.sum(b * c, axis=1) / h ** 2
     flow = (gammas[1:] - gammas[:-1]) / h + fr.div(B)
@@ -373,8 +390,10 @@ def trace_distance_prefactor(L: DbcLindbladian, p: float) -> float:
 
     Built from the integral lower bound on the inverse multiplication kernel;
     the normalization constant sin((p-1)pi)/pi * int s^(p-2) 2/(1+2s) ds has
-    the closed form 2^(2-p). Uniformly bounded over p in (1, 2].
+    the closed form 2^(2-p). Uniformly bounded over p in (1, 2], and
+    ValueError for any other p.
     """
+    p = _metric_p(p)
     L.require_jumps()
     phat = _hconj(p)
     C_p = 2.0 ** (2.0 - p)

@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qbeckner import config as cf
 from qbeckner import linalg as la
 from qbeckner import semigroup as sg
 
@@ -35,6 +36,12 @@ def depol_pauli():
 def depol2():
     """Depolarizing semigroup with sigma* = diag(3/4, 1/4)."""
     return sg.depolarizing(SIGMA_STAR, 1.0)
+
+
+@pytest.fixture(scope="session")
+def depol3():
+    """The depol3 fixture's generator: depolarizing, sigma = diag(1/2, 1/3, 1/6)."""
+    return cf.build_generator(cf.fixtures("depol3"))
 
 
 @pytest.fixture(scope="session")

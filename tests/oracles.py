@@ -5,7 +5,8 @@ computes another way, or a textbook quantity that a test states an identity
 with: MetricKernel is the single-jump form of the spectral frame
 transport._Frame; the s-inner products, the weighted kernel superoperator,
 the variance, the entropy production, Gamma_2 and the KMS adjoint of a
-derivation are the objects the tested identities are written in.
+derivation are the objects the tested identities are written in;
+check_gradient_sequential is linalg.check_gradient one point per call.
 """
 
 import numpy as np
@@ -14,7 +15,7 @@ from qbeckner import dirichlet as dh
 from qbeckner import entropy as ent
 from qbeckner import linalg as la
 from qbeckner import transport as tp
-from qbeckner.errors import SingularState
+from qbeckner.errors import GradientCheckFailed, SingularState
 from qbeckner.kernels import Kernel1, Kernel2, _is_same, theta_p_kernel
 
 
@@ -185,3 +186,30 @@ def kms_adjoint_derivation(L, j, X):
     V, omega = L.jumps[j]
     Vd = V.conj().T
     return np.exp(-omega / 2.0) * Vd @ X - np.exp(omega / 2.0) * X @ Vd
+
+
+# ---------------------------------------------------------------------------
+# Gradient self-test, one point per call
+# ---------------------------------------------------------------------------
+
+
+def check_gradient_sequential(fun_and_grad, x, what) -> float:
+    """linalg.check_gradient with its seven points evaluated one at a time:
+    fun_and_grad maps one point (n,) to a float and a gradient (n,)."""
+    rng = np.random.default_rng(0)
+    _, g0 = fun_and_grad(x)
+    eps = 1e-6 * max(1.0, float(np.linalg.norm(x)))
+    worst = 0.0
+    for _ in range(3):
+        v = rng.standard_normal(x.size)
+        v /= np.linalg.norm(v)
+        fp, _ = fun_and_grad(x + eps * v)
+        fm, _ = fun_and_grad(x - eps * v)
+        fd = (fp - fm) / (2.0 * eps)
+        an = float(g0 @ v)
+        scale = max(1.0, abs(fd), abs(an))
+        if abs(fd - an) > 1e-4 * scale:
+            raise GradientCheckFailed(
+                f"{what} gradient self-test failed: fd={fd:.6e} an={an:.6e}")
+        worst = max(worst, abs(fd - an) / scale)
+    return worst

@@ -288,14 +288,15 @@ class TestMain:
     @pytest.mark.parametrize("task", cf.ALL_TASKS)
     def test_dimension_one_ends_in_typed_errors(self, tmp_path, task):
         # no task crashes on the scalar model: a failure is a QBecknerError
-        # under report["errors"]; only verify, which skips, and constants,
-        # whose estimates are all vacuous, exit 0
+        # under report["errors"]; only verify, which skips, exits 0. The
+        # model has no spectral gap, so constants has nothing to estimate
         path = tmp_path / "d1.json"
         path.write_text(json.dumps({"dimension": 1, "sigma": {"eigenvalues": [1.0]}}))
         code = cli.main([task, "--config", str(path), "--out", str(tmp_path / "out")])
         report = json.loads((tmp_path / "out" / "report.json").read_text())
-        expected = {"decay": "NotPrimitive", "mixing": "NotPrimitive",
-                    "transport": "NoJumps", "ricci": "NoJumps"}.get(task)
+        expected = {"constants": "NotPrimitive", "decay": "NotPrimitive",
+                    "mixing": "NotPrimitive", "transport": "NoJumps",
+                    "ricci": "NoJumps"}.get(task)
         if expected is None:
             assert (code, report["errors"]) == (0, {})
         else:

@@ -238,6 +238,19 @@ class TestBatchedEstimation:
             assert value == pytest.approx(v1, rel=1e-12)
             assert np.linalg.norm(grad - g1) <= 1e-12 * max(np.linalg.norm(g1), 1e-300)
 
+    @pytest.mark.parametrize("model", ["depol2", "dbc3"])
+    @pytest.mark.parametrize("kind,param", KINDS)
+    def test_self_test_matches_sequential(self, request, model, kind, param):
+        # the self-test's one call on seven points gives the gap of seven
+        # single calls bit for bit
+        L = request.getfixturevalue(model)
+        objective = ct._objective(L, kind, param)
+        rng = np.random.default_rng(3)
+        x = ct._pack(np.eye(L.d) + 0.5 * (rng.standard_normal((L.d, L.d))
+                                          + 1j * rng.standard_normal((L.d, L.d))))
+        assert la.check_gradient(objective, x, kind) == oracles.check_gradient_sequential(
+            objective, x, kind)
+
     def test_stopped_start_keeps_its_point(self):
         # on f = x^T A x / 2, start 0 sits at the minimum and stops at once on
         # the gradient test; start 1 starts so close that its decrease drops

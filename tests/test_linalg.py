@@ -238,7 +238,24 @@ class TestPsdAndSerialization:
 class TestCheckGradient:
     @staticmethod
     def _quartic(x):
-        return float(np.sum(x**4)), 4.0 * x**3
+        # a stack (k, n) to values (k,) and gradients (k, n)
+        return np.sum(x**4, axis=-1), 4.0 * x**3
+
+    def test_one_call_on_seven_points(self, rng):
+        calls = []
+
+        def recorded(x):
+            calls.append(np.array(x))
+            return self._quartic(x)
+
+        x = rng.standard_normal(6)
+        gap = la.check_gradient(recorded, x, "quartic")
+        assert len(calls) == 1 and calls[0].shape == (7, 6)
+        assert np.array_equal(calls[0][0], x)
+        # each direction is stepped both ways by the same amount
+        assert np.allclose(calls[0][1:7:2] + calls[0][2:7:2], 2.0 * x, rtol=0.0, atol=1e-14)
+        assert gap == oracles.check_gradient_sequential(
+            lambda y: (float(self._quartic(y)[0]), self._quartic(y)[1]), x, "quartic")
 
     def test_exact_gradient_passes(self, rng):
         # the returned gap is the central differences' own error, O(eps^2)

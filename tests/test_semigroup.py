@@ -8,6 +8,7 @@ from qbeckner import transport as tp
 from qbeckner.errors import (
     NotDbc,
     NotModularEigenvector,
+    NotPrimitive,
     ResidualTooLarge,
     SingularState,
 )
@@ -223,6 +224,13 @@ class TestPrimitivity:
         L = sg.random_dbc(SIGMA_STAR, 0, 0, seed=1)
         assert L.primitivity.kernel_dimension == 4
         assert L.primitivity.spectral_gap == 0.0
+
+    def test_scalar_model_has_no_gap(self):
+        # the kernel of the d = 1 generator is all of B(H), one-dimensional
+        L = sg.depolarizing(np.eye(1), 1.0)
+        assert (L.primitivity.kernel_dimension, L.primitivity.spectral_gap) == (1, 0.0)
+        with pytest.raises(NotPrimitive, match="spectral gap 0.000e"):
+            L.require_primitive()
 
     def test_realness(self, dbc3):
         assert dbc3.primitivity.symmetrization_residual <= 1e-9

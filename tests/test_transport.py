@@ -254,6 +254,12 @@ class TestW2Solver:
             C = tp.trace_distance_prefactor(dbc2, p)
             assert la.trace_norm(r1 - r0) <= C * dist * (1 + 1e-9)
 
+    @pytest.mark.parametrize("p", [0.5, 1.0, 2.5, 3.0])
+    def test_prefactor_rejects_p_outside_metric_range(self, dbc2, p):
+        # the range of the metric kernel, with its error
+        with pytest.raises(ValueError, match=r"needs p in \(1, 2\]"):
+            tp.trace_distance_prefactor(dbc2, p)
+
     def test_step_limit_is_not_converged(self, rng, dbc2, monkeypatch):
         monkeypatch.setattr(tp, "minimize", functools.partial(la.minimize, max_iters=1))
         r0 = la.random_density(rng, 2, floor=0.1)
@@ -327,6 +333,44 @@ class TestPathEnergy:
         for rho, Gs in zip(rhos, G):
             ref = Phi.conj().T @ tp.onsager_matrix(model, rho, p) @ Phi
             assert np.max(np.abs(Gs - ref)) <= 1e-12 * np.max(np.abs(ref))
+
+    @pytest.mark.parametrize("N", [1, 6])
+    @pytest.mark.parametrize("p", [1.05, 1.5, 2.0])
+    @pytest.mark.parametrize("name", ["depol3", "dbc4"])
+    def test_stack_matches_single_paths(self, request, rng, name, p, N):
+        # one evaluation of K = 3 paths against three single calls, bit for bit
+        L = request.getfixturevalue(name)
+        pair = [la.random_density(rng, L.d, floor=0.1) for _ in range(2)]
+        problem = tp._PathEnergy(L, *pair, p, N)
+        ys = 0.01 * rng.standard_normal((3, (N - 1) * (L.d ** 2 - 1)))
+        values, grads = problem.value_and_grad(ys)
+        assert values.shape == (3,) and grads.shape == ys.shape
+        for y, value, grad in zip(ys, values, grads):
+            v1, g1 = problem.value_and_grad(y)
+            assert isinstance(v1, float)
+            assert value == v1 and np.array_equal(grad, g1)
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 2.0])
+    def test_self_test_matches_sequential(self, rng, model, pair, p):
+        problem = tp._PathEnergy(model, *pair, p, self.N)
+        y = 0.01 * rng.standard_normal((self.N - 1) * (model.d ** 2 - 1))
+        assert la.check_gradient(problem.value_and_grad, y, "path energy") == \
+            oracles.check_gradient_sequential(problem.value_and_grad, y, "path energy")
+
+    def test_stacked_singular_metric_names_path_and_step(self, dbc2, monkeypatch):
+        basis_gram = tp._basis_gram
+
+        def breaks_path_1_step_4(L, rho, p):
+            fr, C, G = basis_gram(L, rho, p)
+            k = 1 * self.N + 4
+            G[k] -= (np.linalg.eigvalsh(G[k])[0] + 1.0) * np.eye(len(G[k]))
+            return fr, C, G
+
+        problem = tp._PathEnergy(dbc2, np.diag([0.6, 0.4]).astype(complex), SIGMA_STAR,
+                                 1.5, self.N)
+        monkeypatch.setattr(tp, "_basis_gram", breaks_path_1_step_4)
+        with pytest.raises(SingularMetric, match="step 4 of path 1 "):
+            problem.value_and_grad(np.zeros((3, (self.N - 1) * 3)))
 
     def test_singular_metric_names_step(self, dbc2, monkeypatch):
         basis_gram = tp._basis_gram

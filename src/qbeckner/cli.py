@@ -153,13 +153,13 @@ def run_transport(cfg: ExperimentConfig, L: DbcLindbladian) -> Tuple[Dict, List[
     return {"solves": results}, diagnostics
 
 
-def run_ricci(cfg: ExperimentConfig, L: DbcLindbladian) -> Dict:
+def run_ricci(cfg: ExperimentConfig, L: DbcLindbladian) -> Tuple[Dict, Dict]:
     """Curvature at the smallest and largest p of the grid; where kappa > 0,
     the inequalities it drives and the estimated Beckner constant that
-    kappa p / 2 must not exceed."""
+    kappa p / 2 must not exceed; per p, the diagnostic cond_G of ricci_estimate."""
     rng = np.random.default_rng(int(cfg.seeds.get("master", 7)))
     ps = sorted({min(cfg.p_grid), max(cfg.p_grid)})
-    out = {}
+    out, diagnostics = {}, {}
     states = [la.random_density(rng, L.d, floor=0.05) for _ in range(2)]
     for p in ps:
         est = rc.ricci_estimate(L, p, num_states=cfg.ricci_samples,
@@ -176,7 +176,8 @@ def run_ricci(cfg: ExperimentConfig, L: DbcLindbladian) -> Dict:
             entry["beckner_vs_curvature"] = {
                 "alpha_estimate": alpha.value, "kappa_p_over_2": est.kappa * p / 2.0}
         out[str(p)] = entry
-    return out
+        diagnostics[str(p)] = {"cond_G": est.cond_G}
+    return out, diagnostics
 
 
 def _violated(ricci_out: Dict, tol: float) -> bool:
@@ -218,7 +219,7 @@ def run(cfg: ExperimentConfig) -> Dict:
                 if not all(s["trace_lower_bound_ok"] for s in out["solves"]):
                     failures.append("transport.trace_bound")
             elif task == "ricci":
-                out = run_ricci(cfg, L)
+                out, report["diagnostics"]["ricci"] = run_ricci(cfg, L)
                 report["results"]["ricci"] = out
                 tol = cfg.tolerances.get("w_discretization",
                                          DEFAULT_TOLERANCES["w_discretization"])

@@ -7,7 +7,7 @@ they stay accurate when the two arguments nearly coincide, and every kernel
 carries an exact degenerate branch. Only theta_p, the metric kernel whose
 state derivative drives the transport gradient, geodesics and Hessian,
 carries a partial-derivative rule; it is symmetric, so d/dx covers both
-sides.
+sides, and it takes the grid of kernel values where the caller has one.
 """
 
 from __future__ import annotations
@@ -162,12 +162,12 @@ class Kernel2:
     """A two-variable scalar kernel with an optional partial derivative in x.
 
     ``f`` and ``dx`` are vectorized over broadcastable arrays and are
-    responsible for their own degenerate branches.
+    responsible for their own degenerate branches; dx may take F = f(x, y).
     """
 
     name: str
     f: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    dx: Optional[Callable[[np.ndarray, np.ndarray], np.ndarray]] = None
+    dx: Optional[Callable[..., np.ndarray]] = None
     domain_min: float = -np.inf
     allow_boundary: bool = True
 
@@ -213,22 +213,24 @@ def fp_divdiff_kernel(p: float) -> Kernel2:
 def theta_p_kernel(p: float) -> Kernel2:
     """theta_p(x, y) = (p-1)(x - y)/(x^(p-1) - y^(p-1)), equal to x^(2-p) on
     the diagonal. This is the reciprocal of f_p^[1] and defines the metric
-    multiplication kernel."""
+    multiplication kernel. dx(x, y, F) = F (1 - F x^(p-2)) / (x - y) uses
+    the grid F = theta_p(x, y) when given (no second power difference), and
+    the midpoint Taylor expansion within NEAR_TOL."""
     p = float(p)
     a = p - 1.0
 
     def f(x, y):
         return a / stable_powdiff(a, x, y)
 
-    def dx(x, y):
+    def dx(x, y, F=None):
         x = np.asarray(x, dtype=float)
         y = np.asarray(y, dtype=float)
+        F = f(x, y) if F is None else F
         near = _is_same(x, y, NEAR_TOL)
         m = 0.5 * (x + y)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # quotient rule on (p-1)(x-y)/D with D = x^a - y^a
-            D = np.where(near, 1.0, x - y) * stable_powdiff(a, x, y)
-            far = a * (D - (x - y) * a * x ** (a - 1.0)) / D**2
+            # quotient rule on theta = (p-1)(x-y)/(x^a - y^a), written with theta
+            far = F * (1.0 - F * x ** (a - 1.0)) / np.where(near, 1.0, x - y)
         taylor = (-(p - 2.0) / 2.0) * m ** (1.0 - p) \
             - (p - 2.0) * (p - 3.0) / 12.0 * m ** (-p) * (x - y)
         return np.where(near, taylor, far)

@@ -192,11 +192,9 @@ def partial_dd_tensor(k2: Kernel2, wA: np.ndarray, wB: np.ndarray,
     """Weight tensor of the first partial divided difference of a
     two-variable kernel,
     W[..., a, b, c] = (F[a,c] - F[b,c]) / (wA_a - wA_b), with d/dx f at the
-    midpoint for coincident pairs (_is_same). The numerators come from the
-    kernel grid F[..., x, y] = f(wA_x, wB_y), computed here unless given.
-    The pairs a == b always coincide, and their midpoint is wA_a exactly, so
-    the derivative rule runs once on the (..., d, d) grid for them and
-    elsewhere only at near-ties. Leading axes of wA and wB broadcast; W has
+    midpoint for coincident pairs (_is_same, the diagonal a == b included).
+    The numerators come from the kernel grid F[..., x, y] = f(wA_x, wB_y),
+    computed here unless given. Leading axes of wA and wB broadcast; W has
     shape (..., d, d, d). The second partial of a symmetric kernel is this
     tensor on (wB, wA, F^T) with its last axis moved first.
     """
@@ -208,14 +206,9 @@ def partial_dd_tensor(k2: Kernel2, wA: np.ndarray, wB: np.ndarray,
     same = _is_same(u, v)
     with np.errstate(divide="ignore", invalid="ignore"):
         W = (F[..., :, None, :] - F[..., None, :, :]) / np.where(same, 1.0, u - v)
-    d = wA.shape[-1]
-    diag = np.arange(d)
-    W[..., diag, diag, :] = k2.dx(wA[..., :, None], wB[..., None, :])
-    ties = same & ~np.eye(d, dtype=bool)[:, :, None]
-    if ties.any():
-        at = np.nonzero(np.broadcast_to(ties, W.shape))
-        mid = np.broadcast_to(0.5 * (u + v), W.shape)[at]
-        W[at] = k2.dx(mid, np.broadcast_to(wB[..., None, None, :], W.shape)[at])
+    at = np.nonzero(np.broadcast_to(same, W.shape))
+    mid = np.broadcast_to(0.5 * (u + v), W.shape)[at]
+    W[at] = k2.dx(mid, np.broadcast_to(wB[..., None, None, :], W.shape)[at])
     return W
 
 

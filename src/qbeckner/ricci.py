@@ -106,6 +106,7 @@ class RicciEstimate:
     samples: int
     worst_state: np.ndarray
     worst_direction: np.ndarray
+    cond_G: float  # 2-norm cond(G) = cond(R^-1)^2 of the Gram matrix at worst_state
 
     def rayleigh(self, L: DbcLindbladian, p: float) -> float:
         num = hessian_form(L, self.worst_state, p, self.worst_direction)
@@ -164,7 +165,8 @@ def ricci_estimate(L: DbcLindbladian, p: float, num_states: int = 64,
     i = int(np.argmax(lowest <= floor + TIE_TOL * max(1.0, abs(floor))))
     vals, W = np.linalg.eigh(M[i])
     direction = np.tensordot(Rinv[i].T @ W[:, 0], tp._basis_frame(L.d)[0], axes=1)
-    return RicciEstimate(float(vals[0]), num_states, samples[i].copy(), la.herm(direction))
+    return RicciEstimate(float(vals[0]), num_states, samples[i].copy(), la.herm(direction),
+                         float(np.linalg.cond(Rinv[i]) ** 2))
 
 
 # ---------------------------------------------------------------------------

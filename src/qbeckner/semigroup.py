@@ -55,16 +55,21 @@ def complete_pairs(jumps: Sequence[JumpTerm]) -> List[JumpTerm]:
     return out
 
 
-def validate_jump(sigma: np.ndarray, jump: JumpTerm) -> None:
+def validate_jump(sigma_eig: Tuple[np.ndarray, np.ndarray], jump: JumpTerm) -> None:
+    """NotModularEigenvector unless V is trace-free and sigma V sigma^-1 = e^-w V,
+    checked entry by entry in the eigenbasis (s, U) = sigma_eig: entry (a, b)
+    of U† V U has weight |s_a - y s_b| / max(s_a, (1 + y) s_b), y = e^-w,
+    which is the residual relative to (1 + y) |V| where s_a / s_b <= 1 + y,
+    and at most 1 above, so cond(sigma) never scales the round-off of U."""
     V, omega = jump
     nv = la.frob(V)
     if nv == 0.0:
         return
     if abs(np.trace(V)) > JUMP_TRACE_TOL * nv:
         raise NotModularEigenvector(f"jump has trace {np.trace(V):.3e}")
-    sigma_inv = la.matrix_power_hermitian(sigma, -1.0)
-    resid = la.frob(sigma @ V @ sigma_inv - np.exp(-omega) * V)
-    if resid > MODULAR_EIG_TOL * nv * (1.0 + np.exp(-omega)):
+    (s, U), y = sigma_eig, np.exp(-omega)
+    resid = la.frob((s[:, None] - y * s) / np.maximum(s[:, None], (1.0 + y) * s) * (U.conj().T @ V @ U))
+    if resid > MODULAR_EIG_TOL * nv:
         raise NotModularEigenvector(
             f"modular eigenvector residual {resid:.3e} for omega={omega}"
         )
@@ -279,8 +284,9 @@ def build_from_jumps(sigma: np.ndarray, jumps: Sequence[JumpTerm]) -> DbcLindbla
     sigma = la.herm(np.asarray(sigma, dtype=complex))
     d = sigma.shape[0]
     jumps = [JumpTerm(np.asarray(V, dtype=complex), float(om)) for V, om in jumps]
+    sigma_eig = la.herm_eigh(sigma)
     for jump in jumps:
-        validate_jump(sigma, jump)
+        validate_jump(sigma_eig, jump)
     jumps = complete_pairs(jumps)
     gen = generator_from_jumps(jumps, d)
     L = DbcLindbladian(sigma=sigma, jumps=tuple(jumps), generator=gen)
@@ -464,12 +470,10 @@ def alicki_decompose(generator: np.ndarray, sigma: np.ndarray,
             block = 0.5 * (block + block.T).real
             target = 0.5 * block
         else:
+            # not averaged with the adjoint block, e^-nu times this one: e^nu
+            # is off by eps |sigma| / s_min relative when sigma is rotated
             Qp = np.column_stack([_unit_vector(d, a, b) for (a, b) in members])
             block = Qp.conj().T @ C @ Qp
-            adjoint_members = [(b, a) for (a, b) in members]
-            Qm = np.column_stack([_unit_vector(d, a, b) for (a, b) in adjoint_members])
-            block_m = Qm.conj().T @ C @ Qm
-            block = 0.5 * (block + np.exp(nu) * block_m.T)
             block = 0.5 * (block + block.conj().T)
             target = 0.5 * np.exp(-nu / 2.0) * block
             Q = Qp

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg as la
 from .errors import KernelComponent, LeftPositiveCone, SingularMetric, SingularState
-from .kernels import theta_p_kernel
+from .kernels import _is_same, theta_p_kernel
 from .linalg import minimize
 from .semigroup import DbcLindbladian
 
@@ -104,29 +104,63 @@ class _Frame:
         """D_{p,rho} U = sum_j dj† ([rho]_j dj U)."""
         return -self.div(self.apply(self.grad(U)))
 
+    @cached_property
+    def gaps(self) -> Tuple[np.ndarray, np.ndarray]:
+        """(ties, inv), (..., d, d): the near-ties of lam off the diagonal
+        (_is_same), and 1 / (lam_x - lam_y) at the other pairs, 0 on ties and
+        on the diagonal. The tilts cancel from the partial divided differences
+        of theta_p on (a_j, b_j), so these serve every jump and both partials."""
+        u, v = self.lam[..., :, None], self.lam[..., None, :]
+        same = _is_same(u, v)
+        return same & ~np.eye(u.shape[-2], dtype=bool), 1.0 / np.where(same, np.inf, u - v)
+
+    @cached_property
+    def partials(self) -> Tuple[np.ndarray, np.ndarray]:
+        """up_j d/dx and down_j d/dy of theta_p at (a_j[x], b_j[y]), each
+        (..., J, d, d), from the grid theta; d/dy is dx on the swapped pair."""
+        A, B = np.broadcast_arrays(self.a[..., :, None], self.b[..., None, :])
+        D = self.kernel.dx(np.stack([A, B]), np.stack([B, A]), self.theta)
+        return self.up[:, None, None] * D[0], self.down[:, None, None] * D[1]
+
     def dk_tensors(self) -> Tuple[np.ndarray, np.ndarray]:
         """Daleckii-Krein tensors (W1, W2) of theta_p, (..., J, d, d, d): its
         first and second partial divided differences on the tilted spectra,
-        each weighted by its tilt. theta_p is symmetric, so the second is the
-        first on (b, a, theta^T) with its last axis moved first; one
-        partial_dd_tensor call takes both orders stacked, with the quotient
-        numerators from the cached grid theta."""
-        W = la.partial_dd_tensor(self.kernel, np.stack([self.a, self.b]),
-                                 np.stack([self.b, self.a]),
-                                 np.stack([self.theta, np.swapaxes(self.theta, -1, -2)]))
-        # W2 is made contiguous so the contractions over it sum in a fixed order
-        return (self.up[:, None, None, None] * W[0],
-                self.down[:, None, None, None] * np.ascontiguousarray(np.moveaxis(W[1], -1, -3)))
+        each weighted by its tilt, W1[j,a,b,c] = (theta[a,c] - theta[b,c]) /
+        (lam_a - lam_b) and W2[j,a,b,c] = (theta[a,b] - theta[a,c]) /
+        (lam_b - lam_c), with the partials on the diagonals a = b and b = c.
+        At near-ties the stack takes the midpoint rule from one
+        partial_dd_tensor call on both orders (the second partial is the
+        first on (b, a, theta^T) with its last axis moved first)."""
+        th, (ties, inv) = self.theta, self.gaps
+        if ties.any():
+            W = la.partial_dd_tensor(self.kernel, np.stack([self.a, self.b]),
+                                     np.stack([self.b, self.a]), np.stack([th, np.swapaxes(th, -1, -2)]))
+            return (self.up[:, None, None, None] * W[0],
+                    self.down[:, None, None, None] * np.moveaxis(W[1], -1, -3))
+        W1 = (th[..., :, None, :] - th[..., None, :, :]) * inv[..., None, :, :, None]
+        W2 = (th[..., :, :, None] - th[..., :, None, :]) * inv[..., None, None, :, :]
+        i = np.arange(inv.shape[-1])
+        W1[..., i, i, :], W2[..., :, i, i] = self.partials
+        return W1, W2
 
     def state_derivative(self, C: np.ndarray) -> np.ndarray:
         """Hermitian M with <M, H> the derivative of
         sum_j <C_j, theta_p(a_j, b_j) o C_j> along rho + tH, where C = eig(X, P)
-        for fixed X: the Daleckii-Krein tensors contracted with C in the
-        eigenbasis of Y."""
-        W1, W2 = self.dk_tensors()
-        Cc = C.conj()
-        G = (np.einsum("...jabc,...jbc,...jac->...ab", W1, C, Cc)
-             + np.einsum("...jabc,...jab,...jac->...bc", W2, C, Cc))
+        for fixed X: the Daleckii-Krein contraction G in the eigenbasis of Y,
+        by matrix products. With T = theta o C and
+        Z = sum_j conj(T_j) C_j^T + T_j^T conj(C_j), G = inv o (Z - Z†) off the
+        diagonal and the partials against |C_j|^2 on it; only the near-ties
+        are contracted with dk_tensors."""
+        (ties, inv), (d1, d2) = self.gaps, self.partials
+        T, Cc = self.theta * C, C.conj()
+        Z = np.sum(T.conj() @ np.swapaxes(C, -1, -2) + np.swapaxes(T, -1, -2) @ Cc, axis=-3)
+        G, C2 = inv * (Z - la.dagger(Z)), (C * Cc).real
+        i = np.arange(inv.shape[-1])
+        G[..., i, i] = np.sum(np.sum(d1 * C2, axis=-1) + np.sum(d2 * C2, axis=-2), axis=-2)
+        if ties.any():
+            W1, W2 = self.dk_tensors()
+            G = np.where(ties, np.einsum("...jabc,...jbc,...jac->...ab", W1, C, Cc)
+                         + np.einsum("...jabc,...jab,...jac->...bc", W2, C, Cc), G)
         return la.herm(self.Q @ self.V @ np.swapaxes(G, -1, -2) @ la.dagger(self.V) @ self.Q)
 
 
@@ -301,6 +335,7 @@ class _PathEnergy:
         rho0, rho1 = la.herm(rho0), la.herm(rho1)
         self.linear = (1.0 - t) * rho0 + t * rho1
         self.delta = self.coords(rho1 - rho0) / N
+        self.last = (None, None)  # (bytes of y, what evaluate returned) of its last call
 
     def coords(self, X: np.ndarray) -> np.ndarray:
         """Re <U_m, X> for each Hermitian matrix of a stack."""
@@ -328,7 +363,9 @@ class _PathEnergy:
                                  f"(lowest eigenvalue {w[i, 0]:.3e})")
         Qb = np.einsum("kmn,km->kn", Q.conj(), b.reshape(K * N, n)) / w
         c = np.real(np.einsum("kmn,kn->km", Q, Qb))
-        return gammas, b, c.reshape(K, N, n), fr, np.einsum("kn,kn...->k...", c, C)[:, None]
+        out = gammas, b, c.reshape(K, N, n), fr, np.einsum("kn,kn...->k...", c, C)[:, None]
+        self.last = (np.asarray(y, dtype=float).tobytes(), out)
+        return out
 
     def value_and_grad(self, y: np.ndarray):
         """Energies (K,) and gradients (K, n) at a stack of paths y (K, n),
@@ -367,7 +404,8 @@ def w2p_solve(L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray, p: float,
         y, stop = res.x[0], res.stops[0]
         steps, evaluations = int(res.iterations[0]), int(res.evaluations[0])
     h = problem.h
-    gammas, b, c, fr, CU = problem.evaluate(y)
+    key, last = problem.last  # the optimizer's, when made at the point it returned
+    gammas, b, c, fr, CU = last if key == y.tobytes() else problem.evaluate(y)
     gammas, b, c = gammas[0], b[0], c[0]
     B = fr.uneig(fr.theta * CU, fr.P)[:, 0] / h
     actions = np.sum(b * c, axis=1) / h ** 2

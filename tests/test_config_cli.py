@@ -321,6 +321,21 @@ class TestMain:
             assert entry["beckner_vs_curvature"]["alpha_estimate"] == \
                 ct.estimate_constant(L, "beckner", p=float(p), opts=opts).value
 
+    def test_ricci_reports_cond_G_at_the_worst_state(self, tmp_path):
+        # one diagnostics entry per p of the task, the condition number of the
+        # Gram matrix at the state whose kappa is reported
+        out = tmp_path / "out"
+        assert cli.main(["ricci", "--fixture", "depol3", "--samples", "8",
+                         "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        results, diagnostics = report["results"]["ricci"], report["diagnostics"]["ricci"]
+        assert set(diagnostics) == set(results)
+        L = cf.build_generator(cf.fixtures("depol3"))
+        for p, entry in results.items():
+            _, G = rc.hessian_matrix(L, la.matrix_from_json(entry["worst_state"]), float(p))
+            assert diagnostics[p] == {"cond_G": pytest.approx(np.linalg.cond(G), rel=1e-8)}
+            assert diagnostics[p]["cond_G"] >= 1.0
+
     @pytest.mark.parametrize("seed", [0, 2, 3])
     def test_verify_flat_random_model_skips_two_point_check(self, tmp_path, seed):
         # sigma = I/3 does not make the two-point constant apply: only the

@@ -129,7 +129,8 @@ def test_kernels_match_mpmath_at_every_scale(p, log_scale, log_sep, swap):
     # values, and 1e-7 on partials relative to max(|partial|, |value| / max(x, y)),
     # the scale of a derivative (at p = 2 the theta partials vanish). Over 3,000
     # random cases the largest errors were 4.3e-16 on values and 3.8e-10 on
-    # partials (next to the NEAR_TOL switch to the Taylor branch). With the old
+    # partials (next to the NEAR_TOL switch to the Taylor branch); the partials
+    # written with the grid value theta_p(x, y) reached 2.4e-10. With the old
     # scale floor max(1, |x|, |y|) values were off by up to 33% and partials
     # by 67% below scale 1e-8.
     x = 10.0 ** log_scale
@@ -138,9 +139,13 @@ def test_kernels_match_mpmath_at_every_scale(p, log_scale, log_sep, swap):
         x, y = y, x
     fp, th = kn.fp_divdiff_kernel(p), kn.theta_p_kernel(p)
     X, Y = np.array(x), np.array(y)
-    got = [kn.stable_powdiff(p - 1.0, X, Y), fp.f(X, Y), th.f(X, Y), th.dx(X, Y),
-           th.dx(Y, X)]
+    # the partials once from the arguments alone and once from the grid value
+    # theta_p(x, y), as the spectral frame passes it
+    F = th.f(X, Y)
+    got = [kn.stable_powdiff(p - 1.0, X, Y), fp.f(X, Y), F, th.dx(X, Y), th.dx(Y, X),
+           th.dx(X, Y, F), th.dx(Y, X, F)]
     exact = [float(v) for v in _exact_kernels(p, x, y)]
+    exact += exact[3:]
     for i, (g, e) in enumerate(zip(got, exact)):
         if i < 3:
             assert abs(float(g) - e) <= 1e-12 * abs(e), (i, float(g), e)

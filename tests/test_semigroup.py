@@ -27,13 +27,13 @@ class TestBuildFromJumps:
         V = np.zeros((2, 2), dtype=complex)
         V[0, 1] = 1.0
         jump = sg.JumpTerm(V, float(np.log(0.25 / 0.75)))  # omega = -log 3
-        sg.validate_jump(SIGMA_STAR, jump)
+        sg.validate_jump(la.herm_eigh(SIGMA_STAR), jump)
         with pytest.raises(NotModularEigenvector):
-            sg.validate_jump(SIGMA_STAR, sg.JumpTerm(V, 0.0))
+            sg.validate_jump(la.herm_eigh(SIGMA_STAR), sg.JumpTerm(V, 0.0))
 
     def test_traceful_jump_rejected(self):
         with pytest.raises(NotModularEigenvector):
-            sg.validate_jump(np.eye(2) / 2, sg.JumpTerm(np.eye(2, dtype=complex), 0.0))
+            sg.validate_jump(la.herm_eigh(np.eye(2) / 2), sg.JumpTerm(np.eye(2, dtype=complex), 0.0))
 
     def test_empty_jump_list(self):
         L = sg.build_from_jumps(SIGMA_STAR, [])
@@ -56,7 +56,7 @@ class TestBuildFromJumps:
         V = np.zeros((2, 2), dtype=complex)
         V[0, 1] = 1.0
         jump = sg.JumpTerm(V, float(np.log(s1 / (1.0 - s1))) + delta)
-        sg.validate_jump(sigma, jump)
+        sg.validate_jump(la.herm_eigh(sigma), jump)
         if not builds:
             with pytest.raises(NotDbc):
                 sg.build_from_jumps(sigma, [jump])
@@ -66,6 +66,43 @@ class TestBuildFromJumps:
         assert L.primitivity.kernel_dimension == 1
         sg.evolve(L, 0.5, "heisenberg", np.eye(2))
         assert la.frob(L.gap_eigenvector) == pytest.approx(1.0)
+
+
+def _rotated_sigma(smin: float) -> np.ndarray:
+    """sigma with eigenvalues (smin, 1/2, 1/2 - smin) in a seeded random basis."""
+    rng = np.random.default_rng(11)
+    U, _ = np.linalg.qr(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+    return la.herm((U * np.array([smin, 0.5, 0.5 - smin])) @ U.conj().T)
+
+
+class TestRotatedSmallSigma:
+    """A sigma with a tiny eigenvalue in a non-diagonal basis: the modular
+    eigenvector condition is checked in sigma's eigenbasis, so the round-off
+    of the change of basis is not amplified by cond(sigma)."""
+
+    @pytest.mark.parametrize("smin", [1e-8, 1e-10])
+    @pytest.mark.parametrize("kind", ["random_dbc", "depolarizing"])
+    def test_builds(self, smin, kind):
+        sigma = _rotated_sigma(smin)
+        L = (sg.random_dbc(sigma, 3, 1, seed=3) if kind == "random_dbc"
+             else sg.depolarizing(sigma, 1.0))
+        rebuilt = sg.generator_from_jumps(L.jumps, 3)
+        assert la.frob(rebuilt - L.generator) <= 1e-8 * la.frob(L.generator)
+        assert la.frob(L.apply_dual(sigma)) <= 1e-10 * la.frob(L.generator)
+
+    @pytest.mark.parametrize("smin", [1e-8, 1e-10])
+    def test_jump_off_the_condition_rejected(self, smin):
+        # each exact jump passes; moved by 1e-6 of its norm along a random
+        # trace-free direction it is rejected at the unchanged tolerance
+        sigma = _rotated_sigma(smin)
+        eig = la.herm_eigh(sigma)
+        rng = np.random.default_rng(2)
+        for V, omega in sg.random_dbc(sigma, 3, 1, seed=3).jumps:
+            sg.validate_jump(eig, sg.JumpTerm(V, omega))
+            X = la.traceless_part(rng.normal(size=(3, 3)) + 1j * rng.normal(size=(3, 3)))
+            W = V + 1e-6 * la.frob(V) * X / la.frob(X)
+            with pytest.raises(NotModularEigenvector):
+                sg.validate_jump(eig, sg.JumpTerm(W, omega))
 
 
 class TestDepolarizing:

@@ -156,7 +156,8 @@ def run_transport(cfg: ExperimentConfig, L: DbcLindbladian) -> Tuple[Dict, List[
 def run_ricci(cfg: ExperimentConfig, L: DbcLindbladian) -> Tuple[Dict, Dict]:
     """Curvature at the smallest and largest p of the grid; where kappa > 0,
     the inequalities it drives and the estimated Beckner constant that
-    kappa p / 2 must not exceed; per p, the diagnostic cond_G of ricci_estimate."""
+    kappa p / 2 must not exceed; per p, the diagnostics cond_G and multiplicity
+    of ricci_estimate."""
     rng = np.random.default_rng(int(cfg.seeds.get("master", 7)))
     ps = sorted({min(cfg.p_grid), max(cfg.p_grid)})
     out, diagnostics = {}, {}
@@ -176,7 +177,7 @@ def run_ricci(cfg: ExperimentConfig, L: DbcLindbladian) -> Tuple[Dict, Dict]:
             entry["beckner_vs_curvature"] = {
                 "alpha_estimate": alpha.value, "kappa_p_over_2": est.kappa * p / 2.0}
         out[str(p)] = entry
-        diagnostics[str(p)] = {"cond_G": est.cond_G}
+        diagnostics[str(p)] = {"cond_G": est.cond_G, "multiplicity": est.multiplicity}
     return out, diagnostics
 
 

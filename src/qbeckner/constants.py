@@ -64,11 +64,6 @@ class ConstantEstimate:
     capped: bool
     diagnostics: Optional[EstimateDiagnostics] = None
 
-    def ratio_of_witness(self, L: DbcLindbladian) -> float:
-        if self.witness is None:
-            raise MissingEstimate("capped estimate carries no witness")
-        return _ratio_and_grad(L, self.kind, self.param)(self.witness)[0]
-
 
 def _tr(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Re tr(A B), matrix by matrix over leading axes."""
@@ -456,9 +451,6 @@ class BoundLedger:
     @property
     def hard_pass(self) -> bool:
         return all(e.passed for e in self.entries if e.hard)
-
-    def failures(self) -> List[LedgerEntry]:
-        return [e for e in self.entries if not e.passed]
 
 
 def _entry(name: str, lhs: float, rhs: float, hard: bool) -> LedgerEntry:

@@ -20,13 +20,11 @@ from .errors import (
     DomainViolation,
     GradientCheckFailed,
     NonHermitian,
-    NotPsd,
     SingularState,
 )
 from .kernels import Kernel1, Kernel2, _is_same
 
 HERM_TOL = 1e-12
-PSD_FLOOR = 1e-10
 FULL_RANK_FLOOR = 1e-12
 
 
@@ -97,15 +95,6 @@ def abs_power(A: np.ndarray, r: float) -> np.ndarray:
     if r < 0 and np.min(s) <= 0.0:
         raise DomainViolation(f"negative power {r} of a singular modulus")
     return (V * s**r) @ V.conj().T
-
-
-def psd_project(A: np.ndarray, floor: float = PSD_FLOOR) -> np.ndarray:
-    """Clamp eigenvalues in (-floor, 0) to zero; deeper negatives are errors."""
-    w, V = herm_eigh(A)
-    if np.min(w) < -floor:
-        raise NotPsd(f"eigenvalue {np.min(w):.3e} below -{floor:.1e}")
-    w = np.maximum(w, 0.0)
-    return (V * w) @ V.conj().T
 
 
 def check_full_rank(sigma: np.ndarray, floor: float = FULL_RANK_FLOOR) -> None:

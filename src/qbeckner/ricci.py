@@ -21,7 +21,8 @@ from .semigroup import DbcLindbladian, evolve
 # (BLOCK x (d^2 - 1) x J x d x d complex numbers) stay a few megabytes.
 BLOCK = 16
 # Samples whose lowest generalized eigenvalues lie within TIE_TOL * max(1,
-# |min|) of the minimum tie; the first of them is the worst sample.
+# |min|) of the minimum tie; the first of them is the worst sample. Its
+# eigenvalues within the same band of kappa give the multiplicity.
 TIE_TOL = 1e-12
 
 
@@ -107,13 +108,9 @@ class RicciEstimate:
     worst_state: np.ndarray
     worst_direction: np.ndarray
     cond_G: float  # 2-norm cond(G) = cond(R^-1)^2 of the Gram matrix at worst_state
-
-    def rayleigh(self, L: DbcLindbladian, p: float) -> float:
-        num = hessian_form(L, self.worst_state, p, self.worst_direction)
-        den = float(np.real(la.hs_inner(
-            self.worst_direction,
-            tp.onsager_apply(L, self.worst_state, p, self.worst_direction))))
-        return num / den
+    # generalized eigenvalues at worst_state that tie kappa (TIE_TOL); above 1,
+    # worst_direction is one of several that round-off chooses between
+    multiplicity: int
 
 
 def _samples(L: DbcLindbladian, num_states: int, seed: int) -> np.ndarray:
@@ -148,8 +145,8 @@ def ricci_estimate(L: DbcLindbladian, p: float, num_states: int = 64,
     computed; the reported kappa is the minimum over samples, an upper bound
     on the true curvature infimum. Samples are evaluated BLOCK at a time; the
     worst sample is the first whose eigenvalue ties the minimum (TIE_TOL),
-    and its kappa and direction come from a full eigensolve of its
-    Cholesky-reduced pair.
+    and its kappa, direction and multiplicity come from a full eigensolve of
+    its Cholesky-reduced pair.
     """
     if num_states < 1:
         raise ValueError(f"num_states must be at least 1, got {num_states}")
@@ -165,8 +162,9 @@ def ricci_estimate(L: DbcLindbladian, p: float, num_states: int = 64,
     i = int(np.argmax(lowest <= floor + TIE_TOL * max(1.0, abs(floor))))
     vals, W = np.linalg.eigh(M[i])
     direction = np.tensordot(Rinv[i].T @ W[:, 0], tp._basis_frame(L.d)[0], axes=1)
+    ties = int(np.sum(vals <= vals[0] + TIE_TOL * max(1.0, abs(vals[0]))))
     return RicciEstimate(float(vals[0]), num_states, samples[i].copy(), la.herm(direction),
-                         float(np.linalg.cond(Rinv[i]) ** 2))
+                         float(np.linalg.cond(Rinv[i]) ** 2), ties)
 
 
 # ---------------------------------------------------------------------------

@@ -116,10 +116,6 @@ class DbcLindbladian:
     def d(self) -> int:
         return self.sigma.shape[0]
 
-    @property
-    def num_jumps(self) -> int:
-        return len(self.jumps)
-
     def require_jumps(self) -> None:
         if not self.jumps:
             raise NoJumps("operation needs the jump representation")
@@ -305,12 +301,12 @@ def depolarizing(sigma: np.ndarray, gamma: float) -> DbcLindbladian:
     gen = gamma * (np.outer(eye_vec, la.vec(sigma).conj()) - np.eye(d * d))
     if d == 1:  # B(H) is scalar: the generator vanishes identically
         return DbcLindbladian(sigma=sigma, jumps=(), generator=gen)
-    jumps = alicki_decompose(gen, sigma)
-    rebuilt = build_from_jumps(sigma, jumps)
-    resid = la.frob(rebuilt.generator - gen) / la.frob(gen)
-    if resid > DECOMPOSE_TOL:
-        raise ResidualTooLarge(f"depolarizing jump synthesis residual {resid:.3e}")
-    return DbcLindbladian(sigma=sigma, jumps=rebuilt.jumps, generator=gen)
+    # alicki_decompose checks detailed balance of gen and that the jumps,
+    # adjoint pairs included, rebuild it; only the jumps are left to check
+    L = DbcLindbladian(sigma=sigma, jumps=tuple(alicki_decompose(gen, sigma)), generator=gen)
+    for jump in L.jumps:
+        validate_jump(L.sigma_eig, jump)
+    return L
 
 
 def random_dbc(sigma: np.ndarray, num_offdiag_pairs: int, num_diag: int,

@@ -175,12 +175,6 @@ def _floored(g: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-def onsager_apply(L: DbcLindbladian, rho: np.ndarray, p: float,
-                  U: np.ndarray) -> np.ndarray:
-    """D_{p,rho} U = sum_j dj† ([rho]_{p,w_j} dj U)."""
-    return _Frame(L, rho, p).onsager(U)
-
-
 def onsager_matrix(L: DbcLindbladian, rho: np.ndarray, p: float) -> np.ndarray:
     """Dense superoperator of the Onsager operator: column k is the image of
     the matrix unit with vec index k."""
@@ -190,9 +184,9 @@ def onsager_matrix(L: DbcLindbladian, rho: np.ndarray, p: float) -> np.ndarray:
 
 
 def onsager_pinv_apply(L: DbcLindbladian, rho: np.ndarray, p: float,
-                       nu: np.ndarray, check_trace: bool = True) -> np.ndarray:
+                       nu: np.ndarray) -> np.ndarray:
     """Solve D_{p,rho} U = nu on the trace-free subspace."""
-    if check_trace and abs(np.trace(nu)) > TRACE_TOL * max(1.0, la.frob(nu)):
+    if abs(np.trace(nu)) > TRACE_TOL * max(1.0, la.frob(nu)):
         raise KernelComponent(f"input has trace component {np.trace(nu):.3e}")
     M = onsager_matrix(L, rho, p)
     w, Q = la.herm_eigh(la.herm(M), check=False)

@@ -6,16 +6,20 @@ with: MetricKernel is the single-jump form of the spectral frame
 transport._Frame; the s-inner products, the weighted kernel superoperator,
 the variance, the entropy production, Gamma_2 and the KMS adjoint of a
 derivation are the objects the tested identities are written in;
-check_gradient_sequential is linalg.check_gradient one point per call.
+check_gradient_sequential is linalg.check_gradient one point per call;
+ratio_of_witness and ricci_rayleigh evaluate an estimate's witness afresh;
+psd_project builds positive semidefinite test inputs.
 """
 
 import numpy as np
 
+from qbeckner import constants as ct
 from qbeckner import dirichlet as dh
 from qbeckner import entropy as ent
 from qbeckner import linalg as la
+from qbeckner import ricci as rc
 from qbeckner import transport as tp
-from qbeckner.errors import GradientCheckFailed, SingularState
+from qbeckner.errors import GradientCheckFailed, NotPsd, SingularState
 from qbeckner.kernels import Kernel1, Kernel2, _is_same, theta_p_kernel
 
 
@@ -91,13 +95,18 @@ def kernel_matrices(L, rho, p):
     d = L.d
     units = np.swapaxes(np.eye(d * d).reshape(d * d, d, d), 1, 2)
     fr = tp._Frame(L, rho, p)
-    out = fr.apply(np.broadcast_to(units[:, None], (d * d, L.num_jumps, d, d)))
-    return np.array([la.vec_columns(out[:, j]) for j in range(L.num_jumps)])
+    out = fr.apply(np.broadcast_to(units[:, None], (d * d, len(L.jumps), d, d)))
+    return np.array([la.vec_columns(out[:, j]) for j in range(len(L.jumps))])
 
 
 # ---------------------------------------------------------------------------
 # Onsager operator and geodesics
 # ---------------------------------------------------------------------------
+
+
+def onsager_apply(L, rho, p, U):
+    """D_{p,rho} U = sum_j dj† ([rho]_{p,w_j} dj U)."""
+    return tp._Frame(L, rho, p).onsager(U)
 
 
 def onsager_tensor(L, rho, p, nu1, nu2) -> float:
@@ -108,7 +117,7 @@ def onsager_tensor(L, rho, p, nu1, nu2) -> float:
 
 def geodesic_hamiltonian(L, rho, U, p) -> float:
     """Half the kinetic form <U, D_{p,rho} U>, conserved along geodesics."""
-    return 0.5 * float(np.real(la.hs_inner(tp.onsager_apply(L, rho, p, U), U)))
+    return 0.5 * float(np.real(la.hs_inner(onsager_apply(L, rho, p, U), U)))
 
 
 # ---------------------------------------------------------------------------
@@ -213,3 +222,33 @@ def check_gradient_sequential(fun_and_grad, x, what) -> float:
                 f"{what} gradient self-test failed: fd={fd:.6e} an={an:.6e}")
         worst = max(worst, abs(fd - an) / scale)
     return worst
+
+
+# ---------------------------------------------------------------------------
+# Witnesses of estimates, and test inputs
+# ---------------------------------------------------------------------------
+
+
+def ratio_of_witness(L, est) -> float:
+    """The Rayleigh ratio of an uncapped constant estimate's witness."""
+    return ct._ratio_and_grad(L, est.kind, est.param)(est.witness)[0]
+
+
+def ricci_rayleigh(L, est, p) -> float:
+    """Hess[U, U] / <U, D_{p,rho} U> at a ricci estimate's worst state and
+    direction."""
+    U, rho = est.worst_direction, est.worst_state
+    den = float(np.real(la.hs_inner(U, onsager_apply(L, rho, p, U))))
+    return rc.hessian_form(L, rho, p, U) / den
+
+
+PSD_FLOOR = 1e-10
+
+
+def psd_project(A, floor=PSD_FLOOR):
+    """Clamp eigenvalues in (-floor, 0) to zero; deeper negatives are errors."""
+    w, V = la.herm_eigh(A)
+    if np.min(w) < -floor:
+        raise NotPsd(f"eigenvalue {np.min(w):.3e} below -{floor:.1e}")
+    w = np.maximum(w, 0.0)
+    return (V * w) @ V.conj().T

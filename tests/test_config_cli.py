@@ -70,7 +70,7 @@ class TestConfig:
                        "list": [{"V": la.matrix_to_json(E01),
                                  "omega": float(np.log(1.0 / 3.0))}]})
         Lj = cf.build_generator(jumps_cfg)
-        assert Lj.num_jumps == 2  # adjoint pair completed
+        assert len(Lj.jumps) == 2  # adjoint pair completed
 
         rnd_cfg = cf.fixtures("random_dbc_seeded")
         La = cf.build_generator(rnd_cfg)
@@ -321,9 +321,12 @@ class TestMain:
             assert entry["beckner_vs_curvature"]["alpha_estimate"] == \
                 ct.estimate_constant(L, "beckner", p=float(p), opts=opts).value
 
-    def test_ricci_reports_cond_G_at_the_worst_state(self, tmp_path):
+    def test_ricci_reports_cond_G_and_multiplicity_at_the_worst_state(self, tmp_path):
         # one diagnostics entry per p of the task, the condition number of the
-        # Gram matrix at the state whose kappa is reported
+        # Gram matrix at the state whose kappa is reported, and the
+        # multiplicity of kappa there: at p = 2 all eight generalized
+        # eigenvalues of depol3 at sigma are 1, so worst_direction is one of
+        # many; at p = 1.05 kappa is simple
         out = tmp_path / "out"
         assert cli.main(["ricci", "--fixture", "depol3", "--samples", "8",
                          "--out", str(out)]) == 0
@@ -333,8 +336,9 @@ class TestMain:
         L = cf.build_generator(cf.fixtures("depol3"))
         for p, entry in results.items():
             _, G = rc.hessian_matrix(L, la.matrix_from_json(entry["worst_state"]), float(p))
-            assert diagnostics[p] == {"cond_G": pytest.approx(np.linalg.cond(G), rel=1e-8)}
+            assert diagnostics[p]["cond_G"] == pytest.approx(np.linalg.cond(G), rel=1e-8)
             assert diagnostics[p]["cond_G"] >= 1.0
+        assert {p: e["multiplicity"] for p, e in diagnostics.items()} == {"1.05": 1, "2.0": 8}
 
     @pytest.mark.parametrize("seed", [0, 2, 3])
     def test_verify_flat_random_model_skips_two_point_check(self, tmp_path, seed):

@@ -131,6 +131,6 @@ class TestComparisonInequalities:
 
     def test_nonnegativity_on_psd_cone(self, rng, dbc3):
         for _ in range(6):
-            X = la.psd_project(random_pd(rng, 3, shift=0.0), floor=np.inf)
+            X = oracles.psd_project(random_pd(rng, 3, shift=0.0), floor=np.inf)
             for p in (1.0, 1.4, 2.0):
                 assert dh.dirichlet_form(dbc3, X, p).value >= 0.0

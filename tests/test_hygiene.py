@@ -1,5 +1,6 @@
-"""Every public top-level function or class under src/qbeckner has a caller
-there: a name that only tests use belongs in tests/oracles.py."""
+"""Every public top-level function or class under src/qbeckner, and every
+public method or property of a public class, has a caller there: a name that
+only tests use belongs in tests/oracles.py."""
 
 import ast
 import pathlib
@@ -13,6 +14,7 @@ ALLOWED = {
     # the benchmark's tracer patches them to count their calls
     ("entropy", "q_variance"),
     ("transport", "geodesic_shoot"),
+    ("ricci", "hessian_form"),
     # paper results that are to be run by the verify suite
     ("constants", "stability_factor"),
     ("constants", "moment_concentration_check"),
@@ -21,31 +23,47 @@ ALLOWED = {
 }
 
 
-def _names(node):
+def _uses(node):
+    """(bare names, attribute names) that occur in node."""
+    names, attrs = set(), set()
     for n in ast.walk(node):
         if isinstance(n, ast.Name):
-            yield n.id
+            names.add(n.id)
         elif isinstance(n, ast.Attribute):
-            yield n.attr
+            attrs.add(n.attr)
+    return names, attrs
 
 
 def _uncalled():
     """Public top-level definitions whose name no other top-level definition
-    and no module code uses, as a bare name or an attribute. Imports are not
-    uses, so neither is a re-export from __init__, and a definition's uses
-    of its own name do not count."""
-    public, referenced = set(), set()
+    and no module code uses, as a bare name or an attribute, and public
+    methods of public classes, named "Class.method", whose name nothing
+    else uses as an attribute: a local variable of the same name is not a
+    call. Imports are not uses, so neither is a re-export from __init__,
+    and a definition's uses of its own name do not count."""
+    tops, methods, names, attrs = set(), set(), set(), set()
     for path in sorted(SRC.glob("*.py")):
         for stmt in ast.parse(path.read_text()).body:
             if isinstance(stmt, (ast.Import, ast.ImportFrom)):
                 continue
             own = None
+            parts = [(stmt, None)]
             if isinstance(stmt, (ast.FunctionDef, ast.ClassDef)):
                 own = stmt.name
                 if not own.startswith("_"):
-                    public.add((path.stem, own))
-            referenced.update(n for n in _names(stmt) if n != own)
-    return {(mod, name) for mod, name in public if name not in referenced}
+                    tops.add((path.stem, own))
+            if isinstance(stmt, ast.ClassDef):
+                parts = [(n, n.name if isinstance(n, ast.FunctionDef) else None)
+                         for n in ast.iter_child_nodes(stmt)]
+                if not own.startswith("_"):
+                    methods.update((path.stem, own, m) for _, m in parts
+                                   if m and not m.startswith("_"))
+            for node, method in parts:
+                n, a = _uses(node)
+                names |= n - {own, method}
+                attrs |= a - {own, method}
+    return ({(mod, name) for mod, name in tops if name not in names | attrs}
+            | {(mod, f"{cls}.{m}") for mod, cls, m in methods if m not in attrs})
 
 
 def test_every_public_name_has_a_caller():

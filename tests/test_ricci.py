@@ -10,13 +10,15 @@ from qbeckner import transport as tp
 from qbeckner.entropy import p_divergence
 from qbeckner.errors import NonPositiveCurvature, SingularMetric
 
+import oracles
+
 
 class TestHessianForm:
     def test_at_invariant_state(self, rng, depol_flat):
         # K kernel is linear in L† rho, which vanishes at sigma
         U = la.traceless_part(la.random_hermitian(rng, 2))
         hess = rc.hessian_form(depol_flat, depol_flat.sigma, 1.5, U)
-        DU = tp.onsager_apply(depol_flat, depol_flat.sigma, 1.5, U)
+        DU = oracles.onsager_apply(depol_flat, depol_flat.sigma, 1.5, U)
         direct = -np.real(la.hs_inner(U, la.apply_super(depol_flat.dual_generator, DU)))
         assert hess == pytest.approx(direct, rel=1e-12)
 
@@ -40,7 +42,7 @@ class TestHessianForm:
             rho = la.random_density(rng, 2, floor=0.1)
             U = la.traceless_part(la.random_hermitian(rng, 2))
             hess = rc.hessian_form(depol_flat, rho, p, U)
-            gU = np.real(la.hs_inner(U, tp.onsager_apply(depol_flat, rho, p, U)))
+            gU = np.real(la.hs_inner(U, oracles.onsager_apply(depol_flat, rho, p, U)))
             assert hess >= (p / 2.0) * gU - 1e-8 * max(gU, 1.0)
 
     def test_matrix_consistent_with_form(self, rng, dbc2):
@@ -51,7 +53,7 @@ class TestHessianForm:
         U = sum(ci * T for ci, T in zip(c, basis))
         assert c @ H @ c == pytest.approx(rc.hessian_form(dbc2, rho, 1.5, U), rel=1e-10)
         assert c @ G @ c == pytest.approx(
-            np.real(la.hs_inner(U, tp.onsager_apply(dbc2, rho, 1.5, U))), rel=1e-10)
+            np.real(la.hs_inner(U, oracles.onsager_apply(dbc2, rho, 1.5, U))), rel=1e-10)
 
     def test_symmetry(self, rng, dbc2):
         rho = la.random_density(rng, 2, floor=0.1)
@@ -139,7 +141,17 @@ class TestRicciEstimate:
 
     def test_witness_reproduces_kappa(self, dbc2):
         est = rc.ricci_estimate(dbc2, 1.5, num_states=8, seed=7)
-        assert est.rayleigh(dbc2, 1.5) == pytest.approx(est.kappa, rel=1e-8)
+        assert oracles.ricci_rayleigh(dbc2, est, 1.5) == pytest.approx(est.kappa, rel=1e-8)
+
+    @pytest.mark.parametrize("model, p", [("depol3", 1.05), ("depol3", 2.0),
+                                          ("classical_embed", 1.5)])
+    def test_multiplicity_counts_the_eigenvalues_at_kappa(self, model, p):
+        # against scipy's generalized eigensolver at the worst state; the
+        # eigenvalues above the ties lie far outside either band
+        L = cf.build_generator(cf.fixtures(model))
+        est = rc.ricci_estimate(L, p, num_states=8, seed=7)
+        lam = scipy.linalg.eigh(*rc.hessian_matrix(L, est.worst_state, p), eigvals_only=True)
+        assert est.multiplicity == np.sum(lam <= est.kappa + 1e-9)
 
     def test_ties_pick_first_sample(self):
         # at p = 2 every sample of a depolarizing model has kappa_2 = 1 up to
@@ -251,6 +263,6 @@ class TestDynamicChecks:
 
     def test_intertwining_residual_reported(self, depol_flat):
         out = rc.dynamic_checks(depol_flat, 2.0, 1.0, "intertwining", times=(0.4,))
-        assert len(out) == depol_flat.num_jumps
+        assert len(out) == len(depol_flat.jumps)
         for entry in out:
             assert np.isfinite(entry["residual"])

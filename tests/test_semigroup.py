@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qbeckner import config as cf
 from qbeckner import kernels as kn
 from qbeckner import linalg as la
 from qbeckner import semigroup as sg
@@ -43,7 +44,7 @@ class TestBuildFromJumps:
         V = np.zeros((2, 2), dtype=complex)
         V[0, 1] = 1.0
         L = sg.build_from_jumps(SIGMA_STAR, [sg.JumpTerm(V, -np.log(3.0))])
-        assert L.num_jumps == 2
+        assert len(L.jumps) == 2
         sg.validate_dbc(L)
 
     @pytest.mark.parametrize("delta,builds", [(1e-5, False), (1e-6, True), (0.0, True)])
@@ -120,6 +121,19 @@ class TestDepolarizing:
         resid = la.frob(rebuilt - depol2.generator) / la.frob(depol2.generator)
         assert resid <= 1e-8
 
+    def test_builds_and_checks_its_generator_once(self, monkeypatch):
+        # alicki_decompose checks detailed balance and rebuilds the generator
+        # from the jumps; the build adds a check of each jump and nothing else
+        counts = dict.fromkeys(["generator_from_jumps", "validate_dbc", "validate_jump"], 0)
+        for name in counts:
+            def counted(*args, _real=getattr(sg, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(sg, name, counted)
+        L = cf.build_generator(cf.fixtures("depol3"))
+        assert counts == {"generator_from_jumps": 1, "validate_dbc": 1,
+                          "validate_jump": len(L.jumps)}
+
     def test_singular_state_rejected(self):
         with pytest.raises(SingularState):
             sg.depolarizing(np.diag([1.0, 0.0]).astype(complex), 1.0)
@@ -190,7 +204,7 @@ class TestDerivation:
 
     def test_identity_in_kernel(self, dbc3):
         grad = tp._Frame(dbc3, dbc3.sigma, 2.0).grad(np.eye(3))
-        for j in range(dbc3.num_jumps):
+        for j in range(len(dbc3.jumps)):
             assert la.frob(grad[j]) <= 1e-14
 
     def test_integration_by_parts(self, rng, dbc3):
@@ -206,7 +220,7 @@ class TestDerivation:
         X = la.random_hermitian(rng, 3)
         grad = tp._Frame(dbc3, dbc3.sigma, 2.0).grad(X)
         acc = np.zeros((3, 3), dtype=complex)
-        for j in range(dbc3.num_jumps):
+        for j in range(len(dbc3.jumps)):
             acc -= oracles.kms_adjoint_derivation(dbc3, j, grad[j])
         assert la.frob(acc - dbc3.apply(X)) <= 1e-10 * max(la.frob(acc), 1.0)
 
@@ -214,7 +228,7 @@ class TestDerivation:
         X = la.random_hermitian(rng, 3)
         fr = tp._Frame(dbc3, dbc3.sigma, 2.0)
         grad = fr.grad(X)
-        assert len(grad) == dbc3.num_jumps
+        assert len(grad) == len(dbc3.jumps)
         div = fr.div(grad)
         assert abs(np.trace(div)) <= 1e-12
 

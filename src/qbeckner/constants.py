@@ -43,9 +43,12 @@ class EstimateOpts:
 @dataclass(frozen=True)
 class EstimateDiagnostics:
     """What the optimizer did for one estimate, per start in start order:
-    accepted steps, objective evaluations, stop reason and the start's
-    final ratio. Nothing here depends on wall-clock time, so reports stay
-    reproducible."""
+    accepted steps, objective evaluations, stop reason (linalg.STOPS) and
+    the start's final ratio. A start that reads "agreed" was cut while still
+    running, at the call given by its evaluations, because enough other
+    starts had settled on the lowest ratio (linalg.minimize); its ratio is
+    that of the point it held then. Nothing here depends on wall-clock time,
+    so reports stay reproducible."""
 
     iterations: Tuple[int, ...]
     evaluations: Tuple[int, ...]
@@ -295,8 +298,10 @@ def estimate_constant(L: DbcLindbladian, kind: str, p: float | None = None,
     and report min(best ratio, analytic cap); the cap is the linearization
     value on the unreachable X -> 1 ridge. All starts descend together in
     one call of the shared batched BFGS (linalg.minimize, also used by the
-    transport solver), but each start's path is its own and the starts are
-    reduced by a minimum, so the result does not depend on their order.
+    transport solver), which stops the running starts once enough stopped
+    ones agree on the lowest ratio. Each start's path is its own, the cut
+    depends on the set of starts only, and the starts are reduced by a
+    minimum, so the result does not depend on their order.
     beckner needs p in (1, 2] and dual_beckner q in [1, 2), the ranges of
     the config's p_grid and q_grid; anything else raises ValueError.
     """
@@ -487,10 +492,6 @@ def bound_ledger(estimates: Dict, sigma_min: float,
             f"beckner({p}) >= p^2 sigma_min^(2-p) lambda/4",
             p * p * sigma_min ** (2.0 - p) * lam / 4.0, a, True))
     ps = sorted(alphas)
-    for p1, p2 in zip(ps, ps[1:]):
-        entries.append(_entry(
-            f"p/(p-1) beckner nonincreasing [{p1},{p2}]",
-            p2 / (p2 - 1.0) * alphas[p2], p1 / (p1 - 1.0) * alphas[p1], False))
     if ("mlsi",) in estimates:
         a1 = get(("mlsi",)).value
         entries.append(_entry("mlsi <= lambda/2", a1, lam / 2.0, True))

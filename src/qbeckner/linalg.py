@@ -312,9 +312,14 @@ GTOL = 1e-12
 # rescales the point; uncapped, one start of dual_beckner[1.8] on depol3 leaps
 # far out and takes 126 steps, not 46.
 MAX_STEP = 1.0
-# minimize() stop codes and the reasons they stand for
-_RUNNING, _FTOL, _GTOL, _MAX_ITERS, _LINE_SEARCH = range(5)
-STOPS = ("running", "ftol", "gtol", "max_iters", "line_search")
+# Relative gap within which a start that stopped on ftol or gtol agrees with
+# the lowest value any start holds; minimize() cuts the running starts once
+# max(2, ceil(S / 4)) of the S starts agree.
+AGREE_RTOL = 1e-9
+# minimize() stop codes and the reasons they stand for; "agreed" marks a
+# start that was still running when enough others had stopped and agreed
+_RUNNING, _FTOL, _GTOL, _MAX_ITERS, _LINE_SEARCH, _AGREED = range(6)
+STOPS = ("running", "ftol", "gtol", "max_iters", "line_search", "agreed")
 
 
 @dataclass(frozen=True)
@@ -352,9 +357,19 @@ def minimize(fun: Callable, x0: np.ndarray, max_iters: int = 2000,
     after max_iters steps; ("line_search") when MAX_BACKTRACKS trials in a
     row fail. A stopped start keeps its point while the others go on, and no
     start's path depends on the others.
+
+    After each call, with k = max(2, ceil(S / 4)) and best the lowest value
+    any start holds (stopped or running), once k starts have stopped on
+    ftol or gtol at a value within AGREE_RTOL * |best| of best, every
+    running start stops ("agreed") at its current point and value. Line
+    search and max_iters stops do not count. Every returned value is still
+    the objective at the returned point, and whether the cut happens
+    depends on the set of starts, not on their order; with S <= 2 it needs
+    every start stopped, so it never happens.
     """
     x = np.array(x0, dtype=float)
     S, n = x.shape
+    quorum = max(2, -(-S // 4))
     f, g = fun(x)
     nfev = 1
     out_x, out_f = x.copy(), f.copy()
@@ -384,6 +399,13 @@ def minimize(fun: Callable, x0: np.ndarray, max_iters: int = 2000,
 
     H, step, slope, alpha = directions(H, g, x, True)
     while ids.size:
+        settled = (out_stop == _FTOL) | (out_stop == _GTOL)
+        if settled.sum() >= quorum:
+            best = min(f.min(), out_f[out_stop != _RUNNING].min())
+            if (out_f[settled] <= best + AGREE_RTOL * abs(best)).sum() >= quorum:
+                out_x[ids], out_f[ids], out_stop[ids] = x, f, _AGREED
+                out_iters[ids], out_evals[ids] = iters, nfev
+                break
         trial = x + alpha[:, None] * step
         ft, gt = fun(trial)
         nfev += 1

@@ -254,25 +254,37 @@ class TestBatchedEstimation:
     def test_stopped_start_keeps_its_point(self):
         # on f = x^T A x / 2, start 0 sits at the minimum and stops at once on
         # the gradient test; start 1 starts so close that its decrease drops
-        # below ftol (on the absolute scale 1) after few steps; start 2 goes on
+        # below ftol (on the absolute scale 1) after few steps; start 2 goes
+        # on. Each runs beside start 2 in a stack of two, where the agreement
+        # rule cannot cut (its quorum of 2 is every start)
         A = np.diag(np.arange(1.0, 7.0))
 
         def fun(x):
             return 0.5 * np.einsum("ki,ij,kj->k", x, A, x), x @ A
 
         x0 = np.array([np.zeros(6), np.full(6, 1e-4), np.linspace(-30.0, 50.0, 6)])
-        res = la.minimize(fun, x0, ftol=1e-8)
-        assert res.stops == ("gtol", "ftol", "ftol")
+        res = la.minimize(fun, x0[[0, 2]], ftol=1e-8)
+        assert res.stops == ("gtol", "ftol")
         assert res.iterations[0] == 0 and res.evaluations[0] == 1
         assert np.array_equal(res.x[0], x0[0])
-        assert 0 < res.iterations[1] < res.iterations[2]
-        assert res.evaluations[1] < res.evaluations[2] == res.nfev
-        assert res.fun[2] <= 1e-8 * 0.5 * x0[2] @ A @ x0[2]
+        assert res.evaluations[1] == res.nfev
+        assert res.fun[1] <= 1e-8 * 0.5 * x0[2] @ A @ x0[2]
         # the tracer of the benchmark reads these two counts
         assert isinstance(res.nit, int) and isinstance(res.nfev, int)
         assert res.nit == max(res.iterations)
+        res = la.minimize(fun, x0[1:], ftol=1e-8)
+        assert res.stops == ("ftol", "ftol")
+        assert 0 < res.iterations[0] < res.iterations[1]
+        assert res.evaluations[0] < res.evaluations[1] == res.nfev
         # the point start 1 stopped at is the one it reached alone
         alone = la.minimize(fun, x0[1:2], ftol=1e-8)
+        assert np.array_equal(alone.x[0], res.x[0])
+        # all three in one stack: start 1 stops above start 0's value 0, so
+        # only start 0 agrees with the best, the quorum of 2 is not met, and
+        # start 2 is not cut
+        res = la.minimize(fun, x0, ftol=1e-8)
+        assert res.fun[0] == 0.0 < res.fun[1]
+        assert res.stops == ("gtol", "ftol", "ftol")
         assert np.array_equal(alone.x[0], res.x[1])
 
     def test_start_at_origin_moves(self):
@@ -300,6 +312,21 @@ class TestBatchedEstimation:
         assert rev.best_residual == est.best_residual
         assert rev.diagnostics.values == est.diagnostics.values[::-1]
         assert rev.diagnostics.iterations == est.diagnostics.iterations[::-1]
+
+    @pytest.mark.parametrize("kind,param", KINDS)
+    def test_start_order_does_not_matter_when_cut(self, dbc3, monkeypatch, kind, param):
+        # with 8 starts the agreement rule cuts every kind's stack on dbc3;
+        # whether and when it cuts depends on the set of starts only
+        opts = ct.EstimateOpts(num_starts=8, seed=3)
+        kw = {"q" if kind == "dual_beckner" else "p": param}
+        seed_starts = ct._seed_starts
+        est = ct.estimate_constant(dbc3, kind, opts=opts, **kw)
+        monkeypatch.setattr(ct, "_seed_starts", lambda *a: seed_starts(*a)[::-1])
+        rev = ct.estimate_constant(dbc3, kind, opts=opts, **kw)
+        assert "agreed" in est.diagnostics.stops
+        assert rev.value == est.value and rev.best_residual == est.best_residual
+        for field in ("values", "iterations", "evaluations", "stops"):
+            assert getattr(rev.diagnostics, field) == getattr(est.diagnostics, field)[::-1]
 
     def test_diagnostics_per_start(self, depol2):
         est = ct.estimate_constant(depol2, "mlsi", opts=FAST)
@@ -389,6 +416,28 @@ class TestBoundLedger:
     def test_soft_entries_logged(self, estimates):
         ledger = ct.bound_ledger(estimates, 0.25, [1.25, 1.5, 2.0])
         assert any(not e.hard for e in ledger.entries)
+
+    def test_every_entry_holds_at_p_near_2(self, depol2):
+        # alpha_p p/(p-1) is not nonincreasing in p: on depol2 (lambda = 1) the
+        # witness X = diag(f0, (1 - 0.75 f0) / 0.25) has Beckner ratio
+        # 0.94231825484 at p = 1.9, below the (0.9/1.9) 2 lambda = 0.947368
+        # that the statement needs on [1.9, 2], and a witness ratio bounds
+        # alpha_1.9 from above. Every entry the ledger makes there holds.
+        f0 = 0.388287853157
+        X = np.diag([f0, (1.0 - 0.75 * f0) / 0.25]).astype(complex)
+        value, _ = ct._ratio_and_grad(depol2, "beckner", 1.9)(X)
+        assert value == pytest.approx(0.9423182548383, rel=1e-12)
+        lam = depol2.require_primitive().spectral_gap
+        assert value < 0.9 / 1.9 * 2.0 * lam
+        est = {("poincare",): ct.estimate_constant(depol2, "poincare")}
+        for kind, p, q in [("beckner", 1.9, None), ("beckner", 2.0, None), ("mlsi", None, None),
+                           ("lsi", None, None), ("dual_beckner", None, 2.0 / 1.9),
+                           ("dual_beckner", None, 1.5)]:
+            key = (kind,) + tuple(x for x in (p, q) if x is not None)
+            est[key] = ct.estimate_constant(depol2, kind, p=p, q=q, opts=FAST)
+        assert est[("beckner", 1.9)].value == pytest.approx(value, rel=1e-12)
+        ledger = ct.bound_ledger(est, 0.25, [1.9, 2.0])
+        assert all(e.passed for e in ledger.entries), [e for e in ledger.entries if not e.passed]
 
     def test_missing_estimate(self):
         with pytest.raises(MissingEstimate):

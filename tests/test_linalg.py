@@ -1,8 +1,11 @@
+import functools
+
 import numpy as np
 import pytest
 
 from qbeckner import kernels as kn
 from qbeckner import linalg as la
+from qbeckner import transport as tp
 from qbeckner.errors import (
     DomainViolation,
     GradientCheckFailed,
@@ -277,3 +280,113 @@ class TestCheckGradient:
 
         with pytest.raises(GradientCheckFailed):
             la.check_gradient(wrong, rng.standard_normal(6), "quartic")
+
+
+class TestMinimizeAgreement:
+    """The stack stops once max(2, ceil(S/4)) starts have stopped on ftol or
+    gtol within AGREE_RTOL of the lowest value any start holds."""
+
+    A = np.logspace(0, 4, 5)
+    NEAR_DEEP = np.r_[-1.0, np.full(5, 1e-4)]
+    NEAR_SHALLOW = np.r_[1.0, np.full(5, 1e-4)]
+    FAR_SHALLOW = np.r_[1.2, np.linspace(-3.0, 5.0, 5)]
+
+    @classmethod
+    def two_basin(cls, x):
+        # a tilted double well in x[0], about 0.9 at x[0] = -1 and 1.1 at
+        # x[0] = +1, plus an ill-conditioned quadratic in the rest; every
+        # operation is row by row, so a row's value does not depend on the
+        # stack it is evaluated in
+        u, v = x[:, 0], x[:, 1:]
+        f = 1.0 + (u * u - 1.0) ** 2 + 0.1 * u + 0.5 * (cls.A * v * v).sum(axis=1)
+        g = np.empty_like(x)
+        g[:, 0] = 4.0 * u * (u * u - 1.0) + 0.1
+        g[:, 1:] = cls.A * v
+        return f, g
+
+    @staticmethod
+    def uncut(monkeypatch, fun, x0):
+        """minimize with the agreement rule switched off: no value lies
+        within -inf of the best."""
+        with monkeypatch.context() as m:
+            m.setattr(la, "AGREE_RTOL", -np.inf)
+            return la.minimize(fun, x0)
+
+    @staticmethod
+    def same(a, b):
+        """Two MinimizeResults equal field by field, arrays bit for bit."""
+        return all(np.array_equal(getattr(a, k), getattr(b, k))
+                   for k in la.MinimizeResult.__dataclass_fields__)
+
+    def test_lower_running_start_blocks_the_cut(self, monkeypatch):
+        # two identical starts settle in the shallow basin and agree with each
+        # other, but the third already sits lower in the deep basin while it
+        # runs, so they do not agree with the best and nothing is cut
+        deep = np.r_[-1.0, np.full(5, 5e-3)]
+        x0 = np.array([self.NEAR_SHALLOW, self.NEAR_SHALLOW, deep])
+        res = la.minimize(self.two_basin, x0)
+        assert res.stops == ("ftol", "ftol", "ftol")
+        assert res.fun[0] == res.fun[1]
+        assert res.evaluations[0] == res.evaluations[1] < res.evaluations[2]
+        assert self.two_basin(deep[None])[0][0] < res.fun[0]
+        assert self.same(res, self.uncut(monkeypatch, self.two_basin, x0))
+
+    def test_line_search_stops_do_not_count(self, monkeypatch):
+        # below x[0] = -5 the value drops by 1e4 and the gradient is reversed,
+        # so two starts there hold the lowest value but fail ten trials in a
+        # row; their line_search stops make no quorum, and the third start
+        # runs on to its own stop
+        def fun(x):
+            f, g = self.two_basin(x)
+            broken = x[:, 0] < -5.0
+            return np.where(broken, f - 1e4, f), np.where(broken[:, None], -g, g)
+
+        x0 = np.array([np.r_[-6.0, np.zeros(5)]] * 2 + [self.FAR_SHALLOW])
+        res = la.minimize(fun, x0)
+        assert res.stops == ("line_search", "line_search", "ftol")
+        assert res.fun[0] < res.fun[2] and res.evaluations[0] < res.evaluations[2]
+        assert self.same(res, self.uncut(monkeypatch, fun, x0))
+
+    @pytest.mark.parametrize("S,m", [(3, 1), (3, 2), (8, 1), (8, 2), (9, 2), (9, 3),
+                                     (12, 2), (12, 3)])
+    def test_quorum(self, monkeypatch, S, m):
+        # m starts settle in the deep basin after 24 calls; the S - m others
+        # settle later, and higher, in the shallow basin. They are cut at the
+        # call the m agree once m >= max(2, ceil(S/4)), and never otherwise
+        x0 = np.array([self.NEAR_DEEP] * m + [self.FAR_SHALLOW] * (S - m))
+        res = la.minimize(self.two_basin, x0)
+        ref = self.uncut(monkeypatch, self.two_basin, x0)
+        assert ref.stops == ("ftol",) * S
+        assert np.array_equal(res.x[:m], ref.x[:m]) and np.array_equal(res.fun[:m], ref.fun[:m])
+        if m < max(2, -(-S // 4)):
+            assert self.same(res, ref)
+            return
+        assert res.stops == ("ftol",) * m + ("agreed",) * (S - m)
+        assert res.nfev == ref.evaluations[0] < ref.nfev
+        assert all(res.evaluations == res.nfev)
+        assert all(res.iterations[m:] < ref.iterations[m:])
+        # a cut start returns the point it holds, with that point's value
+        assert np.array_equal(res.fun, self.two_basin(res.x)[0])
+        assert res.nit == max(res.iterations)
+
+    @pytest.mark.parametrize("x0", [[NEAR_DEEP], [FAR_SHALLOW], [NEAR_DEEP, NEAR_DEEP],
+                                    [NEAR_DEEP, FAR_SHALLOW], [FAR_SHALLOW, NEAR_DEEP]])
+    def test_one_or_two_starts_are_never_cut(self, monkeypatch, x0):
+        # with S <= 2 the quorum of 2 is every start, so no start is left to cut
+        res = la.minimize(self.two_basin, np.array(x0))
+        assert "agreed" not in res.stops
+        assert self.same(res, self.uncut(monkeypatch, self.two_basin, np.array(x0)))
+
+    def test_transport_solve_is_unchanged(self, monkeypatch, depol3):
+        # a W_{2,p} solve descends from one start, so the rule never fires and
+        # the solve is the one the optimizer makes without it, bit for bit
+        rng = np.random.default_rng(7)
+        r0, r1 = (la.random_density(rng, 3, floor=0.05) for _ in range(2))
+        solve = functools.partial(tp.w2p_solve, depol3, r0, r1, 1.05, tp.W2Opts(N=6))
+        dist, path = solve()
+        monkeypatch.setattr(la, "AGREE_RTOL", -np.inf)
+        ref_dist, ref_path = solve()
+        assert path.stop in ("ftol", "gtol") and path.steps > 0
+        assert dist == ref_dist
+        for field in tp.TransportPath.__dataclass_fields__:
+            assert np.array_equal(getattr(path, field), getattr(ref_path, field)), field

@@ -339,8 +339,9 @@ class _PathEnergy:
     def evaluate(self, y: np.ndarray):
         """For K paths y (K, n), or one (n,) as K = 1: the states (K, N+1, d, d),
         the step coordinates b and the coefficients c_k = G_k^-1 b_k of U_k,
-        (K, N, n), the frame of the K N midpoints, and the eigenframe
-        gradients of the U_k, sum_n c_kn C_kn, shape (K N, 1, J, d, d)."""
+        (K, N, n), the frame of the K N midpoints, the eigenframe gradients
+        of the U_k, sum_n c_kn C_kn, shape (K N, 1, J, d, d), and the
+        eigendecomposition (w, Q) of the K N Gram matrices G_k."""
         N, n, K = self.N, len(self.basis), 1 if np.ndim(y) == 1 else len(y)
         x = np.zeros((K, N + 1, n))
         x[:, 1:-1] = np.reshape(y, (K, N - 1, n))
@@ -357,7 +358,7 @@ class _PathEnergy:
                                  f"(lowest eigenvalue {w[i, 0]:.3e})")
         Qb = np.einsum("kmn,km->kn", Q.conj(), b.reshape(K * N, n)) / w
         c = np.real(np.einsum("kmn,kn->km", Q, Qb))
-        out = gammas, b, c.reshape(K, N, n), fr, np.einsum("kn,kn...->k...", c, C)[:, None]
+        out = gammas, b, c.reshape(K, N, n), fr, np.einsum("kn,kn...->k...", c, C)[:, None], (w, Q)
         self.last = (np.asarray(y, dtype=float).tobytes(), out)
         return out
 
@@ -365,7 +366,7 @@ class _PathEnergy:
         """Energies (K,) and gradients (K, n) at a stack of paths y (K, n),
         or a float and (n,) at one path (n,)."""
         h = self.h
-        _, b, c, fr, CU = self.evaluate(y)
+        _, b, c, fr, CU, _ = self.evaluate(y)
         value = np.sum((b * c).reshape(len(b), -1), axis=1) / h
         # d(value)/d(gbar_k) = -(1/h) d/dgbar <U_k, D U_k> at fixed U_k, the
         # state derivative of the kinetic form
@@ -374,6 +375,21 @@ class _PathEnergy:
         grad = (2.0 / h * (c[:, :-1] - c[:, 1:]) + S[:, :-1] + S[:, 1:]).reshape(np.shape(y))
         return (float(value[0]), grad) if np.ndim(y) == 1 else (value, grad)
 
+    def preconditioner(self, w: np.ndarray, Q: np.ndarray) -> np.ndarray:
+        """T = E diag(lam^-1/2) from one eigh H = E diag(lam) E^T, so that
+        T T^T = H^-1, for H = (2/h) D^T blockdiag(G_k^-1) D: the Hessian with
+        the G_k = Q_k diag(w_k) Q_k† of the linear path (evaluate at y = 0)
+        held fixed, D the step-difference map y -> b - delta. It is exact at
+        p = 2, where the G_k do not depend on the state."""
+        N, n = self.N, len(self.basis)
+        Ginv = 2.0 / self.h * np.real((Q / w[:, None, :]) @ la.dagger(Q))
+        H = np.zeros((N - 1, n, N - 1, n))
+        i = np.arange(N - 1)
+        H[i, :, i] = Ginv[:-1] + Ginv[1:]
+        H[i[:-1], :, i[1:]] = H[i[1:], :, i[:-1]] = -Ginv[1:-1]
+        lam, E = np.linalg.eigh(H.reshape((N - 1) * n, -1))
+        return E / np.sqrt(lam)
+
 
 def w2p_solve(L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray, p: float,
               opts: W2Opts = W2Opts()) -> Tuple[float, TransportPath]:
@@ -381,25 +397,36 @@ def w2p_solve(L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray, p: float,
 
     The unknowns are the interior states of an N-step path; the endpoints
     are rho0 and rho1 exactly, and the momenta of each step are eliminated in
-    closed form (see _PathEnergy). One start of the shared BFGS
-    (linalg.minimize, with ftol = tol * 1e-3) descends from the linear path;
-    interior midpoints are eigenvalue-floored. The energy gradient is
-    self-tested once per solve. Returns (distance, path), with the momenta
-    rebuilt as B_k = [gbar_k]_j dj U_k; the path is converged when the start
-    stopped on "ftol" or "gtol", and carries its steps, evaluations, stop and
-    the self-test's largest relative gradient gap.
+    closed form (see _PathEnergy). The energy gradient is self-tested once
+    per solve. One start of the shared BFGS (linalg.minimize, with ftol =
+    tol * 1e-3) descends z -> E(T z) from z = 0, the linear path, where
+    T T^T is the inverse Hessian (_PathEnergy.preconditioner), so its gtol
+    test bounds a Newton decrement; interior midpoints are eigenvalue-floored.
+    Returns (distance, path), with the momenta rebuilt as
+    B_k = [gbar_k]_j dj U_k; the path is converged when the start stopped on
+    "ftol" or "gtol", and carries its steps, evaluations, stop and the
+    self-test's largest relative gradient gap.
     """
     problem = _PathEnergy(L, rho0, rho1, p, opts.N)
     y = np.zeros((opts.N - 1) * len(problem.basis))
     steps, evaluations, stop, gap = 0, 0, "gtol", 0.0  # an empty gradient is 0
     if y.size:  # a one-step path has no interior state to optimize
         gap = la.check_gradient(problem.value_and_grad, y, "path energy")
-        res = minimize(problem.value_and_grad, y[None], ftol=opts.tol * 1e-3)
-        y, stop = res.x[0], res.stops[0]
+        # the self-test's first path is y itself, the linear path: its Gram
+        # matrices serve the preconditioner
+        w, Q = problem.last[1][-1]
+        T = problem.preconditioner(w[:opts.N], Q[:opts.N])
+
+        def energy(z):  # E(T z) and its gradient T^T grad E, for a stack z
+            value, grad = problem.value_and_grad(z @ T.T)
+            return value, grad @ T
+
+        res = minimize(energy, y[None], ftol=opts.tol * 1e-3)
+        y, stop = (res.x @ T.T)[0], res.stops[0]
         steps, evaluations = int(res.iterations[0]), int(res.evaluations[0])
     h = problem.h
     key, last = problem.last  # the optimizer's, when made at the point it returned
-    gammas, b, c, fr, CU = last if key == y.tobytes() else problem.evaluate(y)
+    gammas, b, c, fr, CU, _ = last if key == y.tobytes() else problem.evaluate(y)
     gammas, b, c = gammas[0], b[0], c[0]
     B = fr.uneig(fr.theta * CU, fr.P)[:, 0] / h
     actions = np.sum(b * c, axis=1) / h ** 2

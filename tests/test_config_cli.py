@@ -384,6 +384,36 @@ class TestMain:
         assert report["summary"]["failures"] == ["transport.converged"]
         assert report["results"]["transport"]["solves"][0]["converged"] is False
 
+    # models 6 and 15 of the seeded zoo (numpy.random.default_rng(2026)),
+    # depolarizing with a small sigma_min: at p = 2 the linear path is the
+    # optimum, and the round-off of its unscaled energy gradient exceeded
+    # GTOL, so a p = 2 solve stopped on line_search and the task exited 1
+    @pytest.mark.parametrize("task", ["transport", "ricci"])
+    @pytest.mark.parametrize("eigenvalues, gamma", [
+        ([0.0005890944682722635, 0.9994109055317277], 1.3047896553514409),
+        ([0.008484420345319984, 0.45783921551833634, 0.5336763641363437],
+         0.41634486471340837),
+    ], ids=["zoo6", "zoo15"])
+    def test_zoo_p2_solves_stop_at_the_linear_path(self, tmp_path, monkeypatch, task,
+                                                   eigenvalues, gamma):
+        solve, solves = tp.w2p_solve, []
+
+        def recorded(L, rho0, rho1, p, *args, **kwargs):
+            dist, path = solve(L, rho0, rho1, p, *args, **kwargs)
+            solves.append((p, path.evaluations, path.stop))
+            return dist, path
+
+        monkeypatch.setattr(tp, "w2p_solve", recorded)
+        config = tmp_path / "zoo.json"
+        config.write_text(json.dumps({
+            "dimension": len(eigenvalues), "sigma": {"eigenvalues": eigenvalues},
+            "generator": {"kind": "depolarizing", "gamma": gamma}, "num_starts": 4,
+            "transport_steps": 4, "ricci_samples": 4, "p_grid": [1.05, 1.5, 2.0],
+            "q_grid": [1.5]}))
+        assert cli.main([task, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        at_2 = [(n, stop) for p, n, stop in solves if p == 2.0]
+        assert at_2 and all(s == (1, "gtol") for s in at_2)
+
     def test_transport_diagnostics_in_report(self, tmp_path):
         out = tmp_path / "out"
         assert cli.main(["transport", "--fixture", "depol2", "--steps", "4",

@@ -1,8 +1,11 @@
+import dataclasses
 import functools
 
 import numpy as np
 import pytest
 
+from qbeckner import cli
+from qbeckner import config as cf
 from qbeckner import linalg as la
 from qbeckner import semigroup as sg
 from qbeckner import transport as tp
@@ -317,11 +320,15 @@ class TestPathEnergy:
         assert back == pytest.approx(dist, rel=1e-10)
 
     def test_one_step_path(self, model, pair):
-        # no interior state: the path is the segment, exact at p = 2
+        # no interior state: the path is the segment, exact at p = 2, with
+        # no optimizer and no preconditioner at any p
         r0, r1 = pair
-        dist, path = tp.w2p_solve(model, r0, r1, 2.0, tp.W2Opts(N=1))
-        assert path.converged and path.endpoint_residual == 0.0
-        assert dist == pytest.approx(tp.flat_w22(model, r0, r1), rel=1e-12)
+        for p in (1.05, 2.0):
+            dist, path = tp.w2p_solve(model, r0, r1, p, tp.W2Opts(N=1))
+            assert path.converged and path.endpoint_residual == 0.0
+            assert (path.steps, path.evaluations, path.stop) == (0, 0, "gtol")
+            if p == 2.0:
+                assert dist == pytest.approx(tp.flat_w22(model, r0, r1), rel=1e-12)
 
     @pytest.mark.parametrize("p", [1.05, 1.5, 2.0])
     def test_gram_is_onsager_matrix_on_basis(self, rng, model, p):
@@ -383,6 +390,65 @@ class TestPathEnergy:
         r0, r1 = np.diag([0.6, 0.4]).astype(complex), SIGMA_STAR
         with pytest.raises(SingularMetric, match="step 2 "):
             tp.w2p_solve(dbc2, r0, r1, 1.5, tp.W2Opts(N=self.N))
+
+
+class TestPreconditioner:
+    """w2p_solve descends z -> E(T z) with T T^T = H^-1, H the path energy's
+    Hessian with the Gram matrices held at the linear path."""
+
+    @pytest.mark.parametrize("name", ["dbc2", "dbc3", "dbc4"])
+    def test_whitens_the_exact_hessian_at_p2(self, request, rng, name):
+        # at p = 2 the G_k do not depend on the state, so the energy is
+        # quadratic with Hessian H: central differences of the gradient
+        # along the columns of T give H T, and T^T H T = I
+        L = request.getfixturevalue(name)
+        pair = [la.random_density(rng, L.d, floor=0.1) for _ in range(2)]
+        problem = tp._PathEnergy(L, *pair, 2.0, 6)
+        T = problem.preconditioner(*problem.evaluate(np.zeros(5 * (L.d ** 2 - 1)))[-1])
+        eps = 1e-3
+        _, g = problem.value_and_grad(np.concatenate([eps * T.T, -eps * T.T]))
+        HT = (g[:len(T)] - g[len(T):]) / (2.0 * eps)
+        assert np.max(np.abs(HT @ T - np.eye(len(T)))) <= 1e-6
+
+    @pytest.mark.parametrize("p", [1.05, 1.5])
+    def test_cli_pairs_take_few_evaluations(self, p):
+        # the depol3 transport task at N = 20 (57-68 evaluations per solve
+        # from a scaled identity)
+        cfg = dataclasses.replace(cf.fixtures("depol3"), tasks=["transport"], p_grid=[p])
+        diag = cli.run(cfg)["diagnostics"]["transport"]
+        assert len(diag) == 2
+        for entry in diag:
+            assert entry["stop"] in ("ftol", "gtol") and entry["evaluations"] <= 10
+
+    def test_cli_distance_matches_a_tight_solve(self):
+        # the default tol stops where a tol = 1e-13 solve does: the distance
+        # to 1e-12 and each step's action to 1e-6 (from a scaled identity:
+        # 1.3e-10 and 2.5e-5)
+        cfg = dataclasses.replace(cf.fixtures("depol3"), tasks=["transport"], p_grid=[1.05])
+        solves = cli.run(cfg)["results"]["transport"]["solves"]
+        tight = cli.run(dataclasses.replace(cfg, transport_tol=1e-13))["results"]["transport"]["solves"]
+        assert len(solves) == len(tight) == 2
+        for a, b in zip(solves, tight):
+            assert a["distance"] == pytest.approx(b["distance"], rel=1e-12, abs=0.0)
+            assert a["action_per_step"] == pytest.approx(b["action_per_step"], rel=1e-6, abs=0.0)
+
+    def test_rebuild_reuses_the_last_evaluation(self, rng, depol3, monkeypatch):
+        # one call for the self-test, one per optimizer evaluation, and none
+        # to rebuild the path: the optimizer's last point maps back to y by
+        # the same product as inside the objective
+        calls = []
+        evaluate = tp._PathEnergy.evaluate
+
+        def counted(problem, y):
+            calls.append(np.shape(y))
+            return evaluate(problem, y)
+
+        monkeypatch.setattr(tp._PathEnergy, "evaluate", counted)
+        pair = [la.random_density(rng, 3, floor=0.05) for _ in range(2)]
+        _, path = tp.w2p_solve(depol3, *pair, 1.05, tp.W2Opts(N=20))
+        assert path.stop == "ftol"
+        assert len(calls) == 1 + path.evaluations
+        assert calls[0] == (7, 19 * 8)
 
 
 class TestInverseKernelConvexity:

@@ -92,6 +92,9 @@ def config_from_dict(data: Dict) -> ExperimentConfig:
     for t in cfg.tasks:
         if t not in ALL_TASKS:
             raise ConfigError(f"unknown task {t!r} (choose from {ALL_TASKS})")
+    for key in ("p_grid", "epsilons"):  # an empty q_grid only drops the dual-Beckner rows
+        if not getattr(cfg, key):
+            raise ConfigError(f"{key} must not be empty")
     for p in cfg.p_grid:
         if not 1.0 < p <= 2.0:
             raise ConfigError(f"p_grid entry {p} outside (1, 2]")

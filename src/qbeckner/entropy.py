@@ -145,10 +145,7 @@ def p_divergence(rho: np.ndarray, sigma: np.ndarray, p: float) -> DivergenceValu
     interpolating the variance (p = 2) and relative entropy (p -> 1).
     """
     if abs(p - 1.0) < P_ONE_BRANCH:
-        restricted = _support_restrict(rho, sigma)
-        if restricted is None:
-            return DivergenceValue(np.inf, "p_divergence", p)
-        return DivergenceValue(_clamp(umegaki(*restricted)), "p_divergence", p)
+        return DivergenceValue(_clamp(umegaki(rho, sigma)), "p_divergence", p)
     restricted = _support_restrict(rho, sigma)
     if restricted is None:
         return DivergenceValue(np.inf, "p_divergence", p)

@@ -78,12 +78,9 @@ class Kernel1:
     allow_boundary: bool = True
 
     def check_domain(self, eigenvalues: np.ndarray) -> None:
+        """DomainViolation unless the spectrum lies in the kernel's domain."""
         lo = float(np.min(eigenvalues))
-        if self.allow_boundary:
-            ok = lo >= self.domain_min
-        else:
-            ok = lo > self.domain_min
-        if not ok:
+        if not (lo >= self.domain_min if self.allow_boundary else lo > self.domain_min):
             raise DomainViolation(
                 f"kernel {self.name}: eigenvalue {lo:.3e} outside domain "
                 f"(min {self.domain_min}, boundary allowed: {self.allow_boundary})"
@@ -171,13 +168,7 @@ class Kernel2:
     domain_min: float = -np.inf
     allow_boundary: bool = True
 
-    def check_domain(self, eigenvalues: np.ndarray) -> None:
-        lo = float(np.min(eigenvalues))
-        ok = lo >= self.domain_min if self.allow_boundary else lo > self.domain_min
-        if not ok:
-            raise DomainViolation(
-                f"kernel {self.name}: eigenvalue {lo:.3e} outside domain"
-            )
+    check_domain = Kernel1.check_domain
 
 
 def divided_difference(k: Kernel1) -> Kernel2:

@@ -185,7 +185,9 @@ def partial_dd_tensor(k2: Kernel2, wA: np.ndarray, wB: np.ndarray,
     The numerators come from the kernel grid F[..., x, y] = f(wA_x, wB_y),
     computed here unless given. Leading axes of wA and wB broadcast; W has
     shape (..., d, d, d). The second partial of a symmetric kernel is this
-    tensor on (wB, wA, F^T) with its last axis moved first.
+    tensor on (wB, wA, F^T) with its last axis moved first. No library code
+    calls it (transport._Frame forms its own tensors): the tests use it as a
+    reference, and the benchmark's tracer (perfbench/tracing.py) patches it.
     """
     if k2.dx is None:
         raise DomainViolation(f"kernel {k2.name} has no d/dx rule")

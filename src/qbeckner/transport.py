@@ -109,7 +109,8 @@ class _Frame:
         """(ties, inv), (..., d, d): the near-ties of lam off the diagonal
         (_is_same), and 1 / (lam_x - lam_y) at the other pairs, 0 on ties and
         on the diagonal. The tilts cancel from the partial divided differences
-        of theta_p on (a_j, b_j), so these serve every jump and both partials."""
+        of theta_p on (a_j, b_j), so these serve every jump and both partials;
+        at a tie each quotient is the mean of the partials at the pair's ends."""
         u, v = self.lam[..., :, None], self.lam[..., None, :]
         same = _is_same(u, v)
         return same & ~np.eye(u.shape[-2], dtype=bool), 1.0 / np.where(same, np.inf, u - v)
@@ -127,30 +128,27 @@ class _Frame:
         first and second partial divided differences on the tilted spectra,
         each weighted by its tilt, W1[j,a,b,c] = (theta[a,c] - theta[b,c]) /
         (lam_a - lam_b) and W2[j,a,b,c] = (theta[a,b] - theta[a,c]) /
-        (lam_b - lam_c), with the partials on the diagonals a = b and b = c.
-        At near-ties the stack takes the midpoint rule from one
-        partial_dd_tensor call on both orders (the second partial is the
-        first on (b, a, theta^T) with its last axis moved first)."""
-        th, (ties, inv) = self.theta, self.gaps
-        if ties.any():
-            W = la.partial_dd_tensor(self.kernel, np.stack([self.a, self.b]),
-                                     np.stack([self.b, self.a]), np.stack([th, np.swapaxes(th, -1, -2)]))
-            return (self.up[:, None, None, None] * W[0],
-                    self.down[:, None, None, None] * np.moveaxis(W[1], -1, -3))
+        (lam_b - lam_c), with the partials on the diagonals a = b and b = c
+        and their mean over the pair's two ends at the near-ties (gaps)."""
+        th, (ties, inv), (d1, d2) = self.theta, self.gaps, self.partials
         W1 = (th[..., :, None, :] - th[..., None, :, :]) * inv[..., None, :, :, None]
         W2 = (th[..., :, :, None] - th[..., :, None, :]) * inv[..., None, None, :, :]
         i = np.arange(inv.shape[-1])
-        W1[..., i, i, :], W2[..., :, i, i] = self.partials
+        W1[..., i, i, :], W2[..., :, i, i] = d1, d2
+        if ties.any():
+            (*at, x, y), j = np.nonzero(ties), slice(None)
+            W1[(*at, j, x, y)] = 0.5 * (d1[(*at, j, x)] + d1[(*at, j, y)])
+            W2[(*at, j, j, x, y)] = 0.5 * (d2[(*at, j, j, x)] + d2[(*at, j, j, y)])
         return W1, W2
 
     def state_derivative(self, C: np.ndarray) -> np.ndarray:
         """Hermitian M with <M, H> the derivative of
         sum_j <C_j, theta_p(a_j, b_j) o C_j> along rho + tH, where C = eig(X, P)
         for fixed X: the Daleckii-Krein contraction G in the eigenbasis of Y,
-        by matrix products. With T = theta o C and
-        Z = sum_j conj(T_j) C_j^T + T_j^T conj(C_j), G = inv o (Z - Z†) off the
-        diagonal and the partials against |C_j|^2 on it; only the near-ties
-        are contracted with dk_tensors."""
+        by matrix products. With T = theta o C and Z = sum_j conj(T_j) C_j^T +
+        T_j^T conj(C_j), G = inv o (Z - Z†), and the partials against |C_j|^2
+        on the diagonal. At the near-ties G = (Z + Z†) / 2 with (d1, d2) o C in
+        place of T in Z's two terms: the mean of the partials at both ends."""
         (ties, inv), (d1, d2) = self.gaps, self.partials
         T, Cc = self.theta * C, C.conj()
         Z = np.sum(T.conj() @ np.swapaxes(C, -1, -2) + np.swapaxes(T, -1, -2) @ Cc, axis=-3)
@@ -158,9 +156,9 @@ class _Frame:
         i = np.arange(inv.shape[-1])
         G[..., i, i] = np.sum(np.sum(d1 * C2, axis=-1) + np.sum(d2 * C2, axis=-2), axis=-2)
         if ties.any():
-            W1, W2 = self.dk_tensors()
-            G = np.where(ties, np.einsum("...jabc,...jbc,...jac->...ab", W1, C, Cc)
-                         + np.einsum("...jabc,...jab,...jac->...bc", W2, C, Cc), G)
+            T1, T2 = d1 * C, d2 * C
+            Z = np.sum(T1.conj() @ np.swapaxes(C, -1, -2) + np.swapaxes(T2, -1, -2) @ Cc, axis=-3)
+            G = np.where(ties, 0.5 * (Z + la.dagger(Z)), G)
         return la.herm(self.Q @ self.V @ np.swapaxes(G, -1, -2) @ la.dagger(self.V) @ self.Q)
 
 

@@ -8,6 +8,7 @@ the variance, the entropy production, Gamma_2 and the KMS adjoint of a
 derivation are the objects the tested identities are written in;
 check_gradient_sequential is linalg.check_gradient one point per call;
 ratio_of_witness and ricci_rayleigh evaluate an estimate's witness afresh;
+two_point_beckner is the tilted two-point Beckner constant in mpmath;
 psd_project builds positive semidefinite test inputs.
 """
 
@@ -240,6 +241,55 @@ def ricci_rayleigh(L, est, p) -> float:
     U, rho = est.worst_direction, est.worst_state
     den = float(np.real(la.hs_inner(U, onsager_apply(L, rho, p, U))))
     return rc.hessian_form(L, rho, p, U) / den
+
+
+# ---------------------------------------------------------------------------
+# Two-point Beckner constant
+# ---------------------------------------------------------------------------
+
+
+def two_point_beckner(pi, p, dps=40) -> float:
+    """alpha_p of the two-point chain with weights (pi, 1 - pi), in units of
+    its spectral gap: the minimum over x of (p^2/4)(m_p - m_{p-1}) / (m_p - 1),
+    m_r = pi x^r + (1 - pi) y^r, on the densities pi x + (1 - pi) y = 1.
+
+    With x = 1 + h, h runs over [-1, (1 - pi)/pi], the ends included (a
+    density may vanish at one point); h = 0 is the removable singularity
+    with limit p/2. A scan of the closed interval brackets the least grid
+    value and golden-section search in dps-digit mpmath narrows it to
+    10^(-dps/2). The ratio is evaluated with 3 dps digits, since m_p - 1 and
+    m_p - m_{p-1} cancel to O(h^2) as h -> 0.
+    """
+    import mpmath as mp
+
+    with mp.workdps(dps):
+        pi, p = mp.mpf(pi), mp.mpf(p)
+
+        def ratio(h):
+            if h == 0:
+                return p / 2
+            with mp.workdps(3 * dps):
+                x, y = 1 + h, max(1 - pi * h / (1 - pi), 0)  # y = 0 at the right end
+                m_p = pi * x ** p + (1 - pi) * y ** p
+                m_q = pi * x ** (p - 1) + (1 - pi) * y ** (p - 1)
+                return p * p / 4 * (m_p - m_q) / (m_p - 1)
+
+        grid = mp.linspace(-1, (1 - pi) / pi, 401)
+        i = min(range(len(grid)), key=lambda k: ratio(grid[k]))
+        lo, hi = grid[max(i - 1, 0)], grid[min(i + 1, len(grid) - 1)]
+        g = (mp.sqrt(5) - 1) / 2
+        u, v = hi - g * (hi - lo), lo + g * (hi - lo)
+        fu, fv = ratio(u), ratio(v)
+        while hi - lo > mp.mpf(10) ** (-dps // 2):
+            if fu <= fv:
+                hi, v, fv = v, u, fu
+                u = hi - g * (hi - lo)
+                fu = ratio(u)
+            else:
+                lo, u, fu = u, v, fv
+                v = lo + g * (hi - lo)
+                fv = ratio(v)
+        return float(min(fu, fv, ratio(grid[i])))
 
 
 PSD_FLOOR = 1e-10

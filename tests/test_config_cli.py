@@ -38,6 +38,15 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cf.config_from_dict({"tasks": ["nonsense"]})
 
+    @pytest.mark.parametrize("key", ["p_grid", "epsilons"])
+    def test_empty_grid_rejected(self, key):
+        with pytest.raises(ConfigError, match=f"{key} must not be empty"):
+            cf.config_from_dict({key: []})
+
+    def test_empty_q_grid_accepted(self):
+        # it only drops the dual-Beckner rows
+        assert cf.config_from_dict({"q_grid": []}).q_grid == []
+
     def test_ledger_tolerances_not_configurable(self):
         # the bound ledger's tolerances are pinned (constants.HARD_TOL and
         # SOFT_TOL); only the transport discretization tolerance is read
@@ -210,6 +219,13 @@ class TestMain:
         ("decay", {"dimension": 2, "generator": {"kind": "random_dbc", "pair": 1}}),
         ("decay", {"sigma": {"eigenvalues": [0.75, 0.25], "bassis": None}}),
         ("decay", {"seeds": {"master": 7, "strats": 1}}),
+        # an empty grid would check nothing, or fail inside a task
+        ("mixing", {"epsilons": []}),
+        ("constants", {"p_grid": []}),
+        ("decay", {"p_grid": []}),
+        ("mixing", {"p_grid": []}),
+        ("transport", {"p_grid": []}),
+        ("ricci", {"p_grid": []}),
     ])
     def test_unusable_config_value_exit_code(self, tmp_path, capsys, task, entry):
         path = tmp_path / "cfg.json"

@@ -1,6 +1,8 @@
 import numpy as np
 import pytest
 
+from qbeckner import cli
+from qbeckner import config as cf
 from qbeckner import constants as ct
 from qbeckner import dirichlet as dh
 from qbeckner import entropy as ent
@@ -392,6 +394,23 @@ class TestDepolClassical:
         # d = 4 includes theta = 1/2, so its minimum cannot exceed the d = 2 value
         for p in (1.25, 1.6):
             assert ct.depol_classical(p, 4) <= ct.depol_classical(p, 2) + 1e-12
+
+
+class TestTwoPointReference:
+    def test_reference_anchors(self):
+        # alpha_2 is the gap, and the flat chain has its infimum p/2 at x -> 1
+        assert oracles.two_point_beckner(0.75, 2.0) == 1.0
+        assert oracles.two_point_beckner(0.5, 1.5) == pytest.approx(0.75, rel=1e-15)
+
+    def test_depol2_beckner_estimates_at_most_two_point_value(self):
+        # diagonal states are witnesses of depol2's Beckner ratio (lambda = 1),
+        # so its two-point constant at pi = 0.75 bounds every estimate above
+        cfg = cf.fixtures("depol2")
+        cfg.tasks = ["constants"]
+        estimates = cli.run(cfg)["results"]["constants"]["estimates"]
+        for p in cfg.p_grid:
+            bound = oracles.two_point_beckner(0.75, p)
+            assert estimates[f"beckner[{p}]"] <= bound * (1.0 + 1e-12), (p, bound)
 
 
 @pytest.fixture(scope="module")

@@ -9,18 +9,25 @@ import qbeckner
 
 SRC = pathlib.Path(qbeckner.__file__).parent
 
-# Public names that no library code calls, each kept on purpose.
-ALLOWED = {
-    # the benchmark's tracer patches them to count their calls
+TRACING = pathlib.Path(__file__).parents[1] / "perfbench" / "tracing.py"
+
+# Public names that no library code calls, each kept on purpose: those the
+# benchmark's tracer patches to count their calls (LIBRARY_SPANS of
+# perfbench/tracing.py), and paper results that are to be run by the verify
+# suite.
+TRACED = {
     ("entropy", "q_variance"),
     ("transport", "geodesic_shoot"),
     ("ricci", "hessian_form"),
-    # paper results that are to be run by the verify suite
+    ("linalg", "partial_dd_tensor"),
+}
+AWAITING_VERIFY = {
     ("constants", "stability_factor"),
     ("constants", "moment_concentration_check"),
     ("constants", "certified_uniform_alpha"),
     ("ricci", "dynamic_checks"),
 }
+ALLOWED = TRACED | AWAITING_VERIFY
 
 
 def _uses(node):
@@ -73,3 +80,18 @@ def test_every_public_name_has_a_caller():
 def test_allowlist_is_current():
     # a name that gains a caller, or goes, leaves the list
     assert sorted(ALLOWED - _uncalled()) == []
+
+
+def _library_spans():
+    """(module, attribute) of every LIBRARY_SPANS entry of the tracer, read
+    from its source with ast, so the benchmark's code is not imported."""
+    for stmt in ast.parse(TRACING.read_text()).body:
+        if isinstance(stmt, ast.AnnAssign) and stmt.target.id == "LIBRARY_SPANS":
+            return {(mod.removeprefix("qbeckner."), attr)
+                    for _, mod, attr in ast.literal_eval(stmt.value)}
+    raise AssertionError(f"no LIBRARY_SPANS in {TRACING}")
+
+
+def test_traced_names_are_patched_by_the_tracer():
+    # a name kept for the tracer must be one the tracer patches
+    assert sorted(TRACED - _library_spans()) == []

@@ -4,16 +4,15 @@ One-variable kernels drive the functional calculus (matrix functions,
 weighted inner products); two-variable kernels drive double operator sums.
 All power-difference quotients are evaluated through ``expm1``/``log1p`` so
 they stay accurate when the two arguments nearly coincide, and every kernel
-carries an exact degenerate branch. Only theta_p, the metric kernel whose
-state derivative drives the transport gradient, geodesics and Hessian,
-carries a partial-derivative rule; it is symmetric, so d/dx covers both
-sides, and it takes the grid of kernel values where the caller has one.
+carries an exact degenerate branch. theta_p, the metric kernel whose state
+derivative drives the transport gradient, geodesics and Hessian, is one grid
+function (theta_p_grid) that returns the kernel with both of its partials.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Callable, Optional
+from typing import Callable, Optional, Tuple
 
 import numpy as np
 
@@ -24,9 +23,10 @@ from .errors import DomainViolation
 # against derivative-branch bias at double precision).
 SAME_TOL = 1e-9
 
-# Wider window inside which the partial derivative of theta_p uses its
-# midpoint Taylor expansion instead of the quotient-rule formula.
-NEAR_TOL = 1e-6
+# Half log-ratio |log(x/y)| / 2, about a relative separation of 0.25, within
+# which the partials of theta_p are summed from a series instead of the
+# quotient rule, which loses about eps / separation to cancellation.
+NEAR_TOL = 0.144
 
 
 def _rel_scale(x: np.ndarray, y: np.ndarray) -> np.ndarray:
@@ -201,30 +201,40 @@ def fp_divdiff_kernel(p: float) -> Kernel2:
     return Kernel2(f"fp_dd({p})", f=f, domain_min=0.0, allow_boundary=False)
 
 
-def theta_p_kernel(p: float) -> Kernel2:
-    """theta_p(x, y) = (p-1)(x - y)/(x^(p-1) - y^(p-1)), equal to x^(2-p) on
-    the diagonal. This is the reciprocal of f_p^[1] and defines the metric
-    multiplication kernel. dx(x, y, F) = F (1 - F x^(p-2)) / (x - y) uses
-    the grid F = theta_p(x, y) when given (no second power difference), and
-    the midpoint Taylor expansion within NEAR_TOL."""
-    p = float(p)
-    a = p - 1.0
+# Taylor coefficients c_n = 2^(2n) B_2n / (2n)! of coth(h) - 1/h = h/3 - h^3/45
+# + ..., so that coth h - a coth(a h) = sum_n c_n (1 - a^2n) h^(2n-1); six terms
+# reach double precision for |h| <= NEAR_TOL.
+_COTH = (1.0 / 3.0, -1.0 / 45.0, 2.0 / 945.0, -1.0 / 4725.0, 2.0 / 93555.0,
+         -1382.0 / 638512875.0)
 
-    def f(x, y):
-        return a / stable_powdiff(a, x, y)
 
-    def dx(x, y, F=None):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        F = f(x, y) if F is None else F
-        near = _is_same(x, y, NEAR_TOL)
-        m = 0.5 * (x + y)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            # quotient rule on theta = (p-1)(x-y)/(x^a - y^a), written with theta
-            far = F * (1.0 - F * x ** (a - 1.0)) / np.where(near, 1.0, x - y)
-        taylor = (-(p - 2.0) / 2.0) * m ** (1.0 - p) \
-            - (p - 2.0) * (p - 3.0) / 12.0 * m ** (-p) * (x - y)
-        return np.where(near, taylor, far)
+def theta_p_grid(p: float, x: np.ndarray,
+                 y: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(theta, d/dx theta, d/dy theta) of theta_p on broadcastable x, y > 0.
 
-    # theta_p is symmetric, so d/dy theta_p(x, y) = dx(y, x)
-    return Kernel2(f"theta({p})", f=f, dx=dx, domain_min=0.0, allow_boundary=False)
+    theta_p(x, y) = (p-1)(x - y)/(x^(p-1) - y^(p-1)) is the reciprocal of
+    f_p^[1] and equal to x^(2-p) on the diagonal; it comes from
+    stable_powdiff, and both partials are written with it. With a = p - 1
+    and x = c e^h, y = c e^-h, theta = a c^(1-a) sinh h / sinh(a h), so
+    2x d/dx theta = theta (1 - a + g) and 2y d/dy theta = theta (1 - a - g)
+    with g = coth h - a coth(a h). Within |h| <= NEAR_TOL g is summed from
+    its odd Taylor series, and no digit is lost to cancellation; outside it
+    the partials are the quotient rule d/dx theta = theta (1 - theta x^(p-2))
+    / (x - y) and its mirror image.
+    """
+    a = float(p) - 1.0
+    theta = a / stable_powdiff(a, x, y)
+    h = 0.5 * np.log(x / y)
+    near = np.abs(h) <= NEAR_TOL
+    h2 = h * h
+    k = [c * (1.0 - a ** (2 * n)) for n, c in enumerate(_COTH, 1)]
+    g = k[-1] * h2 + k[-2]
+    for c in k[-3::-1]:
+        g *= h2
+        g += c
+    g *= h
+    half = 0.5 * theta
+    diff = np.where(near, 1.0, x - y)
+    dx = np.where(near, half / x * ((1.0 - a) + g), theta * (1.0 - theta * x ** (a - 1.0)) / diff)
+    dy = np.where(near, half / y * ((1.0 - a) - g), theta * (1.0 - theta * y ** (a - 1.0)) / -diff)
+    return theta, dx, dy

@@ -47,16 +47,23 @@ def hessian_matrix(L: DbcLindbladian, rho: np.ndarray,
     bound the curvature.
 
     rho is one state (d, d), giving (n, n) matrices, or a stack of states
-    (S, d, d), giving (S, n, n). With the eigenframe gradients
-    C_m = V† P [V_j, U_m] P V of the basis, flattened over (j, a, c):
-      G      = conj(C) (theta o C)^T, the Gram matrix <U_m, D_{p,rho} U_n>
+    (S, d, d), giving (S, n, n). The tangent space is the REAL span of the
+    basis, so only the real symmetric part of each form acts on it, and each
+    is one real product of float views (transport._real_gram). With the
+    eigenframe gradients C_m = V† P [V_j, U_m] P V of the basis, flattened
+    over (j, a, c), and <X, Y> = Re sum conj(X) Y:
+      G      = <C_m, theta o C_n>, the Gram matrix <U_m, D_{p,rho} U_n>
                (transport._basis_gram, shared with the path energy);
-      second = (Phi† L_dual Phi) G: D U_n is trace-free, so it lies in the
+      second = Re(Phi† L_dual Phi) G: D U_n is trace-free, so it lies in the
                span of the basis, and <U_m, L†(D U_n)> needs only G;
-      first  = 1/2 sum_j C_j† T_j C_j, with C_j the (d^2, n) matrix of the
-               gradients of jump j and T_j the operator on its entries that
-               contracts the Daleckii-Krein tensors of theta_p with
-               A = V† Q (L† rho) Q V.
+      first  = the Daleckii-Krein contraction of theta_p with
+               A = V† Q (L† rho) Q V, as matrix products: with the
+               anti-Hermitian IA = inv o A (_Frame.gaps) and the tilted
+               partials (d1, d2) of theta_p, its symmetric part is that of
+               <C_m, theta o [IA, C_n] + D o C_n>, D = (d1 A_aa + d2 A_cc) / 2.
+               At the near-ties, TA = ties o A adds
+               (d1 o (TA C_n) + d2 o (C_n TA)) / 2: the mean of the partials
+               at the pair's two ends.
     """
     d = L.d
     states = np.reshape(rho, (-1, d, d))
@@ -64,22 +71,31 @@ def hessian_matrix(L: DbcLindbladian, rho: np.ndarray,
     S, n, J = C.shape[:3]
     vecs = np.swapaxes(states, -1, -2).reshape(S, d * d)  # la.vec of each state
     Lrho = np.swapaxes((vecs @ L.dual_generator.T).reshape(S, d, d), -1, -2)
-    A = la.dagger(fr.V) @ fr.Q @ Lrho[:, None] @ fr.Q @ fr.V
-    W1, W2 = fr.dk_tensors()
-    W1A = (W1 * A[..., None, :, :, None])[:, 0]  # W1[a,b,c] A[a,b]
-    W2A = (W2 * A[..., None, None, :, :])[:, 0]  # W2[a,b,c] A[b,c]
-    # T[(a,c), (b,e)] = W1A[a,b,c] delta_ce + delta_ab W2A[a,e,c]
-    I = np.eye(d)
-    T = (np.swapaxes(W1A, -1, -2)[..., None] * I[:, None, :]
-         + np.swapaxes(W2A, -1, -2)[..., None, :] * I[:, None, :, None])
-    Cj = np.moveaxis(C.reshape(S, n, J, d * d), 1, -1)
-    Z = T.reshape(S, J, d * d, d * d) @ Cj
-    first = 0.5 * C.reshape(S, n, -1).conj() @ Z.reshape(S, -1, n)
+    V = fr.V[:, 0]
+    A = la.dagger(V) @ fr.Q @ Lrho @ fr.Q @ V
+    (ties, inv), (d1, d2) = fr.gaps, fr.partials
+    # M C_mj and C_mj M for every m and j, each one product per state: the
+    # rows, or the columns, of all C_mj side by side
+    rows = np.moveaxis(C, 3, 1).reshape(S, d, -1)
+
+    def left(M):
+        return np.moveaxis((M @ rows).reshape(S, d, n, J, d), 1, 3)
+
+    def right(M):
+        return (C.reshape(S, -1, d) @ M).reshape(C.shape)
+
+    IA = inv[:, 0] * A
+    R = right(IA)
+    np.subtract(left(IA), R, out=R)
+    R *= fr.theta
+    Aii = np.diagonal(A, axis1=-2, axis2=-1).real[:, None, None]
+    R += 0.5 * (d1 * Aii[..., :, None] + d2 * Aii[..., None, :]) * C
+    if ties.any():
+        TA = np.where(ties[:, 0], A, 0.0)
+        R += 0.5 * (d1 * left(TA) + d2 * right(TA))
     Phi = tp._basis_frame(d)[1]
-    H = first - (Phi.conj().T @ L.dual_generator @ Phi) @ G
-    # the tangent space is the REAL span of the Hermitian basis, so only the
-    # real symmetric parts of the forms act on it
-    H, G = np.real(la.herm(H)), np.real(la.herm(G))
+    H = tp._real_gram(C, R) - np.real(Phi.conj().T @ L.dual_generator @ Phi) @ G
+    H, G = 0.5 * (H + np.swapaxes(H, -1, -2)), 0.5 * (G + np.swapaxes(G, -1, -2))
     return (H, G) if np.ndim(rho) == 3 else (H[0], G[0])
 
 

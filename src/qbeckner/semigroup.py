@@ -175,8 +175,15 @@ class DbcLindbladian:
         return float(self.sigma_eig[0][0])
 
     def sigma_power(self, s: float) -> np.ndarray:
-        w, U = self.sigma_eig
-        return (U * w**float(s)) @ U.conj().T
+        """sigma^s from the cached eigendecomposition, computed once per s
+        and stored read-only (derived)."""
+        s = float(s)
+
+        def power() -> np.ndarray:
+            w, U = self.sigma_eig
+            return (U * w**s) @ U.conj().T
+
+        return self.derived(("sigma_power", s), power)
 
     @cached_property
     def _kms_factors(self) -> Tuple[np.ndarray, np.ndarray]:

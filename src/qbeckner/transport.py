@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg as la
 from .errors import KernelComponent, LeftPositiveCone, SingularMetric, SingularState
-from .kernels import _is_same, theta_p_kernel
+from .kernels import _is_same, theta_p_grid
 from .linalg import minimize
 from .semigroup import DbcLindbladian
 
@@ -53,6 +53,9 @@ class _Frame:
     Fields over the jumps are arrays (..., J, d, d), where ... are the
     leading axes of rho. p must lie in (1, 2], as for estimate_constant;
     every solver, Hessian and flow of the metric builds its kernels here.
+    sigma^(+-s), the tilts and the jump adjoints are read off the
+    generator's cache (DbcLindbladian.derived), so a frame computes only its
+    eigendecomposition and one grid of theta_p and its partials.
     """
 
     def __init__(self, L: DbcLindbladian, rho: np.ndarray, p: float):
@@ -65,16 +68,16 @@ class _Frame:
         if np.min(self.lam) <= 0.0:
             raise SingularState("metric kernel needs a full-rank state")
         self.jumps, omega = L.jump_stack
-        self.up = np.exp(omega / (2.0 * self.p))
-        self.down = np.exp(-omega / (2.0 * self.p))
+        self.adjoints = L.derived(("jump_adjoints",), lambda: la.dagger(self.jumps))
+        self.up, self.down = L.derived(
+            ("tilts", self.p),
+            lambda: np.exp(np.multiply.outer((1.0, -1.0), omega) / (2.0 * self.p)))
         self.a = self.up[:, None] * self.lam[..., None, :]
         self.b = self.down[:, None] * self.lam[..., None, :]
-        self.kernel = theta_p_kernel(self.p)
-
-    @cached_property
-    def theta(self) -> np.ndarray:
-        """theta_p(a_j[x], b_j[y]) for every jump, (..., J, d, d)."""
-        return self.kernel.f(self.a[..., :, None], self.b[..., None, :])
+        # theta_p(a_j[x], b_j[y]) for every jump, (..., J, d, d), and its
+        # partials d/dx and d/dy there, weighted by up_j and down_j
+        self.theta, dx, dy = theta_p_grid(self.p, self.a[..., :, None], self.b[..., None, :])
+        self.partials = self.up[:, None, None] * dx, self.down[:, None, None] * dy
 
     def grad(self, U: np.ndarray) -> np.ndarray:
         """dj U = [V_j, U] for every jump."""
@@ -83,7 +86,7 @@ class _Frame:
 
     def div(self, X: np.ndarray) -> np.ndarray:
         """-sum_j [V_j†, X_j], the adjoint of -grad."""
-        Vd = la.dagger(self.jumps)
+        Vd = self.adjoints
         return np.sum(X @ Vd - Vd @ X, axis=-3)
 
     def eig(self, X: np.ndarray, S: np.ndarray) -> np.ndarray:
@@ -114,32 +117,6 @@ class _Frame:
         u, v = self.lam[..., :, None], self.lam[..., None, :]
         same = _is_same(u, v)
         return same & ~np.eye(u.shape[-2], dtype=bool), 1.0 / np.where(same, np.inf, u - v)
-
-    @cached_property
-    def partials(self) -> Tuple[np.ndarray, np.ndarray]:
-        """up_j d/dx and down_j d/dy of theta_p at (a_j[x], b_j[y]), each
-        (..., J, d, d), from the grid theta; d/dy is dx on the swapped pair."""
-        A, B = np.broadcast_arrays(self.a[..., :, None], self.b[..., None, :])
-        D = self.kernel.dx(np.stack([A, B]), np.stack([B, A]), self.theta)
-        return self.up[:, None, None] * D[0], self.down[:, None, None] * D[1]
-
-    def dk_tensors(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Daleckii-Krein tensors (W1, W2) of theta_p, (..., J, d, d, d): its
-        first and second partial divided differences on the tilted spectra,
-        each weighted by its tilt, W1[j,a,b,c] = (theta[a,c] - theta[b,c]) /
-        (lam_a - lam_b) and W2[j,a,b,c] = (theta[a,b] - theta[a,c]) /
-        (lam_b - lam_c), with the partials on the diagonals a = b and b = c
-        and their mean over the pair's two ends at the near-ties (gaps)."""
-        th, (ties, inv), (d1, d2) = self.theta, self.gaps, self.partials
-        W1 = (th[..., :, None, :] - th[..., None, :, :]) * inv[..., None, :, :, None]
-        W2 = (th[..., :, :, None] - th[..., :, None, :]) * inv[..., None, None, :, :]
-        i = np.arange(inv.shape[-1])
-        W1[..., i, i, :], W2[..., :, i, i] = d1, d2
-        if ties.any():
-            (*at, x, y), j = np.nonzero(ties), slice(None)
-            W1[(*at, j, x, y)] = 0.5 * (d1[(*at, j, x)] + d1[(*at, j, y)])
-            W2[(*at, j, j, x, y)] = 0.5 * (d2[(*at, j, j, x)] + d2[(*at, j, j, y)])
-        return W1, W2
 
     def state_derivative(self, C: np.ndarray) -> np.ndarray:
         """Hermitian M with <M, H> the derivative of
@@ -252,9 +229,10 @@ def _basis_gram(L: DbcLindbladian, rho: np.ndarray,
 
     Returns the frame of the stack with the basis on its own axis (leading
     axes (S, 1)), the eigenframe gradients C_m = V† P [V_j, U_m] P V, shape
-    (S, n, J, d, d), and G = conj(C) (theta o C)^T flattened over (j, a, c),
-    shape (S, n, n): the Gram matrix <U_m, D_{p,rho} U_n>. D maps the real
-    span of the basis into itself, so G is real up to round-off.
+    (S, n, J, d, d), and the real G = Re conj(C) (theta o C)^T flattened over
+    (j, a, c), shape (S, n, n): the Gram matrix <U_m, D_{p,rho} U_n>. D maps
+    the real span of the basis into itself, so the imaginary part is
+    round-off, and G is symmetric up to round-off.
     """
     basis, _ = _basis_frame(L.d)
     S, n, d = len(rho), len(basis), L.d
@@ -273,11 +251,15 @@ def _basis_gram(L: DbcLindbladian, rho: np.ndarray,
     del left
     C = np.ascontiguousarray(np.moveaxis(right, 1, 3))
     del right
-    # G = conj(C) (theta o C)^T, formed as conj(C conj(theta o C)^T) with the
-    # conjugate taken in place: the same products, one C-sized temporary
-    T = fr.theta * C
-    G = (C.reshape(S, n, -1) @ np.swapaxes(np.conjugate(T, out=T).reshape(S, n, -1), -1, -2)).conj()
-    return fr, C, G
+    return fr, C, _real_gram(C, fr.theta * C)
+
+
+def _real_gram(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
+    """Re <X_m, Y_n> = Re sum conj(X_m) Y_n for contiguous complex stacks
+    (S, n, ...), shape (S, n, n): one real product of their float views,
+    half the flops of the complex product."""
+    S, n = X.shape[:2]
+    return X.reshape(S, n, -1).view(float) @ np.swapaxes(Y.reshape(S, n, -1).view(float), -1, -2)
 
 
 # ---------------------------------------------------------------------------
@@ -347,15 +329,16 @@ class _PathEnergy:
         b = self.delta + x[:, 1:] - x[:, :-1]
         mid = 0.5 * (gammas[:, :-1] + gammas[:, 1:])
         fr, C, G = _basis_gram(self.L, _floored(mid.reshape(K * N, self.L.d, self.L.d)), self.p)
-        # one eigendecomposition per step both tests G_k > 0 and solves for c_k
-        w, Q = la.herm_eigh(G, check=False)
+        # one real symmetric eigendecomposition per step both tests G_k > 0
+        # and solves for c_k
+        w, Q = np.linalg.eigh(G)
         if w[:, 0].min() <= 0.0:
             i = int(np.argmin(w[:, 0]))
             at = f"step {i % N}" + (f" of path {i // N}" if K > 1 else "")
             raise SingularMetric(f"metric Gram matrix of {at} is not positive definite "
                                  f"(lowest eigenvalue {w[i, 0]:.3e})")
-        Qb = np.einsum("kmn,km->kn", Q.conj(), b.reshape(K * N, n)) / w
-        c = np.real(np.einsum("kmn,kn->km", Q, Qb))
+        Qb = np.einsum("kmn,km->kn", Q, b.reshape(K * N, n)) / w
+        c = np.einsum("kmn,kn->km", Q, Qb)
         out = gammas, b, c.reshape(K, N, n), fr, np.einsum("kn,kn...->k...", c, C)[:, None], (w, Q)
         self.last = (np.asarray(y, dtype=float).tobytes(), out)
         return out
@@ -376,11 +359,11 @@ class _PathEnergy:
     def preconditioner(self, w: np.ndarray, Q: np.ndarray) -> np.ndarray:
         """T = E diag(lam^-1/2) from one eigh H = E diag(lam) E^T, so that
         T T^T = H^-1, for H = (2/h) D^T blockdiag(G_k^-1) D: the Hessian with
-        the G_k = Q_k diag(w_k) Q_k† of the linear path (evaluate at y = 0)
+        the G_k = Q_k diag(w_k) Q_k^T of the linear path (evaluate at y = 0)
         held fixed, D the step-difference map y -> b - delta. It is exact at
         p = 2, where the G_k do not depend on the state."""
         N, n = self.N, len(self.basis)
-        Ginv = 2.0 / self.h * np.real((Q / w[:, None, :]) @ la.dagger(Q))
+        Ginv = 2.0 / self.h * ((Q / w[:, None, :]) @ np.swapaxes(Q, -1, -2))
         H = np.zeros((N - 1, n, N - 1, n))
         i = np.arange(N - 1)
         H[i, :, i] = Ginv[:-1] + Ginv[1:]

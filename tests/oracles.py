@@ -3,9 +3,12 @@
 Each is a direct, slower or independent form of something the library
 computes another way, or a textbook quantity that a test states an identity
 with: MetricKernel is the single-jump form of the spectral frame
-transport._Frame; the s-inner products, the weighted kernel superoperator,
-the variance, the entropy production, Gamma_2 and the KMS adjoint of a
-derivation are the objects the tested identities are written in;
+transport._Frame; theta_p_kernel is the frame's grid function as a
+two-variable kernel, and dk_tensors forms the Daleckii-Krein tensors that
+the library contracts by matrix products; the s-inner products, the weighted
+kernel superoperator, the variance, the entropy production, Gamma_2 and the
+KMS adjoint of a derivation are the objects the tested identities are
+written in;
 check_gradient_sequential is linalg.check_gradient one point per call;
 ratio_of_witness and ricci_rayleigh evaluate an estimate's witness afresh;
 two_point_beckner is the tilted two-point Beckner constant in mpmath;
@@ -21,7 +24,7 @@ from qbeckner import linalg as la
 from qbeckner import ricci as rc
 from qbeckner import transport as tp
 from qbeckner.errors import GradientCheckFailed, NotPsd, SingularState
-from qbeckner.kernels import Kernel1, Kernel2, _is_same, theta_p_kernel
+from qbeckner.kernels import Kernel1, Kernel2, _is_same, theta_p_grid
 
 
 # ---------------------------------------------------------------------------
@@ -47,7 +50,7 @@ class MetricKernel:
             raise SingularState("metric kernel needs a full-rank state")
         a = np.exp(omega / (2.0 * p)) * lam
         b = np.exp(-omega / (2.0 * p)) * lam
-        self._F = theta_p_kernel(p).f(a[:, None], b[None, :])
+        self._F = theta_p_grid(p, a[:, None], b[None, :])[0]
 
     def _schur(self, S, A, F):
         tilted = self.V.conj().T @ (S @ A @ S) @ self.V
@@ -58,6 +61,35 @@ class MetricKernel:
 
     def solve(self, A):
         return self._schur(self._s_ipow, A, 1.0 / self._F)
+
+
+def theta_p_kernel(p) -> Kernel2:
+    """theta_p as a two-variable kernel with its d/dx rule (kernels.theta_p_grid),
+    the form linalg.double_sum_apply and linalg.partial_dd_tensor take."""
+    return Kernel2(f"theta({p})", f=lambda x, y: theta_p_grid(p, x, y)[0],
+                   dx=lambda x, y: theta_p_grid(p, x, y)[1],
+                   domain_min=0.0, allow_boundary=False)
+
+
+def dk_tensors(fr):
+    """Daleckii-Krein tensors (W1, W2) of theta_p at a spectral frame,
+    (..., J, d, d, d): its first and second partial divided differences on
+    the tilted spectra, each weighted by its tilt, W1[j,a,b,c] =
+    (theta[a,c] - theta[b,c]) / (lam_a - lam_b) and W2[j,a,b,c] =
+    (theta[a,b] - theta[a,c]) / (lam_b - lam_c), with the frame's partials on
+    the diagonals a = b and b = c and their mean over the pair's two ends at
+    the near-ties (_Frame.gaps). hessian_matrix and _Frame.state_derivative
+    contract them by matrix products instead."""
+    th, (ties, inv), (d1, d2) = fr.theta, fr.gaps, fr.partials
+    W1 = (th[..., :, None, :] - th[..., None, :, :]) * inv[..., None, :, :, None]
+    W2 = (th[..., :, :, None] - th[..., :, None, :]) * inv[..., None, None, :, :]
+    i = np.arange(inv.shape[-1])
+    W1[..., i, i, :], W2[..., :, i, i] = d1, d2
+    if ties.any():
+        (*at, x, y), j = np.nonzero(ties), slice(None)
+        W1[(*at, j, x, y)] = 0.5 * (d1[(*at, j, x)] + d1[(*at, j, y)])
+        W2[(*at, j, j, x, y)] = 0.5 * (d2[(*at, j, j, x)] + d2[(*at, j, j, y)])
+    return W1, W2
 
 
 def theta_log_kernel() -> Kernel2:

@@ -60,25 +60,55 @@ def test_phi_2_is_square_root():
 
 
 def test_theta_p_reciprocal_and_diagonal():
-    th = kn.theta_p_kernel(1.5)
     fp = kn.fp_divdiff_kernel(1.5)
     xs = np.linspace(0.2, 5.0, 9)
     ys = np.linspace(0.3, 4.0, 9)
-    assert np.max(np.abs(th.f(xs, ys) * fp.f(xs, ys) - 1.0)) <= 1e-13
-    assert th.f(np.array(3.0), np.array(3.0)) == pytest.approx(3.0**0.5)
+    assert np.max(np.abs(kn.theta_p_grid(1.5, xs, ys)[0] * fp.f(xs, ys) - 1.0)) <= 1e-13
+    assert kn.theta_p_grid(1.5, np.array(3.0), np.array(3.0))[0] == pytest.approx(3.0**0.5)
+
+
+def test_theta_p_grid_broadcasts():
+    # a column against a row gives the whole grid, and each entry is the
+    # value at that pair alone
+    x, y = np.array([0.3, 1.0, 2.5])[:, None], np.array([0.3, 0.31, 4.0, 1e-3])[None, :]
+    grid = kn.theta_p_grid(1.5, x, y)
+    for out in grid:
+        assert out.shape == (3, 4)
+    for i in range(3):
+        for k in range(4):
+            one = kn.theta_p_grid(1.5, x[i, 0], y[0, k])
+            assert all(g[i, k] == o for g, o in zip(grid, one))
 
 
 @pytest.mark.parametrize("p", [1.2, 1.5, 1.9])
 def test_theta_partials_match_finite_differences(p):
-    th = kn.theta_p_kernel(p)
+    def theta(x, y):
+        return kn.theta_p_grid(p, x, y)[0]
+
     h = 1e-7
     for (x, y) in [(2.3, 0.9), (0.4, 1.7), (1.0, 1.0 + 3e-7), (2.0, 2.0)]:
         x, y = np.array(x), np.array(y)
-        fd_x = (th.f(x + h, y) - th.f(x - h, y)) / (2 * h)
-        fd_y = (th.f(x, y + h) - th.f(x, y - h)) / (2 * h)
-        assert th.dx(x, y) == pytest.approx(float(fd_x), rel=2e-5)
-        # theta_p is symmetric: its y-partial is dx with the arguments swapped
-        assert th.dx(y, x) == pytest.approx(float(fd_y), rel=2e-5)
+        fd_x = (theta(x + h, y) - theta(x - h, y)) / (2 * h)
+        fd_y = (theta(x, y + h) - theta(x, y - h)) / (2 * h)
+        _, dx, dy = kn.theta_p_grid(p, x, y)
+        assert dx == pytest.approx(float(fd_x), rel=2e-5)
+        assert dy == pytest.approx(float(fd_y), rel=2e-5)
+        # theta_p is symmetric: its y-partial is its x-partial at (y, x)
+        assert dy == pytest.approx(float(kn.theta_p_grid(p, y, x)[1]), rel=1e-14)
+
+
+@pytest.mark.parametrize("p", [1.05, 1.5, 1.9])
+def test_theta_partials_match_mpmath_near_ties(p):
+    # relative separations 1e-8 to 1e-1 on both sides of x, at three scales:
+    # both partials to 1e-13 of their own mpmath values. The quotient rule
+    # theta (1 - theta x^(p-2)) / (x - y) loses about eps / separation there
+    # (2.5e-10 at separation 3e-6); the series branch measured 8e-16
+    for x in (0.02, 1.3, 70.0):
+        for t in np.logspace(-8.0, -1.0, 15):
+            for y in (x * (1.0 + t), x * (1.0 - t)):
+                _, dx, dy = kn.theta_p_grid(p, np.array(x), np.array(y))
+                for got, e in zip((dx, dy), _exact_kernels(p, x, y)[3:]):
+                    assert abs(float(got) - float(e)) <= 1e-13 * abs(float(e)), (x, y, got, e)
 
 
 def test_generic_divided_difference_chain_rule_value():
@@ -126,29 +156,23 @@ def _exact_kernels(p, x, y):
 def test_kernels_match_mpmath_at_every_scale(p, log_scale, log_sep, swap):
     # x = 10^log_scale and y = x (1 + 10^log_sep), y = x when log_sep is None:
     # scales 1e-12 to 1e2, separations 0 to 10x. Bounds: 1e-12 relative on
-    # values, and 1e-7 on partials relative to max(|partial|, |value| / max(x, y)),
+    # values, and 1e-13 on partials relative to max(|partial|, |value| / max(x, y)),
     # the scale of a derivative (at p = 2 the theta partials vanish). Over 3,000
-    # random cases the largest errors were 4.3e-16 on values and 3.8e-10 on
-    # partials (next to the NEAR_TOL switch to the Taylor branch); the partials
-    # written with the grid value theta_p(x, y) reached 2.4e-10. With the old
-    # scale floor max(1, |x|, |y|) values were off by up to 33% and partials
-    # by 67% below scale 1e-8.
+    # random cases the largest errors were 5.0e-16 on values and 1.7e-15 on
+    # partials; the quotient rule alone, used down to a relative separation of
+    # 1e-6, reached 3.8e-10 there. With the old scale floor max(1, |x|, |y|)
+    # values were off by up to 33% and partials by 67% below scale 1e-8.
     x = 10.0 ** log_scale
     y = x if log_sep is None else x * (1.0 + 10.0 ** log_sep)
     if swap:
         x, y = y, x
-    fp, th = kn.fp_divdiff_kernel(p), kn.theta_p_kernel(p)
     X, Y = np.array(x), np.array(y)
-    # the partials once from the arguments alone and once from the grid value
-    # theta_p(x, y), as the spectral frame passes it
-    F = th.f(X, Y)
-    got = [kn.stable_powdiff(p - 1.0, X, Y), fp.f(X, Y), F, th.dx(X, Y), th.dx(Y, X),
-           th.dx(X, Y, F), th.dx(Y, X, F)]
+    got = [kn.stable_powdiff(p - 1.0, X, Y), kn.fp_divdiff_kernel(p).f(X, Y),
+           *kn.theta_p_grid(p, X, Y)]
     exact = [float(v) for v in _exact_kernels(p, x, y)]
-    exact += exact[3:]
     for i, (g, e) in enumerate(zip(got, exact)):
         if i < 3:
             assert abs(float(g) - e) <= 1e-12 * abs(e), (i, float(g), e)
         else:
             ref = max(abs(e), abs(exact[2]) / max(x, y))
-            assert abs(float(g) - e) <= 1e-7 * ref, (i, float(g), e)
+            assert abs(float(g) - e) <= 1e-13 * ref, (i, float(g), e)

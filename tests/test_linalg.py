@@ -157,7 +157,7 @@ class TestPartialDividedDifference:
         A, B = random_pd(rng, 4, 5.0), random_pd(rng, 4, 5.0)
         Ad, Bd = la.random_hermitian(rng, 4), la.random_hermitian(rng, 4)
         C = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        th = kn.theta_p_kernel(1.5)
+        th = oracles.theta_p_kernel(1.5)
         h = 1e-5
         fd = (la.double_sum_apply(th, A + h * Ad, B + h * Bd, C)
               - la.double_sum_apply(th, A - h * Ad, B - h * Bd, C)) / (2 * h)
@@ -170,7 +170,7 @@ class TestPartialDividedDifference:
         B = random_pd(rng, 4, 5.0)
         Ad, Bd = la.random_hermitian(rng, 4), la.random_hermitian(rng, 4)
         C = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
-        th = kn.theta_p_kernel(1.3)
+        th = oracles.theta_p_kernel(1.3)
         h = 1e-5
         fd = (la.double_sum_apply(th, A + h * Ad, B + h * Bd, C)
               - la.double_sum_apply(th, A - h * Ad, B - h * Bd, C)) / (2 * h)

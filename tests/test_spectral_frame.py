@@ -1,17 +1,17 @@
 """The spectral frame's fast paths against the direct formulas they replace.
 
-_Frame.dk_tensors forms both Daleckii-Krein tensors by one broadcast
-difference of the frame's grid times the reciprocal gaps of lam (the tilts
-cancel), with the partials of theta_p on the diagonals and, at a near-tie of
-lam, the mean of the partials at the pair's two ends; _Frame.state_derivative
-contracts with matrix products, the near-ties included; _basis_gram reads the
-basis gradients from a per-generator cache and maps all of them to each
-state's eigenframe with two batched products; hessian_matrix contracts its
-first term as one operator per jump. The oracles below evaluate the kernel on
+_Frame.state_derivative contracts the Daleckii-Krein tensors of theta_p with
+matrix products, the near-ties of lam included (there each quotient is the
+mean of the partials at the pair's two ends); _basis_gram reads the basis
+gradients from a per-generator cache, maps all of them to each state's
+eigenframe with two batched products and takes the real Gram matrix from the
+float views; hessian_matrix contracts its first term as a commutator with the
+reciprocal gaps, in real arithmetic. The oracles below evaluate the kernel on
 two grids and its partial derivative at the midpoint on the whole d^3 grid,
 transform the gradients matrix by matrix, and contract with two broadcast
-einsums. linalg.partial_dd_tensor, which no library code calls, is checked
-against the same oracle.
+einsums. oracles.dk_tensors, the tensors by one broadcast difference of the
+frame's grid, and linalg.partial_dd_tensor, which no library code calls, are
+checked against the same oracle.
 """
 
 import numpy as np
@@ -21,7 +21,9 @@ from qbeckner import linalg as la
 from qbeckner import ricci as rc
 from qbeckner import semigroup as sg
 from qbeckner import transport as tp
-from qbeckner.kernels import SAME_TOL, _is_same, theta_p_kernel
+from qbeckner.kernels import SAME_TOL, _is_same
+
+import oracles
 
 TOL = 1e-14
 P_GRID = [1.05, 1.5, 2.0]
@@ -57,8 +59,9 @@ def _partial(k2, which, wA, wB, F=None):
 
 
 def _dk_tensors_full(fr):
-    return (fr.up[:, None, None, None] * _partial_dd_full(fr.kernel, 1, fr.a, fr.b),
-            fr.down[:, None, None, None] * _partial_dd_full(fr.kernel, 2, fr.a, fr.b))
+    k2 = oracles.theta_p_kernel(fr.p)
+    return (fr.up[:, None, None, None] * _partial_dd_full(k2, 1, fr.a, fr.b),
+            fr.down[:, None, None, None] * _partial_dd_full(k2, 2, fr.a, fr.b))
 
 
 def _gradients_direct(fr, d):
@@ -107,13 +110,13 @@ def _contract(W1, W2, C):
 
 
 def _assert_tensors_match(fr):
-    """dk_tensors equal the oracle tensors to TOL relative to the largest
-    entry. At p = 2, theta_2 = 1 and both are round-off of 0: each entry is
-    then held to TOL times the scale max theta / |lam_a - lam_b| of the
-    quotient terms. Returns the oracle tensors."""
+    """oracles.dk_tensors equal the full oracle tensors to TOL relative to
+    the largest entry. At p = 2, theta_2 = 1 and both are round-off of 0:
+    each entry is then held to TOL times the scale max theta /
+    |lam_a - lam_b| of the quotient terms. Returns the oracle tensors."""
     refs = _dk_tensors_full(fr)
     scale = np.max(fr.theta) * np.max(np.abs(fr.gaps[1]))
-    for W, ref in zip(fr.dk_tensors(), refs):
+    for W, ref in zip(oracles.dk_tensors(fr), refs):
         if fr.p != 2.0:
             assert _close(W, ref)
         else:
@@ -122,8 +125,8 @@ def _assert_tensors_match(fr):
 
 
 def _assert_match_full(fr, rng):
-    """dk_tensors, and the state derivative contracted by matrix products,
-    equal the oracle tensors and their einsum contraction to TOL."""
+    """oracles.dk_tensors, and the state derivative contracted by matrix
+    products, equal the oracle tensors and their einsum contraction to TOL."""
     R1, R2 = _assert_tensors_match(fr)
     C = rng.standard_normal(R1.shape[:-1]) + 1j * rng.standard_normal(R1.shape[:-1])
     G = _contract(R1, R2, C)
@@ -167,7 +170,7 @@ class TestPartialDividedDifference:
     @pytest.mark.parametrize("which", [1, 2])
     @pytest.mark.parametrize("p", P_GRID)
     def test_given_and_own_grid_match_full(self, rng, which, p):
-        k = theta_p_kernel(p)
+        k = oracles.theta_p_kernel(p)
         wA = np.sort(rng.uniform(0.1, 2.0, (3, 4)))
         wB = np.sort(rng.uniform(0.1, 2.0, (3, 4)))
         wA[:, 1] = wA[:, 0]  # an exact tie
@@ -178,7 +181,7 @@ class TestPartialDividedDifference:
         assert _close(_partial(k, which, wA, wB, F), ref)
 
     def test_all_coincident(self):
-        k = theta_p_kernel(1.5)
+        k = oracles.theta_p_kernel(1.5)
         w = np.full(3, 0.7)
         for which in (1, 2):
             assert _close(_partial(k, which, w, w),
@@ -186,10 +189,6 @@ class TestPartialDividedDifference:
 
 
 class TestFrameFastPaths:
-    @pytest.mark.parametrize("p", P_GRID)
-    def test_dk_tensors(self, model, states, p):
-        _assert_tensors_match(tp._Frame(model, states, p))
-
     @pytest.mark.parametrize("p", P_GRID)
     def test_state_derivative_matches_full(self, model, states, p, rng):
         _assert_match_full(tp._Frame(model, states, p), rng)
@@ -231,11 +230,16 @@ class TestFrameFastPaths:
         for L, states, ties in stacks:
             fr = tp._Frame(L, states, p)
             assert fr.gaps[0].sum() == ties
-            W1, W2 = fr.dk_tensors()
-            C = rng.standard_normal(W1.shape[:-1]) + 1j * rng.standard_normal(W1.shape[:-1])
+            C = rng.standard_normal(fr.theta.shape) + 1j * rng.standard_normal(fr.theta.shape)
             M = fr.state_derivative(C)
             H, G = rc.hessian_matrix(L, states, p)
-            assert all(np.isfinite(X).all() for X in (W1, W2, M, H, G))
+            assert all(np.isfinite(X).all() for X in (M, H, G))
+
+    @pytest.mark.parametrize("p", P_GRID)
+    def test_basis_gram_is_real_symmetric(self, model, states, p):
+        _, _, G = tp._basis_gram(model, states, p)
+        assert G.dtype == np.float64
+        assert np.max(np.abs(G - np.swapaxes(G, -1, -2))) <= 1e-15 * np.max(np.abs(G))
 
 
 class TestTracialInvariantState:
@@ -270,6 +274,31 @@ class TestGeneratorCache:
         fr, _, _ = tp._basis_gram(model, states, p)
         cached = model.derived(("basis_gradients", p), _never)
         assert np.array_equal(cached, fr.P @ fr.grad(tp._basis_frame(model.d)[0]) @ fr.P)
+
+    def test_sigma_power_is_cached_read_only(self):
+        L = sg.random_dbc(np.diag([0.5, 0.3, 0.2]).astype(complex), 3, 1, seed=5)
+        w, U = L.sigma_eig
+        for s in (0.25, -1.0 / 6.0):
+            S = L.sigma_power(s)
+            assert L.sigma_power(s) is S
+            assert np.array_equal(S, (U * w**s) @ U.conj().T)
+            with pytest.raises(ValueError):
+                S[0, 0] = 0.0
+
+    def test_second_frame_builds_no_sigma_power(self, rng, monkeypatch):
+        # the second frame at the same p reads sigma^(+-s), the tilts and the
+        # jump adjoints off the generator: without sigma's eigendecomposition
+        # it is built all the same, and shares the first frame's arrays
+        L = sg.random_dbc(np.diag([0.5, 0.3, 0.2]).astype(complex), 3, 1, seed=5)
+        rho = la.random_density(rng, 3, floor=0.1)
+        first = tp._Frame(L, rho, 1.5)
+        monkeypatch.setitem(L.__dict__, "sigma_eig", None)
+        second = tp._Frame(L, rho, 1.5)
+        for name in ("P", "Q", "up", "down", "adjoints"):
+            assert np.shares_memory(getattr(second, name), getattr(first, name))
+        assert np.array_equal(second.theta, first.theta)
+        with pytest.raises(TypeError):
+            tp._Frame(L, rho, 1.25)  # a new p needs a new power
 
     def test_cached_arrays_are_read_only(self, dbc3):
         tp._basis_gram(dbc3, dbc3.sigma[None], 1.5)

@@ -52,12 +52,17 @@ def _jsonable(obj):
 
 def _estimate_opts(cfg: ExperimentConfig) -> ct.EstimateOpts:
     """The optimizer settings of every constant a task estimates."""
-    return ct.EstimateOpts(num_starts=cfg.num_starts, seed=int(cfg.seeds.get("starts", 0)))
+    return ct.EstimateOpts(num_starts=cfg.num_starts, seed=cfg.seed("starts"))
 
 
-def run_constants(cfg: ExperimentConfig, L: DbcLindbladian) -> Tuple[Dict, Dict]:
+# Each runner returns (results, diagnostics or None, failures): its task's
+# report entries and the names of the checks it failed.
+Outcome = Tuple[object, Optional[object], List[str]]
+
+
+def run_constants(cfg: ExperimentConfig, L: DbcLindbladian) -> Outcome:
     """The constants table and ledger, and the optimizer's per-start
-    diagnostics of every optimized estimate."""
+    diagnostics of every optimized estimate; fails on the hard ledger."""
     opts = _estimate_opts(cfg)
     estimates = {("poincare",): ct.estimate_constant(L, "poincare")}
     for p in cfg.p_grid:
@@ -81,15 +86,15 @@ def run_constants(cfg: ExperimentConfig, L: DbcLindbladian) -> Tuple[Dict, Dict]
     names = {k: f"{k[0]}" + (f"[{k[1]}]" if len(k) > 1 else "") for k in estimates}
     return {
         "rows": rows,
-        "ledger": [dataclasses.asdict(e) for e in ledger.entries],
+        "ledger": ledger.entries,
         "ledger_hard_pass": ledger.hard_pass,
         "estimates": {names[k]: est.value for k, est in estimates.items()},
     }, {names[k]: est.diagnostics for k, est in estimates.items()
-        if est.diagnostics is not None}
+        if est.diagnostics is not None}, [] if ledger.hard_pass else ["constants.ledger"]
 
 
-def run_decay(cfg: ExperimentConfig, L: DbcLindbladian) -> Dict:
-    rng = np.random.default_rng(int(cfg.seeds.get("master", 7)))
+def run_decay(cfg: ExperimentConfig, L: DbcLindbladian) -> Outcome:
+    rng = np.random.default_rng(cfg.seed("master"))
     rho0 = la.random_density(rng, L.d, floor=0.02)
     alphas = {p: ct.alpha_lower(L, p) for p in cfg.p_grid}
     ts = np.linspace(0.0, 5.0, 16)
@@ -105,25 +110,28 @@ def run_decay(cfg: ExperimentConfig, L: DbcLindbladian) -> Dict:
                          "within": F <= bound * (1.0 + 1e-6)})
         curves[str(p)] = rows
     all_within = all(r["within"] for rows in curves.values() for r in rows)
-    return {"curves": curves, "alphas": {str(p): a for p, a in alphas.items()},
-            "all_within_bound": all_within}
+    return ({"curves": curves, "alphas": {str(p): a for p, a in alphas.items()},
+             "all_within_bound": all_within}, None, [] if all_within else ["decay.bound"])
 
 
-def run_mixing(cfg: ExperimentConfig, L: DbcLindbladian) -> Dict:
+def run_mixing(cfg: ExperimentConfig, L: DbcLindbladian) -> Outcome:
     alphas = {p: ct.alpha_lower(L, p) for p in cfg.p_grid}
     rows = []
     for eps in cfg.epsilons:
-        emp = ct.mixing_time(L, eps, seed=int(cfg.seeds.get("master", 7)))
+        emp = ct.mixing_time(L, eps, seed=cfg.seed("master"))
         bound = float(min(ct.mixing_bound(p, L.sigma_min, eps, a) for p, a in alphas.items()))
         rows.append({"epsilon": eps, "empirical": emp, "bound_inf": bound,
                      "within": emp <= bound})
-    return {"rows": rows, "all_within_bound": all(r["within"] for r in rows)}
+    all_within = all(r["within"] for r in rows)
+    return ({"rows": rows, "all_within_bound": all_within}, None,
+            [] if all_within else ["mixing.bound"])
 
 
-def run_transport(cfg: ExperimentConfig, L: DbcLindbladian) -> Tuple[Dict, List[Dict]]:
+def run_transport(cfg: ExperimentConfig, L: DbcLindbladian) -> Outcome:
     """The transport solves, and each solve's optimizer steps, evaluations,
-    stop and gradient self-test gap."""
-    rng = np.random.default_rng(int(cfg.seeds.get("master", 7)))
+    stop and gradient self-test gap; fails on a solve that did not converge
+    or misses the trace-distance lower bound."""
+    rng = np.random.default_rng(cfg.seed("master"))
     opts = tp.W2Opts(N=cfg.transport_steps, tol=cfg.transport_tol)
     pairs = [(la.random_density(rng, L.d, floor=0.05),
               la.random_density(rng, L.d, floor=0.05)) for _ in range(2)]
@@ -150,43 +158,53 @@ def run_transport(cfg: ExperimentConfig, L: DbcLindbladian) -> Tuple[Dict, List[
                 entry["flat_w22"] = flat
                 entry["flat_gap"] = abs(dist - flat) / max(flat, 1e-300)
             results.append(entry)
-    return {"solves": results}, diagnostics
+    failures = []
+    if not all(s["converged"] for s in results):
+        failures.append("transport.converged")
+    if not all(s["trace_lower_bound_ok"] for s in results):
+        failures.append("transport.trace_bound")
+    return {"solves": results}, diagnostics, failures
 
 
-def run_ricci(cfg: ExperimentConfig, L: DbcLindbladian) -> Tuple[Dict, Dict]:
+def run_ricci(cfg: ExperimentConfig, L: DbcLindbladian) -> Outcome:
     """Curvature at the smallest and largest p of the grid; where kappa > 0,
     the inequalities it drives and the estimated Beckner constant that
     kappa p / 2 must not exceed; per p, the diagnostics cond_G and multiplicity
-    of ricci_estimate."""
-    rng = np.random.default_rng(int(cfg.seeds.get("master", 7)))
+    of ricci_estimate. Fails where an inequality misses by more than the
+    w_discretization tolerance times the larger of its two sides, the
+    transport discretization error it inherits."""
+    rng = np.random.default_rng(cfg.seed("master"))
+    tol = cfg.tolerances.get("w_discretization", DEFAULT_TOLERANCES["w_discretization"])
     ps = sorted({min(cfg.p_grid), max(cfg.p_grid)})
-    out, diagnostics = {}, {}
+    out, diagnostics, violated = {}, {}, False
     states = [la.random_density(rng, L.d, floor=0.05) for _ in range(2)]
     for p in ps:
-        est = rc.ricci_estimate(L, p, num_states=cfg.ricci_samples,
-                                seed=int(cfg.seeds.get("master", 7)))
+        est = rc.ricci_estimate(L, p, num_states=cfg.ricci_samples, seed=cfg.seed("master"))
         entry = {"kappa": est.kappa, "samples": est.samples,
-                 "worst_state": la.matrix_to_json(est.worst_state),
-                 "worst_direction": la.matrix_to_json(est.worst_direction)}
+                 "worst_state": est.worst_state, "worst_direction": est.worst_direction}
         if est.kappa > 0:
-            checks = rc.inequality_checks(
-                L, p, est.kappa, states, checks=("hwi", "tcp", "diameter"),
-                w_opts=tp.W2Opts(N=min(cfg.transport_steps, 12)))
+            checks = rc.inequality_checks(L, p, est.kappa, states,
+                                          w_opts=tp.W2Opts(N=min(cfg.transport_steps, 12)))
             entry["inequalities"] = checks
+            violated = violated or any(
+                e["slack"] < -tol * max(abs(e["lhs"]), abs(e["rhs"]))
+                for rows in checks.values() for e in rows)
             alpha = ct.estimate_constant(L, "beckner", p=p, opts=_estimate_opts(cfg))
             entry["beckner_vs_curvature"] = {
                 "alpha_estimate": alpha.value, "kappa_p_over_2": est.kappa * p / 2.0}
         out[str(p)] = entry
         diagnostics[str(p)] = {"cond_G": est.cond_G, "multiplicity": est.multiplicity}
-    return out, diagnostics
+    return out, diagnostics, ["ricci.inequalities"] if violated else []
 
 
-def _violated(ricci_out: Dict, tol: float) -> bool:
-    """Whether any curvature inequality misses by more than tol times the
-    larger of its two sides, the transport discretization error it inherits."""
-    return any(e["slack"] < -tol * max(abs(e["lhs"]), abs(e["rhs"]))
-               for entry in ricci_out.values()
-               for rows in entry.get("inequalities", {}).values() for e in rows)
+def run_verify(cfg: ExperimentConfig, L: DbcLindbladian) -> Outcome:
+    """The invariant suite; fails on each check that fails."""
+    checks = verify_suite(cfg, L)
+    return checks, None, [f"verify.{c.name}" for c in checks if c.failed]
+
+
+RUNNERS = {"constants": run_constants, "decay": run_decay, "mixing": run_mixing,
+           "transport": run_transport, "ricci": run_ricci, "verify": run_verify}
 
 
 def run(cfg: ExperimentConfig) -> Dict:
@@ -200,36 +218,13 @@ def run(cfg: ExperimentConfig) -> Dict:
     for task in (t for t in ALL_TASKS if t in cfg.tasks):
         t0 = time.perf_counter()
         try:
-            if L is None and task != "verify":
+            if L is None:
                 L = build_generator(cfg)
-            if task == "constants":
-                out, report["diagnostics"]["constants"] = run_constants(cfg, L)
-                report["results"]["constants"] = out
-                if not out["ledger_hard_pass"]:
-                    failures.append("constants.ledger")
-            elif task in ("decay", "mixing"):
-                out = (run_decay if task == "decay" else run_mixing)(cfg, L)
-                report["results"][task] = out
-                if not out["all_within_bound"]:
-                    failures.append(f"{task}.bound")
-            elif task == "transport":
-                out, report["diagnostics"]["transport"] = run_transport(cfg, L)
-                report["results"]["transport"] = out
-                if not all(s["converged"] for s in out["solves"]):
-                    failures.append("transport.converged")
-                if not all(s["trace_lower_bound_ok"] for s in out["solves"]):
-                    failures.append("transport.trace_bound")
-            elif task == "ricci":
-                out, report["diagnostics"]["ricci"] = run_ricci(cfg, L)
-                report["results"]["ricci"] = out
-                tol = cfg.tolerances.get("w_discretization",
-                                         DEFAULT_TOLERANCES["w_discretization"])
-                if _violated(out, tol):
-                    failures.append("ricci.inequalities")
-            elif task == "verify":
-                checks = verify_suite(cfg)
-                report["results"]["verify"] = [dataclasses.asdict(c) for c in checks]
-                failures.extend(f"verify.{c.name}" for c in checks if c.failed)
+            out, diagnostics, failed = RUNNERS[task](cfg, L)
+            report["results"][task] = out
+            if diagnostics is not None:
+                report["diagnostics"][task] = diagnostics
+            failures += failed
         except QBecknerError as exc:
             report["errors"][task] = f"{type(exc).__name__}: {exc}"
             failures.append(f"{task}.error")
@@ -364,23 +359,18 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(fixtures(args.fixture).to_json())
             return 0
         report = run(_load_config(args))
+        paths = emit(report, args.format, args.out)
+        if args.format != "json":
+            paths += emit(report, "json", args.out)
     except (ConfigError, UnknownFixture, OSError) as exc:
         print(f"config error: {exc}", file=sys.stderr)
         return 2
-    paths = emit(report, args.format, args.out)
-    if args.format != "json":
-        paths += emit(report, "json", args.out)
     for p in paths:
         print(f"wrote {p}")
-    if args.task == "verify":
-        checks = report["results"].get("verify", [])
-        fails = [c for c in checks if c["status"] == "fail"]
-        for c in checks:
-            print(f"{c['status']:>5}  {c['name']}  slack={c['slack']:.3e}")
-        if fails:
-            print(f"{len(fails)} checks failed")
-            return 1
-        return 0
+    for c in report["results"].get("verify", []):
+        print(f"{c['status']:>5}  {c['name']}  slack={c['slack']:.3e}")
+    for task, error in report["errors"].items():
+        print(f"{task}: {error}", file=sys.stderr)
     return 0 if report["summary"]["passed"] else 1
 
 

@@ -16,6 +16,7 @@ DEFAULT_P_GRID = [1.05, 1.1, 1.25, 1.5, 1.75, 2.0]
 DEFAULT_Q_GRID = [1.2, 1.5, 1.8]
 # the bound ledger's tolerances are pinned (constants.HARD_TOL, SOFT_TOL)
 DEFAULT_TOLERANCES = {"w_discretization": 0.02}
+DEFAULT_SEEDS = {"master": 7, "starts": 0}
 ALL_TASKS = ["constants", "decay", "mixing", "transport", "ricci", "verify"]
 GENERATOR_KEYS = {"depolarizing": {"kind", "gamma"}, "jumps": {"kind", "list"},
                   "random_dbc": {"kind", "pairs", "diag", "seed"}}
@@ -29,13 +30,17 @@ class ExperimentConfig:
     p_grid: List[float] = field(default_factory=lambda: list(DEFAULT_P_GRID))
     q_grid: List[float] = field(default_factory=lambda: list(DEFAULT_Q_GRID))
     tolerances: Dict = field(default_factory=lambda: dict(DEFAULT_TOLERANCES))
-    seeds: Dict = field(default_factory=lambda: {"master": 7, "starts": 0})
+    seeds: Dict = field(default_factory=lambda: dict(DEFAULT_SEEDS))
     tasks: List[str] = field(default_factory=lambda: ["constants"])
     num_starts: int = 32
     transport_steps: int = 20
     transport_tol: float = 1e-7
     ricci_samples: int = 16
     epsilons: List[float] = field(default_factory=lambda: [0.1, 0.01])
+
+    def seed(self, key: str) -> int:
+        """The configured seed, or its default where the config omits it."""
+        return int(self.seeds.get(key, DEFAULT_SEEDS[key]))
 
     def to_dict(self) -> Dict:
         return asdict(self)
@@ -88,7 +93,7 @@ def config_from_dict(data: Dict) -> ExperimentConfig:
     if cfg.dimension < 1:
         raise ConfigError("dimension must be >= 1")
     _check_keys("tolerances", cfg.tolerances, DEFAULT_TOLERANCES)
-    _check_keys("seeds keys", cfg.seeds, ("master", "starts"))
+    _check_keys("seeds keys", cfg.seeds, DEFAULT_SEEDS)
     for t in cfg.tasks:
         if t not in ALL_TASKS:
             raise ConfigError(f"unknown task {t!r} (choose from {ALL_TASKS})")

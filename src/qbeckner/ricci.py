@@ -199,33 +199,29 @@ def _distance(L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray, p: float,
 
 def inequality_checks(L: DbcLindbladian, p: float, kappa: float,
                       states: Sequence[np.ndarray],
-                      checks: Sequence[str] = ("hwi", "tcp", "diameter"),
                       w_opts: tp.W2Opts = tp.W2Opts()) -> Dict[str, list]:
-    """Evaluate curvature-driven inequalities on a list of states.
+    """Evaluate the curvature-driven inequalities hwi, tcp and diameter on
+    a list of states; they need kappa > 0.
 
     Every W-dependent check inherits the transport solver's discretization
     tolerance; slacks (rhs - lhs) are reported, not asserted. A solve that
     does not converge raises OptimizerDiverged.
     """
-    if any(c in ("tcp", "diameter") for c in checks) and kappa <= 0:
+    if kappa <= 0:
         raise NonPositiveCurvature("checks need kappa > 0")
-    report: Dict[str, list] = {c: [] for c in checks}
+    report: Dict[str, list] = {"hwi": [], "tcp": [], "diameter": []}
     smin = L.sigma_min
     for i, rho in enumerate(states):
         W = _distance(L, rho, L.sigma, p, w_opts, f"state {i} and sigma")
         F = p_divergence(rho, L.sigma, p).value
-        if "hwi" in checks:
-            E = dirichlet_form(L, relative_density(rho, L.sigma), p).value
-            rhs = (2.0 / p) * W * np.sqrt(max(E, 0.0)) - 0.5 * kappa * W * W
-            report["hwi"].append({"lhs": F, "rhs": rhs, "slack": rhs - F})
-        if "tcp" in checks:
-            alpha = kappa * p / 2.0
-            rhs = np.sqrt((p / alpha) * F)
-            report["tcp"].append({"lhs": W, "rhs": rhs, "slack": rhs - W})
-        if "diameter" in checks:
-            bound = 8.0 * (smin ** (1.0 - p) - 1.0) / (kappa * p * (p - 1.0))
-            report["diameter"].append({"lhs": W * W, "rhs": bound,
-                                       "slack": bound - W * W})
+        E = dirichlet_form(L, relative_density(rho, L.sigma), p).value
+        rhs = (2.0 / p) * W * np.sqrt(max(E, 0.0)) - 0.5 * kappa * W * W
+        report["hwi"].append({"lhs": F, "rhs": rhs, "slack": rhs - F})
+        alpha = kappa * p / 2.0
+        rhs = np.sqrt((p / alpha) * F)
+        report["tcp"].append({"lhs": W, "rhs": rhs, "slack": rhs - W})
+        bound = 8.0 * (smin ** (1.0 - p) - 1.0) / (kappa * p * (p - 1.0))
+        report["diameter"].append({"lhs": W * W, "rhs": bound, "slack": bound - W * W})
     return report
 
 

@@ -19,7 +19,7 @@ from . import kernels as kn
 from . import linalg as la
 from . import ricci as rc
 from . import transport as tp
-from .config import ExperimentConfig, build_generator
+from .config import ExperimentConfig
 from .semigroup import DbcLindbladian, alicki_decompose, build_from_jumps, evolve
 
 
@@ -366,15 +366,14 @@ def check_decay(L: DbcLindbladian, rng: np.random.Generator) -> List[CheckResult
 # ---------------------------------------------------------------------------
 
 
-def verify_suite(cfg: ExperimentConfig) -> List[CheckResult]:
-    """Run the invariant suite at the configuration's dimension and seed."""
-    seed = int(cfg.seeds.get("master", 7))
-    rng = np.random.default_rng(seed)
+def verify_suite(cfg: ExperimentConfig, L: DbcLindbladian) -> List[CheckResult]:
+    """Run the invariant suite on the configuration's model L, at its
+    dimension and seed."""
+    rng = np.random.default_rng(cfg.seed("master"))
     d = cfg.dimension
     if d < 2:
         return [_skip("suite", "dimension 1 is degenerate: all gaps undefined")]
     results = check_operator_inequalities(d, rng)
-    L = build_generator(cfg)
     results += check_semigroup(L, rng)
     results += check_entropy(L, rng)
     results += check_dirichlet(L, rng)

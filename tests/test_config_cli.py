@@ -20,6 +20,18 @@ from qbeckner.errors import ConfigError, UnknownFixture
 ONE_STEP = functools.partial(la.minimize, max_iters=1)
 
 
+def bad_jumps_config(tasks):
+    """A config that passes validation but whose model does not build: its
+    jump E_01 at omega = 0 is not a modular eigenvector of sigma, so it
+    breaks detailed balance."""
+    E01 = np.zeros((2, 2), dtype=complex)
+    E01[0, 1] = 1.0
+    return cf.ExperimentConfig(
+        dimension=2, sigma={"eigenvalues": [0.75, 0.25]},
+        generator={"kind": "jumps", "list": [{"V": la.matrix_to_json(E01), "omega": 0.0}]},
+        tasks=tasks)
+
+
 class TestConfig:
     def test_round_trip(self):
         cfg = cf.fixtures("depol2")
@@ -139,11 +151,14 @@ class TestRun:
             == (tmp_path / "b" / "report.json").read_text()
 
     def test_task_errors_collected(self):
-        cfg = cf.ExperimentConfig(dimension=2, sigma={"eigenvalues": [0.75, 0.25]},
-                                  generator={"kind": "depolarizing", "gamma": -1.0},
-                                  tasks=["constants"])
-        with pytest.raises(Exception):
-            cf.build_generator(cfg)
+        # each task records its own error, and the run goes on after the first
+        report = cli.run(bad_jumps_config(["constants", "verify"]))
+        assert report["summary"] == {"failures": ["constants.error", "verify.error"],
+                                     "passed": False}
+        assert set(report["errors"]) == {"constants", "verify"}
+        for error in report["errors"].values():
+            assert error.startswith("NotModularEigenvector:")
+        assert set(report["timings"]) == {"constants", "verify"}
 
 
 @pytest.fixture(scope="module")
@@ -521,22 +536,33 @@ class TestMain:
         assert report["summary"]["failures"] == ["transport.error"]
         assert "SingularMetric" in report["errors"]["transport"]
 
-    def test_corrupted_generator_fails(self, tmp_path):
-        # a jump that is not a modular eigenvector breaks detailed balance
-        E01 = np.zeros((2, 2), dtype=complex)
-        E01[0, 1] = 1.0
-        cfg = cf.ExperimentConfig(
-            dimension=2, sigma={"eigenvalues": [0.75, 0.25]},
-            generator={"kind": "jumps",
-                       "list": [{"V": la.matrix_to_json(E01), "omega": 0.0}]},
-            tasks=["constants"])
+    def _corrupted_generator_fails(self, tmp_path, capsys, task):
+        # the config is valid, the model does not build: the task exits 1
+        # and names the error on stderr
         path = tmp_path / "broken.json"
-        path.write_text(cfg.to_json())
-        rc = cli.main(["constants", "--config", str(path),
-                       "--out", str(tmp_path / "out")])
-        assert rc == 1
+        path.write_text(bad_jumps_config([task]).to_json())
+        assert cli.main([task, "--config", str(path), "--out", str(tmp_path / "out")]) == 1
         report = json.loads(open(tmp_path / "out" / "report.json").read())
-        assert "NotModularEigenvector" in report["errors"]["constants"]
+        assert report["summary"]["failures"] == [f"{task}.error"]
+        assert "NotModularEigenvector" in report["errors"][task]
+        err = capsys.readouterr().err
+        assert err.startswith(f"{task}: NotModularEigenvector:")
+        assert len(err.splitlines()) == 1
+
+    def test_corrupted_generator_fails(self, tmp_path, capsys):
+        self._corrupted_generator_fails(tmp_path, capsys, "constants")
+
+    def test_verify_corrupted_generator_fails(self, tmp_path, capsys):
+        # verify builds its model like every other task, and fails like them
+        self._corrupted_generator_fails(tmp_path, capsys, "verify")
+
+    def test_out_is_a_file_exit_code(self, tmp_path, capsys):
+        out = tmp_path / "out"
+        out.write_text("")
+        assert cli.main(["decay", "--fixture", "classical_embed", "--out", str(out)]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error:") and str(out) in err
+        assert len(err.splitlines()) == 1 and "Traceback" not in err
 
 
 class TestDeterminism:

@@ -199,7 +199,7 @@ class TestPRange:
 class TestInequalityChecks:
     def test_invariant_state_all_zero(self, depol_flat):
         rep = rc.inequality_checks(depol_flat, 2.0, 1.0, [depol_flat.sigma],
-                                   checks=("hwi", "tcp"), w_opts=tp.W2Opts(N=6))
+                                   w_opts=tp.W2Opts(N=6))
         for entry in rep["hwi"] + rep["tcp"]:
             assert abs(entry["lhs"]) <= 1e-6
             assert abs(entry["rhs"]) <= 1e-6
@@ -207,7 +207,6 @@ class TestInequalityChecks:
     def test_flat_p2_chain(self, rng, depol_flat):
         states = [la.random_density(rng, 2, floor=0.05) for _ in range(2)]
         rep = rc.inequality_checks(depol_flat, 2.0, 1.0, states,
-                                   checks=("hwi", "tcp", "diameter"),
                                    w_opts=tp.W2Opts(N=10))
         for entry in rep["hwi"]:
             assert entry["slack"] >= -0.02 * max(abs(entry["rhs"]), 1.0)
@@ -219,7 +218,7 @@ class TestInequalityChecks:
 
     def test_nonpositive_curvature_rejected(self, depol_flat):
         with pytest.raises(NonPositiveCurvature):
-            rc.inequality_checks(depol_flat, 1.5, 0.0, [], checks=("tcp",))
+            rc.inequality_checks(depol_flat, 1.5, 0.0, [])
 
     def test_curvature_implies_beckner_direction(self, depol_flat):
         for p in (1.25, 1.75):

@@ -315,8 +315,11 @@ def _load_config(args) -> ExperimentConfig:
     """The config file or fixture for the task, with the command-line
     overrides applied and the result validated by config_from_dict."""
     if args.config:
-        with open(args.config) as fh:
-            data = config_from_json(fh.read()).to_dict()
+        try:
+            with open(args.config) as fh:
+                data = config_from_json(fh.read()).to_dict()
+        except OSError as exc:
+            raise ConfigError(f"cannot read config {args.config}: {exc.strerror}") from exc
     else:
         data = fixtures(args.fixture).to_dict()
     data["tasks"] = [args.task]
@@ -359,11 +362,15 @@ def main(argv: Optional[List[str]] = None) -> int:
             print(fixtures(args.fixture).to_json())
             return 0
         report = run(_load_config(args))
+    except (ConfigError, UnknownFixture) as exc:
+        print(f"config error: {exc}", file=sys.stderr)
+        return 2
+    try:
         paths = emit(report, args.format, args.out)
         if args.format != "json":
             paths += emit(report, "json", args.out)
-    except (ConfigError, UnknownFixture, OSError) as exc:
-        print(f"config error: {exc}", file=sys.stderr)
+    except OSError as exc:
+        print(f"output error: cannot write output {args.out}: {exc.strerror}", file=sys.stderr)
         return 2
     for p in paths:
         print(f"wrote {p}")

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import copy
 import json
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List
@@ -203,28 +204,25 @@ def build_generator(cfg: ExperimentConfig) -> DbcLindbladian:
                       int(spec.get("diag", 1)), int(spec.get("seed", 0)))
 
 
+# Canonical configurations used by the acceptance suite, by name
+FIXTURES = {
+    "depol2": dict(dimension=2, sigma={"eigenvalues": [0.75, 0.25]},
+                   generator={"kind": "depolarizing", "gamma": 1.0}, tasks=ALL_TASKS),
+    "depol3": dict(dimension=3, sigma={"eigenvalues": [0.5, 1.0 / 3.0, 1.0 / 6.0]},
+                   generator={"kind": "depolarizing", "gamma": 1.0}, tasks=ALL_TASKS),
+    "random_dbc_seeded": dict(dimension=3, sigma={"eigenvalues": [0.5, 0.3, 0.2]},
+                              generator={"kind": "random_dbc", "pairs": 3, "diag": 1,
+                                         "seed": 42}, tasks=["constants", "verify"]),
+    # the flat qubit depolarizing semigroup realizes the symmetric
+    # two-point chain (theta = 1/2) through the classical reduction
+    "classical_embed": dict(dimension=2, sigma={"eigenvalues": [0.5, 0.5]},
+                            generator={"kind": "depolarizing", "gamma": 1.0},
+                            tasks=["constants"]),
+}
+
+
 def fixtures(name: str) -> ExperimentConfig:
-    """Canonical configurations used by the acceptance suite."""
-    if name == "depol2":
-        return ExperimentConfig(
-            dimension=2, sigma={"eigenvalues": [0.75, 0.25]},
-            generator={"kind": "depolarizing", "gamma": 1.0},
-            tasks=list(ALL_TASKS))
-    if name == "depol3":
-        return ExperimentConfig(
-            dimension=3, sigma={"eigenvalues": [0.5, 1.0 / 3.0, 1.0 / 6.0]},
-            generator={"kind": "depolarizing", "gamma": 1.0},
-            tasks=list(ALL_TASKS))
-    if name == "random_dbc_seeded":
-        return ExperimentConfig(
-            dimension=3, sigma={"eigenvalues": [0.5, 0.3, 0.2]},
-            generator={"kind": "random_dbc", "pairs": 3, "diag": 1, "seed": 42},
-            tasks=["constants", "verify"])
-    if name == "classical_embed":
-        # the flat qubit depolarizing semigroup realizes the symmetric
-        # two-point chain (theta = 1/2) through the classical reduction
-        return ExperimentConfig(
-            dimension=2, sigma={"eigenvalues": [0.5, 0.5]},
-            generator={"kind": "depolarizing", "gamma": 1.0},
-            tasks=["constants"])
-    raise UnknownFixture(name)
+    """The fixture of that name, a fresh copy."""
+    if name not in FIXTURES:
+        raise UnknownFixture(f"no fixture named {name!r}; the fixtures are {', '.join(FIXTURES)}")
+    return ExperimentConfig(**copy.deepcopy(FIXTURES[name]))

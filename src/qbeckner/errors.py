@@ -81,7 +81,7 @@ class LeftPositiveCone(QBecknerError):
     """Geodesic integration left the positive cone and could not recover."""
 
 
-class UnknownFixture(QBecknerError, KeyError):
+class UnknownFixture(QBecknerError):
     """No fixture registered under the requested name."""
 
 

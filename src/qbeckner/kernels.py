@@ -6,7 +6,9 @@ All power-difference quotients are evaluated through ``expm1``/``log1p`` so
 they stay accurate when the two arguments nearly coincide, and every kernel
 carries an exact degenerate branch. theta_p, the metric kernel whose state
 derivative drives the transport gradient, geodesics and Hessian, is one grid
-function (theta_p_grid) that returns the kernel with both of its partials.
+function of half log-ratios (theta_p_log) that returns the kernel with both
+of its log-partials: the tilts of the metric kernels cancel from all but the
+half log-ratio, so a spectral frame makes one call for every jump.
 """
 
 from __future__ import annotations
@@ -29,19 +31,16 @@ SAME_TOL = 1e-9
 NEAR_TOL = 0.144
 
 
-def _rel_scale(x: np.ndarray, y: np.ndarray) -> np.ndarray:
-    return np.maximum(np.abs(x), np.abs(y))
-
-
 def _is_same(x: np.ndarray, y: np.ndarray, tol: float = SAME_TOL) -> np.ndarray:
-    return np.abs(x - y) <= tol * _rel_scale(x, y)
+    return np.abs(x - y) <= tol * np.maximum(np.abs(x), np.abs(y))
 
 
 def stable_powdiff(a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     """(x^a - y^a) / (x - y) for x, y > 0, with the a*m^(a-1) degenerate rule.
 
-    Computed as hi^a * expm1(a*log1p((lo-hi)/hi)) / (lo-hi), which is free of
-    subtractive cancellation for any separation.
+    Computed as hi^a * expm1(a*ell) / (lo-hi), free of cancellation at any
+    separation: ell = log(lo/hi) is log1p((lo-hi)/hi) where lo >= hi/2 and
+    lo - hi is exact, and log(lo/hi) below, where lo - hi loses lo.
     """
     x = np.asarray(x, dtype=float)
     y = np.asarray(y, dtype=float)
@@ -51,7 +50,8 @@ def stable_powdiff(a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
     lo = np.minimum(x, y)
     with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
         diff = lo - hi
-        ell = np.log1p(np.where(same, 0.0, diff) / np.where(hi > 0, hi, 1.0))
+        ell = np.where(lo < 0.5 * hi, np.log(lo / hi),
+                       np.log1p(np.where(same, 0.0, diff) / np.where(hi > 0, hi, 1.0)))
         far = hi**a * np.expm1(a * ell) / np.where(same, 1.0, diff)
         deg = a * m ** (a - 1.0) if a != 1.0 else np.ones_like(m)
     return np.where(same, deg, far)
@@ -208,23 +208,28 @@ _COTH = (1.0 / 3.0, -1.0 / 45.0, 2.0 / 945.0, -1.0 / 4725.0, 2.0 / 93555.0,
          -1382.0 / 638512875.0)
 
 
-def theta_p_grid(p: float, x: np.ndarray,
-                 y: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(theta, d/dx theta, d/dy theta) of theta_p on broadcastable x, y > 0.
+def theta_p_log(p: float, h: np.ndarray,
+                m: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(theta, x d/dx theta, y d/dy theta) of theta_p at x = e^(m+h), y = e^(m-h),
+    on broadcastable h and m.
 
-    theta_p(x, y) = (p-1)(x - y)/(x^(p-1) - y^(p-1)) is the reciprocal of
-    f_p^[1] and equal to x^(2-p) on the diagonal; it comes from
-    stable_powdiff, and both partials are written with it. With a = p - 1
-    and x = c e^h, y = c e^-h, theta = a c^(1-a) sinh h / sinh(a h), so
-    2x d/dx theta = theta (1 - a + g) and 2y d/dy theta = theta (1 - a - g)
-    with g = coth h - a coth(a h). Within |h| <= NEAR_TOL g is summed from
-    its odd Taylor series, and no digit is lost to cancellation; outside it
-    the partials are the quotient rule d/dx theta = theta (1 - theta x^(p-2))
-    / (x - y) and its mirror image.
+    theta_p(x, y) = (p-1)(x - y)/(x^(p-1) - y^(p-1)), the reciprocal of
+    f_p^[1], is e^((1-a) m) q with a = p - 1 and q = a sinh h / sinh(a h),
+    so tilting (x, y) to (e^t x, e^-t y) moves h alone. 2x d/dx theta =
+    theta (1 - a + g) and 2y d/dy theta = theta (1 - a - g), g = coth h -
+    a coth(a h). Within |h| <= NEAR_TOL g is summed from its odd Taylor
+    series, and no digit is lost to cancellation; outside it x d/dx theta
+    = theta (1 - q e^((a-1) h)) / (1 - e^(-2h)), the quotient rule in h, and
+    y d/dy theta is its mirror image (1 - a - g cancels as |h| grows).
     """
     a = float(p) - 1.0
-    theta = a / stable_powdiff(a, x, y)
-    h = 0.5 * np.log(x / y)
+    b = 1.0 - a
+    with np.errstate(divide="ignore", invalid="ignore"):
+        q = np.where(h == 0.0, 1.0, a * np.sinh(h) / np.sinh(a * h))
+        theta = np.exp(b * m) * q
+        e = np.exp(-b * h)
+        dx = theta * (1.0 - q * e) / -np.expm1(-2.0 * h)
+        dy = theta * (1.0 - q / e) / -np.expm1(2.0 * h)
     near = np.abs(h) <= NEAR_TOL
     h2 = h * h
     k = [c * (1.0 - a ** (2 * n)) for n, c in enumerate(_COTH, 1)]
@@ -234,7 +239,4 @@ def theta_p_grid(p: float, x: np.ndarray,
         g += c
     g *= h
     half = 0.5 * theta
-    diff = np.where(near, 1.0, x - y)
-    dx = np.where(near, half / x * ((1.0 - a) + g), theta * (1.0 - theta * x ** (a - 1.0)) / diff)
-    dy = np.where(near, half / y * ((1.0 - a) - g), theta * (1.0 - theta * y ** (a - 1.0)) / -diff)
-    return theta, dx, dy
+    return theta, np.where(near, half * (b + g), dx), np.where(near, half * (b - g), dy)

@@ -53,7 +53,7 @@ def hessian_matrix(L: DbcLindbladian, rho: np.ndarray,
     eigenframe gradients C_m = V† P [V_j, U_m] P V of the basis, flattened
     over (j, a, c), and <X, Y> = Re sum conj(X) Y:
       G      = <C_m, theta o C_n>, the Gram matrix <U_m, D_{p,rho} U_n>
-               (transport._basis_gram, shared with the path energy);
+               (as transport._basis_gram forms it for the path energy);
       second = Re(Phi† L_dual Phi) G: D U_n is trace-free, so it lies in the
                span of the basis, and <U_m, L†(D U_n)> needs only G;
       first  = the Daleckii-Krein contraction of theta_p with
@@ -67,19 +67,20 @@ def hessian_matrix(L: DbcLindbladian, rho: np.ndarray,
     """
     d = L.d
     states = np.reshape(rho, (-1, d, d))
-    fr, C, G = tp._basis_gram(L, states, p)
+    fr, rows = tp._basis_rows(L, states, p)
+    C = np.ascontiguousarray(np.moveaxis(rows, 1, 3))
     S, n, J = C.shape[:3]
+    G = tp._real_gram(C, fr.theta * C)
     vecs = np.swapaxes(states, -1, -2).reshape(S, d * d)  # la.vec of each state
     Lrho = np.swapaxes((vecs @ L.dual_generator.T).reshape(S, d, d), -1, -2)
-    V = fr.V[:, 0]
-    A = la.dagger(V) @ fr.Q @ Lrho @ fr.Q @ V
+    QV = fr.Q @ fr.V[:, 0]
+    A = la.dagger(QV) @ Lrho @ QV
     (ties, inv), (d1, d2) = fr.gaps, fr.partials
     # M C_mj and C_mj M for every m and j, each one product per state: the
     # rows, or the columns, of all C_mj side by side
-    rows = np.moveaxis(C, 3, 1).reshape(S, d, -1)
 
     def left(M):
-        return np.moveaxis((M @ rows).reshape(S, d, n, J, d), 1, 3)
+        return np.moveaxis((M @ rows.reshape(S, d, -1)).reshape(rows.shape), 1, 3)
 
     def right(M):
         return (C.reshape(S, -1, d) @ M).reshape(C.shape)

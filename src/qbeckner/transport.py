@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg as la
 from .errors import KernelComponent, LeftPositiveCone, SingularMetric, SingularState
-from .kernels import _is_same, theta_p_grid
+from .kernels import _is_same, theta_p_log
 from .linalg import minimize
 from .semigroup import DbcLindbladian
 
@@ -53,9 +53,11 @@ class _Frame:
     Fields over the jumps are arrays (..., J, d, d), where ... are the
     leading axes of rho. p must lie in (1, 2], as for estimate_constant;
     every solver, Hessian and flow of the metric builds its kernels here.
-    sigma^(+-s), the tilts and the jump adjoints are read off the
+    The tilts cancel from a_j[x] b_j[y] = lam_x lam_y: one kernels.theta_p_log
+    call on h_j[x, y] = w_j/2p + (log lam_x - log lam_y)/2 gives theta and
+    the partials. sigma^(+-s) and the jump adjoints are read off the
     generator's cache (DbcLindbladian.derived), so a frame computes only its
-    eigendecomposition and one grid of theta_p and its partials.
+    eigendecomposition and that one grid.
     """
 
     def __init__(self, L: DbcLindbladian, rho: np.ndarray, p: float):
@@ -67,17 +69,15 @@ class _Frame:
         self.lam, self.V = la.herm_eigh(self.Q @ rho @ self.Q, check=False)
         if np.min(self.lam) <= 0.0:
             raise SingularState("metric kernel needs a full-rank state")
+        self.W = self.P @ self.V[..., None, :, :]  # P V: eig and uneig by P in two products
         self.jumps, omega = L.jump_stack
         self.adjoints = L.derived(("jump_adjoints",), lambda: la.dagger(self.jumps))
-        self.up, self.down = L.derived(
-            ("tilts", self.p),
-            lambda: np.exp(np.multiply.outer((1.0, -1.0), omega) / (2.0 * self.p)))
-        self.a = self.up[:, None] * self.lam[..., None, :]
-        self.b = self.down[:, None] * self.lam[..., None, :]
-        # theta_p(a_j[x], b_j[y]) for every jump, (..., J, d, d), and its
-        # partials d/dx and d/dy there, weighted by up_j and down_j
-        self.theta, dx, dy = theta_p_grid(self.p, self.a[..., :, None], self.b[..., None, :])
-        self.partials = self.up[:, None, None] * dx, self.down[:, None, None] * dy
+        # theta_p(a_j[x], b_j[y]), (..., J, d, d), and its partials weighted by e^(+-w_j/2p)
+        half = 0.5 * np.log(self.lam)
+        x, y = half[..., None, :, None], half[..., None, None, :]
+        h = (x - y) + (omega / (2.0 * self.p))[:, None, None]
+        self.theta, dx, dy = theta_p_log(self.p, h, x + y)
+        self.partials = dx / self.lam[..., None, :, None], dy / self.lam[..., None, None, :]
 
     def grad(self, U: np.ndarray) -> np.ndarray:
         """dj U = [V_j, U] for every jump."""
@@ -91,13 +91,13 @@ class _Frame:
 
     def eig(self, X: np.ndarray, S: np.ndarray) -> np.ndarray:
         """V† S X_j S V for every jump component, S = P or Q."""
-        V = self.V[..., None, :, :]
-        return la.dagger(V) @ (S @ X @ S) @ V
+        SV = self.W if S is self.P else S @ self.V[..., None, :, :]
+        return la.dagger(SV) @ X @ SV
 
     def uneig(self, Xt: np.ndarray, S: np.ndarray) -> np.ndarray:
         """Inverse of eig when S is replaced by its inverse."""
-        V = self.V[..., None, :, :]
-        return S @ (V @ Xt @ la.dagger(V)) @ S
+        SV = self.W if S is self.P else S @ self.V[..., None, :, :]
+        return SV @ Xt @ la.dagger(SV)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """[rho]_j X_j for every jump."""
@@ -136,7 +136,8 @@ class _Frame:
             T1, T2 = d1 * C, d2 * C
             Z = np.sum(T1.conj() @ np.swapaxes(C, -1, -2) + np.swapaxes(T2, -1, -2) @ Cc, axis=-3)
             G = np.where(ties, 0.5 * (Z + la.dagger(Z)), G)
-        return la.herm(self.Q @ self.V @ np.swapaxes(G, -1, -2) @ la.dagger(self.V) @ self.Q)
+        QV = self.Q @ self.V
+        return la.herm(QV @ np.swapaxes(G, -1, -2) @ la.dagger(QV))
 
 
 def _floored(g: np.ndarray) -> np.ndarray:
@@ -222,18 +223,11 @@ def _basis_frame(d: int) -> Tuple[np.ndarray, np.ndarray]:
     return basis, Phi
 
 
-def _basis_gram(L: DbcLindbladian, rho: np.ndarray,
-                p: float) -> Tuple[_Frame, np.ndarray, np.ndarray]:
-    """Metric Gram matrices on the basis U_1..U_n, n = d^2 - 1, at each
-    state of a stack rho (S, d, d).
-
-    Returns the frame of the stack with the basis on its own axis (leading
-    axes (S, 1)), the eigenframe gradients C_m = V† P [V_j, U_m] P V, shape
-    (S, n, J, d, d), and the real G = Re conj(C) (theta o C)^T flattened over
-    (j, a, c), shape (S, n, n): the Gram matrix <U_m, D_{p,rho} U_n>. D maps
-    the real span of the basis into itself, so the imaginary part is
-    round-off, and G is symmetric up to round-off.
-    """
+def _basis_rows(L: DbcLindbladian, rho: np.ndarray, p: float) -> Tuple[_Frame, np.ndarray]:
+    """The frame of a stack rho (S, d, d) with the basis U_1..U_n, n = d^2 - 1,
+    on its own axis (leading axes (S, 1)), and the eigenframe gradients C_m =
+    V† P [V_j, U_m] P V as rows (S, d, n, J, d): the rows of all C_mj side by
+    side, which one product per state multiplies from the left."""
     basis, _ = _basis_frame(L.d)
     S, n, d = len(rho), len(basis), L.d
     fr = _Frame(L, rho[:, None], p)
@@ -241,16 +235,22 @@ def _basis_gram(L: DbcLindbladian, rho: np.ndarray,
     # generator and p, and all of it is taken to each state's eigenframe with
     # two batched products, by V† from the left on the side-by-side
     # (d, n J d) matrix, then by V from the right. These are the two sums of
-    # V† (P X P) V, grouped as there; C is made contiguous as that product
-    # is, so the contractions over it keep their summation order too.
+    # V† (P X P) V, grouped as there; C is made contiguous in that order.
     X = L.derived(("basis_gradients", fr.p), lambda: fr.P @ fr.grad(basis) @ fr.P)
-    J = X.shape[1]
     V = fr.V[:, 0]
     left = la.dagger(V) @ np.moveaxis(X, 2, 0).reshape(d, -1)  # (S, i, (m, j, l))
-    right = (left.reshape(S, -1, d) @ V).reshape(S, d, n, J, d)  # (S, i, m, j, b)
-    del left
-    C = np.ascontiguousarray(np.moveaxis(right, 1, 3))
-    del right
+    return fr, (left.reshape(S, -1, d) @ V).reshape(S, d, n, -1, d)  # (S, i, m, j, b)
+
+
+def _basis_gram(L: DbcLindbladian, rho: np.ndarray,
+                p: float) -> Tuple[_Frame, np.ndarray, np.ndarray]:
+    """The frame of _basis_rows, its C_m made contiguous, (S, n, J, d, d), and
+    the real G = Re conj(C) (theta o C)^T flattened over (j, a, c), (S, n, n):
+    the metric Gram matrices <U_m, D_{p,rho} U_n>. D maps the real span of the
+    basis into itself, so Im G is round-off, and G is symmetric up to it."""
+    fr, rows = _basis_rows(L, rho, p)
+    C = np.ascontiguousarray(np.moveaxis(rows, 1, 3))
+    del rows  # before theta o C: the path energy holds two such arrays, not three
     return fr, C, _real_gram(C, fr.theta * C)
 
 

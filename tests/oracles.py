@@ -3,8 +3,9 @@
 Each is a direct, slower or independent form of something the library
 computes another way, or a textbook quantity that a test states an identity
 with: MetricKernel is the single-jump form of the spectral frame
-transport._Frame; theta_p_kernel is the frame's grid function as a
-two-variable kernel, and dk_tensors forms the Daleckii-Krein tensors that
+transport._Frame; theta_p_xy is the frame's grid function kernels.theta_p_log
+on (x, y), with the frame's tilt, and theta_p_kernel the same as a
+two-variable kernel; dk_tensors forms the Daleckii-Krein tensors that
 the library contracts by matrix products; the s-inner products, the weighted
 kernel superoperator, the variance, the entropy production, Gamma_2 and the
 KMS adjoint of a derivation are the objects the tested identities are
@@ -24,7 +25,7 @@ from qbeckner import linalg as la
 from qbeckner import ricci as rc
 from qbeckner import transport as tp
 from qbeckner.errors import GradientCheckFailed, NotPsd, SingularState
-from qbeckner.kernels import Kernel1, Kernel2, _is_same, theta_p_grid
+from qbeckner.kernels import Kernel1, Kernel2, _is_same, theta_p_log
 
 
 # ---------------------------------------------------------------------------
@@ -50,7 +51,7 @@ class MetricKernel:
             raise SingularState("metric kernel needs a full-rank state")
         a = np.exp(omega / (2.0 * p)) * lam
         b = np.exp(-omega / (2.0 * p)) * lam
-        self._F = theta_p_grid(p, a[:, None], b[None, :])[0]
+        self._F = theta_p_xy(p, a[:, None], b[None, :])[0]
 
     def _schur(self, S, A, F):
         tilted = self.V.conj().T @ (S @ A @ S) @ self.V
@@ -63,11 +64,22 @@ class MetricKernel:
         return self._schur(self._s_ipow, A, 1.0 / self._F)
 
 
+def theta_p_xy(p, x, y, t=0.0):
+    """theta_p(e^t x, e^-t y) and its partials in x and in y, on broadcastable
+    x, y > 0 and t: kernels.theta_p_log at h = (log x - log y)/2 + t and m =
+    (log x + log y)/2, with its log-partials divided by x and y. These are the
+    frame's arguments for lam_x, lam_y and t = w_j/2p, bit for bit, and they
+    make theta_p(x, y) = theta_p(y, x) bit for bit at t = 0."""
+    hx, hy = 0.5 * np.log(x), 0.5 * np.log(y)
+    theta, dx, dy = theta_p_log(p, (hx - hy) + t, hx + hy)
+    return theta, dx / x, dy / y
+
+
 def theta_p_kernel(p) -> Kernel2:
-    """theta_p as a two-variable kernel with its d/dx rule (kernels.theta_p_grid),
-    the form linalg.double_sum_apply and linalg.partial_dd_tensor take."""
-    return Kernel2(f"theta({p})", f=lambda x, y: theta_p_grid(p, x, y)[0],
-                   dx=lambda x, y: theta_p_grid(p, x, y)[1],
+    """theta_p as a two-variable kernel with its d/dx rule (theta_p_xy), the
+    form linalg.double_sum_apply and linalg.partial_dd_tensor take."""
+    return Kernel2(f"theta({p})", f=lambda x, y: theta_p_xy(p, x, y)[0],
+                   dx=lambda x, y: theta_p_xy(p, x, y)[1],
                    domain_min=0.0, allow_boundary=False)
 
 

@@ -561,8 +561,23 @@ class TestMain:
         out.write_text("")
         assert cli.main(["decay", "--fixture", "classical_embed", "--out", str(out)]) == 2
         err = capsys.readouterr().err
-        assert err.startswith("config error:") and str(out) in err
+        assert err.startswith(f"output error: cannot write output {out}:")
         assert len(err.splitlines()) == 1 and "Traceback" not in err
+
+    def test_unreadable_config_exit_code(self, tmp_path, capsys):
+        path = tmp_path / "missing.json"
+        assert cli.main(["decay", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith(f"config error: cannot read config {path}:")
+        assert len(err.splitlines()) == 1 and not (tmp_path / "out").exists()
+
+    def test_unknown_fixture_names_the_fixtures(self, tmp_path, capsys):
+        assert cli.main(["verify", "--fixture", "nope", "--out", str(tmp_path / "out")]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("config error: no fixture named 'nope'; the fixtures are ")
+        assert err.strip().endswith(", ".join(cf.FIXTURES))
+        for name in cf.FIXTURES:  # each one listed exists
+            cf.fixtures(name)
 
 
 class TestDeterminism:

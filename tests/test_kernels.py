@@ -4,6 +4,9 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from qbeckner import kernels as kn
+from qbeckner import linalg as la
+from qbeckner import semigroup as sg
+from qbeckner import transport as tp
 from qbeckner.errors import DomainViolation
 from qbeckner.linalg import matrix_function
 
@@ -63,38 +66,40 @@ def test_theta_p_reciprocal_and_diagonal():
     fp = kn.fp_divdiff_kernel(1.5)
     xs = np.linspace(0.2, 5.0, 9)
     ys = np.linspace(0.3, 4.0, 9)
-    assert np.max(np.abs(kn.theta_p_grid(1.5, xs, ys)[0] * fp.f(xs, ys) - 1.0)) <= 1e-13
-    assert kn.theta_p_grid(1.5, np.array(3.0), np.array(3.0))[0] == pytest.approx(3.0**0.5)
+    assert np.max(np.abs(oracles.theta_p_xy(1.5, xs, ys)[0] * fp.f(xs, ys) - 1.0)) <= 1e-13
+    assert oracles.theta_p_xy(1.5, np.array(3.0), np.array(3.0))[0] == pytest.approx(3.0**0.5)
 
 
-def test_theta_p_grid_broadcasts():
-    # a column against a row gives the whole grid, and each entry is the
-    # value at that pair alone
-    x, y = np.array([0.3, 1.0, 2.5])[:, None], np.array([0.3, 0.31, 4.0, 1e-3])[None, :]
-    grid = kn.theta_p_grid(1.5, x, y)
+def test_theta_p_log_broadcasts():
+    # h on a (J, d, d) grid against m on (1, d, d), as the frame calls it:
+    # each entry is the value at that pair alone
+    rng = np.random.default_rng(7)
+    h = rng.uniform(-3.0, 3.0, (2, 3, 3))
+    h[0, 0, 0], h[1, 1, 1], h[0, 1, 2] = 0.0, 3e-9, 0.1  # h = 0, a near tie, within NEAR_TOL
+    m = rng.uniform(-12.0, 2.0, (1, 3, 3))
+    grid = kn.theta_p_log(1.5, h, m)
     for out in grid:
-        assert out.shape == (3, 4)
-    for i in range(3):
-        for k in range(4):
-            one = kn.theta_p_grid(1.5, x[i, 0], y[0, k])
-            assert all(g[i, k] == o for g, o in zip(grid, one))
+        assert out.shape == (2, 3, 3)
+    for j, x, y in np.ndindex(h.shape):
+        one = kn.theta_p_log(1.5, h[j, x, y], m[0, x, y])
+        assert all(g[j, x, y] == o for g, o in zip(grid, one))
 
 
 @pytest.mark.parametrize("p", [1.2, 1.5, 1.9])
 def test_theta_partials_match_finite_differences(p):
     def theta(x, y):
-        return kn.theta_p_grid(p, x, y)[0]
+        return oracles.theta_p_xy(p, x, y)[0]
 
     h = 1e-7
     for (x, y) in [(2.3, 0.9), (0.4, 1.7), (1.0, 1.0 + 3e-7), (2.0, 2.0)]:
         x, y = np.array(x), np.array(y)
         fd_x = (theta(x + h, y) - theta(x - h, y)) / (2 * h)
         fd_y = (theta(x, y + h) - theta(x, y - h)) / (2 * h)
-        _, dx, dy = kn.theta_p_grid(p, x, y)
+        _, dx, dy = oracles.theta_p_xy(p, x, y)
         assert dx == pytest.approx(float(fd_x), rel=2e-5)
         assert dy == pytest.approx(float(fd_y), rel=2e-5)
         # theta_p is symmetric: its y-partial is its x-partial at (y, x)
-        assert dy == pytest.approx(float(kn.theta_p_grid(p, y, x)[1]), rel=1e-14)
+        assert dy == pytest.approx(float(oracles.theta_p_xy(p, y, x)[1]), rel=1e-14)
 
 
 @pytest.mark.parametrize("p", [1.05, 1.5, 1.9])
@@ -106,7 +111,7 @@ def test_theta_partials_match_mpmath_near_ties(p):
     for x in (0.02, 1.3, 70.0):
         for t in np.logspace(-8.0, -1.0, 15):
             for y in (x * (1.0 + t), x * (1.0 - t)):
-                _, dx, dy = kn.theta_p_grid(p, np.array(x), np.array(y))
+                _, dx, dy = oracles.theta_p_xy(p, np.array(x), np.array(y))
                 for got, e in zip((dx, dy), _exact_kernels(p, x, y)[3:]):
                     assert abs(float(got) - float(e)) <= 1e-13 * abs(float(e)), (x, y, got, e)
 
@@ -128,47 +133,54 @@ def test_domain_violation_raised():
         matrix_function(np.diag([1.0, -0.5]).astype(complex), kn.log_kernel())
 
 
-def _exact_kernels(p, x, y):
+def _exact_kernels(p, x, y, t=0.0):
     """stable_powdiff(p - 1), f_p^[1], and theta_p with its partials at the
-    float inputs (x, y), in 100-digit mpmath. When a = p - 1 and x/y - 1
-    are both near 1e-16, the partials lose about 48 digits to cancellation,
-    in x^a - y^a and then in the quotient rule: at 50 digits the reference
-    partial at p = 1 + 4e-16, x = 10, y = x (1 + 1e-15) is off by 3e-6."""
+    float inputs (x, y), in 100-digit mpmath; with a tilt t, at (e^t x,
+    e^-t y), the partials weighted by e^t and e^-t as the frame's are. When
+    a = p - 1 and x/y - 1 are both near 1e-16, the partials lose about 48
+    digits to cancellation, in x^a - y^a and then in the quotient rule: at
+    50 digits the reference partial at p = 1 + 4e-16, x = 10, y = x (1 +
+    1e-15) is off by 3e-6."""
     import mpmath as mp
 
     with mp.workdps(100):
-        a, x, y = mp.mpf(p) - 1, mp.mpf(x), mp.mpf(y)
+        a, up = mp.mpf(p) - 1, mp.exp(mp.mpf(t))
+        x, y = mp.mpf(x) * up, mp.mpf(y) / up
         if x == y:
             th_d = (1 - a) * x ** (-a) / 2
-            return (a * x ** (a - 1), x ** (a - 1), x ** (1 - a), th_d, th_d)
+            return (a * x ** (a - 1), x ** (a - 1), x ** (1 - a), up * th_d, th_d / up)
         D = x ** a - y ** a
         return (D / (x - y), D / (a * (x - y)),
                 a * (x - y) / D,
-                a * (D - (x - y) * a * x ** (a - 1)) / D ** 2,
-                a * ((x - y) * a * y ** (a - 1) - D) / D ** 2)
+                up * a * (D - (x - y) * a * x ** (a - 1)) / D ** 2,
+                a * ((x - y) * a * y ** (a - 1) - D) / D ** 2 / up)
+
+
+_LOG_SEP = st.one_of(st.just(None), st.floats(-16.0, 12.0))
 
 
 @settings(max_examples=300, deadline=None, derandomize=True)
 @given(p=st.floats(1.0, 2.0, exclude_min=True),
-       log_scale=st.floats(-12.0, 2.0),
-       log_sep=st.one_of(st.just(None), st.floats(-16.0, np.log10(9.0))),
-       swap=st.booleans())
+       log_scale=st.floats(-12.0, 2.0), log_sep=_LOG_SEP, swap=st.booleans())
 def test_kernels_match_mpmath_at_every_scale(p, log_scale, log_sep, swap):
     # x = 10^log_scale and y = x (1 + 10^log_sep), y = x when log_sep is None:
-    # scales 1e-12 to 1e2, separations 0 to 10x. Bounds: 1e-12 relative on
+    # scales 1e-12 to 1e2, separations 0 to 1e12. Bounds: 1e-12 relative on
     # values, and 1e-13 on partials relative to max(|partial|, |value| / max(x, y)),
     # the scale of a derivative (at p = 2 the theta partials vanish). Over 3,000
-    # random cases the largest errors were 5.0e-16 on values and 1.7e-15 on
-    # partials; the quotient rule alone, used down to a relative separation of
-    # 1e-6, reached 3.8e-10 there. With the old scale floor max(1, |x|, |y|)
-    # values were off by up to 33% and partials by 67% below scale 1e-8.
+    # random cases the largest errors were 4.1e-16 on stable_powdiff and f_p^[1],
+    # 3.9e-15 on theta, which carries the rounding of log x and log y, and
+    # 4.0e-15 on partials; the quotient rule alone, used down to a relative
+    # separation of 1e-6, reached 3.8e-10 there. With the old scale floor
+    # max(1, |x|, |y|) values were off by up to 33% and partials by 67% below
+    # scale 1e-8. Separations beyond 2x take stable_powdiff's log(lo/hi)
+    # branch: log1p((lo - hi)/hi) was off by 1.9e-9 at a = 0.05, x = 1, y = 1e-10.
     x = 10.0 ** log_scale
     y = x if log_sep is None else x * (1.0 + 10.0 ** log_sep)
     if swap:
         x, y = y, x
     X, Y = np.array(x), np.array(y)
     got = [kn.stable_powdiff(p - 1.0, X, Y), kn.fp_divdiff_kernel(p).f(X, Y),
-           *kn.theta_p_grid(p, X, Y)]
+           *oracles.theta_p_xy(p, X, Y)]
     exact = [float(v) for v in _exact_kernels(p, x, y)]
     for i, (g, e) in enumerate(zip(got, exact)):
         if i < 3:
@@ -176,3 +188,46 @@ def test_kernels_match_mpmath_at_every_scale(p, log_scale, log_sep, swap):
         else:
             ref = max(abs(e), abs(exact[2]) / max(x, y))
             assert abs(float(g) - e) <= 1e-13 * ref, (i, float(g), e)
+
+
+@pytest.fixture(scope="module")
+def wide_tilts():
+    """A qutrit model with sigma ratio 1e10: Bohr frequencies up to log 1e10,
+    tilts w/2p up to 11.5 as p -> 1."""
+    sigma = np.diag([1.0, 1e-5, 1e-10]).astype(complex) / (1.0 + 1e-5 + 1e-10)
+    return sg.random_dbc(sigma, 3, 1, seed=3)
+
+
+@settings(max_examples=60, deadline=None, derandomize=True)
+@given(p=st.floats(1.0, 2.0, exclude_min=True), log_scale=st.floats(-12.0, 2.0),
+       log_seps=st.tuples(_LOG_SEP, _LOG_SEP))
+def test_frame_kernels_match_mpmath_with_wide_tilts(wide_tilts, p, log_scale, log_seps):
+    # the frame's theta and tilt-weighted partials at a state whose lam =
+    # 10^log_scale (1, 1 + 10^s1, 1 / (1 + 10^s2)): scales 1e-12 to 1e2,
+    # separations up to 1e12 and tilts up to 11.5, against theta_p at the
+    # tilted pairs (e^t lam_x, e^-t lam_y) in mpmath. Bounds: 1e-13 relative
+    # on theta, and on partials relative to max(|partial|, theta / lam), the
+    # scale of the log-partial lam d/dlam theta. Over 3,000 random tilted
+    # pairs in the frame's arithmetic the largest errors were 4.3e-15 on theta
+    # and 4.1e-15 on partials; theta_p_grid, which theta_p_log replaced,
+    # failed these bounds on the tilted pairs (theta 1.5e-11 off).
+    L = wide_tilts
+    s1, s2 = (0.0 if s is None else 10.0 ** s for s in log_seps)
+    lam = 10.0 ** log_scale * np.array([1.0, 1.0 + s1, 1.0 / (1.0 + s2)])
+    s = (p - 1.0) / (2.0 * p)
+    fr = tp._Frame(L, la.herm(L.sigma_power(s) @ np.diag(lam) @ L.sigma_power(s)), p)
+    d1, d2 = fr.partials
+    for (j, x, y), th in np.ndenumerate(fr.theta):
+        t = L.jump_stack[1][j] / (2.0 * p)
+        exact = [float(v) for v in _exact_kernels(p, fr.lam[x], fr.lam[y], t)[2:]]
+        assert abs(th - exact[0]) <= 1e-13 * exact[0], (j, x, y, th, exact)
+        for got, e, lx in ((d1[j, x, y], exact[1], fr.lam[x]), (d2[j, x, y], exact[2], fr.lam[y])):
+            assert abs(got - e) <= 1e-13 * max(abs(e), exact[0] / lx), (j, x, y, got, e)
+
+
+def test_theta_p_log_partials_vanish_at_p_2():
+    # theta_2 = 1: both partials are exactly 0, inside NEAR_TOL and outside
+    h = np.array([0.0, 1e-9, -0.1, kn.NEAR_TOL, 0.2, -3.0, 25.0])
+    theta, dx, dy = kn.theta_p_log(2.0, h, np.linspace(-20.0, 5.0, h.size))
+    assert np.all(theta == 1.0)
+    assert np.all(dx == 0.0) and np.all(dy == 0.0)

@@ -29,23 +29,23 @@ TOL = 1e-14
 P_GRID = [1.05, 1.5, 2.0]
 
 
-def _partial_dd_full(k2, which, wA, wB):
+def _partial_dd_full(kernel, which, wA, wB):
     """Both kernel grids and the derivative rule on every entry, selected by
-    the coincidence mask."""
+    the coincidence mask; kernel(x, y) returns the kernel and its partials in
+    x and in y."""
     x = wA[..., :, None, None]
     if which == 1:
         y = wB[..., None, None, :]
         u, v = x, wA[..., None, :, None]
-        fu, fv, deriv = k2.f(u, y), k2.f(v, y), k2.dx
+        fu, fv = kernel(u, y)[0], kernel(v, y)[0]
     else:
         u, v = wB[..., None, :, None], wB[..., None, None, :]
-        fu, fv = k2.f(x, u), k2.f(x, v)
-        deriv = lambda s, t: k2.dx(t, s)  # noqa: E731  (theta_p is symmetric)
+        fu, fv = kernel(x, u)[0], kernel(x, v)[0]
     same = _is_same(u, v)
     with np.errstate(divide="ignore", invalid="ignore"):
         far = (fu - fv) / np.where(same, 1.0, u - v)
     mid = 0.5 * (u + v)
-    deg = deriv(mid, y) if which == 1 else deriv(x, mid)
+    deg = kernel(mid, y)[1] if which == 1 else kernel(x, mid)[2]
     return np.where(same, deg, far)
 
 
@@ -58,10 +58,14 @@ def _partial(k2, which, wA, wB, F=None):
     return np.moveaxis(la.partial_dd_tensor(k2, wB, wA, Ft), -1, -3)
 
 
-def _dk_tensors_full(fr):
-    k2 = oracles.theta_p_kernel(fr.p)
-    return (fr.up[:, None, None, None] * _partial_dd_full(k2, 1, fr.a, fr.b),
-            fr.down[:, None, None, None] * _partial_dd_full(k2, 2, fr.a, fr.b))
+def _dk_tensors_full(L, fr):
+    """The full oracle tensors of theta_p(e^t x, e^-t y) in (x, y) on the
+    frame's lam, with t = w_j/2p of each jump of L: its partials in x and y
+    carry the tilt weights e^(+-t) of the frame's partials."""
+    t = (L.jump_stack[1] / (2.0 * fr.p))[:, None, None, None]
+    lam = np.broadcast_to(fr.lam[..., None, :], fr.theta.shape[:-1])
+    kernel = lambda x, y: oracles.theta_p_xy(fr.p, x, y, t)  # noqa: E731
+    return _partial_dd_full(kernel, 1, lam, lam), _partial_dd_full(kernel, 2, lam, lam)
 
 
 def _gradients_direct(fr, d):
@@ -80,7 +84,7 @@ def _hessian_direct(L, states, p):
     vecs = np.swapaxes(states, -1, -2).reshape(S, d * d)
     Lrho = np.swapaxes((vecs @ L.dual_generator.T).reshape(S, d, d), -1, -2)
     A = la.dagger(fr.V) @ fr.Q @ Lrho[:, None] @ fr.Q @ fr.V
-    W1, W2 = _dk_tensors_full(fr)
+    W1, W2 = _dk_tensors_full(L, fr)
     Z = (np.einsum("...jabc,...jbc->...jac", W1 * A[..., None, :, :, None], C)
          + np.einsum("...jabc,...jab->...jac", W2 * A[..., None, None, :, :], C))
     first = 0.5 * C.reshape(S, n, -1).conj() @ np.swapaxes(Z.reshape(S, n, -1), -1, -2)
@@ -109,12 +113,12 @@ def _contract(W1, W2, C):
             + np.einsum("...jabc,...jab,...jac->...bc", W2, C, Cc))
 
 
-def _assert_tensors_match(fr):
+def _assert_tensors_match(L, fr):
     """oracles.dk_tensors equal the full oracle tensors to TOL relative to
     the largest entry. At p = 2, theta_2 = 1 and both are round-off of 0:
     each entry is then held to TOL times the scale max theta /
     |lam_a - lam_b| of the quotient terms. Returns the oracle tensors."""
-    refs = _dk_tensors_full(fr)
+    refs = _dk_tensors_full(L, fr)
     scale = np.max(fr.theta) * np.max(np.abs(fr.gaps[1]))
     for W, ref in zip(oracles.dk_tensors(fr), refs):
         if fr.p != 2.0:
@@ -124,10 +128,10 @@ def _assert_tensors_match(fr):
     return refs
 
 
-def _assert_match_full(fr, rng):
+def _assert_match_full(L, fr, rng):
     """oracles.dk_tensors, and the state derivative contracted by matrix
     products, equal the oracle tensors and their einsum contraction to TOL."""
-    R1, R2 = _assert_tensors_match(fr)
+    R1, R2 = _assert_tensors_match(L, fr)
     C = rng.standard_normal(R1.shape[:-1]) + 1j * rng.standard_normal(R1.shape[:-1])
     G = _contract(R1, R2, C)
     ref = la.herm(fr.Q @ fr.V @ np.swapaxes(G, -1, -2) @ la.dagger(fr.V) @ fr.Q)
@@ -175,7 +179,7 @@ class TestPartialDividedDifference:
         wB = np.sort(rng.uniform(0.1, 2.0, (3, 4)))
         wA[:, 1] = wA[:, 0]  # an exact tie
         wB[:, 2] = wB[:, 3] * (1.0 + 5e-10)  # a tie within SAME_TOL
-        ref = _partial_dd_full(k, which, wA, wB)
+        ref = _partial_dd_full(lambda x, y: oracles.theta_p_xy(p, x, y), which, wA, wB)
         F = k.f(wA[..., :, None], wB[..., None, :])
         assert _close(_partial(k, which, wA, wB), ref)
         assert _close(_partial(k, which, wA, wB, F), ref)
@@ -184,19 +188,21 @@ class TestPartialDividedDifference:
         k = oracles.theta_p_kernel(1.5)
         w = np.full(3, 0.7)
         for which in (1, 2):
-            assert _close(_partial(k, which, w, w),
-                          _partial_dd_full(k, which, w, w))
+            assert _close(_partial(k, which, w, w), _partial_dd_full(
+                lambda x, y: oracles.theta_p_xy(1.5, x, y), which, w, w))
 
 
 class TestFrameFastPaths:
     @pytest.mark.parametrize("p", P_GRID)
     def test_state_derivative_matches_full(self, model, states, p, rng):
-        _assert_match_full(tp._Frame(model, states, p), rng)
+        _assert_match_full(model, tp._Frame(model, states, p), rng)
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_basis_gradients(self, model, states, p):
         fr, C, _ = tp._basis_gram(model, states, p)
         assert _close(C, _gradients_direct(fr, model.d))
+        # hessian_matrix takes C from the rows of _basis_rows, as _basis_gram does
+        assert np.array_equal(np.moveaxis(tp._basis_rows(model, states, p)[1], 1, 3), C)
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_hessian_matrix(self, model, states, p):
@@ -210,7 +216,7 @@ class TestFrameFastPaths:
         p = 1.5
         fr = tp._Frame(model, _near_coincident_state(model, p, rng), p)
         assert fr.lam[1] != fr.lam[0]
-        assert _is_same(fr.a[:, 0], fr.a[:, 1]).all()
+        assert fr.gaps[0][0, 1]
         assert abs(fr.lam[1] / fr.lam[0] - 1.0) <= SAME_TOL
 
     def test_near_ties_use_the_frame_partials(self, rng, model, tracial3, monkeypatch):
@@ -252,7 +258,7 @@ class TestTracialInvariantState:
         fr = tp._Frame(tracial3, states, p)
         assert np.ptp(fr.lam) <= SAME_TOL * fr.lam.max()
         assert fr.gaps[0].sum() == 6  # every off-diagonal pair is a near-tie
-        _assert_match_full(fr, np.random.default_rng(1))
+        _assert_match_full(tracial3, fr, np.random.default_rng(1))
         fr, C, _ = tp._basis_gram(tracial3, states, p)
         assert _close(C, _gradients_direct(fr, 3))
         H, G = rc.hessian_matrix(tracial3, states, p)
@@ -286,15 +292,20 @@ class TestGeneratorCache:
                 S[0, 0] = 0.0
 
     def test_second_frame_builds_no_sigma_power(self, rng, monkeypatch):
-        # the second frame at the same p reads sigma^(+-s), the tilts and the
-        # jump adjoints off the generator: without sigma's eigendecomposition
+        # the second frame at the same p reads sigma^(+-s) and the jump
+        # adjoints off the generator: without sigma's eigendecomposition
         # it is built all the same, and shares the first frame's arrays
         L = sg.random_dbc(np.diag([0.5, 0.3, 0.2]).astype(complex), 3, 1, seed=5)
         rho = la.random_density(rng, 3, floor=0.1)
+        before = set(L._derived)
         first = tp._Frame(L, rho, 1.5)
+        # a frame caches sigma^(+-1/6) and the adjoints: the tilts cancel from
+        # theta_p, and no entry holds them
+        assert set(L._derived) - before == {
+            ("jump_adjoints",), ("sigma_power", 1.0 / 6.0), ("sigma_power", -1.0 / 6.0)}
         monkeypatch.setitem(L.__dict__, "sigma_eig", None)
         second = tp._Frame(L, rho, 1.5)
-        for name in ("P", "Q", "up", "down", "adjoints"):
+        for name in ("P", "Q", "adjoints"):
             assert np.shares_memory(getattr(second, name), getattr(first, name))
         assert np.array_equal(second.theta, first.theta)
         with pytest.raises(TypeError):

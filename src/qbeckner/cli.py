@@ -129,8 +129,8 @@ def run_mixing(cfg: ExperimentConfig, L: DbcLindbladian) -> Outcome:
 
 def run_transport(cfg: ExperimentConfig, L: DbcLindbladian) -> Outcome:
     """The transport solves, and each solve's optimizer steps, evaluations,
-    stop and gradient self-test gap; fails on a solve that did not converge
-    or misses the trace-distance lower bound."""
+    stop, gradient self-test gap and continuity residual; fails on a solve
+    that did not converge or misses the trace-distance lower bound."""
     rng = np.random.default_rng(cfg.seed("master"))
     opts = tp.W2Opts(N=cfg.transport_steps, tol=cfg.transport_tol)
     pairs = [(la.random_density(rng, L.d, floor=0.05),
@@ -142,7 +142,8 @@ def run_transport(cfg: ExperimentConfig, L: DbcLindbladian) -> Outcome:
             dist, path = tp.w2p_solve(L, r0, r1, p, opts)
             diagnostics.append({"pair": i, "p": p, "steps": path.steps,
                                 "evaluations": path.evaluations, "stop": path.stop,
-                                "gradient_gap": path.gradient_gap})
+                                "gradient_gap": path.gradient_gap,
+                                "continuity_residual": path.continuity_residual})
             entry = {
                 "pair": i, "p": p, "distance": dist,
                 "converged": path.converged,

@@ -18,7 +18,8 @@ from .semigroup import DbcLindbladian, evolve
 
 # Samples per hessian_matrix call in ricci_estimate: enough to spread the
 # per-call overhead, few enough that the eigenframe gradients of a block
-# (BLOCK x (d^2 - 1) x J x d x d complex numbers) stay a few megabytes.
+# (BLOCK x (d^2 - 1) x K x d x d complex numbers, over the K folded jumps)
+# stay a few megabytes.
 BLOCK = 16
 # Samples whose lowest generalized eigenvalues lie within TIE_TOL * max(1,
 # |min|) of the minimum tie; the first of them is the worst sample. Its
@@ -69,7 +70,7 @@ def hessian_matrix(L: DbcLindbladian, rho: np.ndarray,
     states = np.reshape(rho, (-1, d, d))
     fr, rows = tp._basis_rows(L, states, p)
     C = np.ascontiguousarray(np.moveaxis(rows, 1, 3))
-    S, n, J = C.shape[:3]
+    S, n = C.shape[:2]
     G = tp._real_gram(C, fr.theta * C)
     vecs = np.swapaxes(states, -1, -2).reshape(S, d * d)  # la.vec of each state
     Lrho = np.swapaxes((vecs @ L.dual_generator.T).reshape(S, d, d), -1, -2)

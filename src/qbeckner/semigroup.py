@@ -121,10 +121,35 @@ class DbcLindbladian:
             raise NoJumps("operation needs the jump representation")
 
     @cached_property
+    def jump_pairs(self) -> Tuple[Tuple[int, int | None], ...]:
+        """(j, k) for each jump of the folded stack (jump_stack), in the order
+        of the jumps: k is the exact adjoint partner of jump j, V_k = V_j† bit
+        for bit and w_k = -w_j (_pair_index with tol = 0), or None for a
+        self-adjoint jump and for one without an exact, unused partner. Every
+        jump index occurs once; a near-pair is never folded."""
+        out, used = [], set()
+        for j in range(len(self.jumps)):
+            if j in used:
+                continue
+            k = _pair_index(self.jumps, j, tol=0.0)
+            k = None if k == j or k in used else k
+            used.update((j, k))
+            out.append((j, k))
+        return tuple(out)
+
+    @cached_property
     def jump_stack(self) -> Tuple[np.ndarray, np.ndarray]:
-        """Jump operators as one (J, d, d) array, and their frequencies."""
-        return (np.array([V for V, _ in self.jumps]),
-                np.array([omega for _, omega in self.jumps]))
+        """The folded jumps as one (K, d, d) array, and their frequencies:
+        sqrt(2) V_j for each exact adjoint pair (j, k) of jump_pairs, V_j for
+        every other jump. With dj' U = -(dj U)† and [rho]_{-w} X† =
+        ([rho]_w X)†, the two jumps of a pair add equal real parts to every
+        Hermitian contraction of the metric: the kinetic form, the Gram
+        matrix, their state derivatives and the Hermitian part of the Onsager
+        operator on Hermitian U. The folded jump carries both, so K <= J
+        terms give them. transport._Frame is its only reader."""
+        folded = [(self.jumps[j], k) for j, k in self.jump_pairs]
+        return (np.array([V if k is None else np.sqrt(2.0) * V for (V, _), k in folded]),
+                np.array([omega for (_, omega), _ in folded]))
 
     @cached_property
     def _derived(self) -> dict:

@@ -50,9 +50,14 @@ class _Frame:
     With s = 1/(2 phat), Y = sigma^-s rho sigma^-s = V diag(lam) V† and the
     tilted spectra a_j = e^(w_j/2p) lam, b_j = e^(-w_j/2p) lam,
     [rho]_j X = sigma^s V (theta_p(a_j, b_j) o V† sigma^s X sigma^s V) V† sigma^s.
-    Fields over the jumps are arrays (..., J, d, d), where ... are the
-    leading axes of rho. p must lie in (1, 2], as for estimate_constant;
-    every solver, Hessian and flow of the metric builds its kernels here.
+    The jumps are the folded stack of DbcLindbladian.jump_stack: one
+    sqrt(2) V_j per exact adjoint pair, the other jumps as they are. Fields
+    over them are arrays (..., K, d, d), where ... are the leading axes of
+    rho. Every contraction here is for Hermitian directions U, where both
+    jumps of a pair add the same real part, and onsager returns the Hermitian
+    part; a per-jump field (grad, apply) is of the folded jumps, not of
+    L.jumps. p must lie in (1, 2], as for estimate_constant; every solver,
+    Hessian and flow of the metric builds its kernels here.
     The tilts cancel from a_j[x] b_j[y] = lam_x lam_y: one kernels.theta_p_log
     call on h_j[x, y] = w_j/2p + (log lam_x - log lam_y)/2 gives theta and
     the partials. sigma^(+-s) and the jump adjoints are read off the
@@ -72,7 +77,7 @@ class _Frame:
         self.W = self.P @ self.V[..., None, :, :]  # P V: eig and uneig by P in two products
         self.jumps, omega = L.jump_stack
         self.adjoints = L.derived(("jump_adjoints",), lambda: la.dagger(self.jumps))
-        # theta_p(a_j[x], b_j[y]), (..., J, d, d), and its partials weighted by e^(+-w_j/2p)
+        # theta_p(a_j[x], b_j[y]), (..., K, d, d), and its partials weighted by e^(+-w_j/2p)
         half = 0.5 * np.log(self.lam)
         x, y = half[..., None, :, None], half[..., None, None, :]
         h = (x - y) + (omega / (2.0 * self.p))[:, None, None]
@@ -104,8 +109,9 @@ class _Frame:
         return self.uneig(self.theta * self.eig(X, self.P), self.P)
 
     def onsager(self, U: np.ndarray) -> np.ndarray:
-        """D_{p,rho} U = sum_j dj† ([rho]_j dj U)."""
-        return -self.div(self.apply(self.grad(U)))
+        """D_{p,rho} U = sum_j dj† ([rho]_j dj U) for Hermitian U: the
+        Hermitian part of the folded sum, which the pair's two terms make."""
+        return la.herm(-self.div(self.apply(self.grad(U))))
 
     @cached_property
     def gaps(self) -> Tuple[np.ndarray, np.ndarray]:
@@ -153,10 +159,12 @@ def _floored(g: np.ndarray) -> np.ndarray:
 
 def onsager_matrix(L: DbcLindbladian, rho: np.ndarray, p: float) -> np.ndarray:
     """Dense superoperator of the Onsager operator: column k is the image of
-    the matrix unit with vec index k."""
-    d = L.d
-    units = np.swapaxes(np.eye(d * d).reshape(d * d, d, d), 1, 2)
-    return la.vec_columns(_Frame(L, rho, p).onsager(units))
+    the matrix unit with vec index k. The frame applies D to Hermitian
+    directions, so D is taken on the trace-free Hermitian basis U_m, with
+    vecs Phi, and mapped to the matrix units by complex linearity,
+    [vec D U_m] Phi†: D 1 = 0, so the identity adds nothing."""
+    basis, Phi = _basis_frame(L.d)
+    return la.vec_columns(_Frame(L, rho, p).onsager(basis)) @ Phi.conj().T
 
 
 def onsager_pinv_apply(L: DbcLindbladian, rho: np.ndarray, p: float,
@@ -226,15 +234,16 @@ def _basis_frame(d: int) -> Tuple[np.ndarray, np.ndarray]:
 def _basis_rows(L: DbcLindbladian, rho: np.ndarray, p: float) -> Tuple[_Frame, np.ndarray]:
     """The frame of a stack rho (S, d, d) with the basis U_1..U_n, n = d^2 - 1,
     on its own axis (leading axes (S, 1)), and the eigenframe gradients C_m =
-    V† P [V_j, U_m] P V as rows (S, d, n, J, d): the rows of all C_mj side by
-    side, which one product per state multiplies from the left."""
+    V† P [V_j, U_m] P V over the K folded jumps as rows (S, d, n, K, d): the
+    rows of all C_mj side by side, which one product per state multiplies
+    from the left."""
     basis, _ = _basis_frame(L.d)
     S, n, d = len(rho), len(basis), L.d
     fr = _Frame(L, rho[:, None], p)
     # P [V_j, U_m] P does not depend on the state: it is formed once per
     # generator and p, and all of it is taken to each state's eigenframe with
     # two batched products, by V† from the left on the side-by-side
-    # (d, n J d) matrix, then by V from the right. These are the two sums of
+    # (d, n K d) matrix, then by V from the right. These are the two sums of
     # V† (P X P) V, grouped as there; C is made contiguous in that order.
     X = L.derived(("basis_gradients", fr.p), lambda: fr.P @ fr.grad(basis) @ fr.P)
     V = fr.V[:, 0]
@@ -244,7 +253,7 @@ def _basis_rows(L: DbcLindbladian, rho: np.ndarray, p: float) -> Tuple[_Frame, n
 
 def _basis_gram(L: DbcLindbladian, rho: np.ndarray,
                 p: float) -> Tuple[_Frame, np.ndarray, np.ndarray]:
-    """The frame of _basis_rows, its C_m made contiguous, (S, n, J, d, d), and
+    """The frame of _basis_rows, its C_m made contiguous, (S, n, K, d, d), and
     the real G = Re conj(C) (theta o C)^T flattened over (j, a, c), (S, n, n):
     the metric Gram matrices <U_m, D_{p,rho} U_n>. D maps the real span of the
     basis into itself, so Im G is round-off, and G is symmetric up to it."""
@@ -276,7 +285,7 @@ class W2Opts:
 @dataclass(frozen=True)
 class TransportPath:
     states: Tuple[np.ndarray, ...]
-    momenta: np.ndarray  # (N, J, d, d)
+    momenta: np.ndarray  # (N, J, d, d), over L.jumps
     action_per_step: Tuple[float, ...]
     action: float
     endpoint_residual: float
@@ -320,8 +329,9 @@ class _PathEnergy:
         """For K paths y (K, n), or one (n,) as K = 1: the states (K, N+1, d, d),
         the step coordinates b and the coefficients c_k = G_k^-1 b_k of U_k,
         (K, N, n), the frame of the K N midpoints, the eigenframe gradients
-        of the U_k, sum_n c_kn C_kn, shape (K N, 1, J, d, d), and the
-        eigendecomposition (w, Q) of the K N Gram matrices G_k."""
+        of the U_k, sum_n c_kn C_kn, shape (K N, 1, J', d, d) over the J'
+        folded jumps, and the eigendecomposition (w, Q) of the K N Gram
+        matrices G_k."""
         N, n, K = self.N, len(self.basis), 1 if np.ndim(y) == 1 else len(y)
         x = np.zeros((K, N + 1, n))
         x[:, 1:-1] = np.reshape(y, (K, N - 1, n))
@@ -384,7 +394,8 @@ def w2p_solve(L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray, p: float,
     T T^T is the inverse Hessian (_PathEnergy.preconditioner), so its gtol
     test bounds a Newton decrement; interior midpoints are eigenvalue-floored.
     Returns (distance, path), with the momenta rebuilt as
-    B_k = [gbar_k]_j dj U_k; the path is converged when the start stopped on
+    B_k = [gbar_k]_j dj U_k on the jumps of L (_unfold) and the continuity
+    residual taken over them; the path is converged when the start stopped on
     "ftol" or "gtol", and carries its steps, evaluations, stop and the
     self-test's largest relative gradient gap.
     """
@@ -409,9 +420,10 @@ def w2p_solve(L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray, p: float,
     key, last = problem.last  # the optimizer's, when made at the point it returned
     gammas, b, c, fr, CU, _ = last if key == y.tobytes() else problem.evaluate(y)
     gammas, b, c = gammas[0], b[0], c[0]
-    B = fr.uneig(fr.theta * CU, fr.P)[:, 0] / h
+    B = _unfold(L, fr.uneig(fr.theta * CU, fr.P)[:, 0] / h)
     actions = np.sum(b * c, axis=1) / h ** 2
-    flow = (gammas[1:] - gammas[:-1]) / h + fr.div(B)
+    Vd = la.dagger(np.array([V for V, _ in L.jumps]))
+    flow = (gammas[1:] - gammas[:-1]) / h + np.sum(B @ Vd - Vd @ B, axis=-3)  # + div B
     path = TransportPath(
         states=tuple(gammas),
         momenta=B,
@@ -423,6 +435,21 @@ def w2p_solve(L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray, p: float,
         steps=steps, evaluations=evaluations, stop=stop, gradient_gap=gap,
     )
     return float(np.sqrt(max(path.action, 0.0))), path
+
+
+def _unfold(L: DbcLindbladian, B: np.ndarray) -> np.ndarray:
+    """Momenta (..., K, d, d) of the folded jumps as momenta (..., J, d, d)
+    of L.jumps, in their order: for an exact pair (j, k) of L.jump_pairs,
+    B_j = B / sqrt(2) and B_k = -B_j†, since dk U = -(dj U)† and [rho]_{-w}
+    X† = ([rho]_w X)†; every other jump keeps its B."""
+    out = np.empty(B.shape[:-3] + (len(L.jumps),) + B.shape[-2:], dtype=B.dtype)
+    for i, (j, k) in enumerate(L.jump_pairs):
+        if k is None:
+            out[..., j, :, :] = B[..., i, :, :]
+        else:
+            out[..., j, :, :] = B[..., i, :, :] / np.sqrt(2.0)
+            out[..., k, :, :] = -la.dagger(out[..., j, :, :])
+    return out
 
 
 def trace_distance_prefactor(L: DbcLindbladian, p: float) -> float:
@@ -471,7 +498,7 @@ class GeodesicState(NamedTuple):
 
 def gradient_norm_sq(L: DbcLindbladian, rho: np.ndarray, p: float,
                      U: np.ndarray) -> float:
-    """||grad U||^2_{p,rho} = sum_j <dj U, [rho]_{p,w_j} dj U>."""
+    """||grad U||^2_{p,rho} = sum_j <dj U, [rho]_{p,w_j} dj U> for Hermitian U."""
     fr = _Frame(L, rho, p)
     return float(np.sum(fr.theta * np.abs(fr.eig(fr.grad(U), fr.P)) ** 2))
 
@@ -490,10 +517,14 @@ def geodesic_shoot(L: DbcLindbladian, rho0: np.ndarray, U0: np.ndarray,
                    p: float, T: float, steps: int) -> List[GeodesicState]:
     """Integrate the constant-speed geodesic equations from (rho0, U0).
 
-    Classical fourth-order one-step integration on a fixed grid; steps whose
-    end state dips below the eigenvalue floor FLOOR are halved and retried
-    (at most 20 halvings before giving up).
+    Classical fourth-order one-step integration on a fixed grid of steps
+    steps over T > 0 (ValueError otherwise); steps whose end state dips
+    below the eigenvalue floor FLOOR are halved and retried (at most 20
+    halvings per macro step before LeftPositiveCone).
     """
+    if not (T > 0.0 and steps >= 1):
+        raise ValueError(f"geodesic_shoot needs T > 0 and steps >= 1, "
+                         f"got T = {T}, steps = {steps}")
     L.require_jumps()
     if abs(np.trace(U0)) > 1e-12 * max(1.0, la.frob(U0)):
         raise KernelComponent("initial cotangent must be traceless")

@@ -10,6 +10,8 @@ the library contracts by matrix products; the s-inner products, the weighted
 kernel superoperator, the variance, the entropy production, Gamma_2 and the
 KMS adjoint of a derivation are the objects the tested identities are
 written in;
+unfolded is a model on which the frame contracts over every jump, and
+onsager_matrix_units the Onsager operator on the matrix units over them;
 check_gradient_sequential is linalg.check_gradient one point per call;
 ratio_of_witness and ricci_rayleigh evaluate an estimate's witness afresh;
 two_point_beckner is the tilted two-point Beckner constant in mpmath;
@@ -23,6 +25,7 @@ from qbeckner import dirichlet as dh
 from qbeckner import entropy as ent
 from qbeckner import linalg as la
 from qbeckner import ricci as rc
+from qbeckner import semigroup as sg
 from qbeckner import transport as tp
 from qbeckner.errors import GradientCheckFailed, NotPsd, SingularState
 from qbeckner.kernels import Kernel1, Kernel2, _is_same, theta_p_log
@@ -135,13 +138,41 @@ def carlen_maas_apply(rho, omega, A):
 
 
 def kernel_matrices(L, rho, p):
-    """Dense superoperator of X -> [rho]_{p,w_j} X for every jump, (J, d^2, d^2):
-    the spectral frame applied to every matrix unit."""
-    d = L.d
+    """Dense superoperator of X -> [rho]_{p,w_j} X for every jump of the
+    folded stack L.jump_stack, (K, d^2, d^2): the spectral frame applied to
+    every matrix unit."""
+    d, K = L.d, len(L.jump_stack[1])
     units = np.swapaxes(np.eye(d * d).reshape(d * d, d, d), 1, 2)
     fr = tp._Frame(L, rho, p)
-    out = fr.apply(np.broadcast_to(units[:, None], (d * d, len(L.jumps), d, d)))
-    return np.array([la.vec_columns(out[:, j]) for j in range(len(L.jumps))])
+    out = fr.apply(np.broadcast_to(units[:, None], (d * d, K, d, d)))
+    return np.array([la.vec_columns(out[:, j]) for j in range(K)])
+
+
+# ---------------------------------------------------------------------------
+# The metric over every jump, unfolded
+# ---------------------------------------------------------------------------
+
+
+def unfolded(L):
+    """A copy of L whose jump stack is all of L.jumps, each jump its own
+    entry of jump_pairs: every frame, Gram matrix, Hessian, path energy and
+    solve on it contracts over the J jumps as they are, the sums that the
+    folded stack (DbcLindbladian.jump_stack) must reproduce."""
+    U = sg.DbcLindbladian(sigma=L.sigma, jumps=L.jumps, generator=L.generator)
+    U.__dict__["jump_pairs"] = tuple((j, None) for j in range(len(L.jumps)))
+    U.__dict__["jump_stack"] = (np.array([V for V, _ in L.jumps]),
+                                np.array([omega for _, omega in L.jumps]))
+    return U
+
+
+def onsager_matrix_units(L, rho, p):
+    """Dense superoperator of the Onsager operator with column k the image of
+    the matrix unit with vec index k under sum_j dj† ([rho]_j dj .) over
+    every jump of L: the complex-linear form, with no Hermitian part taken."""
+    d = L.d
+    units = np.swapaxes(np.eye(d * d).reshape(d * d, d, d), 1, 2)
+    fr = tp._Frame(unfolded(L), rho, p)
+    return la.vec_columns(-fr.div(fr.apply(fr.grad(units))))
 
 
 # ---------------------------------------------------------------------------
@@ -235,9 +266,8 @@ def carre_du_champ_2(L, X, Y=None):
                    - L.apply(dh.carre_du_champ(L, X, Y)))
 
 
-def kms_adjoint_derivation(L, j, X):
-    """e^(-w_j/2) Vj† X - e^(w_j/2) X Vj†, the KMS adjoint of X -> [V_j, X]."""
-    V, omega = L.jumps[j]
+def kms_adjoint_derivation(V, omega, X):
+    """e^(-w/2) V† X - e^(w/2) X V†, the KMS adjoint of X -> [V, X]."""
     Vd = V.conj().T
     return np.exp(-omega / 2.0) * Vd @ X - np.exp(omega / 2.0) * X @ Vd
 

@@ -190,7 +190,7 @@ def test_criterion_07_gradient_flow_identity():
         p = float(rng.uniform(1.05, 2.0))
         worst = max(worst, tp.grad_flow_residual(L, rho, p))
     _line(7, worst <= 1e-8,
-          f"50 random gradient-flow assemblies, worst residual {worst:.2e} <= 1e-8")
+          "50 random gradient-flow assemblies, worst residual <= 1e-8")
 
 
 def test_criterion_08_flat_metric_anchor(depol_pauli, flat_pairs_solved):
@@ -214,8 +214,8 @@ def test_criterion_09_geodesic_property(depol_pauli, flat_pairs_solved):
         C = tp.trace_distance_prefactor(depol_pauli, 2.0)
         lower_ok &= la.trace_norm(r1 - r0) <= C * dist * (1 + 1e-9)
     _line(9, worst_uniformity <= 0.02 and lower_ok,
-          f"per-step action uniform to {worst_uniformity:.2e} <= 2e-2, "
-          f"trace-distance lower bound holds on all solved pairs")
+          "per-step action uniformity <= 2e-2, "
+          "trace-distance lower bound holds on all solved pairs")
 
 
 def test_criterion_10_curvature_anchor(depol_flat):
@@ -328,7 +328,7 @@ def test_criterion_14_limit_consistency(depol_flat, depol2):
     fr = tp._Frame(L, rho, 1.001)
     X = fr.grad(A)
     ref = np.array([oracles.carlen_maas_apply(rho, omega, Xj)
-                    for Xj, (_, omega) in zip(X, L.jumps)])
+                    for Xj, omega in zip(X, L.jump_stack[1])])
     gap = la.frob(fr.apply(X) - ref) / la.frob(ref)
     ok &= gap <= 1e-2
     msgs.append(f"kernel p=1.001 vs logarithmic mean: {gap:.2e} <= 1e-2")

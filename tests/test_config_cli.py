@@ -454,9 +454,11 @@ class TestMain:
         solves = report["results"]["transport"]["solves"]
         assert [(e["pair"], e["p"]) for e in diag] == [(s["pair"], s["p"]) for s in solves]
         for entry in diag:
-            assert set(entry) == {"pair", "p", "steps", "evaluations", "stop", "gradient_gap"}
+            assert set(entry) == {"pair", "p", "steps", "evaluations", "stop", "gradient_gap",
+                                  "continuity_residual"}
             assert entry["stop"] in ("ftol", "gtol")
             assert 0.0 <= entry["gradient_gap"] <= 1e-4
+            assert 0.0 <= entry["continuity_residual"] <= 1e-10
             assert entry["evaluations"] >= entry["steps"] + 1
         assert any(e["steps"] > 0 for e in diag)
 

@@ -9,7 +9,8 @@ from qbeckner import config as cf
 from qbeckner import linalg as la
 from qbeckner import semigroup as sg
 from qbeckner import transport as tp
-from qbeckner.errors import KernelComponent, NoJumps, SingularMetric, SingularState
+from qbeckner.errors import (KernelComponent, LeftPositiveCone, NoJumps, SingularMetric,
+                             SingularState)
 from qbeckner.kernels import Kernel1, kappa_alpha_kernel
 
 import oracles
@@ -49,7 +50,7 @@ class TestMetricKernel:
         inv = Kernel1("1/kappa", f=lambda x: 1.0 / kap.f(x), domain_min=0.0,
                       allow_boundary=False)
         ref = oracles.j_kernel_super(L.sigma, inv)
-        flat = [j for j, (_, omega) in enumerate(L.jumps) if omega == 0.0]
+        flat = [j for j, omega in enumerate(L.jump_stack[1]) if omega == 0.0]
         assert flat
         M = oracles.kernel_matrices(L, L.sigma, p)
         for j in flat:
@@ -61,7 +62,7 @@ class TestMetricKernel:
         fr = tp._Frame(dbc3, rho, 1.001)
         X = fr.grad(A)
         ref = np.array([oracles.carlen_maas_apply(rho, omega, Xj)
-                        for Xj, (_, omega) in zip(X, dbc3.jumps)])
+                        for Xj, omega in zip(X, dbc3.jump_stack[1])])
         assert la.frob(fr.apply(X) - ref) <= 1e-2 * la.frob(ref)
 
     def test_continuity_in_p(self, rng, dbc3):
@@ -112,7 +113,7 @@ class TestFrame:
         U = la.random_hermitian(rng, model.d)
         fr = tp._Frame(model, rho, p)
         out = fr.apply(fr.grad(U))
-        for j, (V, omega) in enumerate(model.jumps):
+        for j, (V, omega) in enumerate(zip(*model.jump_stack)):
             ref = oracles.MetricKernel(rho, model.sigma, p, omega).apply(V @ U - U @ V)
             assert la.frob(out[j] - ref) <= 1e-12 * max(la.frob(ref), 1.0)
 
@@ -505,3 +506,45 @@ class TestGeodesics:
         with pytest.raises(KernelComponent):
             tp.geodesic_shoot(dbc2, np.eye(2) / 2, np.eye(2, dtype=complex),
                               1.5, T=0.1, steps=2)
+
+    @pytest.mark.parametrize("T, steps", [(-1e-3, 4), (0.0, 4), (float("nan"), 4),
+                                          (0.1, 0), (0.1, -1)])
+    def test_empty_or_backward_grid_rejected(self, depol3, T, steps):
+        # a negative T returned the start state steps + 1 times, and steps = 0
+        # divided by zero
+        U = np.diag([0.0, 1.0, -1.0]).astype(complex)
+        with pytest.raises(ValueError, match="T > 0 and steps >= 1"):
+            tp.geodesic_shoot(depol3, depol3.sigma, U, 1.5, T=T, steps=steps)
+
+    @staticmethod
+    def _counted_rk4(monkeypatch):
+        """The number of RK4 steps geodesic_shoot tries, as a one-entry list."""
+        calls, rk4 = [0], tp._rk4
+
+        def counted(*args):
+            calls[0] += 1
+            return rk4(*args)
+
+        monkeypatch.setattr(tp, "_rk4", counted)
+        return calls
+
+    def test_step_halving_near_floor(self, monkeypatch, depol3):
+        # lam_min = 1e-8, a hundred times FLOOR, grows along U, but an inner
+        # stage of the full RK4 step of 0.01 leaves the cone (as does one of
+        # its half): the step is halved, and the shot ends inside the cone
+        calls = self._counted_rk4(monkeypatch)
+        rho = np.diag([0.6, 0.4 - 1e-8, 1e-8]).astype(complex)
+        U = np.diag([0.0, -1.0, 1.0]).astype(complex)
+        traj = tp.geodesic_shoot(depol3, rho, U, 1.5, T=0.01, steps=1)
+        assert calls[0] > 2  # the failed step and at least two halves
+        assert np.min(np.linalg.eigvalsh(traj[-1].rho)) > tp.FLOOR
+
+    def test_leaving_the_cone_raises(self, monkeypatch, depol3):
+        # along U the smallest eigenvalue, 1e-6, falls to 0 within the step:
+        # 20 halvings do not keep the step inside the cone
+        calls = self._counted_rk4(monkeypatch)
+        rho = np.diag([0.6, 0.4 - 1e-6, 1e-6]).astype(complex)
+        U = np.diag([0.0, 1.0, -1.0]).astype(complex)
+        with pytest.raises(LeftPositiveCone, match="20 halvings"):
+            tp.geodesic_shoot(depol3, rho, U, 1.5, T=1e-3, steps=1)
+        assert calls[0] >= 21

@@ -206,12 +206,24 @@ def fp_divdiff_kernel(p: float) -> Kernel2:
 # reach double precision for |h| <= NEAR_TOL.
 _COTH = (1.0 / 3.0, -1.0 / 45.0, 2.0 / 945.0, -1.0 / 4725.0, 2.0 / 93555.0,
          -1382.0 / 638512875.0)
+# theta_p_log's grids at h and at -h, stacked on a new first axis
+_MIRROR = np.array([1.0, -1.0])
 
 
-def theta_p_log(p: float, h: np.ndarray,
-                m: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def theta_p_series(p: float) -> Tuple[float, ...]:
+    """The weights c_n (1 - a^2n) / 2, a = p - 1, of theta_p_log's series for
+    g / 2: fixed by p, so a caller that evaluates many grids at one p (the
+    spectral frame, once per generator and p) computes them once."""
+    a = float(p) - 1.0
+    return tuple(0.5 * c * (1.0 - a ** (2 * n)) for n, c in enumerate(_COTH, 1))
+
+
+def theta_p_log(p: float, h: np.ndarray, m: np.ndarray,
+                series: Optional[Tuple[float, ...]] = None
+                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(theta, x d/dx theta, y d/dy theta) of theta_p at x = e^(m+h), y = e^(m-h),
-    on broadcastable h and m.
+    on broadcastable h and m; series is theta_p_series(p), computed here
+    unless given.
 
     theta_p(x, y) = (p-1)(x - y)/(x^(p-1) - y^(p-1)), the reciprocal of
     f_p^[1], is e^((1-a) m) q with a = p - 1 and q = a sinh h / sinh(a h),
@@ -219,24 +231,27 @@ def theta_p_log(p: float, h: np.ndarray,
     theta (1 - a + g) and 2y d/dy theta = theta (1 - a - g), g = coth h -
     a coth(a h). Within |h| <= NEAR_TOL g is summed from its odd Taylor
     series, and no digit is lost to cancellation; outside it x d/dx theta
-    = theta (1 - q e^((a-1) h)) / (1 - e^(-2h)), the quotient rule in h, and
-    y d/dy theta is its mirror image (1 - a - g cancels as |h| grows).
+    = theta (q e^((a-1) h) - 1) / expm1(-2h), the quotient rule in h, and
+    y d/dy theta is the same expression at -h (1 - a - g cancels as |h|
+    grows). Both partials come from one pass over the grids at h and -h,
+    and g, odd in h, from one series over both.
     """
     a = float(p) - 1.0
     b = 1.0 - a
-    with np.errstate(divide="ignore", invalid="ignore"):
-        q = np.where(h == 0.0, 1.0, a * np.sinh(h) / np.sinh(a * h))
-        theta = np.exp(b * m) * q
-        e = np.exp(-b * h)
-        dx = theta * (1.0 - q * e) / -np.expm1(-2.0 * h)
-        dy = theta * (1.0 - q / e) / -np.expm1(2.0 * h)
-    near = np.abs(h) <= NEAR_TOL
+    k = theta_p_series(p) if series is None else series
+    hs = np.multiply.outer(_MIRROR, h)  # h, then -h: the x- and the y-partial
+    # both quotients are 0 / 0 at h = 0: q is 1 there, and the series below
+    # gives the partials, so the quotient rule is not evaluated
+    nz = h != 0.0
+    q = np.divide(a * np.sinh(h), np.sinh(a * h), out=np.ones_like(h, dtype=float), where=nz)
+    theta = np.exp(b * m) * q
+    far = np.divide(theta * (q * np.exp(-b * hs) - 1.0), np.expm1(-2.0 * hs), out=None, where=nz)
     h2 = h * h
-    k = [c * (1.0 - a ** (2 * n)) for n, c in enumerate(_COTH, 1)]
     g = k[-1] * h2 + k[-2]
     for c in k[-3::-1]:
         g *= h2
         g += c
-    g *= h
-    half = 0.5 * theta
-    return theta, np.where(near, half * (b + g), dx), np.where(near, half * (b - g), dy)
+    g = g * hs + 0.5 * b
+    g *= theta  # theta (1 - a +- g) / 2
+    partials = np.where(np.abs(h) <= NEAR_TOL, g, far)
+    return theta, partials[0], partials[1]

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property
-from typing import Callable, List, NamedTuple, Sequence, Tuple
+from typing import Callable, List, NamedTuple, Sequence, Tuple, TypeVar
 
 import numpy as np
 
@@ -22,6 +22,8 @@ from .errors import (
     NotPrimitive,
     ResidualTooLarge,
 )
+
+T = TypeVar("T")
 
 JUMP_TRACE_TOL = 1e-10
 MODULAR_EIG_TOL = 1e-9
@@ -155,14 +157,18 @@ class DbcLindbladian:
     def _derived(self) -> dict:
         return {}
 
-    def derived(self, key: tuple, make: Callable[[], np.ndarray]) -> np.ndarray:
-        """make(), an array fixed by the generator and key, computed on the
-        first call and stored read-only for the generator's lifetime."""
-        if key not in self._derived:
+    def derived(self, key: tuple, make: Callable[[], T]) -> T:
+        """make(), an array or a tuple of values fixed by the generator and
+        key, computed on the first call and stored for the generator's
+        lifetime, every array in it read-only."""
+        value = self._derived.get(key)
+        if value is None:
             value = make()
-            value.flags.writeable = False
+            for a in value if isinstance(value, tuple) else (value,):
+                if isinstance(a, np.ndarray):
+                    a.flags.writeable = False
             self._derived[key] = value
-        return self._derived[key]
+        return value
 
     @cached_property
     def sigma_eig(self) -> Tuple[np.ndarray, np.ndarray]:

@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg as la
 from .errors import KernelComponent, LeftPositiveCone, SingularMetric, SingularState
-from .kernels import _is_same, theta_p_log
+from .kernels import SAME_TOL, theta_p_log, theta_p_series
 from .linalg import minimize
 from .semigroup import DbcLindbladian
 
@@ -44,6 +44,67 @@ def _metric_p(p: float) -> float:
 # ---------------------------------------------------------------------------
 
 
+class _FrameConstants(NamedTuple):
+    """What every frame of one generator at one p reads off it, built once
+    per (generator, p) and held read-only by DbcLindbladian.derived. With r
+    the row-major vec, r(A X B) = r(X) (A^T kron B): the jump layouts are
+    the K folded jumps as superoperators side by side (grad_rows) and
+    stacked (div_rows), so each sum over the jumps is one product. They do
+    not depend on p, and every p shares one copy."""
+
+    P: np.ndarray  # sigma^s, s = 1 / (2 phat)
+    Q: np.ndarray  # sigma^-s
+    squeeze: np.ndarray  # (d^2, d^2): r(Q^2 X Q^2) = r(X) @ squeeze
+    grad_rows: np.ndarray  # (d^2, K d^2): r(U) @ grad_rows = r([V_j, U]), j side by side
+    div_rows: np.ndarray  # (K d^2, d^2): r(X) @ div_rows = r(-sum_j [V_j†, X_j]), X stacked
+    tilt: np.ndarray  # w_j / 2p, (K, 1, 1)
+    series: Tuple[float, ...]  # kernels.theta_p_series(p)
+    offdiag: np.ndarray  # (d, d), True off the diagonal
+
+
+def _jump_rows(L: DbcLindbladian) -> Tuple[np.ndarray, np.ndarray]:
+    """(grad_rows, div_rows) of _FrameConstants."""
+    one = np.eye(L.d)
+    jumps = L.jump_stack[0]
+    return (np.concatenate([np.kron(V.T, one) - np.kron(one, V) for V in jumps], axis=1),
+            np.concatenate([np.kron(one, V.conj().T) - np.kron(V.conj(), one) for V in jumps]))
+
+
+def _frame_constants(L: DbcLindbladian, p: float) -> _FrameConstants:
+    def build() -> _FrameConstants:
+        L.require_jumps()
+        s = 1.0 / (2.0 * _hconj(p))
+        Q2 = L.sigma_power(-2.0 * s)
+        return _FrameConstants(L.sigma_power(s), L.sigma_power(-s), np.kron(Q2.T, Q2),
+                               *L.derived(("jump_rows",), lambda: _jump_rows(L)),
+                               (L.jump_stack[1] / (2.0 * p))[:, None, None],
+                               theta_p_series(p), ~np.eye(L.d, dtype=bool))
+
+    return L.derived(("frame", p), build)
+
+
+def _map(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """The matrices Y (..., d, d) with r(Y) = r(X) @ M for X (..., d, d) and
+    M (..., d^2, d^2), leading axes broadcast; r is the row-major vec."""
+    d = X.shape[-1]
+    Y = X.reshape(X.shape[:-2] + (1, d * d)) @ M
+    return Y.reshape(Y.shape[:-2] + (d, d))
+
+
+def _map_jumps(X: np.ndarray, M: np.ndarray) -> np.ndarray:
+    """_map on every jump component of X (..., K, d, d): the K vecs are the
+    rows of one product."""
+    d = X.shape[-1]
+    Y = X.reshape(X.shape[:-2] + (d * d,)) @ M
+    return Y.reshape(Y.shape[:-1] + (d, d))
+
+
+def _diagonal(A: np.ndarray) -> np.ndarray:
+    """The diagonals of a contiguous stack of square matrices, as a writable view."""
+    d = A.shape[-1]
+    return A.reshape(A.shape[:-2] + (d * d,))[..., ::d + 1]
+
+
 class _Frame:
     """Every metric kernel [rho]_{p,w_j} at a state, or at each state of a stack.
 
@@ -60,49 +121,64 @@ class _Frame:
     Hessian and flow of the metric builds its kernels here.
     The tilts cancel from a_j[x] b_j[y] = lam_x lam_y: one kernels.theta_p_log
     call on h_j[x, y] = w_j/2p + (log lam_x - log lam_y)/2 gives theta and
-    the partials. sigma^(+-s) and the jump adjoints are read off the
-    generator's cache (DbcLindbladian.derived), so a frame computes only its
-    eigendecomposition and that one grid.
+    the partials. Everything fixed by the generator and p is one record
+    (_FrameConstants, one cache lookup), so a frame computes only its
+    eigendecomposition and that one grid. The jump sums (grad, div) are one
+    product each against the record's layouts, and eig and uneig by P one
+    product each against the Kronecker form of P V, made once per frame.
     """
 
     def __init__(self, L: DbcLindbladian, rho: np.ndarray, p: float):
         self.p = _metric_p(p)
-        L.require_jumps()
-        s = 1.0 / (2.0 * _hconj(self.p))
-        self.P = L.sigma_power(s)
-        self.Q = L.sigma_power(-s)
-        self.lam, self.V = la.herm_eigh(self.Q @ rho @ self.Q, check=False)
-        if np.min(self.lam) <= 0.0:
+        self._c = c = _frame_constants(L, self.p)
+        self.P, self.Q = c.P, c.Q
+        self.lam, self.V = la.herm_eigh(c.Q @ rho @ c.Q, check=False)
+        if self.lam.min() <= 0.0:
             raise SingularState("metric kernel needs a full-rank state")
-        self.W = self.P @ self.V[..., None, :, :]  # P V: eig and uneig by P in two products
-        self.jumps, omega = L.jump_stack
-        self.adjoints = L.derived(("jump_adjoints",), lambda: la.dagger(self.jumps))
-        # theta_p(a_j[x], b_j[y]), (..., K, d, d), and its partials weighted by e^(+-w_j/2p)
+        # theta_p(a_j[x], b_j[y]), (..., K, d, d), and its log-partials
         half = 0.5 * np.log(self.lam)
         x, y = half[..., None, :, None], half[..., None, None, :]
-        h = (x - y) + (omega / (2.0 * self.p))[:, None, None]
-        self.theta, dx, dy = theta_p_log(self.p, h, x + y)
-        self.partials = dx / self.lam[..., None, :, None], dy / self.lam[..., None, None, :]
+        self.theta, dx, dy = theta_p_log(self.p, (x - y) + c.tilt, x + y, c.series)
+        self._log_partials = dx, dy
+
+    @cached_property
+    def partials(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The partials of theta_p(a_j, b_j) in the untilted lam_x and lam_y,
+        each weighted by its tilt e^(+-w_j/2p), (..., K, d, d)."""
+        dx, dy = self._log_partials
+        return dx / self.lam[..., None, :, None], dy / self.lam[..., None, None, :]
 
     def grad(self, U: np.ndarray) -> np.ndarray:
         """dj U = [V_j, U] for every jump."""
-        U = U[..., None, :, :]
-        return self.jumps @ U - U @ self.jumps
+        d = U.shape[-1]
+        X = U.reshape(U.shape[:-2] + (1, d * d)) @ self._c.grad_rows
+        return X.reshape(X.shape[:-2] + (-1, d, d))
 
     def div(self, X: np.ndarray) -> np.ndarray:
         """-sum_j [V_j†, X_j], the adjoint of -grad."""
-        Vd = self.adjoints
-        return np.sum(X @ Vd - Vd @ X, axis=-3)
+        d = X.shape[-1]
+        Y = X.reshape(X.shape[:-3] + (1, -1)) @ self._c.div_rows
+        return Y.reshape(Y.shape[:-2] + (d, d))
+
+    def _kron(self, S: np.ndarray) -> np.ndarray:
+        """conj(S V) kron S V, (..., d^2, d^2): r(V† S X S V) = r(X) @ it."""
+        SV = S @ self.V
+        E = SV.conj()[..., :, None, :, None] * SV[..., None, :, None, :]
+        return E.reshape(E.shape[:-4] + (E.shape[-1] ** 2,) * 2)
+
+    @cached_property
+    def _kron_p(self) -> Tuple[np.ndarray, np.ndarray]:
+        """The Kronecker form of P V, for eig by P, and its adjoint, for uneig."""
+        E = self._kron(self.P)
+        return E, la.dagger(E)
 
     def eig(self, X: np.ndarray, S: np.ndarray) -> np.ndarray:
         """V† S X_j S V for every jump component, S = P or Q."""
-        SV = self.W if S is self.P else S @ self.V[..., None, :, :]
-        return la.dagger(SV) @ X @ SV
+        return _map_jumps(X, self._kron_p[0] if S is self.P else self._kron(S))
 
     def uneig(self, Xt: np.ndarray, S: np.ndarray) -> np.ndarray:
         """Inverse of eig when S is replaced by its inverse."""
-        SV = self.W if S is self.P else S @ self.V[..., None, :, :]
-        return SV @ Xt @ la.dagger(SV)
+        return _map_jumps(Xt, self._kron_p[1] if S is self.P else la.dagger(self._kron(S)))
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """[rho]_j X_j for every jump."""
@@ -116,13 +192,15 @@ class _Frame:
     @cached_property
     def gaps(self) -> Tuple[np.ndarray, np.ndarray]:
         """(ties, inv), (..., d, d): the near-ties of lam off the diagonal
-        (_is_same), and 1 / (lam_x - lam_y) at the other pairs, 0 on ties and
-        on the diagonal. The tilts cancel from the partial divided differences
-        of theta_p on (a_j, b_j), so these serve every jump and both partials;
-        at a tie each quotient is the mean of the partials at the pair's ends."""
+        (kernels._is_same, here on positive lam), and 1 / (lam_x - lam_y) at
+        the other pairs, 0 on ties and on the diagonal. The tilts cancel from
+        the partial divided differences of theta_p on (a_j, b_j), so these
+        serve every jump and both partials; at a tie each quotient is the
+        mean of the partials at the pair's ends."""
         u, v = self.lam[..., :, None], self.lam[..., None, :]
-        same = _is_same(u, v)
-        return same & ~np.eye(u.shape[-2], dtype=bool), 1.0 / np.where(same, np.inf, u - v)
+        diff = u - v
+        same = np.abs(diff) <= SAME_TOL * np.maximum(u, v)
+        return same & self._c.offdiag, 1.0 / np.where(same, np.inf, diff)
 
     def state_derivative(self, C: np.ndarray) -> np.ndarray:
         """Hermitian M with <M, H> the derivative of
@@ -131,19 +209,28 @@ class _Frame:
         by matrix products. With T = theta o C and Z = sum_j conj(T_j) C_j^T +
         T_j^T conj(C_j), G = inv o (Z - Z†), and the partials against |C_j|^2
         on the diagonal. At the near-ties G = (Z + Z†) / 2 with (d1, d2) o C in
-        place of T in Z's two terms: the mean of the partials at both ends."""
-        (ties, inv), (d1, d2) = self.gaps, self.partials
-        T, Cc = self.theta * C, C.conj()
-        Z = np.sum(T.conj() @ np.swapaxes(C, -1, -2) + np.swapaxes(T, -1, -2) @ Cc, axis=-3)
-        G, C2 = inv * (Z - la.dagger(Z)), (C * Cc).real
-        i = np.arange(inv.shape[-1])
-        G[..., i, i] = np.sum(np.sum(d1 * C2, axis=-1) + np.sum(d2 * C2, axis=-2), axis=-2)
+        place of T in Z's two terms: the mean of the partials at both ends.
+        M = Q V G^T V† Q is taken as Q^2 (P V) G^T (P V)† Q^2: one product
+        against the Kronecker form of P V that uneig uses, one against the
+        record's squeeze."""
+        (ties, inv), (dx, dy) = self.gaps, self._log_partials
+        Cc = C.conj()
+        T = self.theta * C
+        Z = _contract(T, T, C, Cc)
+        Gt = inv * (Z.conj() - Z.swapaxes(-1, -2))  # G^T
+        C2 = (C * Cc).real
+        _diagonal(Gt)[...] = (dx * C2 + (dy * C2).swapaxes(-1, -2)).sum(axis=(-3, -1)) / self.lam
         if ties.any():
-            T1, T2 = d1 * C, d2 * C
-            Z = np.sum(T1.conj() @ np.swapaxes(C, -1, -2) + np.swapaxes(T2, -1, -2) @ Cc, axis=-3)
-            G = np.where(ties, 0.5 * (Z + la.dagger(Z)), G)
-        QV = self.Q @ self.V
-        return la.herm(QV @ np.swapaxes(G, -1, -2) @ la.dagger(QV))
+            d1, d2 = self.partials
+            Z = _contract(d1 * C, d2 * C, C, Cc)
+            Gt = np.where(ties, 0.5 * (Z.swapaxes(-1, -2) + Z.conj()), Gt)
+        return la.herm(_map(_map(Gt, self._kron_p[1]), self._c.squeeze))
+
+
+def _contract(A: np.ndarray, B: np.ndarray, C: np.ndarray, Cc: np.ndarray) -> np.ndarray:
+    """sum_j conj(A_j) C_j^T + B_j^T Cc_j over the jump axis -3, Cc = conj(C),
+    one batched product per term."""
+    return (A.conj() @ C.swapaxes(-1, -2) + B.swapaxes(-1, -2) @ Cc).sum(axis=-3)
 
 
 def _floored(g: np.ndarray) -> np.ndarray:
@@ -505,12 +592,16 @@ def gradient_norm_sq(L: DbcLindbladian, rho: np.ndarray, p: float,
 
 def _geodesic_rhs(L: DbcLindbladian, rho: np.ndarray, U: np.ndarray, p: float):
     """(rho_dot, U_dot) of the Hamiltonian geodesic flow, whose Hamiltonian is
-    half the kinetic form sum_j <dj U, [rho]_j dj U>."""
+    half the kinetic form sum_j <dj U, [rho]_j dj U>. U_dot is made trace-free
+    on its diagonal."""
     fr = _Frame(L, rho, p)
     C = fr.eig(fr.grad(U), fr.P)
-    rho_dot = -fr.div(fr.uneig(fr.theta * C, fr.P))
-    U_dot = -la.traceless_part(0.5 * fr.state_derivative(C))
-    return la.herm(rho_dot), U_dot
+    div = fr.div(fr.uneig(fr.theta * C, fr.P))
+    rho_dot = (div + la.dagger(div)) * -0.5  # the Hermitian part of -div
+    U_dot = fr.state_derivative(C) * -0.5
+    diag = _diagonal(U_dot)
+    diag -= diag.sum(axis=-1, keepdims=True) / U.shape[-1]
+    return rho_dot, U_dot
 
 
 def geodesic_shoot(L: DbcLindbladian, rho0: np.ndarray, U0: np.ndarray,
@@ -518,9 +609,10 @@ def geodesic_shoot(L: DbcLindbladian, rho0: np.ndarray, U0: np.ndarray,
     """Integrate the constant-speed geodesic equations from (rho0, U0).
 
     Classical fourth-order one-step integration on a fixed grid of steps
-    steps over T > 0 (ValueError otherwise); steps whose end state dips
-    below the eigenvalue floor FLOOR are halved and retried (at most 20
-    halvings per macro step before LeftPositiveCone).
+    steps over T > 0 (ValueError otherwise). A step whose end state dips
+    below the eigenvalue floor FLOOR is halved and retried, and after each
+    accepted step the step doubles again, up to the grid's; a step that
+    would need more than 20 halvings raises LeftPositiveCone.
     """
     if not (T > 0.0 and steps >= 1):
         raise ValueError(f"geodesic_shoot needs T > 0 and steps >= 1, "
@@ -534,32 +626,33 @@ def geodesic_shoot(L: DbcLindbladian, rho0: np.ndarray, U0: np.ndarray,
     dt_macro = T / steps
     for _ in range(steps):
         remaining = dt_macro
-        dt = dt_macro
-        halvings = 0
+        halvings = 0  # dt = dt_macro / 2^halvings
         while remaining > 1e-15 * dt_macro:
-            dt_try = min(dt, remaining)
+            dt = min(dt_macro / 2.0 ** halvings, remaining)
             try:
-                rho_new, U_new = _rk4(L, rho, U, p, dt_try)
-                if np.min(np.linalg.eigvalsh(la.herm(rho_new))) < FLOOR:
+                rho_new, U_new = _rk4(L, rho, U, p, dt)
+                if np.linalg.eigvalsh(rho_new)[0] < FLOOR:
                     raise SingularState("below floor")
             except SingularState:
                 halvings += 1
                 if halvings > 20:
                     raise LeftPositiveCone(
                         "geodesic left the positive cone after 20 halvings")
-                dt /= 2.0
                 continue
             rho, U = rho_new, U_new
-            remaining -= dt_try
+            remaining -= dt
+            halvings = max(halvings - 1, 0)
         out.append(GeodesicState(rho, U))
     return out
 
 
 def _rk4(L, rho, U, p, dt):
+    """One classical RK4 step of the geodesic flow. The right-hand side is
+    Hermitian bit for bit, so Hermitian (rho, U) stay so with no projection."""
+    half = 0.5 * dt
     k1r, k1u = _geodesic_rhs(L, rho, U, p)
-    k2r, k2u = _geodesic_rhs(L, rho + 0.5 * dt * k1r, U + 0.5 * dt * k1u, p)
-    k3r, k3u = _geodesic_rhs(L, rho + 0.5 * dt * k2r, U + 0.5 * dt * k2u, p)
+    k2r, k2u = _geodesic_rhs(L, rho + half * k1r, U + half * k1u, p)
+    k3r, k3u = _geodesic_rhs(L, rho + half * k2r, U + half * k2u, p)
     k4r, k4u = _geodesic_rhs(L, rho + dt * k3r, U + dt * k3u, p)
-    rho_new = rho + dt / 6.0 * (k1r + 2 * k2r + 2 * k3r + k4r)
-    U_new = U + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u)
-    return la.herm(rho_new), la.herm(U_new)
+    return (rho + dt / 6.0 * (k1r + 2 * k2r + 2 * k3r + k4r),
+            U + dt / 6.0 * (k1u + 2 * k2u + 2 * k3u + k4u))

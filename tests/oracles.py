@@ -3,7 +3,7 @@
 Each is a direct, slower or independent form of something the library
 computes another way, or a textbook quantity that a test states an identity
 with: MetricKernel is the single-jump form of the spectral frame
-transport._Frame; theta_p_xy is the frame's grid function kernels.theta_p_log
+transport._Frame, and onsager_apply its sum over every jump of a model; theta_p_xy is the frame's grid function kernels.theta_p_log
 on (x, y), with the frame's tilt, and theta_p_kernel the same as a
 two-variable kernel; dk_tensors forms the Daleckii-Krein tensors that
 the library contracts by matrix products; the s-inner products, the weighted
@@ -181,8 +181,16 @@ def onsager_matrix_units(L, rho, p):
 
 
 def onsager_apply(L, rho, p, U):
-    """D_{p,rho} U = sum_j dj† ([rho]_{p,w_j} dj U)."""
-    return tp._Frame(L, rho, p).onsager(U)
+    """D_{p,rho} U = sum_j dj† ([rho]_{p,w_j} dj U) with dj U = [V_j, U] and
+    dj† X = [V_j†, X], one MetricKernel per jump of L.jumps, unfolded, and
+    the Hermitian part taken, as _Frame.onsager takes it on the folded
+    stack: no product of the frame's layouts enters it."""
+    out = np.zeros((L.d, L.d), dtype=complex)
+    for V, omega in L.jumps:
+        X = MetricKernel(rho, L.sigma, p, omega).apply(V @ U - U @ V)
+        Vd = V.conj().T
+        out += Vd @ X - X @ Vd
+    return la.herm(out)
 
 
 def onsager_tensor(L, rho, p, nu1, nu2) -> float:

@@ -70,19 +70,39 @@ def test_theta_p_reciprocal_and_diagonal():
     assert oracles.theta_p_xy(1.5, np.array(3.0), np.array(3.0))[0] == pytest.approx(3.0**0.5)
 
 
-def test_theta_p_log_broadcasts():
-    # h on a (J, d, d) grid against m on (1, d, d), as the frame calls it:
-    # each entry is the value at that pair alone
-    rng = np.random.default_rng(7)
+def _h_grid(kind, rng):
+    """Half log-ratios (2, 3, 3): none within NEAR_TOL ("far"), all within it
+    ("near", with h = 0, a near tie and both ends), or both ("mixed")."""
+    tol = kn.NEAR_TOL
+    if kind == "far":
+        return rng.choice([-1.0, 1.0], (2, 3, 3)) * rng.uniform(1.0001 * tol, 3.0, (2, 3, 3))
+    if kind == "near":
+        h = rng.uniform(-tol, tol, (2, 3, 3))
+        h[0, 0, 0], h[1, 1, 1], h[0, 1, 2], h[1, 2, 0] = 0.0, 3e-9, tol, -tol
+        return h
     h = rng.uniform(-3.0, 3.0, (2, 3, 3))
     h[0, 0, 0], h[1, 1, 1], h[0, 1, 2] = 0.0, 3e-9, 0.1  # h = 0, a near tie, within NEAR_TOL
+    return h
+
+
+@pytest.mark.parametrize("kind", ["far", "near", "mixed"])
+@pytest.mark.parametrize("p", [1.05, 1.5, 2.0])
+def test_theta_p_log_broadcasts(p, kind):
+    # h on a (J, d, d) grid against m on (1, d, d), as the frame calls it:
+    # each entry is the value at that pair alone, bit for bit, on either
+    # branch of the partials and with the series weights given or not
+    rng = np.random.default_rng(7)
+    h = _h_grid(kind, rng)
+    assert (np.abs(h) <= kn.NEAR_TOL).any() == (kind != "far")
+    assert (np.abs(h) <= kn.NEAR_TOL).all() == (kind == "near")
     m = rng.uniform(-12.0, 2.0, (1, 3, 3))
-    grid = kn.theta_p_log(1.5, h, m)
-    for out in grid:
+    grid = kn.theta_p_log(p, h, m)
+    for out, given in zip(grid, kn.theta_p_log(p, h, m, kn.theta_p_series(p))):
         assert out.shape == (2, 3, 3)
+        assert np.array_equal(out, given)
     for j, x, y in np.ndindex(h.shape):
-        one = kn.theta_p_log(1.5, h[j, x, y], m[0, x, y])
-        assert all(g[j, x, y] == o for g, o in zip(grid, one))
+        one = kn.theta_p_log(p, h[j, x, y], m[0, x, y])
+        assert all(g[j, x, y] == o for g, o in zip(grid, one)), (j, x, y)
 
 
 @pytest.mark.parametrize("p", [1.2, 1.5, 1.9])

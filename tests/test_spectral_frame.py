@@ -292,22 +292,30 @@ class TestGeneratorCache:
                 S[0, 0] = 0.0
 
     def test_second_frame_builds_no_sigma_power(self, rng, monkeypatch):
-        # the second frame at the same p reads sigma^(+-s) and the jump
-        # adjoints off the generator: without sigma's eigendecomposition
-        # it is built all the same, and shares the first frame's arrays
+        # the second frame at the same p reads sigma^(+-s), the jump layouts
+        # and the series weights off the generator's one record for p:
+        # without sigma's eigendecomposition it is built all the same, and
+        # shares the first frame's arrays
         L = sg.random_dbc(np.diag([0.5, 0.3, 0.2]).astype(complex), 3, 1, seed=5)
         rho = la.random_density(rng, 3, floor=0.1)
         before = set(L._derived)
         first = tp._Frame(L, rho, 1.5)
-        # a frame caches sigma^(+-1/6) and the adjoints: the tilts cancel from
-        # theta_p, and no entry holds them
+        # a frame caches its record, the sigma powers it holds (sigma^(+-1/6)
+        # and sigma^(-1/3)) and the jump layouts, which every p shares: the
+        # tilts cancel from theta_p, and no entry holds a state
         assert set(L._derived) - before == {
-            ("jump_adjoints",), ("sigma_power", 1.0 / 6.0), ("sigma_power", -1.0 / 6.0)}
+            ("frame", 1.5), ("sigma_power", 1.0 / 6.0), ("sigma_power", -1.0 / 6.0),
+            ("sigma_power", -1.0 / 3.0), ("jump_rows",)}
         monkeypatch.setitem(L.__dict__, "sigma_eig", None)
         second = tp._Frame(L, rho, 1.5)
-        for name in ("P", "Q", "adjoints"):
+        assert second._c is first._c
+        for name in ("P", "Q"):
             assert np.shares_memory(getattr(second, name), getattr(first, name))
         assert np.array_equal(second.theta, first.theta)
+        for X in first._c:
+            if isinstance(X, np.ndarray):
+                with pytest.raises(ValueError):
+                    X.flat[0] = 0.0
         with pytest.raises(TypeError):
             tp._Frame(L, rho, 1.25)  # a new p needs a new power
 

@@ -470,6 +470,75 @@ class TestInverseKernelConvexity:
             assert val(s) <= (1 - s) * val(0.0) + s * val(1.0) + 1e-9
 
 
+def _fixture_model(name):
+    return cf.build_generator(cf.fixtures(name))
+
+
+def _tracial_random3():
+    """random_dbc with sigma = I/3: at rho = sigma every pair ties, and
+    unlike classical_embed's Pauli jumps its kinetic form is not stationary
+    there."""
+    return sg.random_dbc(np.eye(3, dtype=complex) / 3.0, 3, 1, seed=5)
+
+
+class TestGeodesicRhs:
+    """_geodesic_rhs against oracles that share none of its products:
+    rho_dot is the Onsager operator on U summed jump by jump
+    (oracles.onsager_apply), and <U_dot, K> is minus the derivative of the
+    Hamiltonian, half the kinetic form, along rho + tK by central
+    differences. classical_embed (sigma = I/2) and a random model with
+    sigma = I/3 are taken at rho = sigma, where every eigenvalue pair ties,
+    so their state derivative is the frame's tie branch."""
+
+    CASES = [(name, p) for name in ("depol3", "random_dbc_seeded", "classical_embed",
+                                    "tracial_random3", "depol3_tie")
+             for p in (1.05, 1.5, 2.0)]
+
+    @staticmethod
+    def _state(name, L, p, rng):
+        """The state of a case and the number of tied pairs of its frame."""
+        d = L.d
+        if name in ("classical_embed", "tracial_random3"):
+            return L.sigma, d * (d - 1)
+        if name == "depol3_tie":
+            # Y = sigma^-s rho sigma^-s with two eigenvalues 3e-10 apart in
+            # relative terms: one tied pair, whose tilted partials differ
+            W, _ = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))
+            lam = np.array([1.0, 1.0 + 3e-10, 1.7])
+            P = L.sigma_power((p - 1.0) / (2.0 * p))
+            rho = la.herm(P @ (W * lam) @ W.conj().T @ P)
+            return rho / np.trace(rho).real, 2
+        return la.random_density(rng, d, floor=0.05), 0
+
+    @pytest.mark.parametrize("name, p", CASES)
+    def test_matches_oracles(self, name, p):
+        if name == "tracial_random3":
+            L = _tracial_random3()
+        else:
+            L = _fixture_model(name.removesuffix("_tie"))
+        d = L.d
+        rng = np.random.default_rng(41)
+        rho, ties = self._state(name, L, p, rng)
+        U = la.traceless_part(la.random_hermitian(rng, d))
+        assert tp._Frame(L, rho, p).gaps[0].sum() == ties
+        rho_dot, U_dot = tp._geodesic_rhs(L, rho, U, p)
+        ref = oracles.onsager_apply(L, rho, p, U)
+        assert la.frob(rho_dot - ref) <= 1e-12 * la.frob(ref)
+        # both exactly Hermitian, and U_dot trace-free
+        assert np.array_equal(rho_dot, la.herm(rho_dot))
+        assert np.array_equal(U_dot, la.herm(U_dot))
+        assert abs(np.trace(U_dot)) <= 1e-15 * max(1.0, la.frob(U_dot))
+        kinetic = 2.0 * oracles.geodesic_hamiltonian(L, rho, U, p)
+        t = 1e-4
+        for _ in range(3):
+            K = la.traceless_part(la.random_hermitian(rng, d))
+            K /= la.frob(K)
+            fd = -(oracles.geodesic_hamiltonian(L, rho + t * K, U, p)
+                   - oracles.geodesic_hamiltonian(L, rho - t * K, U, p)) / (2.0 * t)
+            an = float(np.real(la.hs_inner(U_dot, K)))
+            assert abs(an - fd) <= 1e-6 * max(abs(an), kinetic), (an, fd)
+
+
 class TestGeodesics:
     def test_zero_velocity_is_constant(self, rng, dbc2):
         rho = la.random_density(rng, 2, floor=0.1)
@@ -538,6 +607,22 @@ class TestGeodesics:
         traj = tp.geodesic_shoot(depol3, rho, U, 1.5, T=0.01, steps=1)
         assert calls[0] > 2  # the failed step and at least two halves
         assert np.min(np.linalg.eigvalsh(traj[-1].rho)) > tp.FLOOR
+
+    def test_step_regrows_after_halving(self, monkeypatch, depol3):
+        # the same start shot for T = 1 in one step: the early steps need 9
+        # halvings, and once lam_min has grown the step doubles back toward
+        # the grid's, where it had stayed at 2^-9 for the rest of the step
+        # (521 RK4 steps; 74 with 64 grid steps)
+        calls = self._counted_rk4(monkeypatch)
+        rho = np.diag([0.6, 0.4 - 1e-8, 1e-8]).astype(complex)
+        U = np.diag([0.0, -1.0, 1.0]).astype(complex)
+        traj = tp.geodesic_shoot(depol3, rho, U, 1.5, T=1.0, steps=1)
+        assert calls[0] <= 100
+        assert np.min(np.linalg.eigvalsh(traj[-1].rho)) > tp.FLOOR
+        # the RK4 steps keep the states Hermitian bit for bit
+        for state in traj:
+            assert np.array_equal(state.rho, la.herm(state.rho))
+            assert np.array_equal(state.U, la.herm(state.U))
 
     def test_leaving_the_cone_raises(self, monkeypatch, depol3):
         # along U the smallest eigenvalue, 1e-6, falls to 0 within the step:

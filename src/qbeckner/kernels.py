@@ -14,6 +14,7 @@ half log-ratio, so a spectral frame makes one call for every jump.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import lru_cache
 from typing import Callable, Optional, Tuple
 
 import numpy as np
@@ -210,20 +211,18 @@ _COTH = (1.0 / 3.0, -1.0 / 45.0, 2.0 / 945.0, -1.0 / 4725.0, 2.0 / 93555.0,
 _MIRROR = np.array([1.0, -1.0])
 
 
-def theta_p_series(p: float) -> Tuple[float, ...]:
+@lru_cache(maxsize=None)
+def _theta_p_series(p: float) -> Tuple[float, ...]:
     """The weights c_n (1 - a^2n) / 2, a = p - 1, of theta_p_log's series for
-    g / 2: fixed by p, so a caller that evaluates many grids at one p (the
-    spectral frame, once per generator and p) computes them once."""
-    a = float(p) - 1.0
+    g / 2: fixed by p, so they are made once per p."""
+    a = p - 1.0
     return tuple(0.5 * c * (1.0 - a ** (2 * n)) for n, c in enumerate(_COTH, 1))
 
 
-def theta_p_log(p: float, h: np.ndarray, m: np.ndarray,
-                series: Optional[Tuple[float, ...]] = None
-                ) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
+def theta_p_log(p: float, h: np.ndarray,
+                m: np.ndarray) -> Tuple[np.ndarray, np.ndarray, np.ndarray]:
     """(theta, x d/dx theta, y d/dy theta) of theta_p at x = e^(m+h), y = e^(m-h),
-    on broadcastable h and m; series is theta_p_series(p), computed here
-    unless given.
+    on broadcastable h and m.
 
     theta_p(x, y) = (p-1)(x - y)/(x^(p-1) - y^(p-1)), the reciprocal of
     f_p^[1], is e^((1-a) m) q with a = p - 1 and q = a sinh h / sinh(a h),
@@ -236,22 +235,24 @@ def theta_p_log(p: float, h: np.ndarray, m: np.ndarray,
     grows). Both partials come from one pass over the grids at h and -h,
     and g, odd in h, from one series over both.
     """
-    a = float(p) - 1.0
+    p = float(p)
+    a = p - 1.0
     b = 1.0 - a
-    k = theta_p_series(p) if series is None else series
-    hs = np.multiply.outer(_MIRROR, h)  # h, then -h: the x- and the y-partial
+    k = _theta_p_series(p)
     # both quotients are 0 / 0 at h = 0: q is 1 there, and the series below
     # gives the partials, so the quotient rule is not evaluated
     nz = h != 0.0
     q = np.divide(a * np.sinh(h), np.sinh(a * h), out=np.ones_like(h, dtype=float), where=nz)
     theta = np.exp(b * m) * q
+    # h, then -h, on a new first axis before all of theta's: the x- and the
+    # y-partial
+    hs = _MIRROR.reshape((2,) + (1,) * theta.ndim) * h
     far = np.divide(theta * (q * np.exp(-b * hs) - 1.0), np.expm1(-2.0 * hs), out=None, where=nz)
     h2 = h * h
     g = k[-1] * h2 + k[-2]
     for c in k[-3::-1]:
         g *= h2
         g += c
-    g = g * hs + 0.5 * b
-    g *= theta  # theta (1 - a +- g) / 2
+    g = (g * hs + 0.5 * b) * theta  # theta (1 - a +- g) / 2
     partials = np.where(np.abs(h) <= NEAR_TOL, g, far)
     return theta, partials[0], partials[1]

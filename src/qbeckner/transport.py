@@ -17,7 +17,7 @@ import numpy as np
 
 from . import linalg as la
 from .errors import KernelComponent, LeftPositiveCone, SingularMetric, SingularState
-from .kernels import SAME_TOL, theta_p_log, theta_p_series
+from .kernels import _is_same, theta_p_log
 from .linalg import minimize
 from .semigroup import DbcLindbladian
 
@@ -46,57 +46,42 @@ def _metric_p(p: float) -> float:
 
 class _FrameConstants(NamedTuple):
     """What every frame of one generator at one p reads off it, built once
-    per (generator, p) and held read-only by DbcLindbladian.derived. With r
-    the row-major vec, r(A X B) = r(X) (A^T kron B): the jump layouts are
-    the K folded jumps as superoperators side by side (grad_rows) and
-    stacked (div_rows), so each sum over the jumps is one product. They do
-    not depend on p, and every p shares one copy."""
+    per (generator, p) and held read-only by DbcLindbladian.derived. The K
+    folded jumps and their adjoints are held stacked, (K d, d), and side by
+    side, (d, K d), so that each sum over the jumps is one product of
+    O(K d^3) work. The layouts do not depend on p, and every p shares one
+    copy."""
 
     P: np.ndarray  # sigma^s, s = 1 / (2 phat)
     Q: np.ndarray  # sigma^-s
-    squeeze: np.ndarray  # (d^2, d^2): r(Q^2 X Q^2) = r(X) @ squeeze
-    grad_rows: np.ndarray  # (d^2, K d^2): r(U) @ grad_rows = r([V_j, U]), j side by side
-    div_rows: np.ndarray  # (K d^2, d^2): r(X) @ div_rows = r(-sum_j [V_j†, X_j]), X stacked
+    jumps: np.ndarray  # (K d, d), the V_j stacked
+    jumps_side: np.ndarray  # (d, K d), the V_j side by side
+    adjoints: np.ndarray  # (K d, d), the V_j† stacked
+    adjoints_side: np.ndarray  # (d, K d), the V_j† side by side
     tilt: np.ndarray  # w_j / 2p, (K, 1, 1)
-    series: Tuple[float, ...]  # kernels.theta_p_series(p)
     offdiag: np.ndarray  # (d, d), True off the diagonal
 
 
-def _jump_rows(L: DbcLindbladian) -> Tuple[np.ndarray, np.ndarray]:
-    """(grad_rows, div_rows) of _FrameConstants."""
-    one = np.eye(L.d)
+def _jump_layouts(L: DbcLindbladian) -> Tuple[np.ndarray, ...]:
+    """(jumps, jumps_side, adjoints, adjoints_side) of _FrameConstants."""
     jumps = L.jump_stack[0]
-    return (np.concatenate([np.kron(V.T, one) - np.kron(one, V) for V in jumps], axis=1),
-            np.concatenate([np.kron(one, V.conj().T) - np.kron(V.conj(), one) for V in jumps]))
+    K, d, _ = jumps.shape
+    out = []
+    for A in (jumps, la.dagger(jumps)):
+        out += [A.reshape(K * d, d), np.ascontiguousarray(A.swapaxes(0, 1)).reshape(d, K * d)]
+    return tuple(out)
 
 
 def _frame_constants(L: DbcLindbladian, p: float) -> _FrameConstants:
     def build() -> _FrameConstants:
         L.require_jumps()
         s = 1.0 / (2.0 * _hconj(p))
-        Q2 = L.sigma_power(-2.0 * s)
-        return _FrameConstants(L.sigma_power(s), L.sigma_power(-s), np.kron(Q2.T, Q2),
-                               *L.derived(("jump_rows",), lambda: _jump_rows(L)),
+        return _FrameConstants(L.sigma_power(s), L.sigma_power(-s),
+                               *L.derived(("jump_layouts",), lambda: _jump_layouts(L)),
                                (L.jump_stack[1] / (2.0 * p))[:, None, None],
-                               theta_p_series(p), ~np.eye(L.d, dtype=bool))
+                               ~np.eye(L.d, dtype=bool))
 
     return L.derived(("frame", p), build)
-
-
-def _map(X: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """The matrices Y (..., d, d) with r(Y) = r(X) @ M for X (..., d, d) and
-    M (..., d^2, d^2), leading axes broadcast; r is the row-major vec."""
-    d = X.shape[-1]
-    Y = X.reshape(X.shape[:-2] + (1, d * d)) @ M
-    return Y.reshape(Y.shape[:-2] + (d, d))
-
-
-def _map_jumps(X: np.ndarray, M: np.ndarray) -> np.ndarray:
-    """_map on every jump component of X (..., K, d, d): the K vecs are the
-    rows of one product."""
-    d = X.shape[-1]
-    Y = X.reshape(X.shape[:-2] + (d * d,)) @ M
-    return Y.reshape(Y.shape[:-1] + (d, d))
 
 
 def _diagonal(A: np.ndarray) -> np.ndarray:
@@ -124,8 +109,9 @@ class _Frame:
     the partials. Everything fixed by the generator and p is one record
     (_FrameConstants, one cache lookup), so a frame computes only its
     eigendecomposition and that one grid. The jump sums (grad, div) are one
-    product each against the record's layouts, and eig and uneig by P one
-    product each against the Kronecker form of P V, made once per frame.
+    product per side of the commutator against the record's layouts; eig
+    and uneig by P are two batched products with W = P V. Every product is
+    of d x d blocks, O(K d^3) work per state.
     """
 
     def __init__(self, L: DbcLindbladian, rho: np.ndarray, p: float):
@@ -135,10 +121,11 @@ class _Frame:
         self.lam, self.V = la.herm_eigh(c.Q @ rho @ c.Q, check=False)
         if self.lam.min() <= 0.0:
             raise SingularState("metric kernel needs a full-rank state")
+        self.W = c.P @ self.V[..., None, :, :]  # P V: eig and uneig by P in two products
         # theta_p(a_j[x], b_j[y]), (..., K, d, d), and its log-partials
         half = 0.5 * np.log(self.lam)
         x, y = half[..., None, :, None], half[..., None, None, :]
-        self.theta, dx, dy = theta_p_log(self.p, (x - y) + c.tilt, x + y, c.series)
+        self.theta, dx, dy = theta_p_log(self.p, (x - y) + c.tilt, x + y)
         self._log_partials = dx, dy
 
     @cached_property
@@ -149,36 +136,28 @@ class _Frame:
         return dx / self.lam[..., None, :, None], dy / self.lam[..., None, None, :]
 
     def grad(self, U: np.ndarray) -> np.ndarray:
-        """dj U = [V_j, U] for every jump."""
-        d = U.shape[-1]
-        X = U.reshape(U.shape[:-2] + (1, d * d)) @ self._c.grad_rows
-        return X.reshape(X.shape[:-2] + (-1, d, d))
+        """dj U = [V_j, U] for every jump: V_j U from the stacked jumps, U V_j
+        from the side-by-side ones."""
+        c, d, lead = self._c, U.shape[-1], U.shape[:-2]
+        right = (U @ c.jumps_side).reshape(lead + (d, -1, d)).swapaxes(-3, -2)
+        return (c.jumps @ U).reshape(lead + (-1, d, d)) - right
 
     def div(self, X: np.ndarray) -> np.ndarray:
-        """-sum_j [V_j†, X_j], the adjoint of -grad."""
-        d = X.shape[-1]
-        Y = X.reshape(X.shape[:-3] + (1, -1)) @ self._c.div_rows
-        return Y.reshape(Y.shape[:-2] + (d, d))
-
-    def _kron(self, S: np.ndarray) -> np.ndarray:
-        """conj(S V) kron S V, (..., d^2, d^2): r(V† S X S V) = r(X) @ it."""
-        SV = S @ self.V
-        E = SV.conj()[..., :, None, :, None] * SV[..., None, :, None, :]
-        return E.reshape(E.shape[:-4] + (E.shape[-1] ** 2,) * 2)
-
-    @cached_property
-    def _kron_p(self) -> Tuple[np.ndarray, np.ndarray]:
-        """The Kronecker form of P V, for eig by P, and its adjoint, for uneig."""
-        E = self._kron(self.P)
-        return E, la.dagger(E)
+        """-sum_j [V_j†, X_j], the adjoint of -grad: sum_j V_j† X_j against X
+        stacked, sum_j X_j V_j† against X side by side."""
+        c, d = self._c, X.shape[-1]
+        side = X.swapaxes(-3, -2).reshape(X.shape[:-3] + (d, -1))
+        return side @ c.adjoints - c.adjoints_side @ X.reshape(X.shape[:-3] + (-1, d))
 
     def eig(self, X: np.ndarray, S: np.ndarray) -> np.ndarray:
         """V† S X_j S V for every jump component, S = P or Q."""
-        return _map_jumps(X, self._kron_p[0] if S is self.P else self._kron(S))
+        SV = self.W if S is self.P else S @ self.V[..., None, :, :]
+        return la.dagger(SV) @ X @ SV
 
     def uneig(self, Xt: np.ndarray, S: np.ndarray) -> np.ndarray:
         """Inverse of eig when S is replaced by its inverse."""
-        return _map_jumps(Xt, self._kron_p[1] if S is self.P else la.dagger(self._kron(S)))
+        SV = self.W if S is self.P else S @ self.V[..., None, :, :]
+        return SV @ Xt @ la.dagger(SV)
 
     def apply(self, X: np.ndarray) -> np.ndarray:
         """[rho]_j X_j for every jump."""
@@ -192,15 +171,13 @@ class _Frame:
     @cached_property
     def gaps(self) -> Tuple[np.ndarray, np.ndarray]:
         """(ties, inv), (..., d, d): the near-ties of lam off the diagonal
-        (kernels._is_same, here on positive lam), and 1 / (lam_x - lam_y) at
-        the other pairs, 0 on ties and on the diagonal. The tilts cancel from
-        the partial divided differences of theta_p on (a_j, b_j), so these
-        serve every jump and both partials; at a tie each quotient is the
-        mean of the partials at the pair's ends."""
+        (_is_same), and 1 / (lam_x - lam_y) at the other pairs, 0 on ties and
+        on the diagonal. The tilts cancel from the partial divided differences
+        of theta_p on (a_j, b_j), so these serve every jump and both partials;
+        at a tie each quotient is the mean of the partials at the pair's ends."""
         u, v = self.lam[..., :, None], self.lam[..., None, :]
-        diff = u - v
-        same = np.abs(diff) <= SAME_TOL * np.maximum(u, v)
-        return same & self._c.offdiag, 1.0 / np.where(same, np.inf, diff)
+        same = _is_same(u, v)
+        return same & self._c.offdiag, 1.0 / np.where(same, np.inf, u - v)
 
     def state_derivative(self, C: np.ndarray) -> np.ndarray:
         """Hermitian M with <M, H> the derivative of
@@ -210,9 +187,7 @@ class _Frame:
         T_j^T conj(C_j), G = inv o (Z - Z†), and the partials against |C_j|^2
         on the diagonal. At the near-ties G = (Z + Z†) / 2 with (d1, d2) o C in
         place of T in Z's two terms: the mean of the partials at both ends.
-        M = Q V G^T V† Q is taken as Q^2 (P V) G^T (P V)† Q^2: one product
-        against the Kronecker form of P V that uneig uses, one against the
-        record's squeeze."""
+        M = Q V G^T V† Q."""
         (ties, inv), (dx, dy) = self.gaps, self._log_partials
         Cc = C.conj()
         T = self.theta * C
@@ -224,7 +199,8 @@ class _Frame:
             d1, d2 = self.partials
             Z = _contract(d1 * C, d2 * C, C, Cc)
             Gt = np.where(ties, 0.5 * (Z.swapaxes(-1, -2) + Z.conj()), Gt)
-        return la.herm(_map(_map(Gt, self._kron_p[1]), self._c.squeeze))
+        QV = self.Q @ self.V
+        return la.herm(QV @ Gt @ la.dagger(QV))
 
 
 def _contract(A: np.ndarray, B: np.ndarray, C: np.ndarray, Cc: np.ndarray) -> np.ndarray:

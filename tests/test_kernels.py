@@ -88,21 +88,21 @@ def _h_grid(kind, rng):
 @pytest.mark.parametrize("kind", ["far", "near", "mixed"])
 @pytest.mark.parametrize("p", [1.05, 1.5, 2.0])
 def test_theta_p_log_broadcasts(p, kind):
-    # h on a (J, d, d) grid against m on (1, d, d), as the frame calls it:
-    # each entry is the value at that pair alone, bit for bit, on either
-    # branch of the partials and with the series weights given or not
+    # h on a (J, d, d) grid against m on (1, d, d), as the frame calls it,
+    # and m on (2, J, d, d), of higher rank than h: each entry is the value
+    # at that pair alone, bit for bit, on either branch of the partials
     rng = np.random.default_rng(7)
     h = _h_grid(kind, rng)
     assert (np.abs(h) <= kn.NEAR_TOL).any() == (kind != "far")
     assert (np.abs(h) <= kn.NEAR_TOL).all() == (kind == "near")
-    m = rng.uniform(-12.0, 2.0, (1, 3, 3))
-    grid = kn.theta_p_log(p, h, m)
-    for out, given in zip(grid, kn.theta_p_log(p, h, m, kn.theta_p_series(p))):
-        assert out.shape == (2, 3, 3)
-        assert np.array_equal(out, given)
-    for j, x, y in np.ndindex(h.shape):
-        one = kn.theta_p_log(p, h[j, x, y], m[0, x, y])
-        assert all(g[j, x, y] == o for g, o in zip(grid, one)), (j, x, y)
+    for m in (rng.uniform(-12.0, 2.0, (1, 3, 3)), rng.uniform(-12.0, 2.0, (2, 2, 3, 3))):
+        grid = kn.theta_p_log(p, h, m)
+        shape = np.broadcast_shapes(h.shape, m.shape)
+        assert all(g.shape == shape for g in grid)
+        hb, mb = np.broadcast_to(h, shape), np.broadcast_to(m, shape)
+        for i in np.ndindex(shape):
+            one = kn.theta_p_log(p, hb[i], mb[i])
+            assert all(g[i] == o for g, o in zip(grid, one)), i
 
 
 @pytest.mark.parametrize("p", [1.2, 1.5, 1.9])

@@ -292,20 +292,20 @@ class TestGeneratorCache:
                 S[0, 0] = 0.0
 
     def test_second_frame_builds_no_sigma_power(self, rng, monkeypatch):
-        # the second frame at the same p reads sigma^(+-s), the jump layouts
-        # and the series weights off the generator's one record for p:
-        # without sigma's eigendecomposition it is built all the same, and
-        # shares the first frame's arrays
+        # the second frame at the same p reads sigma^(+-s) and the jump
+        # layouts off the generator's one record for p: without sigma's
+        # eigendecomposition it is built all the same, and shares the first
+        # frame's arrays
         L = sg.random_dbc(np.diag([0.5, 0.3, 0.2]).astype(complex), 3, 1, seed=5)
         rho = la.random_density(rng, 3, floor=0.1)
         before = set(L._derived)
         first = tp._Frame(L, rho, 1.5)
-        # a frame caches its record, the sigma powers it holds (sigma^(+-1/6)
-        # and sigma^(-1/3)) and the jump layouts, which every p shares: the
-        # tilts cancel from theta_p, and no entry holds a state
+        # a frame caches its record, the sigma powers it holds (sigma^(+-1/6))
+        # and the jump layouts, which every p shares: the tilts cancel from
+        # theta_p, and no entry holds a state
         assert set(L._derived) - before == {
             ("frame", 1.5), ("sigma_power", 1.0 / 6.0), ("sigma_power", -1.0 / 6.0),
-            ("sigma_power", -1.0 / 3.0), ("jump_rows",)}
+            ("jump_layouts",)}
         monkeypatch.setitem(L.__dict__, "sigma_eig", None)
         second = tp._Frame(L, rho, 1.5)
         assert second._c is first._c

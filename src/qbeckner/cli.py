@@ -45,8 +45,8 @@ def _jsonable(obj):
         return int(obj)
     if isinstance(obj, np.ndarray):
         return la.matrix_to_json(obj) if obj.ndim == 2 else [_jsonable(v) for v in obj]
-    if dataclasses.is_dataclass(obj):
-        return _jsonable(dataclasses.asdict(obj))
+    if dataclasses.is_dataclass(obj):  # field by field, without asdict's deep copy
+        return {f.name: _jsonable(getattr(obj, f.name)) for f in dataclasses.fields(obj)}
     return obj
 
 
@@ -63,15 +63,10 @@ Outcome = Tuple[object, Optional[object], List[str]]
 def run_constants(cfg: ExperimentConfig, L: DbcLindbladian) -> Outcome:
     """The constants table and ledger, and the optimizer's per-start
     diagnostics of every optimized estimate; fails on the hard ledger."""
-    opts = _estimate_opts(cfg)
-    estimates = {("poincare",): ct.estimate_constant(L, "poincare")}
-    for p in cfg.p_grid:
-        estimates[("beckner", p)] = ct.estimate_constant(L, "beckner", p=p, opts=opts)
-    estimates[("mlsi",)] = ct.estimate_constant(L, "mlsi", opts=opts)
-    estimates[("lsi",)] = ct.estimate_constant(L, "lsi", opts=opts)
-    for q in cfg.q_grid:
-        estimates[("dual_beckner", q)] = ct.estimate_constant(
-            L, "dual_beckner", q=q, opts=opts)
+    specs = [("poincare", None)] + [("beckner", p) for p in cfg.p_grid] \
+        + [("mlsi", None), ("lsi", None)] + [("dual_beckner", q) for q in cfg.q_grid]
+    estimates = {(kind,) if param is None else (kind, param): est for (kind, param), est
+                 in zip(specs, ct.estimate_constants(L, specs, _estimate_opts(cfg)))}
     ledger = ct.bound_ledger(estimates, L.sigma_min, cfg.p_grid)
     rows = []
     for key, est in estimates.items():
@@ -83,7 +78,7 @@ def run_constants(cfg: ExperimentConfig, L: DbcLindbladian) -> Outcome:
             "num_starts": est.num_starts,
             "residual": est.best_residual,
         })
-    names = {k: f"{k[0]}" + (f"[{k[1]}]" if len(k) > 1 else "") for k in estimates}
+    names = {k: ct.spec_name(est.kind, est.param) for k, est in estimates.items()}
     return {
         "rows": rows,
         "ledger": ledger.entries,
@@ -190,11 +185,14 @@ def run_ricci(cfg: ExperimentConfig, L: DbcLindbladian) -> Outcome:
             violated = violated or any(
                 e["slack"] < -tol * max(abs(e["lhs"]), abs(e["rhs"]))
                 for rows in checks.values() for e in rows)
-            alpha = ct.estimate_constant(L, "beckner", p=p, opts=_estimate_opts(cfg))
-            entry["beckner_vs_curvature"] = {
-                "alpha_estimate": alpha.value, "kappa_p_over_2": est.kappa * p / 2.0}
+            entry["beckner_vs_curvature"] = {"kappa_p_over_2": est.kappa * p / 2.0}
         out[str(p)] = entry
         diagnostics[str(p)] = {"cond_G": est.cond_G, "multiplicity": est.multiplicity}
+    # the Beckner constants of every p with kappa > 0, in one stacked descent
+    curved = [p for p in ps if "beckner_vs_curvature" in out[str(p)]]
+    alphas = ct.estimate_constants(L, [("beckner", p) for p in curved], _estimate_opts(cfg))
+    for p, alpha in zip(curved, alphas):
+        out[str(p)]["beckner_vs_curvature"]["alpha_estimate"] = alpha.value
     return out, diagnostics, ["ricci.inequalities"] if violated else []
 
 

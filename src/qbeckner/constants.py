@@ -21,7 +21,7 @@ from .errors import (
     NotSymmetric,
     OptimizerDiverged,
 )
-from .kernels import Kernel2, divided_difference, log_kernel, power_kernel
+from .kernels import divided_difference, log_kernel, power_kernel
 from .linalg import minimize
 from .semigroup import DbcLindbladian
 
@@ -46,8 +46,9 @@ class EstimateDiagnostics:
     accepted steps, objective evaluations, stop reason (linalg.STOPS) and
     the start's final ratio. A start that reads "agreed" was cut while still
     running, at the call given by its evaluations, because enough other
-    starts had settled on the lowest ratio (linalg.minimize); its ratio is
-    that of the point it held then. Nothing here depends on wall-clock time,
+    starts of the same estimate had settled on its lowest ratio
+    (linalg.minimize, one group per estimate); its ratio is that of the
+    point it held then. Nothing here depends on wall-clock time,
     so reports stay reproducible."""
 
     iterations: Tuple[int, ...]
@@ -73,22 +74,38 @@ def _tr(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return np.real(np.einsum("...ij,...ji->...", A, B))
 
 
-def _ratio_and_grad(L: DbcLindbladian, kind: str, param: Optional[float]) -> Callable:
-    """Rayleigh ratio whose infimum over the feasible cone is the constant,
-    with its gradient: X -> (R(X), G), dR = Re tr(G dX). With E_p the
-    p-Dirichlet form (dirichlet.dirichlet_form) and the sigma-weighted
-    norm, entropy and q-variance of entropy.py, R(X) is
+KINDS = ("beckner", "mlsi", "lsi", "dual_beckner")
+POWER_KINDS = ("beckner", "dual_beckner")
+UNIT_MEAN = ("beckner", "mlsi")  # the kinds whose witnesses have tr(sigma X) = 1
+
+Spec = Tuple[str, Optional[float]]  # kind, with p for beckner, q for dual_beckner
+
+
+def spec_name(kind: str, param: Optional[float]) -> str:
+    """The report name of an estimate: its kind, then [p] or [q] if it has one."""
+    return kind if param is None else f"{kind}[{param}]"
+
+
+def _ratio_and_grad(L: DbcLindbladian, specs: Sequence[Spec]) -> Callable:
+    """Rayleigh ratios whose infima over the feasible cone are the constants
+    of specs, with their gradients: (X, rows) -> (R(X), G), dR = Re tr(G dX),
+    where rows holds the index into specs of each matrix of X. With E_p the
+    p-Dirichlet form (dirichlet.dirichlet_form) and the sigma-weighted norm,
+    entropy and q-variance of entropy.py, R(X) is
 
     - beckner:      (p - 1) E_p(X) / (||X||_{p,sigma}^p - 1), on tr(sigma X) = 1;
     - mlsi:         E_1(X) / Ent_{1,sigma}(X), on tr(sigma X) = 1;
     - lsi:          E_2(X) / Ent_{2,sigma}(X), on ||X||_{2,sigma} = 1;
     - dual_beckner: (2 - q) E_2(X) / Var_{q,sigma}(X), on ||X||_{2,sigma} = 1.
 
-    X is one matrix (d, d), giving a float and (d, d), or a stack (S, d, d),
-    giving (S,) and (S, d, d); a single matrix is a stack of one. Each kind
-    reads its spectral terms off one (batched) eigendecomposition of the
-    sandwich A = sigma^(1/2p) X sigma^(1/2p) (dual_beckner's 2-norm part
-    needs only the Frobenius norm of A_2). Gradients of trace
+    X is one matrix (d, d), giving a float and (d, d), or a stack (R, d, d),
+    giving (R,) and (R, d, d); a single matrix is a stack of one, and rows
+    defaults to spec 0 throughout. Rows of all specs share one batched
+    eigendecomposition of A = sigma^(1/2r) X sigma^(1/2r) (r = p, q, 1 for
+    mlsi, 2 for lsi), one L(X) and one dual-generator product; only each
+    kind's tail runs on its own rows, and each power a^e takes its exponent
+    as a scalar, once per distinct exponent, so that a row's value and
+    gradient do not depend on the rows beside it. Gradients of trace
     functions tr f(A) are first order, f'(A); the Dirichlet forms
     tr(f(A) B), with B the sandwiched L(X), add the Daleckii-Krein term
     D f(A)[B] (Bhatia, Matrix Analysis, ch. V) and the dual generator
@@ -98,118 +115,116 @@ def _ratio_and_grad(L: DbcLindbladian, kind: str, param: Optional[float]) -> Cal
     w, U = L.sigma_eig
     log_sigma = (U * np.log(w)) @ U.conj().T
     dag = la.dagger
+    half, quarter = L.sigma_power(0.5), L.sigma_power(0.25)
+    sls = L.sigma @ log_sigma  # S log(sigma) S for S = half, as S commutes with sigma
 
-    def form_grad(T: np.ndarray, Th: np.ndarray, a: np.ndarray, Bt: np.ndarray,
-                  SFS: np.ndarray, dd: Kernel2) -> np.ndarray:
-        """Gradient of tr(F B) in X for F = f(A) + C, C constant, given the
-        divided difference dd of f, the spectrum (a, V) of A = S X S,
-        T = S V, Th = T†, Bt = V† B V and SFS = S F S."""
-        return T @ (dd.f(a[:, :, None], a[:, None, :]) * Bt) @ Th + L.apply_dual(SFS)
-
-    half = L.sigma_power(0.5)
-
-    def e2_and_grad(X: np.ndarray):
-        """E_2(X) = -tr(sigma^(1/2) X sigma^(1/2) L(X)), a bilinear form."""
-        LX = L.apply(X)
-        A = half @ X @ half
-        return -_tr(A, LX), -(half @ LX @ half + L.apply_dual(A))
+    code = np.array([KINDS.index(kind) for kind, _ in specs])
+    sandwiches = np.array([half if kind == "mlsi" else quarter if kind == "lsi"
+                           else L.sigma_power(1.0 / (2.0 * float(r))) for kind, r in specs])
+    param = np.array([np.nan if r is None else float(r) for _, r in specs])
+    # f(a) on the spectrum of A: a^(r - 1) for the power kinds, log a else
+    exps = sorted({float(r) - 1.0 for kind, r in specs if kind in POWER_KINDS})
+    exp_of = np.array([exps.index(float(r) - 1.0) if kind in POWER_KINDS else -1
+                       for kind, r in specs])
+    dds = [divided_difference(power_kernel(e)) for e in exps]
+    dd_log = divided_difference(log_kernel())
+    qs = sorted({float(r) for kind, r in specs if kind == "dual_beckner"})
 
     def ratio(num, g_num, den, g_den):
         """(num / den, its gradient), with (BIG, 0) on the ridge."""
         ridge = den <= RIDGE_FLOOR
-        if ridge.any():
+        if np.count_nonzero(ridge):
             den = np.where(ridge, 1.0, den)
         R = num / den
         G = (g_num - R[:, None, None] * g_den) / den[:, None, None]
-        if ridge.any():
+        if np.count_nonzero(ridge):
             return np.where(ridge, BIG, R), np.where(ridge[:, None, None], 0.0, G)
         return R, G
 
-    if kind == "beckner":
-        p = float(param)
-        S = L.sigma_power(1.0 / (2.0 * p))
-        dd = divided_difference(power_kernel(p - 1.0))
-
-        def fused(X: np.ndarray):
-            a, V = la.herm_eigh(S @ X @ S, check=False)
-            a = np.abs(a)
-            ap = a ** (p - 1.0)
-            T = S @ V
-            Th = dag(T)
-            Bt = Th @ L.apply(X) @ T
-            SFS = (T * ap[:, None, :]) @ Th
-            num = np.sum(ap * np.real(np.diagonal(Bt, axis1=1, axis2=2)), axis=1)
-            g_num = form_grad(T, Th, a, Bt, SFS, dd)
+    def fused(X: np.ndarray, rows: np.ndarray):
+        kinds, r, ex = code[rows], param[rows], exp_of[rows]
+        beck, mlsi, lsi, dual = (kinds == i for i in range(len(KINDS)))
+        has_beck, has_mlsi, has_lsi, _ = np.bincount(kinds, minlength=len(KINDS)).tolist()
+        power, form = beck | dual, beck | mlsi
+        log, e2 = ~power, ~form
+        S = sandwiches[rows]
+        a, V = la.herm_eigh(S @ X @ S, check=False)
+        a = np.where(power[:, None], np.abs(a), np.maximum(a, 1e-300))
+        f = np.empty_like(a)
+        f[log] = np.log(a[log])
+        DF = np.zeros(X.shape)  # the divided difference of f, where a form needs it
+        for i, e in enumerate(exps):
+            at = ex == i
+            if np.count_nonzero(at):
+                f[at] = a[at] ** e
+                at &= beck
+                if np.count_nonzero(at):
+                    DF[at] = dds[i].f(a[at][:, :, None], a[at][:, None, :])
+        if has_mlsi:
+            DF[mlsi] = dd_log.f(a[mlsi][:, :, None], a[mlsi][:, None, :])
+        T = S @ V
+        Th = dag(T)
+        LX = L.apply(X)
+        Bt = Th @ LX @ T
+        F = (T * f[:, None, :]) @ Th  # S f(A) S
+        H = half @ X @ half
+        # what the dual generator acts on: S f(A) S (less S log(sigma) S for
+        # mlsi) in the forms tr(f(A) B), the sandwiched X in E_2
+        M = np.where(form[:, None, None], F, H)
+        M[mlsi] -= sls
+        LM = L.apply_dual(M)
+        diag = np.real(np.diagonal(Bt, axis1=1, axis2=2))
+        num, den = np.empty(len(X)), np.empty(len(X))
+        g_num, g_den = np.empty(X.shape, complex), np.empty(X.shape, complex)
+        g_num[form] = T[form] @ (DF[form] * Bt[form]) @ Th[form] + LM[form]
+        # E_2(X) = -tr(sigma^(1/2) X sigma^(1/2) L(X)), a bilinear form
+        num[e2] = -_tr(H[e2], LX[e2])
+        g_num[e2] = -(half @ LX[e2] @ half + LM[e2])
+        if has_beck:
+            p, ap = r[beck], f[beck]
             c = -p * p / 4.0
-            return ratio(c * num, c * g_num, np.sum(ap * a, axis=1) - 1.0, p * SFS)
-
-    elif kind == "mlsi":
-        S = half
-        dd = divided_difference(log_kernel())
-        # S log(sigma) S, as S commutes with sigma
-        sls = L.sigma @ log_sigma
-
-        def fused(X: np.ndarray):
-            a, V = la.herm_eigh(S @ X @ S, check=False)
-            a = np.maximum(a, 1e-300)
-            log_a = np.log(a)
-            T = S @ V
-            Th = dag(T)
-            LX = L.apply(X)
-            Bt = Th @ LX @ T
-            N = np.sum(a, axis=1)
+            num[beck] = c * np.sum(ap * diag[beck], axis=1)
+            g_num[beck] *= c[:, None, None]
+            den[beck] = np.sum(ap * a[beck], axis=1) - 1.0
+            g_den[beck] = p[:, None, None] * F[beck]
+        if has_mlsi:
+            am, log_a = a[mlsi], f[mlsi]
+            N = np.sum(am, axis=1)
             logN = np.log(N)
             # with W = log A - log sigma: tr(A W) and tr(S L(X) S W)
-            den = np.sum(a * log_a, axis=1) - _tr(X, sls) - N * logN
-            num = np.sum(log_a * np.real(np.diagonal(Bt, axis1=1, axis2=2)), axis=1) \
-                - _tr(LX, sls)
-            SWS = (T * log_a[:, None, :]) @ Th - sls
-            g_num = form_grad(T, Th, a, Bt, SWS, dd)
-            return ratio(-0.25 * num, -0.25 * g_num, den, SWS - logN[:, None, None] * L.sigma)
-
-    elif kind == "lsi":
-        S = L.sigma_power(0.25)
-
-        def fused(X: np.ndarray):
-            a, V = la.herm_eigh(S @ X @ S, check=False)
-            a = np.maximum(a, 1e-300)
-            alog = a * np.log(a)
-            Vh = dag(V)
-            A = (V * a[:, None, :]) @ Vh
+            den[mlsi] = np.sum(am * log_a, axis=1) - _tr(X[mlsi], sls) - N * logN
+            num[mlsi] = -0.25 * (np.sum(log_a * diag[mlsi], axis=1) - _tr(LX[mlsi], sls))
+            g_num[mlsi] *= -0.25
+            g_den[mlsi] = M[mlsi] - logN[:, None, None] * L.sigma
+        if has_lsi:
+            al = a[lsi]
+            alog = al * f[lsi]
+            Vl = V[lsi]
+            Vh = dag(Vl)
+            A = (Vl * al[:, None, :]) @ Vh
             AL = A @ log_sigma
-            N = np.sum(a * a, axis=1)
+            N = np.sum(al * al, axis=1)
             logN = np.log(N)
             # Ent_2 = tr(A^2 (log A^2 - log sigma)) - N log N, N = tr A^2
-            den = 2.0 * np.sum(a * alog, axis=1) - _tr(A, AL) - N * logN
-            num, g_num = e2_and_grad(X)
-            g_den = S @ (4.0 * (V * alog[:, None, :]) @ Vh - AL - dag(AL)
-                         - (2.0 * logN)[:, None, None] * A) @ S
-            return ratio(num, g_num, den, g_den)
+            den[lsi] = 2.0 * np.sum(al * alog, axis=1) - _tr(A, AL) - N * logN
+            g_den[lsi] = quarter @ (4.0 * (Vl * alog[:, None, :]) @ Vh - AL - dag(AL)
+                                    - (2.0 * logN)[:, None, None] * A) @ quarter
+        for q in qs:
+            at = dual & (r == q)
+            if np.count_nonzero(at):
+                A2 = quarter @ X[at] @ quarter
+                Mq = np.sum(f[at] * a[at], axis=1)
+                # Var_q = tr(A_2^2) - (tr A_q^q)^(2/q)
+                den[at] = np.sum(np.abs(A2) ** 2, axis=(1, 2)) - Mq ** (2.0 / q)
+                num[at] *= 2.0 - q
+                g_num[at] *= 2.0 - q
+                g_den[at] = 2.0 * (quarter @ A2 @ quarter) - (
+                    2.0 * Mq ** (2.0 / q - 1.0))[:, None, None] * F[at]
+        return ratio(num, g_num, den, g_den)
 
-    elif kind == "dual_beckner":
-        q = float(param)
-        S2 = L.sigma_power(0.25)
-        Sq = L.sigma_power(1.0 / (2.0 * q))
-
-        def fused(X: np.ndarray):
-            A2 = S2 @ X @ S2
-            a, V = la.herm_eigh(Sq @ X @ Sq, check=False)
-            a = np.abs(a)
-            aq = a ** (q - 1.0)
-            Mq = np.sum(aq * a, axis=1)
-            # Var_q = tr(A_2^2) - (tr A_q^q)^(2/q)
-            den = np.sum(np.abs(A2) ** 2, axis=(1, 2)) - Mq ** (2.0 / q)
-            e2, g_e2 = e2_and_grad(X)
-            T = Sq @ V
-            g_den = 2.0 * (S2 @ A2 @ S2) - (2.0 * Mq ** (2.0 / q - 1.0))[:, None, None] * (
-                (T * aq[:, None, :]) @ dag(T))
-            return ratio((2.0 - q) * e2, (2.0 - q) * g_e2, den, g_den)
-
-    else:
-        raise ValueError(f"no ratio for kind {kind!r}")
-
-    def evaluate(X: np.ndarray):
-        R, G = fused(np.reshape(X, (-1, L.d, L.d)))
+    def evaluate(X: np.ndarray, rows=None):
+        Xs = np.reshape(X, (-1, L.d, L.d))
+        R, G = fused(Xs, np.zeros(len(Xs), dtype=int) if rows is None else np.asarray(rows))
         return (float(R[0]), G[0]) if np.ndim(X) == 2 else (R, G)
 
     return evaluate
@@ -227,20 +242,18 @@ def _pack(Y: np.ndarray) -> np.ndarray:
     return Y.reshape(Y.shape[:-2] + (-1,)).view(float)
 
 
-def _normalize(L: DbcLindbladian, kind: str, Y: np.ndarray):
+def _normalize(L: DbcLindbladian, mean: np.ndarray, Y: np.ndarray):
     """Feasible-cone witnesses X = Y†Y / m of a stack of unconstrained
     matrices Y (S, d, d), with the scale m (S,) and the Hermitian D,
-    dm = Re tr(D d(Y†Y)): m is the sigma-mean tr(sigma Y†Y) for the kinds
-    on the unit-mean slice, the 2-norm ||Y†Y||_{2,sigma} for the others. A
-    zero Y maps to the identity (m = 1), which lies on the ridge."""
+    dm = Re tr(D d(Y†Y)): m is the sigma-mean tr(sigma Y†Y) where mean (S,)
+    holds, for the kinds on the unit-mean slice, the 2-norm ||Y†Y||_{2,sigma}
+    elsewhere. A zero Y maps to the identity (m = 1), which lies on the ridge."""
     X0 = la.dagger(Y) @ Y
-    if kind in ("beckner", "mlsi"):
-        m, D = _tr(L.sigma, X0), L.sigma
-    else:
-        half = L.sigma_power(0.5)
-        K = half @ X0 @ half
-        m = np.sqrt(np.maximum(_tr(K, X0), 0.0))
-        D = K / np.maximum(m, 1e-300)[:, None, None]
+    half = L.sigma_power(0.5)
+    K = half @ X0 @ half
+    m = np.where(mean, _tr(L.sigma, X0), np.sqrt(np.maximum(_tr(K, X0), 0.0)))
+    D = np.where(np.asarray(mean)[..., None, None], L.sigma,
+                 K / np.maximum(m, 1e-300)[:, None, None])
     zero = m <= 1e-300
     if zero.any():
         m = np.where(zero, 1.0, m)
@@ -248,33 +261,38 @@ def _normalize(L: DbcLindbladian, kind: str, Y: np.ndarray):
     return X0 / m[:, None, None], m, D
 
 
-def _objective(L: DbcLindbladian, kind: str, param: Optional[float]) -> Callable:
-    """y -> (ratio, gradient in y) over the real parameterization
-    Y = unpack(y), X = Y†Y / m of :func:`_normalize`.
+def _objective(L: DbcLindbladian, specs: Sequence[Spec]) -> Callable:
+    """(y, rows) -> (ratio, gradient in y) over the real parameterization
+    Y = unpack(y), X = Y†Y / m of :func:`_normalize`, each row for the spec
+    of specs that rows gives (spec 0 throughout by default).
 
     y is one point (2d^2,), giving a float and (2d^2,), or a stack
     (S, 2d^2), giving (S,) and (S, 2d^2), from one batched evaluation."""
-    fused = _ratio_and_grad(L, kind, param)
+    fused = _ratio_and_grad(L, specs)
+    mean = np.array([kind in UNIT_MEAN for kind, _ in specs])
     d = L.d
 
-    def objective(y: np.ndarray):
+    def objective(y: np.ndarray, rows=None):
         Y = _unpack(np.reshape(y, (-1, 2 * d * d)), d)
-        X, m, D = _normalize(L, kind, Y)
-        val, G = fused(X)
+        rows = np.zeros(len(Y), dtype=int) if rows is None else np.asarray(rows)
+        X, m, D = _normalize(L, mean[rows], Y)
+        val, G = fused(X, rows)
         # dX = (dX0 - X dm) / m, and dX0 = dY† Y + Y† dY
         G = la.herm(G - _tr(G, X)[:, None, None] * D) / m[:, None, None]
         grad = 2.0 * _pack(Y @ G)
         if not (np.isfinite(val).all() and np.isfinite(grad).all()):
+            bad = ~(np.isfinite(val) & np.isfinite(grad).all(axis=1))
+            kind = specs[rows[np.argmax(bad)]][0]
             raise OptimizerDiverged(f"non-finite ratio or gradient for kind {kind}")
         return (float(val[0]), grad[0]) if np.ndim(y) == 1 else (val, grad)
 
     return objective
 
 
-def _seed_starts(L: DbcLindbladian, kind: str, num_starts: int,
-                 seed: int) -> List[np.ndarray]:
-    """Unconstrained start matrices: random, plus near-identity directions
-    along the spectral-gap eigenvector (the linearization regime)."""
+def _seed_starts(L: DbcLindbladian, num_starts: int, seed: int) -> List[np.ndarray]:
+    """Unconstrained start matrices, the same for every kind: random, plus
+    near-identity directions along the spectral-gap eigenvector (the
+    linearization regime)."""
     d = L.d
     starts = [np.eye(d) + 0.5 * eps * L.gap_eigenvector for eps in (3e-2, 3e-3)]
     children = np.random.SeedSequence(seed).spawn(max(num_starts - len(starts), 0))
@@ -285,70 +303,95 @@ def _seed_starts(L: DbcLindbladian, kind: str, num_starts: int,
     return starts[:max(num_starts, 1)]
 
 
+def estimate_constants(L: DbcLindbladian, specs: Sequence[Spec],
+                       opts: EstimateOpts = EstimateOpts()) -> List[ConstantEstimate]:
+    """Estimate functional-inequality constants of a primitive generator: one
+    ConstantEstimate per spec (kind, p or q or None), in the order of specs.
+
+    kind 'poincare' is read off the spectrum exactly. The others minimize
+    their defining ratio over the unconstrained parameterization
+    X = Y†Y / tr(sigma Y†Y) (or / ||Y†Y||_{2,sigma} for lsi and dual_beckner),
+    and report min(best ratio, analytic cap); the cap is the linearization
+    value on the unreachable X -> 1 ridge. One batched call first self-tests
+    every analytic gradient against central differences and raises
+    GradientCheckFailed on the first spec that fails. Then the
+    opts.num_starts starts of each spec form one group of a single
+    linalg.minimize call (the batched BFGS the transport solver also uses)
+    through one stacked evaluator; a group's running starts stop once
+    enough of its stopped ones agree on its lowest ratio. Each start's path
+    is its own, so every estimate is the one it would be alone, and the
+    starts of a group are reduced by a minimum, so it does not depend on
+    their order. beckner needs p in (1, 2] and dual_beckner q in [1, 2), the
+    ranges of the config's p_grid and q_grid; anything else raises
+    ValueError.
+    """
+    for kind, param in specs:
+        if kind == "beckner" and (param is None or not 1.0 < param <= 2.0):
+            raise ValueError(f"beckner needs p in (1, 2], got {param}")
+        if kind == "dual_beckner" and (param is None or not 1.0 <= param < 2.0):
+            raise ValueError(f"dual_beckner needs q in [1, 2), got {param}")
+        if kind != "poincare" and kind not in KINDS:
+            raise ValueError(f"no ratio for kind {kind!r}")
+    if not specs:
+        return []
+    lam = L.require_primitive().spectral_gap
+    todo = [(kind, param) for kind, param in specs if kind != "poincare"]
+    if todo:
+        d, K = L.d, len(todo)
+        objective = _objective(L, todo)
+        rng = np.random.default_rng(opts.seed)
+        check_at = np.eye(d) + 0.5 * (rng.standard_normal((d, d))
+                                      + 1j * rng.standard_normal((d, d)))
+        checks = np.repeat(np.arange(K), 7)  # check_gradient's seven points per spec
+        la.check_gradient(lambda y: objective(y, checks), np.tile(_pack(check_at), (K, 1)),
+                          [spec_name(kind, param) for kind, param in todo])
+        starts = _pack(np.array(_seed_starts(L, opts.num_starts, opts.seed)))
+        groups = np.repeat(np.arange(K), len(starts))
+        res = minimize(objective, np.tile(starts, (K, 1)), groups=groups)
+    out, k = [], 0
+    for kind, param in specs:
+        if kind == "poincare":
+            out.append(ConstantEstimate("poincare", None, lam, L.gap_eigenvector,
+                                        0, 0.0, False))
+            continue
+        at = np.flatnonzero(groups == k)
+        k += 1
+        fun = res.fun[at]
+        # each start's ratio is the value the optimizer holds at its end
+        # point; the first of the smallest wins
+        best = int(np.argmin(fun))
+        best_val = float(fun[best])
+        if not np.isfinite(best_val):
+            raise OptimizerDiverged("all starts diverged")
+        if kind == "beckner":
+            cap = float(param) * lam / 2.0
+        elif kind in ("mlsi", "lsi"):
+            cap = lam / 2.0
+        else:
+            cap = np.inf
+        capped = best_val > cap
+        ranked = np.sort(fun)
+        residual = 0.0
+        if len(ranked) > 1:
+            residual = float(abs(ranked[1] - best_val) / max(best_val, 1e-300))
+        diagnostics = EstimateDiagnostics(
+            tuple(int(i) for i in res.iterations[at]),
+            tuple(int(e) for e in res.evaluations[at]),
+            tuple(res.stops[i] for i in at), tuple(float(v) for v in fun))
+        witness = None if capped else _normalize(L, kind in UNIT_MEAN,
+                                                 _unpack(res.x[at[best]], L.d)[None])[0][0]
+        out.append(ConstantEstimate(kind, param, float(min(best_val, cap)), witness,
+                                    len(fun), residual, bool(capped), diagnostics))
+    return out
+
+
 def estimate_constant(L: DbcLindbladian, kind: str, p: float | None = None,
                       q: float | None = None,
                       opts: EstimateOpts = EstimateOpts()) -> ConstantEstimate:
-    """Estimate a functional-inequality constant of a primitive generator.
-
-    kind 'poincare' is read off the spectrum exactly. The others minimize
-    their defining ratio with multi-start quasi-Newton descent on its
-    analytic gradient, self-tested once per estimate against central
-    differences, over the unconstrained parameterization
-    X = Y†Y / tr(sigma Y†Y) (or / ||Y†Y||_{2,sigma} for lsi and dual_beckner),
-    and report min(best ratio, analytic cap); the cap is the linearization
-    value on the unreachable X -> 1 ridge. All starts descend together in
-    one call of the shared batched BFGS (linalg.minimize, also used by the
-    transport solver), which stops the running starts once enough stopped
-    ones agree on the lowest ratio. Each start's path is its own, the cut
-    depends on the set of starts only, and the starts are reduced by a
-    minimum, so the result does not depend on their order.
-    beckner needs p in (1, 2] and dual_beckner q in [1, 2), the ranges of
-    the config's p_grid and q_grid; anything else raises ValueError.
-    """
-    if kind == "beckner" and (p is None or not 1.0 < p <= 2.0):
-        raise ValueError(f"beckner needs p in (1, 2], got {p}")
-    if kind == "dual_beckner" and (q is None or not 1.0 <= q < 2.0):
-        raise ValueError(f"dual_beckner needs q in [1, 2), got {q}")
-    rep = L.require_primitive()
-    lam = rep.spectral_gap
-    if kind == "poincare":
-        return ConstantEstimate("poincare", None, lam, L.gap_eigenvector,
-                                0, 0.0, False)
+    """estimate_constants on the one spec (kind, p for beckner, q for
+    dual_beckner, None else)."""
     param = p if kind == "beckner" else (q if kind == "dual_beckner" else None)
-    objective = _objective(L, kind, param)
-    d = L.d
-    rng = np.random.default_rng(opts.seed)
-    check_at = np.eye(d) + 0.5 * (rng.standard_normal((d, d))
-                                  + 1j * rng.standard_normal((d, d)))
-    la.check_gradient(objective, _pack(check_at), kind)
-
-    starts = _pack(np.array(_seed_starts(L, kind, opts.num_starts, opts.seed)))
-    res = minimize(objective, starts)
-    # each start's ratio is the value the optimizer holds at its end point;
-    # the first of the smallest wins
-    best = int(np.argmin(res.fun))
-    best_val = float(res.fun[best])
-    if not np.isfinite(best_val):
-        raise OptimizerDiverged("all starts diverged")
-
-    if kind == "beckner":
-        cap = float(param) * lam / 2.0
-    elif kind in ("mlsi", "lsi"):
-        cap = lam / 2.0
-    else:
-        cap = np.inf
-    capped = best_val > cap
-    value = min(best_val, cap)
-    ranked = np.sort(res.fun)
-    residual = 0.0
-    if len(ranked) > 1:
-        residual = float(abs(ranked[1] - best_val) / max(best_val, 1e-300))
-    witness = None if capped else _normalize(L, kind, _unpack(res.x[best:best + 1], d))[0][0]
-    diagnostics = EstimateDiagnostics(
-        tuple(int(i) for i in res.iterations), tuple(int(e) for e in res.evaluations),
-        res.stops, tuple(float(v) for v in res.fun))
-    return ConstantEstimate(kind, param, float(value), witness,
-                            len(res.fun), residual, bool(capped), diagnostics)
+    return estimate_constants(L, [(kind, param)], opts)[0]
 
 
 # ---------------------------------------------------------------------------

@@ -279,25 +279,31 @@ def traceless_part(A: np.ndarray) -> np.ndarray:
     return A - (np.trace(A) / d) * np.eye(d)
 
 
-def check_gradient(fun_and_grad: Callable, x: np.ndarray, what: str) -> float:
+def check_gradient(fun_and_grad: Callable, x: np.ndarray, what) -> float:
     """Compare an analytic gradient with central differences along three
     seeded random unit directions; raise GradientCheckFailed on a relative
     disagreement above 1e-4, else return the largest relative disagreement.
+    x is one point (n,) named what, or K points (K, n) named by the sequence
+    what, checked in order, so that the first failing one is named.
     fun_and_grad maps a stack (k, n) to values (k,) and gradients (k, n), as
-    in minimize; it is called once, on the (7, n) stack [x, x + eps v, x - eps v, ...]."""
+    in minimize; it is called once, on the (7K, n) stack that holds
+    [x, x + eps v, x - eps v, ...] for each point in turn."""
     rng = np.random.default_rng(0)
-    eps = 1e-6 * max(1.0, float(np.linalg.norm(x)))
-    vs = [v / np.linalg.norm(v) for v in rng.standard_normal((3, x.size))]
-    f, g = fun_and_grad(np.array([x] + [x + s * eps * v for v in vs for s in (1.0, -1.0)]))
+    xs, names = (x[None], [what]) if np.ndim(x) == 1 else (x, what)
+    vs = [v / np.linalg.norm(v) for v in rng.standard_normal((3, xs.shape[1]))]
+    epss = [1e-6 * max(1.0, float(np.linalg.norm(y))) for y in xs]
+    f, g = fun_and_grad(np.array([z for y, eps in zip(xs, epss) for z in
+                                  [y] + [y + s * eps * v for v in vs for s in (1.0, -1.0)]]))
     worst = 0.0
-    for i, v in enumerate(vs):
-        fd = float(f[2 * i + 1] - f[2 * i + 2]) / (2.0 * eps)
-        an = float(g[0] @ v)
-        scale = max(1.0, abs(fd), abs(an))
-        if abs(fd - an) > 1e-4 * scale:
-            raise GradientCheckFailed(
-                f"{what} gradient self-test failed: fd={fd:.6e} an={an:.6e}")
-        worst = max(worst, abs(fd - an) / scale)
+    for k, (name, eps) in enumerate(zip(names, epss)):
+        for i, v in enumerate(vs):
+            fd = float(f[7 * k + 2 * i + 1] - f[7 * k + 2 * i + 2]) / (2.0 * eps)
+            an = float(g[7 * k] @ v)
+            scale = max(1.0, abs(fd), abs(an))
+            if abs(fd - an) > 1e-4 * scale:
+                raise GradientCheckFailed(
+                    f"{name} gradient self-test failed: fd={fd:.6e} an={an:.6e}")
+            worst = max(worst, abs(fd - an) / scale)
     return worst
 
 
@@ -315,8 +321,8 @@ GTOL = 1e-12
 # far out and takes 126 steps, not 46.
 MAX_STEP = 1.0
 # Relative gap within which a start that stopped on ftol or gtol agrees with
-# the lowest value any start holds; minimize() cuts the running starts once
-# max(2, ceil(S / 4)) of the S starts agree.
+# the lowest value any start of its group holds; minimize() cuts the group's
+# running starts once max(2, ceil(S_g / 4)) of its S_g starts agree.
 AGREE_RTOL = 1e-9
 # minimize() stop codes and the reasons they stand for; "agreed" marks a
 # start that was still running when enough others had stopped and agreed
@@ -341,12 +347,15 @@ class MinimizeResult:
 
 
 def minimize(fun: Callable, x0: np.ndarray, max_iters: int = 2000,
-             ftol: float = 1e-8) -> MinimizeResult:
+             ftol: float = 1e-8, groups: np.ndarray | None = None) -> MinimizeResult:
     """Dense BFGS on a stack of starts x0 (S, n), each start with its own
     inverse Hessian (Nocedal & Wright, Numerical Optimization, 2nd ed.,
     ch. 3 and 6).
 
-    fun maps a stack (k, n) to values (k,) and gradients (k, n). Each call
+    fun maps a stack (k, n) to values (k,) and gradients (k, n). groups
+    (S,), if given, labels each start with the problem it belongs to; fun
+    then takes the labels of the stack's rows as a second argument,
+    fun(x, labels), and the agreement cut below runs per group. Each call
     evaluates one trial point for every running start, whatever stage of
     its own line search that start is in, so a start that backtracks costs
     no extra call. A start steps along -H g and backtracks (safeguarded
@@ -360,19 +369,32 @@ def minimize(fun: Callable, x0: np.ndarray, max_iters: int = 2000,
     row fail. A stopped start keeps its point while the others go on, and no
     start's path depends on the others.
 
-    After each call, with k = max(2, ceil(S / 4)) and best the lowest value
-    any start holds (stopped or running), once k starts have stopped on
-    ftol or gtol at a value within AGREE_RTOL * |best| of best, every
-    running start stops ("agreed") at its current point and value. Line
-    search and max_iters stops do not count. Every returned value is still
-    the objective at the returned point, and whether the cut happens
-    depends on the set of starts, not on their order; with S <= 2 it needs
-    every start stopped, so it never happens.
+    After each call, for each group of S_g starts (all S starts are one
+    group by default), with k = max(2, ceil(S_g / 4)) and best the lowest
+    value any start of the group holds (stopped or running), once k of its
+    starts have stopped on ftol or gtol at a value within
+    AGREE_RTOL * |best| of best, every running start of the group stops
+    ("agreed") at its current point and value. Line search and max_iters
+    stops do not count. Every returned value is still the objective at the
+    returned point, and whether the cut happens depends on the group's set
+    of starts, not on their order or on the other groups; with S_g <= 2 it
+    needs every start of the group stopped, so it never happens. So when fun
+    evaluates each row on its own, every start ends, after the same steps
+    and evaluations, where it would in a call on its group alone.
     """
     x = np.array(x0, dtype=float)
     S, n = x.shape
-    quorum = max(2, -(-S // 4))
-    f, g = fun(x)
+    groups = None if groups is None else np.asarray(groups)
+    label = np.zeros(S, dtype=int) if groups is None else np.unique(
+        groups, return_inverse=True)[1].ravel()
+    sizes = np.bincount(label)
+    quorum = np.maximum(2, -(-sizes // 4))
+    cuttable = bool((sizes > quorum).any())  # else no group has a start to cut
+
+    def call(z, rows):
+        return fun(z) if groups is None else fun(z, groups[rows])
+
+    f, g = call(x, np.arange(S))
     nfev = 1
     out_x, out_f = x.copy(), f.copy()
     out_iters, out_evals = np.zeros(S, dtype=int), np.ones(S, dtype=int)
@@ -399,17 +421,41 @@ def minimize(fun: Callable, x0: np.ndarray, max_iters: int = 2000,
         cap = MAX_STEP * np.maximum(np.sqrt((x * x).sum(axis=1)), 1.0) / norm
         return H, d, slope, np.minimum(alpha, cap)
 
+    def agreed(stop):
+        """Which starts of the stack (their stop codes in stop, the last step's
+        stops included) are in a group that agrees; None if no group can."""
+        codes = out_stop.copy()
+        codes[ids] = stop
+        settled = (codes == _FTOL) | (codes == _GTOL)
+        ready = (np.bincount(label[settled], minlength=quorum.size) >= quorum)[label[ids]]
+        if not ready.any():
+            return None
+        held = out_f.copy()
+        held[ids] = f
+        best = np.full(quorum.size, np.inf)
+        np.minimum.at(best, label, held)
+        best = best[label]
+        agree = settled & (held <= best + AGREE_RTOL * np.abs(best))
+        return (np.bincount(label[agree], minlength=quorum.size) >= quorum)[label[ids]]
+
     H, step, slope, alpha = directions(H, g, x, True)
-    while ids.size:
-        settled = (out_stop == _FTOL) | (out_stop == _GTOL)
-        if settled.sum() >= quorum:
-            best = min(f.min(), out_f[out_stop != _RUNNING].min())
-            if (out_f[settled] <= best + AGREE_RTOL * abs(best)).sum() >= quorum:
-                out_x[ids], out_f[ids], out_stop[ids] = x, f, _AGREED
-                out_iters[ids], out_evals[ids] = iters, nfev
-                break
+    stop = np.full(ids.size, _RUNNING)
+    while True:
+        cut = agreed(stop) if cuttable else None
+        if cut is not None:
+            stop[cut & (stop == _RUNNING)] = _AGREED
+        done = stop != _RUNNING
+        if done.any():
+            j = ids[done]
+            out_x[j], out_f[j], out_stop[j] = x[done], f[done], stop[done]
+            out_iters[j], out_evals[j] = iters[done], nfev
+            keep = ~done
+            ids, x, f, g, H, step, slope, alpha, iters, fails, stop = (
+                a[keep] for a in (ids, x, f, g, H, step, slope, alpha, iters, fails, stop))
+        if not ids.size:
+            break
         trial = x + alpha[:, None] * step
-        ft, gt = fun(trial)
+        ft, gt = call(trial, ids)
         nfev += 1
         descent = alpha * slope
         ok = ft <= f + ARMIJO_C1 * descent
@@ -454,15 +500,6 @@ def minimize(fun: Callable, x0: np.ndarray, max_iters: int = 2000,
         # the same as before; only its step length changes
         H, step, slope, alpha_new = directions(H, g, x, False)
         alpha = alpha_new if every else np.where(ok, alpha_new, shrunk)
-
-        done = stop != _RUNNING
-        if done.any():
-            j = ids[done]
-            out_x[j], out_f[j], out_stop[j] = x[done], f[done], stop[done]
-            out_iters[j], out_evals[j] = iters[done], nfev
-            keep = ~done
-            ids, x, f, g, H, step, slope, alpha, iters, fails = (
-                a[keep] for a in (ids, x, f, g, H, step, slope, alpha, iters, fails))
     return MinimizeResult(out_x, out_f, out_iters, out_evals,
                           tuple(STOPS[c] for c in out_stop), int(out_iters.max()), nfev)
 

@@ -314,7 +314,7 @@ def check_gradient_sequential(fun_and_grad, x, what) -> float:
 
 def ratio_of_witness(L, est) -> float:
     """The Rayleigh ratio of an uncapped constant estimate's witness."""
-    return ct._ratio_and_grad(L, est.kind, est.param)(est.witness)[0]
+    return ct._ratio_and_grad(L, [(est.kind, est.param)])(est.witness)[0]
 
 
 def ricci_rayleigh(L, est, p) -> float:

@@ -1,3 +1,5 @@
+import re
+
 import numpy as np
 import pytest
 
@@ -14,6 +16,7 @@ from qbeckner.errors import (
     MissingEstimate,
     NotPrimitive,
     NotSymmetric,
+    OptimizerDiverged,
 )
 
 import oracles
@@ -80,7 +83,7 @@ class TestEstimateConstant:
         X = np.eye(2) + 1e-3 * U
         X = X / np.trace(SIGMA_STAR @ X).real
         assert reference_ratio(depol2, "beckner", p, X) == pytest.approx(p / 2.0, rel=5e-3)
-        assert ct._ratio_and_grad(depol2, "beckner", p)(X)[0] == pytest.approx(
+        assert ct._ratio_and_grad(depol2, [("beckner", p)])(X)[0] == pytest.approx(
             p / 2.0, rel=5e-3)
 
     def test_expansion_of_norm_and_form(self, rng, depol2):
@@ -149,7 +152,7 @@ class TestFusedRatio:
         # that order themselves.
         L = request.getfixturevalue(model)
         d = L.d
-        objective = ct._objective(L, kind, param)
+        objective = ct._objective(L, [(kind, param)])
 
         def reference(y):
             return reference_ratio(L, kind, param, reference_witness(L, kind, ct._unpack(y, d)))
@@ -169,17 +172,18 @@ class TestFusedRatio:
     @pytest.mark.parametrize("kind,param", KINDS)
     def test_ridge_returns_big_and_zero(self, depol2, kind, param):
         X = np.eye(2) + 1e-5 * depol2.gap_eigenvector
-        X = ct._normalize(depol2, kind, la.matrix_power_hermitian(X, 0.5)[None])[0][0]
-        value, G = ct._ratio_and_grad(depol2, kind, param)(X)
+        X = ct._normalize(depol2, kind in ct.UNIT_MEAN,
+                          la.matrix_power_hermitian(X, 0.5)[None])[0][0]
+        value, G = ct._ratio_and_grad(depol2, [(kind, param)])(X)
         assert value == ct.BIG
         assert not np.any(G)
-        value, grad = ct._objective(depol2, kind, param)(np.zeros(8))
+        value, grad = ct._objective(depol2, [(kind, param)])(np.zeros(8))
         assert value == ct.BIG
         assert not np.any(grad)
 
     @pytest.mark.parametrize("kind,param", KINDS)
     def test_near_identity_start_completes(self, depol2, kind, param):
-        starts = ct._seed_starts(depol2, kind, 2, seed=0)
+        starts = ct._seed_starts(depol2, 2, seed=0)
         assert la.frob(starts[1] - np.eye(2)) == pytest.approx(1.5e-3)
         p = param if kind == "beckner" else None
         q = param if kind == "dual_beckner" else None
@@ -209,11 +213,11 @@ class TestFusedRatio:
     def test_wrong_gradient_fails_self_test(self, depol2, monkeypatch):
         fused = ct._ratio_and_grad
 
-        def doubled(L, kind, param):
-            inner = fused(L, kind, param)
+        def doubled(L, specs):
+            inner = fused(L, specs)
 
-            def wrong(X):
-                value, G = inner(X)
+            def wrong(X, rows=None):
+                value, G = inner(X, rows)
                 return value, 2.0 * G
 
             return wrong
@@ -230,8 +234,8 @@ class TestBatchedEstimation:
         # one batched evaluation of eight points against eight single calls,
         # the near-identity starts included; the measured gaps are 0
         L = request.getfixturevalue(model)
-        objective = ct._objective(L, kind, param)
-        ys = ct._pack(np.array(ct._seed_starts(L, kind, 8, seed=5)))
+        objective = ct._objective(L, [(kind, param)])
+        ys = ct._pack(np.array(ct._seed_starts(L, 8, seed=5)))
         values, grads = objective(ys)
         assert values.shape == (8,) and grads.shape == ys.shape
         for y, value, grad in zip(ys, values, grads):
@@ -246,7 +250,7 @@ class TestBatchedEstimation:
         # the self-test's one call on seven points gives the gap of seven
         # single calls bit for bit
         L = request.getfixturevalue(model)
-        objective = ct._objective(L, kind, param)
+        objective = ct._objective(L, [(kind, param)])
         rng = np.random.default_rng(3)
         x = ct._pack(np.eye(L.d) + 0.5 * (rng.standard_normal((L.d, L.d))
                                           + 1j * rng.standard_normal((L.d, L.d))))
@@ -341,6 +345,107 @@ class TestBatchedEstimation:
         assert ct.estimate_constant(depol2, "poincare").diagnostics is None
 
 
+def fixture_specs(name):
+    """The generator of a fixture and the optimized specs of its constants
+    task: the Beckner p grid, mlsi, lsi and the dual-Beckner q grid."""
+    cfg = cf.fixtures(name)
+    return cf.build_generator(cfg), ([("beckner", p) for p in cfg.p_grid]
+                                     + [("mlsi", None), ("lsi", None)]
+                                     + [("dual_beckner", q) for q in cfg.q_grid])
+
+
+class TestStackedEstimation:
+    @pytest.mark.parametrize("name", ["depol3", "random_dbc_seeded", "classical_embed"])
+    def test_row_does_not_depend_on_its_stack(self, name):
+        # every spec at four points, shuffled into one mixed stack, against
+        # each row alone through an objective of its one spec, bit for bit;
+        # the grids hold p = 1.5 and q = 1.5, where a^(1/2) is a square root
+        L, specs = fixture_specs(name)
+        assert ("beckner", 1.5) in specs and ("dual_beckner", 1.5) in specs
+        ys = ct._pack(np.array(ct._seed_starts(L, 4, seed=1)))
+        rows = np.repeat(np.arange(len(specs)), len(ys))
+        points = np.tile(ys, (len(specs), 1))
+        order = np.random.default_rng(2).permutation(len(rows))
+        values, grads = ct._objective(L, specs)(points[order], rows[order])
+        for y, k, value, grad in zip(points[order], rows[order], values, grads):
+            v1, g1 = ct._objective(L, [specs[k]])(y[None])
+            assert value == v1[0] and np.array_equal(grad, g1[0]), specs[k]
+
+    def test_all_specs_match_each_alone(self, depol3):
+        _, specs = fixture_specs("depol3")
+        specs = [("poincare", None)] + specs
+        together = ct.estimate_constants(depol3, specs, FAST)
+        assert "agreed" in {s for est in together if est.diagnostics
+                            for s in est.diagnostics.stops}
+        for spec, est in zip(specs, together):
+            alone = ct.estimate_constants(depol3, [spec], FAST)[0]
+            assert (est.kind, est.param) == spec
+            for field in ("value", "num_starts", "best_residual", "capped", "diagnostics"):
+                assert getattr(est, field) == getattr(alone, field), (spec, field)
+            assert (est.witness is None) == (alone.witness is None)
+            if est.witness is not None:
+                assert np.array_equal(est.witness, alone.witness)
+
+    @staticmethod
+    def break_kinds(monkeypatch, kinds, how):
+        """Replace the evaluator's output on the rows of the given kinds."""
+        fused = ct._ratio_and_grad
+
+        def broken(L, specs):
+            inner = fused(L, specs)
+
+            def evaluate(X, rows=None):
+                value, G = inner(X, rows)
+                hit = np.isin([specs[k][0] for k in rows], kinds)
+                return how(value, G, hit)
+
+            return evaluate
+
+        monkeypatch.setattr(ct, "_ratio_and_grad", broken)
+
+    @pytest.mark.parametrize("kinds,first", [
+        (["beckner"], "beckner[1.05]"), (["lsi", "dual_beckner"], "lsi"),
+        (["dual_beckner"], "dual_beckner[1.2]"), (["mlsi", "beckner"], "beckner[1.05]")])
+    def test_self_test_names_first_failing_spec(self, depol3, monkeypatch, kinds, first):
+        def doubled(value, G, hit):
+            return value, np.where(hit[:, None, None], 2.0 * G, G)
+
+        self.break_kinds(monkeypatch, kinds, doubled)
+        _, specs = fixture_specs("depol3")
+        with pytest.raises(GradientCheckFailed, match=rf"^{re.escape(first)} gradient"):
+            ct.estimate_constants(depol3, [("poincare", None)] + specs, FAST)
+
+    @pytest.mark.parametrize("kind", ["mlsi", "dual_beckner"])
+    def test_diverged_names_the_kind(self, depol3, monkeypatch, kind):
+        def nan(value, G, hit):
+            return np.where(hit, np.nan, value), G
+
+        self.break_kinds(monkeypatch, [kind], nan)
+        _, specs = fixture_specs("depol3")
+        with pytest.raises(OptimizerDiverged, match=f"for kind {kind}$"):
+            ct.estimate_constants(depol3, specs, FAST)
+
+    def test_task_makes_one_minimize_call(self, monkeypatch):
+        # depol3's eleven estimates of 32 starts each descend in one call of
+        # 34 batched evaluations (the calls of the slowest estimate)
+        runs = []
+        minimize = ct.minimize
+
+        def counted(fun, x0, **kwargs):
+            runs.append(minimize(fun, x0, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(ct, "minimize", counted)
+        cfg = cf.fixtures("depol3")
+        cfg.tasks = ["constants"]
+        assert cli.run(cfg)["summary"]["passed"]
+        assert len(runs) == 1 and len(runs[0].fun) == 11 * cfg.num_starts
+        assert runs[0].nfev <= 40
+
+    def test_no_specs_need_no_primitivity(self):
+        assert ct.estimate_constants(sg.random_dbc(SIGMA_STAR, 0, 0, seed=1), []) == []
+
+
 class TestSeedStarts:
     def test_other_errors_propagate(self, monkeypatch):
         def gap_eigenvector(self):
@@ -350,7 +455,7 @@ class TestSeedStarts:
                             property(gap_eigenvector))
         L = sg.depolarizing(SIGMA_STAR, 1.0)
         with pytest.raises(RuntimeError):
-            ct._seed_starts(L, "beckner", 4, seed=0)
+            ct._seed_starts(L, 4, seed=0)
 
 
 class TestDepolClassical:
@@ -444,7 +549,7 @@ class TestBoundLedger:
         # alpha_1.9 from above. Every entry the ledger makes there holds.
         f0 = 0.388287853157
         X = np.diag([f0, (1.0 - 0.75 * f0) / 0.25]).astype(complex)
-        value, _ = ct._ratio_and_grad(depol2, "beckner", 1.9)(X)
+        value, _ = ct._ratio_and_grad(depol2, [("beckner", 1.9)])(X)
         assert value == pytest.approx(0.9423182548383, rel=1e-12)
         lam = depol2.require_primitive().spectral_gap
         assert value < 0.9 / 1.9 * 2.0 * lam

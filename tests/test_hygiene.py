@@ -20,6 +20,7 @@ TRACED = {
     ("transport", "geodesic_shoot"),
     ("ricci", "hessian_form"),
     ("linalg", "partial_dd_tensor"),
+    ("constants", "estimate_constant"),
 }
 AWAITING_VERIFY = {
     ("constants", "stability_factor"),

@@ -390,3 +390,82 @@ class TestMinimizeAgreement:
         assert dist == ref_dist
         for field in tp.TransportPath.__dataclass_fields__:
             assert np.array_equal(getattr(path, field), getattr(ref_path, field)), field
+
+
+class TestGroupedMinimize:
+    """Groups of starts in one minimize call: each group gets the agreement
+    cut with its own quorum, so every start ends where a call on its group
+    alone leaves it."""
+
+    A = TestMinimizeAgreement
+    # group 0: six starts, two of which settle deep and cut the other four;
+    # group 1: three starts that run on past that cut; group 2: two starts,
+    # which no cut can reach
+    X0 = np.array([A.NEAR_DEEP] * 2 + [A.FAR_SHALLOW] * 4
+                  + [A.FAR_SHALLOW, A.NEAR_SHALLOW, np.r_[-1.0, np.full(5, 5e-3)]]
+                  + [A.NEAR_DEEP, A.FAR_SHALLOW])
+    GROUPS = np.array([0] * 6 + [1] * 3 + [2] * 2)
+
+    @classmethod
+    def labelled(cls, x, labels):
+        # group g minimizes the two-basin function raised by g / 2, so each
+        # row has to be evaluated as a row of its own group
+        f, g = cls.A.two_basin(x)
+        return f + 0.5 * labels, g
+
+    @staticmethod
+    def starts(res, order=None):
+        """(x, fun, iterations, evaluations, stop) of each start."""
+        order = range(len(res.fun)) if order is None else order
+        return [(res.x[k], res.fun[k], res.iterations[k], res.evaluations[k], res.stops[k])
+                for k in order]
+
+    def alone(self, x0, groups):
+        """Each start's outcome from one minimize call on its group alone."""
+        out = {}
+        for label in np.unique(groups):
+            at = np.flatnonzero(groups == label)
+            res = la.minimize(lambda x: self.labelled(x, np.full(len(x), label)), x0[at])
+            out.update(zip(at, self.starts(res)))
+        return [out[k] for k in range(len(x0))]
+
+    @staticmethod
+    def assert_same(a, b):
+        assert len(a) == len(b)
+        for (x1, f1, i1, e1, s1), (x2, f2, i2, e2, s2) in zip(a, b):
+            assert np.array_equal(x1, x2) and f1 == f2
+            assert (i1, e1, s1) == (i2, e2, s2)
+
+    def test_matches_one_call_per_group(self):
+        res = la.minimize(self.labelled, self.X0, groups=self.GROUPS)
+        self.assert_same(self.starts(res), self.alone(self.X0, self.GROUPS))
+        stops = np.array(res.stops)
+        # group 0 is cut while group 1 runs on; group 2 (S = 2) is never cut
+        assert set(stops[:2]) == {"ftol"} and set(stops[2:6]) == {"agreed"}
+        assert res.evaluations[6:9].max() > res.evaluations[2]
+        assert "agreed" not in stops[6:]
+        assert res.nfev == res.evaluations.max() and res.nit == res.iterations.max()
+
+    def test_interleaved_and_reversed_starts(self):
+        perm = np.random.default_rng(5).permutation(len(self.X0))
+        for order in (perm, np.arange(len(self.X0))[::-1]):
+            res = la.minimize(self.labelled, self.X0[order], groups=self.GROUPS[order])
+            ref = la.minimize(self.labelled, self.X0, groups=self.GROUPS)
+            self.assert_same(self.starts(res), self.starts(ref, order))
+
+    def test_one_group_is_the_ungrouped_call(self):
+        x0 = self.X0[:6]
+        res = la.minimize(lambda x, labels: self.A.two_basin(x), x0, groups=np.full(6, 7))
+        assert TestMinimizeAgreement.same(res, la.minimize(self.A.two_basin, x0))
+
+    def test_fun_gets_the_labels_of_its_rows(self):
+        seen = []
+
+        def fun(x, labels):
+            seen.append(labels)
+            return self.labelled(x, labels)
+
+        groups = np.array([3, 1, 3, 1])
+        la.minimize(fun, self.X0[[0, 6, 2, 7]], groups=groups)
+        assert np.array_equal(seen[0], groups)
+        assert all(set(s) <= {1, 3} for s in seen)

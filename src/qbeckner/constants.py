@@ -21,7 +21,7 @@ from .errors import (
     NotSymmetric,
     OptimizerDiverged,
 )
-from .kernels import divided_difference, log_kernel, power_kernel
+from .kernels import _is_same, log_kernel, power_kernel
 from .linalg import minimize
 from .semigroup import DbcLindbladian
 
@@ -86,6 +86,24 @@ def spec_name(kind: str, param: Optional[float]) -> str:
     return kind if param is None else f"{kind}[{param}]"
 
 
+def _places(specs: Sequence[Spec]) -> np.ndarray:
+    """Each spec's place when specs are stably sorted by kind, in KINDS order."""
+    return np.argsort(np.argsort([KINDS.index(kind) for kind, _ in specs], kind="stable"))
+
+
+def _by_kind(place: np.ndarray, fn: Callable, rows: np.ndarray, *stacks: np.ndarray):
+    """fn(rows, *stacks) with the rows stably sorted by their spec's place,
+    so that each kind and each spec is one contiguous slice, and the order
+    undone on each output; rows in that order already, as a task's stacked
+    starts are, pass as they are."""
+    key = place[rows]
+    if not (key[1:] < key[:-1]).any():
+        return fn(rows, *stacks)
+    order = np.argsort(key, kind="stable")
+    undo = np.argsort(order)
+    return tuple(out[undo] for out in fn(rows[order], *(s[order] for s in stacks)))
+
+
 def _ratio_and_grad(L: DbcLindbladian, specs: Sequence[Spec]) -> Callable:
     """Rayleigh ratios whose infima over the feasible cone are the constants
     of specs, with their gradients: (X, rows) -> (R(X), G), dR = Re tr(G dX),
@@ -100,16 +118,18 @@ def _ratio_and_grad(L: DbcLindbladian, specs: Sequence[Spec]) -> Callable:
 
     X is one matrix (d, d), giving a float and (d, d), or a stack (R, d, d),
     giving (R,) and (R, d, d); a single matrix is a stack of one, and rows
-    defaults to spec 0 throughout. Rows of all specs share one batched
-    eigendecomposition of A = sigma^(1/2r) X sigma^(1/2r) (r = p, q, 1 for
-    mlsi, 2 for lsi), one L(X) and one dual-generator product; only each
-    kind's tail runs on its own rows, and each power a^e takes its exponent
-    as a scalar, once per distinct exponent, so that a row's value and
-    gradient do not depend on the rows beside it. Gradients of trace
+    defaults to spec 0 throughout. One kind-sliced pass serves every row
+    (_by_kind): one batched eigendecomposition of A = sigma^(1/2r) X
+    sigma^(1/2r) (r = p, q, 1 for mlsi, 2 for lsi), one L(X) and one
+    dual-generator product; each kind's tail runs on its contiguous slice
+    of rows, and a block whose kinds have no rows is not formed. Each power
+    a^e takes its exponent as a scalar, once per spec, so that a row's value
+    and gradient do not depend on the rows beside it. Gradients of trace
     functions tr f(A) are first order, f'(A); the Dirichlet forms
-    tr(f(A) B), with B the sandwiched L(X), add the Daleckii-Krein term
-    D f(A)[B] (Bhatia, Matrix Analysis, ch. V) and the dual generator
-    applied to the sandwiched f(A). On the near-identity ridge, where the
+    tr(f(A) B) of beckner and mlsi, with B the sandwiched L(X), add the
+    Daleckii-Krein term D f(A)[B] (Bhatia, Matrix Analysis, ch. V), from
+    divided differences of the f(a) at hand, and the dual generator applied
+    to the sandwiched f(A). On the near-identity ridge, where the
     denominator is at most RIDGE_FLOOR, the evaluator returns (BIG, 0).
     """
     w, U = L.sigma_eig
@@ -118,113 +138,124 @@ def _ratio_and_grad(L: DbcLindbladian, specs: Sequence[Spec]) -> Callable:
     half, quarter = L.sigma_power(0.5), L.sigma_power(0.25)
     sls = L.sigma @ log_sigma  # S log(sigma) S for S = half, as S commutes with sigma
 
-    code = np.array([KINDS.index(kind) for kind, _ in specs])
+    place = _places(specs)
+    ranked = [specs[k] for k in np.argsort(place)]
+    cuts = np.searchsorted([KINDS.index(kind) for kind, _ in ranked],
+                           np.arange(len(KINDS) + 1)).tolist()  # where each kind begins
     sandwiches = np.array([half if kind == "mlsi" else quarter if kind == "lsi"
                            else L.sigma_power(1.0 / (2.0 * float(r))) for kind, r in specs])
     param = np.array([np.nan if r is None else float(r) for _, r in specs])
-    # f(a) on the spectrum of A: a^(r - 1) for the power kinds, log a else
-    exps = sorted({float(r) - 1.0 for kind, r in specs if kind in POWER_KINDS})
-    exp_of = np.array([exps.index(float(r) - 1.0) if kind in POWER_KINDS else -1
-                       for kind, r in specs])
-    dds = [divided_difference(power_kernel(e)) for e in exps]
-    dd_log = divided_difference(log_kernel())
-    qs = sorted({float(r) for kind, r in specs if kind == "dual_beckner"})
+    # f(a) on the spectrum of A is a^e, e = r - 1, for the power kinds, and
+    # log a else; the forms take f' at ties from power_kernel(e) or log_kernel
+    exps = [float(r) - 1.0 if kind in POWER_KINDS else None for kind, r in ranked]
+    dfs = [power_kernel(e).df if e is not None else log_kernel().df for e in exps[:cuts[2]]]
 
-    def ratio(num, g_num, den, g_den):
-        """(num / den, its gradient), with (BIG, 0) on the ridge."""
-        ridge = den <= RIDGE_FLOOR
-        if np.count_nonzero(ridge):
-            den = np.where(ridge, 1.0, den)
-        R = num / den
-        G = (g_num - R[:, None, None] * g_den) / den[:, None, None]
-        if np.count_nonzero(ridge):
-            return np.where(ridge, BIG, R), np.where(ridge[:, None, None], 0.0, G)
-        return R, G
-
-    def fused(X: np.ndarray, rows: np.ndarray):
-        kinds, r, ex = code[rows], param[rows], exp_of[rows]
-        beck, mlsi, lsi, dual = (kinds == i for i in range(len(KINDS)))
-        has_beck, has_mlsi, has_lsi, _ = np.bincount(kinds, minlength=len(KINDS)).tolist()
-        power, form = beck | dual, beck | mlsi
-        log, e2 = ~power, ~form
+    def fused(rows: np.ndarray, X: np.ndarray):
+        """The ratios and gradients of X, its rows in kind order."""
+        ends = [0] + np.cumsum(np.bincount(place[rows], minlength=len(specs))).tolist()
+        live = [(k, slice(i, j)) for k, (i, j) in enumerate(zip(ends, ends[1:])) if i < j]
+        beck, mlsi, lsi, dual = (slice(ends[i], ends[j]) for i, j in zip(cuts, cuts[1:]))
+        nf = mlsi.stop  # the rows of the forms tr(f(A) B), beckner then mlsi; E_2 after
         S = sandwiches[rows]
         a, V = la.herm_eigh(S @ X @ S, check=False)
-        a = np.where(power[:, None], np.abs(a), np.maximum(a, 1e-300))
         f = np.empty_like(a)
-        f[log] = np.log(a[log])
-        DF = np.zeros(X.shape)  # the divided difference of f, where a form needs it
-        for i, e in enumerate(exps):
-            at = ex == i
-            if np.count_nonzero(at):
-                f[at] = a[at] ** e
-                at &= beck
-                if np.count_nonzero(at):
-                    DF[at] = dds[i].f(a[at][:, :, None], a[at][:, None, :])
-        if has_mlsi:
-            DF[mlsi] = dd_log.f(a[mlsi][:, :, None], a[mlsi][:, None, :])
+        logs = slice(mlsi.start, lsi.stop)
+        a[logs] = np.maximum(a[logs], 1e-300)
+        f[logs] = np.log(a[logs])
+        for k, at in live:
+            if exps[k] is not None:
+                a[at] = np.abs(a[at])
+                f[at] = a[at] ** exps[k]
+        if nf:
+            # the forms' divided differences (f_i - f_j) / (a_i - a_j) from the
+            # f(a) at hand, f' at the mean where a_i, a_j agree to SAME_TOL
+            x, y = a[:nf, :, None], a[:nf, None, :]
+            same = _is_same(x, y)
+            dfm = 0.5 * (x + y)
+            for k, at in live:
+                if k < cuts[2]:
+                    dfm[at] = dfs[k](dfm[at])
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                far = (f[:nf, :, None] - f[:nf, None, :]) / np.where(same, 1.0, x - y)
+            DF = np.where(same, dfm, far)
         T = S @ V
         Th = dag(T)
         LX = L.apply(X)
-        Bt = Th @ LX @ T
         F = (T * f[:, None, :]) @ Th  # S f(A) S
-        H = half @ X @ half
         # what the dual generator acts on: S f(A) S (less S log(sigma) S for
         # mlsi) in the forms tr(f(A) B), the sandwiched X in E_2
-        M = np.where(form[:, None, None], F, H)
+        M = np.empty(X.shape, complex)
+        M[:nf] = F[:nf]
         M[mlsi] -= sls
+        if nf < len(X):
+            H = half @ X[nf:] @ half
+            M[nf:] = H
         LM = L.apply_dual(M)
-        diag = np.real(np.diagonal(Bt, axis1=1, axis2=2))
         num, den = np.empty(len(X)), np.empty(len(X))
         g_num, g_den = np.empty(X.shape, complex), np.empty(X.shape, complex)
-        g_num[form] = T[form] @ (DF[form] * Bt[form]) @ Th[form] + LM[form]
-        # E_2(X) = -tr(sigma^(1/2) X sigma^(1/2) L(X)), a bilinear form
-        num[e2] = -_tr(H[e2], LX[e2])
-        g_num[e2] = -(half @ LX[e2] @ half + LM[e2])
-        if has_beck:
-            p, ap = r[beck], f[beck]
+        if nf:
+            Tf, Thf = T[:nf], Th[:nf]
+            Bt = Thf @ LX[:nf] @ Tf
+            diag = np.real(np.diagonal(Bt, axis1=1, axis2=2))
+            g_num[:nf] = Tf @ (DF * Bt) @ Thf + LM[:nf]
+        if nf < len(X):
+            # E_2(X) = -tr(sigma^(1/2) X sigma^(1/2) L(X)), a bilinear form
+            num[nf:] = -_tr(H, LX[nf:])
+            g_num[nf:] = -(half @ LX[nf:] @ half + LM[nf:])
+        if beck.start < beck.stop:
+            p, ap = param[rows[beck]], f[beck]
             c = -p * p / 4.0
-            num[beck] = c * np.sum(ap * diag[beck], axis=1)
+            num[beck] = c * (ap * diag[beck]).sum(axis=1)
             g_num[beck] *= c[:, None, None]
-            den[beck] = np.sum(ap * a[beck], axis=1) - 1.0
+            den[beck] = (ap * a[beck]).sum(axis=1) - 1.0
             g_den[beck] = p[:, None, None] * F[beck]
-        if has_mlsi:
+        if mlsi.start < mlsi.stop:
             am, log_a = a[mlsi], f[mlsi]
-            N = np.sum(am, axis=1)
+            N = am.sum(axis=1)
             logN = np.log(N)
             # with W = log A - log sigma: tr(A W) and tr(S L(X) S W)
-            den[mlsi] = np.sum(am * log_a, axis=1) - _tr(X[mlsi], sls) - N * logN
-            num[mlsi] = -0.25 * (np.sum(log_a * diag[mlsi], axis=1) - _tr(LX[mlsi], sls))
+            den[mlsi] = (am * log_a).sum(axis=1) - _tr(X[mlsi], sls) - N * logN
+            num[mlsi] = -0.25 * ((log_a * diag[mlsi]).sum(axis=1) - _tr(LX[mlsi], sls))
             g_num[mlsi] *= -0.25
             g_den[mlsi] = M[mlsi] - logN[:, None, None] * L.sigma
-        if has_lsi:
+        if lsi.start < lsi.stop:
             al = a[lsi]
             alog = al * f[lsi]
             Vl = V[lsi]
             Vh = dag(Vl)
             A = (Vl * al[:, None, :]) @ Vh
             AL = A @ log_sigma
-            N = np.sum(al * al, axis=1)
+            N = (al * al).sum(axis=1)
             logN = np.log(N)
             # Ent_2 = tr(A^2 (log A^2 - log sigma)) - N log N, N = tr A^2
-            den[lsi] = 2.0 * np.sum(al * alog, axis=1) - _tr(A, AL) - N * logN
+            den[lsi] = 2.0 * (al * alog).sum(axis=1) - _tr(A, AL) - N * logN
             g_den[lsi] = quarter @ (4.0 * (Vl * alog[:, None, :]) @ Vh - AL - dag(AL)
                                     - (2.0 * logN)[:, None, None] * A) @ quarter
-        for q in qs:
-            at = dual & (r == q)
-            if np.count_nonzero(at):
+        for k, at in live:
+            if k >= cuts[3]:
+                q = float(ranked[k][1])
                 A2 = quarter @ X[at] @ quarter
-                Mq = np.sum(f[at] * a[at], axis=1)
+                Mq = (f[at] * a[at]).sum(axis=1)
                 # Var_q = tr(A_2^2) - (tr A_q^q)^(2/q)
-                den[at] = np.sum(np.abs(A2) ** 2, axis=(1, 2)) - Mq ** (2.0 / q)
+                den[at] = (np.abs(A2) ** 2).sum(axis=(1, 2)) - Mq ** (2.0 / q)
                 num[at] *= 2.0 - q
                 g_num[at] *= 2.0 - q
                 g_den[at] = 2.0 * (quarter @ A2 @ quarter) - (
                     2.0 * Mq ** (2.0 / q - 1.0))[:, None, None] * F[at]
-        return ratio(num, g_num, den, g_den)
+        # the ratio and its gradient, with (BIG, 0) on the ridge
+        ridge = den <= RIDGE_FLOOR
+        if ridge.any():
+            den = np.where(ridge, 1.0, den)
+        R = num / den
+        G = (g_num - R[:, None, None] * g_den) / den[:, None, None]
+        if ridge.any():
+            return np.where(ridge, BIG, R), np.where(ridge[:, None, None], 0.0, G)
+        return R, G
 
     def evaluate(X: np.ndarray, rows=None):
         Xs = np.reshape(X, (-1, L.d, L.d))
-        R, G = fused(Xs, np.zeros(len(Xs), dtype=int) if rows is None else np.asarray(rows))
+        rows = np.zeros(len(Xs), dtype=int) if rows is None else np.asarray(rows)
+        R, G = _by_kind(place, fused, rows, Xs)
         return (float(R[0]), G[0]) if np.ndim(X) == 2 else (R, G)
 
     return evaluate
@@ -242,18 +273,19 @@ def _pack(Y: np.ndarray) -> np.ndarray:
     return Y.reshape(Y.shape[:-2] + (-1,)).view(float)
 
 
-def _normalize(L: DbcLindbladian, mean: np.ndarray, Y: np.ndarray):
+def _normalize(L: DbcLindbladian, mean: int, Y: np.ndarray):
     """Feasible-cone witnesses X = Y†Y / m of a stack of unconstrained
     matrices Y (S, d, d), with the scale m (S,) and the Hermitian D,
-    dm = Re tr(D d(Y†Y)): m is the sigma-mean tr(sigma Y†Y) where mean (S,)
-    holds, for the kinds on the unit-mean slice, the 2-norm ||Y†Y||_{2,sigma}
-    elsewhere. A zero Y maps to the identity (m = 1), which lies on the ridge."""
+    dm = Re tr(D d(Y†Y)): m is the sigma-mean tr(sigma Y†Y) on the first
+    mean rows (the unit-mean kinds), the 2-norm ||Y†Y||_{2,sigma} on the
+    rest. A zero Y maps to the identity (m = 1), which lies on the ridge."""
     X0 = la.dagger(Y) @ Y
-    half = L.sigma_power(0.5)
-    K = half @ X0 @ half
-    m = np.where(mean, _tr(L.sigma, X0), np.sqrt(np.maximum(_tr(K, X0), 0.0)))
-    D = np.where(np.asarray(mean)[..., None, None], L.sigma,
-                 K / np.maximum(m, 1e-300)[:, None, None])
+    m, D = np.empty(len(Y)), np.empty(X0.shape, complex)
+    m[:mean], D[:mean] = _tr(L.sigma, X0[:mean]), L.sigma
+    if mean < len(Y):
+        K = L.sigma_power(0.5) @ X0[mean:] @ L.sigma_power(0.5)
+        m[mean:] = np.sqrt(np.maximum(_tr(K, X0[mean:]), 0.0))
+        D[mean:] = K / np.maximum(m[mean:], 1e-300)[:, None, None]
     zero = m <= 1e-300
     if zero.any():
         m = np.where(zero, 1.0, m)
@@ -267,19 +299,25 @@ def _objective(L: DbcLindbladian, specs: Sequence[Spec]) -> Callable:
     of specs that rows gives (spec 0 throughout by default).
 
     y is one point (2d^2,), giving a float and (2d^2,), or a stack
-    (S, 2d^2), giving (S,) and (S, 2d^2), from one batched evaluation."""
+    (S, 2d^2), giving (S,) and (S, 2d^2), from one batched evaluation of
+    :func:`_ratio_and_grad`. The rows are put in kind order once, for the
+    normalization and the evaluator both (_by_kind)."""
     fused = _ratio_and_grad(L, specs)
+    place = _places(specs)
     mean = np.array([kind in UNIT_MEAN for kind, _ in specs])
     d = L.d
+
+    def sorted_objective(rows: np.ndarray, Y: np.ndarray):
+        X, m, D = _normalize(L, int(np.count_nonzero(mean[rows])), Y)
+        val, G = fused(X, rows)
+        # dX = (dX0 - X dm) / m, and dX0 = dY† Y + Y† dY
+        G = la.herm(G - _tr(G, X)[:, None, None] * D) / m[:, None, None]
+        return val, 2.0 * _pack(Y @ G)
 
     def objective(y: np.ndarray, rows=None):
         Y = _unpack(np.reshape(y, (-1, 2 * d * d)), d)
         rows = np.zeros(len(Y), dtype=int) if rows is None else np.asarray(rows)
-        X, m, D = _normalize(L, mean[rows], Y)
-        val, G = fused(X, rows)
-        # dX = (dX0 - X dm) / m, and dX0 = dY† Y + Y† dY
-        G = la.herm(G - _tr(G, X)[:, None, None] * D) / m[:, None, None]
-        grad = 2.0 * _pack(Y @ G)
+        val, grad = _by_kind(place, sorted_objective, rows, Y)
         if not (np.isfinite(val).all() and np.isfinite(grad).all()):
             bad = ~(np.isfinite(val) & np.isfinite(grad).all(axis=1))
             kind = specs[rows[np.argmax(bad)]][0]
@@ -363,22 +401,16 @@ def estimate_constants(L: DbcLindbladian, specs: Sequence[Spec],
         best_val = float(fun[best])
         if not np.isfinite(best_val):
             raise OptimizerDiverged("all starts diverged")
-        if kind == "beckner":
-            cap = float(param) * lam / 2.0
-        elif kind in ("mlsi", "lsi"):
-            cap = lam / 2.0
-        else:
-            cap = np.inf
+        cap = (float(param) * lam / 2.0 if kind == "beckner"
+               else np.inf if kind == "dual_beckner" else lam / 2.0)
         capped = best_val > cap
-        ranked = np.sort(fun)
-        residual = 0.0
-        if len(ranked) > 1:
-            residual = float(abs(ranked[1] - best_val) / max(best_val, 1e-300))
+        second = np.sort(fun)[1] if len(fun) > 1 else best_val
+        residual = float(abs(second - best_val) / max(best_val, 1e-300))
         diagnostics = EstimateDiagnostics(
             tuple(int(i) for i in res.iterations[at]),
             tuple(int(e) for e in res.evaluations[at]),
             tuple(res.stops[i] for i in at), tuple(float(v) for v in fun))
-        witness = None if capped else _normalize(L, kind in UNIT_MEAN,
+        witness = None if capped else _normalize(L, int(kind in UNIT_MEAN),
                                                  _unpack(res.x[at[best]], L.d)[None])[0][0]
         out.append(ConstantEstimate(kind, param, float(min(best_val, cap)), witness,
                                     len(fun), residual, bool(capped), diagnostics))

@@ -172,25 +172,6 @@ class Kernel2:
     check_domain = Kernel1.check_domain
 
 
-def divided_difference(k: Kernel1) -> Kernel2:
-    """First divided difference k^[1](x, y) of a one-variable kernel.
-
-    The value uses the derivative rule when |x - y| <= SAME_TOL * scale.
-    """
-
-    def f(x, y):
-        x = np.asarray(x, dtype=float)
-        y = np.asarray(y, dtype=float)
-        same = _is_same(x, y)
-        m = 0.5 * (x + y)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            far = (k.f(x) - k.f(y)) / np.where(same, 1.0, x - y)
-        return np.where(same, k.df(m), far)
-
-    return Kernel2(f"{k.name}^[1]", f=f, domain_min=k.domain_min,
-                   allow_boundary=k.allow_boundary)
-
-
 def fp_divdiff_kernel(p: float) -> Kernel2:
     """f_p^[1](x, y), the divided difference of x^(p-1)/(p-1), on (0, inf)."""
     p = float(p)

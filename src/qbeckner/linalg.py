@@ -134,19 +134,19 @@ def apply_super(S: np.ndarray, X: np.ndarray) -> np.ndarray:
 
 def left_super(A: np.ndarray) -> np.ndarray:
     """Superoperator of X -> A X."""
-    A = np.asarray(A, dtype=complex)
-    return np.kron(np.eye(A.shape[0]), A)
+    return sandwich_super(A, np.eye(np.shape(A)[0]))
 
 
 def right_super(B: np.ndarray) -> np.ndarray:
     """Superoperator of X -> X B."""
-    B = np.asarray(B, dtype=complex)
-    return np.kron(B.T, np.eye(B.shape[0]))
+    return sandwich_super(np.eye(np.shape(B)[0]), B)
 
 
 def sandwich_super(A: np.ndarray, B: np.ndarray) -> np.ndarray:
-    """Superoperator of X -> A X B."""
-    return np.kron(np.asarray(B, dtype=complex).T, np.asarray(A, dtype=complex))
+    """Superoperator of X -> A X B: kron(B^T, A), one product per entry."""
+    A, B = np.asarray(A, dtype=complex), np.asarray(B, dtype=complex)
+    n = A.shape[0] * B.shape[0]
+    return (B.T[:, None, :, None] * A[None, :, None, :]).reshape(n, n)
 
 
 def modular_super(sigma: np.ndarray) -> np.ndarray:

@@ -6,8 +6,9 @@ with: MetricKernel is the single-jump form of the spectral frame
 transport._Frame, and onsager_apply its sum over every jump of a model; theta_p_xy is the frame's grid function kernels.theta_p_log
 on (x, y), with the frame's tilt, and theta_p_kernel the same as a
 two-variable kernel; dk_tensors forms the Daleckii-Krein tensors that
-the library contracts by matrix products; the s-inner products, the weighted
-kernel superoperator, the variance, the entropy production, Gamma_2 and the
+the library contracts by matrix products; divided_difference is the
+generic first divided difference of a one-variable kernel; the s-inner
+products, the weighted kernel superoperator, the variance, the entropy production, Gamma_2 and the
 KMS adjoint of a derivation are the objects the tested identities are
 written in;
 unfolded is a model on which the frame contracts over every jump, and
@@ -105,6 +106,25 @@ def dk_tensors(fr):
         W1[(*at, j, x, y)] = 0.5 * (d1[(*at, j, x)] + d1[(*at, j, y)])
         W2[(*at, j, j, x, y)] = 0.5 * (d2[(*at, j, j, x)] + d2[(*at, j, j, y)])
     return W1, W2
+
+
+def divided_difference(k: Kernel1) -> Kernel2:
+    """First divided difference k^[1](x, y) of a one-variable kernel, from
+    two evaluations of k.f, with the derivative rule k.df at the mean when
+    |x - y| <= SAME_TOL * scale; the constants evaluator forms the same
+    quotient from the f(a) it holds."""
+
+    def f(x, y):
+        x = np.asarray(x, dtype=float)
+        y = np.asarray(y, dtype=float)
+        same = _is_same(x, y)
+        m = 0.5 * (x + y)
+        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+            far = (k.f(x) - k.f(y)) / np.where(same, 1.0, x - y)
+        return np.where(same, k.df(m), far)
+
+    return Kernel2(f"{k.name}^[1]", f=f, domain_min=k.domain_min,
+                   allow_boundary=k.allow_boundary)
 
 
 def theta_log_kernel() -> Kernel2:

@@ -136,13 +136,19 @@ KINDS = [("beckner", 1.05), ("beckner", 1.5), ("beckner", 2.0), ("mlsi", None),
 
 
 @pytest.fixture(scope="module")
+def flat3():
+    """A random detailed-balance qutrit model with sigma = I/3."""
+    return sg.random_dbc(np.eye(3) / 3, 3, 1, seed=5)
+
+
+@pytest.fixture(scope="module")
 def dbc4():
     sigma = la.random_density(np.random.default_rng(4), 4, floor=0.05)
     return sg.random_dbc(sigma, 4, 1, seed=4)
 
 
 class TestFusedRatio:
-    @pytest.mark.parametrize("model", ["dbc2", "dbc3", "dbc4"])
+    @pytest.mark.parametrize("model", ["dbc2", "dbc3", "dbc4", "flat3"])
     @pytest.mark.parametrize("kind,param", KINDS)
     def test_matches_ratio_and_central_differences(self, request, model, kind, param):
         # Bounds 1e-12 relative on values and 1e-6 relative in norm on
@@ -159,9 +165,15 @@ class TestFusedRatio:
 
         rng = np.random.default_rng(7)
         eps = 1e-6
-        for _ in range(3):
-            Y = np.eye(d) + 0.7 * (rng.standard_normal((d, d))
-                                   + 1j * rng.standard_normal((d, d)))
+        witnesses = [np.eye(d) + 0.7 * (rng.standard_normal((d, d))
+                                        + 1j * rng.standard_normal((d, d))) for _ in range(3)]
+        if model == "flat3":
+            # on a flat sigma, A is a multiple of X = Y†Y = V diag(2, 2, 1/2) V†,
+            # a doubly repeated eigenvalue: the divided differences of the
+            # Dirichlet forms take their derivative branch off the diagonal
+            V = la.herm_eigh(la.random_hermitian(rng, d))[1]
+            witnesses.append((V * np.sqrt([2.0, 2.0, 0.5])) @ V.conj().T)
+        for Y in witnesses:
             y = ct._pack(Y)
             value, grad = objective(y)
             assert value == pytest.approx(reference(y), rel=1e-12)

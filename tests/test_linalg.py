@@ -74,6 +74,20 @@ class TestSuperoperators:
         out = la.apply_super(la.left_super(A), X)
         assert la.frob(out - A @ X) <= 1e-13 * la.frob(A @ X)
 
+    @pytest.mark.parametrize("d", [1, 2, 3, 4, 5])
+    def test_builders_match_kron_to_the_byte(self, rng, d):
+        # every entry is one product of an entry of each factor, as in
+        # np.kron, so the bytes agree, signed zeros included
+        A = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        B = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
+        A[0, -1], B[-1, 0] = complex(-0.0, 0.0), complex(0.0, -0.0)
+        for M in (A, A.real):
+            C = np.asarray(M, dtype=complex)
+            assert la.sandwich_super(M, B).tobytes() == np.kron(B.T, C).tobytes()
+            assert la.sandwich_super(B, M).tobytes() == np.kron(C.T, B).tobytes()
+            assert la.left_super(M).tobytes() == np.kron(np.eye(d), C).tobytes()
+            assert la.right_super(M).tobytes() == np.kron(C.T, np.eye(d)).tobytes()
+
     def test_modular_flat_state_is_identity(self):
         M = la.modular_super(np.eye(3) / 3)
         assert la.frob(M - np.eye(9)) <= 1e-12
@@ -109,7 +123,7 @@ class TestDoubleSum:
         A, B = random_pd(rng, 4, 5.0), random_pd(rng, 4, 5.0)
         V = rng.standard_normal((4, 4)) + 1j * rng.standard_normal((4, 4))
         f = kn.power_kernel(2.0)
-        dd = kn.divided_difference(f)
+        dd = oracles.divided_difference(f)
         lhs = V @ la.matrix_function(B, f) - la.matrix_function(A, f) @ V
         rhs = la.double_sum_apply(dd, A, B, V @ B - A @ V)
         assert la.frob(lhs - rhs) <= 1e-10 * max(la.frob(lhs), 1.0)
@@ -128,7 +142,7 @@ class TestDoubleSum:
 
     def test_positive_kernel_defines_inner_product(self, rng):
         A, B = random_pd(rng, 3), random_pd(rng, 3)
-        dd = kn.divided_difference(kn.power_kernel(2.0))  # x + y > 0 on PD spectra
+        dd = oracles.divided_difference(kn.power_kernel(2.0))  # x + y > 0 on PD spectra
         for _ in range(5):
             X = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
             val = np.real(la.hs_inner(X, la.double_sum_apply(dd, A, B, X)))

@@ -125,7 +125,10 @@ def run_mixing(cfg: ExperimentConfig, L: DbcLindbladian) -> Outcome:
 def run_transport(cfg: ExperimentConfig, L: DbcLindbladian) -> Outcome:
     """The transport solves, and each solve's optimizer steps, evaluations,
     stop, gradient self-test gap and continuity residual; fails on a solve
-    that did not converge or misses the trace-distance lower bound."""
+    that did not converge or misses the trace-distance lower bound; a model
+    without jumps, or not primitive, fails up front."""
+    L.require_jumps()
+    L.require_primitive()
     rng = np.random.default_rng(cfg.seed("master"))
     opts = tp.W2Opts(N=cfg.transport_steps, tol=cfg.transport_tol)
     pairs = [(la.random_density(rng, L.d, floor=0.05),
@@ -168,7 +171,10 @@ def run_ricci(cfg: ExperimentConfig, L: DbcLindbladian) -> Outcome:
     kappa p / 2 must not exceed; per p, the diagnostics cond_G and multiplicity
     of ricci_estimate. Fails where an inequality misses by more than the
     w_discretization tolerance times the larger of its two sides, the
-    transport discretization error it inherits."""
+    transport discretization error it inherits. A model without jumps, or
+    not primitive, fails up front."""
+    L.require_jumps()
+    L.require_primitive()
     rng = np.random.default_rng(cfg.seed("master"))
     tol = cfg.tolerances.get("w_discretization", DEFAULT_TOLERANCES["w_discretization"])
     ps = sorted({min(cfg.p_grid), max(cfg.p_grid)})

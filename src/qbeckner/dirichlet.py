@@ -8,8 +8,9 @@ import numpy as np
 
 from . import entropy as ent
 from . import linalg as la
+from . import transport as tp
 from .errors import NotPsd, NotSymmetric
-from .kernels import fp_divdiff_kernel, log_kernel
+from .kernels import log_kernel
 from .semigroup import DbcLindbladian
 
 P_ONE_BRANCH = ent.P_ONE_BRANCH
@@ -78,22 +79,16 @@ def _kms(half: np.ndarray, X: np.ndarray, Y: np.ndarray) -> complex:
 
 def dirichlet_form_representation(L: DbcLindbladian, X: np.ndarray,
                                   p: float) -> DirichletValue:
-    """Jump-wise divided-difference representation of E_{p,L}; needs X > 0."""
+    """E_{p,L}(X) = (p^2/4) sum_j <dj X, [rho]_j^-1 dj X> for X > 0 and p in
+    (1, 2], rho = sigma^(1/2) X sigma^(1/2), on the spectral frame: its Y is
+    sigma^(1/2p) X sigma^(1/2p), and its theta is 1/f_p^[1] on the tilted spectra."""
     L.require_jumps()
-    w = np.linalg.eigvalsh(la.herm(X))
-    if np.min(w) <= 0:
+    if np.linalg.eigvalsh(la.herm(X))[0] <= 0:
         raise NotPsd("representation route needs strictly positive X")
-    half = L.sigma_power(1.0 / (2.0 * p))
-    GX = la.herm(half @ X @ half)
-    fp = fp_divdiff_kernel(p)
-    total = 0.0
-    for j, (V, omega) in enumerate(L.jumps):
-        dX = V @ X - X @ V
-        C = half @ dX @ half
-        A = np.exp(omega / (2.0 * p)) * GX
-        B = np.exp(-omega / (2.0 * p)) * GX
-        total += np.real(la.hs_inner(C, la.double_sum_apply(fp, A, B, C)))
-    val = (p * p / 4.0) * total
+    half = L.sigma_power(0.5)
+    fr = tp._Frame(L, half @ X @ half, p)
+    C = fr.eig(fr.grad(X), L.sigma_power(1.0 / (2.0 * p)))
+    val = (p * p / 4.0) * np.sum(np.abs(C) ** 2 / fr.theta)
     return _finalize(float(val), p, "representation")
 
 

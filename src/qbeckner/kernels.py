@@ -1,14 +1,16 @@
 """Scalar kernels and their divided differences.
 
 One-variable kernels drive the functional calculus (matrix functions,
-weighted inner products); two-variable kernels drive double operator sums.
-All power-difference quotients are evaluated through ``expm1``/``log1p`` so
-they stay accurate when the two arguments nearly coincide, and every kernel
-carries an exact degenerate branch. theta_p, the metric kernel whose state
-derivative drives the transport gradient, geodesics and Hessian, is one grid
-function of half log-ratios (theta_p_log) that returns the kernel with both
-of its log-partials: the tilts of the metric kernels cancel from all but the
-half log-ratio, so a spectral frame makes one call for every jump.
+weighted inner products); the two-variable kernels, stable_powdiff and
+theta_p_log, are values on grids. All power-difference quotients are
+evaluated through ``expm1``/``log1p`` so they stay accurate when the two
+arguments nearly coincide, and every kernel carries an exact degenerate
+branch. theta_p, the metric kernel whose inverse the Dirichlet form pairs
+with the jump gradients and whose state derivative drives the transport
+gradient, geodesics and Hessian, is one grid function of half log-ratios
+(theta_p_log) that returns the kernel with both of its log-partials: the
+tilts of the metric kernels cancel from all but the half log-ratio, so a
+spectral frame (transport._Frame) makes one call for every jump.
 """
 
 from __future__ import annotations
@@ -148,39 +150,6 @@ def phi_p_kernel(p: float) -> Kernel1:
         return np.where(near, 1.0 + 0.5 * ell, far)
 
     return Kernel1(f"phi({p})", f=f, domain_min=0.0, allow_boundary=False)
-
-
-# ---------------------------------------------------------------------------
-# Two-variable kernels
-# ---------------------------------------------------------------------------
-
-
-@dataclass(frozen=True)
-class Kernel2:
-    """A two-variable scalar kernel with an optional partial derivative in x.
-
-    ``f`` and ``dx`` are vectorized over broadcastable arrays and are
-    responsible for their own degenerate branches; dx may take F = f(x, y).
-    """
-
-    name: str
-    f: Callable[[np.ndarray, np.ndarray], np.ndarray]
-    dx: Optional[Callable[..., np.ndarray]] = None
-    domain_min: float = -np.inf
-    allow_boundary: bool = True
-
-    check_domain = Kernel1.check_domain
-
-
-def fp_divdiff_kernel(p: float) -> Kernel2:
-    """f_p^[1](x, y), the divided difference of x^(p-1)/(p-1), on (0, inf)."""
-    p = float(p)
-    a = p - 1.0
-
-    def f(x, y):
-        return stable_powdiff(a, x, y) / a
-
-    return Kernel2(f"fp_dd({p})", f=f, domain_min=0.0, allow_boundary=False)
 
 
 # Taylor coefficients c_n = 2^(2n) B_2n / (2n)! of coth(h) - 1/h = h/3 - h^3/45

@@ -1,12 +1,10 @@
-"""Dense Hermitian linear algebra, superoperators, and double operator sums.
+"""Dense Hermitian linear algebra, superoperators, inner products and BFGS.
 
 Conventions used throughout the package:
 
 * superoperators are (d^2 x d^2) complex matrices acting on column-stacked
   vectorizations, so ``vec(A X B) = kron(B.T, A) @ vec(X)``;
-* eigenvalues are returned ascending;
-* sums over eigenprojection pairs run in a fixed (i outer, k inner) order,
-  so results are reproducible run to run.
+* eigenvalues are returned ascending.
 """
 
 from __future__ import annotations
@@ -22,7 +20,7 @@ from .errors import (
     NonHermitian,
     SingularState,
 )
-from .kernels import Kernel1, Kernel2, _is_same
+from .kernels import Kernel1, _is_same
 
 HERM_TOL = 1e-12
 FULL_RANK_FLOOR = 1e-12
@@ -157,30 +155,15 @@ def modular_super(sigma: np.ndarray) -> np.ndarray:
 
 
 # ---------------------------------------------------------------------------
-# Double operator sums (Schur multipliers)
+# Partial divided differences
 # ---------------------------------------------------------------------------
 
 
-def _schur_weights(k2: Kernel2, wA: np.ndarray, wB: np.ndarray) -> np.ndarray:
-    k2.check_domain(np.concatenate([wA, wB]))
-    return np.asarray(k2.f(wA[:, None], wB[None, :]), dtype=float)
-
-
-def double_sum_apply(k2: Kernel2, A: np.ndarray, B: np.ndarray,
-                     X: np.ndarray) -> np.ndarray:
-    """Sum_{i,k} f(a_i, b_k) P_i X Q_k over the eigenprojections of A and B."""
-    wA, VA = herm_eigh(A)
-    wB, VB = herm_eigh(B)
-    F = _schur_weights(k2, wA, wB)
-    Xt = VA.conj().T @ X @ VB
-    return VA @ (F * Xt) @ VB.conj().T
-
-
-def partial_dd_tensor(k2: Kernel2, wA: np.ndarray, wB: np.ndarray,
+def partial_dd_tensor(f: Callable, dx: Callable, wA: np.ndarray, wB: np.ndarray,
                       F: np.ndarray | None = None) -> np.ndarray:
-    """Weight tensor of the first partial divided difference of a
-    two-variable kernel,
-    W[..., a, b, c] = (F[a,c] - F[b,c]) / (wA_a - wA_b), with d/dx f at the
+    """Weight tensor of the first partial divided difference of a two-variable
+    kernel f with partial dx in x, both vectorized over broadcastable arrays,
+    W[..., a, b, c] = (F[a,c] - F[b,c]) / (wA_a - wA_b), with dx at the
     midpoint for coincident pairs (_is_same, the diagonal a == b included).
     The numerators come from the kernel grid F[..., x, y] = f(wA_x, wB_y),
     computed here unless given. Leading axes of wA and wB broadcast; W has
@@ -189,17 +172,15 @@ def partial_dd_tensor(k2: Kernel2, wA: np.ndarray, wB: np.ndarray,
     calls it (transport._Frame forms its own tensors): the tests use it as a
     reference, and the benchmark's tracer (perfbench/tracing.py) patches it.
     """
-    if k2.dx is None:
-        raise DomainViolation(f"kernel {k2.name} has no d/dx rule")
     if F is None:
-        F = k2.f(wA[..., :, None], wB[..., None, :])
+        F = f(wA[..., :, None], wB[..., None, :])
     u, v = wA[..., :, None, None], wA[..., None, :, None]
     same = _is_same(u, v)
     with np.errstate(divide="ignore", invalid="ignore"):
         W = (F[..., :, None, :] - F[..., None, :, :]) / np.where(same, 1.0, u - v)
     at = np.nonzero(np.broadcast_to(same, W.shape))
     mid = np.broadcast_to(0.5 * (u + v), W.shape)[at]
-    W[at] = k2.dx(mid, np.broadcast_to(wB[..., None, None, :], W.shape)[at])
+    W[at] = dx(mid, np.broadcast_to(wB[..., None, None, :], W.shape)[at])
     return W
 
 

@@ -2,7 +2,11 @@
 
 Each is a direct, slower or independent form of something the library
 computes another way, or a textbook quantity that a test states an identity
-with: MetricKernel is the single-jump form of the spectral frame
+with: Kernel2 and double_sum_apply are the generic Daleckii-Krein double
+operator sum, with fp_divdiff_kernel = 1/theta_p, and dirichlet_form_per_jump
+the Dirichlet form's jump representation through them, one jump at a time,
+which dirichlet_form_representation computes on the spectral frame;
+MetricKernel is the single-jump form of the spectral frame
 transport._Frame, and onsager_apply its sum over every jump of a model; theta_p_xy is the frame's grid function kernels.theta_p_log
 on (x, y), with the frame's tilt, and theta_p_kernel the same as a
 two-variable kernel; dk_tensors forms the Daleckii-Krein tensors that
@@ -19,6 +23,9 @@ two_point_beckner is the tilted two-point Beckner constant in mpmath;
 psd_project builds positive semidefinite test inputs.
 """
 
+from dataclasses import dataclass
+from typing import Callable, Optional
+
 import numpy as np
 
 from qbeckner import constants as ct
@@ -29,7 +36,64 @@ from qbeckner import ricci as rc
 from qbeckner import semigroup as sg
 from qbeckner import transport as tp
 from qbeckner.errors import GradientCheckFailed, NotPsd, SingularState
-from qbeckner.kernels import Kernel1, Kernel2, _is_same, theta_p_log
+from qbeckner.kernels import Kernel1, _is_same, stable_powdiff, theta_p_log
+
+
+# ---------------------------------------------------------------------------
+# Two-variable kernels and double operator sums
+# ---------------------------------------------------------------------------
+
+
+@dataclass(frozen=True)
+class Kernel2:
+    """A two-variable scalar kernel with an optional partial derivative in x.
+
+    ``f`` and ``dx`` are vectorized over broadcastable arrays and are
+    responsible for their own degenerate branches; dx may take F = f(x, y).
+    """
+
+    name: str
+    f: Callable[[np.ndarray, np.ndarray], np.ndarray]
+    dx: Optional[Callable[..., np.ndarray]] = None
+    domain_min: float = -np.inf
+    allow_boundary: bool = True
+
+    check_domain = Kernel1.check_domain
+
+
+def fp_divdiff_kernel(p) -> Kernel2:
+    """f_p^[1](x, y), the divided difference of x^(p-1)/(p-1), on (0, inf):
+    the reciprocal of theta_p."""
+    a = float(p) - 1.0
+    return Kernel2(f"fp_dd({p})", f=lambda x, y: stable_powdiff(a, x, y) / a,
+                   domain_min=0.0, allow_boundary=False)
+
+
+def double_sum_apply(k2: Kernel2, A, B, X):
+    """Sum_{i,k} f(a_i, b_k) P_i X Q_k over the eigenprojections of A and B."""
+    wA, VA = la.herm_eigh(A)
+    wB, VB = la.herm_eigh(B)
+    k2.check_domain(np.concatenate([wA, wB]))
+    F = np.asarray(k2.f(wA[:, None], wB[None, :]), dtype=float)
+    Xt = VA.conj().T @ X @ VB
+    return VA @ (F * Xt) @ VB.conj().T
+
+
+def dirichlet_form_per_jump(L, X, p) -> float:
+    """(p^2/4) sum_j <C_j, f_p^[1](A_j, B_j)[C_j]> over every jump of L.jumps,
+    unfolded, with GX = sigma^(1/2p) X sigma^(1/2p), C_j = sigma^(1/2p) dj X
+    sigma^(1/2p) and the tilted A_j = e^(w_j/2p) GX, B_j = e^(-w_j/2p) GX:
+    one pair of eigendecompositions per jump, the Dirichlet form's jump
+    representation before it moved to the spectral frame."""
+    half = la.matrix_power_hermitian(L.sigma, 1.0 / (2.0 * p))
+    GX = la.herm(half @ X @ half)
+    fp = fp_divdiff_kernel(p)
+    total = 0.0
+    for V, omega in L.jumps:
+        C = half @ (V @ X - X @ V) @ half
+        A, B = np.exp(omega / (2.0 * p)) * GX, np.exp(-omega / (2.0 * p)) * GX
+        total += np.real(la.hs_inner(C, double_sum_apply(fp, A, B, C)))
+    return (p * p / 4.0) * total
 
 
 # ---------------------------------------------------------------------------
@@ -80,8 +144,8 @@ def theta_p_xy(p, x, y, t=0.0):
 
 
 def theta_p_kernel(p) -> Kernel2:
-    """theta_p as a two-variable kernel with its d/dx rule (theta_p_xy), the
-    form linalg.double_sum_apply and linalg.partial_dd_tensor take."""
+    """theta_p as a two-variable kernel with its d/dx rule (theta_p_xy), for
+    double_sum_apply and linalg.partial_dd_tensor."""
     return Kernel2(f"theta({p})", f=lambda x, y: theta_p_xy(p, x, y)[0],
                    dx=lambda x, y: theta_p_xy(p, x, y)[1],
                    domain_min=0.0, allow_boundary=False)

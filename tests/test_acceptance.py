@@ -241,7 +241,9 @@ def test_criterion_10_curvature_anchor(depol_flat):
         worst_fd = max(worst_fd, abs(hess - fd) / abs(fd))
     ok &= worst_fd <= 1e-3
     # the gap is round-off of F divided by h^2, so the line prints the bound
-    _line(10, ok, f"kappa estimates {kappas} all >= gamma p/2 - 1e-6; "
+    # kappa is 1 to round-off, so it prints to 6 digits
+    shown = ", ".join(f"{p}: {k:#.6g}" for p, k in kappas.items())
+    _line(10, ok, f"kappa estimates {{{shown}}} all >= gamma p/2 - 1e-6; "
                   "Hessian-vs-finite-difference gap <= 1e-3")
 
 

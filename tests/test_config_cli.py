@@ -538,6 +538,22 @@ class TestMain:
         assert report["summary"]["failures"] == ["transport.error"]
         assert "SingularMetric" in report["errors"]["transport"]
 
+    @pytest.mark.parametrize("task", ["transport", "ricci"])
+    def test_non_primitive_model_fails_up_front(self, tmp_path, task):
+        # one adjoint pair and one diagonal jump do not connect the qutrit's
+        # three levels; without the up-front check the task raised
+        # SingularMetric at whichever Gram matrix happened to fail first (here
+        # "step 0 of path 2" and "sample 14")
+        config = tmp_path / "reducible.json"
+        config.write_text(json.dumps({
+            "dimension": 3, "sigma": {"eigenvalues": [0.5, 0.3, 0.2]},
+            "generator": {"kind": "random_dbc", "pairs": 1, "diag": 1, "seed": 3}}))
+        out = tmp_path / "out"
+        assert cli.main([task, "--config", str(config), "--out", str(out)]) == 1
+        report = json.loads((out / "report.json").read_text())
+        assert report["summary"]["failures"] == [f"{task}.error"]
+        assert report["errors"][task].startswith("NotPrimitive:")
+
     def _corrupted_generator_fails(self, tmp_path, capsys, task):
         # the config is valid, the model does not build: the task exits 1
         # and names the error on stderr

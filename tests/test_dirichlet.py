@@ -1,6 +1,7 @@
 import numpy as np
 import pytest
 
+from qbeckner import config as cf
 from qbeckner import dirichlet as dh
 from qbeckner import entropy as ent
 from qbeckner import linalg as la
@@ -52,6 +53,35 @@ class TestRepresentation:
         L = sg.random_dbc(SIGMA_STAR, 0, 0, seed=1)
         with pytest.raises(NoJumps):
             dh.dirichlet_form_representation(L, np.eye(2), 1.5)
+
+    @pytest.mark.parametrize("model", ["depol3", "random_dbc_seeded", "classical_embed",
+                                       "flat_random_dbc"])
+    def test_frame_matches_per_jump_double_sums(self, model):
+        # the frame contracts over the folded jumps in one eigendecomposition;
+        # the oracle takes two per jump of L.jumps, unfolded. classical_embed
+        # (sigma = I/2) and the flat model (sigma = I/3) have tied sigma
+        # spectra; the last X is 1e-6 from singular. Either route finds the smallest eigenvalue of
+        # its sigma-conjugate of X only to about eps cond(X) relative, and at
+        # p = 1.05 the kernel's weight on it, of power a - 1 = -0.95, carries
+        # that error: both routes read 4e-13 to 6e-12 off a 50-digit value of
+        # the form at that X, so the bound adds eps cond(X) to 1e-12
+        L = (sg.random_dbc(np.eye(3) / 3, 3, 1, seed=0) if model == "flat_random_dbc"
+             else cf.build_generator(cf.fixtures(model)))
+        rng = np.random.default_rng(7)
+        Xs = [random_pd(rng, L.d) for _ in range(4)]
+        w, V = la.herm_eigh(random_pd(rng, L.d))
+        Xs.append((V * np.r_[1e-6 * w[-1], w[1:]]) @ V.conj().T)
+        for p in (1.05, 1.5, 2.0):
+            for X in Xs:
+                lam = np.linalg.eigvalsh(X)
+                rtol = 1e-12 + np.finfo(float).eps * lam[-1] / lam[0]
+                ref = oracles.dirichlet_form_per_jump(L, X, p)
+                got = dh.dirichlet_form_representation(L, X, p).value
+                assert abs(got - ref) <= rtol * ref, (p, got, ref)
+
+    def test_p_outside_the_metric_range(self, rng, dbc3):
+        with pytest.raises(ValueError):
+            dh.dirichlet_form_representation(dbc3, random_pd(rng, 3), 2.5)
 
 
 class TestEntropyProduction:

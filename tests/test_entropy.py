@@ -207,8 +207,8 @@ class TestChi2:
         lhs = la.f_inner(X, Y, sigma, kn.phi_p_kernel(p))
         root = la.matrix_power_hermitian(sigma, 1.0 / p)
         half = la.matrix_power_hermitian(sigma, 1.0 / (2.0 * p))
-        inner = la.double_sum_apply(kn.fp_divdiff_kernel(p), root, root,
-                                    half @ Y @ half)
+        inner = oracles.double_sum_apply(oracles.fp_divdiff_kernel(p), root, root,
+                                         half @ Y @ half)
         rhs = la.hs_inner(X, half @ inner @ half)
         assert abs(lhs - rhs) <= 1e-10 * max(abs(lhs), 1.0)
 

@@ -63,7 +63,7 @@ def test_phi_2_is_square_root():
 
 
 def test_theta_p_reciprocal_and_diagonal():
-    fp = kn.fp_divdiff_kernel(1.5)
+    fp = oracles.fp_divdiff_kernel(1.5)
     xs = np.linspace(0.2, 5.0, 9)
     ys = np.linspace(0.3, 4.0, 9)
     assert np.max(np.abs(oracles.theta_p_xy(1.5, xs, ys)[0] * fp.f(xs, ys) - 1.0)) <= 1e-13
@@ -199,7 +199,7 @@ def test_kernels_match_mpmath_at_every_scale(p, log_scale, log_sep, swap):
     if swap:
         x, y = y, x
     X, Y = np.array(x), np.array(y)
-    got = [kn.stable_powdiff(p - 1.0, X, Y), kn.fp_divdiff_kernel(p).f(X, Y),
+    got = [kn.stable_powdiff(p - 1.0, X, Y), oracles.fp_divdiff_kernel(p).f(X, Y),
            *oracles.theta_p_xy(p, X, Y)]
     exact = [float(v) for v in _exact_kernels(p, x, y)]
     for i, (g, e) in enumerate(zip(got, exact)):

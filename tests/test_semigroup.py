@@ -323,11 +323,11 @@ class TestDbcInvariants:
         rhs = 0.0
         for (V, omega) in dbc3.jumps:
             a, b = np.exp(omega / 2.0), np.exp(-omega / 2.0)
-            k2 = kn.Kernel2("tilted",
-                            f=lambda x, y, a=a, b=b: k.f(a * x / (b * y)) * b * y)
+            k2 = oracles.Kernel2("tilted",
+                                 f=lambda x, y, a=a, b=b: k.f(a * x / (b * y)) * b * y)
             dX = V @ X - X @ V
             dY = V @ Y - Y @ V
-            rhs += la.hs_inner(dY, la.double_sum_apply(k2, dbc3.sigma, dbc3.sigma, dX))
+            rhs += la.hs_inner(dY, oracles.double_sum_apply(k2, dbc3.sigma, dbc3.sigma, dX))
         assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), 1.0)
 
     @pytest.mark.parametrize("t", [0.1, 1.0])

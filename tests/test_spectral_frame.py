@@ -53,9 +53,9 @@ def _partial(k2, which, wA, wB, F=None):
     """partial_dd_tensor for the first partial; for the second, the first
     partial on (wB, wA, F^T) with its last axis moved first."""
     if which == 1:
-        return la.partial_dd_tensor(k2, wA, wB, F)
+        return la.partial_dd_tensor(k2.f, k2.dx, wA, wB, F)
     Ft = None if F is None else np.swapaxes(F, -1, -2)
-    return np.moveaxis(la.partial_dd_tensor(k2, wB, wA, Ft), -1, -3)
+    return np.moveaxis(la.partial_dd_tensor(k2.f, k2.dx, wB, wA, Ft), -1, -3)
 
 
 def _dk_tensors_full(L, fr):

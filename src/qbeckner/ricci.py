@@ -12,7 +12,7 @@ from . import linalg as la
 from . import transport as tp
 from .dirichlet import dirichlet_form
 from .entropy import p_divergence, relative_density
-from .errors import NonPositiveCurvature, OptimizerDiverged, SingularMetric
+from .errors import NonPositiveCurvature, OptimizerDiverged
 from .semigroup import DbcLindbladian, evolve
 
 
@@ -108,13 +108,7 @@ def _cholesky_reduce(H: np.ndarray, G: np.ndarray,
     reduced matrix give the generalized eigenpairs (lam, R^-T w) of (H, G),
     normalized to v^T G v = 1. first is the sample index of H[0] in error
     messages."""
-    try:
-        R = np.linalg.cholesky(G)
-    except np.linalg.LinAlgError:
-        low = np.linalg.eigvalsh(G)[:, 0]
-        i = int(np.argmin(low))
-        raise SingularMetric(f"metric Gram matrix of sample {first + i} is not "
-                             f"positive definite (lowest eigenvalue {low[i]:.3e})")
+    R = tp._gram_cholesky(G, lambda i: f"sample {first + i}")
     Rinv = np.linalg.inv(R)
     return Rinv, Rinv @ H @ np.swapaxes(Rinv, -1, -2)
 

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
-from typing import List, NamedTuple, Tuple
+from typing import Callable, List, NamedTuple, Tuple
 
 import numpy as np
 
@@ -209,10 +209,41 @@ def _contract(A: np.ndarray, B: np.ndarray, C: np.ndarray, Cc: np.ndarray) -> np
     return (A.conj() @ C.swapaxes(-1, -2) + B.swapaxes(-1, -2) @ Cc).sum(axis=-3)
 
 
+def _above_floor(g: np.ndarray) -> bool:
+    """Whether g - FLOOR I has a Cholesky factor, for every matrix of a stack."""
+    try:
+        np.linalg.cholesky(g - FLOOR * np.eye(g.shape[-1]))
+    except np.linalg.LinAlgError:
+        return False
+    return True
+
+
 def _floored(g: np.ndarray) -> np.ndarray:
-    """Eigenvalues of each Hermitian matrix raised to at least FLOOR."""
-    w, V = la.herm_eigh(g, check=False)
-    return (V * np.maximum(w, FLOOR)[..., None, :]) @ la.dagger(V)
+    """Eigenvalues of each Hermitian matrix of a stack (S, d, d) raised to at
+    least FLOOR. g itself when every g_i - FLOOR I has a Cholesky factor;
+    else only the g_i that fail that test are eigendecomposed and floored."""
+    if _above_floor(g):
+        return g
+    low = [i for i in range(len(g)) if not _above_floor(g[i])]
+    w, V = la.herm_eigh(g[low], check=False)
+    out = g.copy()
+    out[low] = (V * np.maximum(w, FLOOR)[..., None, :]) @ la.dagger(V)
+    return out
+
+
+def _gram_cholesky(G: np.ndarray, where: Callable[[int], str]) -> np.ndarray:
+    """Cholesky factors R, G_i = R_i R_i^T, of a stack of metric Gram matrices
+    (S, n, n): the one positive-definiteness test of them. If a G_i is not
+    positive definite, SingularMetric names the first whose lowest eigenvalue
+    (eigvalsh) is not positive, as where(i), with that eigenvalue; if round-off
+    failed the factorization alone, the one with the lowest eigenvalue."""
+    try:
+        return np.linalg.cholesky(G)
+    except np.linalg.LinAlgError:
+        low = np.linalg.eigvalsh(G)[:, 0]
+        i = int(np.argmax(low <= max(0.0, low.min())))
+        raise SingularMetric(f"metric Gram matrix of {where(i)} is not positive definite "
+                             f"(lowest eigenvalue {low[i]:.3e})")
 
 
 # ---------------------------------------------------------------------------
@@ -382,6 +413,7 @@ class _PathEnergy:
         self.linear = (1.0 - t) * rho0 + t * rho1
         self.delta = self.coords(rho1 - rho0) / N
         self.last = (None, None)  # (bytes of y, what evaluate returned) of its last call
+        self.start = None  # what selftest keeps of the linear path
 
     def coords(self, X: np.ndarray) -> np.ndarray:
         """Re <U_m, X> for each Hermitian matrix of a stack."""
@@ -393,8 +425,9 @@ class _PathEnergy:
         the step coordinates b and the coefficients c_k = G_k^-1 b_k of U_k,
         (K, N, n), the frame of the K N midpoints, the eigenframe gradients
         of the U_k, sum_n c_kn C_kn, shape (K N, 1, J', d, d) over the J'
-        folded jumps, and the eigendecomposition (w, Q) of the K N Gram
-        matrices G_k."""
+        folded jumps, and the K N Gram matrices G_k. A Cholesky factorization
+        tests G_k > 0 (_gram_cholesky, which names a failing step and path)
+        and one batched solve gives c_k."""
         N, n, K = self.N, len(self.basis), 1 if np.ndim(y) == 1 else len(y)
         x = np.zeros((K, N + 1, n))
         x[:, 1:-1] = np.reshape(y, (K, N - 1, n))
@@ -402,41 +435,67 @@ class _PathEnergy:
         b = self.delta + x[:, 1:] - x[:, :-1]
         mid = 0.5 * (gammas[:, :-1] + gammas[:, 1:])
         fr, C, G = _basis_gram(self.L, _floored(mid.reshape(K * N, self.L.d, self.L.d)), self.p)
-        # one real symmetric eigendecomposition per step both tests G_k > 0
-        # and solves for c_k
-        w, Q = np.linalg.eigh(G)
-        if w[:, 0].min() <= 0.0:
-            i = int(np.argmin(w[:, 0]))
-            at = f"step {i % N}" + (f" of path {i // N}" if K > 1 else "")
-            raise SingularMetric(f"metric Gram matrix of {at} is not positive definite "
-                                 f"(lowest eigenvalue {w[i, 0]:.3e})")
-        Qb = np.einsum("kmn,km->kn", Q, b.reshape(K * N, n)) / w
-        c = np.einsum("kmn,kn->km", Q, Qb)
-        out = gammas, b, c.reshape(K, N, n), fr, np.einsum("kn,kn...->k...", c, C)[:, None], (w, Q)
+        _gram_cholesky(G, lambda i: f"step {i % N}" + (f" of path {i // N}" if K > 1 else ""))
+        c = np.linalg.solve(G, b.reshape(K * N, n, 1))[..., 0]
+        out = gammas, b, c.reshape(K, N, n), fr, np.einsum("kn,kn...->k...", c, C)[:, None], G
         self.last = (np.asarray(y, dtype=float).tobytes(), out)
         return out
 
-    def value_and_grad(self, y: np.ndarray):
-        """Energies (K,) and gradients (K, n) at a stack of paths y (K, n),
-        or a float and (n,) at one path (n,)."""
+    def _energy(self, out):
+        """Energies (K,) and gradients (K, (N-1) n) of the K paths of an
+        evaluation."""
         h = self.h
-        _, b, c, fr, CU, _ = self.evaluate(y)
+        _, b, c, fr, CU, _ = out
         value = np.sum((b * c).reshape(len(b), -1), axis=1) / h
         # d(value)/d(gbar_k) = -(1/h) d/dgbar <U_k, D U_k> at fixed U_k, the
         # state derivative of the kinetic form
         M = fr.state_derivative(CU)[:, 0]
         S = (-0.5 / h * self.coords(M)).reshape(c.shape)
-        grad = (2.0 / h * (c[:, :-1] - c[:, 1:]) + S[:, :-1] + S[:, 1:]).reshape(np.shape(y))
-        return (float(value[0]), grad) if np.ndim(y) == 1 else (value, grad)
+        grad = 2.0 / h * (c[:, :-1] - c[:, 1:]) + S[:, :-1] + S[:, 1:]
+        return value, grad.reshape(len(b), -1)
 
-    def preconditioner(self, w: np.ndarray, Q: np.ndarray) -> np.ndarray:
+    def value_and_grad(self, y: np.ndarray):
+        """Energies (K,) and gradients (K, n) at a stack of paths y (K, n),
+        or a float and (n,) at one path (n,)."""
+        value, grad = self._energy(self.evaluate(y))
+        return (float(value[0]), grad[0]) if np.ndim(y) == 1 else (value, grad)
+
+    def path(self, out):
+        """(states, b, c, B) of the first path of an evaluation, as copies:
+        its N + 1 states, its step coordinates and coefficients, and its
+        momenta B_k = [gbar_k]_j dj U_k over the folded jumps, (N, J', d, d)."""
+        gammas, b, c, fr, CU, _ = out
+        N = self.N
+        W = fr.W[:N]
+        B = (W @ (fr.theta[:N] * CU[:N]) @ la.dagger(W))[:, 0] / self.h
+        return gammas[0].copy(), b[0].copy(), c[0].copy(), B
+
+    def selftest(self) -> float:
+        """la.check_gradient at the linear path y = 0, where the descent
+        starts; returns the largest relative gap. The check's first path is
+        y = 0 itself. Of the seven-path evaluation the energy keeps only that
+        path's value, gradient, Gram matrices and path (self.start), which
+        serve the descent's first call, the preconditioner and, for a
+        descent that stops at its start, the rebuild."""
+        def checked(ys):
+            out = self.evaluate(ys)
+            value, grad = self._energy(out)
+            self.start = value[0], grad[0], out[-1][:self.N].copy(), self.path(out)
+            self.last = (None, None)  # release the seven paths
+            return value, grad
+
+        return la.check_gradient(checked, np.zeros((self.N - 1) * len(self.basis)),
+                                 "path energy")
+
+    def preconditioner(self, G: np.ndarray) -> np.ndarray:
         """T = E diag(lam^-1/2) from one eigh H = E diag(lam) E^T, so that
         T T^T = H^-1, for H = (2/h) D^T blockdiag(G_k^-1) D: the Hessian with
-        the G_k = Q_k diag(w_k) Q_k^T of the linear path (evaluate at y = 0)
-        held fixed, D the step-difference map y -> b - delta. It is exact at
-        p = 2, where the G_k do not depend on the state."""
+        the Gram matrices G (N, n, n) of the linear path held fixed, D the
+        step-difference map y -> b - delta. It is exact at p = 2, where the
+        G_k do not depend on the state. The eigh, not a Cholesky factor of
+        H, sets the z coordinates that the descent's gtol test reads."""
         N, n = self.N, len(self.basis)
-        Ginv = 2.0 / self.h * ((Q / w[:, None, :]) @ np.swapaxes(Q, -1, -2))
+        Ginv = 2.0 / self.h * np.linalg.inv(G)
         H = np.zeros((N - 1, n, N - 1, n))
         i = np.arange(N - 1)
         H[i, :, i] = Ginv[:-1] + Ginv[1:]
@@ -452,27 +511,30 @@ def w2p_solve(L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray, p: float,
     The unknowns are the interior states of an N-step path; the endpoints
     are rho0 and rho1 exactly, and the momenta of each step are eliminated in
     closed form (see _PathEnergy). The energy gradient is self-tested once
-    per solve. One start of the shared BFGS (linalg.minimize, with ftol =
-    tol * 1e-3) descends z -> E(T z) from z = 0, the linear path, where
-    T T^T is the inverse Hessian (_PathEnergy.preconditioner), so its gtol
-    test bounds a Newton decrement; interior midpoints are eigenvalue-floored.
+    per solve, at the linear path. One start of the shared BFGS
+    (linalg.minimize, with ftol = tol * 1e-3) descends z -> E(T z) from
+    z = 0, the linear path, where T T^T is the inverse Hessian
+    (_PathEnergy.preconditioner), so its gtol test bounds a Newton
+    decrement; the self-test's evaluation of the linear path answers the
+    descent's first call. Interior midpoints are eigenvalue-floored.
     Returns (distance, path), with the momenta rebuilt as
     B_k = [gbar_k]_j dj U_k on the jumps of L (_unfold) and the continuity
     residual taken over them; the path is converged when the start stopped on
-    "ftol" or "gtol", and carries its steps, evaluations, stop and the
-    self-test's largest relative gradient gap.
+    "ftol" or "gtol", and carries its steps, evaluations (the served first
+    call among them), stop and the self-test's largest relative gradient gap.
     """
     problem = _PathEnergy(L, rho0, rho1, p, opts.N)
     y = np.zeros((opts.N - 1) * len(problem.basis))
     steps, evaluations, stop, gap = 0, 0, "gtol", 0.0  # an empty gradient is 0
     if y.size:  # a one-step path has no interior state to optimize
-        gap = la.check_gradient(problem.value_and_grad, y, "path energy")
-        # the self-test's first path is y itself, the linear path: its Gram
-        # matrices serve the preconditioner
-        w, Q = problem.last[1][-1]
-        T = problem.preconditioner(w[:opts.N], Q[:opts.N])
+        gap = problem.selftest()
+        value0, grad0, G0, start = problem.start
+        T = problem.preconditioner(G0)
+        served = [(np.array([value0]), grad0[None] @ T)]
 
         def energy(z):  # E(T z) and its gradient T^T grad E, for a stack z
+            if served:  # the first call, at z = 0
+                return served.pop()
             value, grad = problem.value_and_grad(z @ T.T)
             return value, grad @ T
 
@@ -481,9 +543,11 @@ def w2p_solve(L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray, p: float,
         steps, evaluations = int(res.iterations[0]), int(res.evaluations[0])
     h = problem.h
     key, last = problem.last  # the optimizer's, when made at the point it returned
-    gammas, b, c, fr, CU, _ = last if key == y.tobytes() else problem.evaluate(y)
-    gammas, b, c = gammas[0], b[0], c[0]
-    B = _unfold(L, fr.uneig(fr.theta * CU, fr.P)[:, 0] / h)
+    if y.size and not y.any():  # the descent stopped at its start
+        gammas, b, c, B = start
+    else:
+        gammas, b, c, B = problem.path(last if key == y.tobytes() else problem.evaluate(y))
+    B = _unfold(L, B)
     actions = np.sum(b * c, axis=1) / h ** 2
     Vd = la.dagger(np.array([V for V, _ in L.jumps]))
     flow = (gammas[1:] - gammas[:-1]) / h + np.sum(B @ Vd - Vd @ B, axis=-3)  # + div B

@@ -554,6 +554,25 @@ class TestMain:
         assert report["summary"]["failures"] == [f"{task}.error"]
         assert report["errors"][task].startswith("NotPrimitive:")
 
+    def test_non_primitive_model_skips_transport_checks(self, tmp_path):
+        # verify keeps the checks that hold without primitivity; its W_{2,p}
+        # checks, whose Gram matrices are singular up to round-off on a
+        # reducible model (SingularMetric at "step 5 of path 0", eigenvalue
+        # -1.6e-16, before they were skipped), print skip with the reason
+        config = tmp_path / "reducible.json"
+        config.write_text(json.dumps({
+            "dimension": 3, "sigma": {"eigenvalues": [0.5, 0.3, 0.2]},
+            "generator": {"kind": "random_dbc", "pairs": 1, "diag": 1, "seed": 3}}))
+        out = tmp_path / "out"
+        assert cli.main(["verify", "--config", str(config), "--out", str(out)]) == 0
+        report = json.loads((out / "report.json").read_text())
+        assert report["errors"] == {}
+        checks = {c["name"]: c for c in report["results"]["verify"]}
+        for name in ("transport-converged", "distance-symmetry", "trace-distance-lower-bound"):
+            assert checks[name]["status"] == "skip"
+            assert "not primitive" in checks[name]["detail"]
+        assert "pass" in {c["status"] for c in checks.values()}
+
     def _corrupted_generator_fails(self, tmp_path, capsys, task):
         # the config is valid, the model does not build: the task exits 1
         # and names the error on stderr

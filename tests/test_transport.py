@@ -379,6 +379,86 @@ class TestPathEnergy:
         with pytest.raises(SingularMetric, match="step 4 of path 1 "):
             problem.value_and_grad(np.zeros((3, (self.N - 1) * 3)))
 
+    def test_stacked_singular_metric_names_lowest_eigenvalue(self, dbc2, monkeypatch):
+        basis_gram = tp._basis_gram
+
+        def breaks_path_1_step_2(L, rho, p):
+            fr, C, G = basis_gram(L, rho, p)
+            k = 1 * self.N + 2
+            G[k] -= (np.linalg.eigvalsh(G[k])[0] + 0.5) * np.eye(len(G[k]))
+            return fr, C, G
+
+        problem = tp._PathEnergy(dbc2, np.diag([0.6, 0.4]).astype(complex), SIGMA_STAR,
+                                 1.5, self.N)
+        monkeypatch.setattr(tp, "_basis_gram", breaks_path_1_step_2)
+        with pytest.raises(SingularMetric, match=r"step 2 of path 1 .*lowest eigenvalue -5\.000e-01"):
+            problem.value_and_grad(np.zeros((3, (self.N - 1) * 3)))
+
+    def test_gram_cholesky_names_first_failing_matrix(self, rng):
+        # the first matrix that is not positive definite, not the lowest
+        A = rng.standard_normal((4, 5, 5))
+        G = A @ np.swapaxes(A, -1, -2) + np.eye(5)
+        R = tp._gram_cholesky(G, str)
+        assert np.allclose(R @ np.swapaxes(R, -1, -2), G, rtol=1e-13, atol=0.0)
+        for i, low in ((1, -0.25), (3, -2.0)):
+            G[i] -= (np.linalg.eigvalsh(G[i])[0] - low) * np.eye(5)
+        with pytest.raises(SingularMetric, match=r"of matrix 1 .*\(lowest eigenvalue -2\.500e-01\)"):
+            tp._gram_cholesky(G, lambda i: f"matrix {i}")
+
+    def test_floor_keeps_states_above_it(self, rng, model):
+        # bit for bit the input when every eigenvalue exceeds FLOOR
+        g = np.array([la.random_density(rng, model.d, floor=0.01) for _ in range(4)])
+        assert tp._floored(g) is g
+
+    def test_floor_matches_eigen_floor(self, rng, model):
+        # a state with an eigenvalue of 1e-12 among full-rank ones: that one
+        # is raised to FLOOR, as by the eigendecomposition, and the others
+        # are kept bit for bit
+        d = model.d
+        g = np.array([la.random_density(rng, d, floor=0.01) for _ in range(3)])
+        U = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
+        lam = np.full(d, (1.0 - 1e-12) / (d - 1))
+        lam[0] = 1e-12
+        g[1] = la.herm((U * lam) @ U.conj().T)
+        out = tp._floored(g)
+        w, V = np.linalg.eigh(g[1])
+        ref = (V * np.maximum(w, tp.FLOOR)) @ V.conj().T
+        assert np.array_equal(out[[0, 2]], g[[0, 2]])
+        assert np.max(np.abs(out[1] - ref)) <= 1e-15
+        assert np.linalg.eigvalsh(out[1])[0] >= tp.FLOOR * (1.0 - 1e-6)
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 2.0])
+    def test_self_test_serves_the_first_evaluation(self, model, pair, p):
+        # the value and gradient the self-test keeps of its first path, the
+        # linear path y = 0, are those of a fresh evaluation there
+        problem = tp._PathEnergy(model, *pair, p, self.N)
+        problem.selftest()
+        value, grad, G, _ = problem.start
+        fresh_value, fresh_grad = problem.value_and_grad(np.zeros_like(grad))
+        assert abs(value - fresh_value) <= 1e-13 * abs(fresh_value)
+        assert np.max(np.abs(grad - fresh_grad)) <= 1e-13 * max(np.max(np.abs(fresh_grad)),
+                                                                 fresh_value)
+        assert G.shape == (self.N, model.d ** 2 - 1, model.d ** 2 - 1)
+        fresh_G = problem.last[1][-1]
+        assert np.max(np.abs(G - fresh_G)) <= 1e-13 * np.max(np.abs(fresh_G))
+
+    def test_p2_solve_evaluates_once(self, model, pair, monkeypatch):
+        # at p = 2 the linear path is the optimum: the self-test's one
+        # evaluation serves the descent's only call and the rebuild
+        calls = []
+        evaluate = tp._PathEnergy.evaluate
+
+        def counted(problem, y):
+            calls.append(np.shape(y))
+            return evaluate(problem, y)
+
+        monkeypatch.setattr(tp._PathEnergy, "evaluate", counted)
+        dist, path = tp.w2p_solve(model, *pair, 2.0, tp.W2Opts(N=self.N))
+        assert (path.stop, path.steps, path.evaluations) == ("gtol", 0, 1)
+        assert calls == [(7, (self.N - 1) * (model.d ** 2 - 1))]
+        assert path.continuity_residual <= 1e-10
+        assert dist == pytest.approx(tp.flat_w22(model, *pair), rel=1e-9)
+
     def test_singular_metric_names_step(self, dbc2, monkeypatch):
         basis_gram = tp._basis_gram
 
@@ -405,7 +485,7 @@ class TestPreconditioner:
         L = request.getfixturevalue(name)
         pair = [la.random_density(rng, L.d, floor=0.1) for _ in range(2)]
         problem = tp._PathEnergy(L, *pair, 2.0, 6)
-        T = problem.preconditioner(*problem.evaluate(np.zeros(5 * (L.d ** 2 - 1)))[-1])
+        T = problem.preconditioner(problem.evaluate(np.zeros(5 * (L.d ** 2 - 1)))[-1])
         eps = 1e-3
         _, g = problem.value_and_grad(np.concatenate([eps * T.T, -eps * T.T]))
         HT = (g[:len(T)] - g[len(T):]) / (2.0 * eps)
@@ -434,9 +514,10 @@ class TestPreconditioner:
             assert a["action_per_step"] == pytest.approx(b["action_per_step"], rel=1e-6, abs=0.0)
 
     def test_rebuild_reuses_the_last_evaluation(self, rng, depol3, monkeypatch):
-        # one call for the self-test, one per optimizer evaluation, and none
-        # to rebuild the path: the optimizer's last point maps back to y by
-        # the same product as inside the objective
+        # one call for the self-test, which also answers the optimizer's
+        # first evaluation, one per later optimizer evaluation, and none to
+        # rebuild the path: the optimizer's last point maps back to y by the
+        # same product as inside the objective
         calls = []
         evaluate = tp._PathEnergy.evaluate
 
@@ -448,7 +529,7 @@ class TestPreconditioner:
         pair = [la.random_density(rng, 3, floor=0.05) for _ in range(2)]
         _, path = tp.w2p_solve(depol3, *pair, 1.05, tp.W2Opts(N=20))
         assert path.stop == "ftol"
-        assert len(calls) == 1 + path.evaluations
+        assert len(calls) == path.evaluations
         assert calls[0] == (7, 19 * 8)
 
 

@@ -209,26 +209,16 @@ def _contract(A: np.ndarray, B: np.ndarray, C: np.ndarray, Cc: np.ndarray) -> np
     return (A.conj() @ C.swapaxes(-1, -2) + B.swapaxes(-1, -2) @ Cc).sum(axis=-3)
 
 
-def _above_floor(g: np.ndarray) -> bool:
-    """Whether g - FLOOR I has a Cholesky factor, for every matrix of a stack."""
+def _floored(g: np.ndarray) -> np.ndarray:
+    """Eigenvalues of each Hermitian matrix of a stack raised to at least
+    FLOOR: g itself when every g_i - FLOOR I has a Cholesky factor, else the
+    whole stack eigendecomposed and floored."""
     try:
         np.linalg.cholesky(g - FLOOR * np.eye(g.shape[-1]))
-    except np.linalg.LinAlgError:
-        return False
-    return True
-
-
-def _floored(g: np.ndarray) -> np.ndarray:
-    """Eigenvalues of each Hermitian matrix of a stack (S, d, d) raised to at
-    least FLOOR. g itself when every g_i - FLOOR I has a Cholesky factor;
-    else only the g_i that fail that test are eigendecomposed and floored."""
-    if _above_floor(g):
         return g
-    low = [i for i in range(len(g)) if not _above_floor(g[i])]
-    w, V = la.herm_eigh(g[low], check=False)
-    out = g.copy()
-    out[low] = (V * np.maximum(w, FLOOR)[..., None, :]) @ la.dagger(V)
-    return out
+    except np.linalg.LinAlgError:
+        w, V = la.herm_eigh(g, check=False)
+        return (V * np.maximum(w, FLOOR)[..., None, :]) @ la.dagger(V)
 
 
 def _gram_cholesky(G: np.ndarray, where: Callable[[int], str]) -> np.ndarray:
@@ -516,7 +506,8 @@ def w2p_solve(L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray, p: float,
     z = 0, the linear path, where T T^T is the inverse Hessian
     (_PathEnergy.preconditioner), so its gtol test bounds a Newton
     decrement; the self-test's evaluation of the linear path answers the
-    descent's first call. Interior midpoints are eigenvalue-floored.
+    descent's first call when it is made at z = 0. Interior midpoints are
+    eigenvalue-floored.
     Returns (distance, path), with the momenta rebuilt as
     B_k = [gbar_k]_j dj U_k on the jumps of L (_unfold) and the continuity
     residual taken over them; the path is converged when the start stopped on
@@ -533,7 +524,7 @@ def w2p_solve(L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray, p: float,
         served = [(np.array([value0]), grad0[None] @ T)]
 
         def energy(z):  # E(T z) and its gradient T^T grad E, for a stack z
-            if served:  # the first call, at z = 0
+            if served and not z.any():  # the first call, at the start z = 0
                 return served.pop()
             value, grad = problem.value_and_grad(z @ T.T)
             return value, grad @ T

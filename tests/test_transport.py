@@ -411,9 +411,9 @@ class TestPathEnergy:
         assert tp._floored(g) is g
 
     def test_floor_matches_eigen_floor(self, rng, model):
-        # a state with an eigenvalue of 1e-12 among full-rank ones: that one
-        # is raised to FLOOR, as by the eigendecomposition, and the others
-        # are kept bit for bit
+        # a state with an eigenvalue of 1e-12 among full-rank ones: the stack
+        # is floored by its eigendecomposition, which raises that eigenvalue
+        # to FLOOR and keeps the other states to round-off
         d = model.d
         g = np.array([la.random_density(rng, d, floor=0.01) for _ in range(3)])
         U = np.linalg.qr(rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d)))[0]
@@ -421,10 +421,10 @@ class TestPathEnergy:
         lam[0] = 1e-12
         g[1] = la.herm((U * lam) @ U.conj().T)
         out = tp._floored(g)
-        w, V = np.linalg.eigh(g[1])
-        ref = (V * np.maximum(w, tp.FLOOR)) @ V.conj().T
-        assert np.array_equal(out[[0, 2]], g[[0, 2]])
-        assert np.max(np.abs(out[1] - ref)) <= 1e-15
+        w, V = np.linalg.eigh(g)
+        ref = (V * np.maximum(w, tp.FLOOR)[:, None, :]) @ la.dagger(V)
+        assert np.max(np.abs(out - ref)) <= 1e-15
+        assert np.max(np.abs(out[[0, 2]] - g[[0, 2]])) <= 1e-14
         assert np.linalg.eigvalsh(out[1])[0] >= tp.FLOOR * (1.0 - 1e-6)
 
     @pytest.mark.parametrize("p", [1.05, 1.5, 2.0])
@@ -458,6 +458,29 @@ class TestPathEnergy:
         assert calls == [(7, (self.N - 1) * (model.d ** 2 - 1))]
         assert path.continuity_residual <= 1e-10
         assert dist == pytest.approx(tp.flat_w22(model, *pair), rel=1e-9)
+
+    def test_served_value_only_at_the_start(self, model, pair, monkeypatch):
+        # an optimizer whose first call is off z = 0 gets a fresh evaluation
+        # there, not the self-test's value of the linear path; its call at
+        # z = 0 is still served, and the solve ends where it did
+        dist, path = tp.w2p_solve(model, *pair, 1.5, tp.W2Opts(N=self.N))
+        calls = []
+        evaluate = tp._PathEnergy.evaluate
+
+        def counted(problem, y):
+            calls.append(bool(np.any(y)))
+            return evaluate(problem, y)
+
+        def shifted(fun, x0, **kw):
+            fun(x0 + 0.01)
+            return la.minimize(fun, x0, **kw)
+
+        monkeypatch.setattr(tp._PathEnergy, "evaluate", counted)
+        monkeypatch.setattr(tp, "minimize", shifted)
+        dist2, path2 = tp.w2p_solve(model, *pair, 1.5, tp.W2Opts(N=self.N))
+        assert calls[:2] == [True, True]  # the self-test, then the shifted call
+        assert len(calls) == path2.evaluations + 1  # minimize's first call is served
+        assert (path2.evaluations, path2.steps, dist2) == (path.evaluations, path.steps, dist)
 
     def test_singular_metric_names_step(self, dbc2, monkeypatch):
         basis_gram = tp._basis_gram

@@ -266,9 +266,12 @@ def check_gradient(fun_and_grad: Callable, x: np.ndarray, what) -> float:
     disagreement above 1e-4, else return the largest relative disagreement.
     x is one point (n,) named what, or K points (K, n) named by the sequence
     what, checked in order, so that the first failing one is named.
-    fun_and_grad maps a stack (k, n) to values (k,) and gradients (k, n), as
-    in minimize; it is called once, on the (7K, n) stack that holds
-    [x, x + eps v, x - eps v, ...] for each point in turn."""
+    fun_and_grad maps a stack (k, n) to values (k,) and gradients, as in
+    minimize; it is called once, on the (7K, n) stack that holds
+    [x, x + eps v, x - eps v, ...] for each point in turn. Only the
+    gradients at the points x, rows 7k of the stack, are read, so fun_and_grad
+    may return the gradients of a leading part of the stack that holds those
+    rows: for one point, its first row (1, n) alone."""
     rng = np.random.default_rng(0)
     xs, names = (x[None], [what]) if np.ndim(x) == 1 else (x, what)
     vs = [v / np.linalg.norm(v) for v in rng.standard_normal((3, xs.shape[1]))]
@@ -328,7 +331,8 @@ class MinimizeResult:
 
 
 def minimize(fun: Callable, x0: np.ndarray, max_iters: int = 2000,
-             ftol: float = 1e-8, groups: np.ndarray | None = None) -> MinimizeResult:
+             ftol: float = 1e-8, groups: np.ndarray | None = None,
+             whitened: bool = False) -> MinimizeResult:
     """Dense BFGS on a stack of starts x0 (S, n), each start with its own
     inverse Hessian (Nocedal & Wright, Numerical Optimization, 2nd ed.,
     ch. 3 and 6).
@@ -342,8 +346,10 @@ def minimize(fun: Callable, x0: np.ndarray, max_iters: int = 2000,
     no extra call. A start steps along -H g and backtracks (safeguarded
     quadratic interpolation) until the Armijo condition holds, then applies
     the BFGS update where the curvature y^T s is positive; before its first
-    update H is scaled by y^T s / y^T y. The first step is 1 long, and every
-    step at most MAX_STEP * max(|x|, 1). A start stops ("ftol") when a step
+    update H is scaled by y^T s / y^T y. The first trial is 1 long, or, with
+    whitened set, the full step -g, the Newton step of a caller whose
+    coordinates make the identity the inverse Hessian at x0; every step is at
+    most MAX_STEP * max(|x|, 1) long. A start stops ("ftol") when a step
     lowers its value by at most ftol * max(|f_old|, |f_new|, 1), a
     relative-decrease test; ("gtol") when max |g| <= GTOL; ("max_iters")
     after max_iters steps; ("line_search") when MAX_BACKTRACKS trials in a
@@ -398,7 +404,7 @@ def minimize(fun: Callable, x0: np.ndarray, max_iters: int = 2000,
             d = np.where(uphill[:, None], -g, d)
             slope = np.where(uphill, -(g * g).sum(axis=1), slope)
         norm = np.maximum(np.sqrt((d * d).sum(axis=1)), np.finfo(float).tiny)
-        alpha = 1.0 / norm if first else np.ones(len(d))
+        alpha = 1.0 / norm if first and not whitened else np.ones(len(d))
         cap = MAX_STEP * np.maximum(np.sqrt((x * x).sum(axis=1)), 1.0) / norm
         return H, d, slope, np.minimum(alpha, cap)
 

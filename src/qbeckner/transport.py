@@ -128,6 +128,15 @@ class _Frame:
         self.theta, dx, dy = theta_p_log(self.p, (x - y) + c.tilt, x + y)
         self._log_partials = dx, dy
 
+    def __getitem__(self, index) -> _Frame:
+        """The frame of the states rho[index] of the first leading axis,
+        sliced from this one, so that nothing is computed again."""
+        fr = object.__new__(_Frame)
+        fr.p, fr._c, fr.P, fr.Q = self.p, self._c, self.P, self.Q
+        fr.lam, fr.V, fr.W, fr.theta = (a[index] for a in (self.lam, self.V, self.W, self.theta))
+        fr._log_partials = tuple(a[index] for a in self._log_partials)
+        return fr
+
     @cached_property
     def partials(self) -> Tuple[np.ndarray, np.ndarray]:
         """The partials of theta_p(a_j, b_j) in the untilted lam_x and lam_y,
@@ -431,18 +440,21 @@ class _PathEnergy:
         self.last = (np.asarray(y, dtype=float).tobytes(), out)
         return out
 
-    def _energy(self, out):
-        """Energies (K,) and gradients (K, (N-1) n) of the K paths of an
-        evaluation."""
-        h = self.h
+    def _energy(self, out, paths: int | None = None):
+        """Energies (K,) of the K paths of an evaluation, and the gradients
+        (paths, (N-1) n) of its first paths, of all K by default."""
+        h, N = self.h, self.N
         _, b, c, fr, CU, _ = out
         value = np.sum((b * c).reshape(len(b), -1), axis=1) / h
+        c = c[:paths]
+        if paths is not None:
+            fr, CU = fr[:paths * N], CU[:paths * N]
         # d(value)/d(gbar_k) = -(1/h) d/dgbar <U_k, D U_k> at fixed U_k, the
         # state derivative of the kinetic form
         M = fr.state_derivative(CU)[:, 0]
         S = (-0.5 / h * self.coords(M)).reshape(c.shape)
         grad = 2.0 / h * (c[:, :-1] - c[:, 1:]) + S[:, :-1] + S[:, 1:]
-        return value, grad.reshape(len(b), -1)
+        return value, grad.reshape(len(c), -1)
 
     def value_and_grad(self, y: np.ndarray):
         """Energies (K,) and gradients (K, n) at a stack of paths y (K, n),
@@ -463,13 +475,15 @@ class _PathEnergy:
     def selftest(self) -> float:
         """la.check_gradient at the linear path y = 0, where the descent
         starts; returns the largest relative gap. The check's first path is
-        y = 0 itself. Of the seven-path evaluation the energy keeps only that
+        y = 0 itself, and the check reads the gradient there alone, so of the
+        seven paths only that one's gradient is formed: the other six give
+        their values. Of the evaluation the energy keeps only the first
         path's value, gradient, Gram matrices and path (self.start), which
         serve the descent's first call, the preconditioner and, for a
         descent that stops at its start, the rebuild."""
         def checked(ys):
             out = self.evaluate(ys)
-            value, grad = self._energy(out)
+            value, grad = self._energy(out, paths=1)
             self.start = value[0], grad[0], out[-1][:self.N].copy(), self.path(out)
             self.last = (None, None)  # release the seven paths
             return value, grad
@@ -505,9 +519,10 @@ def w2p_solve(L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray, p: float,
     (linalg.minimize, with ftol = tol * 1e-3) descends z -> E(T z) from
     z = 0, the linear path, where T T^T is the inverse Hessian
     (_PathEnergy.preconditioner), so its gtol test bounds a Newton
-    decrement; the self-test's evaluation of the linear path answers the
-    descent's first call when it is made at z = 0. Interior midpoints are
-    eigenvalue-floored.
+    decrement and its first trial is the Newton step -T^T grad E (minimize's
+    whitened start, capped at length 1); the self-test's evaluation of the
+    linear path answers the descent's first call when it is made at z = 0.
+    Interior midpoints are eigenvalue-floored.
     Returns (distance, path), with the momenta rebuilt as
     B_k = [gbar_k]_j dj U_k on the jumps of L (_unfold) and the continuity
     residual taken over them; the path is converged when the start stopped on
@@ -529,7 +544,7 @@ def w2p_solve(L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray, p: float,
             value, grad = problem.value_and_grad(z @ T.T)
             return value, grad @ T
 
-        res = minimize(energy, y[None], ftol=opts.tol * 1e-3)
+        res = minimize(energy, y[None], ftol=opts.tol * 1e-3, whitened=True)
         y, stop = (res.x @ T.T)[0], res.stops[0]
         steps, evaluations = int(res.iterations[0]), int(res.evaluations[0])
     h = problem.h

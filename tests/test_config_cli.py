@@ -32,6 +32,34 @@ def bad_jumps_config(tasks):
         tasks=tasks)
 
 
+def zoo_model(index):
+    """Config of model index of the seeded zoo: the index-th pass of one loop
+    over numpy.random.default_rng(2026) with ROADMAP item 4's draws, run with
+    4 starts, 4 transport steps, 4 curvature samples, p grid [1.05, 1.5, 2]
+    and q grid [1.5]."""
+    rng = np.random.default_rng(2026)
+    for _ in range(index + 1):
+        d = int(rng.integers(2, 5))
+        smin = 10 ** rng.uniform(-7, -0.5)
+        ev = np.sort(rng.uniform(0.2, 1.0, d))
+        ev[0] = 0
+        ev = ev / ev.sum() * (1 - smin * d) + smin
+        ev /= ev.sum()
+        sigma = {"eigenvalues": ev.tolist()}
+        if rng.random() < 0.4:
+            Q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+            sigma["basis"] = la.matrix_to_json(Q)
+        kind = str(rng.choice(["depolarizing", "random_dbc"]))
+        if kind == "depolarizing":
+            generator = {"kind": kind, "gamma": float(rng.uniform(0.3, 3))}
+        else:
+            generator = {"kind": kind, "pairs": int(rng.integers(0, d + 1)),
+                         "diag": int(rng.integers(0, 3)), "seed": int(rng.integers(0, 100))}
+    return {"dimension": d, "sigma": sigma, "generator": generator, "num_starts": 4,
+            "transport_steps": 4, "ricci_samples": 4, "p_grid": [1.05, 1.5, 2.0],
+            "q_grid": [1.5]}
+
+
 class TestConfig:
     def test_round_trip(self):
         cfg = cf.fixtures("depol2")
@@ -444,6 +472,28 @@ class TestMain:
         assert cli.main([task, "--config", str(config), "--out", str(tmp_path / "out")]) == 0
         at_2 = [(n, stop) for p, n, stop in solves if p == 2.0]
         assert at_2 and all(s == (1, "gtol") for s in at_2)
+
+    # models 23 (d = 3, rotated sigma, sigma_min = 2.2e-4) and 35 (d = 4,
+    # sigma_min = 1.6e-4) of the seeded zoo, both depolarizing: a p = 2 solve
+    # of a state and sigma starts at a whitened gradient of round-off, above
+    # GTOL; a unit first trial along it stopped on line_search after 11
+    # evaluations, and the task exited 1 (OptimizerDiverged)
+    @pytest.mark.parametrize("index", [23, 35])
+    def test_zoo_p2_solves_at_round_off_stop_on_ftol_or_gtol(self, tmp_path, monkeypatch,
+                                                             index):
+        solve, stops = tp.w2p_solve, []
+
+        def recorded(L, rho0, rho1, p, *args, **kwargs):
+            dist, path = solve(L, rho0, rho1, p, *args, **kwargs)
+            stops.append((p, path.stop))
+            return dist, path
+
+        monkeypatch.setattr(tp, "w2p_solve", recorded)
+        config = tmp_path / "zoo.json"
+        config.write_text(json.dumps(zoo_model(index)))
+        assert cli.main(["ricci", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
+        at_2 = [stop for p, stop in stops if p == 2.0]
+        assert at_2 and all(stop in ("ftol", "gtol") for stop in at_2)
 
     def test_transport_diagnostics_in_report(self, tmp_path):
         out = tmp_path / "out"

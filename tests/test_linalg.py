@@ -406,6 +406,42 @@ class TestMinimizeAgreement:
             assert np.array_equal(getattr(path, field), getattr(ref_path, field)), field
 
 
+class TestWhitenedStart:
+    """With whitened set, minimize's first trial is the full step -g, the
+    Newton step where the inverse Hessian is the identity, capped at
+    MAX_STEP * max(|x|, 1); without it, the first trial is 1 long."""
+
+    @staticmethod
+    def trials(m, **kwargs):
+        """The points minimize evaluates on 0.5 |x - m|^2 from x = 0, and its
+        result."""
+        calls = []
+
+        def fun(x):
+            calls.append(x[0].copy())
+            r = x - m
+            return 0.5 * (r * r).sum(axis=1), r
+
+        return calls, la.minimize(fun, np.zeros((1, len(m))), **kwargs)
+
+    M = np.array([0.3, -0.2, 0.1])
+
+    def test_first_trial_is_the_minimum(self):
+        calls, res = self.trials(self.M, whitened=True)
+        assert np.array_equal(calls[1], self.M)
+        assert (res.stops, res.iterations[0], res.evaluations[0]) == (("gtol",), 1, 2)
+
+    def test_unwhitened_first_trial_is_unit_length(self):
+        calls, res = self.trials(self.M)
+        assert np.linalg.norm(calls[1]) == pytest.approx(1.0, rel=1e-15)
+        assert res.evaluations[0] > 2  # it overshoots and backtracks
+
+    def test_whitened_first_trial_is_capped(self):
+        m = np.array([3.0, -4.0, 0.0])
+        calls, _ = self.trials(m, whitened=True, max_iters=1)
+        assert np.allclose(calls[1], m / 5.0, rtol=0.0, atol=1e-15)
+
+
 class TestGroupedMinimize:
     """Groups of starts in one minimize call: each group gets the agreement
     cut with its own quorum, so every start ends where a call on its group

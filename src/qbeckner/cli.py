@@ -93,12 +93,12 @@ def run_decay(cfg: ExperimentConfig, L: DbcLindbladian) -> Outcome:
     rho0 = la.random_density(rng, L.d, floor=0.02)
     alphas = {p: ct.alpha_lower(L, p) for p in cfg.p_grid}
     ts = np.linspace(0.0, 5.0, 16)
+    rhos = [evolve(L, float(t), "schrodinger", rho0) for t in ts]  # the same for every p
     curves = {}
     for p in cfg.p_grid:
         F0 = ent.p_divergence(rho0, L.sigma, p).value
         rows = []
-        for t in ts:
-            rho_t = evolve(L, float(t), "schrodinger", rho0)
+        for t, rho_t in zip(ts, rhos):
             F = ent.p_divergence(rho_t, L.sigma, p).value
             bound = float(np.exp(-4.0 * alphas[p] * t / p) * F0)
             rows.append({"t": float(t), "F_p": F, "bound": bound,

@@ -86,24 +86,6 @@ def spec_name(kind: str, param: Optional[float]) -> str:
     return kind if param is None else f"{kind}[{param}]"
 
 
-def _places(specs: Sequence[Spec]) -> np.ndarray:
-    """Each spec's place when specs are stably sorted by kind, in KINDS order."""
-    return np.argsort(np.argsort([KINDS.index(kind) for kind, _ in specs], kind="stable"))
-
-
-def _by_kind(place: np.ndarray, fn: Callable, rows: np.ndarray, *stacks: np.ndarray):
-    """fn(rows, *stacks) with the rows stably sorted by their spec's place,
-    so that each kind and each spec is one contiguous slice, and the order
-    undone on each output; rows in that order already, as a task's stacked
-    starts are, pass as they are."""
-    key = place[rows]
-    if not (key[1:] < key[:-1]).any():
-        return fn(rows, *stacks)
-    order = np.argsort(key, kind="stable")
-    undo = np.argsort(order)
-    return tuple(out[undo] for out in fn(rows[order], *(s[order] for s in stacks)))
-
-
 def _ratio_and_grad(L: DbcLindbladian, specs: Sequence[Spec]) -> Callable:
     """Rayleigh ratios whose infima over the feasible cone are the constants
     of specs, with their gradients: (X, rows) -> (R(X), G), dR = Re tr(G dX),
@@ -118,8 +100,10 @@ def _ratio_and_grad(L: DbcLindbladian, specs: Sequence[Spec]) -> Callable:
 
     X is one matrix (d, d), giving a float and (d, d), or a stack (R, d, d),
     giving (R,) and (R, d, d); a single matrix is a stack of one, and rows
-    defaults to spec 0 throughout. One kind-sliced pass serves every row
-    (_by_kind): one batched eigendecomposition of A = sigma^(1/2r) X
+    defaults to spec 0 throughout. specs come in KINDS order and the rows of
+    each call in spec order, else ValueError, so that each kind and each
+    spec is one contiguous slice of the stack. One kind-sliced pass serves
+    every row: one batched eigendecomposition of A = sigma^(1/2r) X
     sigma^(1/2r) (r = p, q, 1 for mlsi, 2 for lsi), one L(X) and one
     dual-generator product; each kind's tail runs on its contiguous slice
     of rows, and a block whose kinds have no rows is not formed. Each power
@@ -138,21 +122,25 @@ def _ratio_and_grad(L: DbcLindbladian, specs: Sequence[Spec]) -> Callable:
     half, quarter = L.sigma_power(0.5), L.sigma_power(0.25)
     sls = L.sigma @ log_sigma  # S log(sigma) S for S = half, as S commutes with sigma
 
-    place = _places(specs)
-    ranked = [specs[k] for k in np.argsort(place)]
-    cuts = np.searchsorted([KINDS.index(kind) for kind, _ in ranked],
-                           np.arange(len(KINDS) + 1)).tolist()  # where each kind begins
+    kinds = [KINDS.index(kind) for kind, _ in specs]
+    if kinds != sorted(kinds):
+        raise ValueError(f"specs not in KINDS order: {list(specs)}")
+    cuts = np.searchsorted(kinds, np.arange(len(KINDS) + 1)).tolist()  # where each kind begins
     sandwiches = np.array([half if kind == "mlsi" else quarter if kind == "lsi"
                            else L.sigma_power(1.0 / (2.0 * float(r))) for kind, r in specs])
     param = np.array([np.nan if r is None else float(r) for _, r in specs])
     # f(a) on the spectrum of A is a^e, e = r - 1, for the power kinds, and
     # log a else; the forms take f' at ties from power_kernel(e) or log_kernel
-    exps = [float(r) - 1.0 if kind in POWER_KINDS else None for kind, r in ranked]
+    exps = [float(r) - 1.0 if kind in POWER_KINDS else None for kind, r in specs]
     dfs = [power_kernel(e).df if e is not None else log_kernel().df for e in exps[:cuts[2]]]
 
-    def fused(rows: np.ndarray, X: np.ndarray):
-        """The ratios and gradients of X, its rows in kind order."""
-        ends = [0] + np.cumsum(np.bincount(place[rows], minlength=len(specs))).tolist()
+    def evaluate(X: np.ndarray, rows=None):
+        single = np.ndim(X) == 2
+        X = np.reshape(X, (-1, L.d, L.d))
+        rows = np.zeros(len(X), dtype=int) if rows is None else np.asarray(rows)
+        if (rows[1:] < rows[:-1]).any():
+            raise ValueError("rows not in spec order")
+        ends = [0] + np.cumsum(np.bincount(rows, minlength=len(specs))).tolist()
         live = [(k, slice(i, j)) for k, (i, j) in enumerate(zip(ends, ends[1:])) if i < j]
         beck, mlsi, lsi, dual = (slice(ends[i], ends[j]) for i, j in zip(cuts, cuts[1:]))
         nf = mlsi.stop  # the rows of the forms tr(f(A) B), beckner then mlsi; E_2 after
@@ -233,7 +221,7 @@ def _ratio_and_grad(L: DbcLindbladian, specs: Sequence[Spec]) -> Callable:
                                     - (2.0 * logN)[:, None, None] * A) @ quarter
         for k, at in live:
             if k >= cuts[3]:
-                q = float(ranked[k][1])
+                q = float(specs[k][1])
                 A2 = quarter @ X[at] @ quarter
                 Mq = (f[at] * a[at]).sum(axis=1)
                 # Var_q = tr(A_2^2) - (tr A_q^q)^(2/q)
@@ -249,14 +237,8 @@ def _ratio_and_grad(L: DbcLindbladian, specs: Sequence[Spec]) -> Callable:
         R = num / den
         G = (g_num - R[:, None, None] * g_den) / den[:, None, None]
         if ridge.any():
-            return np.where(ridge, BIG, R), np.where(ridge[:, None, None], 0.0, G)
-        return R, G
-
-    def evaluate(X: np.ndarray, rows=None):
-        Xs = np.reshape(X, (-1, L.d, L.d))
-        rows = np.zeros(len(Xs), dtype=int) if rows is None else np.asarray(rows)
-        R, G = _by_kind(place, fused, rows, Xs)
-        return (float(R[0]), G[0]) if np.ndim(X) == 2 else (R, G)
+            R, G = np.where(ridge, BIG, R), np.where(ridge[:, None, None], 0.0, G)
+        return (float(R[0]), G[0]) if single else (R, G)
 
     return evaluate
 
@@ -300,24 +282,21 @@ def _objective(L: DbcLindbladian, specs: Sequence[Spec]) -> Callable:
 
     y is one point (2d^2,), giving a float and (2d^2,), or a stack
     (S, 2d^2), giving (S,) and (S, 2d^2), from one batched evaluation of
-    :func:`_ratio_and_grad`. The rows are put in kind order once, for the
-    normalization and the evaluator both (_by_kind)."""
+    :func:`_ratio_and_grad`, whose two orders it needs: specs in KINDS
+    order, and the rows of every call in spec order, so that the unit-mean
+    rows lead for the normalization too."""
     fused = _ratio_and_grad(L, specs)
-    place = _places(specs)
     mean = np.array([kind in UNIT_MEAN for kind, _ in specs])
     d = L.d
-
-    def sorted_objective(rows: np.ndarray, Y: np.ndarray):
-        X, m, D = _normalize(L, int(np.count_nonzero(mean[rows])), Y)
-        val, G = fused(X, rows)
-        # dX = (dX0 - X dm) / m, and dX0 = dY† Y + Y† dY
-        G = la.herm(G - _tr(G, X)[:, None, None] * D) / m[:, None, None]
-        return val, 2.0 * _pack(Y @ G)
 
     def objective(y: np.ndarray, rows=None):
         Y = _unpack(np.reshape(y, (-1, 2 * d * d)), d)
         rows = np.zeros(len(Y), dtype=int) if rows is None else np.asarray(rows)
-        val, grad = _by_kind(place, sorted_objective, rows, Y)
+        X, m, D = _normalize(L, int(np.count_nonzero(mean[rows])), Y)
+        val, G = fused(X, rows)
+        # dX = (dX0 - X dm) / m, and dX0 = dY† Y + Y† dY
+        G = la.herm(G - _tr(G, X)[:, None, None] * D) / m[:, None, None]
+        grad = 2.0 * _pack(Y @ G)
         if not (np.isfinite(val).all() and np.isfinite(grad).all()):
             bad = ~(np.isfinite(val) & np.isfinite(grad).all(axis=1))
             kind = specs[rows[np.argmax(bad)]][0]
@@ -344,24 +323,26 @@ def _seed_starts(L: DbcLindbladian, num_starts: int, seed: int) -> List[np.ndarr
 def estimate_constants(L: DbcLindbladian, specs: Sequence[Spec],
                        opts: EstimateOpts = EstimateOpts()) -> List[ConstantEstimate]:
     """Estimate functional-inequality constants of a primitive generator: one
-    ConstantEstimate per spec (kind, p or q or None), in the order of specs.
+    ConstantEstimate per spec (kind, p or q or None), in the order of specs,
+    whatever that order is.
 
     kind 'poincare' is read off the spectrum exactly. The others minimize
     their defining ratio over the unconstrained parameterization
     X = Y†Y / tr(sigma Y†Y) (or / ||Y†Y||_{2,sigma} for lsi and dual_beckner),
     and report min(best ratio, analytic cap); the cap is the linearization
-    value on the unreachable X -> 1 ridge. One batched call first self-tests
-    every analytic gradient against central differences and raises
-    GradientCheckFailed on the first spec that fails. Then the
-    opts.num_starts starts of each spec form one group of a single
-    linalg.minimize call (the batched BFGS the transport solver also uses)
-    through one stacked evaluator; a group's running starts stop once
-    enough of its stopped ones agree on its lowest ratio. Each start's path
-    is its own, so every estimate is the one it would be alone, and the
-    starts of a group are reduced by a minimum, so it does not depend on
-    their order. beckner needs p in (1, 2] and dual_beckner q in [1, 2), the
-    ranges of the config's p_grid and q_grid; anything else raises
-    ValueError.
+    value on the unreachable X -> 1 ridge. The distinct optimized specs are
+    put in KINDS order once, stably, for the stacked evaluator. One batched
+    call first self-tests every analytic gradient against central
+    differences and raises GradientCheckFailed on the first spec in that
+    order that fails. Then the opts.num_starts starts of each spec form one
+    group of a single linalg.minimize call (the batched BFGS the transport
+    solver also uses) through one stacked evaluator; a group's running
+    starts stop once enough of its stopped ones agree on its lowest ratio.
+    Each start's path is its own, so every estimate is the one it would be
+    alone, and the starts of a group are reduced by a minimum, so it does
+    not depend on their order. beckner needs p in (1, 2] and dual_beckner q
+    in [1, 2), the ranges of the config's p_grid and q_grid; anything else
+    raises ValueError.
     """
     for kind, param in specs:
         if kind == "beckner" and (param is None or not 1.0 < param <= 2.0):
@@ -373,7 +354,8 @@ def estimate_constants(L: DbcLindbladian, specs: Sequence[Spec],
     if not specs:
         return []
     lam = L.require_primitive().spectral_gap
-    todo = [(kind, param) for kind, param in specs if kind != "poincare"]
+    todo = sorted(dict.fromkeys((kind, param) for kind, param in specs if kind != "poincare"),
+                  key=lambda spec: KINDS.index(spec[0]))
     if todo:
         d, K = L.d, len(todo)
         objective = _objective(L, todo)
@@ -386,14 +368,13 @@ def estimate_constants(L: DbcLindbladian, specs: Sequence[Spec],
         starts = _pack(np.array(_seed_starts(L, opts.num_starts, opts.seed)))
         groups = np.repeat(np.arange(K), len(starts))
         res = minimize(objective, np.tile(starts, (K, 1)), groups=groups)
-    out, k = [], 0
+    out = []
     for kind, param in specs:
         if kind == "poincare":
             out.append(ConstantEstimate("poincare", None, lam, L.gap_eigenvector,
                                         0, 0.0, False))
             continue
-        at = np.flatnonzero(groups == k)
-        k += 1
+        at = np.flatnonzero(groups == todo.index((kind, param)))
         fun = res.fun[at]
         # each start's ratio is the value the optimizer holds at its end
         # point; the first of the smallest wins

@@ -405,7 +405,8 @@ def minimize(fun: Callable, x0: np.ndarray, max_iters: int = 2000,
             slope = np.where(uphill, -(g * g).sum(axis=1), slope)
         norm = np.maximum(np.sqrt((d * d).sum(axis=1)), np.finfo(float).tiny)
         alpha = 1.0 / norm if first and not whitened else np.ones(len(d))
-        cap = MAX_STEP * np.maximum(np.sqrt((x * x).sum(axis=1)), 1.0) / norm
+        with np.errstate(over="ignore"):  # at g = 0, d = 0 and the cap may be inf
+            cap = MAX_STEP * np.maximum(np.sqrt((x * x).sum(axis=1)), 1.0) / norm
         return H, d, slope, np.minimum(alpha, cap)
 
     def agreed(stop):

@@ -351,20 +351,21 @@ def check_decay(L: DbcLindbladian, rng: np.random.Generator) -> List[CheckResult
         return [_skip("classical-decay-certificate",
                       "closed-form constants need the flat depolarizing model")]
     rho0 = la.random_density(rng, d, floor=0.02)
+    rhos = {t: evolve(L, t, "schrodinger", rho0) for t in (0.5, 2.0, 5.0)}  # for every p
+    X = ent.relative_density(rho0, L.sigma)
+    Xs = {t: evolve(L, t, "heisenberg", X) for t in (0.5, 2.0)}
     ok = True
     worst = 0.0
     for p in (1.25, 1.75):
         alpha = ct.alpha_lower(L, p)
         F0 = ent.p_divergence(rho0, L.sigma, p).value
-        for t in (0.5, 2.0, 5.0):
-            Ft = ent.p_divergence(evolve(L, t, "schrodinger", rho0), L.sigma, p).value
+        for t, rho_t in rhos.items():
+            Ft = ent.p_divergence(rho_t, L.sigma, p).value
             bound = np.exp(-4.0 * alpha * t / p) * F0 * (1.0 + 1e-6)
             worst = max(worst, Ft - bound)
             ok = ok and Ft <= bound
         # p-norm convergence bound along the same trajectory
-        X = ent.relative_density(rho0, L.sigma)
-        for t in (0.5, 2.0):
-            Xt = evolve(L, t, "heisenberg", X)
+        for t, Xt in Xs.items():
             lhs = ent.weighted_p_norm(Xt - np.eye(d), L.sigma, p)
             np_ = ent.weighted_p_norm(X, L.sigma, p)
             rhs = np.exp(-2 * alpha * t / p) * np_ ** (1 - p / 2.0) * np.sqrt(

@@ -369,7 +369,7 @@ def fixture_specs(name):
 class TestStackedEstimation:
     @pytest.mark.parametrize("name", ["depol3", "random_dbc_seeded", "classical_embed"])
     def test_row_does_not_depend_on_its_stack(self, name):
-        # every spec at four points, shuffled into one mixed stack, against
+        # every spec at four points, in one mixed stack in spec order, against
         # each row alone through an objective of its one spec, bit for bit;
         # the grids hold p = 1.5 and q = 1.5, where a^(1/2) is a square root
         L, specs = fixture_specs(name)
@@ -377,11 +377,36 @@ class TestStackedEstimation:
         ys = ct._pack(np.array(ct._seed_starts(L, 4, seed=1)))
         rows = np.repeat(np.arange(len(specs)), len(ys))
         points = np.tile(ys, (len(specs), 1))
-        order = np.random.default_rng(2).permutation(len(rows))
-        values, grads = ct._objective(L, specs)(points[order], rows[order])
-        for y, k, value, grad in zip(points[order], rows[order], values, grads):
+        values, grads = ct._objective(L, specs)(points, rows)
+        for y, k, value, grad in zip(points, rows, values, grads):
             v1, g1 = ct._objective(L, [specs[k]])(y[None])
             assert value == v1[0] and np.array_equal(grad, g1[0]), specs[k]
+
+    def test_rows_out_of_spec_order_raise(self, depol3):
+        _, specs = fixture_specs("depol3")
+        ys = ct._pack(np.array(ct._seed_starts(depol3, 2, seed=1)))
+        with pytest.raises(ValueError, match="rows not in spec order"):
+            ct._objective(depol3, specs)(np.tile(ys, (2, 1)), [0, 3, 1, 3])
+
+    def test_specs_out_of_kind_order_raise(self, depol3):
+        with pytest.raises(ValueError, match="not in KINDS order"):
+            ct._ratio_and_grad(depol3, [("mlsi", None), ("beckner", 1.5)])
+
+    def test_any_spec_order_gives_the_kind_ordered_estimates(self, depol3):
+        # a permuted list, with poincare in the middle and one spec twice,
+        # gets the estimates of the kind-ordered call, in its own order
+        _, specs = fixture_specs("depol3")
+        ordered = [("poincare", None)] + specs
+        by_spec = dict(zip(ordered, ct.estimate_constants(depol3, ordered, FAST)))
+        permuted = specs[::-1][:4] + [("poincare", None)] + specs[::-1][4:] + [specs[2]]
+        for spec, est in zip(permuted, ct.estimate_constants(depol3, permuted, FAST)):
+            ref = by_spec[spec]
+            assert (est.kind, est.param) == spec
+            for field in ("value", "num_starts", "best_residual", "capped", "diagnostics"):
+                assert getattr(est, field) == getattr(ref, field), (spec, field)
+            assert (est.witness is None) == (ref.witness is None)
+            if est.witness is not None:
+                assert np.array_equal(est.witness, ref.witness)
 
     def test_all_specs_match_each_alone(self, depol3):
         _, specs = fixture_specs("depol3")

@@ -1,4 +1,5 @@
 import functools
+import warnings
 
 import numpy as np
 import pytest
@@ -437,9 +438,14 @@ class TestWhitenedStart:
         assert res.evaluations[0] > 2  # it overshoots and backtracks
 
     def test_whitened_first_trial_is_capped(self):
+        # the descent runs on to m, where g = 0: the cap of the zero direction
+        # at a point with |x| = 5 overflows, and must do so without a warning
         m = np.array([3.0, -4.0, 0.0])
-        calls, _ = self.trials(m, whitened=True, max_iters=1)
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            calls, res = self.trials(m, whitened=True)
         assert np.allclose(calls[1], m / 5.0, rtol=0.0, atol=1e-15)
+        assert res.stops == ("gtol",) and np.array_equal(res.x[0], m)
 
 
 class TestGroupedMinimize:

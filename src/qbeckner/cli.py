@@ -65,11 +65,10 @@ def run_constants(cfg: ExperimentConfig, L: DbcLindbladian) -> Outcome:
     diagnostics of every optimized estimate; fails on the hard ledger."""
     specs = [("poincare", None)] + [("beckner", p) for p in cfg.p_grid] \
         + [("mlsi", None), ("lsi", None)] + [("dual_beckner", q) for q in cfg.q_grid]
-    estimates = {(kind,) if param is None else (kind, param): est for (kind, param), est
-                 in zip(specs, ct.estimate_constants(L, specs, _estimate_opts(cfg)))}
+    estimates = dict(zip(specs, ct.estimate_constants(L, specs, _estimate_opts(cfg))))
     ledger = ct.bound_ledger(estimates, L.sigma_min, cfg.p_grid)
     rows = []
-    for key, est in estimates.items():
+    for est in estimates.values():
         rows.append({
             "kind": est.kind,
             "p_or_q": est.param,
@@ -96,10 +95,10 @@ def run_decay(cfg: ExperimentConfig, L: DbcLindbladian) -> Outcome:
     rhos = [evolve(L, float(t), "schrodinger", rho0) for t in ts]  # the same for every p
     curves = {}
     for p in cfg.p_grid:
-        F0 = ent.p_divergence(rho0, L.sigma, p).value
+        F0 = ent.p_divergence(rho0, L.sigma, p)
         rows = []
         for t, rho_t in zip(ts, rhos):
-            F = ent.p_divergence(rho_t, L.sigma, p).value
+            F = ent.p_divergence(rho_t, L.sigma, p)
             bound = float(np.exp(-4.0 * alphas[p] * t / p) * F0)
             rows.append({"t": float(t), "F_p": F, "bound": bound,
                          "within": F <= bound * (1.0 + 1e-6)})

@@ -525,8 +525,9 @@ def bound_ledger(estimates: Dict, sigma_min: float,
                  p_grid: Sequence[float]) -> BoundLedger:
     """Evaluate the closed-form inequalities between stored estimates.
 
-    ``estimates`` maps ('poincare',), ('beckner', p), ('mlsi',), ('lsi',),
-    ('dual_beckner', q) to ConstantEstimate. Inequalities that stay valid
+    ``estimates`` maps the specs ('poincare', None), ('beckner', p),
+    ('mlsi', None), ('lsi', None) and ('dual_beckner', q) of
+    estimate_constants to ConstantEstimate. Inequalities that stay valid
     when both sides are over-estimated are asserted hard; cross-estimate
     inequalities are soft and logged, never dropped.
     """
@@ -536,7 +537,7 @@ def bound_ledger(estimates: Dict, sigma_min: float,
             raise MissingEstimate(f"{key} missing from estimates")
         return estimates[key]
 
-    lam = get(("poincare",)).value
+    lam = get(("poincare", None)).value
     entries: List[LedgerEntry] = []
     alphas = {}
     for p in p_grid:
@@ -548,19 +549,18 @@ def bound_ledger(estimates: Dict, sigma_min: float,
             f"beckner({p}) >= p^2 sigma_min^(2-p) lambda/4",
             p * p * sigma_min ** (2.0 - p) * lam / 4.0, a, True))
     ps = sorted(alphas)
-    if ("mlsi",) in estimates:
-        a1 = get(("mlsi",)).value
+    if ("mlsi", None) in estimates:
+        a1 = get(("mlsi", None)).value
         entries.append(_entry("mlsi <= lambda/2", a1, lam / 2.0, True))
         if ps:
             entries.append(_entry("mlsi >= beckner(p_min) limit",
                                   alphas[ps[0]], a1 + (ps[0] - 1.0) * lam, False))
-    if ("lsi",) in estimates:
-        b = get(("lsi",)).value
+    if ("lsi", None) in estimates:
+        b = get(("lsi", None)).value
         entries.append(_entry("lsi <= lambda/2", b, lam / 2.0, True))
-        if ("mlsi",) in estimates:
-            entries.append(_entry("lsi <= mlsi", b, get(("mlsi",)).value, False))
-    qs = sorted(p for (k, *rest) in estimates if k == "dual_beckner"
-                for p in rest)
+        if ("mlsi", None) in estimates:
+            entries.append(_entry("lsi <= mlsi", b, a1, False))
+    qs = sorted(q for (k, q) in estimates if k == "dual_beckner")
     betas = {q: get(("dual_beckner", q)).value for q in qs}
     for q1, q2 in zip(qs, qs[1:]):
         entries.append(_entry(

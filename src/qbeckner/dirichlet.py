@@ -1,8 +1,10 @@
-"""p-Dirichlet (entropy-production) forms and the carre du champ."""
+"""p-Dirichlet (entropy-production) forms and the carre du champ.
+
+Both routes to E_p return a plain float: finite, not below
+-1e-9 max(1, |E_p|) (else NotPsd), and clamped at 0.
+"""
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -17,31 +19,21 @@ P_ONE_BRANCH = ent.P_ONE_BRANCH
 NEG_TOL = 1e-9
 
 
-@dataclass(frozen=True)
-class DirichletValue:
-    value: float
-    p: float
-    route: str
-
-    def __float__(self) -> float:
-        return self.value
-
-
 def _check_psd(X: np.ndarray) -> None:
     w = np.linalg.eigvalsh(la.herm(X))
     if np.min(w) < -1e-10 * max(1.0, np.max(np.abs(w))):
         raise NotPsd(f"argument has eigenvalue {np.min(w):.3e}")
 
 
-def _finalize(value: float, p: float, route: str) -> DirichletValue:
+def _finalize(value: float) -> float:
     if not np.isfinite(value):
         raise NotPsd(f"Dirichlet form is not finite: {value}")
     if value < -NEG_TOL * max(1.0, abs(value)):
         raise NotPsd(f"Dirichlet form came out negative: {value:.3e}")
-    return DirichletValue(max(value, 0.0), p, route)
+    return max(value, 0.0)
 
 
-def dirichlet_form(L: DbcLindbladian, X: np.ndarray, p: float) -> DirichletValue:
+def dirichlet_form(L: DbcLindbladian, X: np.ndarray, p: float) -> float:
     """Entropy-production form E_{p,L}(X) for X >= 0 and p >= 1.
 
     For p > 1 this is -(phat p / 4) <I_{phat,p}(X), L X>_KMS with
@@ -62,14 +54,14 @@ def dirichlet_form(L: DbcLindbladian, X: np.ndarray, p: float) -> DirichletValue
         log_GX = (Vg * np.log(g)) @ Vg.conj().T
         log_sigma = la.matrix_function(L.sigma, log_kernel())
         val = -0.25 * np.real(_kms(half, log_GX - log_sigma, LX))
-        return _finalize(float(val), p, "definition")
+        return _finalize(float(val))
     phat = p / (p - 1.0)
     # I_{phat,p}(X) = Gamma^(-1/phat)(|Gamma^(1/p) X|^(p/phat))
     gp = L.sigma_power(1.0 / (2.0 * p))
     gq = L.sigma_power(-1.0 / (2.0 * phat))
     I_phat_p = gq @ la.abs_power(gp @ X @ gp, p / phat) @ gq
     val = -(phat * p / 4.0) * np.real(_kms(half, I_phat_p, LX))
-    return _finalize(float(val), p, "definition")
+    return _finalize(float(val))
 
 
 def _kms(half: np.ndarray, X: np.ndarray, Y: np.ndarray) -> complex:
@@ -78,7 +70,7 @@ def _kms(half: np.ndarray, X: np.ndarray, Y: np.ndarray) -> complex:
 
 
 def dirichlet_form_representation(L: DbcLindbladian, X: np.ndarray,
-                                  p: float) -> DirichletValue:
+                                  p: float) -> float:
     """E_{p,L}(X) = (p^2/4) sum_j <dj X, [rho]_j^-1 dj X> for X > 0 and p in
     (1, 2], rho = sigma^(1/2) X sigma^(1/2), on the spectral frame: its Y is
     sigma^(1/2p) X sigma^(1/2p), and its theta is 1/f_p^[1] on the tilted spectra."""
@@ -89,13 +81,13 @@ def dirichlet_form_representation(L: DbcLindbladian, X: np.ndarray,
     fr = tp._Frame(L, half @ X @ half, p)
     C = fr.eig(fr.grad(X), L.sigma_power(1.0 / (2.0 * p)))
     val = (p * p / 4.0) * np.sum(np.abs(C) ** 2 / fr.theta)
-    return _finalize(float(val), p, "representation")
+    return _finalize(float(val))
 
 
 def representation_check(L: DbcLindbladian, X: np.ndarray, p: float) -> float:
     """Relative gap between the defining and jump-representation routes."""
-    d_def = dirichlet_form(L, X, p).value
-    d_rep = dirichlet_form_representation(L, X, p).value
+    d_def = dirichlet_form(L, X, p)
+    d_rep = dirichlet_form_representation(L, X, p)
     return abs(d_def - d_rep) / (1.0 + d_def)
 
 

@@ -2,35 +2,29 @@
 
 The sigma-weighted p-norm is ||X||_{p,sigma} = tr(|sigma^(1/2p) X sigma^(1/2p)|^p)^(1/p);
 everything else in this module is built on top of it and the weighted kernel
-inner products from :mod:`qbeckner.linalg`.
+inner products from :mod:`qbeckner.linalg`. Every scalar evaluator returns a
+plain float. A divergence is +inf when rho leaves the support of sigma. F_p,
+chi^2, the Umegaki entropy, the sandwiched entropy at p > 1, the entropy
+functional and the q-variance clamp a round-off value in [-1e-10, 0) to 0.
+`umegaki` is the Umegaki relative entropy; `relative_entropies` gives the
+sandwiched Renyi ("sandwiched", order p) and the max ("max") relative
+entropies.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 
 from . import linalg as la
-from .errors import SingularState, ZeroExponent
-from .kernels import Kernel1, kappa_alpha_kernel, log_kernel
+from .errors import ZeroExponent
+from .kernels import kappa_alpha_kernel, log_kernel
 
 SUPPORT_TOL = 1e-12
 P_ONE_BRANCH = 1e-4  # |p-1| below this uses the analytic p -> 1 limits
 
 
-@dataclass(frozen=True)
-class DivergenceValue:
-    value: float
-    kind: str
-    param: float | None = None
-
-    def __float__(self) -> float:
-        return self.value
-
-
-def _clamp(value: float, floor: float = 1e-10) -> float:
-    if value < -floor:
+def _clamp(value: float) -> float:
+    if value < -1e-10:
         return value  # caller decides; genuine negativity is a bug upstream
     return max(value, 0.0)
 
@@ -110,18 +104,16 @@ def umegaki(rho: np.ndarray, sigma: np.ndarray) -> float:
     r = np.maximum(r, 0.0)
     pos = r > 0.0
     s_log = la.matrix_function(sigma, log_kernel())
-    return float(np.sum(r[pos] * np.log(r[pos])) - np.real(np.trace(rho @ s_log)))
+    return _clamp(float(np.sum(r[pos] * np.log(r[pos])) - np.real(np.trace(rho @ s_log))))
 
 
 def relative_entropies(rho: np.ndarray, sigma: np.ndarray, kind: str,
-                       p: float | None = None) -> DivergenceValue:
-    """Umegaki, sandwiched Renyi of order p, or max-relative entropy."""
+                       p: float | None = None) -> float:
+    """Sandwiched Renyi entropy of order p, or max-relative entropy."""
     restricted = _support_restrict(rho, sigma)
     if restricted is None:
-        return DivergenceValue(np.inf, kind, p)
+        return np.inf
     rho_r, sigma_r = restricted
-    if kind == "umegaki":
-        return DivergenceValue(_clamp(umegaki(rho_r, sigma_r)), kind)
     if kind == "sandwiched":
         if p is None or p <= 0 or p == 1.0:
             raise ValueError("sandwiched entropy needs p in (0,1) or (1,inf)")
@@ -130,29 +122,27 @@ def relative_entropies(rho: np.ndarray, sigma: np.ndarray, kind: str,
         phat = p / (p - 1.0)
         val = phat * np.log(weighted_p_norm(relative_density(rho_r, sigma_r),
                                             sigma_r, p))
-        return DivergenceValue(_clamp(val) if p > 1 else val, kind, p)
+        return _clamp(val) if p > 1 else val
     if kind == "max":
         rel = relative_density(rho_r, sigma_r)
-        val = float(np.log(np.max(np.linalg.eigvalsh(la.herm(rel)))))
-        return DivergenceValue(val, kind)
+        return float(np.log(np.max(np.linalg.eigvalsh(la.herm(rel)))))
     raise ValueError(f"unknown relative entropy kind {kind!r}")
 
 
-def p_divergence(rho: np.ndarray, sigma: np.ndarray, p: float) -> DivergenceValue:
+def p_divergence(rho: np.ndarray, sigma: np.ndarray, p: float) -> float:
     """Normalized noncommutative L_p divergence
 
     F_{p,sigma}(rho) = (||Gamma^{-1} rho||_{p,sigma}^p - 1) / (p (p - 1)),
     interpolating the variance (p = 2) and relative entropy (p -> 1).
     """
     if abs(p - 1.0) < P_ONE_BRANCH:
-        return DivergenceValue(_clamp(umegaki(rho, sigma)), "p_divergence", p)
+        return umegaki(rho, sigma)
     restricted = _support_restrict(rho, sigma)
     if restricted is None:
-        return DivergenceValue(np.inf, "p_divergence", p)
+        return np.inf
     rho_r, sigma_r = restricted
     norm = weighted_p_norm(relative_density(rho_r, sigma_r), sigma_r, p)
-    val = (norm**p - 1.0) / (p * (p - 1.0))
-    return DivergenceValue(_clamp(val), "p_divergence", p)
+    return _clamp((norm**p - 1.0) / (p * (p - 1.0)))
 
 
 def q_variance(Y: np.ndarray, sigma: np.ndarray, q: float) -> float:
@@ -163,42 +153,25 @@ def q_variance(Y: np.ndarray, sigma: np.ndarray, q: float) -> float:
                   - weighted_p_norm(Y, sigma, q) ** 2)
 
 
-def chi2_divergence(rho: np.ndarray, sigma: np.ndarray,
-                    kernel: Kernel1) -> DivergenceValue:
-    """Quadratic divergence <rho - sigma, R_sigma^{-1} kappa(Delta)(rho - sigma)>.
-
-    ``kernel`` must be a normalized operator-convex mean kernel such as
-    ``kappa_alpha_kernel``.
-    """
+def chi2_power_difference(rho: np.ndarray, sigma: np.ndarray, p: float) -> float:
+    """Quadratic divergence <rho - sigma, R_sigma^{-1} kappa(Delta)(rho - sigma)>
+    with kappa the power-difference kernel of exponent 1/p."""
     restricted = _support_restrict(rho, sigma)
     if restricted is None:
-        return DivergenceValue(np.inf, f"chi2[{kernel.name}]")
+        return np.inf
     rho_r, sigma_r = restricted
     w, U = la.herm_eigh(sigma_r)
     D = U.conj().T @ (rho_r - sigma_r) @ U
-    ratios = w[:, None] / w[None, :]
-    weights = kernel.f(ratios) / w[None, :]
-    val = float(np.real(np.sum(weights * np.abs(D) ** 2)))
-    return DivergenceValue(_clamp(val), f"chi2[{kernel.name}]")
+    weights = kappa_alpha_kernel(1.0 / p).f(w[:, None] / w[None, :]) / w[None, :]
+    return _clamp(float(np.real(np.sum(weights * np.abs(D) ** 2))))
 
 
-def chi2_power_difference(rho: np.ndarray, sigma: np.ndarray, p: float) -> DivergenceValue:
-    """chi^2 divergence with the power-difference kernel of exponent 1/p."""
-    return chi2_divergence(rho, sigma, kappa_alpha_kernel(1.0 / p))
-
-
-def sandwich_constants(sigma: np.ndarray, p: float, c: float):
-    """Constants (k_p(c), C(sigma)) of the two-sided chi^2 comparison.
-
-    k_p(c) = (c^p - 1 - p(c-1)) / (p (c-1)^2 (p-1)), evaluated by series for
-    c near 1 (the limit is 1/2 for every p); C(sigma) = 1 / sigma_min.
-    """
-    w = np.linalg.eigvalsh(la.herm(sigma))
-    if np.min(w) < la.FULL_RANK_FLOOR:
-        raise SingularState("sandwich constants need a full-rank state")
+def sandwich_constant(p: float, c: float) -> float:
+    """k_p(c) = (c^p - 1 - p(c-1)) / (p (c-1)^2 (p-1)) of the two-sided chi^2
+    comparison, evaluated by series for c near 1 (the limit is 1/2 for every p)."""
     h = c - 1.0
     if abs(h) < 1e-6:
         kp = 0.5 + (p - 2.0) * h / 6.0 + (p - 2.0) * (p - 3.0) * h * h / 24.0
     else:
         kp = (c**p - 1.0 - p * h) / (p * h * h * (p - 1.0))
-    return float(kp), float(1.0 / np.min(w))
+    return float(kp)

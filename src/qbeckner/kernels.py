@@ -34,8 +34,8 @@ SAME_TOL = 1e-9
 NEAR_TOL = 0.144
 
 
-def _is_same(x: np.ndarray, y: np.ndarray, tol: float = SAME_TOL) -> np.ndarray:
-    return np.abs(x - y) <= tol * np.maximum(np.abs(x), np.abs(y))
+def _is_same(x: np.ndarray, y: np.ndarray) -> np.ndarray:
+    return np.abs(x - y) <= SAME_TOL * np.maximum(np.abs(x), np.abs(y))
 
 
 def stable_powdiff(a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:

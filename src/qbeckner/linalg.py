@@ -40,11 +40,11 @@ def hermiticity_residual(A: np.ndarray) -> float:
     return float(np.max(np.abs(A - dagger(A))))
 
 
-def check_hermitian(A: np.ndarray, tol: float = HERM_TOL) -> None:
+def check_hermitian(A: np.ndarray) -> None:
     scale = 1.0 + float(np.max(np.abs(A))) if A.size else 1.0
-    if hermiticity_residual(A) > tol * scale:
+    if hermiticity_residual(A) > HERM_TOL * scale:
         raise NonHermitian(
-            f"symmetry residual {hermiticity_residual(A):.3e} exceeds {tol:.1e} * {scale:.3e}"
+            f"symmetry residual {hermiticity_residual(A):.3e} exceeds {HERM_TOL:.1e} * {scale:.3e}"
         )
 
 
@@ -95,10 +95,10 @@ def abs_power(A: np.ndarray, r: float) -> np.ndarray:
     return (V * s**r) @ V.conj().T
 
 
-def check_full_rank(sigma: np.ndarray, floor: float = FULL_RANK_FLOOR) -> None:
+def check_full_rank(sigma: np.ndarray) -> None:
     w = np.linalg.eigvalsh(herm(sigma))
-    if np.min(w) < floor:
-        raise SingularState(f"minimum eigenvalue {np.min(w):.3e} below {floor:.1e}")
+    if np.min(w) < FULL_RANK_FLOOR:
+        raise SingularState(f"minimum eigenvalue {np.min(w):.3e} below {FULL_RANK_FLOOR:.1e}")
 
 
 # ---------------------------------------------------------------------------
@@ -111,11 +111,8 @@ def vec(X: np.ndarray) -> np.ndarray:
     return np.asarray(X, dtype=complex).flatten(order="F")
 
 
-def unvec(v: np.ndarray, d: int | None = None) -> np.ndarray:
-    v = np.asarray(v).ravel()
-    if d is None:
-        d = int(round(np.sqrt(v.size)))
-    return v.reshape((d, d), order="F")
+def unvec(v: np.ndarray, d: int) -> np.ndarray:
+    return np.asarray(v).reshape((d, d), order="F")
 
 
 def vec_columns(X: np.ndarray) -> np.ndarray:

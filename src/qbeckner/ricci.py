@@ -209,8 +209,8 @@ def inequality_checks(L: DbcLindbladian, p: float, kappa: float,
     smin = L.sigma_min
     for i, rho in enumerate(states):
         W = _distance(L, rho, L.sigma, p, w_opts, f"state {i} and sigma")
-        F = p_divergence(rho, L.sigma, p).value
-        E = dirichlet_form(L, relative_density(rho, L.sigma), p).value
+        F = p_divergence(rho, L.sigma, p)
+        E = dirichlet_form(L, relative_density(rho, L.sigma), p)
         rhs = (2.0 / p) * W * np.sqrt(max(E, 0.0)) - 0.5 * kappa * W * W
         report["hwi"].append({"lhs": F, "rhs": rhs, "slack": rhs - F})
         alpha = kappa * p / 2.0

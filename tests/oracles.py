@@ -346,7 +346,7 @@ def entropy_production(L, rho, p) -> float:
     if np.min(w) < la.FULL_RANK_FLOOR:
         raise SingularState("entropy production needs a full-rank state")
     X = ent.relative_density(rho, L.sigma)
-    return (4.0 / p**2) * dh.dirichlet_form(L, X, p).value
+    return (4.0 / p**2) * dh.dirichlet_form(L, X, p)
 
 
 def carre_du_champ_2(L, X, Y=None):

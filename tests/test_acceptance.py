@@ -149,12 +149,12 @@ def test_criterion_05_stroock_varopoulos_and_regularity():
         q = float(rng.uniform(p, 2.0))
         if abs(p - 1.0) < 1e-3 or abs(q - 1.0) < 1e-3 or q - p < 1e-3:
             continue
-        Ep = dh.dirichlet_form(L, ent.power_operator(X, L.sigma, p, 2.0), p).value
-        Eq = dh.dirichlet_form(L, ent.power_operator(X, L.sigma, q, 2.0), q).value
+        Ep = dh.dirichlet_form(L, ent.power_operator(X, L.sigma, p, 2.0), p)
+        Eq = dh.dirichlet_form(L, ent.power_operator(X, L.sigma, q, 2.0), q)
         worst = min(worst, Ep - Eq)
         pr = float(rng.uniform(1.05, 2.0))
-        E2 = dh.dirichlet_form(L, ent.power_operator(X, L.sigma, 2.0, pr), 2.0).value
-        Epr = dh.dirichlet_form(L, X, pr).value
+        E2 = dh.dirichlet_form(L, ent.power_operator(X, L.sigma, 2.0, pr), 2.0)
+        Epr = dh.dirichlet_form(L, X, pr)
         worst = min(worst, Epr - E2,
                     pr * pr / (4 * (pr - 1.0)) * E2 - Epr)
         count += 1
@@ -170,10 +170,9 @@ def test_criterion_06_sandwich():
         sigma = la.random_density(rng, d, floor=0.05)
         rho = la.random_density(rng, d, floor=0.01)
         p = float(rng.uniform(1.05, 2.0))
-        c = np.exp(ent.relative_entropies(rho, sigma, "max").value)
-        kp, _ = ent.sandwich_constants(sigma, p, c)
-        chi = ent.chi2_power_difference(rho, sigma, p).value
-        F = ent.p_divergence(rho, sigma, p).value
+        kp = ent.sandwich_constant(p, np.exp(ent.relative_entropies(rho, sigma, "max")))
+        chi = ent.chi2_power_difference(rho, sigma, p)
+        F = ent.p_divergence(rho, sigma, p)
         worst = min(worst, F - kp * chi, chi / p - F)
     _line(6, worst >= -1e-9,
           f"100 two-sided divergence comparisons, worst slack {worst:.2e} >= -1e-9")
@@ -236,7 +235,7 @@ def test_criterion_10_curvature_anchor(depol_flat):
         up = tp.geodesic_shoot(depol_flat, rho, U, p, T=h, steps=steps)[-1].rho
         dn = tp.geodesic_shoot(depol_flat, rho, -U, p, T=h, steps=steps)[-1].rho
         F = lambda r: ent.p_divergence(la.herm(r) / np.trace(r).real,
-                                       depol_flat.sigma, p).value
+                                       depol_flat.sigma, p)
         fd = (F(up) - 2 * F(rho) + F(dn)) / h**2
         worst_fd = max(worst_fd, abs(hess - fd) / abs(fd))
     ok &= worst_fd <= 1e-3

@@ -1,3 +1,4 @@
+import copy
 import dataclasses
 import functools
 import json
@@ -9,6 +10,8 @@ import pytest
 from qbeckner import cli
 from qbeckner import config as cf
 from qbeckner import constants as ct
+from qbeckner import dirichlet as dh
+from qbeckner import entropy as ent
 from qbeckner import linalg as la
 from qbeckner import ricci as rc
 from qbeckner import semigroup as sg
@@ -427,6 +430,71 @@ class TestMain:
         assert sym.status == "pass"
         assert 0.0 < sym.rhs <= 1e-5
         assert sym.lhs <= 1e-8 * sym.rhs
+
+    @pytest.mark.parametrize("fixture", ["depol3", "classical_embed"])
+    def test_verify_records_carry_the_tightest_case(self, fixture, monkeypatch):
+        # each inequality check that loops over cases records lhs and rhs of
+        # the case with the least slack, margins included; recomputed here
+        # from the generator state the suite hands to its check
+        states = {}
+        for name in ("check_operator_inequalities", "check_dirichlet", "check_decay"):
+            def spy(*args, check=getattr(verify, name), name=name):
+                states[name] = copy.deepcopy(args[-1])
+                return check(*args)
+            monkeypatch.setattr(verify, name, spy)
+        cfg = cf.fixtures(fixture)
+        L = cf.build_generator(cfg)
+        records = {c.name: c for c in verify.verify_suite(cfg, L)}
+        d, sigma = L.d, L.sigma
+        mpow = la.matrix_power_hermitian
+        power_op = ent.power_operator
+        expected = {}
+
+        rng = states["check_operator_inequalities"]
+        A = verify._random_pd(rng, d, shift=0.2)
+        B = la.random_density(rng, d, floor=0.05) * d
+        expected["araki-lieb-thirring"] = [
+            (np.trace(mpow(la.herm(mpow(B, r) @ mpow(A, r) @ mpow(B, r)), q)).real,
+             np.trace(mpow(la.herm(B @ A @ B), r * q)).real * (1.0 + 1e-10) + 1e-12)
+            for r in (0.3, 0.5, 0.9) for q in (1.0, 2.0)]
+
+        X = verify._random_pd(states["check_dirichlet"], d)
+        E = functools.partial(dh.dirichlet_form, L)
+        expected["stroock-varopoulos"] = [
+            (E(power_op(X, sigma, q, 2.0), q) - 1e-9, E(power_op(X, sigma, p, 2.0), p))
+            for p, q in ((0.5, 1.5), (0.8, 2.0), (1.2, 1.8), (1.0, 2.0))]
+        expected["lp-regularity"] = [
+            case for p in (1.25, 1.5, 2.0)
+            for E2, Ep in [(E(power_op(X, sigma, 2.0, p), 2.0), E(X, p))]
+            for case in ((E2, Ep + 1e-9), (Ep, p * p / (4 * (p - 1)) * E2 + 1e-9))]
+
+        if L.flat_depolarizing_rate is not None:
+            rho0 = la.random_density(states["check_decay"], d, floor=0.02)
+            X0 = ent.relative_density(rho0, sigma)
+            norm = functools.partial(ent.weighted_p_norm, sigma=sigma)
+            cases = []
+            for p in (1.25, 1.75):
+                alpha = ct.alpha_lower(L, p)
+                F0 = ent.p_divergence(rho0, sigma, p)
+                cases += [(ent.p_divergence(sg.evolve(L, t, "schrodinger", rho0), sigma, p),
+                           np.exp(-4.0 * alpha * t / p) * F0 * (1.0 + 1e-6))
+                          for t in (0.5, 2.0, 5.0)]
+                n_p, n_1 = norm(X0, p=p), norm(X0, p=1.0)
+                cases += [(norm(sg.evolve(L, t, "heisenberg", X0) - np.eye(d), p=p),
+                           np.exp(-2 * alpha * t / p) * n_p ** (1 - p / 2.0)
+                           * np.sqrt(2.0 / (p * (p - 1.0)) * (n_p**p - n_1**p)) * (1 + 1e-9))
+                          for t in (0.5, 2.0)]
+            expected["classical-decay-certificate"] = cases
+        else:
+            assert records["classical-decay-certificate"].status == "skip"
+
+        for name, cases in expected.items():
+            rec = records[name]
+            lhs, rhs = min(cases, key=lambda c: c[1] - c[0])
+            assert rec.status == "pass" and rec.slack >= 0.0, name
+            assert (rec.lhs, rec.rhs) == (pytest.approx(lhs, rel=1e-9),
+                                          pytest.approx(rhs, rel=1e-9)), name
+            assert rec.slack == rec.rhs - rec.lhs and rec.rhs != 0.0, name
 
     def test_unconverged_transport_fails(self, tmp_path, monkeypatch):
         solve = tp.w2p_solve

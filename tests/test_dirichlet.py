@@ -15,16 +15,16 @@ from conftest import SIGMA_STAR, random_pd
 class TestDirichletForm:
     def test_constants_are_in_the_kernel(self, dbc3):
         for p in (1.0, 1.5, 2.0):
-            assert dh.dirichlet_form(dbc3, 2.5 * np.eye(3), p).value == pytest.approx(0.0, abs=1e-10)
+            assert dh.dirichlet_form(dbc3, 2.5 * np.eye(3), p) == pytest.approx(0.0, abs=1e-10)
 
     def test_p2_is_kms_quadratic_form(self, rng, dbc3):
         X = random_pd(rng, 3)
         direct = -np.real(oracles.kms_inner(X, dbc3.apply(X), dbc3.sigma))
-        assert dh.dirichlet_form(dbc3, X, 2.0).value == pytest.approx(direct, rel=1e-10)
+        assert dh.dirichlet_form(dbc3, X, 2.0) == pytest.approx(direct, rel=1e-10)
 
     def test_depolarizing_hand_value(self, depol2):
         X = np.diag([2.0 / 3.0, 2.0]).astype(complex)  # Gamma^{-1} of diag(1/2,1/2)
-        assert dh.dirichlet_form(depol2, X, 2.0).value == pytest.approx(1.0 / 3.0)
+        assert dh.dirichlet_form(depol2, X, 2.0) == pytest.approx(1.0 / 3.0)
 
     def test_psd_required(self, dbc3):
         with pytest.raises(NotPsd):
@@ -38,8 +38,8 @@ class TestRepresentation:
         assert dh.representation_check(dbc3, X, p) <= 1e-8
 
     def test_identity_gives_zero_both_ways(self, dbc3):
-        assert dh.dirichlet_form(dbc3, np.eye(3), 1.5).value == pytest.approx(0.0, abs=1e-12)
-        assert dh.dirichlet_form_representation(dbc3, np.eye(3), 1.5).value \
+        assert dh.dirichlet_form(dbc3, np.eye(3), 1.5) == pytest.approx(0.0, abs=1e-12)
+        assert dh.dirichlet_form_representation(dbc3, np.eye(3), 1.5) \
             == pytest.approx(0.0, abs=1e-12)
 
     def test_flat_p2_reduces_to_gradient_norms(self, rng, depol_pauli):
@@ -47,7 +47,7 @@ class TestRepresentation:
         total = sum(np.real(oracles.kms_inner(V @ X - X @ V, V @ X - X @ V,
                                               depol_pauli.sigma))
                     for V, _ in depol_pauli.jumps)
-        assert dh.dirichlet_form(depol_pauli, X, 2.0).value == pytest.approx(total, rel=1e-10)
+        assert dh.dirichlet_form(depol_pauli, X, 2.0) == pytest.approx(total, rel=1e-10)
 
     def test_no_jumps(self, rng):
         L = sg.random_dbc(SIGMA_STAR, 0, 0, seed=1)
@@ -76,7 +76,7 @@ class TestRepresentation:
                 lam = np.linalg.eigvalsh(X)
                 rtol = 1e-12 + np.finfo(float).eps * lam[-1] / lam[0]
                 ref = oracles.dirichlet_form_per_jump(L, X, p)
-                got = dh.dirichlet_form_representation(L, X, p).value
+                got = dh.dirichlet_form_representation(L, X, p)
                 assert abs(got - ref) <= rtol * ref, (p, got, ref)
 
     def test_p_outside_the_metric_range(self, rng, dbc3):
@@ -94,7 +94,7 @@ class TestEntropyProduction:
         p, h = 1.5, 1e-5
         ep = oracles.entropy_production(dbc3, rho, p)
         F = lambda t: ent.p_divergence(sg.evolve(dbc3, t, "schrodinger", rho),
-                                       dbc3.sigma, p).value
+                                       dbc3.sigma, p)
         fd = -(4.0 * F(h) - 3.0 * F(0.0) - F(2 * h)) / (2.0 * h)
         assert ep == pytest.approx(fd, rel=1e-5)
 
@@ -108,7 +108,7 @@ class TestEntropyProduction:
         assert oracles.entropy_production(depol_flat, rho, 2.0) == pytest.approx(expected, rel=1e-9)
         h = 1e-5
         F = lambda t: ent.p_divergence(sg.evolve(depol_flat, t, "schrodinger", rho),
-                                       depol_flat.sigma, 2.0).value
+                                       depol_flat.sigma, 2.0)
         fd = -(4.0 * F(h) - 3.0 * F(0.0) - F(2 * h)) / (2.0 * h)
         assert expected == pytest.approx(fd, rel=1e-6)
 
@@ -147,15 +147,15 @@ class TestComparisonInequalities:
         for (p, q) in grid:
             Xp = ent.power_operator(X, dbc3.sigma, p, 2.0)
             Xq = ent.power_operator(X, dbc3.sigma, q, 2.0)
-            Ep = dh.dirichlet_form(dbc3, Xp, p).value
-            Eq = dh.dirichlet_form(dbc3, Xq, q).value
+            Ep = dh.dirichlet_form(dbc3, Xp, p)
+            Eq = dh.dirichlet_form(dbc3, Xq, q)
             assert Ep >= Eq - 1e-9
 
     @pytest.mark.parametrize("p", [1.25, 1.5, 2.0])
     def test_lp_regularity(self, rng, dbc3, p):
         X = random_pd(rng, 3)
-        E2 = dh.dirichlet_form(dbc3, ent.power_operator(X, dbc3.sigma, 2.0, p), 2.0).value
-        Ep = dh.dirichlet_form(dbc3, X, p).value
+        E2 = dh.dirichlet_form(dbc3, ent.power_operator(X, dbc3.sigma, 2.0, p), 2.0)
+        Ep = dh.dirichlet_form(dbc3, X, p)
         assert E2 <= Ep + 1e-9
         assert Ep <= p * p / (4.0 * (p - 1.0)) * E2 + 1e-9
 
@@ -163,4 +163,4 @@ class TestComparisonInequalities:
         for _ in range(6):
             X = oracles.psd_project(random_pd(rng, 3, shift=0.0), floor=np.inf)
             for p in (1.0, 1.4, 2.0):
-                assert dh.dirichlet_form(dbc3, X, p).value >= 0.0
+                assert dh.dirichlet_form(dbc3, X, p) >= 0.0

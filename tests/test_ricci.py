@@ -31,7 +31,7 @@ class TestHessianForm:
         up = tp.geodesic_shoot(depol_flat, rho, U, p, T=h, steps=steps)[-1].rho
         dn = tp.geodesic_shoot(depol_flat, rho, -U, p, T=h, steps=steps)[-1].rho
         F = lambda r: p_divergence(la.herm(r) / np.trace(r).real,
-                                   depol_flat.sigma, p).value
+                                   depol_flat.sigma, p)
         fd = (F(up) - 2 * F(rho) + F(dn)) / h**2
         assert hess == pytest.approx(fd, rel=1e-3)
 

@@ -362,8 +362,8 @@ class TestDbcInvariants:
         rho = la.random_density(rng, 3, floor=0.05)
         nu = la.traceless_part(la.random_hermitian(rng, 3))
         pairs = [
-            (dh.dirichlet_form_representation(dbc3, X, 1.5).value,
-             dh.dirichlet_form_representation(L2, X, 1.5).value),
+            (dh.dirichlet_form_representation(dbc3, X, 1.5),
+             dh.dirichlet_form_representation(L2, X, 1.5)),
             (tp.gradient_norm_sq(dbc3, rho, 1.5, nu),
              tp.gradient_norm_sq(L2, rho, 1.5, nu)),
             (oracles.onsager_tensor(dbc3, rho, 1.5, nu, nu),

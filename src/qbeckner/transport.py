@@ -333,14 +333,14 @@ def _basis_rows(L: DbcLindbladian, rho: np.ndarray, p: float) -> Tuple[_Frame, n
     basis, _ = _basis_frame(L.d)
     S, n, d = len(rho), len(basis), L.d
     fr = _Frame(L, rho[:, None], p)
-    # P [V_j, U_m] P does not depend on the state: it is formed once per
-    # generator and p, and all of it is taken to each state's eigenframe with
-    # two batched products, by V† from the left on the side-by-side
-    # (d, n K d) matrix, then by V from the right. These are the two sums of
-    # V† (P X P) V, grouped as there; C is made contiguous in that order.
-    X = L.derived(("basis_gradients", fr.p), lambda: fr.P @ fr.grad(basis) @ fr.P)
+    # P [V_j, U_m] P does not depend on the state: it is cached side by side,
+    # (d, n K d), per generator and p, and taken to each state's eigenframe
+    # by two batched products, V† from the left, then V from the right: the
+    # two sums of V† (P X P) V, grouped as there; C is contiguous in that order.
+    X = L.derived(("basis_gradients", fr.p),
+                  lambda: np.moveaxis(fr.P @ fr.grad(basis) @ fr.P, 2, 0).reshape(d, -1))
     V = fr.V[:, 0]
-    left = la.dagger(V) @ np.moveaxis(X, 2, 0).reshape(d, -1)  # (S, i, (m, j, l))
+    left = la.dagger(V) @ X  # (S, i, (m, j, l))
     return fr, (left.reshape(S, -1, d) @ V).reshape(S, d, n, -1, d)  # (S, i, m, j, b)
 
 
@@ -390,6 +390,12 @@ class TransportPath:
     gradient_gap: float  # largest relative gap of the energy gradient self-test
 
 
+def _gradients_of(c: np.ndarray, C: np.ndarray) -> np.ndarray:
+    """sum_n c_kn C_kn, (P N, 1, J', d, d), over the first P paths c (P, N, n)."""
+    rows, n = c.size // c.shape[-1], c.shape[-1]
+    return (c.reshape(rows, 1, n) @ C[:rows].reshape(rows, n, -1)).reshape((rows, 1) + C.shape[2:])
+
+
 class _PathEnergy:
     """Discrete path energy over the interior states of a path rho0 -> rho1.
 
@@ -423,35 +429,33 @@ class _PathEnergy:
         """For K paths y (K, n), or one (n,) as K = 1: the states (K, N+1, d, d),
         the step coordinates b and the coefficients c_k = G_k^-1 b_k of U_k,
         (K, N, n), the frame of the K N midpoints, the eigenframe gradients
-        of the U_k, sum_n c_kn C_kn, shape (K N, 1, J', d, d) over the J'
-        folded jumps, and the K N Gram matrices G_k. A Cholesky factorization
-        tests G_k > 0 (_gram_cholesky, which names a failing step and path)
-        and one batched solve gives c_k."""
-        N, n, K = self.N, len(self.basis), 1 if np.ndim(y) == 1 else len(y)
+        C of the basis there (_basis_gram), and the K N Gram matrices G_k. A
+        Cholesky factorization tests G_k > 0 (_gram_cholesky, which names a
+        failing step and path) and one batched solve gives c_k."""
+        N, n, K, d = self.N, len(self.basis), 1 if np.ndim(y) == 1 else len(y), self.L.d
         x = np.zeros((K, N + 1, n))
         x[:, 1:-1] = np.reshape(y, (K, N - 1, n))
-        gammas = self.linear + np.tensordot(x, self.basis, axes=1)
+        gammas = self.linear + (x @ self.basis.reshape(n, d * d)).reshape(K, N + 1, d, d)
         b = self.delta + x[:, 1:] - x[:, :-1]
         mid = 0.5 * (gammas[:, :-1] + gammas[:, 1:])
-        fr, C, G = _basis_gram(self.L, _floored(mid.reshape(K * N, self.L.d, self.L.d)), self.p)
+        fr, C, G = _basis_gram(self.L, _floored(mid.reshape(K * N, d, d)), self.p)
         _gram_cholesky(G, lambda i: f"step {i % N}" + (f" of path {i // N}" if K > 1 else ""))
         c = np.linalg.solve(G, b.reshape(K * N, n, 1))[..., 0]
-        out = gammas, b, c.reshape(K, N, n), fr, np.einsum("kn,kn...->k...", c, C)[:, None], G
+        out = gammas, b, c.reshape(K, N, n), fr, C, G
         self.last = (np.asarray(y, dtype=float).tobytes(), out)
         return out
 
     def _energy(self, out, paths: int | None = None):
         """Energies (K,) of the K paths of an evaluation, and the gradients
         (paths, (N-1) n) of its first paths, of all K by default."""
-        h, N = self.h, self.N
-        _, b, c, fr, CU, _ = out
+        h = self.h
+        _, b, c, fr, C, _ = out
         value = np.sum((b * c).reshape(len(b), -1), axis=1) / h
         c = c[:paths]
-        if paths is not None:
-            fr, CU = fr[:paths * N], CU[:paths * N]
+        CU = _gradients_of(c, C)
         # d(value)/d(gbar_k) = -(1/h) d/dgbar <U_k, D U_k> at fixed U_k, the
         # state derivative of the kinetic form
-        M = fr.state_derivative(CU)[:, 0]
+        M = fr[:len(CU)].state_derivative(CU)[:, 0]
         S = (-0.5 / h * self.coords(M)).reshape(c.shape)
         grad = 2.0 / h * (c[:, :-1] - c[:, 1:]) + S[:, :-1] + S[:, 1:]
         return value, grad.reshape(len(c), -1)
@@ -466,10 +470,10 @@ class _PathEnergy:
         """(states, b, c, B) of the first path of an evaluation, as copies:
         its N + 1 states, its step coordinates and coefficients, and its
         momenta B_k = [gbar_k]_j dj U_k over the folded jumps, (N, J', d, d)."""
-        gammas, b, c, fr, CU, _ = out
+        gammas, b, c, fr, C, _ = out
         N = self.N
         W = fr.W[:N]
-        B = (W @ (fr.theta[:N] * CU[:N]) @ la.dagger(W))[:, 0] / self.h
+        B = (W @ (fr.theta[:N] * _gradients_of(c[:1], C)) @ la.dagger(W))[:, 0] / self.h
         return gammas[0].copy(), b[0].copy(), c[0].copy(), B
 
     def selftest(self) -> float:
@@ -492,20 +496,30 @@ class _PathEnergy:
                                  "path energy")
 
     def preconditioner(self, G: np.ndarray) -> np.ndarray:
-        """T = E diag(lam^-1/2) from one eigh H = E diag(lam) E^T, so that
-        T T^T = H^-1, for H = (2/h) D^T blockdiag(G_k^-1) D: the Hessian with
-        the Gram matrices G (N, n, n) of the linear path held fixed, D the
-        step-difference map y -> b - delta. It is exact at p = 2, where the
-        G_k do not depend on the state. The eigh, not a Cholesky factor of
-        H, sets the z coordinates that the descent's gtol test reads."""
+        """T = L^-T, upper triangular, with H = L L^T factored block by block,
+        so that T T^T = H^-1 for H = (2/h) D^T blockdiag(G_k^-1) D: the Hessian
+        with the Gram matrices G (N, n, n) of the linear path held fixed, D
+        the step-difference map y -> b - delta; exact at p = 2, where the G_k
+        do not depend on the state. H is block tridiagonal: L takes one
+        Cholesky factor per interior state, of its Schur complement S, and an
+        S with none raises SingularMetric naming the step that made it so."""
         N, n = self.N, len(self.basis)
         Ginv = 2.0 / self.h * np.linalg.inv(G)
-        H = np.zeros((N - 1, n, N - 1, n))
-        i = np.arange(N - 1)
-        H[i, :, i] = Ginv[:-1] + Ginv[1:]
-        H[i[:-1], :, i[1:]] = H[i[1:], :, i[:-1]] = -Ginv[1:-1]
-        lam, E = np.linalg.eigh(H.reshape((N - 1) * n, -1))
-        return E / np.sqrt(lam)
+        Linv = np.zeros(((N - 1) * n, (N - 1) * n))
+        B = np.zeros((n, n))
+        for k in range(N - 1):
+            S = Ginv[k] + Ginv[k + 1] - B @ B.T
+            try:
+                Li = np.linalg.inv(np.linalg.cholesky(S))
+            except np.linalg.LinAlgError:
+                raise SingularMetric(f"path Hessian is not positive definite once step {k + 1} "
+                                     f"is added (Schur complement at path state {k + 1})")
+            r = k * n
+            if k:  # row k of L^-1 is [Li B (row k - 1), Li]
+                Linv[r:r + n, :r] = (Li @ B) @ Linv[r - n:r, :r]
+            Linv[r:r + n, r:r + n] = Li
+            B = Ginv[k + 1] @ Li.T
+        return Linv.T
 
 
 def w2p_solve(L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray, p: float,
@@ -515,14 +529,14 @@ def w2p_solve(L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray, p: float,
     The unknowns are the interior states of an N-step path; the endpoints
     are rho0 and rho1 exactly, and the momenta of each step are eliminated in
     closed form (see _PathEnergy). The energy gradient is self-tested once
-    per solve, at the linear path. One start of the shared BFGS
-    (linalg.minimize, with ftol = tol * 1e-3) descends z -> E(T z) from
-    z = 0, the linear path, where T T^T is the inverse Hessian
-    (_PathEnergy.preconditioner), so its gtol test bounds a Newton
-    decrement and its first trial is the Newton step -T^T grad E (minimize's
-    whitened start, capped at length 1); the self-test's evaluation of the
-    linear path answers the descent's first call when it is made at z = 0.
-    Interior midpoints are eigenvalue-floored.
+    per solve, at the linear path, whose evaluation answers the descent's
+    first call when it is made at z = 0. One start of the shared BFGS
+    (linalg.minimize, ftol = tol * 1e-3, whitened) descends z -> E(T z) from
+    z = 0, where T T^T is the inverse Hessian (_PathEnergy.preconditioner),
+    so its first trial is the Newton step -T^T grad E, capped at length 1,
+    and its gtol test bounds a Newton decrement. Another such T rotates z,
+    which only gtol's max |g| sees; at p = 2 the whitened start gradient is
+    round-off (about 3e-16; GTOL is 1e-12). Midpoints are eigenvalue-floored.
     Returns (distance, path), with the momenta rebuilt as
     B_k = [gbar_k]_j dj U_k on the jumps of L (_unfold) and the continuity
     residual taken over them; the path is converged when the start stopped on
@@ -555,7 +569,7 @@ def w2p_solve(L: DbcLindbladian, rho0: np.ndarray, rho1: np.ndarray, p: float,
         gammas, b, c, B = problem.path(last if key == y.tobytes() else problem.evaluate(y))
     B = _unfold(L, B)
     actions = np.sum(b * c, axis=1) / h ** 2
-    Vd = la.dagger(np.array([V for V, _ in L.jumps]))
+    Vd = L.derived(("adjoint_jumps",), lambda: la.dagger(np.array([V for V, _ in L.jumps])))
     flow = (gammas[1:] - gammas[:-1]) / h + np.sum(B @ Vd - Vd @ B, axis=-3)  # + div B
     path = TransportPath(
         states=tuple(gammas),

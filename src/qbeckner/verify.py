@@ -240,7 +240,7 @@ def check_dirichlet(L: DbcLindbladian, rng: np.random.Generator) -> List[CheckRe
     out.append(_tightest("stroock-varopoulos", cases))
 
     cases = []
-    for p in (1.25, 1.5, 2.0):
+    for p in (1.25, 1.5, 1.75):
         E2 = dh.dirichlet_form(L, ent.power_operator(X, L.sigma, 2.0, p), 2.0)
         Ep = dh.dirichlet_form(L, X, p)
         cases += [(E2, Ep + 1e-9), (Ep, p * p / (4 * (p - 1)) * E2 + 1e-9)]

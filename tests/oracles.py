@@ -18,6 +18,8 @@ written in;
 unfolded is a model on which the frame contracts over every jump, and
 onsager_matrix_units the Onsager operator on the matrix units over them;
 check_gradient_sequential is linalg.check_gradient one point per call;
+path_hessian is the path energy's Hessian assembled densely, whose inverse
+transport._PathEnergy.preconditioner factors block by block;
 ratio_of_witness and ricci_rayleigh evaluate an estimate's witness afresh;
 two_point_beckner is the tilted two-point Beckner constant in mpmath;
 psd_project builds positive semidefinite test inputs.
@@ -394,6 +396,20 @@ def check_gradient_sequential(fun_and_grad, x, what) -> float:
 # ---------------------------------------------------------------------------
 # Witnesses of estimates, and test inputs
 # ---------------------------------------------------------------------------
+
+
+def path_hessian(problem, G):
+    """H = (2/h) D^T blockdiag(G_k^-1) D of a transport._PathEnergy, with
+    its Gram matrices G (N, n, n) held fixed, as a dense ((N-1) n, (N-1) n)
+    matrix: D is the step-difference map, so H is block tridiagonal, with
+    (2/h) (G_k^-1 + G_k+1^-1) on the diagonal and -(2/h) G_k+1^-1 beside it."""
+    N, n = problem.N, len(problem.basis)
+    Ginv = 2.0 / problem.h * np.linalg.inv(G)
+    H = np.zeros((N - 1, n, N - 1, n))
+    i = np.arange(N - 1)
+    H[i, :, i] = Ginv[:-1] + Ginv[1:]
+    H[i[:-1], :, i[1:]] = H[i[1:], :, i[:-1]] = -Ginv[1:-1]
+    return H.reshape((N - 1) * n, -1)
 
 
 def ratio_of_witness(L, est) -> float:

@@ -464,7 +464,7 @@ class TestMain:
             (E(power_op(X, sigma, q, 2.0), q) - 1e-9, E(power_op(X, sigma, p, 2.0), p))
             for p, q in ((0.5, 1.5), (0.8, 2.0), (1.2, 1.8), (1.0, 2.0))]
         expected["lp-regularity"] = [
-            case for p in (1.25, 1.5, 2.0)
+            case for p in (1.25, 1.5, 1.75)
             for E2, Ep in [(E(power_op(X, sigma, 2.0, p), 2.0), E(X, p))]
             for case in ((E2, Ep + 1e-9), (Ep, p * p / (4 * (p - 1)) * E2 + 1e-9))]
 
@@ -495,6 +495,9 @@ class TestMain:
             assert (rec.lhs, rec.rhs) == (pytest.approx(lhs, rel=1e-9),
                                           pytest.approx(rhs, rel=1e-9)), name
             assert rec.slack == rec.rhs - rec.lhs and rec.rhs != 0.0, name
+        # no case is an identity whose slack is its margin alone (p = 2 in
+        # lp-regularity was: both of its sides are then one form)
+        assert records["lp-regularity"].slack > 1e-9
 
     def test_unconverged_transport_fails(self, tmp_path, monkeypatch):
         solve = tp.w2p_solve

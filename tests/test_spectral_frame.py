@@ -271,6 +271,13 @@ def _never():
     raise AssertionError("a cached array was computed again")
 
 
+def _side_by_side_gradients(fr, d):
+    """P [V_j, U_m] P afresh, in the cached layout: the (d, d) blocks of
+    every basis element m and folded jump j side by side, (d, n K d)."""
+    X = fr.P @ fr.grad(tp._basis_frame(d)[0]) @ fr.P
+    return np.moveaxis(X, 2, 0).reshape(d, -1)
+
+
 class TestGeneratorCache:
     """Arrays fixed by the generator are computed once per generator and key,
     and stored read-only."""
@@ -279,7 +286,7 @@ class TestGeneratorCache:
     def test_basis_gradients_bit_for_bit(self, model, states, p):
         fr, _, _ = tp._basis_gram(model, states, p)
         cached = model.derived(("basis_gradients", p), _never)
-        assert np.array_equal(cached, fr.P @ fr.grad(tp._basis_frame(model.d)[0]) @ fr.P)
+        assert np.array_equal(cached, _side_by_side_gradients(fr, model.d))
 
     def test_sigma_power_is_cached_read_only(self):
         L = sg.random_dbc(np.diag([0.5, 0.3, 0.2]).astype(complex), 3, 1, seed=5)
@@ -335,7 +342,7 @@ class TestGeneratorCache:
         for L in models:
             fr, _, _ = tp._basis_gram(L, state, 1.5)
             cached.append(L.derived(("basis_gradients", 1.5), _never))
-            assert np.array_equal(cached[-1], fr.P @ fr.grad(tp._basis_frame(3)[0]) @ fr.P)
+            assert np.array_equal(cached[-1], _side_by_side_gradients(fr, 3))
         assert not np.allclose(cached[0], cached[1])
 
     def test_repeated_ricci_estimate(self, dbc3):

@@ -545,6 +545,56 @@ class TestPreconditioner:
         HT = (g[:len(T)] - g[len(T):]) / (2.0 * eps)
         assert np.max(np.abs(HT @ T - np.eye(len(T)))) <= 1e-6
 
+    @pytest.mark.parametrize("p", [1.05, 2.0])
+    @pytest.mark.parametrize("N", [2, 3, 6, 20])
+    @pytest.mark.parametrize("name", ["dbc2", "dbc3", "dbc4"])
+    def test_block_factor_inverts_the_dense_hessian(self, request, rng, name, N, p):
+        # T T^T = H^-1 against the dense Hessian, and T = L^-T is upper
+        # triangular; at N = 2 H is one block, with none beside it
+        L = request.getfixturevalue(name)
+        pair = [la.random_density(rng, L.d, floor=0.1) for _ in range(2)]
+        problem = tp._PathEnergy(L, *pair, p, N)
+        G = problem.evaluate(np.zeros((N - 1) * (L.d ** 2 - 1)))[-1]
+        T = problem.preconditioner(G)
+        Hinv = np.linalg.inv(oracles.path_hessian(problem, G))
+        assert np.max(np.abs(T @ T.T - Hinv)) <= 1e-12 * np.max(np.abs(Hinv))
+        assert not np.tril(T, -1).any()
+
+    def test_d5_solve_takes_the_newton_step(self, rng):
+        # ROADMAP's d = 5 model (sigma proportional to 2^-k, 5 pairs, one
+        # diagonal jump, seed 42) at the default N = 20: n = 24 and H is
+        # (456, 456), whitened by its block factor; the first trial is
+        # accepted and none backtracks
+        s = 2.0 ** -np.arange(5)
+        L = sg.random_dbc(np.diag(s / s.sum()).astype(complex), 5, 1, seed=42)
+        pair = [la.random_density(rng, 5, floor=0.05) for _ in range(2)]
+        _, path = tp.w2p_solve(L, *pair, 1.05, tp.W2Opts(N=20))
+        assert path.stop in ("ftol", "gtol")
+        assert path.evaluations == path.steps + 1
+
+    def test_indefinite_schur_complement_names_the_step(self, dbc2, monkeypatch):
+        # positive definite Gram matrices make H positive definite, so that
+        # _gram_cholesky passes is stubbed here: step 2's Gram matrix is
+        # shifted by a constant to a lowest eigenvalue of -1e-3 on every
+        # path (the energy and its gradient stay consistent, and the self-
+        # test passes), which makes the Schur complement at path state 2
+        # indefinite: the factor raises SingularMetric, not LinAlgError
+        N = 6
+        r0, r1 = np.diag([0.6, 0.4]).astype(complex), SIGMA_STAR
+        G2 = tp._PathEnergy(dbc2, r0, r1, 1.5, N).evaluate(np.zeros((N - 1) * 3))[-1][2]
+        shift = (np.linalg.eigvalsh(G2)[0] + 1e-3) * np.eye(3)
+        basis_gram = tp._basis_gram
+
+        def step_2_indefinite(L, rho, p):
+            fr, C, G = basis_gram(L, rho, p)
+            G[2::N] -= shift
+            return fr, C, G
+
+        monkeypatch.setattr(tp, "_basis_gram", step_2_indefinite)
+        monkeypatch.setattr(tp, "_gram_cholesky", lambda G, where: None)
+        with pytest.raises(SingularMetric, match=r"once step 2 is added .*at path state 2\)"):
+            tp.w2p_solve(dbc2, r0, r1, 1.5, tp.W2Opts(N=N))
+
     @pytest.mark.parametrize("p", [1.05, 1.5])
     def test_cli_pairs_take_few_evaluations(self, p):
         # the depol3 transport task at N = 20 (57-68 evaluations per solve

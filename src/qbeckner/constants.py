@@ -21,7 +21,7 @@ from .errors import (
     NotSymmetric,
     OptimizerDiverged,
 )
-from .kernels import _is_same, log_kernel, power_kernel
+from .kernels import _is_same
 from .linalg import minimize
 from .semigroup import DbcLindbladian
 
@@ -116,8 +116,7 @@ def _ratio_and_grad(L: DbcLindbladian, specs: Sequence[Spec]) -> Callable:
     to the sandwiched f(A). On the near-identity ridge, where the
     denominator is at most RIDGE_FLOOR, the evaluator returns (BIG, 0).
     """
-    w, U = L.sigma_eig
-    log_sigma = (U * np.log(w)) @ U.conj().T
+    log_sigma = L.sigma_log
     dag = la.dagger
     half, quarter = L.sigma_power(0.5), L.sigma_power(0.25)
     sls = L.sigma @ log_sigma  # S log(sigma) S for S = half, as S commutes with sigma
@@ -130,9 +129,8 @@ def _ratio_and_grad(L: DbcLindbladian, specs: Sequence[Spec]) -> Callable:
                            else L.sigma_power(1.0 / (2.0 * float(r))) for kind, r in specs])
     param = np.array([np.nan if r is None else float(r) for _, r in specs])
     # f(a) on the spectrum of A is a^e, e = r - 1, for the power kinds, and
-    # log a else; the forms take f' at ties from power_kernel(e) or log_kernel
+    # log a else; the forms take f' at ties, e a^(e - 1) or 1 / a
     exps = [float(r) - 1.0 if kind in POWER_KINDS else None for kind, r in specs]
-    dfs = [power_kernel(e).df if e is not None else log_kernel().df for e in exps[:cuts[2]]]
 
     def evaluate(X: np.ndarray, rows=None):
         single = np.ndim(X) == 2
@@ -162,7 +160,8 @@ def _ratio_and_grad(L: DbcLindbladian, specs: Sequence[Spec]) -> Callable:
             dfm = 0.5 * (x + y)
             for k, at in live:
                 if k < cuts[2]:
-                    dfm[at] = dfs[k](dfm[at])
+                    e = exps[k]
+                    dfm[at] = 1.0 / dfm[at] if e is None else e * dfm[at] ** (e - 1.0)
             with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
                 far = (f[:nf, :, None] - f[:nf, None, :]) / np.where(same, 1.0, x - y)
             DF = np.where(same, dfm, far)

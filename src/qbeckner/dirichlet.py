@@ -12,7 +12,6 @@ from . import entropy as ent
 from . import linalg as la
 from . import transport as tp
 from .errors import NotPsd, NotSymmetric
-from .kernels import log_kernel
 from .semigroup import DbcLindbladian
 
 P_ONE_BRANCH = ent.P_ONE_BRANCH
@@ -52,8 +51,7 @@ def dirichlet_form(L: DbcLindbladian, X: np.ndarray, p: float) -> float:
         g, Vg = la.herm_eigh(GX)
         g = np.maximum(g, 1e-300)
         log_GX = (Vg * np.log(g)) @ Vg.conj().T
-        log_sigma = la.matrix_function(L.sigma, log_kernel())
-        val = -0.25 * np.real(_kms(half, log_GX - log_sigma, LX))
+        val = -0.25 * np.real(_kms(half, log_GX - L.sigma_log, LX))
         return _finalize(float(val))
     phat = p / (p - 1.0)
     # I_{phat,p}(X) = Gamma^(-1/phat)(|Gamma^(1/p) X|^(p/phat))

@@ -1,26 +1,32 @@
 """Weighted norms, power operators, entropies, divergences and variances.
 
 The sigma-weighted p-norm is ||X||_{p,sigma} = tr(|sigma^(1/2p) X sigma^(1/2p)|^p)^(1/p);
-everything else in this module is built on top of it and the weighted kernel
-inner products from :mod:`qbeckner.linalg`. Every scalar evaluator returns a
-plain float. A divergence is +inf when rho leaves the support of sigma. F_p,
-chi^2, the Umegaki entropy, the sandwiched entropy at p > 1, the entropy
-functional and the q-variance clamp a round-off value in [-1e-10, 0) to 0.
-`umegaki` is the Umegaki relative entropy; `relative_entropies` gives the
-sandwiched Renyi ("sandwiched", order p) and the max ("max") relative
-entropies.
+everything else in this module is built on top of it and on the powers and
+the logarithm of sigma. Each public function decomposes sigma once
+(linalg.full_rank_eigh, or _support_restrict for the divergences) and reads
+every function of sigma off those eigenpairs. Every scalar evaluator returns
+a plain float. A divergence is +inf when rho leaves the support of sigma.
+F_p, chi^2, the Umegaki entropy, the sandwiched entropy at p > 1, the
+entropy functional and the q-variance clamp a round-off value in
+[-1e-10, 0) to 0. `umegaki` is the Umegaki relative entropy;
+`relative_entropies` gives the sandwiched Renyi ("sandwiched", order p) and
+the max ("max") relative entropies.
 """
 
 from __future__ import annotations
+
+from typing import Tuple
 
 import numpy as np
 
 from . import linalg as la
 from .errors import ZeroExponent
-from .kernels import kappa_alpha_kernel, log_kernel
+from .kernels import kappa_alpha
 
 SUPPORT_TOL = 1e-12
 P_ONE_BRANCH = 1e-4  # |p-1| below this uses the analytic p -> 1 limits
+
+Eig = Tuple[np.ndarray, np.ndarray]  # sigma's eigenvalues w and eigenvectors U
 
 
 def _clamp(value: float) -> float:
@@ -29,33 +35,47 @@ def _clamp(value: float) -> float:
     return max(value, 0.0)
 
 
+def _power(eig: Eig, r: float) -> np.ndarray:
+    """sigma^r = U w^r U† from sigma's eigenpairs."""
+    w, U = eig
+    return (U * w**r) @ U.conj().T
+
+
+def _norm(X: np.ndarray, eig: Eig, p: float) -> float:
+    """||X||_{p,sigma} for finite p from sigma's eigenpairs."""
+    if p <= 0:
+        raise ZeroExponent("p must be positive")
+    half = _power(eig, 1.0 / (2.0 * p))
+    sv = np.linalg.svd(half @ X @ half, compute_uv=False)
+    return float(np.sum(sv**p) ** (1.0 / p))
+
+
+def _density(rho: np.ndarray, eig: Eig) -> np.ndarray:
+    """Gamma_sigma^{-1}(rho) from sigma's eigenpairs."""
+    ihalf = _power(eig, -0.5)
+    return ihalf @ rho @ ihalf
+
+
 def weighted_p_norm(X: np.ndarray, sigma: np.ndarray, p: float) -> float:
     """sigma-weighted p-(quasi)norm; p = inf gives the operator norm."""
     if np.isinf(p):
         return float(np.max(np.linalg.svd(np.asarray(X, dtype=complex),
                                           compute_uv=False)))
-    if p <= 0:
-        raise ZeroExponent("p must be positive")
-    la.check_full_rank(sigma)
-    half = la.matrix_power_hermitian(sigma, 1.0 / (2.0 * p))
-    A = half @ X @ half
-    sv = np.linalg.svd(A, compute_uv=False)
-    return float(np.sum(sv**p) ** (1.0 / p))
+    return _norm(X, la.full_rank_eigh(sigma), p)
 
 
 def relative_density(rho: np.ndarray, sigma: np.ndarray) -> np.ndarray:
     """Gamma_sigma^{-1}(rho) = sigma^(-1/2) rho sigma^(-1/2)."""
-    ihalf = la.matrix_power_hermitian(sigma, -0.5)
-    return ihalf @ rho @ ihalf
+    return _density(rho, la.full_rank_eigh(sigma))
 
 
 def power_operator(X: np.ndarray, sigma: np.ndarray, q: float, p: float) -> np.ndarray:
     """I_{q,p}(X) = Gamma^(-1/q)(|Gamma^(1/p) X|^(p/q))."""
     if p == 0 or q == 0:
         raise ZeroExponent("power operator needs nonzero exponents")
-    la.check_full_rank(sigma)
-    gp = la.matrix_power_hermitian(sigma, 1.0 / (2.0 * p))
-    gq = la.matrix_power_hermitian(sigma, -1.0 / (2.0 * q))
+    eig = la.full_rank_eigh(sigma)
+    gp = _power(eig, 1.0 / (2.0 * p))
+    gq = _power(eig, -1.0 / (2.0 * q))
     inner = la.abs_power(gp @ X @ gp, p / q)
     return gq @ inner @ gq
 
@@ -65,8 +85,8 @@ def entropy_functional(X: np.ndarray, sigma: np.ndarray, p: float) -> float:
 
     tr(A^p (log A^p - log sigma)) - ||X||^p log ||X||^p with A = Gamma^(1/p) X.
     """
-    la.check_full_rank(sigma)
-    half = la.matrix_power_hermitian(sigma, 1.0 / (2.0 * p))
+    w, U = eig = la.full_rank_eigh(sigma)
+    half = _power(eig, 1.0 / (2.0 * p))
     A = half @ X @ half
     a, V = la.herm_eigh(A)
     a = np.maximum(a, 0.0)
@@ -74,7 +94,7 @@ def entropy_functional(X: np.ndarray, sigma: np.ndarray, p: float) -> float:
     norm_p = float(np.sum(a**p))
     # tr(A^p log A^p) = p * sum a^p log a
     term1 = p * float(np.sum(a[pos] ** p * np.log(a[pos])))
-    log_sigma = la.matrix_function(sigma, log_kernel())
+    log_sigma = (U * np.log(w)) @ U.conj().T
     Ap = (V * a**p) @ V.conj().T
     term2 = float(np.real(np.trace(Ap @ log_sigma)))
     ent = term1 - term2 - (norm_p * np.log(norm_p) if norm_p > 0 else 0.0)
@@ -82,16 +102,20 @@ def entropy_functional(X: np.ndarray, sigma: np.ndarray, p: float) -> float:
 
 
 def _support_restrict(rho: np.ndarray, sigma: np.ndarray):
-    """Project both states onto the support of sigma; None if rho leaks out."""
+    """Both states on the support of sigma, with sigma's eigenpairs there:
+    (rho, sigma, eig), or None if rho leaks out. Where sigma is singular the
+    restriction is written in sigma's eigenbasis, so sigma there is diagonal
+    and its eigenvectors are the identity."""
     w, U = la.herm_eigh(sigma)
     keep = w > SUPPORT_TOL
     if np.all(keep):
-        return rho, sigma
+        return rho, sigma, (w, U)
     P = U[:, keep]
     leak = la.frob(rho - P @ (P.conj().T @ rho @ P) @ P.conj().T)
     if leak > 1e-10:
         return None
-    return P.conj().T @ rho @ P, P.conj().T @ sigma @ P
+    w = w[keep]
+    return P.conj().T @ rho @ P, np.diag(w), (w, np.eye(w.size))
 
 
 def umegaki(rho: np.ndarray, sigma: np.ndarray) -> float:
@@ -99,34 +123,33 @@ def umegaki(rho: np.ndarray, sigma: np.ndarray) -> float:
     restricted = _support_restrict(rho, sigma)
     if restricted is None:
         return np.inf
-    rho, sigma = restricted
+    rho, _, (w, U) = restricted
     r, _ = la.herm_eigh(rho)
     r = np.maximum(r, 0.0)
     pos = r > 0.0
-    s_log = la.matrix_function(sigma, log_kernel())
+    s_log = (U * np.log(w)) @ U.conj().T
     return _clamp(float(np.sum(r[pos] * np.log(r[pos])) - np.real(np.trace(rho @ s_log))))
 
 
 def relative_entropies(rho: np.ndarray, sigma: np.ndarray, kind: str,
                        p: float | None = None) -> float:
-    """Sandwiched Renyi entropy of order p, or max-relative entropy."""
+    """Sandwiched Renyi entropy of order p (p = inf is the max entropy), or
+    max-relative entropy."""
     restricted = _support_restrict(rho, sigma)
     if restricted is None:
         return np.inf
-    rho_r, sigma_r = restricted
+    rho_r, _, eig = restricted
     if kind == "sandwiched":
         if p is None or p <= 0 or p == 1.0:
             raise ValueError("sandwiched entropy needs p in (0,1) or (1,inf)")
-        if np.isinf(p):
-            return relative_entropies(rho, sigma, "max")
-        phat = p / (p - 1.0)
-        val = phat * np.log(weighted_p_norm(relative_density(rho_r, sigma_r),
-                                            sigma_r, p))
-        return _clamp(val) if p > 1 else val
-    if kind == "max":
-        rel = relative_density(rho_r, sigma_r)
-        return float(np.log(np.max(np.linalg.eigvalsh(la.herm(rel)))))
-    raise ValueError(f"unknown relative entropy kind {kind!r}")
+        if not np.isinf(p):
+            phat = p / (p - 1.0)
+            val = phat * np.log(_norm(_density(rho_r, eig), eig, p))
+            return _clamp(val) if p > 1 else val
+    elif kind != "max":
+        raise ValueError(f"unknown relative entropy kind {kind!r}")
+    rel = _density(rho_r, eig)
+    return float(np.log(np.max(np.linalg.eigvalsh(la.herm(rel)))))
 
 
 def p_divergence(rho: np.ndarray, sigma: np.ndarray, p: float) -> float:
@@ -140,8 +163,8 @@ def p_divergence(rho: np.ndarray, sigma: np.ndarray, p: float) -> float:
     restricted = _support_restrict(rho, sigma)
     if restricted is None:
         return np.inf
-    rho_r, sigma_r = restricted
-    norm = weighted_p_norm(relative_density(rho_r, sigma_r), sigma_r, p)
+    rho_r, _, eig = restricted
+    norm = _norm(_density(rho_r, eig), eig, p)
     return _clamp((norm**p - 1.0) / (p * (p - 1.0)))
 
 
@@ -149,8 +172,8 @@ def q_variance(Y: np.ndarray, sigma: np.ndarray, q: float) -> float:
     """Var_{q,sigma}(Y) = ||Y||_{2,sigma}^2 - ||Y||_{q,sigma}^2 for q in [1,2)."""
     if not 1.0 <= q < 2.0:
         raise ValueError("q must lie in [1, 2)")
-    return _clamp(weighted_p_norm(Y, sigma, 2.0) ** 2
-                  - weighted_p_norm(Y, sigma, q) ** 2)
+    eig = la.full_rank_eigh(sigma)
+    return _clamp(_norm(Y, eig, 2.0) ** 2 - _norm(Y, eig, q) ** 2)
 
 
 def chi2_power_difference(rho: np.ndarray, sigma: np.ndarray, p: float) -> float:
@@ -159,10 +182,9 @@ def chi2_power_difference(rho: np.ndarray, sigma: np.ndarray, p: float) -> float
     restricted = _support_restrict(rho, sigma)
     if restricted is None:
         return np.inf
-    rho_r, sigma_r = restricted
-    w, U = la.herm_eigh(sigma_r)
+    rho_r, sigma_r, (w, U) = restricted
     D = U.conj().T @ (rho_r - sigma_r) @ U
-    weights = kappa_alpha_kernel(1.0 / p).f(w[:, None] / w[None, :]) / w[None, :]
+    weights = kappa_alpha(1.0 / p, w[:, None] / w[None, :]) / w[None, :]
     return _clamp(float(np.real(np.sum(weights * np.abs(D) ** 2))))
 
 

@@ -1,27 +1,26 @@
 """Scalar kernels and their divided differences.
 
-One-variable kernels drive the functional calculus (matrix functions,
-weighted inner products); the two-variable kernels, stable_powdiff and
-theta_p_log, are values on grids. All power-difference quotients are
-evaluated through ``expm1``/``log1p`` so they stay accurate when the two
-arguments nearly coincide, and every kernel carries an exact degenerate
-branch. theta_p, the metric kernel whose inverse the Dirichlet form pairs
-with the jump gradients and whose state derivative drives the transport
-gradient, geodesics and Hessian, is one grid function of half log-ratios
-(theta_p_log) that returns the kernel with both of its log-partials: the
-tilts of the metric kernels cancel from all but the half log-ratio, so a
-spectral frame (transport._Frame) makes one call for every jump.
+The one-variable kernels kappa_alpha and phi_p are plain functions of
+eigenvalue ratios, which the weighted inner products and the chi^2
+divergence evaluate on sigma's ratio grid; the two-variable kernels,
+stable_powdiff and theta_p_log, are values on grids. All power-difference
+quotients are evaluated through ``expm1``/``log1p`` so they stay accurate
+when the two arguments nearly coincide, and every kernel carries an exact
+degenerate branch. theta_p, the metric kernel whose inverse the Dirichlet
+form pairs with the jump gradients and whose state derivative drives the
+transport gradient, geodesics and Hessian, is one grid function of half
+log-ratios (theta_p_log) that returns the kernel with both of its
+log-partials: the tilts of the metric kernels cancel from all but the half
+log-ratio, so a spectral frame (transport._Frame) makes one call for every
+jump.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import lru_cache
-from typing import Callable, Optional, Tuple
+from typing import Tuple
 
 import numpy as np
-
-from .errors import DomainViolation
 
 # Degenerate-pair threshold for divided differences: below this relative
 # separation the derivative branch is used (balances cancellation error
@@ -65,91 +64,41 @@ def stable_powdiff(a: float, x: np.ndarray, y: np.ndarray) -> np.ndarray:
 # ---------------------------------------------------------------------------
 
 
-@dataclass(frozen=True)
-class Kernel1:
-    """A scalar function with an optional derivative and a positivity domain.
-
-    ``domain_min`` is the largest value that must stay strictly below the
-    spectrum (``-inf`` disables the check); ``allow_boundary`` admits
-    eigenvalues equal to ``domain_min``.
-    """
-
-    name: str
-    f: Callable[[np.ndarray], np.ndarray]
-    df: Optional[Callable[[np.ndarray], np.ndarray]] = None
-    domain_min: float = -np.inf
-    allow_boundary: bool = True
-
-    def check_domain(self, eigenvalues: np.ndarray) -> None:
-        """DomainViolation unless the spectrum lies in the kernel's domain."""
-        lo = float(np.min(eigenvalues))
-        if not (lo >= self.domain_min if self.allow_boundary else lo > self.domain_min):
-            raise DomainViolation(
-                f"kernel {self.name}: eigenvalue {lo:.3e} outside domain "
-                f"(min {self.domain_min}, boundary allowed: {self.allow_boundary})"
-            )
-
-
-def power_kernel(a: float) -> Kernel1:
-    """x^a on (0, inf); the boundary x = 0 is admitted when a >= 0."""
-    a = float(a)
-    return Kernel1(
-        f"power({a})",
-        f=lambda x: x**a,
-        df=lambda x: a * x ** (a - 1.0),
-        domain_min=0.0,
-        allow_boundary=a >= 0.0,
-    )
-
-
-def log_kernel() -> Kernel1:
-    return Kernel1("log", f=np.log, df=lambda x: 1.0 / x, domain_min=0.0,
-                   allow_boundary=False)
-
-
-def kappa_alpha_kernel(alpha: float) -> Kernel1:
+def kappa_alpha(alpha: float, x: np.ndarray) -> np.ndarray:
     """Power-difference mean kernel on (0, inf), normalized to kappa(1) = 1.
 
     kappa_alpha(x) = [alpha/(alpha-1)] * (x^(alpha-1) - 1)/(x^alpha - 1),
     with the alpha in {0, 1} and x -> 1 limits filled in analytically.
     """
     alpha = float(alpha)
-
-    def f(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        ell = np.log(x)
-        near = np.abs(ell) < 1e-8
-        safe = np.where(near, 1.0, ell)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            if alpha == 0.0:
-                far = -np.expm1(-safe) / safe
-            elif alpha == 1.0:
-                far = safe / np.expm1(safe)
-            else:
-                far = (alpha / (alpha - 1.0)) * np.expm1((alpha - 1.0) * safe) / np.expm1(alpha * safe)
-        return np.where(near, 1.0 - 0.5 * ell, far)
-
-    return Kernel1(f"kappa({alpha})", f=f, domain_min=0.0, allow_boundary=False)
+    x = np.asarray(x, dtype=float)
+    ell = np.log(x)
+    near = np.abs(ell) < 1e-8
+    safe = np.where(near, 1.0, ell)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        if alpha == 0.0:
+            far = -np.expm1(-safe) / safe
+        elif alpha == 1.0:
+            far = safe / np.expm1(safe)
+        else:
+            far = (alpha / (alpha - 1.0)) * np.expm1((alpha - 1.0) * safe) / np.expm1(alpha * safe)
+    return np.where(near, 1.0 - 0.5 * ell, far)
 
 
-def phi_p_kernel(p: float) -> Kernel1:
+def phi_p(p: float, x: np.ndarray) -> np.ndarray:
     """phi_p(x) = (x - x^(1/p)) / ((p-1)(x^(1/p) - 1)) on (0, inf).
 
     Implemented from its own defining quotient (not via the power-difference
     identity) so the two stay independent cross-checks.
     """
     p = float(p)
-
-    def f(x: np.ndarray) -> np.ndarray:
-        x = np.asarray(x, dtype=float)
-        ell = np.log(x)
-        near = np.abs(ell) < 1e-8
-        safe = np.where(near, 1.0, ell)
-        with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            far = (x ** (1.0 / p) / (p - 1.0)) * np.expm1((1.0 - 1.0 / p) * safe) / np.expm1(safe / p)
-        return np.where(near, 1.0 + 0.5 * ell, far)
-
-    return Kernel1(f"phi({p})", f=f, domain_min=0.0, allow_boundary=False)
+    x = np.asarray(x, dtype=float)
+    ell = np.log(x)
+    near = np.abs(ell) < 1e-8
+    safe = np.where(near, 1.0, ell)
+    with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+        far = (x ** (1.0 / p) / (p - 1.0)) * np.expm1((1.0 - 1.0 / p) * safe) / np.expm1(safe / p)
+    return np.where(near, 1.0 + 0.5 * ell, far)
 
 
 # Taylor coefficients c_n = 2^(2n) B_2n / (2n)! of coth(h) - 1/h = h/3 - h^3/45

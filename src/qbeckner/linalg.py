@@ -20,7 +20,7 @@ from .errors import (
     NonHermitian,
     SingularState,
 )
-from .kernels import Kernel1, _is_same
+from .kernels import _is_same
 
 HERM_TOL = 1e-12
 FULL_RANK_FLOOR = 1e-12
@@ -57,13 +57,6 @@ def herm_eigh(A: np.ndarray, check: bool = True) -> Tuple[np.ndarray, np.ndarray
     return w, V
 
 
-def matrix_function(A: np.ndarray, k: Kernel1) -> np.ndarray:
-    """Apply the scalar kernel k to a Hermitian matrix through its spectrum."""
-    w, V = herm_eigh(A)
-    k.check_domain(w)
-    return (V * k.f(w)) @ V.conj().T
-
-
 def matrix_power_hermitian(A: np.ndarray, r: float) -> np.ndarray:
     """A^r for Hermitian PSD A (strictly PD required when r < 0)."""
     w, V = herm_eigh(A)
@@ -95,10 +88,14 @@ def abs_power(A: np.ndarray, r: float) -> np.ndarray:
     return (V * s**r) @ V.conj().T
 
 
-def check_full_rank(sigma: np.ndarray) -> None:
-    w = np.linalg.eigvalsh(herm(sigma))
-    if np.min(w) < FULL_RANK_FLOOR:
-        raise SingularState(f"minimum eigenvalue {np.min(w):.3e} below {FULL_RANK_FLOOR:.1e}")
+def full_rank_eigh(sigma: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
+    """herm_eigh of a full-rank state sigma, SingularState when an eigenvalue
+    is below FULL_RANK_FLOOR: the one decomposition that every function of
+    sigma is read off."""
+    w, V = herm_eigh(sigma)
+    if w[0] < FULL_RANK_FLOOR:
+        raise SingularState(f"minimum eigenvalue {w[0]:.3e} below {FULL_RANK_FLOOR:.1e}")
+    return w, V
 
 
 # ---------------------------------------------------------------------------
@@ -144,13 +141,6 @@ def sandwich_super(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     return (B.T[:, None, :, None] * A[None, :, None, :]).reshape(n, n)
 
 
-def modular_super(sigma: np.ndarray) -> np.ndarray:
-    """Modular operator X -> sigma X sigma^{-1} for full-rank sigma."""
-    check_full_rank(sigma)
-    sigma_inv = matrix_power_hermitian(sigma, -1.0)
-    return sandwich_super(sigma, sigma_inv)
-
-
 # ---------------------------------------------------------------------------
 # Partial divided differences
 # ---------------------------------------------------------------------------
@@ -191,13 +181,11 @@ def hs_inner(X: np.ndarray, Y: np.ndarray) -> complex:
     return complex(np.trace(X.conj().T @ Y))
 
 
-def f_inner(X: np.ndarray, Y: np.ndarray, sigma: np.ndarray, k: Kernel1) -> complex:
-    """Weighted inner product <X, R_sigma f(Delta_sigma) Y>."""
-    check_full_rank(sigma)
-    w, V =herm_eigh(sigma)
-    ratios = w[:, None] / w[None, :]
-    k.check_domain(ratios.ravel())
-    F = k.f(ratios) * w[None, :]
+def f_inner(X: np.ndarray, Y: np.ndarray, sigma: np.ndarray, f: Callable) -> complex:
+    """Weighted inner product <X, R_sigma f(Delta_sigma) Y>, with f a scalar
+    function evaluated on the eigenvalue ratios of full-rank sigma."""
+    w, V = full_rank_eigh(sigma)
+    F = f(w[:, None] / w[None, :]) * w[None, :]
     Yt = V.conj().T @ Y @ V
     JY = V @ (F * Yt) @ V.conj().T
     return complex(np.trace(X.conj().T @ JY))

@@ -175,6 +175,14 @@ class DbcLindbladian:
         return la.herm_eigh(self.sigma)
 
     @cached_property
+    def sigma_log(self) -> np.ndarray:
+        """log sigma from the cached eigendecomposition, read-only."""
+        w, U = self.sigma_eig
+        log = (U * np.log(w)) @ U.conj().T
+        log.flags.writeable = False
+        return log
+
+    @cached_property
     def tracial(self) -> bool:
         """Whether sigma = I/d to 1e-10 in Frobenius norm: the flat invariant
         state of the symmetric semigroups."""
@@ -304,7 +312,7 @@ def validate_dbc(L: DbcLindbladian, tol: float = DBC_TOL) -> None:
     gns = la.frob(S @ L.generator - L.generator.conj().T @ S)
     if gns > tol * scale * max(la.frob(S), 1.0):
         raise NotDbc(f"GNS self-adjointness residual {gns:.3e}")
-    Delta = la.modular_super(L.sigma)
+    Delta = la.sandwich_super(L.sigma, L.sigma_power(-1.0))  # X -> sigma X sigma^-1
     comm = la.frob(L.generator @ Delta - Delta @ L.generator)
     if comm > tol * scale * max(la.frob(Delta), 1.0):
         raise NotDbc(f"modular commutation residual {comm:.3e}")
@@ -314,11 +322,10 @@ def validate_dbc(L: DbcLindbladian, tol: float = DBC_TOL) -> None:
 def build_from_jumps(sigma: np.ndarray, jumps: Sequence[JumpTerm]) -> DbcLindbladian:
     """Assemble the generator from jump terms, auto-completing adjoint pairs,
     and validate the jumps and the detailed-balance conditions."""
-    la.check_full_rank(sigma)
     sigma = la.herm(np.asarray(sigma, dtype=complex))
+    sigma_eig = la.full_rank_eigh(sigma)
     d = sigma.shape[0]
     jumps = [JumpTerm(np.asarray(V, dtype=complex), float(om)) for V, om in jumps]
-    sigma_eig = la.herm_eigh(sigma)
     for jump in jumps:
         validate_jump(sigma_eig, jump)
     jumps = complete_pairs(jumps)
@@ -330,10 +337,10 @@ def build_from_jumps(sigma: np.ndarray, jumps: Sequence[JumpTerm]) -> DbcLindbla
 
 def depolarizing(sigma: np.ndarray, gamma: float) -> DbcLindbladian:
     """Generalized depolarizing semigroup L(X) = gamma (tr(sigma X) 1 - X)."""
-    la.check_full_rank(sigma)
+    sigma = la.herm(np.asarray(sigma, dtype=complex))
+    la.full_rank_eigh(sigma)
     if gamma <= 0:
         raise ValueError("gamma must be positive")
-    sigma = la.herm(np.asarray(sigma, dtype=complex))
     d = sigma.shape[0]
     eye_vec = la.vec(np.eye(d))
     gen = gamma * (np.outer(eye_vec, la.vec(sigma).conj()) - np.eye(d * d))
@@ -356,10 +363,9 @@ def random_dbc(sigma: np.ndarray, num_offdiag_pairs: int, num_diag: int,
     contain a spanning tree, so the commutant is trivial and the semigroup
     is primitive. Diagonal jumps are traceless Hermitian with w = 0.
     """
-    la.check_full_rank(sigma)
     sigma = la.herm(np.asarray(sigma, dtype=complex))
     d = sigma.shape[0]
-    s, U = la.herm_eigh(sigma)
+    s, U = la.full_rank_eigh(sigma)
     rng = np.random.default_rng(seed)
 
     pairs: List[Tuple[int, int]] = []
@@ -472,15 +478,14 @@ def alicki_decompose(generator: np.ndarray, sigma: np.ndarray,
     emitted as jump operators (adjoint pairs appended explicitly). The jump
     set is not unique; only reconstruction is guaranteed.
     """
-    la.check_full_rank(sigma)
     sigma = la.herm(np.asarray(sigma, dtype=complex))
+    s, U = la.full_rank_eigh(sigma)
     d = sigma.shape[0]
     scale = max(la.frob(generator), 1e-300)
 
     probe = DbcLindbladian(sigma=sigma, jumps=(), generator=generator)
     validate_dbc(probe, tol=1e-8)
 
-    s, U = la.herm_eigh(sigma)
     basis_change = la.sandwich_super(U.conj().T, U)       # X -> U† X U
     basis_back = la.sandwich_super(U, U.conj().T)
     Lt = basis_change @ generator @ basis_back

@@ -37,8 +37,8 @@ from qbeckner import linalg as la
 from qbeckner import ricci as rc
 from qbeckner import semigroup as sg
 from qbeckner import transport as tp
-from qbeckner.errors import GradientCheckFailed, NotPsd, SingularState
-from qbeckner.kernels import Kernel1, _is_same, stable_powdiff, theta_p_log
+from qbeckner.errors import DomainViolation, GradientCheckFailed, NotPsd, SingularState
+from qbeckner.kernels import _is_same, stable_powdiff, theta_p_log
 
 
 # ---------------------------------------------------------------------------
@@ -52,6 +52,9 @@ class Kernel2:
 
     ``f`` and ``dx`` are vectorized over broadcastable arrays and are
     responsible for their own degenerate branches; dx may take F = f(x, y).
+    ``domain_min`` is the largest value that must stay strictly below the
+    spectrum (``-inf`` disables the check); ``allow_boundary`` admits
+    eigenvalues equal to ``domain_min``.
     """
 
     name: str
@@ -60,7 +63,14 @@ class Kernel2:
     domain_min: float = -np.inf
     allow_boundary: bool = True
 
-    check_domain = Kernel1.check_domain
+    def check_domain(self, eigenvalues: np.ndarray) -> None:
+        """DomainViolation unless the spectrum lies in the kernel's domain."""
+        lo = float(np.min(eigenvalues))
+        if not (lo >= self.domain_min if self.allow_boundary else lo > self.domain_min):
+            raise DomainViolation(
+                f"kernel {self.name}: eigenvalue {lo:.3e} outside domain "
+                f"(min {self.domain_min}, boundary allowed: {self.allow_boundary})"
+            )
 
 
 def fp_divdiff_kernel(p) -> Kernel2:
@@ -112,7 +122,7 @@ class MetricKernel:
     """
 
     def __init__(self, rho, sigma, p, omega=0.0):
-        la.check_full_rank(sigma)
+        la.full_rank_eigh(sigma)
         s = 1.0 / (2.0 * tp._hconj(p))
         self._s_pow = la.matrix_power_hermitian(sigma, s)
         self._s_ipow = la.matrix_power_hermitian(sigma, -s)
@@ -174,9 +184,9 @@ def dk_tensors(fr):
     return W1, W2
 
 
-def divided_difference(k: Kernel1) -> Kernel2:
-    """First divided difference k^[1](x, y) of a one-variable kernel, from
-    two evaluations of k.f, with the derivative rule k.df at the mean when
+def divided_difference(k, dk) -> Kernel2:
+    """First divided difference k^[1](x, y) of a one-variable function k,
+    from two evaluations of k, with the derivative rule dk at the mean when
     |x - y| <= SAME_TOL * scale; the constants evaluator forms the same
     quotient from the f(a) it holds."""
 
@@ -186,11 +196,10 @@ def divided_difference(k: Kernel1) -> Kernel2:
         same = _is_same(x, y)
         m = 0.5 * (x + y)
         with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-            far = (k.f(x) - k.f(y)) / np.where(same, 1.0, x - y)
-        return np.where(same, k.df(m), far)
+            far = (k(x) - k(y)) / np.where(same, 1.0, x - y)
+        return np.where(same, dk(m), far)
 
-    return Kernel2(f"{k.name}^[1]", f=f, domain_min=k.domain_min,
-                   allow_boundary=k.allow_boundary)
+    return Kernel2("divided difference", f=f)
 
 
 def theta_log_kernel() -> Kernel2:
@@ -295,13 +304,9 @@ def geodesic_hamiltonian(L, rho, U, p) -> float:
 # ---------------------------------------------------------------------------
 
 
-def identity_kernel() -> Kernel1:
-    return Kernel1("identity", f=lambda x: x, df=lambda x: np.ones_like(x))
-
-
 def s_inner(X, Y, sigma, s) -> complex:
     """tr(sigma^s X† sigma^(1-s) Y) for full-rank sigma."""
-    la.check_full_rank(sigma)
+    la.full_rank_eigh(sigma)
     ss = la.matrix_power_hermitian(sigma, s)
     s1 = la.matrix_power_hermitian(sigma, 1.0 - s)
     return complex(np.trace(ss @ X.conj().T @ s1 @ Y))
@@ -315,18 +320,15 @@ def gns_inner(X, Y, sigma) -> complex:
     return s_inner(X, Y, sigma, 1.0)
 
 
-def f_norm_sq(X, sigma, k: Kernel1) -> float:
+def f_norm_sq(X, sigma, f) -> float:
     """<X, R_sigma f(Delta_sigma) X>."""
-    return float(np.real(la.f_inner(X, X, sigma, k)))
+    return float(np.real(la.f_inner(X, X, sigma, f)))
 
 
-def j_kernel_super(sigma, k: Kernel1):
+def j_kernel_super(sigma, f):
     """Weighted kernel operator R_sigma f(Delta_sigma) as a superoperator."""
-    la.check_full_rank(sigma)
-    w, V = la.herm_eigh(sigma)
-    ratios = w[:, None] / w[None, :]
-    k.check_domain(ratios.ravel())
-    weights = k.f(ratios) * w[None, :]
+    w, V = la.full_rank_eigh(sigma)
+    weights = f(w[:, None] / w[None, :]) * w[None, :]
     W = np.kron(V.conj(), V)
     return (W * weights.flatten(order="F")) @ W.conj().T
 

@@ -88,13 +88,13 @@ class TestEstimateConstant:
 
     def test_expansion_of_norm_and_form(self, rng, depol2):
         # second-order expansions behind the linearization cap
-        from qbeckner.kernels import phi_p_kernel
+        from qbeckner.kernels import phi_p
         p, eps = 1.6, 1e-4
         U = la.traceless_part(la.random_hermitian(rng, 2))
         U = U - np.trace(SIGMA_STAR @ U).real * np.eye(2)
         Z = np.eye(2) + eps * U
         norm_p = ent.weighted_p_norm(Z, SIGMA_STAR, p) ** p
-        quad = oracles.f_norm_sq(U, SIGMA_STAR, phi_p_kernel(p))
+        quad = oracles.f_norm_sq(U, SIGMA_STAR, lambda x: phi_p(p, x))
         expected = 1.0 + eps * p * np.trace(SIGMA_STAR @ U).real \
             + eps**2 / 2.0 * p * (p - 1.0) * quad
         assert norm_p == pytest.approx(expected, abs=5e-11)

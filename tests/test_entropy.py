@@ -1,3 +1,5 @@
+from collections import Counter
+
 import numpy as np
 import pytest
 
@@ -35,7 +37,9 @@ class TestWeightedNorm:
             ent.weighted_p_norm(np.eye(2), np.diag([1.0, 0.0]).astype(complex), 2.0)
 
     def test_negative_power_of_singular_state_rejected(self):
-        # relative_density takes sigma^(-1/2) from la.matrix_power_hermitian
+        # relative_density reads sigma^(-1/2) off la.full_rank_eigh, which
+        # rejects a singular state; la.matrix_power_hermitian rejects its
+        # negative powers too
         singular = np.diag([1.0, 0.0]).astype(complex)
         with pytest.raises(SingularState):
             ent.relative_density(np.eye(2) / 2, singular)
@@ -195,7 +199,7 @@ class TestChi2:
         rho = la.random_density(rng, 3, floor=0.02)
         X = ent.relative_density(rho, sigma)
         for p in (1.2, 1.7, 2.0):
-            lhs = oracles.f_norm_sq(X - np.eye(3), sigma, kn.phi_p_kernel(p))
+            lhs = oracles.f_norm_sq(X - np.eye(3), sigma, lambda x: kn.phi_p(p, x))
             rhs = ent.chi2_power_difference(rho, sigma, p)
             assert abs(lhs - rhs) <= 1e-10 * max(lhs, 1.0)
 
@@ -207,7 +211,7 @@ class TestChi2:
         X = la.random_hermitian(rng, 3)
         Y = la.random_hermitian(rng, 3)
         p = 1.6
-        lhs = la.f_inner(X, Y, sigma, kn.phi_p_kernel(p))
+        lhs = la.f_inner(X, Y, sigma, lambda x: kn.phi_p(p, x))
         root = la.matrix_power_hermitian(sigma, 1.0 / p)
         half = la.matrix_power_hermitian(sigma, 1.0 / (2.0 * p))
         inner = oracles.double_sum_apply(oracles.fp_divdiff_kernel(p), root, root,
@@ -276,3 +280,89 @@ class TestFunctionalProperties:
         an = (ent.weighted_p_norm(Y, sigma, p) ** (1.0 - p) / p**2
               * ent.entropy_functional(ent.power_operator(Y, sigma, p, p), sigma, p))
         assert an == pytest.approx(fd, rel=1e-6)
+
+
+def _embed(M, Q):
+    """The 2 x 2 matrix M as the top block of a 3 x 3 one, rotated by Q."""
+    E = np.zeros((3, 3), dtype=complex)
+    E[:2, :2] = M
+    return la.herm(Q @ E @ Q.conj().T)
+
+
+class TestSupportRestriction:
+    """A singular sigma whose support holds rho: the divergences of the
+    embedded pair are those of the pair on the support. The zero eigenvalue
+    is rotated, so sigma is not diagonal and its kernel lies in no
+    coordinate axis."""
+
+    @pytest.fixture
+    def pairs(self, rng):
+        rho2 = la.random_density(rng, 2, floor=0.02)
+        sigma2 = la.random_density(rng, 2, floor=0.05)
+        Q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
+        rho3, sigma3 = _embed(rho2, Q), _embed(sigma2, Q)
+        assert np.min(np.abs(np.linalg.eigvalsh(sigma3))) <= ent.SUPPORT_TOL
+        return (rho2, sigma2), (rho3, sigma3)
+
+    @pytest.mark.parametrize("value", [
+        pytest.param(lambda r, s: ent.p_divergence(r, s, 1.05), id="p_divergence[1.05]"),
+        pytest.param(lambda r, s: ent.p_divergence(r, s, 1.5), id="p_divergence[1.5]"),
+        pytest.param(lambda r, s: ent.p_divergence(r, s, 2.0), id="p_divergence[2]"),
+        pytest.param(ent.umegaki, id="umegaki"),
+        pytest.param(lambda r, s: ent.relative_entropies(r, s, "sandwiched", 1.5),
+                     id="sandwiched[1.5]"),
+        pytest.param(lambda r, s: ent.relative_entropies(r, s, "max"), id="max"),
+        pytest.param(lambda r, s: ent.chi2_power_difference(r, s, 1.5), id="chi2[1.5]"),
+    ])
+    def test_restricted_value_matches_support_pair(self, pairs, value):
+        (rho2, sigma2), (rho3, sigma3) = pairs
+        ref = value(rho2, sigma2)
+        assert np.isfinite(ref) and ref != 0.0
+        assert value(rho3, sigma3) == pytest.approx(ref, rel=1e-11, abs=0.0)
+
+
+class TestOneDecomposition:
+    """Each entropy function decomposes sigma once and reads every power and
+    the logarithm of sigma off it: the LAPACK calls of one call on d = 3,
+    counted on numpy.linalg. A further eigh is of rho or of a sandwiched
+    argument, and each svd gives a weighted norm's singular values."""
+
+    @pytest.fixture
+    def counts(self, monkeypatch):
+        counts = Counter()
+        for name in ("eigh", "eigvalsh", "svd"):
+            def counted(*args, _real=getattr(np.linalg, name), _name=name, **kwargs):
+                counts[_name] += 1
+                return _real(*args, **kwargs)
+            monkeypatch.setattr(np.linalg, name, counted)
+        return counts
+
+    @pytest.mark.parametrize("expected, call", [
+        pytest.param({"eigh": 1, "svd": 1}, lambda r, s, X: ent.weighted_p_norm(X, s, 1.5),
+                     id="weighted_p_norm"),
+        pytest.param({"eigh": 1}, lambda r, s, X: ent.relative_density(r, s),
+                     id="relative_density"),
+        pytest.param({"eigh": 2}, lambda r, s, X: ent.power_operator(X, s, 1.3, 1.7),
+                     id="power_operator"),
+        pytest.param({"eigh": 2}, lambda r, s, X: ent.entropy_functional(r, s, 1.5),
+                     id="entropy_functional"),
+        pytest.param({"eigh": 2}, lambda r, s, X: ent.umegaki(r, s), id="umegaki"),
+        pytest.param({"eigh": 1, "svd": 1},
+                     lambda r, s, X: ent.relative_entropies(r, s, "sandwiched", 1.5),
+                     id="sandwiched"),
+        pytest.param({"eigh": 1, "eigvalsh": 1},
+                     lambda r, s, X: ent.relative_entropies(r, s, "max"), id="max"),
+        pytest.param({"eigh": 1, "svd": 1}, lambda r, s, X: ent.p_divergence(r, s, 1.5),
+                     id="p_divergence"),
+        pytest.param({"eigh": 1}, lambda r, s, X: ent.chi2_power_difference(r, s, 1.5),
+                     id="chi2_power_difference"),
+        pytest.param({"eigh": 1, "svd": 2}, lambda r, s, X: ent.q_variance(X, s, 1.5),
+                     id="q_variance"),
+    ])
+    def test_lapack_calls(self, rng, counts, expected, call):
+        sigma = la.random_density(rng, 3, floor=0.05)
+        rho = la.random_density(rng, 3, floor=0.02)
+        X = la.random_hermitian(rng, 3)
+        counts.clear()
+        call(rho, sigma, X)
+        assert dict(counts) == expected

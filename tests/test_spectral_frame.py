@@ -298,6 +298,15 @@ class TestGeneratorCache:
             with pytest.raises(ValueError):
                 S[0, 0] = 0.0
 
+    def test_sigma_log_is_cached_read_only(self):
+        L = sg.random_dbc(np.diag([0.5, 0.3, 0.2]).astype(complex), 3, 1, seed=5)
+        w, U = L.sigma_eig
+        log = L.sigma_log
+        assert L.sigma_log is log
+        assert np.array_equal(log, (U * np.log(w)) @ U.conj().T)
+        with pytest.raises(ValueError):
+            log[0, 0] = 0.0
+
     def test_second_frame_builds_no_sigma_power(self, rng, monkeypatch):
         # the second frame at the same p reads sigma^(+-s) and the jump
         # layouts off the generator's one record for p: without sigma's

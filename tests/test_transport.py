@@ -11,7 +11,7 @@ from qbeckner import semigroup as sg
 from qbeckner import transport as tp
 from qbeckner.errors import (KernelComponent, LeftPositiveCone, NoJumps, SingularMetric,
                              SingularState)
-from qbeckner.kernels import Kernel1, kappa_alpha_kernel
+from qbeckner.kernels import kappa_alpha
 
 import oracles
 from conftest import SIGMA_STAR
@@ -46,10 +46,7 @@ class TestMetricKernel:
         sigma = la.random_density(rng, 3, floor=0.05)
         L = sg.random_dbc(sigma, 3, 1, seed=23)
         p = 1.6
-        kap = kappa_alpha_kernel(1.0 / p)
-        inv = Kernel1("1/kappa", f=lambda x: 1.0 / kap.f(x), domain_min=0.0,
-                      allow_boundary=False)
-        ref = oracles.j_kernel_super(L.sigma, inv)
+        ref = oracles.j_kernel_super(L.sigma, lambda x: 1.0 / kappa_alpha(1.0 / p, x))
         flat = [j for j, omega in enumerate(L.jump_stack[1]) if omega == 0.0]
         assert flat
         M = oracles.kernel_matrices(L, L.sigma, p)

@@ -200,11 +200,21 @@ def frob(A: np.ndarray) -> float:
     return float(np.linalg.norm(A))
 
 
-def trace_norm(A: np.ndarray) -> float:
-    """Trace norm; for Hermitian A this is the sum of |eigenvalues|."""
-    if hermiticity_residual(A) <= 1e-10 * (1.0 + np.max(np.abs(A))):
-        return float(np.sum(np.abs(np.linalg.eigvalsh(herm(A)))))
-    return float(np.sum(np.linalg.svd(A, compute_uv=False)))
+def trace_norm(A: np.ndarray):
+    """Trace norm of A, or the array of trace norms of a stack (..., d, d).
+    A matrix that passes the Hermiticity test gives the sum of its
+    |eigenvalues|, all of them from one batched eigvalsh; any other gives the
+    sum of its singular values."""
+    A = np.asarray(A)
+    X = A.reshape((-1,) + A.shape[-2:])
+    tol = 1e-10 * (1.0 + np.max(np.abs(X), axis=(1, 2)))
+    hermitian = np.max(np.abs(X - dagger(X)), axis=(1, 2)) <= tol
+    norms = np.empty(len(X))
+    if hermitian.any():
+        norms[hermitian] = np.abs(np.linalg.eigvalsh(herm(X[hermitian]))).sum(axis=-1)
+    if not hermitian.all():
+        norms[~hermitian] = np.linalg.svd(X[~hermitian], compute_uv=False).sum(axis=-1)
+    return float(norms[0]) if A.ndim == 2 else norms.reshape(A.shape[:-2])
 
 
 def choi_matrix(S: np.ndarray) -> np.ndarray:

@@ -16,11 +16,14 @@ from .errors import NonPositiveCurvature, OptimizerDiverged
 from .semigroup import DbcLindbladian, evolve
 
 
-# Samples per hessian_matrix call in ricci_estimate: enough to spread the
-# per-call overhead, few enough that the eigenframe gradients of a block
-# (BLOCK x (d^2 - 1) x K x d x d complex numbers, over the K folded jumps)
-# stay a few megabytes.
-BLOCK = 16
+# Bytes of one block's eigenframe gradients in ricci_estimate: the rows array
+# of transport._basis_rows, d^2 (d^2 - 1) K complex numbers per sample over
+# the K folded jumps. The samples go in the fewest blocks within it, of equal
+# size but the last: few hessian_matrix calls spread the per-call overhead,
+# and a block's arrays stay a few megabytes. 16 samples of a d = 6 model with
+# 7 folded jumps take 2.3 MB, one block; at 4 MB, 48 samples at d = 5 would
+# be one block of 2.8 MB, slower than three of 16 on a 2 MB L2 cache.
+BLOCK_BYTES = 5 << 19  # 2.5 MiB
 # Samples whose lowest generalized eigenvalues lie within TIE_TOL * max(1,
 # |min|) of the minimum tie; the first of them is the worst sample. Its
 # eigenvalues within the same band of kappa give the multiplicity.
@@ -49,10 +52,13 @@ def hessian_matrix(L: DbcLindbladian, rho: np.ndarray,
 
     rho is one state (d, d), giving (n, n) matrices, or a stack of states
     (S, d, d), giving (S, n, n). The tangent space is the REAL span of the
-    basis, so only the real symmetric part of each form acts on it, and each
-    is one real product of float views (transport._real_gram). With the
-    eigenframe gradients C_m = V† P [V_j, U_m] P V of the basis, flattened
-    over (j, a, c), and <X, Y> = Re sum conj(X) Y:
+    basis, so only the real symmetric part of each form acts on it. With the
+    eigenframe gradients C_m = V† P [V_j, U_m] P V of the basis and
+    <X, Y> = Re sum conj(X) Y over (j, a, c), every array here stays in the
+    layout of transport._basis_rows, (S, a, m, j, c): row a of every C_mj
+    side by side. Each form is one real product of float views
+    (transport._real_gram) per row a, summed over the rows, and the frame's
+    grids (theta, D, d1, d2) are laid out once per state to match:
       G      = <C_m, theta o C_n>, the Gram matrix <U_m, D_{p,rho} U_n>
                (as transport._basis_gram forms it for the path energy);
       second = Re(Phi† L_dual Phi) G: D U_n is trace-free, so it lies in the
@@ -69,34 +75,41 @@ def hessian_matrix(L: DbcLindbladian, rho: np.ndarray,
     d = L.d
     states = np.reshape(rho, (-1, d, d))
     fr, rows = tp._basis_rows(L, states, p)
-    C = np.ascontiguousarray(np.moveaxis(rows, 1, 3))
-    S, n = C.shape[:2]
-    G = tp._real_gram(C, fr.theta * C)
+    S, n = len(states), rows.shape[2]
+
+    def laid(X):  # a frame grid (S, 1, K, a, c) in the rows' layout (S, a, 1, K, c)
+        return np.ascontiguousarray(np.moveaxis(X, 3, 1))
+
+    def gram(Y):  # <C_m, Y_n>, one real product per row a, summed over the rows
+        return tp._real_gram(rows.reshape(S * d, n, -1),
+                             Y.reshape(S * d, n, -1)).reshape(S, d, n, n).sum(axis=1)
+
+    # M C_mj and C_mj M for every m and j, each one product per state: the
+    # rows, or the columns, of all C_mj side by side
+    def left(M):
+        return (M @ rows.reshape(S, d, -1)).reshape(rows.shape)
+
+    def right(M):
+        return (rows.reshape(S, -1, d) @ M).reshape(rows.shape)
+
+    theta = laid(fr.theta)
+    G = gram(theta * rows)
     vecs = np.swapaxes(states, -1, -2).reshape(S, d * d)  # la.vec of each state
     Lrho = np.swapaxes((vecs @ L.dual_generator.T).reshape(S, d, d), -1, -2)
     QV = fr.Q @ fr.V[:, 0]
     A = la.dagger(QV) @ Lrho @ QV
     (ties, inv), (d1, d2) = fr.gaps, fr.partials
-    # M C_mj and C_mj M for every m and j, each one product per state: the
-    # rows, or the columns, of all C_mj side by side
-
-    def left(M):
-        return np.moveaxis((M @ rows.reshape(S, d, -1)).reshape(rows.shape), 1, 3)
-
-    def right(M):
-        return (C.reshape(S, -1, d) @ M).reshape(C.shape)
-
     IA = inv[:, 0] * A
-    R = right(IA)
-    np.subtract(left(IA), R, out=R)
-    R *= fr.theta
+    R = left(IA)
+    R -= right(IA)
+    R *= theta
     Aii = np.diagonal(A, axis1=-2, axis2=-1).real[:, None, None]
-    R += 0.5 * (d1 * Aii[..., :, None] + d2 * Aii[..., None, :]) * C
+    R += laid(0.5 * (d1 * Aii[..., :, None] + d2 * Aii[..., None, :])) * rows
     if ties.any():
         TA = np.where(ties[:, 0], A, 0.0)
-        R += 0.5 * (d1 * left(TA) + d2 * right(TA))
+        R += 0.5 * (laid(d1) * left(TA) + laid(d2) * right(TA))
     Phi = tp._basis_frame(d)[1]
-    H = tp._real_gram(C, R) - np.real(Phi.conj().T @ L.dual_generator @ Phi) @ G
+    H = gram(R) - np.real(Phi.conj().T @ L.dual_generator @ Phi) @ G
     H, G = 0.5 * (H + np.swapaxes(H, -1, -2)), 0.5 * (G + np.swapaxes(G, -1, -2))
     return (H, G) if np.ndim(rho) == 3 else (H[0], G[0])
 
@@ -155,7 +168,9 @@ def ricci_estimate(L: DbcLindbladian, p: float, num_states: int = 64,
     For each sampled full-rank state (see _samples) the minimal generalized
     eigenvalue of the Hessian against the metric on trace-free directions is
     computed; the reported kappa is the minimum over samples, an upper bound
-    on the true curvature infimum. Samples are evaluated BLOCK at a time; the
+    on the true curvature infimum. Samples are evaluated in the fewest
+    blocks whose eigenframe gradients fit in BLOCK_BYTES, one hessian_matrix
+    call each (48 samples at d = 4 make one block). The
     worst sample is the first whose eigenvalue ties the minimum (TIE_TOL),
     and its kappa, direction and multiplicity come from a full eigensolve of
     its Cholesky-reduced pair.
@@ -164,9 +179,12 @@ def ricci_estimate(L: DbcLindbladian, p: float, num_states: int = 64,
         raise ValueError(f"num_states must be at least 1, got {num_states}")
     L.require_jumps()
     samples = _samples(L, num_states, seed)
+    per_sample = 16 * L.d ** 2 * (L.d ** 2 - 1) * len(L.jump_pairs)
+    count = -(-num_states * per_sample // BLOCK_BYTES)  # ceil: the fewest blocks
+    block = -(-num_states // count)
     blocks = []
-    for start in range(0, len(samples), BLOCK):
-        H, G = hessian_matrix(L, samples[start:start + BLOCK], p)
+    for start in range(0, num_states, block):
+        H, G = hessian_matrix(L, samples[start:start + block], p)
         blocks.append(_cholesky_reduce(H, G, start))
     Rinv, M = (np.concatenate(parts) for parts in zip(*blocks))
     lowest = np.linalg.eigvalsh(M)[:, 0]

@@ -656,6 +656,45 @@ class TestMixing:
         with pytest.raises(ValueError):
             ct.mixing_time(depol2, 2.5)
 
+    def test_one_eigvalsh_per_time(self, monkeypatch):
+        # the mixing task on depol3 bisects at 112 times in all, each one
+        # batched eigensolve of the 11 witnesses (3 eigenstates of sigma and
+        # 8 random pure states), not one per witness (1,232 calls)
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+
+        def counted(A):
+            calls.append(np.shape(A))
+            return eigvalsh(A)
+
+        monkeypatch.setattr(np.linalg, "eigvalsh", counted)
+        cfg = cf.fixtures("depol3")
+        cfg.tasks = ["mixing"]
+        assert cli.run(cfg)["summary"]["passed"]
+        assert len(calls) <= 112
+        assert (11, 3, 3) in calls
+
+    @pytest.mark.parametrize("fixture", ["depol2", "depol3", "random_dbc_seeded",
+                                         "classical_embed"])
+    def test_witness_stack_report_is_byte_identical(self, fixture, tmp_path, monkeypatch):
+        # the stacked witnesses give the report of one witness at a time: the
+        # propagator product and the trace norm taken matrix by matrix
+        def by_matrix(f):
+            def g(*args):
+                *first, X = args
+                X = np.asarray(X)
+                return np.array([f(*first, x) for x in X]) if X.ndim == 3 else f(*first, X)
+            return g
+
+        def report(out):
+            assert cli.main(["mixing", "--fixture", fixture, "--out", str(out)]) == 0
+            return (out / "report.json").read_bytes()
+
+        stacked = report(tmp_path / "stacked")
+        monkeypatch.setattr(la, "apply_super", by_matrix(la.apply_super))
+        monkeypatch.setattr(la, "trace_norm", by_matrix(la.trace_norm))
+        assert report(tmp_path / "by_matrix") == stacked
+
 
 class TestMoments:
     def test_centered_identity_vanishes(self, depol_flat):

@@ -214,6 +214,28 @@ class TestInnerProducts:
         assert np.real(la.f_inner(X, X, sigma, k)) > 0
 
 
+class TestTraceNorm:
+    def test_stack_matches_matrix_by_matrix(self, rng):
+        # a stack of Hermitian and non-Hermitian matrices: each norm is the
+        # one-matrix call's, bit for bit, and the sum of singular values
+        herms = [la.random_hermitian(rng, 3) for _ in range(4)]
+        others = [rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)) for _ in range(2)]
+        stack = np.array([herms[0], others[0], herms[1], herms[2], others[1], herms[3]])
+        norms = la.trace_norm(stack.reshape(2, 3, 3, 3))
+        assert norms.shape == (2, 3)
+        assert np.array_equal(norms.ravel(), [la.trace_norm(A) for A in stack])
+        svd = np.linalg.svd(stack, compute_uv=False).sum(axis=-1)
+        assert np.allclose(norms.ravel(), svd, rtol=1e-12, atol=0.0)
+
+    def test_hermitian_stack_takes_one_eigvalsh(self, rng, monkeypatch):
+        calls = []
+        eigvalsh = np.linalg.eigvalsh
+        monkeypatch.setattr(np.linalg, "eigvalsh", lambda A: calls.append(A.shape) or eigvalsh(A))
+        monkeypatch.setattr(np.linalg, "svd", None)
+        la.trace_norm(np.array([la.random_hermitian(rng, 3) for _ in range(5)]))
+        assert calls == [(5, 3, 3)]
+
+
 class TestAltInequality:
     @pytest.mark.parametrize("r", [0.3, 0.5, 0.9])
     @pytest.mark.parametrize("q", [1.0, 2.0])

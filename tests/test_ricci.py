@@ -6,11 +6,33 @@ from qbeckner import config as cf
 from qbeckner import constants as ct
 from qbeckner import linalg as la
 from qbeckner import ricci as rc
+from qbeckner import semigroup as sg
 from qbeckner import transport as tp
 from qbeckner.entropy import p_divergence
 from qbeckner.errors import NonPositiveCurvature, SingularMetric
 
 import oracles
+
+
+def _force_block(monkeypatch, L, samples):
+    """Set ricci.BLOCK_BYTES so that ricci_estimate evaluates at most the
+    given number of samples per hessian_matrix call: that many rows arrays of
+    transport._basis_rows, one sample's measured off a one-state stack."""
+    per_sample = tp._basis_rows(L, L.sigma[None], 2.0)[1].nbytes
+    monkeypatch.setattr(rc, "BLOCK_BYTES", samples * per_sample)
+
+
+def _block_sizes(monkeypatch):
+    """A list that records the number of samples of each hessian_matrix call
+    that ricci_estimate makes from here on."""
+    hessian_matrix, calls = rc.hessian_matrix, []
+
+    def counted(L, rho, p):
+        calls.append(len(rho))
+        return hessian_matrix(L, rho, p)
+
+    monkeypatch.setattr(rc, "hessian_matrix", counted)
+    return calls
 
 
 class TestHessianForm:
@@ -99,13 +121,33 @@ class TestHessianStack:
 
     @pytest.mark.parametrize("p", [1.05, 1.5, 2.0])
     @pytest.mark.parametrize("num_states", [1, 17, 33])
-    def test_estimate_matches_per_sample_eigh(self, model, p, num_states):
-        # 17 and 33 samples end in a partial block of rc.BLOCK = 16
-        est = rc.ricci_estimate(model, p, num_states=num_states, seed=2)
+    def test_estimate_matches_per_sample_eigh(self, model, p, num_states, monkeypatch):
+        # in one block, and in forced blocks of at most 1, 7 and 16 samples:
+        # 17 samples split as 6 + 6 + 5 and 9 + 8, 33 as 4 x 7 + 5 and 3 x 11
         H, G = rc.hessian_matrix(model, rc._samples(model, num_states, 2), p)
         kappa = min(scipy.linalg.eigh(Hs, Gs, eigvals_only=True)[0]
                     for Hs, Gs in zip(H, G))
-        assert est.kappa == pytest.approx(kappa, rel=1e-12)
+        for block in (None, 1, 7, 16):
+            if block is not None:
+                _force_block(monkeypatch, model, block)
+            est = rc.ricci_estimate(model, p, num_states=num_states, seed=2)
+            assert est.kappa == pytest.approx(kappa, rel=1e-12)
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 2.0])
+    def test_forced_split_matches_one_block(self, model, p, monkeypatch):
+        # 33 samples in one block, and in blocks of 7: the same kappa, worst
+        # state and multiplicity, and the same direction up to sign where
+        # kappa is a simple eigenvalue
+        one = rc.ricci_estimate(model, p, num_states=33, seed=2)
+        _force_block(monkeypatch, model, 7)
+        split = rc.ricci_estimate(model, p, num_states=33, seed=2)
+        assert split.kappa == pytest.approx(one.kappa, rel=1e-12)
+        assert np.array_equal(split.worst_state, one.worst_state)
+        assert split.multiplicity == one.multiplicity
+        if one.multiplicity == 1:
+            a, b = one.worst_direction, split.worst_direction
+            b = b if np.vdot(a, b).real >= 0 else -b
+            assert np.max(np.abs(a - b)) <= 1e-10 * np.max(np.abs(a))
 
 
     @pytest.mark.parametrize("p", [1.05, 1.5, 2.0])
@@ -133,7 +175,6 @@ class TestRicciEstimate:
         assert est.kappa >= p / 2.0 - 1e-6
 
     def test_rate_scaling(self, depol_flat):
-        import qbeckner.semigroup as sg
         L2 = sg.depolarizing(np.eye(2) / 2, 2.5)
         a = rc.ricci_estimate(depol_flat, 1.5, num_states=8, seed=5).kappa
         b = rc.ricci_estimate(L2, 1.5, num_states=8, seed=5).kappa
@@ -162,6 +203,8 @@ class TestRicciEstimate:
         assert np.array_equal(est.worst_state, L.sigma)
 
     def test_singular_metric_names_sample(self, dbc2, monkeypatch):
+        # the second block's second sample is the global sample 17
+        _force_block(monkeypatch, dbc2, 16)
         hessian_matrix = rc.hessian_matrix
         calls = []
 
@@ -173,8 +216,31 @@ class TestRicciEstimate:
             return H, G
 
         monkeypatch.setattr(rc, "hessian_matrix", second_block_breaks)
-        with pytest.raises(SingularMetric, match=f"sample {rc.BLOCK + 1} "):
-            rc.ricci_estimate(dbc2, 1.5, num_states=2 * rc.BLOCK, seed=7)
+        with pytest.raises(SingularMetric, match="sample 17 "):
+            rc.ricci_estimate(dbc2, 1.5, num_states=32, seed=7)
+        assert calls == [16, 16]
+
+    @pytest.mark.parametrize("num_states, budget, sizes", [
+        (48, None, [48]), (33, 7, [7, 7, 7, 7, 5]), (17, 16, [9, 8]), (3, 1, [1, 1, 1])])
+    def test_blocks_split_by_bytes(self, dbc4, monkeypatch, num_states, budget, sizes):
+        # the fewest blocks within the budget, of equal size but the last: 48
+        # samples at d = 4 make one hessian_matrix call at the default budget
+        if budget is not None:
+            _force_block(monkeypatch, dbc4, budget)
+        calls = _block_sizes(monkeypatch)
+        rc.ricci_estimate(dbc4, 1.5, num_states=num_states, seed=7)
+        assert calls == sizes
+
+    @pytest.mark.parametrize("num_states, sizes", [(16, [16]), (48, [16, 16, 16])])
+    def test_d6_blocks(self, monkeypatch, num_states, sizes):
+        # a d = 6 model with 7 folded jumps: its default 16 samples (2.3 MB of
+        # gradients) are one block, and 48 samples three
+        s = np.array([2.0 ** -k for k in range(6)])
+        L = sg.random_dbc(np.diag(s / s.sum()).astype(complex), 6, 1, seed=42)
+        assert len(L.jump_pairs) == 7
+        calls = _block_sizes(monkeypatch)
+        rc.ricci_estimate(L, 1.5, num_states=num_states, seed=7)
+        assert calls == sizes
 
 
     @pytest.mark.parametrize("num_states", [0, -1])

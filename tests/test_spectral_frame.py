@@ -201,7 +201,8 @@ class TestFrameFastPaths:
     def test_basis_gradients(self, model, states, p):
         fr, C, _ = tp._basis_gram(model, states, p)
         assert _close(C, _gradients_direct(fr, model.d))
-        # hessian_matrix takes C from the rows of _basis_rows, as _basis_gram does
+        # _basis_gram's C is the rows of _basis_rows made contiguous, the
+        # layout that hessian_matrix reads them in as they are
         assert np.array_equal(np.moveaxis(tp._basis_rows(model, states, p)[1], 1, 3), C)
 
     @pytest.mark.parametrize("p", P_GRID)

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import copy
 import json
+import sys
 from dataclasses import asdict, dataclass, field
 from typing import Dict, List
 
@@ -58,7 +59,8 @@ def _is_int(x) -> bool:
 
 
 def _is_number(x) -> bool:
-    return _is_int(x) or isinstance(x, float)
+    """An int or float within the float range: json reads 1e999 as inf, NaN as nan."""
+    return (_is_int(x) or isinstance(x, float)) and abs(x) <= sys.float_info.max
 
 
 def _check_types(cfg: ExperimentConfig) -> None:
@@ -69,6 +71,9 @@ def _check_types(cfg: ExperimentConfig) -> None:
     for key in ("seeds", "sigma", "generator", "tolerances"):
         if not isinstance(getattr(cfg, key), dict):
             raise ConfigError(f"{key} must be an object, not {getattr(cfg, key)!r}")
+    for key, tol in cfg.tolerances.items():
+        if not (_is_number(tol) and tol >= 0):
+            raise ConfigError(f"tolerances.{key} must be a number >= 0, not {tol!r}")
     if not isinstance(cfg.tasks, list):
         raise ConfigError(f"tasks must be a list, not {cfg.tasks!r}")
     for key in ("p_grid", "q_grid", "epsilons"):
@@ -159,7 +164,7 @@ def build_sigma(cfg: ExperimentConfig) -> np.ndarray:
     sigma = np.diag(eigs.astype(complex))
     if "basis" in spec and spec["basis"] is not None:
         U = _matrix(spec["basis"], cfg.dimension, "sigma basis")
-        if la.frob(U @ U.conj().T - np.eye(cfg.dimension)) > 1e-10:
+        if not la.frob(U @ U.conj().T - np.eye(cfg.dimension)) <= 1e-10:
             raise ConfigError("sigma basis must be unitary")
         sigma = U @ sigma @ U.conj().T
     return sigma

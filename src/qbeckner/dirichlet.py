@@ -41,7 +41,7 @@ def dirichlet_form(L: DbcLindbladian, X: np.ndarray, p: float) -> float:
     """
     _check_psd(X)
     LX = L.apply(X)
-    # sigma's powers come off the generator's cached eigendecomposition; they
+    # sigma's powers are read off the generator's sigma_eig; they
     # equal the ones ent.power_operator would recompute
     half = L.sigma_power(0.5)
     if abs(p - 1.0) < P_ONE_BRANCH:

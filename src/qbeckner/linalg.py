@@ -93,7 +93,7 @@ def full_rank_eigh(sigma: np.ndarray) -> Tuple[np.ndarray, np.ndarray]:
     is below FULL_RANK_FLOOR: the one decomposition that every function of
     sigma is read off."""
     w, V = herm_eigh(sigma)
-    if w[0] < FULL_RANK_FLOOR:
+    if not w[0] >= FULL_RANK_FLOOR:
         raise SingularState(f"minimum eigenvalue {w[0]:.3e} below {FULL_RANK_FLOOR:.1e}")
     return w, V
 
@@ -181,10 +181,11 @@ def hs_inner(X: np.ndarray, Y: np.ndarray) -> complex:
     return complex(np.trace(X.conj().T @ Y))
 
 
-def f_inner(X: np.ndarray, Y: np.ndarray, sigma: np.ndarray, f: Callable) -> complex:
+def f_inner(X: np.ndarray, Y: np.ndarray, sigma_eig: Tuple[np.ndarray, np.ndarray],
+            f: Callable) -> complex:
     """Weighted inner product <X, R_sigma f(Delta_sigma) Y>, with f a scalar
-    function evaluated on the eigenvalue ratios of full-rank sigma."""
-    w, V = full_rank_eigh(sigma)
+    function of the eigenvalue ratios of sigma_eig = full_rank_eigh(sigma)."""
+    w, V = sigma_eig
     F = f(w[:, None] / w[None, :]) * w[None, :]
     Yt = V.conj().T @ Y @ V
     JY = V @ (F * Yt) @ V.conj().T

@@ -67,11 +67,11 @@ def validate_jump(sigma_eig: Tuple[np.ndarray, np.ndarray], jump: JumpTerm) -> N
     nv = la.frob(V)
     if nv == 0.0:
         return
-    if abs(np.trace(V)) > JUMP_TRACE_TOL * nv:
+    if not abs(np.trace(V)) <= JUMP_TRACE_TOL * nv:
         raise NotModularEigenvector(f"jump has trace {np.trace(V):.3e}")
     (s, U), y = sigma_eig, np.exp(-omega)
     resid = la.frob((s[:, None] - y * s) / np.maximum(s[:, None], (1.0 + y) * s) * (U.conj().T @ V @ U))
-    if resid > MODULAR_EIG_TOL * nv:
+    if not resid <= MODULAR_EIG_TOL * nv:
         raise NotModularEigenvector(
             f"modular eigenvector residual {resid:.3e} for omega={omega}"
         )
@@ -107,10 +107,11 @@ class PrimitivityReport:
 class DbcLindbladian:
     """Generator of a detailed-balance QMS, with jump representation.
 
-    Immutable after construction; derived decompositions are cached.
+    Immutable: the builder makes sigma_eig, and derived decompositions are cached.
     """
 
     sigma: np.ndarray
+    sigma_eig: Tuple[np.ndarray, np.ndarray]
     jumps: Tuple[JumpTerm, ...]
     generator: np.ndarray
 
@@ -171,12 +172,8 @@ class DbcLindbladian:
         return value
 
     @cached_property
-    def sigma_eig(self) -> Tuple[np.ndarray, np.ndarray]:
-        return la.herm_eigh(self.sigma)
-
-    @cached_property
     def sigma_log(self) -> np.ndarray:
-        """log sigma from the cached eigendecomposition, read-only."""
+        """log sigma from sigma_eig, read-only."""
         w, U = self.sigma_eig
         log = (U * np.log(w)) @ U.conj().T
         log.flags.writeable = False
@@ -214,8 +211,8 @@ class DbcLindbladian:
         return float(self.sigma_eig[0][0])
 
     def sigma_power(self, s: float) -> np.ndarray:
-        """sigma^s from the cached eigendecomposition, computed once per s
-        and stored read-only (derived)."""
+        """sigma^s from sigma_eig, computed once per s and stored read-only
+        (derived)."""
         s = float(s)
 
         def power() -> np.ndarray:
@@ -319,39 +316,38 @@ def validate_dbc(L: DbcLindbladian, tol: float = DBC_TOL) -> None:
     L._kms_symmetrized  # raises NotDbc above KMS_SYM_TOL
 
 
+def _assemble(sigma: np.ndarray, sigma_eig, jumps: Sequence[JumpTerm]) -> DbcLindbladian:
+    """The generator of the jumps, each checked against sigma's eigenpairs,
+    with adjoint pairs completed and detailed balance validated."""
+    jumps = [JumpTerm(np.asarray(V, dtype=complex), float(om)) for V, om in jumps]
+    for jump in jumps:
+        validate_jump(sigma_eig, jump)
+    jumps = tuple(complete_pairs(jumps))
+    L = DbcLindbladian(sigma, sigma_eig, jumps, generator_from_jumps(jumps, sigma.shape[0]))
+    validate_dbc(L)
+    return L
+
+
 def build_from_jumps(sigma: np.ndarray, jumps: Sequence[JumpTerm]) -> DbcLindbladian:
     """Assemble the generator from jump terms, auto-completing adjoint pairs,
     and validate the jumps and the detailed-balance conditions."""
     sigma = la.herm(np.asarray(sigma, dtype=complex))
-    sigma_eig = la.full_rank_eigh(sigma)
-    d = sigma.shape[0]
-    jumps = [JumpTerm(np.asarray(V, dtype=complex), float(om)) for V, om in jumps]
-    for jump in jumps:
-        validate_jump(sigma_eig, jump)
-    jumps = complete_pairs(jumps)
-    gen = generator_from_jumps(jumps, d)
-    L = DbcLindbladian(sigma=sigma, jumps=tuple(jumps), generator=gen)
-    validate_dbc(L)
-    return L
+    return _assemble(sigma, la.full_rank_eigh(sigma), jumps)
 
 
 def depolarizing(sigma: np.ndarray, gamma: float) -> DbcLindbladian:
     """Generalized depolarizing semigroup L(X) = gamma (tr(sigma X) 1 - X)."""
     sigma = la.herm(np.asarray(sigma, dtype=complex))
-    la.full_rank_eigh(sigma)
-    if gamma <= 0:
+    eig = la.full_rank_eigh(sigma)
+    if not gamma > 0:
         raise ValueError("gamma must be positive")
     d = sigma.shape[0]
-    eye_vec = la.vec(np.eye(d))
-    gen = gamma * (np.outer(eye_vec, la.vec(sigma).conj()) - np.eye(d * d))
-    if d == 1:  # B(H) is scalar: the generator vanishes identically
-        return DbcLindbladian(sigma=sigma, jumps=(), generator=gen)
-    # alicki_decompose checks detailed balance of gen and that the jumps,
-    # adjoint pairs included, rebuild it; only the jumps are left to check
-    L = DbcLindbladian(sigma=sigma, jumps=tuple(alicki_decompose(gen, sigma)), generator=gen)
-    for jump in L.jumps:
-        validate_jump(L.sigma_eig, jump)
-    return L
+    gen = gamma * (np.outer(la.vec(np.eye(d)), la.vec(sigma).conj()) - np.eye(d * d))
+    # alicki_decompose checks gen and that the jumps rebuild it; the jumps are checked here
+    jumps = tuple(alicki_decompose(DbcLindbladian(sigma, eig, (), gen)))
+    for jump in jumps:
+        validate_jump(eig, jump)
+    return DbcLindbladian(sigma, eig, jumps, gen)
 
 
 def random_dbc(sigma: np.ndarray, num_offdiag_pairs: int, num_diag: int,
@@ -365,7 +361,7 @@ def random_dbc(sigma: np.ndarray, num_offdiag_pairs: int, num_diag: int,
     """
     sigma = la.herm(np.asarray(sigma, dtype=complex))
     d = sigma.shape[0]
-    s, U = la.full_rank_eigh(sigma)
+    s, U = eig = la.full_rank_eigh(sigma)
     rng = np.random.default_rng(seed)
 
     pairs: List[Tuple[int, int]] = []
@@ -394,10 +390,7 @@ def random_dbc(sigma: np.ndarray, num_offdiag_pairs: int, num_diag: int,
         g = g - g.mean()
         D = U @ np.diag(g.astype(complex)) @ U.conj().T
         jumps.append(JumpTerm(D, 0.0))
-    if not jumps:
-        return DbcLindbladian(sigma=sigma, jumps=(),
-                              generator=np.zeros((d * d, d * d), dtype=complex))
-    return build_from_jumps(sigma, jumps)
+    return _assemble(sigma, eig, jumps)
 
 
 # ---------------------------------------------------------------------------
@@ -468,23 +461,19 @@ def _zero_group_basis(members, d: int):
     return vectors
 
 
-def alicki_decompose(generator: np.ndarray, sigma: np.ndarray,
-                     tol: float = DECOMPOSE_TOL) -> List[JumpTerm]:
-    """Extract trace-free modular-eigenvector jumps reproducing the generator.
+def alicki_decompose(L: DbcLindbladian) -> List[JumpTerm]:
+    """Extract trace-free modular-eigenvector jumps reproducing L.generator,
+    after checking it for detailed balance; L's own jumps are not read.
 
-    Works in the eigenbasis of sigma: the matrix-unit basis is grouped by
-    modular frequency, the within-group sandwich-coefficient block of the
-    generator is projected to its PSD part, and weighted eigenvectors are
-    emitted as jump operators (adjoint pairs appended explicitly). The jump
-    set is not unique; only reconstruction is guaranteed.
+    Works in the eigenbasis of sigma, L.sigma_eig: the matrix-unit basis is
+    grouped by modular frequency, the within-group sandwich-coefficient block
+    of the generator is projected to its PSD part, and weighted eigenvectors
+    are emitted as jump operators, each V next to its V† (none at d = 1). The
+    jump set is not unique; only reconstruction is guaranteed.
     """
-    sigma = la.herm(np.asarray(sigma, dtype=complex))
-    s, U = la.full_rank_eigh(sigma)
-    d = sigma.shape[0]
+    (s, U), d, generator = L.sigma_eig, L.d, L.generator
     scale = max(la.frob(generator), 1e-300)
-
-    probe = DbcLindbladian(sigma=sigma, jumps=(), generator=generator)
-    validate_dbc(probe, tol=1e-8)
+    validate_dbc(L, tol=DECOMPOSE_TOL)
 
     basis_change = la.sandwich_super(U.conj().T, U)       # X -> U† X U
     basis_back = la.sandwich_super(U, U.conj().T)
@@ -530,7 +519,7 @@ def alicki_decompose(generator: np.ndarray, sigma: np.ndarray,
             else:
                 jumps.append(JumpTerm(V, float(nu)))
                 jumps.append(JumpTerm(V.conj().T, float(-nu)))
-    if discarded > tol * scale:
+    if not discarded <= DECOMPOSE_TOL * scale:
         raise ResidualTooLarge(
             f"PSD projection discarded weight {discarded:.3e} "
             "(coherent part is incompatible with detailed balance)"
@@ -538,7 +527,7 @@ def alicki_decompose(generator: np.ndarray, sigma: np.ndarray,
 
     rebuilt = generator_from_jumps(jumps, d)
     resid = la.frob(rebuilt - generator) / scale
-    if resid > tol:
+    if not resid <= DECOMPOSE_TOL:
         raise ResidualTooLarge(f"reconstruction residual {resid:.3e}")
     return jumps
 

@@ -611,7 +611,7 @@ def trace_distance_prefactor(L: DbcLindbladian, p: float) -> float:
     L.require_jumps()
     phat = _hconj(p)
     C_p = 2.0 ** (2.0 - p)
-    s = np.linalg.eigvalsh(la.herm(L.sigma))
+    s = L.sigma_eig[0]
     tr_term = float(np.sum(s ** ((p - 2.0) / phat)))
     sig_inf = float(np.max(s)) ** (2.0 / phat)
     jump_term = 0.0

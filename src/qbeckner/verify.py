@@ -116,21 +116,21 @@ def check_semigroup(L: DbcLindbladian, rng: np.random.Generator) -> List[CheckRe
     Y = la.random_hermitian(rng, d)
     for name, f in (("sqrt", lambda r: r ** 0.5), ("identity", lambda r: r ** 1.0),
                     ("phi_1.5", lambda r: kn.phi_p(1.5, r))):
-        lhs = la.f_inner(L.apply(X), Y, L.sigma, f)
-        rhs = la.f_inner(X, L.apply(Y), L.sigma, f)
+        lhs = la.f_inner(L.apply(X), Y, L.sigma_eig, f)
+        rhs = la.f_inner(X, L.apply(Y), L.sigma_eig, f)
         resid = abs(lhs - rhs) / max(abs(lhs), 1e-300)
         out.append(_result(f"weighted-self-adjointness[{name}]",
                            resid <= 1e-9, resid, 1e-9))
 
     if L.jumps:
         for s in (0.3, 0.7):
-            lhs = -la.f_inner(Y, L.apply(X), L.sigma, lambda r: r ** s)
+            lhs = -la.f_inner(Y, L.apply(X), L.sigma_eig, lambda r: r ** s)
             rhs = 0.0
             for (V, omega) in L.jumps:
                 a, b = np.exp(omega / 2.0), np.exp(-omega / 2.0)
                 dX = V @ X - X @ V
                 dY = V @ Y - Y @ V
-                rhs += la.f_inner(dY, dX, L.sigma, lambda r: b * (a * r / b) ** s)
+                rhs += la.f_inner(dY, dX, L.sigma_eig, lambda r: b * (a * r / b) ** s)
             resid = abs(lhs - rhs) / max(abs(lhs), 1e-300)
             out.append(_result(f"jump-weighted-dirichlet[s={s}]",
                                resid <= 1e-9, resid, 1e-9))
@@ -144,7 +144,7 @@ def check_semigroup(L: DbcLindbladian, rng: np.random.Generator) -> List[CheckRe
                            lam_min >= -1e-8, -lam_min, 1e-8))
 
     if L.jumps:
-        jumps2 = alicki_decompose(L.generator, L.sigma)
+        jumps2 = alicki_decompose(L)
         L2 = build_from_jumps(L.sigma, jumps2)
         Xp = _random_pd(rng, d)
         rho = la.random_density(rng, d, floor=0.05)

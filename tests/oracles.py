@@ -253,7 +253,8 @@ def unfolded(L):
     entry of jump_pairs: every frame, Gram matrix, Hessian, path energy and
     solve on it contracts over the J jumps as they are, the sums that the
     folded stack (DbcLindbladian.jump_stack) must reproduce."""
-    U = sg.DbcLindbladian(sigma=L.sigma, jumps=L.jumps, generator=L.generator)
+    U = sg.DbcLindbladian(sigma=L.sigma, sigma_eig=L.sigma_eig, jumps=L.jumps,
+                          generator=L.generator)
     U.__dict__["jump_pairs"] = tuple((j, None) for j in range(len(L.jumps)))
     U.__dict__["jump_stack"] = (np.array([V for V, _ in L.jumps]),
                                 np.array([omega for _, omega in L.jumps]))
@@ -322,7 +323,7 @@ def gns_inner(X, Y, sigma) -> complex:
 
 def f_norm_sq(X, sigma, f) -> float:
     """<X, R_sigma f(Delta_sigma) X>."""
-    return float(np.real(la.f_inner(X, X, sigma, f)))
+    return float(np.real(la.f_inner(X, X, la.full_rank_eigh(sigma), f)))
 
 
 def j_kernel_super(sigma, f):

@@ -250,6 +250,18 @@ class TestMain:
         ("decay", {"generator": {"kind": "depolarizing", "gamma": -1.0}}),
         ("decay", {"generator": {"kind": "depolarizing", "gamma": 0}}),
         ("decay", {"generator": {"kind": "depolarizing", "gamma": "x"}}),
+        # json reads 1e999 and Infinity as inf, and NaN as nan; an integer
+        # past the float range overflows where a task converts it
+        ("decay", {"generator": {"kind": "depolarizing", "gamma": float("inf")}}),
+        ("decay", {"generator": {"kind": "depolarizing", "gamma": 10 ** 400}}),
+        ("decay", {"generator": {"kind": "depolarizing", "gamma": float("nan")}}),
+        ("transport", {"transport_tol": float("inf")}),
+        ("decay", {"generator": {"kind": "jumps", "list": [
+            {"V": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]], "omega": float("nan")}]}}),
+        ("ricci", {"tolerances": {"w_discretization": float("nan")}}),
+        ("decay", {"sigma": {"eigenvalues": [0.75, 0.25],
+                             "basis": [[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]}}),
+        ("ricci", {"tolerances": {"w_discretization": -0.1}}),
         ("decay", {"seeds": {"master": "abc", "starts": 0}}),
         ("decay", {"sigma": {"eigenvalues": "ab"}}),
         ("decay", {"dimension": 2, "generator": {"kind": "random_dbc", "pairs": "x"}}),
@@ -293,6 +305,8 @@ class TestMain:
         {"sigma": [0.75, 0.25]},
         {"generator": "depolarizing"},
         {"tolerances": None},
+        {"tolerances": {"w_discretization": "x"}},
+        {"tolerances": {"w_discretization": None}},
         {"tasks": "constants"},
     ])
     def test_wrong_type_exit_code(self, tmp_path, capsys, entry):

@@ -211,7 +211,7 @@ class TestChi2:
         X = la.random_hermitian(rng, 3)
         Y = la.random_hermitian(rng, 3)
         p = 1.6
-        lhs = la.f_inner(X, Y, sigma, lambda x: kn.phi_p(p, x))
+        lhs = la.f_inner(X, Y, la.full_rank_eigh(sigma), lambda x: kn.phi_p(p, x))
         root = la.matrix_power_hermitian(sigma, 1.0 / p)
         half = la.matrix_power_hermitian(sigma, 1.0 / (2.0 * p))
         inner = oracles.double_sum_apply(oracles.fp_divdiff_kernel(p), root, root,

@@ -197,7 +197,7 @@ class TestInnerProducts:
         flat = np.eye(d) / d
         for s in (0.3, 0.5, 1.0):
             assert oracles.s_inner(X, Y, flat, s) == pytest.approx(hs, rel=1e-12)
-        assert la.f_inner(X, Y, flat, lambda r: r ** 0.7) == pytest.approx(hs, rel=1e-12)
+        assert la.f_inner(X, Y, la.full_rank_eigh(flat), lambda r: r ** 0.7) == pytest.approx(hs, rel=1e-12)
 
     def test_identity_normalization(self, rng):
         sigma = la.random_density(rng, 3, floor=0.05)
@@ -209,9 +209,9 @@ class TestInnerProducts:
         X = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         Y = rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3))
         k = functools.partial(kn.phi_p, 1.5)
-        assert la.f_inner(X, Y, sigma, k) == pytest.approx(
-            np.conj(la.f_inner(Y, X, sigma, k)))
-        assert np.real(la.f_inner(X, X, sigma, k)) > 0
+        eig = la.full_rank_eigh(sigma)
+        assert la.f_inner(X, Y, eig, k) == pytest.approx(np.conj(la.f_inner(Y, X, eig, k)))
+        assert np.real(la.f_inner(X, X, eig, k)) > 0
 
 
 class TestTraceNorm:

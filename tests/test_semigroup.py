@@ -1,3 +1,6 @@
+import copy
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -6,6 +9,7 @@ from qbeckner import kernels as kn
 from qbeckner import linalg as la
 from qbeckner import semigroup as sg
 from qbeckner import transport as tp
+from qbeckner import verify as vf
 from qbeckner.errors import (
     NotDbc,
     NotModularEigenvector,
@@ -31,6 +35,13 @@ class TestBuildFromJumps:
         sg.validate_jump(la.herm_eigh(SIGMA_STAR), jump)
         with pytest.raises(NotModularEigenvector):
             sg.validate_jump(la.herm_eigh(SIGMA_STAR), sg.JumpTerm(V, 0.0))
+
+    def test_nan_frequency_rejected(self):
+        # every comparison with NaN is false, so the checks must fail it
+        V = np.zeros((2, 2), dtype=complex)
+        V[0, 1] = 1.0
+        with pytest.raises(NotModularEigenvector):
+            sg.build_from_jumps(SIGMA_STAR, [sg.JumpTerm(V, float("nan"))])
 
     def test_traceful_jump_rejected(self):
         with pytest.raises(NotModularEigenvector):
@@ -138,6 +149,10 @@ class TestDepolarizing:
         with pytest.raises(SingularState):
             sg.depolarizing(np.diag([1.0, 0.0]).astype(complex), 1.0)
 
+    def test_nan_rate_rejected(self):
+        with pytest.raises(ValueError):
+            sg.depolarizing(SIGMA_STAR, float("nan"))
+
     @pytest.mark.parametrize("eigs", [[0.4, 0.4 - delta, 0.2 + delta]
                                       for delta in (1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 0.0)]
                              + [[0.5, 0.5 - 1e-8, 1e-8]])
@@ -176,18 +191,68 @@ class TestRandomDbc:
         assert L.primitivity.kernel_dimension == 4
 
 
+# the two models with no jumps: B(H) is scalar at d = 1, and random_dbc may
+# draw none
+DEGENERATE = {
+    "d1_depolarizing": dict(dimension=1, sigma={"eigenvalues": [1.0]},
+                            generator={"kind": "depolarizing", "gamma": 1.0}),
+    "zero_jump_dbc": dict(dimension=3, sigma={"eigenvalues": [0.5, 0.3, 0.2]},
+                          generator={"kind": "random_dbc", "pairs": 0, "diag": 0, "seed": 0}),
+}
+
+
+def _sigma_eighs(monkeypatch, sigma):
+    """A list that grows by one entry at each np.linalg.eigh of sigma."""
+    calls, eigh = [], np.linalg.eigh
+
+    def counted(a, *args, **kwargs):
+        if np.shape(a) == sigma.shape and np.allclose(a, sigma, rtol=0.0, atol=1e-15):
+            calls.append(a)
+        return eigh(a, *args, **kwargs)
+
+    monkeypatch.setattr(np.linalg, "eigh", counted)
+    return calls
+
+
+class TestOneDecomposition:
+    """Every builder decomposes sigma once, and the generator keeps that
+    decomposition: nothing that reads a built generator decomposes sigma."""
+
+    @pytest.mark.parametrize("name", list(cf.FIXTURES) + list(DEGENERATE))
+    def test_one_eigh_of_sigma_per_build(self, monkeypatch, name):
+        cfg = cf.config_from_dict(copy.deepcopy(dict(cf.FIXTURES, **DEGENERATE)[name]))
+        calls = _sigma_eighs(monkeypatch, la.herm(cf.build_sigma(cfg)))
+        cf.build_generator(cfg)
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", list(cf.FIXTURES))
+    def test_one_eigh_of_sigma_per_semigroup_check(self, monkeypatch, name):
+        # the one is decomposition-independence's rebuild of the model from
+        # the jumps alicki_decompose extracts
+        L = cf.build_generator(cf.fixtures(name))
+        calls = _sigma_eighs(monkeypatch, L.sigma)
+        vf.check_semigroup(L, np.random.default_rng(0))
+        assert len(calls) == 1
+
+    @pytest.mark.parametrize("name", list(DEGENERATE))
+    def test_no_jumps_give_the_zero_generator(self, name):
+        L = cf.build_generator(cf.config_from_dict(copy.deepcopy(DEGENERATE[name])))
+        assert L.jumps == ()
+        assert not np.any(L.generator)
+
+
 class TestAlickiDecompose:
     @pytest.mark.parametrize("d", [2, 3, 4])
     def test_round_trip(self, rng, d):
         sigma = la.random_density(rng, d, floor=0.05)
         L = sg.random_dbc(sigma, d, 1, seed=17)
-        jumps = sg.alicki_decompose(L.generator, sigma)
+        jumps = sg.alicki_decompose(L)
         rebuilt = sg.build_from_jumps(sigma, jumps)
         resid = la.frob(rebuilt.generator - L.generator) / la.frob(L.generator)
         assert resid <= 1e-8
 
     def test_depolarizing_reconstruction(self, depol_flat):
-        jumps = sg.alicki_decompose(depol_flat.generator, np.eye(2) / 2)
+        jumps = sg.alicki_decompose(depol_flat)
         rebuilt = sg.generator_from_jumps(jumps, 2)
         assert la.frob(rebuilt - depol_flat.generator) <= 1e-8
 
@@ -195,7 +260,7 @@ class TestAlickiDecompose:
         H = la.random_hermitian(rng, 3)
         contaminated = dbc3.generator + 1j * (la.left_super(H) - la.right_super(H))
         with pytest.raises((NotDbc, ResidualTooLarge)):
-            sg.alicki_decompose(contaminated, dbc3.sigma)
+            sg.alicki_decompose(dataclasses.replace(dbc3, generator=contaminated))
 
 
 class TestDerivation:
@@ -294,7 +359,8 @@ class TestPrimitivity:
         H = la.random_hermitian(rng, 3)
         assert la.frob(H @ dbc3.sigma - dbc3.sigma @ H) > 1e-3
         gen = dbc3.generator + 1j * (la.left_super(H) - la.right_super(H))
-        L = sg.DbcLindbladian(sigma=dbc3.sigma, jumps=dbc3.jumps, generator=gen)
+        L = sg.DbcLindbladian(sigma=dbc3.sigma, sigma_eig=dbc3.sigma_eig, jumps=dbc3.jumps,
+                               generator=gen)
         with pytest.raises(NotDbc):
             sg.evolve(L, 0.5, "heisenberg", np.eye(3))
         with pytest.raises(NotDbc):
@@ -309,8 +375,8 @@ class TestDbcInvariants:
     def test_weighted_self_adjointness(self, rng, dbc3, kernel):
         X = la.random_hermitian(rng, 3)
         Y = la.random_hermitian(rng, 3)
-        lhs = la.f_inner(dbc3.apply(X), Y, dbc3.sigma, kernel)
-        rhs = la.f_inner(X, dbc3.apply(Y), dbc3.sigma, kernel)
+        lhs = la.f_inner(dbc3.apply(X), Y, dbc3.sigma_eig, kernel)
+        rhs = la.f_inner(X, dbc3.apply(Y), dbc3.sigma_eig, kernel)
         assert abs(lhs - rhs) <= 1e-9 * max(abs(lhs), 1.0)
 
     @pytest.mark.parametrize("s", [0.3, 0.7])
@@ -318,7 +384,7 @@ class TestDbcInvariants:
         # -<Y, L X>_{sigma,f} as a sum of tilted double-sum forms over jumps
         X = la.random_hermitian(rng, 3)
         Y = la.random_hermitian(rng, 3)
-        lhs = -la.f_inner(Y, dbc3.apply(X), dbc3.sigma, lambda r: r ** s)
+        lhs = -la.f_inner(Y, dbc3.apply(X), dbc3.sigma_eig, lambda r: r ** s)
         rhs = 0.0
         for (V, omega) in dbc3.jumps:
             a, b = np.exp(omega / 2.0), np.exp(-omega / 2.0)
@@ -355,7 +421,7 @@ class TestDbcInvariants:
         from qbeckner import dirichlet as dh
         from qbeckner import transport as tp
         from conftest import random_pd
-        jumps2 = sg.alicki_decompose(dbc3.generator, dbc3.sigma)
+        jumps2 = sg.alicki_decompose(dbc3)
         L2 = sg.build_from_jumps(dbc3.sigma, jumps2)
         X = random_pd(rng, 3)
         rho = la.random_density(rng, 3, floor=0.05)

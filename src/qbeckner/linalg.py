@@ -42,7 +42,7 @@ def hermiticity_residual(A: np.ndarray) -> float:
 
 def check_hermitian(A: np.ndarray) -> None:
     scale = 1.0 + float(np.max(np.abs(A))) if A.size else 1.0
-    if hermiticity_residual(A) > HERM_TOL * scale:
+    if not hermiticity_residual(A) <= HERM_TOL * scale:  # NaN fails too
         raise NonHermitian(
             f"symmetry residual {hermiticity_residual(A):.3e} exceeds {HERM_TOL:.1e} * {scale:.3e}"
         )

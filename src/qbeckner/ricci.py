@@ -16,14 +16,6 @@ from .errors import NonPositiveCurvature, OptimizerDiverged
 from .semigroup import DbcLindbladian, evolve
 
 
-# Bytes of one block's eigenframe gradients in ricci_estimate: the rows array
-# of transport._basis_rows, d^2 (d^2 - 1) K complex numbers per sample over
-# the K folded jumps. The samples go in the fewest blocks within it, of equal
-# size but the last: few hessian_matrix calls spread the per-call overhead,
-# and a block's arrays stay a few megabytes. 16 samples of a d = 6 model with
-# 7 folded jumps take 2.3 MB, one block; at 4 MB, 48 samples at d = 5 would
-# be one block of 2.8 MB, slower than three of 16 on a 2 MB L2 cache.
-BLOCK_BYTES = 5 << 19  # 2.5 MiB
 # Samples whose lowest generalized eigenvalues lie within TIE_TOL * max(1,
 # |min|) of the minimum tie; the first of them is the worst sample. Its
 # eigenvalues within the same band of kappa give the multiplicity.
@@ -71,10 +63,12 @@ def hessian_matrix(L: DbcLindbladian, rho: np.ndarray,
                At the near-ties, TA = ties o A adds
                (d1 o (TA C_n) + d2 o (C_n TA)) / 2: the mean of the partials
                at the pair's two ends.
+    The arrays take three slots of the workspace (a fourth at near-ties), each
+    written in the order of the expressions above; H and G are new arrays.
     """
     d = L.d
     states = np.reshape(rho, (-1, d, d))
-    fr, rows = tp._basis_rows(L, states, p)
+    fr, rows, R, Z = tp._basis_rows(L, states, p, count=3)  # Z: the product slot
     S, n = len(states), rows.shape[2]
 
     def laid(X):  # a frame grid (S, 1, K, a, c) in the rows' layout (S, a, 1, K, c)
@@ -84,30 +78,32 @@ def hessian_matrix(L: DbcLindbladian, rho: np.ndarray,
         return tp._real_gram(rows.reshape(S * d, n, -1),
                              Y.reshape(S * d, n, -1)).reshape(S, d, n, n).sum(axis=1)
 
-    # M C_mj and C_mj M for every m and j, each one product per state: the
-    # rows, or the columns, of all C_mj side by side
-    def left(M):
-        return (M @ rows.reshape(S, d, -1)).reshape(rows.shape)
+    # M C_mj and C_mj M for every m and j, each one product per state into
+    # out: the rows, or the columns, of all C_mj side by side
+    def left(M, out):
+        return np.matmul(M, rows.reshape(S, d, -1), out=out.reshape(S, d, -1)).reshape(rows.shape)
 
-    def right(M):
-        return (rows.reshape(S, -1, d) @ M).reshape(rows.shape)
+    def right(M, out):
+        return np.matmul(rows.reshape(S, -1, d), M, out=out.reshape(S, -1, d)).reshape(rows.shape)
 
     theta = laid(fr.theta)
-    G = gram(theta * rows)
+    G = gram(np.multiply(theta, rows, out=Z))
     vecs = np.swapaxes(states, -1, -2).reshape(S, d * d)  # la.vec of each state
     Lrho = np.swapaxes((vecs @ L.dual_generator.T).reshape(S, d, d), -1, -2)
     QV = fr.Q @ fr.V[:, 0]
     A = la.dagger(QV) @ Lrho @ QV
     (ties, inv), (d1, d2) = fr.gaps, fr.partials
     IA = inv[:, 0] * A
-    R = left(IA)
-    R -= right(IA)
+    left(IA, R)
+    R -= right(IA, Z)
     R *= theta
     Aii = np.diagonal(A, axis1=-2, axis2=-1).real[:, None, None]
-    R += laid(0.5 * (d1 * Aii[..., :, None] + d2 * Aii[..., None, :])) * rows
-    if ties.any():
-        TA = np.where(ties[:, 0], A, 0.0)
-        R += 0.5 * (laid(d1) * left(TA) + laid(d2) * right(TA))
+    R += np.multiply(laid(0.5 * (d1 * Aii[..., :, None] + d2 * Aii[..., None, :])), rows, out=Z)
+    if ties.any():  # the two terms at once take a fourth slot
+        TA, T = np.where(ties[:, 0], A, 0.0), tp._slots(4, rows.shape)[3]
+        np.multiply(laid(d1), left(TA, Z), out=Z)
+        Z += np.multiply(laid(d2), right(TA, T), out=T)
+        R += np.multiply(0.5, Z, out=Z)
     Phi = tp._basis_frame(d)[1]
     H = gram(R) - np.real(Phi.conj().T @ L.dual_generator @ Phi) @ G
     H, G = 0.5 * (H + np.swapaxes(H, -1, -2)), 0.5 * (G + np.swapaxes(G, -1, -2))
@@ -168,23 +164,19 @@ def ricci_estimate(L: DbcLindbladian, p: float, num_states: int = 64,
     For each sampled full-rank state (see _samples) the minimal generalized
     eigenvalue of the Hessian against the metric on trace-free directions is
     computed; the reported kappa is the minimum over samples, an upper bound
-    on the true curvature infimum. Samples are evaluated in the fewest
-    blocks whose eigenframe gradients fit in BLOCK_BYTES, one hessian_matrix
-    call each (48 samples at d = 4 make one block). The
-    worst sample is the first whose eigenvalue ties the minimum (TIE_TOL),
-    and its kappa, direction and multiplicity come from a full eigensolve of
-    its Cholesky-reduced pair.
+    on the true curvature infimum. Samples are evaluated in the blocks of
+    transport._blocks, one hessian_matrix call each (48 samples at d = 4 make
+    one block). The worst sample is the first whose eigenvalue ties the
+    minimum (TIE_TOL), and its kappa, direction and multiplicity come from a
+    full eigensolve of its Cholesky-reduced pair.
     """
     if num_states < 1:
         raise ValueError(f"num_states must be at least 1, got {num_states}")
     L.require_jumps()
     samples = _samples(L, num_states, seed)
-    per_sample = 16 * L.d ** 2 * (L.d ** 2 - 1) * len(L.jump_pairs)
-    count = -(-num_states * per_sample // BLOCK_BYTES)  # ceil: the fewest blocks
-    block = -(-num_states // count)
-    blocks = []
-    for start in range(0, num_states, block):
-        H, G = hessian_matrix(L, samples[start:start + block], p)
+    span, blocks = tp._blocks(L, num_states), []
+    for start in span:
+        H, G = hessian_matrix(L, samples[start:start + span.step], p)
         blocks.append(_cholesky_reduce(H, G, start))
     Rinv, M = (np.concatenate(parts) for parts in zip(*blocks))
     lowest = np.linalg.eigvalsh(M)[:, 0]

@@ -9,6 +9,7 @@ and Hamiltonian geodesic shooting.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from functools import cached_property, lru_cache
 from typing import Callable, List, NamedTuple, Tuple
@@ -324,15 +325,45 @@ def _basis_frame(d: int) -> Tuple[np.ndarray, np.ndarray]:
     return basis, Phi
 
 
-def _basis_rows(L: DbcLindbladian, rho: np.ndarray, p: float) -> Tuple[_Frame, np.ndarray]:
-    """The frame of a stack rho (S, d, d) with the basis U_1..U_n, n = d^2 - 1,
-    on its own axis (leading axes (S, 1)), and the eigenframe gradients C_m =
-    V† P [V_j, U_m] P V over the K folded jumps as rows (S, d, n, K, d): the
-    rows of all C_mj side by side, which one product per state multiplies
-    from the left."""
+# Bytes of the rows of _basis_rows in one block (_blocks), d^2 (d^2 - 1) K
+# complex numbers a state: 48 samples at d = 5 in one 2.8 MB block ran slower
+# than three of 16 on a 2 MB L2 cache.
+BLOCK_BYTES = 5 << 19  # 2.5 MiB
+# Kept between calls, so that none faults fresh pages in: the block arrays of
+# _basis_gram (two slots of a block's rows) and ricci.hessian_matrix (three,
+# four at near-ties), about 3 x BLOCK_BYTES. No view of it leaves the layer,
+# and one thread at a time may run the layer.
+_workspace = np.empty(0, dtype=complex)
+
+
+def _slots(count: int, shape: Tuple[int, ...]) -> np.ndarray:
+    """count disjoint complex arrays of shape, stacked, a view of the
+    workspace, grown to hold them (views taken before keep the old buffer)."""
+    global _workspace
+    size = count * math.prod(shape)
+    if _workspace.size < size:
+        _workspace = np.empty(size, dtype=complex)
+    return _workspace[:size].reshape((count,) + shape)
+
+
+def _blocks(L: DbcLindbladian, count: int) -> range:
+    """The starts of the fewest blocks of count states whose rows fit in
+    BLOCK_BYTES, of equal size (the step) but the last."""
+    per_state = 16 * L.d ** 2 * (L.d ** 2 - 1) * len(L.jump_pairs)
+    blocks = -(-count * per_state // BLOCK_BYTES)  # ceil: the fewest blocks
+    return range(0, count, -(-count // blocks))
+
+
+def _basis_rows(L: DbcLindbladian, rho: np.ndarray, p: float, fr: _Frame | None = None,
+                count: int = 2) -> tuple:
+    """The frame fr of a stack rho (S, d, d), built unless given, with the
+    basis U_1..U_n, n = d^2 - 1, on its own axis (leading axes (S, 1)); the
+    eigenframe gradients C_m = V† P [V_j, U_m] P V over the K folded jumps as
+    rows (S, d, n, K, d), the rows of all C_mj side by side; then the other
+    count - 1 _slots of their shape, the first of which held the left factor."""
     basis, _ = _basis_frame(L.d)
     S, n, d = len(rho), len(basis), L.d
-    fr = _Frame(L, rho[:, None], p)
+    fr = _Frame(L, rho[:, None], p) if fr is None else fr
     # P [V_j, U_m] P does not depend on the state: it is cached side by side,
     # (d, n K d), per generator and p, and taken to each state's eigenframe
     # by two batched products, V† from the left, then V from the right: the
@@ -340,20 +371,24 @@ def _basis_rows(L: DbcLindbladian, rho: np.ndarray, p: float) -> Tuple[_Frame, n
     X = L.derived(("basis_gradients", fr.p),
                   lambda: np.moveaxis(fr.P @ fr.grad(basis) @ fr.P, 2, 0).reshape(d, -1))
     V = fr.V[:, 0]
-    left = la.dagger(V) @ X  # (S, i, (m, j, l))
-    return fr, (left.reshape(S, -1, d) @ V).reshape(S, d, n, -1, d)  # (S, i, m, j, b)
+    rows, left, *spare = _slots(count, (S, d, n, X.shape[1] // (n * d), d))  # (S, i, m, j, b)
+    np.matmul(la.dagger(V), X, out=left.reshape(S, d, -1))  # (S, i, (m, j, l))
+    np.matmul(left.reshape(S, -1, d), V, out=rows.reshape(S, -1, d))
+    return (fr, rows, left, *spare)
 
 
-def _basis_gram(L: DbcLindbladian, rho: np.ndarray,
-                p: float) -> Tuple[_Frame, np.ndarray, np.ndarray]:
+def _basis_gram(L: DbcLindbladian, rho: np.ndarray, p: float,
+                fr: _Frame | None = None) -> Tuple[_Frame, np.ndarray, np.ndarray]:
     """The frame of _basis_rows, its C_m made contiguous, (S, n, K, d, d), and
     the real G = Re conj(C) (theta o C)^T flattened over (j, a, c), (S, n, n):
     the metric Gram matrices <U_m, D_{p,rho} U_n>. D maps the real span of the
-    basis into itself, so Im G is round-off, and G is symmetric up to it."""
-    fr, rows = _basis_rows(L, rho, p)
-    C = np.ascontiguousarray(np.moveaxis(rows, 1, 3))
-    del rows  # before theta o C: the path energy holds two such arrays, not three
-    return fr, C, _real_gram(C, fr.theta * C)
+    basis into itself, so Im G is round-off, and G is symmetric up to it. C
+    is a view of the workspace, in the left factor's slot; theta o C is in the rows'."""
+    fr, rows, C = _basis_rows(L, rho, p, fr)
+    moved = rows.transpose(0, 2, 3, 1, 4)  # (S, m, j, a, c)
+    C = C.reshape(moved.shape)
+    C[...] = moved
+    return fr, C, _real_gram(C, np.multiply(fr.theta, C, out=rows.reshape(C.shape)))
 
 
 def _real_gram(X: np.ndarray, Y: np.ndarray) -> np.ndarray:
@@ -390,12 +425,6 @@ class TransportPath:
     gradient_gap: float  # largest relative gap of the energy gradient self-test
 
 
-def _gradients_of(c: np.ndarray, C: np.ndarray) -> np.ndarray:
-    """sum_n c_kn C_kn, (P N, 1, J', d, d), over the first P paths c (P, N, n)."""
-    rows, n = c.size // c.shape[-1], c.shape[-1]
-    return (c.reshape(rows, 1, n) @ C[:rows].reshape(rows, n, -1)).reshape((rows, 1) + C.shape[2:])
-
-
 class _PathEnergy:
     """Discrete path energy over the interior states of a path rho0 -> rho1.
 
@@ -425,34 +454,42 @@ class _PathEnergy:
         n, d = len(self.basis), self.L.d
         return np.real(X.reshape(-1, d * d) @ self.basis.reshape(n, d * d).conj().T)
 
-    def evaluate(self, y: np.ndarray):
+    def evaluate(self, y: np.ndarray, paths: int | None = None):
         """For K paths y (K, n), or one (n,) as K = 1: the states (K, N+1, d, d),
         the step coordinates b and the coefficients c_k = G_k^-1 b_k of U_k,
-        (K, N, n), the frame of the K N midpoints, the eigenframe gradients
-        C of the basis there (_basis_gram), and the K N Gram matrices G_k. A
-        Cholesky factorization tests G_k > 0 (_gram_cholesky, which names a
-        failing step and path) and one batched solve gives c_k."""
+        (K, N, n), the frame of the K N midpoints, CU_k = sum_n c_kn C_kn over
+        the eigenframe gradients C of the basis (_basis_gram) on the first
+        paths, all K by default, and the K N Gram matrices G_k. The frame is
+        built once, then each block of midpoints (_blocks) goes from C to G,
+        a Cholesky test of G_k > 0 (_gram_cholesky, which names a failing step
+        and path), the solve for c_k and CU; C does not leave the block."""
         N, n, K, d = self.N, len(self.basis), 1 if np.ndim(y) == 1 else len(y), self.L.d
         x = np.zeros((K, N + 1, n))
         x[:, 1:-1] = np.reshape(y, (K, N - 1, n))
         gammas = self.linear + (x @ self.basis.reshape(n, d * d)).reshape(K, N + 1, d, d)
         b = self.delta + x[:, 1:] - x[:, :-1]
-        mid = 0.5 * (gammas[:, :-1] + gammas[:, 1:])
-        fr, C, G = _basis_gram(self.L, _floored(mid.reshape(K * N, d, d)), self.p)
-        _gram_cholesky(G, lambda i: f"step {i % N}" + (f" of path {i // N}" if K > 1 else ""))
-        c = np.linalg.solve(G, b.reshape(K * N, n, 1))[..., 0]
-        out = gammas, b, c.reshape(K, N, n), fr, C, G
+        mid = _floored((0.5 * (gammas[:, :-1] + gammas[:, 1:])).reshape(K * N, d, d))
+        fr, span = _Frame(self.L, mid[:, None], self.p), _blocks(self.L, K * N)
+        G, c, CU = np.empty((K * N, n, n)), np.empty((K * N, n, 1)), []
+        for lo in span:  # r: the block's midpoints on the first paths
+            hi, r = lo + span.step, max(0, min(lo + span.step, N * (paths or K)) - lo)
+            _, C, G[lo:hi] = _basis_gram(self.L, mid[lo:hi], self.p, fr[lo:hi])
+            _gram_cholesky(G[lo:hi], lambda i: f"step {(lo + i) % N}"
+                           + (f" of path {(lo + i) // N}" if K > 1 else ""))
+            c[lo:hi] = np.linalg.solve(G[lo:hi], b.reshape(K * N, n, 1)[lo:hi])
+            CU.append(c[lo:lo + r].reshape(r, 1, n) @ C.reshape(len(C), n, -1)[:r])
+        CU = np.concatenate(CU).reshape((-1, 1) + fr.theta.shape[2:])
+        out = gammas, b, c.reshape(K, N, n), fr, CU, G
         self.last = (np.asarray(y, dtype=float).tobytes(), out)
         return out
 
-    def _energy(self, out, paths: int | None = None):
+    def _energy(self, out):
         """Energies (K,) of the K paths of an evaluation, and the gradients
-        (paths, (N-1) n) of its first paths, of all K by default."""
+        (P, (N-1) n) of the P paths whose CU it holds."""
         h = self.h
-        _, b, c, fr, C, _ = out
+        _, b, c, fr, CU, _ = out
         value = np.sum((b * c).reshape(len(b), -1), axis=1) / h
-        c = c[:paths]
-        CU = _gradients_of(c, C)
+        c = c[:len(CU) // self.N]
         # d(value)/d(gbar_k) = -(1/h) d/dgbar <U_k, D U_k> at fixed U_k, the
         # state derivative of the kinetic form
         M = fr[:len(CU)].state_derivative(CU)[:, 0]
@@ -470,10 +507,10 @@ class _PathEnergy:
         """(states, b, c, B) of the first path of an evaluation, as copies:
         its N + 1 states, its step coordinates and coefficients, and its
         momenta B_k = [gbar_k]_j dj U_k over the folded jumps, (N, J', d, d)."""
-        gammas, b, c, fr, C, _ = out
+        gammas, b, c, fr, CU, _ = out
         N = self.N
         W = fr.W[:N]
-        B = (W @ (fr.theta[:N] * _gradients_of(c[:1], C)) @ la.dagger(W))[:, 0] / self.h
+        B = (W @ (fr.theta[:N] * CU[:N]) @ la.dagger(W))[:, 0] / self.h
         return gammas[0].copy(), b[0].copy(), c[0].copy(), B
 
     def selftest(self) -> float:
@@ -486,8 +523,8 @@ class _PathEnergy:
         serve the descent's first call, the preconditioner and, for a
         descent that stops at its start, the rebuild."""
         def checked(ys):
-            out = self.evaluate(ys)
-            value, grad = self._energy(out, paths=1)
+            out = self.evaluate(ys, paths=1)
+            value, grad = self._energy(out)
             self.start = value[0], grad[0], out[-1][:self.N].copy(), self.path(out)
             self.last = (None, None)  # release the seven paths
             return value, grad

@@ -1,9 +1,12 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from qbeckner import config as cf
 from qbeckner import linalg as la
 from qbeckner import semigroup as sg
+from qbeckner import transport as tp
 
 SIGMA_STAR = np.diag([0.75, 0.25]).astype(complex)
 
@@ -67,3 +70,29 @@ def random_pd(rng, d, shift=0.5):
     """Random strictly positive Hermitian matrix."""
     G = rng.standard_normal((d, d)) + 1j * rng.standard_normal((d, d))
     return la.herm(G @ G.conj().T / d + shift * np.eye(d))
+
+
+def largest_allocation_at_grams(monkeypatch, call):
+    """The largest numpy data buffer that call() allocates and still holds
+    when a Gram product (transport._real_gram) returns, where every block
+    array of a path-energy evaluation or a hessian_matrix call is live: numpy
+    reports its data buffers to tracemalloc, which traces only what is
+    allocated once it has started."""
+    real_gram, sizes = tp._real_gram, [0]
+
+    def watched(X, Y):
+        out = real_gram(X, Y)
+        snapshot = tracemalloc.take_snapshot().filter_traces(
+            [tracemalloc.DomainFilter(True, np.lib.tracemalloc_domain)])
+        sizes.append(max((trace.size for trace in snapshot.traces), default=0))
+        return out
+
+    with monkeypatch.context() as patched:
+        patched.setattr(tp, "_real_gram", watched)
+        tracemalloc.start()
+        try:
+            call()
+        finally:
+            tracemalloc.stop()
+    assert len(sizes) > 1  # the call formed a Gram product
+    return max(sizes)

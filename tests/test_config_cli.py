@@ -661,8 +661,8 @@ class TestMain:
     def test_transport_singular_metric_fails(self, tmp_path, monkeypatch):
         basis_gram = tp._basis_gram
 
-        def indefinite(L, rho, p):
-            fr, C, G = basis_gram(L, rho, p)
+        def indefinite(L, rho, p, fr=None):
+            fr, C, G = basis_gram(L, rho, p, fr)
             return fr, C, G - 2.0 * np.max(np.abs(G)) * np.eye(G.shape[-1])
 
         monkeypatch.setattr(tp, "_basis_gram", indefinite)

@@ -39,6 +39,14 @@ class TestEigh:
         with pytest.raises(NonHermitian):
             la.herm_eigh(A)
 
+    def test_nan_rejected(self):
+        # a NaN residual fails the symmetry test instead of reaching numpy's
+        # eigensolver, which would raise an untyped LinAlgError
+        A = np.eye(3, dtype=complex)
+        A[0, 1] = np.nan
+        with pytest.raises(NonHermitian, match="nan"):
+            la.herm_eigh(A)
+
 
 class TestMatrixFunction:
     def test_identity_kernel(self, rng):

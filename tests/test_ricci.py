@@ -12,14 +12,15 @@ from qbeckner.entropy import p_divergence
 from qbeckner.errors import NonPositiveCurvature, SingularMetric
 
 import oracles
+from conftest import largest_allocation_at_grams
 
 
 def _force_block(monkeypatch, L, samples):
-    """Set ricci.BLOCK_BYTES so that ricci_estimate evaluates at most the
+    """Set transport.BLOCK_BYTES so that ricci_estimate evaluates at most the
     given number of samples per hessian_matrix call: that many rows arrays of
     transport._basis_rows, one sample's measured off a one-state stack."""
     per_sample = tp._basis_rows(L, L.sigma[None], 2.0)[1].nbytes
-    monkeypatch.setattr(rc, "BLOCK_BYTES", samples * per_sample)
+    monkeypatch.setattr(tp, "BLOCK_BYTES", samples * per_sample)
 
 
 def _block_sizes(monkeypatch):
@@ -247,6 +248,39 @@ class TestRicciEstimate:
     def test_no_samples_rejected(self, dbc2, num_states):
         with pytest.raises(ValueError, match="num_states"):
             rc.ricci_estimate(dbc2, 1.5, num_states=num_states, seed=7)
+
+
+class TestWorkspace:
+    """hessian_matrix takes its block arrays from the kept workspace of the
+    metric layer (transport._slots)."""
+
+    def test_repeat_estimate_allocates_no_block(self, dbc4, monkeypatch):
+        # the benchmark's d = 4 shape, 48 samples in one block: once the
+        # workspace has grown, a second estimate allocates no array as large
+        # as the block's rows (0.92 MB); the largest live at a Gram product
+        # is the (S d, n, n) stack of per-row products, 0.35 MB
+        first = rc.ricci_estimate(dbc4, 1.5, num_states=48, seed=7)
+        again = []
+        largest = largest_allocation_at_grams(
+            monkeypatch, lambda: again.append(rc.ricci_estimate(dbc4, 1.5, num_states=48, seed=7)))
+        block = tp._basis_rows(dbc4, dbc4.sigma[None], 2.0)[1].nbytes * 48
+        assert len(tp._blocks(dbc4, 48)) == 1
+        assert 0 < largest < block
+        assert again[0].kappa == first.kappa
+
+    @pytest.mark.parametrize("name", ["classical", "dbc4"])
+    def test_results_do_not_alias_the_workspace(self, rng, dbc4, name):
+        # H and G stay as they were through further calls of the layer, with
+        # the tie branch's fourth slot (sigma = I/2) and without it
+        L = dbc4 if name == "dbc4" else cf.build_generator(cf.fixtures("classical_embed"))
+        states = np.array([L.sigma] + [la.random_density(rng, L.d, floor=0.05) for _ in range(2)])
+        H, G = rc.hessian_matrix(L, states, 1.5)
+        kept = H.copy(), G.copy()
+        rc.hessian_matrix(L, states[::-1], 1.05)
+        rc.ricci_estimate(L, 1.5, num_states=8, seed=3)
+        tp.w2p_solve(L, states[1], states[2], 1.5, tp.W2Opts(N=6))
+        for now, then in zip((H, G), kept):
+            assert np.array_equal(now, then) and not np.shares_memory(now, tp._workspace)
 
 
 class TestPRange:

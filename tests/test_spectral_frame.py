@@ -200,6 +200,7 @@ class TestFrameFastPaths:
     @pytest.mark.parametrize("p", P_GRID)
     def test_basis_gradients(self, model, states, p):
         fr, C, _ = tp._basis_gram(model, states, p)
+        C = C.copy()  # a workspace view, which the next _basis_rows call takes
         assert _close(C, _gradients_direct(fr, model.d))
         # _basis_gram's C is the rows of _basis_rows made contiguous, the
         # layout that hessian_matrix reads them in as they are

@@ -7,6 +7,7 @@ import pytest
 from qbeckner import cli
 from qbeckner import config as cf
 from qbeckner import linalg as la
+from qbeckner import ricci as rc
 from qbeckner import semigroup as sg
 from qbeckner import transport as tp
 from qbeckner.errors import (KernelComponent, LeftPositiveCone, NoJumps, SingularMetric,
@@ -14,7 +15,7 @@ from qbeckner.errors import (KernelComponent, LeftPositiveCone, NoJumps, Singula
 from qbeckner.kernels import kappa_alpha
 
 import oracles
-from conftest import SIGMA_STAR
+from conftest import SIGMA_STAR, largest_allocation_at_grams
 
 
 class TestMetricKernel:
@@ -364,8 +365,8 @@ class TestPathEnergy:
     def test_stacked_singular_metric_names_path_and_step(self, dbc2, monkeypatch):
         basis_gram = tp._basis_gram
 
-        def breaks_path_1_step_4(L, rho, p):
-            fr, C, G = basis_gram(L, rho, p)
+        def breaks_path_1_step_4(L, rho, p, fr=None):
+            fr, C, G = basis_gram(L, rho, p, fr)
             k = 1 * self.N + 4
             G[k] -= (np.linalg.eigvalsh(G[k])[0] + 1.0) * np.eye(len(G[k]))
             return fr, C, G
@@ -379,8 +380,8 @@ class TestPathEnergy:
     def test_stacked_singular_metric_names_lowest_eigenvalue(self, dbc2, monkeypatch):
         basis_gram = tp._basis_gram
 
-        def breaks_path_1_step_2(L, rho, p):
-            fr, C, G = basis_gram(L, rho, p)
+        def breaks_path_1_step_2(L, rho, p, fr=None):
+            fr, C, G = basis_gram(L, rho, p, fr)
             k = 1 * self.N + 2
             G[k] -= (np.linalg.eigvalsh(G[k])[0] + 0.5) * np.eye(len(G[k]))
             return fr, C, G
@@ -476,9 +477,9 @@ class TestPathEnergy:
         calls = []
         evaluate = tp._PathEnergy.evaluate
 
-        def counted(problem, y):
+        def counted(problem, y, paths=None):
             calls.append(np.shape(y))
-            return evaluate(problem, y)
+            return evaluate(problem, y, paths)
 
         monkeypatch.setattr(tp._PathEnergy, "evaluate", counted)
         dist, path = tp.w2p_solve(model, *pair, 2.0, tp.W2Opts(N=self.N))
@@ -495,9 +496,9 @@ class TestPathEnergy:
         calls = []
         evaluate = tp._PathEnergy.evaluate
 
-        def counted(problem, y):
+        def counted(problem, y, paths=None):
             calls.append(bool(np.any(y)))
-            return evaluate(problem, y)
+            return evaluate(problem, y, paths)
 
         def shifted(fun, x0, **kw):
             fun(x0 + 0.01)
@@ -513,8 +514,8 @@ class TestPathEnergy:
     def test_singular_metric_names_step(self, dbc2, monkeypatch):
         basis_gram = tp._basis_gram
 
-        def third_step_breaks(L, rho, p):
-            fr, C, G = basis_gram(L, rho, p)
+        def third_step_breaks(L, rho, p, fr=None):
+            fr, C, G = basis_gram(L, rho, p, fr)
             G[2] -= (np.linalg.eigvalsh(G[2])[0] + 1.0) * np.eye(len(G[2]))
             return fr, C, G
 
@@ -582,8 +583,8 @@ class TestPreconditioner:
         shift = (np.linalg.eigvalsh(G2)[0] + 1e-3) * np.eye(3)
         basis_gram = tp._basis_gram
 
-        def step_2_indefinite(L, rho, p):
-            fr, C, G = basis_gram(L, rho, p)
+        def step_2_indefinite(L, rho, p, fr=None):
+            fr, C, G = basis_gram(L, rho, p, fr)
             G[2::N] -= shift
             return fr, C, G
 
@@ -625,9 +626,9 @@ class TestPreconditioner:
         calls = []
         evaluate = tp._PathEnergy.evaluate
 
-        def counted(problem, y):
+        def counted(problem, y, paths=None):
             calls.append(np.shape(y))
-            return evaluate(problem, y)
+            return evaluate(problem, y, paths)
 
         monkeypatch.setattr(tp._PathEnergy, "evaluate", counted)
         pair = [la.random_density(rng, 3, floor=0.05) for _ in range(2)]
@@ -635,6 +636,109 @@ class TestPreconditioner:
         assert path.stop == "ftol"
         assert len(calls) == path.evaluations
         assert calls[0] == (7, 19 * 8)
+
+
+class TestWorkspace:
+    """The block arrays of the metric layer live in one kept workspace
+    (transport._slots), and the path energy runs its midpoints in blocks
+    whose rows fit in transport.BLOCK_BYTES (transport._blocks)."""
+
+    @staticmethod
+    def _per_state(L):
+        return tp._basis_rows(L, L.sigma[None], 2.0)[1].nbytes
+
+    @pytest.mark.parametrize("name", ["dbc3", "dbc4"])
+    def test_blocked_equals_one_block(self, request, rng, monkeypatch, name):
+        # at 6 midpoints a block, the 7-path self-test at N = 20 (140
+        # midpoints) takes 24 blocks and a one-path descent call 4: the
+        # energies, gradients and Gram matrices, and a whole solve, are those
+        # of one block, bit for bit
+        L = request.getfixturevalue(name)
+        N, n = 20, L.d ** 2 - 1
+        pair = [la.random_density(rng, L.d, floor=0.1) for _ in range(2)]
+        ys = 0.01 * rng.standard_normal((7, (N - 1) * n))
+        blocks, spans = tp._blocks, []
+
+        def counted(L, count):
+            spans.append(len(blocks(L, count)))
+            return blocks(L, count)
+
+        def run():
+            problem = tp._PathEnergy(L, *pair, 1.05, N)
+            outs = problem.evaluate(ys, paths=1), problem.evaluate(ys), problem.evaluate(ys[2])
+            dist, path = tp.w2p_solve(L, *pair, 1.05, tp.W2Opts(N=N))
+            return ([problem._energy(out) for out in outs], [out[-1] for out in outs],
+                    (dist, path.steps, path.evaluations, path.stop), path.action_per_step)
+
+        monkeypatch.setattr(tp, "_blocks", counted)
+        monkeypatch.setattr(tp, "BLOCK_BYTES", 1 << 40)
+        whole = run()
+        assert set(spans) == {1}
+        spans.clear()
+        monkeypatch.setattr(tp, "BLOCK_BYTES", 6 * self._per_state(L))
+        blocked = run()
+        assert spans[:3] == [24, 24, 4] and min(spans) >= 3
+        for (v1, g1), (v2, g2) in zip(whole[0], blocked[0]):
+            assert np.array_equal(v1, v2) and np.array_equal(g1, g2)
+        assert all(np.array_equal(G1, G2) for G1, G2 in zip(whole[1], blocked[1]))
+        assert whole[2:] == blocked[2:]
+
+    def test_d6_self_test_blocks(self):
+        # ROADMAP's d = 6 model, 7 folded jumps, 141 kB of rows a midpoint:
+        # the 7-path self-test at N = 6 spans 3 blocks, and at N = 20 8
+        s = 2.0 ** -np.arange(6)
+        L = sg.random_dbc(np.diag(s / s.sum()).astype(complex), 6, 1, seed=42)
+        assert [len(tp._blocks(L, 7 * N)) for N in (6, 20)] == [3, 8]
+
+    def test_singular_metric_in_a_later_block_names_the_global_step(self, dbc2, monkeypatch):
+        # 3 paths of 6 steps in blocks of 4 midpoints: the second matrix of
+        # block 2 is midpoint 9, step 3 of path 1
+        N = 6
+        monkeypatch.setattr(tp, "BLOCK_BYTES", 4 * self._per_state(dbc2))
+        problem = tp._PathEnergy(dbc2, np.diag([0.6, 0.4]).astype(complex), SIGMA_STAR, 1.5, N)
+        basis_gram, calls = tp._basis_gram, []
+
+        def block_2_breaks(L, rho, p, fr=None):
+            fr, C, G = basis_gram(L, rho, p, fr)
+            calls.append(len(G))
+            if len(calls) == 3:
+                G[1] -= (np.linalg.eigvalsh(G[1])[0] + 1.0) * np.eye(len(G[1]))
+            return fr, C, G
+
+        monkeypatch.setattr(tp, "_basis_gram", block_2_breaks)
+        with pytest.raises(SingularMetric, match=r"step 3 of path 1 .*lowest eigenvalue -1\.000e\+00"):
+            problem.value_and_grad(np.zeros((3, (N - 1) * 3)))
+        assert calls == [4, 4, 4]
+
+    def test_repeat_solve_allocates_no_block(self, rng, dbc4, monkeypatch):
+        # once the workspace has grown, a second solve allocates no array as
+        # large as one block's rows of its self-test (70 midpoints, 1.3 MB):
+        # none is live at any Gram product. The largest that is, 0.65 MB, is
+        # the descent's dense inverse Hessian or the preconditioner's factor
+        pair = [la.random_density(rng, 4, floor=0.1) for _ in range(2)]
+        opts = tp.W2Opts(N=20)
+        first = tp.w2p_solve(dbc4, *pair, 1.05, opts)
+        again = []
+        largest = largest_allocation_at_grams(
+            monkeypatch, lambda: again.append(tp.w2p_solve(dbc4, *pair, 1.05, opts)))
+        block = self._per_state(dbc4) * tp._blocks(dbc4, 7 * 20).step
+        assert 0 < largest < block
+        assert again[0][0] == first[0]
+
+    def test_results_do_not_alias_the_workspace(self, rng, dbc4):
+        # what a solve and an evaluation return stays as it was through
+        # further calls of the layer
+        pair = [la.random_density(rng, 4, floor=0.1) for _ in range(2)]
+        dist, path = tp.w2p_solve(dbc4, *pair, 1.05, tp.W2Opts(N=6))
+        problem = tp._PathEnergy(dbc4, *pair, 1.5, 6)
+        out = problem.evaluate(np.zeros((2, 5 * 15)))
+        kept = [np.array(path.states), path.momenta.copy(), out[-2].copy(), out[-1].copy()]
+        rc.hessian_matrix(dbc4, np.array(pair), 1.05)
+        tp.w2p_solve(dbc4, pair[1], dbc4.sigma, 1.5, tp.W2Opts(N=6))
+        problem.evaluate(np.ones(5 * 15))
+        for now, then in zip([np.array(path.states), path.momenta, out[-2], out[-1]], kept):
+            assert np.array_equal(now, then) and not np.shares_memory(now, tp._workspace)
+        assert dist == np.sqrt(path.action)
 
 
 class TestInverseKernelConvexity:

@@ -159,8 +159,10 @@ def build_sigma(cfg: ExperimentConfig) -> np.ndarray:
     if eigs.shape != (cfg.dimension,):
         raise ConfigError(
             f"sigma has {eigs.size} eigenvalues for dimension {cfg.dimension}")
-    if not (abs(eigs.sum() - 1.0) <= 1e-10 and np.min(eigs) > 0):
-        raise ConfigError("sigma eigenvalues must be positive and sum to 1")
+    total = float(eigs.sum())  # to round-off: sigma is not renormalized
+    if not (abs(total - 1.0) <= 4 * cfg.dimension * np.finfo(float).eps and np.min(eigs) > 0):
+        raise ConfigError("sigma eigenvalues must be positive and sum to 1 to round-off "
+                          f"(sum {total!r})")
     sigma = np.diag(eigs.astype(complex))
     if "basis" in spec and spec["basis"] is not None:
         U = _matrix(spec["basis"], cfg.dimension, "sigma basis")

@@ -113,12 +113,28 @@ class _Frame:
     product per side of the commutator against the record's layouts; eig
     and uneig by P are two batched products with W = P V. Every product is
     of d x d blocks, O(K d^3) work per state.
+    At p = 2, theta_2 = 1 and [rho]_j X = P X P at every state: the frame is
+    the identity frame (lam = 1, V = I, zero partials, no ties; read-only
+    broadcasts, not Y's spectrum) with a Cholesky test of full rank.
     """
 
     def __init__(self, L: DbcLindbladian, rho: np.ndarray, p: float):
         self.p = _metric_p(p)
         self._c = c = _frame_constants(L, self.p)
         self.P, self.Q = c.P, c.Q
+        if self.p == 2.0:  # theta_2 = 1: the identity frame, the same at every state
+            try:
+                np.linalg.cholesky(rho)
+            except np.linalg.LinAlgError:
+                raise SingularState("metric kernel needs a full-rank state") from None
+            lead, d = rho.shape[:-2], L.d
+            grid = lead + (len(c.tilt), d, d)
+            self.lam, self.W = np.broadcast_to(1.0, lead + (d,)), np.broadcast_to(c.P, lead + (1, d, d))
+            self.V = np.broadcast_to(np.eye(d, dtype=complex), rho.shape)
+            self.theta = np.broadcast_to(1.0, grid)
+            self._log_partials = (np.broadcast_to(0.0, grid),) * 2
+            self.gaps = np.broadcast_to(False, rho.shape), np.broadcast_to(0.0, rho.shape)
+            return
         self.lam, self.V = la.herm_eigh(c.Q @ rho @ c.Q, check=False)
         if self.lam.min() <= 0.0:
             raise SingularState("metric kernel needs a full-rank state")
@@ -136,6 +152,8 @@ class _Frame:
         fr.p, fr._c, fr.P, fr.Q = self.p, self._c, self.P, self.Q
         fr.lam, fr.V, fr.W, fr.theta = (a[index] for a in (self.lam, self.V, self.W, self.theta))
         fr._log_partials = tuple(a[index] for a in self._log_partials)
+        if "gaps" in self.__dict__:  # preset at p = 2, or computed
+            fr.gaps = tuple(a[index] for a in self.gaps)
         return fr
 
     @cached_property
@@ -280,9 +298,11 @@ def grad_flow_residual(L: DbcLindbladian, rho: np.ndarray, p: float) -> float:
 
     Zero residual certifies that the dual semigroup is the gradient flow of
     the p-divergence in the metric induced by the Onsager operator.
+    dF_p is a power of Y = Q rho Q, decomposed here: a p = 2 frame's is not Y's.
     """
     fr = _Frame(L, rho, p)
-    Ypow = (fr.V * fr.lam ** (p - 1.0)) @ la.dagger(fr.V)
+    lam, V = la.herm_eigh(fr.Q @ rho @ fr.Q, check=False)
+    Ypow = (V * lam ** (p - 1.0)) @ la.dagger(V)
     dF = (1.0 / (p - 1.0)) * (fr.Q @ Ypow @ fr.Q)
     lhs = fr.onsager(dF)
     rhs = -la.apply_super(L.dual_generator, rho)

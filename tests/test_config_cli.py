@@ -109,6 +109,14 @@ class TestConfig:
         with pytest.raises(ConfigError):
             cf.build_sigma(cfg)
 
+    # sigma is not renormalized, so a trace off 1 by more than round-off
+    # made at d = 1 a generator that is not DBC, and every task failed
+    @pytest.mark.parametrize("eigenvalues", [[0.99999999999], [0.5, 0.49999999999]])
+    def test_sigma_trace_is_one_to_round_off(self, eigenvalues):
+        cfg = cf.ExperimentConfig(dimension=len(eigenvalues), sigma={"eigenvalues": eigenvalues})
+        with pytest.raises(ConfigError, match=r"sum to 1 to round-off \(sum 0\.99999"):
+            cf.build_sigma(cfg)
+
     def test_build_generator_kinds(self):
         cfg = cf.fixtures("depol2")
         L = cf.build_generator(cfg)
@@ -579,6 +587,17 @@ class TestMain:
         assert cli.main(["ricci", "--config", str(config), "--out", str(tmp_path / "out")]) == 0
         at_2 = [stop for p, stop in stops if p == 2.0]
         assert at_2 and all(stop in ("ftol", "gtol") for stop in at_2)
+
+    # model 2 of the seeded zoo (d = 3, sigma_min = 1.6e-5): each p = 2
+    # midpoint had its own eigenframe, whose round-off the central
+    # differences of the path-energy self-test amplified past 1e-4, and the
+    # task failed with GradientCheckFailed. The identity frame is the same
+    # array at every midpoint, so only the step coordinates move the energy
+    def test_zoo_p2_self_test_passes_on_the_identity_frame(self, tmp_path):
+        config = tmp_path / "zoo.json"
+        config.write_text(json.dumps(zoo_model(2)))
+        assert cli.main(["transport", "--config", str(config),
+                         "--out", str(tmp_path / "out")]) == 0
 
     def test_transport_diagnostics_in_report(self, tmp_path):
         out = tmp_path / "out"

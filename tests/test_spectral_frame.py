@@ -252,14 +252,19 @@ class TestFrameFastPaths:
 
 class TestTracialInvariantState:
     """rho = sigma = I/3: Y is a multiple of I, every pair of every jump
-    coincides and each tensor is the derivative rule throughout."""
+    coincides and each tensor is the derivative rule throughout (at p < 2;
+    at p = 2 the frame is the identity frame, with no ties)."""
 
     @pytest.mark.parametrize("p", P_GRID)
     def test_fast_paths_match(self, tracial3, p):
         states = tracial3.sigma[None]
         fr = tp._Frame(tracial3, states, p)
         assert np.ptp(fr.lam) <= SAME_TOL * fr.lam.max()
-        assert fr.gaps[0].sum() == 6  # every off-diagonal pair is a near-tie
+        if p == 2.0:  # the identity frame: lam = 1, V = I and no ties
+            assert np.all(fr.lam == 1.0) and np.array_equal(fr.V[0], np.eye(3))
+            assert not fr.gaps[0].any()
+        else:
+            assert fr.gaps[0].sum() == 6  # every off-diagonal pair is a near-tie
         _assert_match_full(tracial3, fr, np.random.default_rng(1))
         fr, C, _ = tp._basis_gram(tracial3, states, p)
         assert _close(C, _gradients_direct(fr, 3))

@@ -172,6 +172,62 @@ class TestFrame:
                 call()
 
 
+class TestFlatFrame:
+    """At p = 2 theta_2 = 1, so [rho]_2 X = P X P with P = sigma^(1/4) at
+    every state: the frame is the identity frame (lam = 1, V = I, no ties),
+    built with no eigendecomposition and no theta grid, and the metric does
+    not depend on the state."""
+
+    @staticmethod
+    def _refuse(*args, **kwargs):
+        raise AssertionError("spectral work in a p = 2 frame")
+
+    def test_no_spectral_work(self, monkeypatch, rng, depol3, dbc3):
+        for L in (depol3, dbc3):
+            rhos = np.array([la.random_density(rng, 3, floor=0.05) for _ in range(3)])
+            U = la.traceless_part(la.random_hermitian(rng, 3))
+            with monkeypatch.context() as patched:
+                patched.setattr(tp.la, "herm_eigh", self._refuse)
+                patched.setattr(tp, "theta_p_log", self._refuse)
+                fr = tp._Frame(L, rhos[0], 2.0)
+                assert np.array_equal(fr.state_derivative(fr.eig(fr.grad(U), fr.P)),
+                                      np.zeros((3, 3)))
+                assert np.all(np.isfinite(tp.onsager_matrix(L, rhos[0], 2.0)))
+                stack = tp._Frame(L, rhos[:, None], 2.0)
+                for frame, states in ((stack, rhos), (stack[1:], rhos[1:])):
+                    assert np.array_equal(frame.onsager(U)[:, 0], np.broadcast_to(
+                        fr.onsager(U), (len(states), 3, 3)))
+                    _, C, G = tp._basis_gram(L, states, 2.0, frame)
+                    assert not np.any(frame.state_derivative(C[:, :1]))
+                    assert la.frob(rc.hessian_matrix(L, states, 2.0)[1] - G) <= 1e-14 * la.frob(G)
+
+    def test_metric_does_not_depend_on_the_state(self, rng, depol3, dbc4):
+        for L in (depol3, dbc4):
+            rho1, rho2 = (la.random_density(rng, L.d, floor=0.05) for _ in range(2))
+            assert np.array_equal(tp.onsager_matrix(L, rho1, 2.0),
+                                  tp.onsager_matrix(L, rho2, 2.0))
+
+    def test_hessian_first_term_is_zero(self, monkeypatch, rng, dbc4):
+        # hessian_matrix forms G, then its first term, by _real_gram
+        real_gram, terms = tp._real_gram, []
+
+        def recorded(X, Y):
+            terms.append(Y.copy())
+            return real_gram(X, Y)
+
+        monkeypatch.setattr(tp, "_real_gram", recorded)
+        states = np.array([la.random_density(rng, 4, floor=0.05) for _ in range(2)])
+        rc.hessian_matrix(dbc4, states, 2.0)
+        assert len(terms) == 2 and np.any(terms[0]) and not np.any(terms[1])
+
+    @pytest.mark.parametrize("stacked", [False, True])
+    def test_singular_state_rejected(self, rng, dbc3, stacked):
+        singular = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        rho = np.array([la.random_density(rng, 3, floor=0.05), singular]) if stacked else singular
+        with pytest.raises(SingularState, match="full-rank state"):
+            tp._Frame(dbc3, rho, 2.0)
+
+
 class TestGradientFlow:
     @pytest.mark.parametrize("p", [1.3, 1.7, 2.0])
     def test_residual_small(self, rng, dbc3, p):
@@ -777,7 +833,8 @@ class TestGeodesicRhs:
     Hamiltonian, half the kinetic form, along rho + tK by central
     differences. classical_embed (sigma = I/2) and a random model with
     sigma = I/3 are taken at rho = sigma, where every eigenvalue pair ties,
-    so their state derivative is the frame's tie branch."""
+    so their state derivative is the frame's tie branch at p < 2; at p = 2
+    every frame is the identity frame, with no ties."""
 
     CASES = [(name, p) for name in ("depol3", "random_dbc_seeded", "classical_embed",
                                     "tracial_random3", "depol3_tie")
@@ -809,7 +866,11 @@ class TestGeodesicRhs:
         rng = np.random.default_rng(41)
         rho, ties = self._state(name, L, p, rng)
         U = la.traceless_part(la.random_hermitian(rng, d))
-        assert tp._Frame(L, rho, p).gaps[0].sum() == ties
+        fr = tp._Frame(L, rho, p)
+        if p == 2.0:  # theta_2 = 1: lam = 1 and V = I at every state
+            assert np.all(fr.lam == 1.0) and np.array_equal(fr.V, np.eye(d))
+            ties = 0
+        assert fr.gaps[0].sum() == ties
         rho_dot, U_dot = tp._geodesic_rhs(L, rho, U, p)
         ref = oracles.onsager_apply(L, rho, p, U)
         assert la.frob(rho_dot - ref) <= 1e-12 * la.frob(ref)

@@ -62,7 +62,8 @@ def hessian_matrix(L: DbcLindbladian, rho: np.ndarray,
                <C_m, theta o [IA, C_n] + D o C_n>, D = (d1 A_aa + d2 A_cc) / 2.
                At the near-ties, TA = ties o A adds
                (d1 o (TA C_n) + d2 o (C_n TA)) / 2: the mean of the partials
-               at the pair's two ends.
+               at the pair's two ends. At p = 2, theta_2 = 1 has no state
+               derivative, and this term is not formed: H = -second.
     The arrays take three slots of the workspace (a fourth at near-ties), each
     written in the order of the expressions above; H and G are new arrays.
     """
@@ -88,24 +89,27 @@ def hessian_matrix(L: DbcLindbladian, rho: np.ndarray,
 
     theta = laid(fr.theta)
     G = gram(np.multiply(theta, rows, out=Z))
-    vecs = np.swapaxes(states, -1, -2).reshape(S, d * d)  # la.vec of each state
-    Lrho = np.swapaxes((vecs @ L.dual_generator.T).reshape(S, d, d), -1, -2)
-    QV = fr.Q @ fr.V[:, 0]
-    A = la.dagger(QV) @ Lrho @ QV
-    (ties, inv), (d1, d2) = fr.gaps, fr.partials
-    IA = inv[:, 0] * A
-    left(IA, R)
-    R -= right(IA, Z)
-    R *= theta
-    Aii = np.diagonal(A, axis1=-2, axis2=-1).real[:, None, None]
-    R += np.multiply(laid(0.5 * (d1 * Aii[..., :, None] + d2 * Aii[..., None, :])), rows, out=Z)
-    if ties.any():  # the two terms at once take a fourth slot
-        TA, T = np.where(ties[:, 0], A, 0.0), tp._slots(4, rows.shape)[3]
-        np.multiply(laid(d1), left(TA, Z), out=Z)
-        Z += np.multiply(laid(d2), right(TA, T), out=T)
-        R += np.multiply(0.5, Z, out=Z)
     Phi = tp._basis_frame(d)[1]
-    H = gram(R) - np.real(Phi.conj().T @ L.dual_generator @ Phi) @ G
+    H = -(np.real(Phi.conj().T @ L.dual_generator @ Phi) @ G)
+    if fr.p != 2.0:  # theta_2 has no state derivative: at p = 2 first = 0 is not formed
+        vecs = np.swapaxes(states, -1, -2).reshape(S, d * d)  # la.vec of each state
+        Lrho = np.swapaxes((vecs @ L.dual_generator.T).reshape(S, d, d), -1, -2)
+        QV = fr.Q @ fr.V[:, 0]
+        A = la.dagger(QV) @ Lrho @ QV
+        (ties, inv), (d1, d2) = fr.gaps, fr.partials
+        IA = inv[:, 0] * A
+        left(IA, R)
+        R -= right(IA, Z)
+        R *= theta
+        Aii = np.diagonal(A, axis1=-2, axis2=-1).real[:, None, None]
+        R += np.multiply(laid(0.5 * (d1 * Aii[..., :, None] + d2 * Aii[..., None, :])), rows,
+                         out=Z)
+        if ties.any():  # the two terms at once take a fourth slot
+            TA, T = np.where(ties[:, 0], A, 0.0), tp._slots(4, rows.shape)[3]
+            np.multiply(laid(d1), left(TA, Z), out=Z)
+            Z += np.multiply(laid(d2), right(TA, T), out=T)
+            R += np.multiply(0.5, Z, out=Z)
+        H += gram(R)  # = first - second, bit for bit
     H, G = 0.5 * (H + np.swapaxes(H, -1, -2)), 0.5 * (G + np.swapaxes(G, -1, -2))
     return (H, G) if np.ndim(rho) == 3 else (H[0], G[0])
 

@@ -114,8 +114,10 @@ class _Frame:
     and uneig by P are two batched products with W = P V. Every product is
     of d x d blocks, O(K d^3) work per state.
     At p = 2, theta_2 = 1 and [rho]_j X = P X P at every state: the frame is
-    the identity frame (lam = 1, V = I, zero partials, no ties; read-only
-    broadcasts, not Y's spectrum) with a Cholesky test of full rank.
+    the identity frame (lam = 1, V = I, zero partials, no ties; not Y's
+    spectrum) with a Cholesky test of full rank. Its read-only broadcasts
+    are built once per generator and shape of rho (_identity_frame), and
+    its state derivative is not formed: theta_2 does not depend on rho.
     """
 
     def __init__(self, L: DbcLindbladian, rho: np.ndarray, p: float):
@@ -127,13 +129,9 @@ class _Frame:
                 np.linalg.cholesky(rho)
             except np.linalg.LinAlgError:
                 raise SingularState("metric kernel needs a full-rank state") from None
-            lead, d = rho.shape[:-2], L.d
-            grid = lead + (len(c.tilt), d, d)
-            self.lam, self.W = np.broadcast_to(1.0, lead + (d,)), np.broadcast_to(c.P, lead + (1, d, d))
-            self.V = np.broadcast_to(np.eye(d, dtype=complex), rho.shape)
-            self.theta = np.broadcast_to(1.0, grid)
-            self._log_partials = (np.broadcast_to(0.0, grid),) * 2
-            self.gaps = np.broadcast_to(False, rho.shape), np.broadcast_to(0.0, rho.shape)
+            (self.lam, self.W, self.V, self.theta, self._log_partials,
+             self.gaps) = L.derived(("identity_frame", rho.shape),
+                                    lambda: _identity_frame(c, rho.shape))
             return
         self.lam, self.V = la.herm_eigh(c.Q @ rho @ c.Q, check=False)
         if self.lam.min() <= 0.0:
@@ -215,7 +213,9 @@ class _Frame:
         T_j^T conj(C_j), G = inv o (Z - Z†), and the partials against |C_j|^2
         on the diagonal. At the near-ties G = (Z + Z†) / 2 with (d1, d2) o C in
         place of T in Z's two terms: the mean of the partials at both ends.
-        M = Q V G^T V† Q."""
+        M = Q V G^T V† Q. At p = 2, M = 0 and is not formed."""
+        if self.p == 2.0:
+            return np.zeros(C.shape[:-3] + C.shape[-2:], dtype=complex)
         (ties, inv), (dx, dy) = self.gaps, self._log_partials
         Cc = C.conj()
         T = self.theta * C
@@ -229,6 +229,17 @@ class _Frame:
             Gt = np.where(ties, 0.5 * (Z.swapaxes(-1, -2) + Z.conj()), Gt)
         QV = self.Q @ self.V
         return la.herm(QV @ Gt @ la.dagger(QV))
+
+
+def _identity_frame(c: _FrameConstants, shape: Tuple[int, ...]) -> tuple:
+    """(lam, W, V, theta, log-partials, gaps) of the p = 2 frame of states of
+    shape (..., d, d): zero-stride views of O(d^2) memory."""
+    lead, d = shape[:-2], shape[-1]
+    grid = lead + (len(c.tilt), d, d)
+    return (np.broadcast_to(1.0, lead + (d,)), np.broadcast_to(c.P, lead + (1, d, d)),
+            np.broadcast_to(np.eye(d, dtype=complex), shape), np.broadcast_to(1.0, grid),
+            (np.broadcast_to(0.0, grid),) * 2,
+            (np.broadcast_to(False, shape), np.broadcast_to(0.0, shape)))
 
 
 def _contract(A: np.ndarray, B: np.ndarray, C: np.ndarray, Cc: np.ndarray) -> np.ndarray:

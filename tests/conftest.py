@@ -8,6 +8,8 @@ from qbeckner import linalg as la
 from qbeckner import semigroup as sg
 from qbeckner import transport as tp
 
+import oracles
+
 SIGMA_STAR = np.diag([0.75, 0.25]).astype(complex)
 
 PAULI = {
@@ -64,6 +66,16 @@ def dbc3():
 def dbc4():
     """Seeded primitive random detailed-balance model at d = 4."""
     return sg.random_dbc(np.diag([0.4, 0.3, 0.2, 0.1]).astype(complex), 4, 1, seed=11)
+
+
+@pytest.fixture(scope="session")
+def depol_product():
+    """(A, B, A⊗B): depolarizing qubit models A (sigma = diag(3/4, 1/4),
+    gamma = 1) and B (sigma = diag(0.6, 0.4), gamma = 1.3), and their product
+    (oracles.product_model), whose spectrum (0.45, 0.3, 0.15, 0.1) is
+    non-degenerate."""
+    A, B = sg.depolarizing(SIGMA_STAR, 1.0), sg.depolarizing(np.diag([0.6, 0.4]), 1.3)
+    return A, B, oracles.product_model((A, B))
 
 
 def random_pd(rng, d, shift=0.5):

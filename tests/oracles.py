@@ -22,6 +22,7 @@ path_hessian is the path energy's Hessian assembled densely, whose inverse
 transport._PathEnergy.preconditioner factors block by block;
 ratio_of_witness and ricci_rayleigh evaluate an estimate's witness afresh;
 two_point_beckner is the tilted two-point Beckner constant in mpmath;
+product_model is the tensor product of models, built from their jumps;
 psd_project builds positive semidefinite test inputs.
 """
 
@@ -478,6 +479,20 @@ def two_point_beckner(pi, p, dps=40) -> float:
 
 
 PSD_FLOOR = 1e-10
+
+
+def product_model(factors):
+    """The generator of the product semigroup of factors on the tensor
+    product of their spaces, sum_i I ⊗ .. ⊗ L_i ⊗ .. ⊗ I, built by
+    build_from_jumps with each factor's jumps lifted to the product and
+    sigma the product of theirs."""
+    dims = [F.d for F in factors]
+    jumps, sigma = [], np.eye(1)
+    for i, F in enumerate(factors):
+        before, after = np.eye(int(np.prod(dims[:i]))), np.eye(int(np.prod(dims[i + 1:])))
+        jumps += [sg.JumpTerm(np.kron(np.kron(before, V), after), w) for V, w in F.jumps]
+        sigma = np.kron(sigma, F.sigma)
+    return sg.build_from_jumps(sigma, jumps)
 
 
 def psd_project(A, floor=PSD_FLOOR):

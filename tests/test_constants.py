@@ -554,6 +554,16 @@ class TestTwoPointReference:
             bound = oracles.two_point_beckner(0.75, p)
             assert estimates[f"beckner[{p}]"] <= bound * (1.0 + 1e-12), (p, bound)
 
+    def test_product_beckner_estimates_just_above_binding_factor(self, depol_product):
+        # A⊗B's Beckner constant is its factors' least, here A's two-point
+        # value (B's gap is 1.3); the estimate is a minimum over witnesses, so
+        # it lies above that, and close: 2.4e-10 (p = 1.05) and 2.2e-10 (1.5)
+        _, _, AB = depol_product
+        for p in (1.05, 1.5):
+            value = ct.estimate_constant(AB, "beckner", p=p).value
+            bound = oracles.two_point_beckner(0.75, p)
+            assert 0.0 <= value / bound - 1.0 <= 1e-8, (p, value, bound)
+
 
 @pytest.fixture(scope="module")
 def estimates(depol2):

@@ -85,6 +85,22 @@ class TestHessianForm:
         assert np.max(np.abs(G - G.T)) <= 1e-9 * max(1.0, np.max(np.abs(G)))
 
 
+class TestProductModel:
+    """On A⊗B (conftest.depol_product) at the product state rho_A ⊗ sigma_B,
+    the direction U ⊗ I moves only the first factor: its Hessian and its
+    metric form are factor A's."""
+
+    @pytest.mark.parametrize("p", [1.05, 1.5, 2.0])
+    def test_forms_factor(self, rng, depol_product, p):
+        A, B, AB = depol_product
+        rho = la.random_density(rng, 2, floor=0.1)
+        U = la.traceless_part(la.random_hermitian(rng, 2))
+        lifted = np.kron(rho, B.sigma), np.kron(U, np.eye(2))
+        for form in (rc.hessian_form, tp.gradient_norm_sq):
+            ref = form(A, rho, p, U)
+            assert abs(form(AB, lifted[0], p, lifted[1]) - ref) <= 1e-12 * abs(ref)
+
+
 class TestHessianStack:
     """hessian_matrix on a stack of states against one state at a time, and
     its quadratic forms against hessian_form and gradient_norm_sq, which go

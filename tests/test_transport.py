@@ -10,8 +10,8 @@ from qbeckner import linalg as la
 from qbeckner import ricci as rc
 from qbeckner import semigroup as sg
 from qbeckner import transport as tp
-from qbeckner.errors import (KernelComponent, LeftPositiveCone, NoJumps, SingularMetric,
-                             SingularState)
+from qbeckner.errors import (GradientCheckFailed, KernelComponent, LeftPositiveCone, NoJumps,
+                             SingularMetric, SingularState)
 from qbeckner.kernels import kappa_alpha
 
 import oracles
@@ -208,17 +208,63 @@ class TestFlatFrame:
                                   tp.onsager_matrix(L, rho2, 2.0))
 
     def test_hessian_first_term_is_zero(self, monkeypatch, rng, dbc4):
-        # hessian_matrix forms G, then its first term, by _real_gram
-        real_gram, terms = tp._real_gram, []
+        # hessian_matrix forms each Gram product by _real_gram, summed over
+        # the rows of the basis gradients: at p = 2 G alone, and H is
+        # -Re(Phi† L† Phi) G symmetrized; at p < 2 the first term takes a second
+        grams = []
 
         def recorded(X, Y):
-            terms.append(Y.copy())
-            return real_gram(X, Y)
+            grams.append(real_gram(X, Y))
+            return grams[-1]
 
+        real_gram = tp._real_gram
         monkeypatch.setattr(tp, "_real_gram", recorded)
         states = np.array([la.random_density(rng, 4, floor=0.05) for _ in range(2)])
-        rc.hessian_matrix(dbc4, states, 2.0)
-        assert len(terms) == 2 and np.any(terms[0]) and not np.any(terms[1])
+        H, G = rc.hessian_matrix(dbc4, states, 2.0)
+        assert len(grams) == 1
+        n, Phi = 15, tp._basis_frame(4)[1]
+        G0 = grams[0].reshape(2, 4, n, n).sum(axis=1)
+        H0 = -(np.real(Phi.conj().T @ dbc4.dual_generator @ Phi) @ G0)
+        assert np.array_equal(G, 0.5 * (G0 + np.swapaxes(G0, -1, -2)))
+        assert np.array_equal(H, 0.5 * (H0 + np.swapaxes(H0, -1, -2)))
+        grams.clear()
+        rc.hessian_matrix(dbc4, states, 1.5)
+        assert len(grams) == 2
+
+    @pytest.mark.parametrize("name", ["depol3", "dbc4"])
+    def test_geodesics_are_straight_lines(self, request, rng, name):
+        # with no state derivative U_dot = 0: U keeps U0 bit for bit, and rho
+        # moves along rho_dot = D_2 U0 at constant velocity
+        L = request.getfixturevalue(name)
+        rho0 = la.random_density(rng, L.d, floor=0.2)
+        U0 = 0.3 * la.traceless_part(la.random_hermitian(rng, L.d))
+        T, steps = 0.1, 5
+        D2U0 = tp._Frame(L, rho0, 2.0).onsager(U0)
+        assert la.frob(T * D2U0) >= 0.01 * la.frob(rho0)  # the path moves
+        for k, (rho, U) in enumerate(tp.geodesic_shoot(L, rho0, U0, 2.0, T, steps)):
+            assert np.array_equal(U, U0)
+            line = rho0 + (k * T / steps) * D2U0
+            assert la.frob(rho - line) <= 1e-14 * la.frob(line)
+        second = float(np.real(la.hs_inner(U0, L.apply_dual(D2U0))))
+        assert rc.hessian_form(L, rho0, 2.0, U0) == -second
+
+    @pytest.mark.parametrize("name", ["depol3", "dbc4"])
+    def test_path_energy_gradient_at_displaced_path(self, request, rng, name):
+        # the gradient formed with no state-derivative term passes the
+        # solver's self-test away from the linear path, and the self-test
+        # sees a gradient scaled by 1 + 1e-3
+        L = request.getfixturevalue(name)
+        problem = tp._PathEnergy(L, *(la.random_density(rng, L.d, floor=0.1) for _ in range(2)),
+                                 2.0, N=6)
+        y = 0.05 * rng.standard_normal(5 * (L.d ** 2 - 1))
+        assert la.check_gradient(problem.value_and_grad, y, "path energy") <= 1e-7
+
+        def scaled(ys):
+            value, grad = problem.value_and_grad(ys)
+            return value, (1.0 + 1e-3) * grad
+
+        with pytest.raises(GradientCheckFailed):
+            la.check_gradient(scaled, y, "path energy")
 
     @pytest.mark.parametrize("stacked", [False, True])
     def test_singular_state_rejected(self, rng, dbc3, stacked):

@@ -5,7 +5,6 @@ from .config import ExperimentConfig, build_generator, fixtures
 from .semigroup import (
     DbcLindbladian,
     JumpTerm,
-    alicki_decompose,
     build_from_jumps,
     depolarizing,
     evolve,
@@ -16,7 +15,6 @@ __all__ = [
     "DbcLindbladian",
     "ExperimentConfig",
     "JumpTerm",
-    "alicki_decompose",
     "build_from_jumps",
     "build_generator",
     "depolarizing",

@@ -34,7 +34,7 @@ class NotDbc(QBecknerError):
 
 
 class ResidualTooLarge(QBecknerError):
-    """Jump decomposition discards too much weight to reproduce the generator."""
+    """Jumps do not rebuild the generator."""
 
 
 class NoJumps(QBecknerError):

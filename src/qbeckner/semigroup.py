@@ -336,18 +336,37 @@ def build_from_jumps(sigma: np.ndarray, jumps: Sequence[JumpTerm]) -> DbcLindbla
 
 
 def depolarizing(sigma: np.ndarray, gamma: float) -> DbcLindbladian:
-    """Generalized depolarizing semigroup L(X) = gamma (tr(sigma X) 1 - X)."""
+    """Generalized depolarizing semigroup L(X) = gamma (tr(sigma X) 1 - X),
+    with jumps in closed form in sigma's eigenbasis (s, U): for a < b,
+    c U E_ab U† at w = log(s_b / s_a), c^2 = gamma sqrt(s_a s_b) / 2, and its
+    adjoint at exactly -w, a pair that jump_pairs folds; then U diag(g) U†
+    for the d - 1 columns g of Q R, Q the Helmert basis and
+    R R^T = Q^T diag(gamma s / 2) Q. The jumps must rebuild the generator."""
     sigma = la.herm(np.asarray(sigma, dtype=complex))
-    eig = la.full_rank_eigh(sigma)
+    s, U = eig = la.full_rank_eigh(sigma)
     if not gamma > 0:
         raise ValueError("gamma must be positive")
     d = sigma.shape[0]
     gen = gamma * (np.outer(la.vec(np.eye(d)), la.vec(sigma).conj()) - np.eye(d * d))
-    # alicki_decompose checks gen and that the jumps rebuild it; the jumps are checked here
-    jumps = tuple(alicki_decompose(DbcLindbladian(sigma, eig, (), gen)))
+    jumps = []
+    for a in range(d):
+        for b in range(a + 1, d):
+            V = np.sqrt(gamma * np.sqrt(s[a] * s[b]) / 2.0) * np.outer(U[:, a], U[:, b].conj())
+            omega = float(np.log(s[b] / s[a]))
+            jumps += [JumpTerm(V, omega), JumpTerm(V.conj().T, -omega)]
+    if d > 1:
+        k = np.arange(1.0, d)
+        Q = (np.triu(np.ones((d, d - 1))) - np.diag(k, -1)[:, :-1]) / np.sqrt(k * (k + 1.0))
+        for g in (Q @ np.linalg.cholesky(Q.T @ (gamma * s[:, None] / 2.0 * Q))).T:
+            jumps.append(JumpTerm(la.herm((U * g) @ U.conj().T), 0.0))
     for jump in jumps:
         validate_jump(eig, jump)
-    return DbcLindbladian(sigma, eig, jumps, gen)
+    L = DbcLindbladian(sigma, eig, tuple(jumps), gen)
+    validate_dbc(L)
+    resid = la.frob(generator_from_jumps(L.jumps, d) - gen) / max(la.frob(gen), 1e-300)
+    if not resid <= DECOMPOSE_TOL:
+        raise ResidualTooLarge(f"jumps rebuild the generator to {resid:.3e}")
+    return L
 
 
 def random_dbc(sigma: np.ndarray, num_offdiag_pairs: int, num_diag: int,
@@ -391,145 +410,6 @@ def random_dbc(sigma: np.ndarray, num_offdiag_pairs: int, num_diag: int,
         D = U @ np.diag(g.astype(complex)) @ U.conj().T
         jumps.append(JumpTerm(D, 0.0))
     return _assemble(sigma, eig, jumps)
-
-
-# ---------------------------------------------------------------------------
-# Jump extraction from a generator (inverse of build_from_jumps)
-# ---------------------------------------------------------------------------
-
-
-def _reshuffle(L: np.ndarray, d: int) -> np.ndarray:
-    """Coefficient matrix C[(a,b),(c,e)] of L(X) = sum C E_ab X E_ce†."""
-    L4 = L.reshape(d, d, d, d)
-    return np.transpose(L4, (1, 3, 0, 2)).reshape(d * d, d * d)
-
-
-def _modular_groups(s: np.ndarray, d: int):
-    """Group matrix-unit indices by the modular frequency w(E_ab) = log(s_b/s_a).
-
-    A frequency within MODULAR_EIG_TOL / 2 of zero becomes zero, and one
-    within MODULAR_EIG_TOL / 2 of a group's first frequency joins that
-    group. A jump from a group, labelled with its first frequency nu, then
-    has a modular residual of at most e^(-nu) |w - nu| (1 + |w - nu|) per
-    unit norm, so it and its adjoint pass validate_jump with room left for
-    rounding. Returns a list of (nu, pair_list); the zero group carries
-    nu = 0.0 exactly.
-    """
-    merge = MODULAR_EIG_TOL / 2.0
-    logs = np.log(s)
-    entries = []
-    for a in range(d):
-        for b in range(d):
-            nu = float(logs[b] - logs[a])
-            entries.append((0.0 if abs(nu) <= merge else nu, (a, b)))
-    groups: List[Tuple[float, List[Tuple[int, int]]]] = []
-    for nu, ab in sorted(entries):
-        if groups and abs(groups[-1][0] - nu) <= merge:
-            groups[-1][1].append(ab)
-        else:
-            groups.append((nu, [ab]))
-    return groups
-
-
-def _unit_vector(d: int, a: int, b: int) -> np.ndarray:
-    v = np.zeros(d * d, dtype=complex)
-    v[a * d + b] = 1.0
-    return v
-
-
-def _zero_group_basis(members, d: int):
-    """Hermitian, trace-free orthonormal basis of the frequency-zero sector.
-
-    Matrix-unit pairs between degenerate levels become (E_ab + E_ba)/sqrt(2)
-    and i(E_ab - E_ba)/sqrt(2); diagonal units are replaced by the d - 1
-    traceless diagonal combinations (the identity direction is dropped, which
-    removes the non-sandwich multiplier part of the generator).
-    """
-    vectors = []
-    offdiag = sorted({tuple(sorted(ab)) for ab in members if ab[0] != ab[1]})
-    for (a, b) in offdiag:
-        e_ab, e_ba = _unit_vector(d, a, b), _unit_vector(d, b, a)
-        vectors.append((e_ab + e_ba) / np.sqrt(2.0))
-        vectors.append(1j * (e_ab - e_ba) / np.sqrt(2.0))
-    diag = sorted(a for (a, b) in members if a == b)
-    for k in range(1, len(diag)):
-        v = np.zeros(d * d, dtype=complex)
-        for a in diag[:k]:
-            v[a * d + a] = 1.0
-        v[diag[k] * d + diag[k]] = -float(k)
-        vectors.append(v / np.linalg.norm(v))
-    return vectors
-
-
-def alicki_decompose(L: DbcLindbladian) -> List[JumpTerm]:
-    """Extract trace-free modular-eigenvector jumps reproducing L.generator,
-    after checking it for detailed balance; L's own jumps are not read.
-
-    Works in the eigenbasis of sigma, L.sigma_eig: the matrix-unit basis is
-    grouped by modular frequency, the within-group sandwich-coefficient block
-    of the generator is projected to its PSD part, and weighted eigenvectors
-    are emitted as jump operators, each V next to its V† (none at d = 1). The
-    jump set is not unique; only reconstruction is guaranteed.
-    """
-    (s, U), d, generator = L.sigma_eig, L.d, L.generator
-    scale = max(la.frob(generator), 1e-300)
-    validate_dbc(L, tol=DECOMPOSE_TOL)
-
-    basis_change = la.sandwich_super(U.conj().T, U)       # X -> U† X U
-    basis_back = la.sandwich_super(U, U.conj().T)
-    Lt = basis_change @ generator @ basis_back
-    C = _reshuffle(Lt, d)
-
-    groups = _modular_groups(s, d)
-
-    jumps: List[JumpTerm] = []
-    discarded = 0.0
-    for nu, members in groups:
-        if nu < 0.0:
-            continue  # handled with its positive partner
-        if nu == 0.0:
-            vectors = _zero_group_basis(members, d)
-            if not vectors:
-                continue
-            Q = np.column_stack(vectors)
-            block = Q.conj().T @ C @ Q
-            block = 0.5 * (block + block.conj().T)
-            # DBC makes this block real symmetric in the Hermitian basis
-            block = 0.5 * (block + block.T).real
-            target = 0.5 * block
-        else:
-            # not averaged with the adjoint block, e^-nu times this one: e^nu
-            # is off by eps |sigma| / s_min relative when sigma is rotated
-            Qp = np.column_stack([_unit_vector(d, a, b) for (a, b) in members])
-            block = Qp.conj().T @ C @ Qp
-            block = 0.5 * (block + block.conj().T)
-            target = 0.5 * np.exp(-nu / 2.0) * block
-            Q = Qp
-        w, W = np.linalg.eigh(target)
-        neg = w[w < 0.0]
-        discarded += float(np.sum(-neg))
-        for k in range(len(w)):
-            if w[k] <= 1e-14 * scale:
-                continue
-            full = Q @ (np.sqrt(w[k]) * W[:, k])
-            V = full.reshape(d, d)  # row-major: entry (a, b) multiplies E_ab
-            V = U @ V @ U.conj().T
-            if nu == 0.0:
-                jumps.append(JumpTerm(la.herm(V), 0.0))
-            else:
-                jumps.append(JumpTerm(V, float(nu)))
-                jumps.append(JumpTerm(V.conj().T, float(-nu)))
-    if not discarded <= DECOMPOSE_TOL * scale:
-        raise ResidualTooLarge(
-            f"PSD projection discarded weight {discarded:.3e} "
-            "(coherent part is incompatible with detailed balance)"
-        )
-
-    rebuilt = generator_from_jumps(jumps, d)
-    resid = la.frob(rebuilt - generator) / scale
-    if not resid <= DECOMPOSE_TOL:
-        raise ResidualTooLarge(f"reconstruction residual {resid:.3e}")
-    return jumps
 
 
 # ---------------------------------------------------------------------------

@@ -8,7 +8,7 @@ backend of the CLI `verify` subcommand.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import List
+from typing import List, Tuple
 
 import numpy as np
 
@@ -21,7 +21,7 @@ from . import ricci as rc
 from . import transport as tp
 from .config import ExperimentConfig
 from .errors import NotPrimitive
-from .semigroup import DbcLindbladian, alicki_decompose, build_from_jumps, evolve
+from .semigroup import DbcLindbladian, JumpTerm, _pair_index, build_from_jumps, evolve
 
 
 @dataclass
@@ -109,6 +109,33 @@ def check_operator_inequalities(d: int, rng: np.random.Generator) -> List[CheckR
 # ---------------------------------------------------------------------------
 
 
+def _mixed_jumps(L: DbcLindbladian) -> Tuple[List[JumpTerm], List[int]]:
+    """A second jump set for L's generator, and the sizes of its mixed groups.
+
+    Within each frequency, one jump of each exact adjoint pair is mixed by a
+    unitary and the self-adjoint jumps by a real orthogonal matrix, drawn
+    from a fixed seed of their own; build_from_jumps adds back the mixed
+    pairs' adjoints. Each term of the generator is V† . V or V . V† in its
+    jump, so the mix leaves it unchanged. A jump of a pair equal only to
+    round-off is kept as it is.
+    """
+    rng = np.random.default_rng(0)
+    groups: dict = {}
+    kept = []
+    for j, k in L.jump_pairs:
+        V, omega = L.jumps[j]
+        if k is not None or _pair_index(L.jumps, j) == j:
+            groups.setdefault((omega, k is None), []).append(V)
+        else:
+            kept.append(L.jumps[j])
+    mixed = []
+    for (omega, real), Vs in groups.items():
+        n = len(Vs)
+        Z = rng.standard_normal((n, n)) + (0.0 if real else 1j * rng.standard_normal((n, n)))
+        mixed += [JumpTerm(W, omega) for W in np.tensordot(np.linalg.qr(Z)[0], np.array(Vs), 1)]
+    return mixed + kept, [len(Vs) for Vs in groups.values()]
+
+
 def check_semigroup(L: DbcLindbladian, rng: np.random.Generator) -> List[CheckResult]:
     out = []
     d = L.d
@@ -144,7 +171,7 @@ def check_semigroup(L: DbcLindbladian, rng: np.random.Generator) -> List[CheckRe
                            lam_min >= -1e-8, -lam_min, 1e-8))
 
     if L.jumps:
-        jumps2 = alicki_decompose(L)
+        jumps2, sizes = _mixed_jumps(L)
         L2 = build_from_jumps(L.sigma, jumps2)
         Xp = _random_pd(rng, d)
         rho = la.random_density(rng, d, floor=0.05)
@@ -153,7 +180,10 @@ def check_semigroup(L: DbcLindbladian, rng: np.random.Generator) -> List[CheckRe
         vals2 = [dh.dirichlet_form_representation(L2, Xp, 1.5),
                  tp.gradient_norm_sq(L2, rho, 1.5, X)]
         resid = max(abs(a - b) / max(abs(a), 1e-300) for a, b in zip(vals1, vals2))
-        out.append(_result("decomposition-independence", resid <= 1e-8, resid, 1e-8))
+        detail = ("every frequency group has one member: the mix is only a phase"
+                  if max(sizes) == 1 else f"jumps mixed in frequency groups of {sizes}")
+        out.append(_result("decomposition-independence",  # and the rebuild added no jump
+                           resid <= 1e-8 and len(L2.jumps) == len(L.jumps), resid, 1e-8, detail))
     else:
         out.append(_skip("decomposition-independence", "no jumps"))
     return out

@@ -23,6 +23,8 @@ transport._PathEnergy.preconditioner factors block by block;
 ratio_of_witness and ricci_rayleigh evaluate an estimate's witness afresh;
 two_point_beckner is the tilted two-point Beckner constant in mpmath;
 product_model is the tensor product of models, built from their jumps;
+alicki_decompose extracts jumps from a generator alone, independently of
+the closed-form jumps semigroup.depolarizing writes down;
 psd_project builds positive semidefinite test inputs.
 """
 
@@ -38,7 +40,8 @@ from qbeckner import linalg as la
 from qbeckner import ricci as rc
 from qbeckner import semigroup as sg
 from qbeckner import transport as tp
-from qbeckner.errors import DomainViolation, GradientCheckFailed, NotPsd, SingularState
+from qbeckner.errors import (DomainViolation, GradientCheckFailed, NotPsd, ResidualTooLarge,
+                             SingularState)
 from qbeckner.kernels import _is_same, stable_powdiff, theta_p_log
 
 
@@ -502,3 +505,142 @@ def psd_project(A, floor=PSD_FLOOR):
         raise NotPsd(f"eigenvalue {np.min(w):.3e} below -{floor:.1e}")
     w = np.maximum(w, 0.0)
     return (V * w) @ V.conj().T
+
+
+# ---------------------------------------------------------------------------
+# Jump extraction from a generator (the inverse of build_from_jumps)
+# ---------------------------------------------------------------------------
+
+
+def _reshuffle(L, d):
+    """Coefficient matrix C[(a,b),(c,e)] of L(X) = sum C E_ab X E_ce†."""
+    L4 = L.reshape(d, d, d, d)
+    return np.transpose(L4, (1, 3, 0, 2)).reshape(d * d, d * d)
+
+
+def _modular_groups(s, d):
+    """Group matrix-unit indices by the modular frequency w(E_ab) = log(s_b/s_a).
+
+    A frequency within MODULAR_EIG_TOL / 2 of zero becomes zero, and one
+    within MODULAR_EIG_TOL / 2 of a group's first frequency joins that
+    group. A jump from a group, labelled with its first frequency nu, then
+    has a modular residual of at most e^(-nu) |w - nu| (1 + |w - nu|) per
+    unit norm, so it and its adjoint pass validate_jump with room left for
+    rounding. Returns a list of (nu, pair_list); the zero group carries
+    nu = 0.0 exactly.
+    """
+    merge = sg.MODULAR_EIG_TOL / 2.0
+    logs = np.log(s)
+    entries = []
+    for a in range(d):
+        for b in range(d):
+            nu = float(logs[b] - logs[a])
+            entries.append((0.0 if abs(nu) <= merge else nu, (a, b)))
+    groups = []
+    for nu, ab in sorted(entries):
+        if groups and abs(groups[-1][0] - nu) <= merge:
+            groups[-1][1].append(ab)
+        else:
+            groups.append((nu, [ab]))
+    return groups
+
+
+def _unit_vector(d, a, b):
+    v = np.zeros(d * d, dtype=complex)
+    v[a * d + b] = 1.0
+    return v
+
+
+def _zero_group_basis(members, d):
+    """Hermitian, trace-free orthonormal basis of the frequency-zero sector.
+
+    Matrix-unit pairs between degenerate levels become (E_ab + E_ba)/sqrt(2)
+    and i(E_ab - E_ba)/sqrt(2); diagonal units are replaced by the d - 1
+    traceless diagonal combinations (the identity direction is dropped, which
+    removes the non-sandwich multiplier part of the generator).
+    """
+    vectors = []
+    offdiag = sorted({tuple(sorted(ab)) for ab in members if ab[0] != ab[1]})
+    for (a, b) in offdiag:
+        e_ab, e_ba = _unit_vector(d, a, b), _unit_vector(d, b, a)
+        vectors.append((e_ab + e_ba) / np.sqrt(2.0))
+        vectors.append(1j * (e_ab - e_ba) / np.sqrt(2.0))
+    diag = sorted(a for (a, b) in members if a == b)
+    for k in range(1, len(diag)):
+        v = np.zeros(d * d, dtype=complex)
+        for a in diag[:k]:
+            v[a * d + a] = 1.0
+        v[diag[k] * d + diag[k]] = -float(k)
+        vectors.append(v / np.linalg.norm(v))
+    return vectors
+
+
+def alicki_decompose(L):
+    """Extract trace-free modular-eigenvector jumps reproducing L.generator,
+    after checking it for detailed balance; L's own jumps are not read.
+
+    Works in the eigenbasis of sigma, L.sigma_eig: the matrix-unit basis is
+    grouped by modular frequency, the within-group sandwich-coefficient block
+    of the generator is projected to its PSD part, and weighted eigenvectors
+    are emitted as jump operators, each V next to its V† (none at d = 1). The
+    jump set is not unique; only reconstruction is guaranteed.
+    """
+    (s, U), d, generator = L.sigma_eig, L.d, L.generator
+    scale = max(la.frob(generator), 1e-300)
+    sg.validate_dbc(L, tol=sg.DECOMPOSE_TOL)
+
+    basis_change = la.sandwich_super(U.conj().T, U)       # X -> U† X U
+    basis_back = la.sandwich_super(U, U.conj().T)
+    Lt = basis_change @ generator @ basis_back
+    C = _reshuffle(Lt, d)
+
+    groups = _modular_groups(s, d)
+
+    jumps = []
+    discarded = 0.0
+    for nu, members in groups:
+        if nu < 0.0:
+            continue  # handled with its positive partner
+        if nu == 0.0:
+            vectors = _zero_group_basis(members, d)
+            if not vectors:
+                continue
+            Q = np.column_stack(vectors)
+            block = Q.conj().T @ C @ Q
+            block = 0.5 * (block + block.conj().T)
+            # DBC makes this block real symmetric in the Hermitian basis
+            block = 0.5 * (block + block.T).real
+            target = 0.5 * block
+        else:
+            # not averaged with the adjoint block, e^-nu times this one: e^nu
+            # is off by eps |sigma| / s_min relative when sigma is rotated
+            Qp = np.column_stack([_unit_vector(d, a, b) for (a, b) in members])
+            block = Qp.conj().T @ C @ Qp
+            block = 0.5 * (block + block.conj().T)
+            target = 0.5 * np.exp(-nu / 2.0) * block
+            Q = Qp
+        w, W = np.linalg.eigh(target)
+        neg = w[w < 0.0]
+        discarded += float(np.sum(-neg))
+        for k in range(len(w)):
+            if w[k] <= 1e-14 * scale:
+                continue
+            full = Q @ (np.sqrt(w[k]) * W[:, k])
+            V = full.reshape(d, d)  # row-major: entry (a, b) multiplies E_ab
+            V = U @ V @ U.conj().T
+            if nu == 0.0:
+                jumps.append(sg.JumpTerm(la.herm(V), 0.0))
+            else:
+                jumps.append(sg.JumpTerm(V, float(nu)))
+                jumps.append(sg.JumpTerm(V.conj().T, float(-nu)))
+    if not discarded <= sg.DECOMPOSE_TOL * scale:
+        raise ResidualTooLarge(
+            f"PSD projection discarded weight {discarded:.3e} "
+            "(coherent part is incompatible with detailed balance)"
+        )
+
+    rebuilt = sg.generator_from_jumps(jumps, d)
+    resid = la.frob(rebuilt - generator) / scale
+    if not resid <= sg.DECOMPOSE_TOL:
+        raise ResidualTooLarge(f"reconstruction residual {resid:.3e}")
+    return jumps

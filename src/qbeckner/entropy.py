@@ -3,9 +3,9 @@
 The sigma-weighted p-norm is ||X||_{p,sigma} = tr(|sigma^(1/2p) X sigma^(1/2p)|^p)^(1/p);
 everything else in this module is built on top of it and on the powers and
 the logarithm of sigma. Each public function decomposes sigma once
-(linalg.full_rank_eigh, or _support_restrict for the divergences) and reads
-every function of sigma off those eigenpairs. Every scalar evaluator returns
-a plain float. A divergence is +inf when rho leaves the support of sigma.
+(linalg.full_rank_eigh, which raises SingularState for a sigma that is not
+faithful) and reads every function of sigma off those eigenpairs. Every
+scalar evaluator returns a plain float.
 F_p, chi^2, the Umegaki entropy, the sandwiched entropy at p > 1, the
 entropy functional and the q-variance clamp a round-off value in
 [-1e-10, 0) to 0. `umegaki` is the Umegaki relative entropy;
@@ -23,7 +23,6 @@ from . import linalg as la
 from .errors import ZeroExponent
 from .kernels import kappa_alpha
 
-SUPPORT_TOL = 1e-12
 P_ONE_BRANCH = 1e-4  # |p-1| below this uses the analytic p -> 1 limits
 
 Eig = Tuple[np.ndarray, np.ndarray]  # sigma's eigenvalues w and eigenvectors U
@@ -101,29 +100,9 @@ def entropy_functional(X: np.ndarray, sigma: np.ndarray, p: float) -> float:
     return _clamp(ent)
 
 
-def _support_restrict(rho: np.ndarray, sigma: np.ndarray):
-    """Both states on the support of sigma, with sigma's eigenpairs there:
-    (rho, sigma, eig), or None if rho leaks out. Where sigma is singular the
-    restriction is written in sigma's eigenbasis, so sigma there is diagonal
-    and its eigenvectors are the identity."""
-    w, U = la.herm_eigh(sigma)
-    keep = w > SUPPORT_TOL
-    if np.all(keep):
-        return rho, sigma, (w, U)
-    P = U[:, keep]
-    leak = la.frob(rho - P @ (P.conj().T @ rho @ P) @ P.conj().T)
-    if leak > 1e-10:
-        return None
-    w = w[keep]
-    return P.conj().T @ rho @ P, np.diag(w), (w, np.eye(w.size))
-
-
 def umegaki(rho: np.ndarray, sigma: np.ndarray) -> float:
-    """tr(rho log rho - rho log sigma), +inf on support violation."""
-    restricted = _support_restrict(rho, sigma)
-    if restricted is None:
-        return np.inf
-    rho, _, (w, U) = restricted
+    """tr(rho log rho - rho log sigma)."""
+    w, U = la.full_rank_eigh(sigma)
     r, _ = la.herm_eigh(rho)
     r = np.maximum(r, 0.0)
     pos = r > 0.0
@@ -135,20 +114,17 @@ def relative_entropies(rho: np.ndarray, sigma: np.ndarray, kind: str,
                        p: float | None = None) -> float:
     """Sandwiched Renyi entropy of order p (p = inf is the max entropy), or
     max-relative entropy."""
-    restricted = _support_restrict(rho, sigma)
-    if restricted is None:
-        return np.inf
-    rho_r, _, eig = restricted
+    eig = la.full_rank_eigh(sigma)
     if kind == "sandwiched":
         if p is None or p <= 0 or p == 1.0:
             raise ValueError("sandwiched entropy needs p in (0,1) or (1,inf)")
         if not np.isinf(p):
             phat = p / (p - 1.0)
-            val = phat * np.log(_norm(_density(rho_r, eig), eig, p))
+            val = phat * np.log(_norm(_density(rho, eig), eig, p))
             return _clamp(val) if p > 1 else val
     elif kind != "max":
         raise ValueError(f"unknown relative entropy kind {kind!r}")
-    rel = _density(rho_r, eig)
+    rel = _density(rho, eig)
     return float(np.log(np.max(np.linalg.eigvalsh(la.herm(rel)))))
 
 
@@ -160,11 +136,8 @@ def p_divergence(rho: np.ndarray, sigma: np.ndarray, p: float) -> float:
     """
     if abs(p - 1.0) < P_ONE_BRANCH:
         return umegaki(rho, sigma)
-    restricted = _support_restrict(rho, sigma)
-    if restricted is None:
-        return np.inf
-    rho_r, _, eig = restricted
-    norm = _norm(_density(rho_r, eig), eig, p)
+    eig = la.full_rank_eigh(sigma)
+    norm = _norm(_density(rho, eig), eig, p)
     return _clamp((norm**p - 1.0) / (p * (p - 1.0)))
 
 
@@ -179,11 +152,8 @@ def q_variance(Y: np.ndarray, sigma: np.ndarray, q: float) -> float:
 def chi2_power_difference(rho: np.ndarray, sigma: np.ndarray, p: float) -> float:
     """Quadratic divergence <rho - sigma, R_sigma^{-1} kappa(Delta)(rho - sigma)>
     with kappa the power-difference kernel of exponent 1/p."""
-    restricted = _support_restrict(rho, sigma)
-    if restricted is None:
-        return np.inf
-    rho_r, sigma_r, (w, U) = restricted
-    D = U.conj().T @ (rho_r - sigma_r) @ U
+    w, U = la.full_rank_eigh(sigma)
+    D = U.conj().T @ (rho - sigma) @ U
     weights = kappa_alpha(1.0 / p, w[:, None] / w[None, :]) / w[None, :]
     return _clamp(float(np.real(np.sum(weights * np.abs(D) ** 2))))
 

@@ -673,7 +673,8 @@ def trace_distance_prefactor(L: DbcLindbladian, p: float) -> float:
     Built from the integral lower bound on the inverse multiplication kernel;
     the normalization constant sin((p-1)pi)/pi * int s^(p-2) 2/(1+2s) ds has
     the closed form 2^(2-p). Uniformly bounded over p in (1, 2], and
-    ValueError for any other p.
+    ValueError for any other p. C sums the squared operator norms of L.jumps:
+    a function of the jump set, not of the generator alone.
     """
     p = _metric_p(p)
     L.require_jumps()
@@ -734,13 +735,11 @@ def _geodesic_rhs(L: DbcLindbladian, rho: np.ndarray, U: np.ndarray, p: float):
 
 def geodesic_shoot(L: DbcLindbladian, rho0: np.ndarray, U0: np.ndarray,
                    p: float, T: float, steps: int) -> List[GeodesicState]:
-    """Integrate the constant-speed geodesic equations from (rho0, U0).
-
-    Classical fourth-order one-step integration on a fixed grid of steps
-    steps over T > 0 (ValueError otherwise). A step whose end state dips
-    below the eigenvalue floor FLOOR is halved and retried, and after each
-    accepted step the step doubles again, up to the grid's; a step that
-    would need more than 20 halvings raises LeftPositiveCone.
+    """Integrate the constant-speed geodesic equations from (rho0, U0):
+    classical fourth-order one-step integration, steps steps of length
+    T / steps over T > 0 (ValueError otherwise). A step with a stage outside
+    the positive cone, or that ends below the eigenvalue floor FLOOR, raises
+    LeftPositiveCone naming the step and the lowest eigenvalue.
     """
     if not (T > 0.0 and steps >= 1):
         raise ValueError(f"geodesic_shoot needs T > 0 and steps >= 1, "
@@ -751,25 +750,19 @@ def geodesic_shoot(L: DbcLindbladian, rho0: np.ndarray, U0: np.ndarray,
     rho = la.herm(rho0)
     U = la.herm(U0)
     out = [GeodesicState(rho, U)]
-    dt_macro = T / steps
-    for _ in range(steps):
-        remaining = dt_macro
-        halvings = 0  # dt = dt_macro / 2^halvings
-        while remaining > 1e-15 * dt_macro:
-            dt = min(dt_macro / 2.0 ** halvings, remaining)
-            try:
-                rho_new, U_new = _rk4(L, rho, U, p, dt)
-                if np.linalg.eigvalsh(rho_new)[0] < FLOOR:
-                    raise SingularState("below floor")
-            except SingularState:
-                halvings += 1
-                if halvings > 20:
-                    raise LeftPositiveCone(
-                        "geodesic left the positive cone after 20 halvings")
-                continue
-            rho, U = rho_new, U_new
-            remaining -= dt
-            halvings = max(halvings - 1, 0)
+    dt = T / steps
+    for step in range(1, steps + 1):
+        try:
+            rho, U = _rk4(L, rho, U, p, dt)
+        except SingularState:  # rho is still the step's start
+            raise LeftPositiveCone(
+                f"geodesic left the positive cone in step {step} of {steps}: an RK4 stage from "
+                f"lowest eigenvalue {np.linalg.eigvalsh(rho)[0]:.3e} is not full rank") from None
+        lam = np.linalg.eigvalsh(rho)[0]
+        if lam < FLOOR:
+            raise LeftPositiveCone(
+                f"geodesic left the positive cone in step {step} of {steps}: lowest "
+                f"eigenvalue {lam:.3e} below FLOOR = {FLOOR:.0e}")
         out.append(GeodesicState(rho, U))
     return out
 

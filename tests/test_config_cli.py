@@ -90,15 +90,13 @@ class TestConfig:
         # it only drops the dual-Beckner rows
         assert cf.config_from_dict({"q_grid": []}).q_grid == []
 
-    def test_ledger_tolerances_not_configurable(self):
+    def test_tolerances_not_configurable(self):
         # the bound ledger's tolerances are pinned (constants.HARD_TOL and
-        # SOFT_TOL); only the transport discretization tolerance is read
-        assert set(cf.DEFAULT_TOLERANCES) == {"w_discretization"}
-        for key in ("hard", "soft"):
-            with pytest.raises(ConfigError, match="unknown tolerances"):
-                cf.config_from_dict({"tolerances": {key: 1e-2}})
-        cfg = cf.config_from_dict({"tolerances": {"w_discretization": 0.05}})
-        assert cfg.tolerances == {"w_discretization": 0.05}
+        # SOFT_TOL) and so is ricci's allowance (cli.W_DISCRETIZATION): the
+        # config has no tolerances object
+        for tolerances in ({"w_discretization": 0.05}, {"hard": 1e-2}, {}):
+            with pytest.raises(ConfigError, match=r"unknown config keys: \['tolerances'\]"):
+                cf.config_from_dict({"tolerances": tolerances})
 
     def test_malformed_json(self):
         with pytest.raises(ConfigError, match="line"):
@@ -110,8 +108,10 @@ class TestConfig:
             cf.build_sigma(cfg)
 
     # sigma is not renormalized, so a trace off 1 by more than round-off
-    # made at d = 1 a generator that is not DBC, and every task failed
-    @pytest.mark.parametrize("eigenvalues", [[0.99999999999], [0.5, 0.49999999999]])
+    # made at d = 1 a generator that is not DBC, and every task failed. One
+    # eigenvalue is summed with no round-off, so at d = 1 even 1 - 2^-53 is off
+    @pytest.mark.parametrize("eigenvalues", [[0.99999999999], [0.5, 0.49999999999],
+                                             [0.9999999999999999]])
     def test_sigma_trace_is_one_to_round_off(self, eigenvalues):
         cfg = cf.ExperimentConfig(dimension=len(eigenvalues), sigma={"eigenvalues": eigenvalues})
         with pytest.raises(ConfigError, match=r"sum to 1 to round-off \(sum 0\.99999"):
@@ -266,15 +266,14 @@ class TestMain:
         ("transport", {"transport_tol": float("inf")}),
         ("decay", {"generator": {"kind": "jumps", "list": [
             {"V": [[[0, 0], [1, 0]], [[0, 0], [0, 0]]], "omega": float("nan")}]}}),
-        ("ricci", {"tolerances": {"w_discretization": float("nan")}}),
         ("decay", {"sigma": {"eigenvalues": [0.75, 0.25],
                              "basis": [[[float("nan"), 0], [0, 0]], [[0, 0], [1, 0]]]}}),
-        ("ricci", {"tolerances": {"w_discretization": -0.1}}),
         ("decay", {"seeds": {"master": "abc", "starts": 0}}),
         ("decay", {"sigma": {"eigenvalues": "ab"}}),
         ("decay", {"dimension": 2, "generator": {"kind": "random_dbc", "pairs": "x"}}),
         ("decay", {"sigma": {"eigenvalues": [0.75, 0.25], "basis": "ab"}}),
         ("decay", {"sigma": {"eigenvalues": [0.5, 0.6]}}),
+        ("decay", {"dimension": 1, "sigma": {"eigenvalues": [0.9999999999999999]}}),
         ("decay", {"generator": {"kind": "nope"}}),
         ("decay", {"dimension": 3}),
         ("decay", {"generator": {"kind": "jumps", "list": [{"V": [[[1, 0]]], "omega": 0.0}]}}),
@@ -312,9 +311,6 @@ class TestMain:
         {"transport_tol": "1e-7"},
         {"sigma": [0.75, 0.25]},
         {"generator": "depolarizing"},
-        {"tolerances": None},
-        {"tolerances": {"w_discretization": "x"}},
-        {"tolerances": {"w_discretization": None}},
         {"tasks": "constants"},
     ])
     def test_wrong_type_exit_code(self, tmp_path, capsys, entry):

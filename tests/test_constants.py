@@ -564,6 +564,15 @@ class TestTwoPointReference:
             bound = oracles.two_point_beckner(0.75, p)
             assert 0.0 <= value / bound - 1.0 <= 1e-8, (p, value, bound)
 
+    def test_product_poincare_is_smaller_factor_gap(self, depol_product):
+        # the spectrum of a product generator is the sums of its factors',
+        # so its gap is the least factor gap: A's 1, against B's 1.3 and
+        # C's 1.1 (sigma = (0.7, 0.3)); 4.4e-16 off at d = 4, 1.7e-15 at d = 8
+        A, B, AB = depol_product
+        C = sg.depolarizing(np.diag([0.7, 0.3]), 1.1)
+        for L in (AB, oracles.product_model((A, B, C))):
+            assert ct.estimate_constant(L, "poincare").value == pytest.approx(1.0, abs=1e-12)
+
 
 @pytest.fixture(scope="module")
 def estimates(depol2):

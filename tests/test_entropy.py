@@ -126,12 +126,15 @@ class TestRelativeEntropies:
             psi = la.random_pure(rng, 3)
             assert ent.relative_entropies(psi, sigma, "sandwiched", p) <= target + 1e-9
 
-    def test_support_violation_is_infinite(self):
+    def test_support_violation_raises(self):
+        # sigma is not faithful, and rho leaves its support
         rho = np.diag([0.5, 0.5]).astype(complex)
         sigma = np.diag([1.0, 0.0]).astype(complex)
-        assert ent.umegaki(rho, sigma) == np.inf
+        with pytest.raises(SingularState):
+            ent.umegaki(rho, sigma)
         for kind, p in (("sandwiched", 1.5), ("max", None)):
-            assert ent.relative_entropies(rho, sigma, kind, p) == np.inf
+            with pytest.raises(SingularState):
+                ent.relative_entropies(rho, sigma, kind, p)
 
     def test_max_entropy_dominates(self, rng):
         sigma = la.random_density(rng, 3, floor=0.05)
@@ -289,20 +292,20 @@ def _embed(M, Q):
     return la.herm(Q @ E @ Q.conj().T)
 
 
-class TestSupportRestriction:
-    """A singular sigma whose support holds rho: the divergences of the
-    embedded pair are those of the pair on the support. The zero eigenvalue
-    is rotated, so sigma is not diagonal and its kernel lies in no
-    coordinate axis."""
+class TestNonFaithfulSigma:
+    """A singular sigma whose support holds rho: every divergence reads sigma
+    through linalg.full_rank_eigh and raises SingularState, also where rho
+    does not leave the support. The zero eigenvalue is rotated, so sigma is
+    not diagonal and its kernel lies in no coordinate axis."""
 
     @pytest.fixture
-    def pairs(self, rng):
+    def pair(self, rng):
         rho2 = la.random_density(rng, 2, floor=0.02)
         sigma2 = la.random_density(rng, 2, floor=0.05)
         Q, _ = np.linalg.qr(rng.standard_normal((3, 3)) + 1j * rng.standard_normal((3, 3)))
         rho3, sigma3 = _embed(rho2, Q), _embed(sigma2, Q)
-        assert np.min(np.abs(np.linalg.eigvalsh(sigma3))) <= ent.SUPPORT_TOL
-        return (rho2, sigma2), (rho3, sigma3)
+        assert np.min(np.abs(np.linalg.eigvalsh(sigma3))) < la.FULL_RANK_FLOOR
+        return rho3, sigma3
 
     @pytest.mark.parametrize("value", [
         pytest.param(lambda r, s: ent.p_divergence(r, s, 1.05), id="p_divergence[1.05]"),
@@ -314,11 +317,9 @@ class TestSupportRestriction:
         pytest.param(lambda r, s: ent.relative_entropies(r, s, "max"), id="max"),
         pytest.param(lambda r, s: ent.chi2_power_difference(r, s, 1.5), id="chi2[1.5]"),
     ])
-    def test_restricted_value_matches_support_pair(self, pairs, value):
-        (rho2, sigma2), (rho3, sigma3) = pairs
-        ref = value(rho2, sigma2)
-        assert np.isfinite(ref) and ref != 0.0
-        assert value(rho3, sigma3) == pytest.approx(ref, rel=1e-11, abs=0.0)
+    def test_singular_sigma_raises(self, pair, value):
+        with pytest.raises(SingularState, match="minimum eigenvalue"):
+            value(*pair)
 
 
 class TestOneDecomposition:

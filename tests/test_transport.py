@@ -357,6 +357,24 @@ class TestW2Solver:
             C = tp.trace_distance_prefactor(dbc2, p)
             assert la.trace_norm(r1 - r0) <= C * dist * (1 + 1e-9)
 
+    def test_prefactor_depends_on_the_jumps(self, rng):
+        # classical_embed's generator rebuilt from Alicki's jumps is the same
+        # generator, with the same distances, but C sums the jumps' operator
+        # norms: sqrt(5) for the closed-form jumps, sqrt(3) for Alicki's
+        L = _fixture_model("classical_embed")
+        M = sg.build_from_jumps(L.sigma, oracles.alicki_decompose(L))
+        assert la.frob(L.generator - M.generator) <= 1e-15
+        r0 = la.random_density(rng, 2, floor=0.05)
+        r1 = la.random_density(rng, 2, floor=0.05)
+        for p in (1.05, 1.5, 2.0):
+            dL, _ = tp.w2p_solve(L, r0, r1, p, tp.W2Opts(N=10))
+            dM, _ = tp.w2p_solve(M, r0, r1, p, tp.W2Opts(N=10))
+            assert dM == pytest.approx(dL, rel=1e-12, abs=0.0)
+            CL, CM = tp.trace_distance_prefactor(L, p), tp.trace_distance_prefactor(M, p)
+            assert (CL, CM) == pytest.approx((np.sqrt(5.0), np.sqrt(3.0)), rel=1e-12)
+            for C in (CL, CM):
+                assert la.trace_norm(r1 - r0) <= C * dL * (1 + 1e-9)
+
     @pytest.mark.parametrize("p", [0.5, 1.0, 2.5, 3.0])
     def test_prefactor_rejects_p_outside_metric_range(self, dbc2, p):
         # the range of the metric kernel, with its error
@@ -981,51 +999,42 @@ class TestGeodesics:
         with pytest.raises(ValueError, match="T > 0 and steps >= 1"):
             tp.geodesic_shoot(depol3, depol3.sigma, U, 1.5, T=T, steps=steps)
 
-    @staticmethod
-    def _counted_rk4(monkeypatch):
-        """The number of RK4 steps geodesic_shoot tries, as a one-entry list."""
-        calls, rk4 = [0], tp._rk4
+    # lam_min = 1e-8, a hundred times FLOOR, grows along U, but on a coarse
+    # grid an inner RK4 stage of the first step leaves the cone
+    NEAR_FLOOR = (np.diag([0.6, 0.4 - 1e-8, 1e-8]).astype(complex),
+                  np.diag([0.0, -1.0, 1.0]).astype(complex))
 
-        def counted(*args):
-            calls[0] += 1
-            return rk4(*args)
+    @pytest.mark.parametrize("steps", [1, 64])
+    def test_coarse_grid_leaves_the_cone(self, depol3, steps):
+        rho, U = self.NEAR_FLOOR
+        with pytest.raises(LeftPositiveCone, match=rf"in step 1 of {steps}: .* lowest "
+                                                   r"eigenvalue 1\.000e-08"):
+            tp.geodesic_shoot(depol3, rho, U, 1.5, T=1.0, steps=steps)
 
-        monkeypatch.setattr(tp, "_rk4", counted)
-        return calls
-
-    def test_step_halving_near_floor(self, monkeypatch, depol3):
-        # lam_min = 1e-8, a hundred times FLOOR, grows along U, but an inner
-        # stage of the full RK4 step of 0.01 leaves the cone (as does one of
-        # its half): the step is halved, and the shot ends inside the cone
-        calls = self._counted_rk4(monkeypatch)
-        rho = np.diag([0.6, 0.4 - 1e-8, 1e-8]).astype(complex)
-        U = np.diag([0.0, -1.0, 1.0]).astype(complex)
-        traj = tp.geodesic_shoot(depol3, rho, U, 1.5, T=0.01, steps=1)
-        assert calls[0] > 2  # the failed step and at least two halves
-        assert np.min(np.linalg.eigvalsh(traj[-1].rho)) > tp.FLOOR
-
-    def test_step_regrows_after_halving(self, monkeypatch, depol3):
-        # the same start shot for T = 1 in one step: the early steps need 9
-        # halvings, and once lam_min has grown the step doubles back toward
-        # the grid's, where it had stayed at 2^-9 for the rest of the step
-        # (521 RK4 steps; 74 with 64 grid steps)
-        calls = self._counted_rk4(monkeypatch)
-        rho = np.diag([0.6, 0.4 - 1e-8, 1e-8]).astype(complex)
-        U = np.diag([0.0, -1.0, 1.0]).astype(complex)
-        traj = tp.geodesic_shoot(depol3, rho, U, 1.5, T=1.0, steps=1)
-        assert calls[0] <= 100
+    def test_fine_grid_stays_in_the_cone(self, depol3):
+        # the same start on the caller's grid of 512 steps
+        rho, U = self.NEAR_FLOOR
+        traj = tp.geodesic_shoot(depol3, rho, U, 1.5, T=1.0, steps=512)
+        assert len(traj) == 513
         assert np.min(np.linalg.eigvalsh(traj[-1].rho)) > tp.FLOOR
         # the RK4 steps keep the states Hermitian bit for bit
         for state in traj:
             assert np.array_equal(state.rho, la.herm(state.rho))
             assert np.array_equal(state.U, la.herm(state.U))
 
-    def test_leaving_the_cone_raises(self, monkeypatch, depol3):
-        # along U the smallest eigenvalue, 1e-6, falls to 0 within the step:
-        # 20 halvings do not keep the step inside the cone
-        calls = self._counted_rk4(monkeypatch)
+    def test_leaving_the_cone_raises(self, depol3):
+        # along U the smallest eigenvalue, 1e-6, falls to 0 within the step
         rho = np.diag([0.6, 0.4 - 1e-6, 1e-6]).astype(complex)
         U = np.diag([0.0, 1.0, -1.0]).astype(complex)
-        with pytest.raises(LeftPositiveCone, match="20 halvings"):
+        with pytest.raises(LeftPositiveCone, match=r"in step 1 of 1: .* 1\.000e-06"):
             tp.geodesic_shoot(depol3, rho, U, 1.5, T=1e-3, steps=1)
-        assert calls[0] >= 21
+
+    def test_ending_below_the_floor_raises(self, monkeypatch, depol3):
+        # a step whose stages stay in the cone but whose end state does not:
+        # here an RK4 step that lands on the boundary
+        edge = np.diag([0.5, 0.5, 0.0]).astype(complex)
+        monkeypatch.setattr(tp, "_rk4", lambda L, rho, U, p, dt: (edge, U))
+        U = np.diag([0.0, 1.0, -1.0]).astype(complex)
+        with pytest.raises(LeftPositiveCone, match=r"in step 1 of 4: lowest eigenvalue "
+                                                   r"0\.000e\+00 below FLOOR = 1e-10"):
+            tp.geodesic_shoot(depol3, depol3.sigma, U, 1.5, T=0.1, steps=4)

@@ -21,7 +21,7 @@ from .errors import (
     NotSymmetric,
     OptimizerDiverged,
 )
-from .kernels import _is_same
+from .kernels import SAME_TOL
 from .linalg import minimize
 from .semigroup import DbcLindbladian
 
@@ -71,7 +71,7 @@ class ConstantEstimate:
 
 def _tr(A: np.ndarray, B: np.ndarray) -> np.ndarray:
     """Re tr(A B), matrix by matrix over leading axes."""
-    return np.real(np.einsum("...ij,...ji->...", A, B))
+    return np.einsum("...ij,...ji->...", A, B).real
 
 
 KINDS = ("beckner", "mlsi", "lsi", "dual_beckner")
@@ -102,19 +102,20 @@ def _ratio_and_grad(L: DbcLindbladian, specs: Sequence[Spec]) -> Callable:
     giving (R,) and (R, d, d); a single matrix is a stack of one, and rows
     defaults to spec 0 throughout. specs come in KINDS order and the rows of
     each call in spec order, else ValueError, so that each kind and each
-    spec is one contiguous slice of the stack. One kind-sliced pass serves
-    every row: one batched eigendecomposition of A = sigma^(1/2r) X
-    sigma^(1/2r) (r = p, q, 1 for mlsi, 2 for lsi), one L(X) and one
-    dual-generator product; each kind's tail runs on its contiguous slice
-    of rows, and a block whose kinds have no rows is not formed. Each power
-    a^e takes its exponent as a scalar, once per spec, so that a row's value
-    and gradient do not depend on the rows beside it. Gradients of trace
-    functions tr f(A) are first order, f'(A); the Dirichlet forms
-    tr(f(A) B) of beckner and mlsi, with B the sandwiched L(X), add the
-    Daleckii-Krein term D f(A)[B] (Bhatia, Matrix Analysis, ch. V), from
-    divided differences of the f(a) at hand, and the dual generator applied
-    to the sandwiched f(A). On the near-identity ridge, where the
-    denominator is at most RIDGE_FLOOR, the evaluator returns (BIG, 0).
+    spec is one contiguous slice of the stack. One pass serves every row:
+    one batched eigendecomposition of A = sigma^(1/2r) X sigma^(1/2r)
+    (r = p, q, 1 for mlsi, 2 for lsi), one L(X) and one dual-generator
+    product; the Dirichlet forms of beckner and mlsi, E_2 of lsi and
+    dual_beckner, tr(A f(A)) and the numerators' scales are each formed once
+    over the rows that share them, and a block without rows is not formed.
+    Each power a^e takes its exponent as a scalar, once per spec, so that a
+    row's value and gradient do not depend on the rows beside it. Gradients
+    of trace functions tr f(A) are first order, f'(A); the forms tr(f(A) B),
+    with B the sandwiched L(X), add the Daleckii-Krein term D f(A)[B]
+    (Bhatia, Matrix Analysis, ch. V), from divided differences of the f(a)
+    at hand, and the dual generator applied to the sandwiched f(A). On the
+    near-identity ridge, where the denominator is at most RIDGE_FLOOR, the
+    evaluator returns (BIG, 0).
     """
     log_sigma = L.sigma_log
     dag = la.dagger
@@ -124,47 +125,35 @@ def _ratio_and_grad(L: DbcLindbladian, specs: Sequence[Spec]) -> Callable:
     kinds = [KINDS.index(kind) for kind, _ in specs]
     if kinds != sorted(kinds):
         raise ValueError(f"specs not in KINDS order: {list(specs)}")
-    cuts = np.searchsorted(kinds, np.arange(len(KINDS) + 1)).tolist()  # where each kind begins
+    cuts = np.searchsorted(kinds, np.arange(1, len(KINDS))).tolist()  # where kinds 1-3 begin
     sandwiches = np.array([half if kind == "mlsi" else quarter if kind == "lsi"
                            else L.sigma_power(1.0 / (2.0 * float(r))) for kind, r in specs])
     param = np.array([np.nan if r is None else float(r) for _, r in specs])
+    num_scale = np.array([-r * r / 4.0 if kind == "beckner" else -0.25 if kind == "mlsi" else
+                          1.0 if kind == "lsi" else 2.0 - r for (kind, _), r in zip(specs, param)])
     # f(a) on the spectrum of A is a^e, e = r - 1, for the power kinds, and
     # log a else; the forms take f' at ties, e a^(e - 1) or 1 / a
     exps = [float(r) - 1.0 if kind in POWER_KINDS else None for kind, r in specs]
 
     def evaluate(X: np.ndarray, rows=None):
         single = np.ndim(X) == 2
-        X = np.reshape(X, (-1, L.d, L.d))
+        X = np.asarray(X).reshape(-1, L.d, L.d)
         rows = np.zeros(len(X), dtype=int) if rows is None else np.asarray(rows)
         if (rows[1:] < rows[:-1]).any():
             raise ValueError("rows not in spec order")
-        ends = [0] + np.cumsum(np.bincount(rows, minlength=len(specs))).tolist()
-        live = [(k, slice(i, j)) for k, (i, j) in enumerate(zip(ends, ends[1:])) if i < j]
-        beck, mlsi, lsi, dual = (slice(ends[i], ends[j]) for i, j in zip(cuts, cuts[1:]))
-        nf = mlsi.stop  # the rows of the forms tr(f(A) B), beckner then mlsi; E_2 after
+        ends = rows.searchsorted(np.arange(len(specs) + 1)).tolist()  # each spec's first row
+        live = [(k, i, j) for k, (i, j) in enumerate(zip(ends, ends[1:])) if i < j]
+        # rows [:nf]: forms tr(f(A) B), mlsi from m0; [nf:]: E_2, dual_beckner from d0
+        n, (m0, nf, d0) = len(X), (ends[c] for c in cuts)
         S = sandwiches[rows]
         a, V = la.herm_eigh(S @ X @ S, check=False)
         f = np.empty_like(a)
-        logs = slice(mlsi.start, lsi.stop)
-        a[logs] = np.maximum(a[logs], 1e-300)
-        f[logs] = np.log(a[logs])
-        for k, at in live:
+        f[m0:d0] = np.log(np.maximum(a[m0:d0], 1e-300, out=a[m0:d0]))
+        for k, i, j in live:
             if exps[k] is not None:
-                a[at] = np.abs(a[at])
-                f[at] = a[at] ** exps[k]
-        if nf:
-            # the forms' divided differences (f_i - f_j) / (a_i - a_j) from the
-            # f(a) at hand, f' at the mean where a_i, a_j agree to SAME_TOL
-            x, y = a[:nf, :, None], a[:nf, None, :]
-            same = _is_same(x, y)
-            dfm = 0.5 * (x + y)
-            for k, at in live:
-                if k < cuts[2]:
-                    e = exps[k]
-                    dfm[at] = 1.0 / dfm[at] if e is None else e * dfm[at] ** (e - 1.0)
-            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
-                far = (f[:nf, :, None] - f[:nf, None, :]) / np.where(same, 1.0, x - y)
-            DF = np.where(same, dfm, far)
+                f[i:j] = np.abs(a[i:j], out=a[i:j]) ** exps[k]
+        fa = f * a
+        tr_af = fa.sum(axis=1)  # tr(A f(A)), for all kinds but lsi
         T = S @ V
         Th = dag(T)
         LX = L.apply(X)
@@ -173,62 +162,66 @@ def _ratio_and_grad(L: DbcLindbladian, specs: Sequence[Spec]) -> Callable:
         # mlsi) in the forms tr(f(A) B), the sandwiched X in E_2
         M = np.empty(X.shape, complex)
         M[:nf] = F[:nf]
-        M[mlsi] -= sls
-        if nf < len(X):
-            H = half @ X[nf:] @ half
-            M[nf:] = H
+        M[m0:nf] -= sls
+        if nf < n:
+            M[nf:] = H = half @ X[nf:] @ half
         LM = L.apply_dual(M)
-        num, den = np.empty(len(X)), np.empty(len(X))
+        num, den, c = np.empty(n), np.empty(n), num_scale[rows]
         g_num, g_den = np.empty(X.shape, complex), np.empty(X.shape, complex)
         if nf:
+            # the forms' divided differences (f_i - f_j) / (a_i - a_j) from the f(a)
+            # at hand, f' at the mean where a_i, a_j agree to SAME_TOL (_is_same, a >= 0)
+            x, y = a[:nf, :, None], a[:nf, None, :]
+            diff = x - y
+            same = np.abs(diff) <= SAME_TOL * np.maximum(x, y)
+            dfm = 0.5 * (x + y)
+            for k, i, j in live:
+                if i < nf:
+                    e = exps[k]
+                    dfm[i:j] = 1.0 / dfm[i:j] if e is None else e * dfm[i:j] ** (e - 1.0)
+            with np.errstate(divide="ignore", invalid="ignore", over="ignore"):
+                DF = np.divide(f[:nf, :, None] - f[:nf, None, :], diff, out=dfm, where=~same)
             Tf, Thf = T[:nf], Th[:nf]
             Bt = Thf @ LX[:nf] @ Tf
-            diag = np.real(np.diagonal(Bt, axis1=1, axis2=2))
-            g_num[:nf] = Tf @ (DF * Bt) @ Thf + LM[:nf]
-        if nf < len(X):
+            # with W = log A - log sigma for mlsi: tr(S L(X) S W) and tr(A W)
+            num[:nf] = (f[:nf] * Bt.diagonal(0, 1, 2).real).sum(axis=1)
+            num[m0:nf] -= _tr(LX[m0:nf], sls)
+            num[:nf] *= c[:nf]
+            g_num[:nf] = (Tf @ (DF * Bt) @ Thf + LM[:nf]) * c[:nf, None, None]
+            den[:m0] = tr_af[:m0] - 1.0
+            g_den[:m0] = param[rows[:m0], None, None] * F[:m0]
+            if m0 < nf:
+                N = a[m0:nf].sum(axis=1)
+                logN = np.log(N)
+                den[m0:nf] = tr_af[m0:nf] - _tr(X[m0:nf], sls) - N * logN
+                g_den[m0:nf] = M[m0:nf] - logN[:, None, None] * L.sigma
+        if nf < n:
             # E_2(X) = -tr(sigma^(1/2) X sigma^(1/2) L(X)), a bilinear form
-            num[nf:] = -_tr(H, LX[nf:])
+            num[nf:] = -_tr(H, LX[nf:]) * c[nf:]
             g_num[nf:] = -(half @ LX[nf:] @ half + LM[nf:])
-        if beck.start < beck.stop:
-            p, ap = param[rows[beck]], f[beck]
-            c = -p * p / 4.0
-            num[beck] = c * (ap * diag[beck]).sum(axis=1)
-            g_num[beck] *= c[:, None, None]
-            den[beck] = (ap * a[beck]).sum(axis=1) - 1.0
-            g_den[beck] = p[:, None, None] * F[beck]
-        if mlsi.start < mlsi.stop:
-            am, log_a = a[mlsi], f[mlsi]
-            N = am.sum(axis=1)
-            logN = np.log(N)
-            # with W = log A - log sigma: tr(A W) and tr(S L(X) S W)
-            den[mlsi] = (am * log_a).sum(axis=1) - _tr(X[mlsi], sls) - N * logN
-            num[mlsi] = -0.25 * ((log_a * diag[mlsi]).sum(axis=1) - _tr(LX[mlsi], sls))
-            g_num[mlsi] *= -0.25
-            g_den[mlsi] = M[mlsi] - logN[:, None, None] * L.sigma
-        if lsi.start < lsi.stop:
-            al = a[lsi]
-            alog = al * f[lsi]
-            Vl = V[lsi]
-            Vh = dag(Vl)
-            A = (Vl * al[:, None, :]) @ Vh
-            AL = A @ log_sigma
-            N = (al * al).sum(axis=1)
-            logN = np.log(N)
-            # Ent_2 = tr(A^2 (log A^2 - log sigma)) - N log N, N = tr A^2
-            den[lsi] = 2.0 * (al * alog).sum(axis=1) - _tr(A, AL) - N * logN
-            g_den[lsi] = quarter @ (4.0 * (Vl * alog[:, None, :]) @ Vh - AL - dag(AL)
-                                    - (2.0 * logN)[:, None, None] * A) @ quarter
-        for k, at in live:
-            if k >= cuts[3]:
-                q = float(specs[k][1])
-                A2 = quarter @ X[at] @ quarter
-                Mq = (f[at] * a[at]).sum(axis=1)
-                # Var_q = tr(A_2^2) - (tr A_q^q)^(2/q)
-                den[at] = (np.abs(A2) ** 2).sum(axis=(1, 2)) - Mq ** (2.0 / q)
-                num[at] *= 2.0 - q
-                g_num[at] *= 2.0 - q
-                g_den[at] = 2.0 * (quarter @ A2 @ quarter) - (
-                    2.0 * Mq ** (2.0 / q - 1.0))[:, None, None] * F[at]
+            Z, P = np.empty((n - nf, L.d, L.d), complex), np.empty((2, n - d0))
+            if nf < d0:
+                al, alog, Vl = a[nf:d0], fa[nf:d0], V[nf:d0]
+                Vh = dag(Vl)
+                A = (Vl * al[:, None, :]) @ Vh
+                AL = A @ log_sigma
+                N = (al * al).sum(axis=1)
+                logN = np.log(N)
+                # Ent_2 = tr(A^2 (log A^2 - log sigma)) - N log N, N = tr A^2
+                den[nf:d0] = 2.0 * (al * alog).sum(axis=1) - _tr(A, AL) - N * logN
+                Z[:d0 - nf] = (4.0 * (Vl * alog[:, None, :]) @ Vh - AL - dag(AL)
+                               - (2.0 * logN)[:, None, None] * A)
+            if d0 < n:
+                # Var_q = tr(A_2^2) - (tr A_q^q)^(2/q), the powers taken spec by spec
+                A2 = np.matmul(quarter @ X[d0:], quarter, out=Z[d0 - nf:])
+                for k, i, j in live:
+                    if i >= d0:
+                        q = float(specs[k][1])
+                        P[:, i - d0:j - d0] = tr_af[i:j] ** (2.0 / q), tr_af[i:j] ** (2.0 / q - 1.0)
+                den[d0:] = (np.abs(A2) ** 2).sum(axis=(1, 2)) - P[0]
+                g_num[d0:] *= c[d0:, None, None]
+            W = np.matmul(quarter @ Z, quarter, out=g_den[nf:])  # one sandwich for both kinds
+            g_den[d0:] = 2.0 * W[d0 - nf:] - (2.0 * P[1])[:, None, None] * F[d0:]
         # the ratio and its gradient, with (BIG, 0) on the ridge
         ridge = den <= RIDGE_FLOOR
         if ridge.any():
@@ -277,7 +270,7 @@ def _normalize(L: DbcLindbladian, mean: int, Y: np.ndarray):
 def _objective(L: DbcLindbladian, specs: Sequence[Spec]) -> Callable:
     """(y, rows) -> (ratio, gradient in y) over the real parameterization
     Y = unpack(y), X = Y†Y / m of :func:`_normalize`, each row for the spec
-    of specs that rows gives (spec 0 throughout by default).
+    of specs that rows gives (spec 0 throughout by default), finite or not.
 
     y is one point (2d^2,), giving a float and (2d^2,), or a stack
     (S, 2d^2), giving (S,) and (S, 2d^2), from one batched evaluation of
@@ -285,21 +278,17 @@ def _objective(L: DbcLindbladian, specs: Sequence[Spec]) -> Callable:
     order, and the rows of every call in spec order, so that the unit-mean
     rows lead for the normalization too."""
     fused = _ratio_and_grad(L, specs)
-    mean = np.array([kind in UNIT_MEAN for kind, _ in specs])
+    means = sum(kind in UNIT_MEAN for kind, _ in specs)  # the unit-mean specs lead
     d = L.d
 
     def objective(y: np.ndarray, rows=None):
-        Y = _unpack(np.reshape(y, (-1, 2 * d * d)), d)
+        Y = _unpack(np.asarray(y).reshape(-1, 2 * d * d), d)
         rows = np.zeros(len(Y), dtype=int) if rows is None else np.asarray(rows)
-        X, m, D = _normalize(L, int(np.count_nonzero(mean[rows])), Y)
+        X, m, D = _normalize(L, int(rows.searchsorted(means)), Y)
         val, G = fused(X, rows)
         # dX = (dX0 - X dm) / m, and dX0 = dY† Y + Y† dY
         G = la.herm(G - _tr(G, X)[:, None, None] * D) / m[:, None, None]
         grad = 2.0 * _pack(Y @ G)
-        if not (np.isfinite(val).all() and np.isfinite(grad).all()):
-            bad = ~(np.isfinite(val) & np.isfinite(grad).all(axis=1))
-            kind = specs[rows[np.argmax(bad)]][0]
-            raise OptimizerDiverged(f"non-finite ratio or gradient for kind {kind}")
         return (float(val[0]), grad[0]) if np.ndim(y) == 1 else (val, grad)
 
     return objective
@@ -331,12 +320,12 @@ def estimate_constants(L: DbcLindbladian, specs: Sequence[Spec],
     and report min(best ratio, analytic cap); the cap is the linearization
     value on the unreachable X -> 1 ridge. The distinct optimized specs are
     put in KINDS order once, stably, for the stacked evaluator. One batched
-    call first self-tests every analytic gradient against central
-    differences and raises GradientCheckFailed on the first spec in that
-    order that fails. Then the opts.num_starts starts of each spec form one
-    group of a single linalg.minimize call (the batched BFGS the transport
-    solver also uses) through one stacked evaluator; a group's running
-    starts stop once enough of its stopped ones agree on its lowest ratio.
+    call self-tests every analytic gradient against central differences,
+    raising GradientCheckFailed on the first spec in that order that fails,
+    and serves the descent's first call: the opts.num_starts starts of each
+    spec form one group of a single linalg.minimize call (the batched BFGS
+    the transport solver also uses) through one stacked evaluator; a group's
+    running starts stop once enough of its stopped ones agree on its lowest ratio.
     Each start's path is its own, so every estimate is the one it would be
     alone, and the starts of a group are reduced by a minimum, so it does
     not depend on their order. beckner needs p in (1, 2] and dual_beckner q
@@ -355,6 +344,7 @@ def estimate_constants(L: DbcLindbladian, specs: Sequence[Spec],
     lam = L.require_primitive().spectral_gap
     todo = sorted(dict.fromkeys((kind, param) for kind, param in specs if kind != "poincare"),
                   key=lambda spec: KINDS.index(spec[0]))
+    estimates = {}
     if todo:
         d, K = L.d, len(todo)
         objective = _objective(L, todo)
@@ -362,39 +352,54 @@ def estimate_constants(L: DbcLindbladian, specs: Sequence[Spec],
         check_at = np.eye(d) + 0.5 * (rng.standard_normal((d, d))
                                       + 1j * rng.standard_normal((d, d)))
         checks = np.repeat(np.arange(K), 7)  # check_gradient's seven points per spec
-        la.check_gradient(lambda y: objective(y, checks), np.tile(_pack(check_at), (K, 1)),
-                          [spec_name(kind, param) for kind, param in todo])
         starts = _pack(np.array(_seed_starts(L, opts.num_starts, opts.seed)))
         groups = np.repeat(np.arange(K), len(starts))
-        res = minimize(objective, np.tile(starts, (K, 1)), groups=groups)
-    out = []
-    for kind, param in specs:
-        if kind == "poincare":
-            out.append(ConstantEstimate("poincare", None, lam, L.gap_eigenvector,
-                                        0, 0.0, False))
-            continue
-        at = np.flatnonzero(groups == todo.index((kind, param)))
-        fun = res.fun[at]
+        x0 = np.tile(starts, (K, 1))
+        # the self-test's call also evaluates the starts x0, each spec's after
+        # its check points, and serves them to the descent's first call, so
+        # that a start's non-finite row raises there, after the self-test
+        stacked = np.concatenate([checks, groups])
+        order = np.argsort(stacked, kind="stable")
+        check, served = order < checks.size, []
+
+        def finite(val, grad, rows):  # else name the first non-finite row's kind
+            if not (np.isfinite(val).all() and np.isfinite(grad).all()):
+                bad = ~(np.isfinite(val) & np.isfinite(grad).all(axis=1))
+                raise OptimizerDiverged(f"non-finite ratio or gradient for kind "
+                                        f"{todo[rows[np.argmax(bad)]][0]}")
+            return val, grad
+
+        def checked(ys):
+            val, grad = objective(np.concatenate([ys, x0])[order], stacked[order])
+            served.append((val[~check], grad[~check]))
+            return finite(val[check], grad[check], checks)
+
+        la.check_gradient(checked, np.tile(_pack(check_at), (K, 1)),
+                          [spec_name(kind, param) for kind, param in todo])
+        res = minimize(lambda y, rows: finite(*(served.pop() if served else objective(y, rows)),
+                                              rows), x0, groups=groups)
         # each start's ratio is the value the optimizer holds at its end
-        # point; the first of the smallest wins
-        best = int(np.argmin(fun))
-        best_val = float(fun[best])
-        if not np.isfinite(best_val):
-            raise OptimizerDiverged("all starts diverged")
-        cap = (float(param) * lam / 2.0 if kind == "beckner"
-               else np.inf if kind == "dual_beckner" else lam / 2.0)
-        capped = best_val > cap
-        second = np.sort(fun)[1] if len(fun) > 1 else best_val
-        residual = float(abs(second - best_val) / max(best_val, 1e-300))
-        diagnostics = EstimateDiagnostics(
-            tuple(int(i) for i in res.iterations[at]),
-            tuple(int(e) for e in res.evaluations[at]),
-            tuple(res.stops[i] for i in at), tuple(float(v) for v in fun))
-        witness = None if capped else _normalize(L, int(kind in UNIT_MEAN),
-                                                 _unpack(res.x[at[best]], L.d)[None])[0][0]
-        out.append(ConstantEstimate(kind, param, float(min(best_val, cap)), witness,
-                                    len(fun), residual, bool(capped), diagnostics))
-    return out
+        # point; the first of the smallest wins. The witnesses come from one
+        # stacked normalization, whose unit-mean rows lead as in todo
+        n = len(starts)
+        fun, its, evs = (v.reshape(K, n) for v in (res.fun, res.iterations, res.evaluations))
+        best = np.argmin(fun, axis=1)
+        witnesses = _normalize(L, sum(kind in UNIT_MEAN for kind, _ in todo),
+                               _unpack(res.x[np.arange(K) * n + best], d))[0]
+        for k, (kind, param) in enumerate(todo):
+            best_val = float(fun[k, best[k]])
+            cap = (float(param) * lam / 2.0 if kind == "beckner"
+                   else np.inf if kind == "dual_beckner" else lam / 2.0)
+            capped = best_val > cap
+            second = np.sort(fun[k])[1] if n > 1 else best_val
+            residual = float(abs(second - best_val) / max(best_val, 1e-300))
+            diagnostics = EstimateDiagnostics(tuple(its[k].tolist()), tuple(evs[k].tolist()),
+                                              res.stops[k * n:(k + 1) * n], tuple(fun[k].tolist()))
+            estimates[kind, param] = ConstantEstimate(
+                kind, param, float(min(best_val, cap)), None if capped else witnesses[k], n,
+                residual, bool(capped), diagnostics)
+    return [ConstantEstimate("poincare", None, lam, L.gap_eigenvector, 0, 0.0, False)
+            if kind == "poincare" else estimates[kind, param] for kind, param in specs]
 
 
 def estimate_constant(L: DbcLindbladian, kind: str, p: float | None = None,

@@ -125,7 +125,8 @@ def theta_p_log(p: float, h: np.ndarray,
 
     theta_p(x, y) = (p-1)(x - y)/(x^(p-1) - y^(p-1)), the reciprocal of
     f_p^[1], is e^((1-a) m) q with a = p - 1 and q = a sinh h / sinh(a h),
-    so tilting (x, y) to (e^t x, e^-t y) moves h alone. 2x d/dx theta =
+    or its limit sinh h / h at p = 1 (theta_1 is the logarithmic mean), so
+    tilting (x, y) to (e^t x, e^-t y) moves h alone. 2x d/dx theta =
     theta (1 - a + g) and 2y d/dy theta = theta (1 - a - g), g = coth h -
     a coth(a h). Within |h| <= NEAR_TOL g is summed from its odd Taylor
     series, and no digit is lost to cancellation; outside it x d/dx theta
@@ -141,7 +142,8 @@ def theta_p_log(p: float, h: np.ndarray,
     # both quotients are 0 / 0 at h = 0: q is 1 there, and the series below
     # gives the partials, so the quotient rule is not evaluated
     nz = h != 0.0
-    q = np.divide(a * np.sinh(h), np.sinh(a * h), out=np.ones_like(h, dtype=float), where=nz)
+    top, bottom = (np.sinh(h), h) if a == 0.0 else (a * np.sinh(h), np.sinh(a * h))
+    q = np.divide(top, bottom, out=np.ones_like(h, dtype=float), where=nz)
     theta = np.exp(b * m) * q
     # h, then -h, on a new first axis before all of theta's: the x- and the
     # y-partial

@@ -120,8 +120,8 @@ def vec_columns(X: np.ndarray) -> np.ndarray:
 def apply_super(S: np.ndarray, X: np.ndarray) -> np.ndarray:
     """S applied to X, or to each matrix of a stack X of shape (..., d, d)."""
     X = np.asarray(X)
-    v = np.swapaxes(X, -1, -2).reshape(X.shape[:-2] + (-1, 1))
-    return np.swapaxes((S @ v).reshape(X.shape), -1, -2)
+    v = X.swapaxes(-1, -2).reshape(X.shape[:-2] + (-1, 1))
+    return (S @ v).reshape(X.shape).swapaxes(-1, -2)
 
 
 def left_super(A: np.ndarray) -> np.ndarray:
@@ -358,12 +358,14 @@ def minimize(fun: Callable, x0: np.ndarray, max_iters: int = 2000,
     starts have stopped on ftol or gtol at a value within
     AGREE_RTOL * |best| of best, every running start of the group stops
     ("agreed") at its current point and value. Line search and max_iters
-    stops do not count. Every returned value is still the objective at the
-    returned point, and whether the cut happens depends on the group's set
-    of starts, not on their order or on the other groups; with S_g <= 2 it
-    needs every start of the group stopped, so it never happens. So when fun
-    evaluates each row on its own, every start ends, after the same steps
-    and evaluations, where it would in a call on its group alone.
+    stops do not count. As values only fall and stopped values are fixed,
+    the test runs only after a call at which a start newly stopped on ftol
+    or gtol, or on gtol at x0. Every returned value is still the objective
+    at the returned point, and whether the cut happens depends on the
+    group's set of starts, not on their order or on the other groups; with
+    S_g <= 2 it needs every start of the group stopped, so it never happens.
+    So when fun evaluates each row on its own, every start ends, after the
+    same steps and evaluations, where it would in a call on its group alone.
     """
     x = np.array(x0, dtype=float)
     S, n = x.shape
@@ -400,10 +402,9 @@ def minimize(fun: Callable, x0: np.ndarray, max_iters: int = 2000,
             d = np.where(uphill[:, None], -g, d)
             slope = np.where(uphill, -(g * g).sum(axis=1), slope)
         norm = np.maximum(np.sqrt((d * d).sum(axis=1)), np.finfo(float).tiny)
-        alpha = 1.0 / norm if first and not whitened else np.ones(len(d))
         with np.errstate(over="ignore"):  # at g = 0, d = 0 and the cap may be inf
             cap = MAX_STEP * np.maximum(np.sqrt((x * x).sum(axis=1)), 1.0) / norm
-        return H, d, slope, np.minimum(alpha, cap)
+        return H, d, slope, np.minimum(1.0 / norm if first and not whitened else 1.0, cap)
 
     def agreed(stop):
         """Which starts of the stack (their stop codes in stop, the last step's
@@ -423,19 +424,19 @@ def minimize(fun: Callable, x0: np.ndarray, max_iters: int = 2000,
         return (np.bincount(label[agree], minlength=quorum.size) >= quorum)[label[ids]]
 
     H, step, slope, alpha = directions(H, g, x, True)
-    stop = np.full(ids.size, _RUNNING)
+    # stop is None while no start stops; pending: a start has taken no step
+    stop, settled, pending = np.full(ids.size, _RUNNING), ids.size < S, True
     while True:
-        cut = agreed(stop) if cuttable else None
-        if cut is not None:
+        if settled and cuttable and (cut := agreed(stop)) is not None:
             stop[cut & (stop == _RUNNING)] = _AGREED
-        done = stop != _RUNNING
-        if done.any():
+        if stop is not None:
+            done = stop != _RUNNING
             j = ids[done]
             out_x[j], out_f[j], out_stop[j] = x[done], f[done], stop[done]
             out_iters[j], out_evals[j] = iters[done], nfev
             keep = ~done
-            ids, x, f, g, H, step, slope, alpha, iters, fails, stop = (
-                a[keep] for a in (ids, x, f, g, H, step, slope, alpha, iters, fails, stop))
+            ids, x, f, g, H, step, slope, alpha, iters, fails = (
+                a[keep] for a in (ids, x, f, g, H, step, slope, alpha, iters, fails))
         if not ids.size:
             break
         trial = x + alpha[:, None] * step
@@ -450,7 +451,7 @@ def minimize(fun: Callable, x0: np.ndarray, max_iters: int = 2000,
             excess = np.where(ok, -descent, ft - f - descent)
             shrunk = np.minimum(np.maximum(-descent * alpha / (2.0 * excess), 0.1 * alpha),
                                 0.5 * alpha)
-        fails = (fails + 1) * ~ok
+        fails = fails * 0 if every else (fails + 1) * ~ok
 
         # Armijo held: update the inverse Hessian as a rank-2 correction
         # [s, Hy] M [s, Hy]^T, move, and test the stop rules
@@ -461,24 +462,26 @@ def minimize(fun: Callable, x0: np.ndarray, max_iters: int = 2000,
         ys = (y * s).sum(axis=1)
         curved = ok & (ys > 1e-12 * np.sqrt(yy * (s * s).sum(axis=1)))
         rho = curved / np.where(curved, ys, 1.0)
-        initial = curved & (iters == 0)
-        if initial.any():
+        if pending and (initial := curved & (iters == 0)).any():
             H = H * np.where(initial, ys / np.where(initial, yy, 1.0), 1.0)[:, None, None]
+        pending = pending and not every
         U[:, :, 1] = Hy = (H @ y[:, :, None])[:, :, 0]
-        M = np.empty((len(x), 2, 2))
+        M = np.zeros((len(x), 2, 2))
         M[:, 0, 0] = rho * (1.0 + rho * (y * Hy).sum(axis=1))
         M[:, 0, 1] = M[:, 1, 0] = -rho
-        M[:, 1, 1] = 0.0
         H = H + U @ M @ U.transpose(0, 2, 1)
         scale = np.maximum(np.maximum(np.abs(f), np.abs(ft)), 1.0)
-        stop = np.where(ok & (f - ft <= ftol * scale), _FTOL, _RUNNING)
-        x = np.where(ok[:, None], trial, x)
-        f = np.where(ok, ft, f)
-        g = np.where(ok[:, None], gt, g)
+        fstop = ok & (f - ft <= ftol * scale)
+        x, f, g = (trial, ft, gt) if every else (
+            np.where(ok[:, None], trial, x), np.where(ok, ft, f), np.where(ok[:, None], gt, g))
         iters = iters + ok
-        stop[(stop == _RUNNING) & ok & (np.abs(g).max(axis=1) <= GTOL)] = _GTOL
-        stop[(stop == _RUNNING) & (iters >= max_iters)] = _MAX_ITERS
-        stop[fails >= MAX_BACKTRACKS] = _LINE_SEARCH
+        gstop = ok & (np.abs(g).max(axis=1) <= GTOL)
+        settled = bool((fstop | gstop).any())
+        stop = None  # while no start stops; as iters < nfev, none reaches max_iters sooner
+        if settled or nfev > max_iters or (fails >= MAX_BACKTRACKS).any():
+            stop = np.where(fstop, _FTOL, np.where(gstop, _GTOL, _RUNNING))
+            stop[(stop == _RUNNING) & (iters >= max_iters)] = _MAX_ITERS
+            stop[fails >= MAX_BACKTRACKS] = _LINE_SEARCH
 
         # a start that backtracks keeps H and g, so its direction comes out
         # the same as before; only its step length changes

@@ -452,6 +452,25 @@ class TestStackedEstimation:
         with pytest.raises(GradientCheckFailed, match=rf"^{re.escape(first)} gradient"):
             ct.estimate_constants(depol3, [("poincare", None)] + specs, FAST)
 
+    # a gradient 1e-3 off is caught on the kinds whose directional
+    # derivatives at depol3's check point reach 0.1 (beckner[1.05]: 0.108,
+    # mlsi: 0.120). Those of lsi and dual_beckner are at most 0.016 and
+    # 0.027, where check_gradient's scale max(1, |fd|, |an|) makes its 1e-4
+    # test absolute and a 1e-3 error passes (ROADMAP item 3)
+    @pytest.mark.parametrize("kind,first", [
+        ("beckner", "beckner[1.05]"), ("mlsi", "mlsi"),
+        *(pytest.param(kind, first, marks=pytest.mark.xfail(
+            strict=True, reason="directional derivatives below check_gradient's absolute floor"))
+          for kind, first in (("lsi", "lsi"), ("dual_beckner", "dual_beckner[1.2]")))])
+    def test_self_test_catches_a_gradient_off_by_1e_3(self, depol3, monkeypatch, kind, first):
+        def scaled(value, G, hit):
+            return value, np.where(hit[:, None, None], (1.0 + 1e-3) * G, G)
+
+        self.break_kinds(monkeypatch, [kind], scaled)
+        _, specs = fixture_specs("depol3")
+        with pytest.raises(GradientCheckFailed, match=rf"^{re.escape(first)} gradient"):
+            ct.estimate_constants(depol3, [("poincare", None)] + specs, FAST)
+
     @pytest.mark.parametrize("kind", ["mlsi", "dual_beckner"])
     def test_diverged_names_the_kind(self, depol3, monkeypatch, kind):
         def nan(value, G, hit):
@@ -464,7 +483,8 @@ class TestStackedEstimation:
 
     def test_task_makes_one_minimize_call(self, monkeypatch):
         # depol3's eleven estimates of 32 starts each descend in one call of
-        # 34 batched evaluations (the calls of the slowest estimate)
+        # 34 batched evaluations (the calls of the slowest estimate), the
+        # first of them served by the self-test's call
         runs = []
         minimize = ct.minimize
 
@@ -478,6 +498,42 @@ class TestStackedEstimation:
         assert cli.run(cfg)["summary"]["passed"]
         assert len(runs) == 1 and len(runs[0].fun) == 11 * cfg.num_starts
         assert runs[0].nfev <= 40
+
+    def test_self_test_call_serves_the_first_descent_call(self, monkeypatch):
+        # the self-test's call also evaluates the starts x0, so a constants
+        # task runs the evaluator once per minimize call (nfev; depol3: 34,
+        # one fewer than with a separate self-test call), and the values and
+        # gradients served to the descent's first call are a fresh objective
+        # call's at x0 bit for bit
+        calls, runs = [], []
+        fused, minimize = ct._ratio_and_grad, ct.minimize
+
+        def counted(L, specs):
+            inner = fused(L, specs)
+
+            def evaluate(X, rows=None):
+                calls.append(len(X))
+                return inner(X, rows)
+
+            return evaluate
+
+        def recorded(fun, x0, groups, **kwargs):
+            first = [fun(x0, groups)]  # served: no evaluator call
+            runs.append((x0.copy(), groups.copy(), first[0]))
+            runs.append(minimize(lambda x, rows: first.pop() if first else fun(x, rows), x0,
+                                 groups=groups, **kwargs))
+            return runs[-1]
+
+        monkeypatch.setattr(ct, "_ratio_and_grad", counted)
+        monkeypatch.setattr(ct, "minimize", recorded)
+        cfg = cf.fixtures("depol3")
+        cfg.tasks = ["constants"]
+        assert cli.run(cfg)["summary"]["passed"]
+        (x0, groups, (value, grad)), res = runs
+        assert len(calls) == res.nfev == 34
+        L, specs = fixture_specs("depol3")
+        fresh = ct._objective(L, specs)(x0, groups)
+        assert np.array_equal(value, fresh[0]) and np.array_equal(grad, fresh[1])
 
     def test_no_specs_need_no_primitivity(self):
         assert ct.estimate_constants(sg.random_dbc(SIGMA_STAR, 0, 0, seed=1), []) == []

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -243,3 +245,68 @@ def test_theta_p_log_partials_vanish_at_p_2():
     theta, dx, dy = kn.theta_p_log(2.0, h, np.linspace(-20.0, 5.0, h.size))
     assert np.all(theta == 1.0)
     assert np.all(dx == 0.0) and np.all(dy == 0.0)
+
+
+def _theta_1_exact(h, m):
+    """theta_1 at x = e^(m+h), y = e^(m-h), the logarithmic mean, with
+    x d/dx theta_1 = (2h x - (x - y)) / (4h^2) and y d/dy theta_1 =
+    ((x - y) - 2h y) / (4h^2) (theta_1 / 2 each at h = 0), in 60-digit
+    mpmath."""
+    import mpmath as mp
+
+    with mp.workdps(60):
+        h, m = mp.mpf(h), mp.mpf(m)
+        if h == 0:
+            return mp.exp(m), mp.exp(m) / 2, mp.exp(m) / 2
+        x, y = mp.exp(m + h), mp.exp(m - h)
+        return (mp.exp(m) * mp.sinh(h) / h, (2 * h * x - (x - y)) / (4 * h * h),
+                ((x - y) - 2 * h * y) / (4 * h * h))
+
+
+# half log-ratios on both sides of NEAR_TOL, h = 0 and a near tie among them
+_P1_H = np.array([0.0, 3e-9, 0.05, -0.1, kn.NEAR_TOL, -kn.NEAR_TOL, 0.15, -0.3, 1.0, -4.0, 12.0])
+
+
+def test_theta_p_log_at_p_1_is_the_logarithmic_mean():
+    # the a = 0 branch takes q = sinh h / h, with no 0/0 and no warning;
+    # against the logarithmic-mean oracle to 1e-14 where the oracle's own
+    # quotient holds its digits: it loses them at near ties and, through
+    # log1p near -1, at |h| = 12 (1.3e-8 off), both left to the mpmath test
+    h, m = _P1_H, np.linspace(-8.0, 2.0, _P1_H.size)
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        theta, _, _ = kn.theta_p_log(1.0, h, m)
+    ref = oracles.theta_log_kernel().f(np.exp(m + h), np.exp(m - h))
+    held = (h == 0.0) | ((np.abs(h) >= 1e-3) & (np.abs(h) <= 4.0))
+    assert held.sum() == 9
+    assert np.all(np.abs(theta[held] - ref[held]) <= 1e-14 * ref[held])
+
+
+def test_theta_p_log_partials_at_p_1_match_mpmath():
+    # both log-partials, on the series branch (|h| <= NEAR_TOL) and the
+    # quotient branch, against the closed forms: the largest error measured
+    # was 4.4e-16 relative
+    h, m = _P1_H, np.linspace(-8.0, 2.0, _P1_H.size)
+    grids = kn.theta_p_log(1.0, h, m)
+    for i in range(h.size):
+        exact = [float(v) for v in _theta_1_exact(h[i], m[i])]
+        for got, e in zip((g[i] for g in grids), exact):
+            assert abs(got - e) <= 1e-14 * max(abs(e), exact[0]), (h[i], got, e)
+
+
+@pytest.mark.parametrize("p", [1.05, 1.5, 1.9])
+def test_theta_p_log_off_p_1_keeps_the_quotient_form(p):
+    # a = p - 1 != 0 keeps q = a sinh h / sinh(a h) and, beyond NEAR_TOL,
+    # the partials theta (q e^((a-1) h) - 1) / expm1(-2h), bit for bit
+    h = _P1_H[_P1_H != 0.0]
+    m = np.linspace(-8.0, 2.0, h.size)
+    a = p - 1.0
+    b = 1.0 - a
+    q = a * np.sinh(h) / np.sinh(a * h)
+    theta = np.exp(b * m) * q
+    got = kn.theta_p_log(p, h, m)
+    assert np.array_equal(got[0], theta)
+    far = np.abs(h) > kn.NEAR_TOL
+    for k, s in ((1, 1.0), (2, -1.0)):
+        ref = theta * (q * np.exp(-b * s * h) - 1.0) / np.expm1(-2.0 * s * h)
+        assert np.array_equal(got[k][far], ref[far])
